@@ -47,7 +47,7 @@ from .solitons import (
     torse_forming_constants,
     xi_consequence_suite,
 )
-from .symexpr import Expr, ExprError, ParseError, parse
+from .symexpr import Expr, ExprError, InvariantError, ParseError, parse
 from .tensor import Frame, Metric, TensorField, lie_bracket, signature_at
 
 __version__ = "0.1.0"

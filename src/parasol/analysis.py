@@ -166,7 +166,7 @@ class Analysis:
         if spec.kind == "xi":
             return True
         vector = spec.vector(self.structure)
-        return (vector - self.structure.xi).is_zero(guard=False)
+        return (vector - self.structure.xi).is_zero()
 
     def new_report(self) -> VerificationReport:
         report = VerificationReport(

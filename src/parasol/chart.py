@@ -88,9 +88,6 @@ class Chart:
         except ValueError:
             raise KeyError(name) from None
 
-    def base_point_map(self) -> dict[str, Fraction]:
-        return dict(zip(self.coordinates, self.base_point))
-
     def require_same(self, other: "Chart") -> None:
         if self != other:
             raise ChartMismatchError(
@@ -126,7 +123,3 @@ class Chart:
                 continue
             points.append(point)
         return points
-
-    def unit_box_around_base(self) -> list[tuple[float, float]]:
-        """The box [-1, 1]^n shifted to the base point (zero-test sampling)."""
-        return [(float(b) - 1.0, float(b) + 1.0) for b in self.base_point]

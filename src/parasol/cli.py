@@ -20,7 +20,7 @@ component list.  MANIFEST is a path; bare names resolve against the bundled
 fixtures (e.g. ``fixtures/ex1_r3_spacelike``).
 
 Exit codes: 0 all executed checks passed, 1 at least one check failed,
-2 input or usage error.
+2 input or usage error, or an internal invariant that failed (a bug).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .oracle import StencilDegeneracyError
 from .paracontact import StructureError
 from .report import EXIT_INPUT_ERROR
 from .solitons import RankDeficientError
-from .symexpr import ExprError
+from .symexpr import ExprError, InvariantError
 from .tensor import FrameError, SingularMetricError, ValenceError
 
 __all__ = ["main"]
@@ -161,6 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         report = run_command(command, manifest, options)
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except InvariantError as exc:
+        print("internal error: invariant violated: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR
     sys.stdout.write(report.to_json() if args.json else report.to_table())
     return report.exit_code

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chart import Chart
-from .symexpr import Expr
+from .symexpr import Expr, InvariantError
 from .tensor import Frame, Metric, TensorField, ValenceError
 
 __all__ = [
@@ -260,9 +260,8 @@ def lie_derivative_two_ways(
 def lie_derivative_metric(
     metric: Metric, direction: TensorField, connection: ConnectionData
 ) -> TensorField:
-    """(L_V g)(X, Y); both formulas are computed and asserted equal."""
+    """(L_V g)(X, Y); both formulas are computed and required to agree."""
     via_coordinates, via_connection = lie_derivative_two_ways(metric, direction, connection)
-    assert (via_coordinates - via_connection).is_zero(guard=False), (
-        "Lie derivative formulas disagree"
-    )
+    if not (via_coordinates - via_connection).is_zero():
+        raise InvariantError("Lie derivative formulas disagree")
     return via_coordinates

@@ -278,7 +278,7 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> Manifest:
     if data.get("alpha") is not None:
         alpha_rows = _parse_matrix(data["alpha"], chart, "alpha")
         alpha = TensorField(chart, 0, 2, [e for row in alpha_rows for e in row])
-        if not alpha.is_symmetric_down(0, 1, guard=False):
+        if not alpha.is_symmetric_down(0, 1):
             raise ManifestError("alpha must be symmetric")
 
     ricci_mode = data.get("ricci_mode")

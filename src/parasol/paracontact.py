@@ -42,7 +42,7 @@ from .connection import (
     riemann,
     scalar_curvature,
 )
-from .symexpr import Expr
+from .symexpr import Expr, InvariantError
 from .tensor import Frame, Metric, TensorField, kronecker
 
 __all__ = [
@@ -219,9 +219,8 @@ def validate_axioms(structure: ParacontactStructure) -> list[CheckOutcome]:
         residual_outcome("axiom_eta_phi", eta_phi, "eta o phi = 0"),
     ]
     if outcomes[0].status == PASS and outcomes[1].status == PASS:
-        assert outcomes[2].status == PASS and outcomes[3].status == PASS, (
-            "phi^2 and eta(xi) axioms hold but an implied axiom failed"
-        )
+        if outcomes[2].status != PASS or outcomes[3].status != PASS:
+            raise InvariantError("phi^2 and eta(xi) axioms hold but an implied axiom failed")
     return outcomes
 
 
@@ -273,9 +272,10 @@ def validate_metric_compat(structure: ParacontactStructure) -> list[CheckOutcome
     ]
     axioms_pass = all(o.status == PASS for o in validate_axioms(structure))
     if axioms_pass and outcomes[0].status == PASS:
-        assert outcomes[1].status == PASS and outcomes[2].status == PASS, (
-            "first compatibility identity holds but an implied identity failed"
-        )
+        if outcomes[1].status != PASS or outcomes[2].status != PASS:
+            raise InvariantError(
+                "first compatibility identity holds but an implied identity failed"
+            )
     return outcomes
 
 
@@ -341,9 +341,8 @@ def is_para_sasakian(structure: ParacontactStructure) -> list[CheckOutcome]:
         ),
     ]
     if outcomes[0].status == PASS:
-        assert outcomes[1].status == PASS, (
-            "para-Sasakian condition holds but nabla xi = eps phi failed"
-        )
+        if outcomes[1].status != PASS:
+            raise InvariantError("para-Sasakian condition holds but nabla xi = eps phi failed")
     return outcomes
 
 

@@ -38,7 +38,7 @@ from .connection import (
     scalar_curvature,
 )
 from .paracontact import ParacontactStructure
-from .symexpr import ExactEvaluationError, Expr
+from .symexpr import ExactEvaluationError, Expr, InvariantError
 from .tensor import TensorField, ValenceError
 
 __all__ = [
@@ -240,9 +240,8 @@ def solve_soliton_constants(
         ) from exc
     (lam, mu), normal = solve_normal_equations(rows, rhs)
     # the 2x2 normal matrix must be positive definite for a unique minimizer
-    assert normal[0][0] > 0 and normal[0][0] * normal[1][1] - normal[0][1] ** 2 > 0, (
-        "normal matrix is not positive definite; g and eta(x)eta degenerate"
-    )
+    if not (normal[0][0] > 0 and normal[0][0] * normal[1][1] - normal[0][1] ** 2 > 0):
+        raise InvariantError("normal matrix is not positive definite; g and eta(x)eta degenerate")
 
     residual = b_tensor + g_field.scale(lam) + eta_eta.scale(mu)
     exact = residual.is_zero()
@@ -935,7 +934,7 @@ def parallel_tensor_check(
     eps = Fraction(structure.epsilon)
     if alpha.valence != (0, 2):
         raise ValenceError("alpha must be a (0, 2) tensor")
-    if not alpha.is_symmetric_down(0, 1, guard=False):
+    if not alpha.is_symmetric_down(0, 1):
         raise ValenceError("alpha must be symmetric")
     outcomes: list[CheckOutcome] = []
     conn = structure.connection()
@@ -962,8 +961,8 @@ def parallel_tensor_check(
 
     identity_residual = TensorField.build(chart, 0, 4, ricci_identity)
     identity_zero = identity_residual.is_zero()
-    if parallel:
-        assert identity_zero, "alpha is parallel but the Ricci identity residual is nonzero"
+    if parallel and not identity_zero:
+        raise InvariantError("alpha is parallel but the Ricci identity residual is nonzero")
     outcomes.append(
         CheckOutcome(
             prefix + "_ricci_identity",

@@ -19,11 +19,25 @@ Canonical form
   no single-term factor with the numerator: common monomial content is
   cancelled.
 
-Internally a denominator is stored factored as ``x^d * B^e`` with B a monic,
-content-free sum.  Derivatives and products of quotients with the same B then
-grow the power e instead of multiplying expanded sums, which keeps curvature
-pipelines (where every denominator is a power of det g) small.  The printed
-and parsed form is always the expanded single-sum denominator.
+Representation
+--------------
+An expression is stored as ``c * N / (x^d * B^e)``:
+
+* a key is a pair of tuples: the monomial's exponents and the atom's rates.
+  A rate is an ``int`` whenever it is integral and a ``Fraction`` only when it
+  is not, so hashing and adding keys is plain integer work;
+* N is a sum with integer coefficients whose gcd is 1 (its primitive part)
+  and c is its one rational content;
+* B is a sum with coprime integer coefficients and a positive leading term,
+  so it is monic up to the integer factor lead(B).
+
+Sums therefore multiply and add over ``int`` only; the contents are combined
+once per operation.  The printed numerator is ``c * N / lead(B)^e`` over the
+monic expanded denominator ``x^d * (B / lead(B))^e``, the canonical form
+above.  Keeping the denominator factored lets derivatives and products of
+quotients with the same B grow the power e instead of multiplying expanded
+sums, which keeps curvature pipelines (where every denominator is a power of
+det g) small.
 
 Grammar (shared with the manifest format)::
 
@@ -41,7 +55,9 @@ nonzero rational is irrational and would break exactness).
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .chart import Chart
@@ -55,17 +71,14 @@ __all__ = [
     "DivisionByZeroExprError",
     "DegenerateEvaluationError",
     "ExactEvaluationError",
+    "InvariantError",
     "parse",
 ]
 
 Mono = tuple  # tuple[int, ...]
-Atom = tuple  # tuple[Fraction, ...]
+Atom = tuple  # tuple[int | Fraction, ...]: int wherever the rate is integral
 Key = tuple  # (Mono, Atom)
-Sum = dict  # dict[Key, Fraction]
-
-ZERO_GUARD_POINTS = 20
-ZERO_GUARD_SEED = 42
-ZERO_GUARD_DEN_CUTOFF = 1e-6
+Sum = dict  # dict[Key, int]: nonzero integer coefficients
 
 
 class ExprError(ValueError):
@@ -98,73 +111,105 @@ class ExactEvaluationError(ExprError):
     """Exact evaluation impossible (nonzero exponential atom or zero denominator)."""
 
 
+class InvariantError(RuntimeError):
+    """A mathematical identity the computation relies on did not hold.
+
+    Raised in place of ``assert`` so the check survives ``python -O``; it
+    signals a bug in parasol, not bad input.
+    """
+
+
 # ---------------------------------------------------------------------------
-# sum-of-terms helpers (plain dicts keyed by (monomial, atom))
+# sum-of-terms helpers (plain dicts keyed by (monomial, atom), int values)
 # ---------------------------------------------------------------------------
 
-
-def _szero() -> Sum:
-    return {}
-
-
-def _sconst(n: int, value: Fraction) -> Sum:
-    if value == 0:
-        return {}
-    return {((0,) * n, (_F0,) * n): value}
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
-def _sadd(a: Sum, b: Sum) -> Sum:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
+def _rational(value) -> int | Fraction:
+    """An exact rational, stored as int when it is integral."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _canon_atom(atom: Atom) -> Atom:
+    return tuple(x if type(x) is int else _rational(x) for x in atom)
+
+
+def _has_fraction_rate(a: Sum) -> bool:
+    return any(type(x) is not int for _, atom in a for x in atom)
+
+
+def _rate_denominator(a: Sum, i: int) -> int:
+    """Least common denominator of the exponential rates along axis i."""
+    return math.lcm(*(atom[i].denominator for _, atom in a))
+
+
+def _common_content(p: Fraction, q: Fraction) -> tuple[Fraction, int, int]:
+    """(c, i, j) with p = c*i and q = c*j for coprime integers i, j."""
+    if p == q:
+        return p, 1, 1
+    g = math.gcd(p.numerator, q.numerator)
+    l = math.lcm(p.denominator, q.denominator)
+    return (
+        Fraction(g, l),
+        p.numerator // g * (l // p.denominator),
+        q.numerator // g * (l // q.denominator),
+    )
+
+
+def _sone(n: int) -> Sum:
+    return {((0,) * n, (0,) * n): 1}
+
+
+def _sadd(a: Sum, b: Sum, ka: int = 1, kb: int = 1) -> Sum:
+    """ka*a + kb*b."""
+    out = dict(a) if ka == 1 else {key: coeff * ka for key, coeff in a.items()}
     for key, coeff in b.items():
-        new = out.get(key, _F0) + coeff
-        if new == 0:
-            out.pop(key, None)
-        else:
+        new = out.get(key, 0) + coeff * kb
+        if new:
             out[key] = new
+        else:
+            del out[key]
     return out
-
-
-def _sneg(a: Sum) -> Sum:
-    return {key: -coeff for key, coeff in a.items()}
 
 
 def _smul(a: Sum, b: Sum) -> Sum:
     if not a or not b:
         return {}
     out: Sum = {}
+    get = out.get
+    terms_b = list(b.items())
     for (ma, ea), ca in a.items():
-        for (mb, eb), cb in b.items():
-            key = (
-                tuple(x + y for x, y in zip(ma, mb)),
-                tuple(x + y for x, y in zip(ea, eb)),
-            )
-            new = out.get(key, _F0) + ca * cb
-            if new == 0:
-                out.pop(key, None)
-            else:
+        for (mb, eb), cb in terms_b:
+            key = (tuple(map(add, ma, mb)), tuple(map(add, ea, eb)))
+            new = get(key, 0) + ca * cb
+            if new:
                 out[key] = new
+            else:
+                del out[key]
+    if _has_fraction_rate(a) and _has_fraction_rate(b):
+        # two non-integral rates may add up to an integral one
+        out = {(mono, _canon_atom(atom)): coeff for (mono, atom), coeff in out.items()}
     return out
 
 
-def _sscale(a: Sum, coeff: Fraction, mono_shift: Mono | None = None, atom_shift: Atom | None = None) -> Sum:
-    if coeff == 0:
+def _sscale(a: Sum, k: int, mono_shift: Mono | None = None, atom_shift: Atom | None = None) -> Sum:
+    if k == 0:
         return {}
     out: Sum = {}
     for (mono, atom), c in a.items():
         if mono_shift is not None:
-            mono = tuple(x + y for x, y in zip(mono, mono_shift))
+            mono = tuple(map(add, mono, mono_shift))
         if atom_shift is not None:
-            atom = tuple(x + y for x, y in zip(atom, atom_shift))
-        out[(mono, atom)] = c * coeff
+            atom = _canon_atom(tuple(map(add, atom, atom_shift)))
+        out[(mono, atom)] = c * k
     return out
 
 
 def _spow(a: Sum, k: int, n: int) -> Sum:
-    result = _sconst(n, _F1)
+    result = _sone(n)
     base = a
     while k > 0:
         if k & 1:
@@ -175,25 +220,29 @@ def _spow(a: Sum, k: int, n: int) -> Sum:
     return result
 
 
-def _sdiff(a: Sum, i: int) -> Sum:
-    """d/dx_i of a sum: power rule on the monomial plus the atom coefficient."""
+def _sdiff(a: Sum, i: int, scale: int = 1) -> Sum:
+    """scale * d/dx_i of a sum: power rule on the monomial plus the atom rate.
+
+    ``scale`` must clear the denominators of the rates along axis i, so that
+    every coefficient stays an integer.
+    """
     out: Sum = {}
     for (mono, atom), coeff in a.items():
         if mono[i] > 0:
             key = (mono[:i] + (mono[i] - 1,) + mono[i + 1 :], atom)
-            new = out.get(key, _F0) + coeff * mono[i]
-            if new == 0:
-                out.pop(key, None)
-            else:
+            new = out.get(key, 0) + coeff * mono[i] * scale
+            if new:
                 out[key] = new
+            else:
+                del out[key]
         lam = atom[i]
         if lam != 0:
             key = (mono, atom)
-            new = out.get(key, _F0) + coeff * lam
-            if new == 0:
-                out.pop(key, None)
-            else:
+            new = out.get(key, 0) + coeff * int(lam * scale)
+            if new:
                 out[key] = new
+            else:
+                del out[key]
     return out
 
 
@@ -213,17 +262,17 @@ def _scontent(a: Sum) -> tuple[Mono, Atom]:
     return tuple(mono), tuple(atom)
 
 
-def _seval(a: Sum, xs: Sequence[float]) -> float:
+def _seval(coeffs: Sequence[float], a: Sum, xs: Sequence[float]) -> float:
+    """Float value of a sum whose float coefficients are ``coeffs`` (in key order)."""
     total = 0.0
-    for (mono, atom), coeff in a.items():
-        value = float(coeff)
+    for value, (mono, atom) in zip(coeffs, a):
         for x, k in zip(xs, mono):
             if k:
                 value *= x**k
         arg = 0.0
         for x, lam in zip(xs, atom):
             if lam:
-                arg += float(lam) * x
+                arg += lam * x
         if arg:
             value *= math.exp(arg)
         total += value
@@ -248,10 +297,6 @@ def _seval_exact(a: Sum, xs: Sequence[Fraction]) -> Fraction:
     return total
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
-
 # ---------------------------------------------------------------------------
 # the expression class
 # ---------------------------------------------------------------------------
@@ -265,25 +310,28 @@ class Expr:
     multiplies and tests whether the canonical difference is the empty sum.
     """
 
-    __slots__ = ("chart", "_num", "_dmono", "_dbase", "_dexp")
+    __slots__ = ("chart", "_scale", "_num", "_dmono", "_dbase", "_dexp", "_float")
 
-    def __init__(self, chart: Chart, num: Sum, dmono: Mono, dbase: Sum | None, dexp: int):
+    def __init__(
+        self, chart: Chart, scale: Fraction, num: Sum, dmono: Mono, dbase: Sum | None, dexp: int
+    ):
         # Internal constructor: callers go through _make/_from_num_den.
         self.chart = chart
+        self._scale = scale
         self._num = num
         self._dmono = dmono
         self._dbase = dbase
         self._dexp = dexp
+        self._float = None  # float coefficients, filled in by the first evaluate()
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _make(cls, chart: Chart, num: Sum, dmono: Mono, dbase: Sum | None, dexp: int) -> "Expr":
-        num = {key: coeff for key, coeff in num.items() if coeff != 0}
-        n = chart.dimension
-        zero_mono = (0,) * n
+    def _make(
+        cls, chart: Chart, scale: Fraction, num: Sum, dmono: Mono, dbase: Sum | None, dexp: int
+    ) -> "Expr":
         if not num:
-            return cls(chart, {}, zero_mono, None, 0)
+            return cls.zero(chart)
         if dbase is not None and dexp == 0:
             dbase = None
         if any(dmono):
@@ -295,42 +343,49 @@ class Expr:
             cancel = tuple(min(a, b) for a, b in zip(mins, dmono))
             if any(cancel):
                 shift = tuple(-c for c in cancel)
-                num = _sscale(num, _F1, mono_shift=shift)
+                num = _sscale(num, 1, mono_shift=shift)
                 dmono = tuple(a - b for a, b in zip(dmono, cancel))
-        return cls(chart, num, dmono, dbase, dexp)
+        content = math.gcd(*num.values())
+        if content != 1:
+            num = {key: coeff // content for key, coeff in num.items()}
+            scale = scale * content
+        return cls(chart, scale, num, dmono, dbase, dexp)
 
     @classmethod
-    def _from_num_den(cls, chart: Chart, num: Sum, den: Sum) -> "Expr":
-        """Quotient of two raw sums, normalizing the denominator."""
-        den = {key: coeff for key, coeff in den.items() if coeff != 0}
+    def _from_num_den(cls, chart: Chart, scale: Fraction, num: Sum, den: Sum) -> "Expr":
+        """The quotient scale * num / den, normalizing the denominator."""
         if not den:
             raise DivisionByZeroExprError("division by canonical zero")
-        num = {key: coeff for key, coeff in num.items() if coeff != 0}
-        n = chart.dimension
         if not num:
             return cls.zero(chart)
         mono_c, atom_c = _scontent(den)
         neg_atom = tuple(-a for a in atom_c)
-        stripped = _sscale(den, _F1, mono_shift=tuple(-m for m in mono_c), atom_shift=neg_atom)
-        lead = stripped[max(stripped)]
-        if lead != 1:
-            stripped = _sscale(stripped, _F1 / lead)
-        # num / (lead * exp(atom_c) * x^mono_c * stripped)
-        num = _sscale(num, _F1 / lead, atom_shift=neg_atom)
+        stripped = _sscale(den, 1, mono_shift=tuple(-m for m in mono_c), atom_shift=neg_atom)
+        content = math.gcd(*stripped.values())
+        if stripped[max(stripped)] < 0:
+            content = -content
+        if content != 1:
+            stripped = {key: coeff // content for key, coeff in stripped.items()}
+        # num / (content * exp(atom_c) * x^mono_c * stripped)
+        num = _sscale(num, 1, atom_shift=neg_atom)
+        scale = scale / content
         if len(stripped) == 1:
             # after content stripping a single-term denominator is exactly 1
-            return cls._make(chart, num, mono_c, None, 0)
-        return cls._make(chart, num, mono_c, stripped, 1)
+            return cls._make(chart, scale, num, mono_c, None, 0)
+        return cls._make(chart, scale, num, mono_c, stripped, 1)
 
     @classmethod
     def zero(cls, chart: Chart) -> "Expr":
         n = chart.dimension
-        return cls(chart, {}, (0,) * n, None, 0)
+        return cls(chart, _F1, {}, (0,) * n, None, 0)
 
     @classmethod
     def constant(cls, chart: Chart, value) -> "Expr":
+        value = Fraction(value)
+        if value == 0:
+            return cls.zero(chart)
         n = chart.dimension
-        return cls._make(chart, _sconst(n, Fraction(value)), (0,) * n, None, 0)
+        return cls(chart, value, _sone(n), (0,) * n, None, 0)
 
     @classmethod
     def one(cls, chart: Chart) -> "Expr":
@@ -344,16 +399,16 @@ class Expr:
             raise UnknownCoordinateError("unknown coordinate %r" % name) from None
         n = chart.dimension
         mono = tuple(1 if j == i else 0 for j in range(n))
-        return cls(chart, {(mono, (_F0,) * n): _F1}, (0,) * n, None, 0)
+        return cls(chart, _F1, {(mono, (0,) * n): 1}, (0,) * n, None, 0)
 
     @classmethod
     def exponential(cls, chart: Chart, coefficients: Sequence) -> "Expr":
         """exp of the linear form sum(coefficients[i] * x_i)."""
         n = chart.dimension
-        atom = tuple(Fraction(c) for c in coefficients)
+        atom = tuple(_rational(c) for c in coefficients)
         if len(atom) != n:
             raise ExprError("exponential atom needs %d coefficients" % n)
-        return cls(chart, {((0,) * n, atom): _F1}, (0,) * n, None, 0)
+        return cls(chart, _F1, {((0,) * n, atom): 1}, (0,) * n, None, 0)
 
     # -- structure ----------------------------------------------------------
 
@@ -366,42 +421,22 @@ class Expr:
         return self._dbase is None and not any(self._dmono)
 
     def _den_sum(self) -> Sum:
-        """Expanded single-sum denominator (monic, content = x^dmono)."""
+        """Expanded denominator x^dmono * B^dexp (primitive, positive leading term)."""
         n = self.chart.dimension
-        out = _sconst(n, _F1)
-        if self._dbase is not None:
-            out = _spow(self._dbase, self._dexp, n)
+        out = _sone(n) if self._dbase is None else _spow(self._dbase, self._dexp, n)
         if any(self._dmono):
-            out = _sscale(out, _F1, mono_shift=self._dmono)
+            out = _sscale(out, 1, mono_shift=self._dmono)
         return out
 
-    def is_zero(self, guard: bool = True) -> bool:
-        """True iff the canonical numerator is the empty sum.
+    def _den_lead(self) -> int:
+        """Leading coefficient of the expanded denominator."""
+        if self._dbase is None:
+            return 1
+        return self._dbase[max(self._dbase)] ** self._dexp
 
-        A positive answer is additionally sanity-checked by evaluating the
-        expression at seeded sample points near the base point (an assertion
-        against canonicalization bugs, not a change of the return value).
-        """
-        result = not self._num
-        if result and guard:
-            for point in self._guard_points():
-                value = self.evaluate(point)
-                assert abs(value) <= 1e-9, (
-                    "canonical zero evaluated to %r at %r" % (value, point)
-                )
-        return result
-
-    def _guard_points(self) -> list[dict[str, float]]:
-        def bad_denominator(point: dict[str, float]) -> bool:
-            xs = [point[c] for c in self.chart.coordinates]
-            return abs(self._den_eval(xs)) < ZERO_GUARD_DEN_CUTOFF
-
-        return self.chart.sample_points(
-            ZERO_GUARD_POINTS,
-            ZERO_GUARD_SEED,
-            box=self.chart.unit_box_around_base(),
-            reject=bad_denominator,
-        )
+    def is_zero(self) -> bool:
+        """True iff the canonical numerator is the empty sum."""
+        return not self._num
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -422,8 +457,10 @@ class Expr:
         if not other._num:
             return self
         a, b = self, other
+        scale, ka, kb = _common_content(a._scale, b._scale)
         if a._dmono == b._dmono and a._dbase == b._dbase and a._dexp == b._dexp:
-            return Expr._make(a.chart, _sadd(a._num, b._num), a._dmono, a._dbase, a._dexp)
+            num = _sadd(a._num, b._num, ka, kb)
+            return Expr._make(a.chart, scale, num, a._dmono, a._dbase, a._dexp)
         if a._dbase is None or b._dbase is None or a._dbase == b._dbase:
             base = a._dbase if a._dbase is not None else b._dbase
             ea = a._dexp if a._dbase is not None else 0
@@ -431,26 +468,26 @@ class Expr:
             e = max(ea, eb)
             dmono = tuple(max(x, y) for x, y in zip(a._dmono, b._dmono))
             n = a.chart.dimension
-            num = _szero()
+            terms = []
             for part, ep, dm in ((a, ea, a._dmono), (b, eb, b._dmono)):
                 term = part._num
                 if base is not None and e - ep:
                     term = _smul(term, _spow(base, e - ep, n))
                 shift = tuple(x - y for x, y in zip(dmono, dm))
                 if any(shift):
-                    term = _sscale(term, _F1, mono_shift=shift)
-                num = _sadd(num, term)
-            return Expr._make(a.chart, num, dmono, base, e)
+                    term = _sscale(term, 1, mono_shift=shift)
+                terms.append(term)
+            return Expr._make(a.chart, scale, _sadd(terms[0], terms[1], ka, kb), dmono, base, e)
         da, db = a._den_sum(), b._den_sum()
         if da == db:
-            return Expr._from_num_den(a.chart, _sadd(a._num, b._num), da)
-        num = _sadd(_smul(a._num, db), _smul(b._num, da))
-        return Expr._from_num_den(a.chart, num, _smul(da, db))
+            return Expr._from_num_den(a.chart, scale, _sadd(a._num, b._num, ka, kb), da)
+        num = _sadd(_smul(a._num, db), _smul(b._num, da), ka, kb)
+        return Expr._from_num_den(a.chart, scale, num, _smul(da, db))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(self.chart, _sneg(self._num), self._dmono, self._dbase, self._dexp)
+        return Expr(self.chart, -self._scale, self._num, self._dmono, self._dbase, self._dexp)
 
     def __sub__(self, other) -> "Expr":
         other = self._coerce(other)
@@ -471,28 +508,23 @@ class Expr:
         a, b = self, other
         if not a._num or not b._num:
             return Expr.zero(a.chart)
+        scale = a._scale * b._scale
         num = _smul(a._num, b._num)
         dmono = tuple(x + y for x, y in zip(a._dmono, b._dmono))
         if a._dbase is None or b._dbase is None or a._dbase == b._dbase:
             base = a._dbase if a._dbase is not None else b._dbase
             e = (a._dexp if a._dbase is not None else 0) + (b._dexp if b._dbase is not None else 0)
-            return Expr._make(a.chart, num, dmono, base, e)
+            return Expr._make(a.chart, scale, num, dmono, base, e)
         n = a.chart.dimension
         den = _smul(_spow(a._dbase, a._dexp, n), _spow(b._dbase, b._dexp, n))
-        return Expr._make(a.chart, num, dmono, den, 1)
+        return Expr._make(a.chart, scale, num, dmono, den, 1)
 
     __rmul__ = __mul__
 
     def _reciprocal(self) -> "Expr":
         if not self._num:
             raise DivisionByZeroExprError("division by canonical zero")
-        n = self.chart.dimension
-        num = _sconst(n, _F1)
-        if self._dbase is not None:
-            num = _spow(self._dbase, self._dexp, n)
-        if any(self._dmono):
-            num = _sscale(num, _F1, mono_shift=self._dmono)
-        return Expr._from_num_den(self.chart, num, self._num)
+        return Expr._from_num_den(self.chart, _F1 / self._scale, self._den_sum(), self._num)
 
     def __truediv__(self, other) -> "Expr":
         other = self._coerce(other)
@@ -516,6 +548,7 @@ class Expr:
         n = self.chart.dimension
         return Expr._make(
             self.chart,
+            self._scale**k,
             _spow(self._num, k, n),
             tuple(v * k for v in self._dmono),
             self._dbase,
@@ -530,9 +563,6 @@ class Expr:
 
     __hash__ = None  # semantic equality is incompatible with hashing
 
-    def equals(self, other) -> bool:
-        return bool(self == other)
-
     # -- calculus ------------------------------------------------------------
 
     def differentiate(self, name: str) -> "Expr":
@@ -543,38 +573,29 @@ class Expr:
             raise UnknownCoordinateError("unknown coordinate %r" % name) from None
         if not self._num:
             return self
-        if self._dbase is None and not any(self._dmono):
-            return Expr._make(self.chart, _sdiff(self._num, i), self._dmono, None, 0)
+        num, base = self._num, self._dbase
+        rate_den = _rate_denominator(num, i)
+        if base is not None:
+            rate_den = math.lcm(rate_den, _rate_denominator(base, i))
+        scale = self._scale / rate_den
+        if base is None and not any(self._dmono):
+            return Expr._make(self.chart, scale, _sdiff(num, i, rate_den), self._dmono, None, 0)
         n = self.chart.dimension
         unit = tuple(1 if j == i else 0 for j in range(n))
-        xi: Sum = {(unit, (_F0,) * n): _F1}
-        num = _smul(_sdiff(self._num, i), xi)
+        xi: Sum = {(unit, (0,) * n): 1}
+        out = _smul(_sdiff(num, i, rate_den), xi)
         if self._dmono[i]:
-            num = _sadd(num, _sscale(self._num, Fraction(-self._dmono[i])))
-        if self._dbase is not None:
-            num_b = _smul(num, self._dbase) if num else {}
-            dbprime = _sdiff(self._dbase, i)
-            correction = _sscale(_smul(_smul(self._num, xi), dbprime), Fraction(-self._dexp))
-            num = _sadd(num_b, correction)
+            out = _sadd(out, _sscale(num, -self._dmono[i] * rate_den))
+        if base is not None:
+            correction = _sscale(_smul(_smul(num, xi), _sdiff(base, i, rate_den)), -self._dexp)
+            out = _sadd(_smul(out, base), correction)
             dexp = self._dexp + 1
         else:
             dexp = 0
         dmono = tuple(v + u for v, u in zip(self._dmono, unit))
-        return Expr._make(self.chart, num, dmono, self._dbase, dexp)
-
-    def gradient(self) -> list["Expr"]:
-        return [self.differentiate(c) for c in self.chart.coordinates]
+        return Expr._make(self.chart, scale, out, dmono, base, dexp)
 
     # -- evaluation ----------------------------------------------------------
-
-    def _den_eval(self, xs: Sequence[float]) -> float:
-        value = 1.0
-        for x, k in zip(xs, self._dmono):
-            if k:
-                value *= x**k
-        if self._dbase is not None:
-            value *= _seval(self._dbase, xs) ** self._dexp
-        return value
 
     def evaluate(self, point: Mapping[str, float] | Sequence[float], den_tolerance: float = 1e-12) -> float:
         """Floating evaluation; raises if the denominator nearly vanishes."""
@@ -586,12 +607,25 @@ class Expr:
                 raise ExprError("point has wrong dimension")
         if not self._num:
             return 0.0
-        den = self._den_eval(xs)
+        if self._float is None:
+            lead, monic = 1, None
+            if self._dbase is not None:
+                lead = self._dbase[max(self._dbase)]
+                monic = array("d", (coeff / lead for coeff in self._dbase.values()))
+            p, q = self._scale.numerator, self._scale.denominator * lead**self._dexp
+            self._float = (array("d", (p * coeff / q for coeff in self._num.values())), monic)
+        coeffs, monic = self._float
+        den = 1.0
+        for x, k in zip(xs, self._dmono):
+            if k:
+                den *= x**k
+        if monic is not None:
+            den *= _seval(monic, self._dbase, xs) ** self._dexp
         if abs(den) <= den_tolerance:
             raise DegenerateEvaluationError(
                 "denominator %r vanishes at %r (|value| = %g)" % (self.den_string(), xs, abs(den))
             )
-        return _seval(self._num, xs) / den
+        return _seval(coeffs, self._num, xs) / den
 
     def evaluate_exact(self, point: Sequence) -> Fraction:
         """Exact rational evaluation; only possible where every atom vanishes."""
@@ -608,7 +642,7 @@ class Expr:
             den *= _seval_exact(self._dbase, xs) ** self._dexp
         if den == 0:
             raise ExactEvaluationError("denominator vanishes at the point")
-        return _seval_exact(self._num, xs) / den
+        return self._scale * _seval_exact(self._num, xs) / den
 
     def provably_nonvanishing(self) -> bool:
         """True when the expression provably has no real zeros.
@@ -632,7 +666,7 @@ class Expr:
         if self.denominator_is_one and len(self._num) == 1:
             (mono, atom), coeff = next(iter(self._num.items()))
             if not any(mono) and not any(atom):
-                return coeff
+                return self._scale * coeff
         try:
             guess = self.evaluate_exact(self.chart.base_point)
         except ExactEvaluationError:
@@ -641,11 +675,17 @@ class Expr:
 
     # -- printing ------------------------------------------------------------
 
+    # The printed form divides numerator and denominator by lead(B)^e, which
+    # makes the expanded denominator monic.
+
     def num_string(self) -> str:
-        return _format_sum(self._num, self.chart)
+        factor = self._scale / self._den_lead()
+        return _format_sum({key: factor * coeff for key, coeff in self._num.items()}, self.chart)
 
     def den_string(self) -> str:
-        return _format_sum(self._den_sum(), self.chart)
+        lead = self._den_lead()
+        terms = {key: Fraction(coeff, lead) for key, coeff in self._den_sum().items()}
+        return _format_sum(terms, self.chart)
 
     def __str__(self) -> str:
         num = self.num_string()
@@ -878,7 +918,7 @@ class _Parser:
                     "argument of exp must be a linear form in the coordinates "
                     "with no constant part, got %s" % inner
                 )
-            coefficients[mono.index(1)] += coeff
+            coefficients[mono.index(1)] += inner._scale * coeff
         return Expr.exponential(self.chart, coefficients)
 
 

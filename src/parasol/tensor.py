@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .chart import Chart
-from .symexpr import DegenerateEvaluationError, Expr
+from .symexpr import DegenerateEvaluationError, Expr, InvariantError
 
 __all__ = [
     "TensorField",
@@ -216,11 +216,11 @@ class TensorField:
 
     # -- predicates and evaluation ----------------------------------------------
 
-    def is_zero(self, guard: bool = True) -> bool:
-        return all(c.is_zero(guard=guard) for c in self._comps)
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self._comps)
 
-    def is_symmetric_down(self, a: int, b: int, guard: bool = True) -> bool:
-        return (self - self.swap_down(a, b)).is_zero(guard=guard)
+    def is_symmetric_down(self, a: int, b: int) -> bool:
+        return (self - self.swap_down(a, b)).is_zero()
 
     def max_abs(self, points: Iterable[Mapping[str, float]]) -> float:
         """Largest |component| over the sample points; degenerate points skipped."""
@@ -272,7 +272,7 @@ class Metric:
     def __init__(self, field: TensorField):
         if field.valence != (0, 2):
             raise ValenceError("metric must be a (0, 2) tensor")
-        if not field.is_symmetric_down(0, 1, guard=False):
+        if not field.is_symmetric_down(0, 1):
             raise ValenceError("metric components are not symmetric")
         self.field = field
         self.chart = field.chart
@@ -295,7 +295,8 @@ class Metric:
                 inverse_entries.append(entry if sign > 0 else -entry)
         self.inverse = TensorField(self.chart, 2, 0, inverse_entries)
         identity = self._product_with_inverse()
-        assert identity.is_zero(guard=False), "metric inverse failed g * g^-1 = I"
+        if not identity.is_zero():
+            raise InvariantError("metric inverse failed g * g^-1 = I")
 
     def _product_with_inverse(self) -> TensorField:
         n = self.chart.dimension

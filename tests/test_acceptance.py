@@ -242,10 +242,8 @@ def test_criterion_09_property_suites_every_fixture(structures):
         for k in range(n):
             for i in range(n):
                 for j in range(i + 1, n):
-                    assert (gamma[k, i, j] - gamma[k, j, i]).is_zero(guard=False), name
-        assert covariant_derivative(structure.metric.field, structure.connection()).is_zero(
-            guard=False
-        ), name
+                    assert (gamma[k, i, j] - gamma[k, j, i]).is_zero(), name
+        assert covariant_derivative(structure.metric.field, structure.connection()).is_zero(), name
         riem = structure.riemann()
         antisymmetry = TensorField.build(
             structure.chart,
@@ -254,7 +252,7 @@ def test_criterion_09_property_suites_every_fixture(structures):
             lambda idx: riem[idx[0], idx[1], idx[2], idx[3]]
             + riem[idx[0], idx[2], idx[1], idx[3]],
         )
-        assert antisymmetry.is_zero(guard=False), name
+        assert antisymmetry.is_zero(), name
         bianchi = TensorField.build(
             structure.chart,
             1,
@@ -263,13 +261,13 @@ def test_criterion_09_property_suites_every_fixture(structures):
             + riem[idx[0], idx[2], idx[3], idx[1]]
             + riem[idx[0], idx[3], idx[1], idx[2]],
         )
-        assert bianchi.is_zero(guard=False), name
+        assert bianchi.is_zero(), name
         ricci = structure.ricci(WEIGHTED_TRACE)
-        assert ricci.is_symmetric_down(0, 1, guard=False), name
+        assert ricci.is_symmetric_down(0, 1), name
         via_coordinates, via_connection = lie_derivative_two_ways(
             structure.metric, structure.xi, structure.connection()
         )
-        assert (via_coordinates - via_connection).is_zero(guard=False), name
+        assert (via_coordinates - via_connection).is_zero(), name
     announce(9, "symbolic property suites hold on every fixture")
 
 

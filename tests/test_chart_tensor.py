@@ -117,7 +117,7 @@ def test_metric_product_identity_all_fixtures(structures):
                 for m in range(n):
                     total = total + g.field[i, m] * g.inverse[m, j]
                 expected = Expr.one(g.chart) if i == j else Expr.zero(g.chart)
-                assert (total - expected).is_zero(guard=False)
+                assert (total - expected).is_zero()
 
 
 def test_singular_metric_rejected():
@@ -196,7 +196,7 @@ def test_raise_after_lower_roundtrip(ex1):
             comps.append(Expr.constant(CHART, coeff) * Expr.coordinate(CHART, name))
         vec = TensorField.vector(CHART, comps)
         back = g.raise_index(g.lower(vec))
-        assert (back - vec).is_zero(guard=False)
+        assert (back - vec).is_zero()
 
 
 def test_trace_of_phi_vanishes(ex1):
@@ -249,7 +249,7 @@ def test_bracket_antisymmetry_seeded():
         ]
         x = TensorField.vector(CHART, comps)
         y = TensorField.vector(CHART, other)
-        assert (lie_bracket(x, y) + lie_bracket(y, x)).is_zero(guard=False)
+        assert (lie_bracket(x, y) + lie_bracket(y, x)).is_zero()
 
 
 def test_jacobi_identity_on_fixture_frames(ex1, ex2, warped):

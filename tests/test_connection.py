@@ -167,9 +167,7 @@ def test_nabla_xi_equals_eps_phi(ex1, ex2):
 
 def test_metric_compatibility_all_fixtures(structures):
     for structure in structures.values():
-        assert covariant_derivative(structure.metric.field, structure.connection()).is_zero(
-            guard=False
-        )
+        assert covariant_derivative(structure.metric.field, structure.connection()).is_zero()
 
 
 def test_nabla_eta_vanishes_on_flat(flat):
@@ -183,7 +181,7 @@ def test_torsion_free_all_fixtures(structures):
         for k in range(n):
             for i in range(n):
                 for j in range(i + 1, n):
-                    assert (gamma[k, i, j] - gamma[k, j, i]).is_zero(guard=False)
+                    assert (gamma[k, i, j] - gamma[k, j, i]).is_zero()
 
 
 def test_riemann_antisymmetry_and_bianchi(ex1, ex2, warped):
@@ -194,11 +192,11 @@ def test_riemann_antisymmetry_and_bianchi(ex1, ex2, warped):
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
-                        assert (riem[l, i, j, k] + riem[l, j, i, k]).is_zero(guard=False)
+                        assert (riem[l, i, j, k] + riem[l, j, i, k]).is_zero()
                         cyclic = (
                             riem[l, i, j, k] + riem[l, j, k, i] + riem[l, k, i, j]
                         )
-                        assert cyclic.is_zero(guard=False)
+                        assert cyclic.is_zero()
 
 
 def test_weighted_ricci_is_frame_independent(ex1, ex2):
@@ -251,4 +249,4 @@ def test_lie_derivative_dual_formulas_agree(structures):
         via_coordinates, via_connection = lie_derivative_two_ways(
             structure.metric, structure.xi, structure.connection()
         )
-        assert (via_coordinates - via_connection).is_zero(guard=False)
+        assert (via_coordinates - via_connection).is_zero()

@@ -3,12 +3,18 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 import pytest
 
+import parasol
 from parasol.cli import main, resolve_manifest_path
 from parasol.manifest import ManifestError, load_manifest
+from parasol.tensor import Metric
 
 from conftest import FIXTURE_NAMES, fixture_path
 
@@ -173,6 +179,34 @@ def test_missing_manifest_is_input_error():
     code, _, err = run_cli(["validate", "no/such/file.json"])
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("name", ["ex1_r3_spacelike", "ex5d_r5_g1"])
+def test_optimized_interpreter_reproduces_golden_report(name):
+    # invariants are explicit checks, not asserts, so -O must not change a byte
+    golden = Path(__file__).resolve().parent / "golden" / (name + "__report_all.json")
+    package_root = str(Path(parasol.__file__).resolve().parent.parent)
+    search_path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path))
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "parasol", "report", "--all", "fixtures/" + name, "--json"],
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == golden.read_bytes()
+
+
+def test_failed_invariant_exits_two_without_traceback(monkeypatch):
+    # g * g^-1 - I comes back as g itself, which is not zero
+    monkeypatch.setattr(Metric, "_product_with_inverse", lambda self: self.field)
+    code, out, err = run_cli(["validate", "fixtures/ex1_r3_spacelike", "--json"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal error: invariant violated: metric inverse failed")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_base_point_override_changes_signature_report():

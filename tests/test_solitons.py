@@ -190,7 +190,7 @@ def test_fit_failure_returns_witness(warped):
     fit = einstein_like_fit(warped, ricci_tensor=bad)
     assert not fit.ok
     assert fit.witness_index is not None
-    assert not fit.witness_residual.is_zero(guard=False)
+    assert not fit.witness_residual.is_zero()
 
 
 # ---------------------------------------------------------------------------

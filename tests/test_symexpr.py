@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,7 +184,7 @@ def test_differentiate_is_linear_seeded():
         name = rng.choice(CHART.coordinates)
         lhs = (a + b).differentiate(name)
         rhs = a.differentiate(name) + b.differentiate(name)
-        assert (lhs - rhs).is_zero(guard=False)
+        assert (lhs - rhs).is_zero()
 
 
 def test_product_rule_symbolic_100_seeded_pairs():
@@ -194,7 +195,7 @@ def test_product_rule_symbolic_100_seeded_pairs():
         name = rng.choice(CHART.coordinates)
         lhs = (a * b).differentiate(name)
         rhs = a.differentiate(name) * b + a * b.differentiate(name)
-        assert (lhs - rhs).is_zero(guard=False)
+        assert (lhs - rhs).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -403,3 +404,166 @@ def test_canonical_form_independent_of_construction_order():
         # and through a quotient: (sum)/d built two ways prints identically
         denominator = P("1 + x^2")
         assert str(forward / denominator) == str(backward / denominator)
+
+
+# ---------------------------------------------------------------------------
+# the integer-keyed ring against a Fraction-only reference
+# ---------------------------------------------------------------------------
+
+CHART2 = Chart.make(["x", "y"])
+NAMES = CHART2.coordinates
+RATES = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3)]
+COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+ONE_KEY = ((0, 0), (Fraction(0), Fraction(0)))
+
+TERMS = st.lists(
+    st.tuples(
+        st.sampled_from(COEFFS),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.sampled_from(RATES), st.sampled_from(RATES)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+# A reference sum maps (monomial, rates as Fractions) to a Fraction coefficient.
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for key, coeff in b.items():
+        out[key] = out.get(key, 0) + coeff
+        if out[key] == 0:
+            del out[key]
+    return out
+
+
+def _ref_shift(a, mono_shift=(0, 0), atom_shift=(0, 0), factor=1):
+    out = {}
+    for (mono, atom), coeff in a.items():
+        key = (tuple(map(add, mono, mono_shift)), tuple(map(add, atom, atom_shift)))
+        out[key] = coeff * factor
+    return out
+
+
+def _ref_mul(a, b):
+    out = {}
+    for (mono, atom), coeff in a.items():
+        out = _ref_add(out, _ref_shift(b, mono, atom, coeff))
+    return out
+
+
+def _ref_pow(a, k):
+    out = {ONE_KEY: Fraction(1)}
+    for _ in range(k):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_diff(a, i):
+    out = {}
+    for (mono, atom), coeff in a.items():
+        if mono[i]:
+            lowered = tuple(k - (j == i) for j, k in enumerate(mono))
+            out = _ref_add(out, {(lowered, atom): coeff * mono[i]})
+        if atom[i]:
+            out = _ref_add(out, {(mono, atom): coeff * atom[i]})
+    return out
+
+
+def _ref_div(a, b):
+    """(numerator, denominator) of a / b: monic, exponential-free, content-free."""
+    if not a:
+        return {}, None
+    mono_c = tuple(min(mono[i] for mono, _ in b) for i in range(2))
+    atom_c = tuple(min(atom[i] for _, atom in b) for i in range(2))
+    stripped = _ref_shift(b, [-m for m in mono_c], [-r for r in atom_c])
+    lead = stripped[max(stripped)]
+    num = _ref_shift(a, atom_shift=[-r for r in atom_c], factor=1 / lead)
+    cancel = [min(mono_c[i], min(mono[i] for mono, _ in num)) for i in range(2)]
+    num = _ref_shift(num, [-c for c in cancel])
+    mono_c = tuple(m - c for m, c in zip(mono_c, cancel))
+    if len(stripped) == 1:
+        return num, {(mono_c, ONE_KEY[1]): Fraction(1)}
+    return num, _ref_shift(stripped, mono_c, factor=1 / lead)
+
+
+def _ref_signed(parts, negative, body):
+    if not parts:
+        return ("-" if negative else "") + body
+    return (" - " if negative else " + ") + body
+
+
+def _ref_sum_str(terms):
+    parts = []
+    for mono, atom in sorted(terms, reverse=True):
+        coeff = terms[(mono, atom)]
+        factors = [name if k == 1 else "%s^%d" % (name, k) for name, k in zip(NAMES, mono) if k]
+        if any(atom):
+            linear = []
+            for rate, name in zip(atom, NAMES):
+                if rate:
+                    body = name if abs(rate) == 1 else "%s*%s" % (abs(rate), name)
+                    linear.append(_ref_signed(linear, rate < 0, body))
+            factors.append("exp(%s)" % "".join(linear))
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        parts.append(_ref_signed(parts, coeff < 0, "*".join(factors)))
+    return "".join(parts) or "0"
+
+
+def _ref_str(num, den=None):
+    if den is None or den == {ONE_KEY: 1}:
+        return _ref_sum_str(num)
+    return "(%s)/(%s)" % (_ref_sum_str(num), _ref_sum_str(den))
+
+
+def _build(terms):
+    """The same sum as an Expr and as a reference dict."""
+    expr, ref = Expr.zero(CHART2), {}
+    for coeff, mono, rates in terms:
+        term = Expr.constant(CHART2, coeff) * Expr.exponential(CHART2, rates)
+        for name, k in zip(NAMES, mono):
+            term = term * Expr.coordinate(CHART2, name) ** k
+        expr = expr + term
+        ref = _ref_add(ref, {(mono, tuple(Fraction(r) for r in rates)): Fraction(coeff)})
+    return expr, ref
+
+
+def _assert_integer_keys(expr):
+    for terms in (expr._num, expr._dbase or {}):
+        for (mono, atom), coeff in terms.items():
+            assert type(coeff) is int
+            assert all(type(k) is int for k in mono)
+            assert all(type(r) is int or r.denominator != 1 for r in atom), atom
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=TERMS, b=TERMS, k=st.integers(-2, 3), axis=st.integers(0, 1))
+def test_ring_matches_fraction_reference(a, b, k, axis):
+    ea, ra = _build(a)
+    eb, rb = _build(b)
+    cases = {
+        "+": (ea + eb, _ref_str(_ref_add(ra, rb))),
+        "*": (ea * eb, _ref_str(_ref_mul(ra, rb))),
+        "d": (ea.differentiate(NAMES[axis]), _ref_str(_ref_diff(ra, axis))),
+    }
+    if rb:
+        cases["/"] = (ea / eb, _ref_str(*_ref_div(ra, rb)))
+        assert (ea / eb) * eb == ea
+    if k >= 0:
+        cases["**"] = (ea**k, _ref_str(_ref_pow(ra, k)))
+    elif ra:
+        cases["**"] = (ea**k, _ref_str(*_ref_div({ONE_KEY: 1}, _ref_pow(ra, -k))))
+    for op, (expr, expected) in cases.items():
+        assert str(expr) == expected, op
+        _assert_integer_keys(expr)
+
+
+def test_non_integral_rates_that_sum_to_an_integer_are_stored_as_int():
+    half = Expr.exponential(CHART2, [Fraction(1, 2), Fraction(-3, 2)])
+    square = half * half
+    assert str(square) == "exp(x - 3*y)"
+    _assert_integer_keys(square)
+    (_mono, atom), = square._num
+    assert atom == (1, -3) and all(type(r) is int for r in atom)
