@@ -9,7 +9,7 @@ so ``report --all`` is total on any valid manifest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,12 +24,11 @@ from .connection import (
 )
 from .manifest import Manifest, ManifestError
 from .oracle import (
+    CompareReport,
     OracleConfig,
     StencilDegeneracyError,
+    StencilSampler,
     compare,
-    fd_christoffel,
-    fd_ricci,
-    fd_riemann,
     oracle_sample_points,
 )
 from .paracontact import (
@@ -815,15 +814,18 @@ def cmd_oracle(analysis: Analysis) -> VerificationReport:
     riem = structure.riemann()
     ricci_weighted = structure.ricci(WEIGHTED_TRACE)
 
+    stencil = StencilSampler(metric)
     comparisons = [
-        ("oracle_christoffel", gamma, lambda p: fd_christoffel(metric, p, cfg)),
-        ("oracle_riemann", riem, lambda p: fd_riemann(metric, p, cfg)),
-        ("oracle_ricci", ricci_weighted, lambda p: fd_ricci(metric, p, cfg)),
+        ("oracle_christoffel", gamma, lambda p: stencil.christoffel(p, cfg.h)),
+        ("oracle_riemann", riem, lambda p: stencil.riemann(p, cfg.h)),
+        ("oracle_ricci", ricci_weighted, lambda p: stencil.ricci(p, cfg.h)),
     ]
+    results: dict[str, CompareReport | StencilDegeneracyError] = {}
     for check_id, symbolic, oracle_fn in comparisons:
         try:
-            result = compare(symbolic, oracle_fn, points, cfg)
+            result = results[check_id] = compare(symbolic, oracle_fn, points, cfg)
         except StencilDegeneracyError as exc:
+            results[check_id] = exc
             analysis.extend(report, [CheckOutcome(check_id, FAIL, details=str(exc))])
             continue
         analysis.extend(
@@ -839,9 +841,11 @@ def cmd_oracle(analysis: Analysis) -> VerificationReport:
             ],
         )
 
-    coarse = compare(gamma, lambda p: fd_christoffel(metric, p, cfg), points, cfg)
-    half_cfg = replace(cfg, h=cfg.h / 2.0)
-    fine = compare(gamma, lambda p: fd_christoffel(metric, p, half_cfg), points, half_cfg)
+    # the Christoffel comparison at h is the coarse side of the step-halving check
+    coarse = results["oracle_christoffel"]
+    if isinstance(coarse, StencilDegeneracyError):
+        raise coarse
+    fine = compare(gamma, lambda p: stencil.christoffel(p, cfg.h / 2.0), points, cfg)
     if coarse.max_relative_deviation < 1e-10:
         analysis.extend(
             report,

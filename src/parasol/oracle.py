@@ -5,8 +5,10 @@ central differences of numerically evaluated metric components.  It shares
 nothing with the symbolic derivative code paths except ``Expr.evaluate``,
 which keeps it an independent witness.  Central differences are O(h^2):
 halving the step should shrink the deviation by roughly 4x, and that scaling
-is itself a checkable property.  One optional Richardson extrapolation level
-is supported.
+is itself a checkable property.  Within one oracle run each stencil point is
+evaluated once: the Riemann stencil revisits the points of its Christoffel
+stencils, and the Ricci and step-halving checks reuse the Riemann and
+Christoffel references, so a :class:`StencilSampler` keeps them for the run.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .chart import Chart
-from .symexpr import DegenerateEvaluationError
+from .symexpr import DegenerateEvaluationError, coordinate_values
 from .tensor import Metric, TensorField
 
 __all__ = [
@@ -31,9 +33,9 @@ __all__ = [
     "CompareReport",
 ]
 
-CENTRAL = "central"
-RICHARDSON = "richardson"
 DEGENERACY_CUTOFF = 1e-6
+
+Point = Mapping[str, float] | Sequence[float]
 
 
 class StencilDegeneracyError(ValueError):
@@ -43,7 +45,6 @@ class StencilDegeneracyError(ValueError):
 @dataclass(frozen=True)
 class OracleConfig:
     h: float = 1e-4
-    scheme: str = CENTRAL
     sample_count: int = 10
     seed: int = 42
     tolerance: float = 1e-6
@@ -55,108 +56,116 @@ class OracleConfig:
             raise ValueError("sample_count must be at least 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.scheme not in (CENTRAL, RICHARDSON):
-            raise ValueError("unknown scheme %r" % self.scheme)
 
 
-def _point_list(chart: Chart, point: Mapping[str, float] | Sequence[float]) -> list[float]:
-    if isinstance(point, Mapping):
-        return [float(point[c]) for c in chart.coordinates]
-    return [float(v) for v in point]
+class StencilSampler:
+    """Central-difference references of one metric for the length of one run.
 
+    The metric's matrix and determinant are kept per point, keyed by the
+    exact float coordinates that the stencil arithmetic (``xs[i] += h``)
+    produces, so a point that several stencils visit is evaluated once.  The
+    degeneracy checks run on every lookup: stencils that share a point check
+    it against their own centre's determinant sign.  Christoffel and Riemann
+    references are kept per point and step for the checks that reuse them.
+    """
 
-def _metric_at(metric: Metric, xs: Sequence[float], center_det_sign: float | None = None) -> np.ndarray:
-    matrix = np.array(
-        [[comp.evaluate(xs) for comp in row] for row in _metric_rows(metric)]
-    )
-    det = float(np.linalg.det(matrix))
-    if abs(det) < DEGENERACY_CUTOFF or (
-        center_det_sign is not None and det * center_det_sign < 0
-    ):
-        raise StencilDegeneracyError(
-            "metric determinant %.3e degenerates inside the stencil at %r" % (det, list(xs))
+    def __init__(self, metric: Metric):
+        self.chart = metric.chart
+        n = self.chart.dimension
+        self._rows = [[metric[i, j] for j in range(n)] for i in range(n)]
+        self._samples: dict[tuple[float, ...], tuple[np.ndarray, float]] = {}
+        self._gammas: dict[tuple, np.ndarray] = {}
+        self._riemanns: dict[tuple, np.ndarray] = {}
+
+    def sample(self, xs: list[float], center_det_sign: float | None = None) -> tuple[np.ndarray, float]:
+        """(matrix, det) of the metric at ``xs``; raises where the stencil degenerates."""
+        key = tuple(xs)
+        sample = self._samples.get(key)
+        if sample is None:
+            matrix = np.array([[comp.evaluate(xs) for comp in row] for row in self._rows])
+            matrix.flags.writeable = False
+            sample = self._samples[key] = (matrix, float(np.linalg.det(matrix)))
+        det = sample[1]
+        if abs(det) < DEGENERACY_CUTOFF or (
+            center_det_sign is not None and det * center_det_sign < 0
+        ):
+            raise StencilDegeneracyError(
+                "metric determinant %.3e degenerates inside the stencil at %r" % (det, list(xs))
+            )
+        return sample
+
+    def christoffel(self, point: Point, h: float) -> np.ndarray:
+        """Christoffel symbols gamma[k, i, j] from central differences of g."""
+        xs = coordinate_values(self.chart, point)
+        key = (tuple(xs), h)
+        gamma = self._gammas.get(key)
+        if gamma is None:
+            gamma = self._gammas[key] = self._christoffel(xs, h)
+        return gamma
+
+    def _christoffel(self, xs: list[float], h: float) -> np.ndarray:
+        n = len(xs)
+        center, det = self.sample(xs)
+        sign = float(np.sign(det))
+        ginv = np.linalg.inv(center)
+        dg = np.empty((n, n, n))
+        for i in range(n):
+            plus = list(xs)
+            minus = list(xs)
+            plus[i] += h
+            minus[i] -= h
+            dg[i] = (self.sample(plus, sign)[0] - self.sample(minus, sign)[0]) / (2.0 * h)
+        # gamma[k, i, j] = 1/2 g^{kl} (dg_i[j, l] + dg_j[i, l] - dg_l[i, j])
+        return 0.5 * (
+            np.einsum("kl,ijl->kij", ginv, dg)
+            + np.einsum("kl,jil->kij", ginv, dg)
+            - np.einsum("kl,lij->kij", ginv, dg)
         )
-    return matrix
+
+    def riemann(self, point: Point, h: float) -> np.ndarray:
+        """Riemann tensor riem[l, i, j, k] from nested central differences."""
+        xs = coordinate_values(self.chart, point)
+        key = (tuple(xs), h)
+        riem = self._riemanns.get(key)
+        if riem is None:
+            riem = self._riemanns[key] = self._riemann(xs, h)
+        return riem
+
+    def _riemann(self, xs: list[float], h: float) -> np.ndarray:
+        n = len(xs)
+        gamma = self.christoffel(xs, h)
+        dgamma = np.empty((n, n, n, n))
+        for i in range(n):
+            plus = list(xs)
+            minus = list(xs)
+            plus[i] += h
+            minus[i] -= h
+            dgamma[i] = (self.christoffel(plus, h) - self.christoffel(minus, h)) / (2.0 * h)
+        # riem[l, i, j, k] = d_i gamma[l, j, k] - d_j gamma[l, i, k]
+        #                    + gamma[l, i, m] gamma[m, j, k] - gamma[l, j, m] gamma[m, i, k]
+        riem = np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
+        riem += np.einsum("lim,mjk->lijk", gamma, gamma)
+        riem -= np.einsum("ljm,mik->lijk", gamma, gamma)
+        return riem
+
+    def ricci(self, point: Point, h: float) -> np.ndarray:
+        """Ricci tensor S[j, k] = riem[i, i, j, k] (weighted trace only)."""
+        return np.einsum("iijk->jk", self.riemann(point, h))
 
 
-def _metric_rows(metric: Metric):
-    n = metric.chart.dimension
-    return [[metric[i, j] for j in range(n)] for i in range(n)]
-
-
-def _fd_christoffel_once(metric: Metric, xs: list[float], h: float) -> np.ndarray:
-    n = metric.chart.dimension
-    center = _metric_at(metric, xs)
-    sign = float(np.sign(np.linalg.det(center)))
-    ginv = np.linalg.inv(center)
-    dg = np.empty((n, n, n))
-    for i in range(n):
-        plus = list(xs)
-        minus = list(xs)
-        plus[i] += h
-        minus[i] -= h
-        dg[i] = (_metric_at(metric, plus, sign) - _metric_at(metric, minus, sign)) / (2.0 * h)
-    # gamma[k, i, j] = 1/2 g^{kl} (dg_i[j, l] + dg_j[i, l] - dg_l[i, j])
-    gamma = 0.5 * (
-        np.einsum("kl,ijl->kij", ginv, dg)
-        + np.einsum("kl,jil->kij", ginv, dg)
-        - np.einsum("kl,lij->kij", ginv, dg)
-    )
-    return gamma
-
-
-def _richardson(values: Callable[[float], np.ndarray], h: float) -> np.ndarray:
-    coarse = values(h)
-    fine = values(h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
-
-
-def fd_christoffel(
-    metric: Metric, point: Mapping[str, float] | Sequence[float], cfg: OracleConfig
-) -> np.ndarray:
+def fd_christoffel(metric: Metric, point: Point, cfg: OracleConfig) -> np.ndarray:
     """Christoffel symbols gamma[k, i, j] from central differences of g."""
-    xs = _point_list(metric.chart, point)
-    if cfg.scheme == RICHARDSON:
-        return _richardson(lambda h: _fd_christoffel_once(metric, xs, h), cfg.h)
-    return _fd_christoffel_once(metric, xs, cfg.h)
+    return StencilSampler(metric).christoffel(point, cfg.h)
 
 
-def _fd_riemann_once(metric: Metric, xs: list[float], h: float) -> np.ndarray:
-    n = metric.chart.dimension
-    gamma = _fd_christoffel_once(metric, xs, h)
-    dgamma = np.empty((n, n, n, n))
-    for i in range(n):
-        plus = list(xs)
-        minus = list(xs)
-        plus[i] += h
-        minus[i] -= h
-        dgamma[i] = (
-            _fd_christoffel_once(metric, plus, h) - _fd_christoffel_once(metric, minus, h)
-        ) / (2.0 * h)
-    # riem[l, i, j, k] = d_i gamma[l, j, k] - d_j gamma[l, i, k]
-    #                    + gamma[l, i, m] gamma[m, j, k] - gamma[l, j, m] gamma[m, i, k]
-    riem = np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-    riem += np.einsum("lim,mjk->lijk", gamma, gamma)
-    riem -= np.einsum("ljm,mik->lijk", gamma, gamma)
-    return riem
-
-
-def fd_riemann(
-    metric: Metric, point: Mapping[str, float] | Sequence[float], cfg: OracleConfig
-) -> np.ndarray:
+def fd_riemann(metric: Metric, point: Point, cfg: OracleConfig) -> np.ndarray:
     """Riemann tensor riem[l, i, j, k] from nested central differences."""
-    xs = _point_list(metric.chart, point)
-    if cfg.scheme == RICHARDSON:
-        return _richardson(lambda h: _fd_riemann_once(metric, xs, h), cfg.h)
-    return _fd_riemann_once(metric, xs, cfg.h)
+    return StencilSampler(metric).riemann(point, cfg.h)
 
 
-def fd_ricci(
-    metric: Metric, point: Mapping[str, float] | Sequence[float], cfg: OracleConfig
-) -> np.ndarray:
+def fd_ricci(metric: Metric, point: Point, cfg: OracleConfig) -> np.ndarray:
     """Ricci tensor S[j, k] = riem[i, i, j, k] (weighted trace only)."""
-    riem = fd_riemann(metric, point, cfg)
-    return np.einsum("iijk->jk", riem)
+    return StencilSampler(metric).ricci(point, cfg.h)
 
 
 def oracle_sample_points(
@@ -170,14 +179,15 @@ def oracle_sample_points(
 
     def reject(point: dict[str, float]) -> bool:
         xs = [point[c] for c in chart.coordinates]
+        # a candidate's probes share no points with another's: nothing to keep
+        stencil = StencilSampler(metric)
         try:
-            center = _metric_at(metric, xs)
-            sign = float(np.sign(np.linalg.det(center)))
+            sign = float(np.sign(stencil.sample(xs)[1]))
             for i in range(chart.dimension):
                 for offset in (-2.0 * cfg.h, 2.0 * cfg.h):
                     shifted = list(xs)
                     shifted[i] += offset
-                    _metric_at(metric, shifted, sign)
+                    stencil.sample(shifted, sign)
         except (StencilDegeneracyError, DegenerateEvaluationError):
             return True
         return False

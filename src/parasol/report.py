@@ -13,6 +13,7 @@ Exit codes: 0 when no check failed (inapplicable entries do not fail),
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -56,8 +57,7 @@ def _round_float(value: float) -> float:
 
 
 def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> float | None:
-    if residual is None:
-        return None
+    """Largest |residual| over the points, or None when there is none or it is not finite."""
     if isinstance(residual, Expr):
         worst = 0.0
         for point in points:
@@ -66,10 +66,11 @@ def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> flo
             except DegenerateEvaluationError:
                 continue
             worst = max(worst, value)
-        return _round_float(worst)
-    if isinstance(residual, TensorField):
-        return _round_float(residual.max_abs(points))
-    return None
+    elif isinstance(residual, TensorField):
+        worst = residual.max_abs(points)
+    else:
+        return None
+    return _round_float(worst) if math.isfinite(worst) else None
 
 
 def entry_from_outcome(
@@ -154,7 +155,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
     def to_table(self) -> str:
         lines = []

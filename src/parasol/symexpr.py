@@ -56,9 +56,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .chart import Chart
 
@@ -104,7 +105,7 @@ class DivisionByZeroExprError(ExprError):
 
 
 class DegenerateEvaluationError(ExprError):
-    """Denominator numerically vanishes at the evaluation point."""
+    """Denominator numerically vanishes, or the value overflows, at the point."""
 
 
 class ExactEvaluationError(ExprError):
@@ -260,6 +261,16 @@ def _scontent(a: Sum) -> tuple[Mono, Atom]:
             if v < atom[i]:
                 atom[i] = v
     return tuple(mono), tuple(atom)
+
+
+def coordinate_values(chart: Chart, point: Mapping[str, float] | Sequence[float]) -> list[float]:
+    """Float coordinates of a point given by coordinate name or in chart order."""
+    if isinstance(point, Mapping):
+        return [float(point[c]) for c in chart.coordinates]
+    xs = [float(v) for v in point]
+    if len(xs) != chart.dimension:
+        raise ExprError("point has wrong dimension")
+    return xs
 
 
 def _seval(coeffs: Sequence[float], a: Sum, xs: Sequence[float]) -> float:
@@ -598,34 +609,32 @@ class Expr:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, float] | Sequence[float], den_tolerance: float = 1e-12) -> float:
-        """Floating evaluation; raises if the denominator nearly vanishes."""
-        if isinstance(point, Mapping):
-            xs = [float(point[c]) for c in self.chart.coordinates]
-        else:
-            xs = [float(v) for v in point]
-            if len(xs) != self.chart.dimension:
-                raise ExprError("point has wrong dimension")
+        """Floating evaluation; raises if the denominator nearly vanishes or a float overflows."""
+        xs = coordinate_values(self.chart, point)
         if not self._num:
             return 0.0
-        if self._float is None:
-            lead, monic = 1, None
-            if self._dbase is not None:
-                lead = self._dbase[max(self._dbase)]
-                monic = array("d", (coeff / lead for coeff in self._dbase.values()))
-            p, q = self._scale.numerator, self._scale.denominator * lead**self._dexp
-            self._float = (array("d", (p * coeff / q for coeff in self._num.values())), monic)
-        coeffs, monic = self._float
-        den = 1.0
-        for x, k in zip(xs, self._dmono):
-            if k:
-                den *= x**k
-        if monic is not None:
-            den *= _seval(monic, self._dbase, xs) ** self._dexp
-        if abs(den) <= den_tolerance:
-            raise DegenerateEvaluationError(
-                "denominator %r vanishes at %r (|value| = %g)" % (self.den_string(), xs, abs(den))
-            )
-        return _seval(coeffs, self._num, xs) / den
+        try:
+            if self._float is None:
+                lead, monic = 1, None
+                if self._dbase is not None:
+                    lead = self._dbase[max(self._dbase)]
+                    monic = array("d", (coeff / lead for coeff in self._dbase.values()))
+                p, q = self._scale.numerator, self._scale.denominator * lead**self._dexp
+                self._float = (array("d", (p * coeff / q for coeff in self._num.values())), monic)
+            coeffs, monic = self._float
+            den = 1.0
+            for x, k in zip(xs, self._dmono):
+                if k:
+                    den *= x**k
+            if monic is not None:
+                den *= _seval(monic, self._dbase, xs) ** self._dexp
+            if abs(den) <= den_tolerance:
+                raise DegenerateEvaluationError(
+                    "denominator %r vanishes at %r (|value| = %g)" % (self.den_string(), xs, abs(den))
+                )
+            return _seval(coeffs, self._num, xs) / den
+        except OverflowError:
+            raise DegenerateEvaluationError("value overflows a float at %r" % xs) from None
 
     def evaluate_exact(self, point: Sequence) -> Fraction:
         """Exact rational evaluation; only possible where every atom vanishes."""

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .chart import Chart
-from .symexpr import DegenerateEvaluationError, Expr, InvariantError
+from .symexpr import DegenerateEvaluationError, Expr, InvariantError, coordinate_values
 
 __all__ = [
     "TensorField",
@@ -173,27 +173,6 @@ class TensorField:
 
         return TensorField.build(self.chart, p, q, entry)
 
-    def contract(self, up_slot: int, down_slot: int) -> "TensorField":
-        """Contract one contravariant slot against one covariant slot."""
-        if not (0 <= up_slot < self.p and 0 <= down_slot < self.q):
-            raise ValenceError(
-                "cannot contract slots (%d, %d) of a (%d, %d) tensor"
-                % (up_slot, down_slot, self.p, self.q)
-            )
-        n = self.chart.dimension
-        p, q = self.p - 1, self.q - 1
-
-        def entry(idx: tuple[int, ...]) -> Expr:
-            ups, downs = list(idx[:p]), list(idx[p:])
-            total = Expr.zero(self.chart)
-            for m in range(n):
-                full_ups = ups[:up_slot] + [m] + ups[up_slot:]
-                full_downs = downs[:down_slot] + [m] + downs[down_slot:]
-                total = total + self[tuple(full_ups + full_downs)]
-            return total
-
-        return TensorField.build(self.chart, p, q, entry)
-
     def trace(self) -> Expr:
         """Trace of a (1, 1) tensor."""
         if self.valence != (1, 1):
@@ -224,11 +203,13 @@ class TensorField:
 
     def max_abs(self, points: Iterable[Mapping[str, float]]) -> float:
         """Largest |component| over the sample points; degenerate points skipped."""
+        comps = [comp for comp in self._comps if not comp.is_symbolically_zero]
         worst = 0.0
         for point in points:
-            for comp in self._comps:
+            xs = coordinate_values(self.chart, point)
+            for comp in comps:
                 try:
-                    value = abs(comp.evaluate(point))
+                    value = abs(comp.evaluate(xs))
                 except DegenerateEvaluationError:
                     continue
                 if value > worst:
@@ -237,7 +218,8 @@ class TensorField:
 
     def numeric_at(self, point: Mapping[str, float] | Sequence[float]) -> np.ndarray:
         n = self.chart.dimension
-        values = [comp.evaluate(point) for comp in self._comps]
+        xs = coordinate_values(self.chart, point)
+        values = [0.0 if comp.is_symbolically_zero else comp.evaluate(xs) for comp in self._comps]
         return np.array(values, dtype=float).reshape((n,) * self.rank) if self.rank else np.array(values[0])
 
     def __repr__(self) -> str:

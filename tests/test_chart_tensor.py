@@ -14,7 +14,6 @@ from parasol.tensor import (
     FrameError,
     Metric,
     TensorField,
-    ValenceError,
     kronecker,
     lie_bracket,
     signature_at,
@@ -207,12 +206,6 @@ def test_phi_square_trace_is_n_minus_one(ex1, ex2, flat):
     for structure in (ex1, ex2, flat):
         n = structure.chart.dimension
         assert structure.phi_squared().trace() == Expr.constant(structure.chart, n - 1)
-
-
-def test_contract_valence_checks():
-    vec = TensorField.vector(CHART, [Expr.one(CHART)] * 3)
-    with pytest.raises(ValenceError):
-        vec.contract(0, 0)
 
 
 def test_kronecker_trace():

@@ -181,21 +181,46 @@ def test_missing_manifest_is_input_error():
     assert "not found" in err
 
 
+def run_cli_process(*args):
+    """Run ``python *args`` with the package under test importable."""
+    package_root = str(Path(parasol.__file__).resolve().parent.parent)
+    search_path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, check=False)
+
+
 @pytest.mark.parametrize("name", ["ex1_r3_spacelike", "ex5d_r5_g1"])
 def test_optimized_interpreter_reproduces_golden_report(name):
     # invariants are explicit checks, not asserts, so -O must not change a byte
     golden = Path(__file__).resolve().parent / "golden" / (name + "__report_all.json")
-    package_root = str(Path(parasol.__file__).resolve().parent.parent)
-    search_path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(search_path))
-    result = subprocess.run(
-        [sys.executable, "-O", "-m", "parasol", "report", "--all", "fixtures/" + name, "--json"],
-        capture_output=True,
-        env=env,
-        check=False,
+    result = run_cli_process(
+        "-O", "-m", "parasol", "report", "--all", "fixtures/" + name, "--json"
     )
     assert result.returncode == 1, result.stderr
     assert result.stdout == golden.read_bytes()
+
+
+def _reject_non_finite(constant):
+    raise ValueError("%s is not RFC 8259 JSON" % constant)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_badly_scaled_manifest_reports_strict_json_without_traceback(tmp_path, seed):
+    # exp(800 z) overflows a float inside the domain box |z| <= 1
+    data = json.loads(fixture_path("warped_r3").read_text())
+    data["metric"][0][0] = "exp(800*z)"
+    data["frame"][0][0] = "exp(-400*z)"
+    path = tmp_path / "badly_scaled.json"
+    path.write_text(json.dumps(data))
+    result = run_cli_process(
+        "-m", "parasol", "report", "--all", str(path), "--json", "--seed", str(seed)
+    )
+    assert result.returncode in (0, 1, 2)
+    assert b"Traceback" not in result.stderr
+    if result.returncode == 2:
+        assert result.stdout == b"" and result.stderr.startswith(b"error: ")
+    else:
+        json.loads(result.stdout, parse_constant=_reject_non_finite)
 
 
 def test_failed_invariant_exits_two_without_traceback(monkeypatch):
