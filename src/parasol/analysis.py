@@ -9,6 +9,7 @@ so ``report --all`` is total on any valid manifest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from .oracle import (
     StencilDegeneracyError,
     StencilSampler,
     compare,
+    max_deviation,
     oracle_sample_points,
 )
 from .paracontact import (
@@ -36,6 +38,7 @@ from .paracontact import (
     StructureError,
     is_para_sasakian,
     sasakian_identity_suite,
+    structure_is_valid,
     validate_axioms,
     validate_metric_compat,
 )
@@ -90,7 +93,6 @@ class Analysis:
             tolerance=options.tolerance,
         )
         self._points: list[dict[str, float]] | None = None
-        self._structure_valid: bool | None = None
         self._para_sasakian: bool | None = None
         self._fit: EinsteinFitResult | None = None
         self._fit_done = False
@@ -115,10 +117,7 @@ class Analysis:
         return self._points
 
     def structure_valid(self) -> bool:
-        if self._structure_valid is None:
-            outcomes = validate_axioms(self.structure) + validate_metric_compat(self.structure)
-            self._structure_valid = all(o.status == PASS for o in outcomes)
-        return self._structure_valid
+        return structure_is_valid(self.structure)
 
     def para_sasakian(self) -> bool:
         if self._para_sasakian is None:
@@ -791,6 +790,10 @@ def cmd_parallel(analysis: Analysis) -> VerificationReport:
     return report
 
 
+def _deviation_text(value: float) -> str:
+    return "%.3e" % value if math.isfinite(value) else "non-finite (%s)" % value
+
+
 def cmd_oracle(analysis: Analysis) -> VerificationReport:
     report = analysis.new_report()
     structure = analysis.structure
@@ -835,8 +838,13 @@ def cmd_oracle(analysis: Analysis) -> VerificationReport:
                     check_id,
                     PASS if result.passed else FAIL,
                     symbolic_zero=None,
-                    details="max relative deviation %.3e over %d points (tolerance %.1e, h = %.1e)"
-                    % (result.max_relative_deviation, len(points), cfg.tolerance, cfg.h),
+                    details="max relative deviation %s over %d points (tolerance %.1e, h = %.1e)"
+                    % (
+                        _deviation_text(result.max_relative_deviation),
+                        len(points),
+                        cfg.tolerance,
+                        cfg.h,
+                    ),
                 )
             ],
         )
@@ -846,19 +854,33 @@ def cmd_oracle(analysis: Analysis) -> VerificationReport:
     if isinstance(coarse, StencilDegeneracyError):
         raise coarse
     fine = compare(gamma, lambda p: stencil.christoffel(p, cfg.h / 2.0), points, cfg)
-    if coarse.max_relative_deviation < 1e-10:
+    at_h, at_half_h = coarse.max_relative_deviation, fine.max_relative_deviation
+    if not (math.isfinite(at_h) and math.isfinite(at_half_h)):
+        analysis.extend(
+            report,
+            [
+                CheckOutcome(
+                    "oracle_h_scaling",
+                    FAIL,
+                    symbolic_zero=None,
+                    details="the Christoffel deviation is %s at h and %s at h/2"
+                    % (_deviation_text(at_h), _deviation_text(at_half_h)),
+                )
+            ],
+        )
+    elif at_h < 1e-10:
         analysis.extend(
             report,
             [
                 inapplicable(
                     "oracle_h_scaling",
                     "deviation %.3e is already at the roundoff floor; O(h^2) ratio is not "
-                    "informative" % coarse.max_relative_deviation,
+                    "informative" % at_h,
                 )
             ],
         )
     else:
-        ratio = coarse.max_relative_deviation / max(fine.max_relative_deviation, 1e-300)
+        ratio = at_h / max(at_half_h, 1e-300)
         analysis.extend(
             report,
             [
@@ -876,10 +898,12 @@ def cmd_oracle(analysis: Analysis) -> VerificationReport:
     via_coordinates, via_connection = lie_derivative_two_ways(
         metric, direction, structure.connection()
     )
-    worst = 0.0
-    for point in points:
-        deviation = np.abs(via_coordinates.numeric_at(point) - via_connection.numeric_at(point))
-        worst = max(worst, float(deviation.max()))
+    worst = max_deviation(
+        [
+            float(np.abs(via_coordinates.numeric_at(p) - via_connection.numeric_at(p)).max())
+            for p in points
+        ]
+    )
     analysis.extend(
         report,
         [
@@ -887,8 +911,8 @@ def cmd_oracle(analysis: Analysis) -> VerificationReport:
                 "oracle_lie_dual",
                 PASS if worst <= cfg.tolerance else FAIL,
                 symbolic_zero=None,
-                details="coordinate vs connection Lie derivative deviate by %.3e numerically"
-                % worst,
+                details="coordinate vs connection Lie derivative deviate by %s numerically"
+                % _deviation_text(worst),
             )
         ],
     )

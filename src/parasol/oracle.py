@@ -31,6 +31,7 @@ __all__ = [
     "oracle_sample_points",
     "compare",
     "CompareReport",
+    "max_deviation",
 ]
 
 DEGENERACY_CUTOFF = 1e-6
@@ -227,5 +228,9 @@ def compare(
             )
         deviation = np.abs(values - reference) / np.maximum(1.0, np.abs(reference))
         per_point.append(float(deviation.max()))
-    worst = max(per_point) if per_point else 0.0
-    return CompareReport(worst, per_point, cfg.tolerance)
+    return CompareReport(max_deviation(per_point), per_point, cfg.tolerance)
+
+
+def max_deviation(deviations: Sequence[float]) -> float:
+    """Largest deviation, NaN when any deviation is NaN (Python's ``max`` drops NaN)."""
+    return float(np.max(deviations)) if deviations else 0.0

@@ -115,6 +115,8 @@ class ParacontactStructure:
         self._ricci: dict[str, TensorField] = {}
         self._lie_xi: TensorField | None = None
         self._phi_squared: TensorField | None = None
+        self._axioms: list[CheckOutcome] | None = None
+        self._compat: list[CheckOutcome] | None = None
 
     # -- cached geometry -----------------------------------------------------
 
@@ -188,8 +190,15 @@ def validate_axioms(structure: ParacontactStructure) -> list[CheckOutcome]:
 
     When the phi-square and eta(xi) checks pass, the remaining two are
     implied; that implication is asserted outright since its failure would
-    mean a canonicalization bug, not bad input data.
+    mean a canonicalization bug, not bad input data.  The suite runs once per
+    structure; each call returns a fresh list.
     """
+    if structure._axioms is None:
+        structure._axioms = _axiom_outcomes(structure)
+    return list(structure._axioms)
+
+
+def _axiom_outcomes(structure: ParacontactStructure) -> list[CheckOutcome]:
     chart = structure.chart
     phi, xi, eta = structure.phi, structure.xi, structure.eta
 
@@ -225,7 +234,16 @@ def validate_axioms(structure: ParacontactStructure) -> list[CheckOutcome]:
 
 
 def validate_metric_compat(structure: ParacontactStructure) -> list[CheckOutcome]:
-    """Metric compatibility residuals; the last two follow from the first."""
+    """Metric compatibility residuals; the last two follow from the first.
+
+    The suite runs once per structure; each call returns a fresh list.
+    """
+    if structure._compat is None:
+        structure._compat = _compat_outcomes(structure)
+    return list(structure._compat)
+
+
+def _compat_outcomes(structure: ParacontactStructure) -> list[CheckOutcome]:
     chart = structure.chart
     n = chart.dimension
     g, phi, xi, eta = structure.metric, structure.phi, structure.xi, structure.eta

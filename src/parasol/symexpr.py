@@ -453,7 +453,8 @@ class Expr:
 
     def _coerce(self, other) -> "Expr | None":
         if isinstance(other, Expr):
-            self.chart.require_same(other.chart)
+            if other.chart is not self.chart:
+                self.chart.require_same(other.chart)
             return other
         if isinstance(other, (int, Fraction)):
             return Expr.constant(self.chart, other)

@@ -7,6 +7,16 @@ contravariant slot after the existing ones; lowering appends the new
 covariant slot last.  Metric inverses are exact adjugate-over-determinant
 quotients so that downstream identities can be checked symbolically rather
 than numerically.
+
+The determinant and the n^2 cofactors come from one memoized cofactor
+expansion: each minor, keyed by its original row and column indices, is
+expanded along its first row once, reused wherever the expansion meets it
+again, and freed once no later cofactor can meet it.  The determinant alone
+costs O(n 2^n) ring operations and the whole inverse O(n^2 2^n), against
+O(n!) and O(n n!) for a plain expansion.  Each minor is still built from
+the same ring operations in the same order as a plain expansion, so every
+printed expression is unchanged.  Bareiss elimination would need exact
+division of sums, which the ``Expr`` ring does not provide.
 """
 
 from __future__ import annotations
@@ -233,18 +243,35 @@ def kronecker(chart: Chart) -> TensorField:
     return TensorField.build(chart, 1, 1, lambda idx: one if idx[0] == idx[1] else zero)
 
 
-def _det(matrix: list[list[Expr]], chart: Chart) -> Expr:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
+def _minor_det(
+    matrix: list[list[Expr]],
+    chart: Chart,
+    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Expr],
+    rows: tuple[int, ...],
+    cols: tuple[int, ...],
+) -> Expr:
+    """Determinant of the minor on ``rows`` x ``cols``, memoized in ``cache``.
+
+    Expands along the first remaining row in column order, skipping
+    symbolically zero entries, so each minor is built from the same ring
+    operations as a plain recursive cofactor expansion; the cache only
+    drops the repeats.
+    """
+    if len(rows) == 1:
+        return matrix[rows[0]][cols[0]]
+    key = (rows, cols)
+    cached = cache.get(key)
+    if cached is not None:
+        return cached
+    first, rest = rows[0], rows[1:]
     total = Expr.zero(chart)
-    for j in range(n):
-        entry = matrix[0][j]
+    for k, col in enumerate(cols):
+        entry = matrix[first][col]
         if entry.is_symbolically_zero:
             continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        cof = entry * _det(minor, chart)
-        total = total + (cof if j % 2 == 0 else -cof)
+        cof = entry * _minor_det(matrix, chart, cache, rest, cols[:k] + cols[k + 1 :])
+        total = total + (cof if k % 2 == 0 else -cof)
+    cache[key] = total
     return total
 
 
@@ -260,21 +287,24 @@ class Metric:
         self.chart = field.chart
         n = self.chart.dimension
         matrix = [[field[i, j] for j in range(n)] for i in range(n)]
-        self.determinant = _det(matrix, self.chart)
+        cache: dict[tuple[tuple[int, ...], tuple[int, ...]], Expr] = {}
+        everything = tuple(range(n))
+        self.determinant = _minor_det(matrix, self.chart, cache, everything, everything)
         if self.determinant.is_symbolically_zero:
             raise SingularMetricError("metric determinant is canonically zero")
-        inverse_entries = []
-        for i in range(n):
-            for j in range(n):
-                minor = [
-                    [matrix[r][c] for c in range(n) if c != i]
-                    for r in range(n)
-                    if r != j
-                ]
-                cof = _det(minor, self.chart) if n > 1 else Expr.one(self.chart)
-                sign = 1 if (i + j) % 2 == 0 else -1
-                entry = cof / self.determinant
-                inverse_entries.append(entry if sign > 0 else -entry)
+        reciprocal = self.determinant._reciprocal()
+        inverse_entries = [None] * (n * n)
+        for j in range(n):
+            rows = everything[:j] + everything[j + 1 :]
+            for i in range(n):
+                cols = everything[:i] + everything[i + 1 :]
+                entry = _minor_det(matrix, self.chart, cache, rows, cols) * reciprocal
+                inverse_entries[i * n + j] = entry if (i + j) % 2 == 0 else -entry
+            # cofactors for a later j drop a later row, so of the minors cached
+            # so far they only meet those on rows (k, ..., n - 1) with k > j + 1;
+            # dropping the rest keeps peak memory near the plain expansion's
+            for key in [key for key in cache if key[0][0] <= j + 1]:
+                del cache[key]
         self.inverse = TensorField(self.chart, 2, 0, inverse_entries)
         identity = self._product_with_inverse()
         if not identity.is_zero():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parasol.chart import Chart, ChartError, ChartMismatchError
 from parasol.symexpr import Expr, parse
@@ -13,6 +14,7 @@ from parasol.tensor import (
     Frame,
     FrameError,
     Metric,
+    SingularMetricError,
     TensorField,
     kronecker,
     lie_bracket,
@@ -123,10 +125,95 @@ def test_singular_metric_rejected():
     zero = Expr.zero(CHART)
     one = Expr.one(CHART)
     comps = [one, zero, zero, zero, one, zero, zero, zero, zero]
-    from parasol.tensor import SingularMetricError
-
     with pytest.raises(SingularMetricError):
         Metric(TensorField(CHART, 0, 2, comps))
+
+
+def _cofactor_det(matrix):
+    """Plain recursive cofactor expansion along the first row, no memoization."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = Expr.zero(matrix[0][0].chart)
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_symbolically_zero:
+            continue
+        cof = entry * _cofactor_det([row[:j] + row[j + 1 :] for row in matrix[1:]])
+        total = total + (cof if j % 2 == 0 else -cof)
+    return total
+
+
+def _cofactor_inverse(matrix):
+    """Adjugate over determinant, each cofactor expanded from scratch."""
+    n = len(matrix)
+    det = _cofactor_det(matrix)
+    entries = []
+    for i in range(n):
+        for j in range(n):
+            minor = [[matrix[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            entry = _cofactor_det(minor) / det
+            entries.append(entry if (i + j) % 2 == 0 else -entry)
+    return det, entries
+
+
+CHARTS = {n: Chart.make(["t", "x", "y", "z", "w"][:n]) for n in range(2, 6)}
+ENTRY_SOURCES = [
+    "0", "0", "1", "-2", "3", "x - 1", "2*t + 3", "exp(2*t)", "exp(-t + x)", "1/x", "t/x^2"
+]
+# sum denominators make the g * g^-1 check expensive beyond n = 3
+SMALL_ENTRY_SOURCES = ENTRY_SOURCES + ["1/(1 + t^2)", "(x + 1)/(t - 3)"]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(2, 5))
+    chart = CHARTS[n]
+    sources = SMALL_ENTRY_SOURCES if n <= 3 else ENTRY_SOURCES
+    picks = {}
+    for i in range(n):
+        for j in range(i, n):
+            picks[i, j] = picks[j, i] = draw(st.sampled_from(sources))
+    return [[parse(picks[i, j], chart) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrix=symmetric_matrices())
+def test_metric_matches_plain_cofactor_expansion(matrix):
+    # the memoized minors must build every Expr exactly as the plain expansion does
+    field = TensorField(matrix[0][0].chart, 0, 2, [e for row in matrix for e in row])
+    if _cofactor_det(matrix).is_zero():
+        with pytest.raises(SingularMetricError):
+            Metric(field)
+        return
+    g = Metric(field)
+    det, entries = _cofactor_inverse(matrix)
+    assert str(g.determinant) == str(det)
+    assert [str(entry) for _, entry in g.inverse.components()] == [str(e) for e in entries]
+
+
+def test_dense_seven_dimensional_metric_shares_minors(monkeypatch):
+    # dt^2 plus a dense 6 x 6 block of a*s + b entries: with the determinant
+    # and all 49 cofactors expanded from scratch, building this metric makes
+    # 12,231 multiplications, the g * g^-1 check included
+    chart = Chart.make(["t", "x", "y", "z", "u", "v", "s"])
+    rng = random.Random(7)
+    n = chart.dimension
+    rows = [["0"] * n for _ in range(n)]
+    rows[0][0] = "1"
+    for i in range(1, n):
+        rows[i][i] = str(6 * n)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = "%d*s + %d" % (rng.choice((1, -2, 3)), rng.choice((1, 2, 3)))
+    field = TensorField(chart, 0, 2, [parse(e, chart) for row in rows for e in row])
+    calls = []
+    multiply = Expr.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Expr, "__mul__", counted)
+    Metric(field)
+    assert len(calls) <= 2000
 
 
 # ---------------------------------------------------------------------------

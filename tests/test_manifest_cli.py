@@ -219,8 +219,16 @@ def test_badly_scaled_manifest_reports_strict_json_without_traceback(tmp_path, s
     assert b"Traceback" not in result.stderr
     if result.returncode == 2:
         assert result.stdout == b"" and result.stderr.startswith(b"error: ")
-    else:
-        json.loads(result.stdout, parse_constant=_reject_non_finite)
+        return
+    report = json.loads(result.stdout, parse_constant=_reject_non_finite)
+    for check in report["checks"]:
+        if "non-finite" in check["details"]:
+            assert check["status"] == "fail", check
+    if seed == 5:
+        # the Lie-derivative deviation is inf - inf = NaN at one sample point
+        lie_dual = next(c for c in report["checks"] if c["id"] == "oracle_lie_dual")
+        assert lie_dual["status"] == "fail"
+        assert "non-finite" in lie_dual["details"]
 
 
 def test_failed_invariant_exits_two_without_traceback(monkeypatch):
@@ -232,6 +240,19 @@ def test_failed_invariant_exits_two_without_traceback(monkeypatch):
     assert err.startswith("internal error: invariant violated: metric inverse failed")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["report", "--all"]])
+def test_validation_suites_run_once_per_structure(monkeypatch, command):
+    calls = []
+    for name in ("_axiom_outcomes", "_compat_outcomes"):
+        suite = getattr(parasol.paracontact, name)
+        monkeypatch.setattr(
+            parasol.paracontact, name, lambda s, suite=suite: calls.append(suite) or suite(s)
+        )
+    code, _, _ = run_cli(command + ["fixtures/ex1_r3_spacelike", "--json"])
+    assert code in (0, 1)
+    assert len(calls) == 2
 
 
 def test_base_point_override_changes_signature_report():

@@ -110,6 +110,21 @@ def test_compare_detects_injected_fault(ex1):
     assert report.max_relative_deviation >= 1e-4
 
 
+def test_compare_fails_on_nan_deviation(ex1):
+    # Python's max drops a NaN that is not first; one NaN point must still fail
+    points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
+    gamma = ex1.connection().gamma
+    nan_at = points[1]
+
+    def oracle(point):
+        reference = fd_christoffel(ex1.metric, point, CFG)
+        return np.full_like(reference, math.nan) if point is nan_at else reference
+
+    report = compare(gamma, oracle, points, CFG)
+    assert math.isnan(report.max_relative_deviation)
+    assert not report.passed
+
+
 def test_compare_shape_mismatch(ex1):
     points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
     with pytest.raises(ValueError, match="shape"):

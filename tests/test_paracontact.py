@@ -39,6 +39,13 @@ def test_axioms_pass_on_three_dimensional_example(ex1):
     assert all_pass(validate_axioms(ex1))
 
 
+def test_validation_suites_hand_out_fresh_lists(ex1):
+    # the outcomes are cached on the structure; a caller's edits must not reach it
+    for suite, count in ((validate_axioms, 4), (validate_metric_compat, 3)):
+        suite(ex1).clear()
+        assert len(suite(ex1)) == count
+
+
 def test_flipped_phi_sign_fails_exactly_phi_square(flat):
     chart = flat.chart
     # swap-type phi with one flipped sign squares to -I on the distribution,
