@@ -58,12 +58,10 @@ class ConnectionData:
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Riemann, Ricci, scalar curvature and the Ricci operator of a metric."""
+    """Riemann and Ricci tensors of a metric, with the Ricci trace mode used."""
 
     riemann: TensorField  # (1, 3): riem[l, i, j, k] = dx^l(R(d_i, d_j) d_k)
     ricci: TensorField  # (0, 2)
-    scalar: Expr
-    q_operator: TensorField  # (1, 1): Q[k, j] = g^{ki} S_ij
     ricci_mode: str
 
     @property

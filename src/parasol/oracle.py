@@ -9,6 +9,9 @@ is itself a checkable property.  Within one oracle run each stencil point is
 evaluated once: the Riemann stencil revisits the points of its Christoffel
 stencils, and the Ricci and step-halving checks reuse the Riemann and
 Christoffel references, so a :class:`StencilSampler` keeps them for the run.
+On badly scaled metrics the float work may overflow; numpy's warnings are
+silenced, because the resulting inf and NaN values already fail the checks
+(see :func:`max_deviation`).
 """
 
 from __future__ import annotations
@@ -85,7 +88,9 @@ class StencilSampler:
         if sample is None:
             matrix = np.array([[comp.evaluate(xs) for comp in row] for row in self._rows])
             matrix.flags.writeable = False
-            sample = self._samples[key] = (matrix, float(np.linalg.det(matrix)))
+            with np.errstate(all="ignore"):
+                det = float(np.linalg.det(matrix))
+            sample = self._samples[key] = (matrix, det)
         det = sample[1]
         if abs(det) < DEGENERACY_CUTOFF or (
             center_det_sign is not None and det * center_det_sign < 0
@@ -104,6 +109,7 @@ class StencilSampler:
             gamma = self._gammas[key] = self._christoffel(xs, h)
         return gamma
 
+    @np.errstate(all="ignore")
     def _christoffel(self, xs: list[float], h: float) -> np.ndarray:
         n = len(xs)
         center, det = self.sample(xs)
@@ -132,6 +138,7 @@ class StencilSampler:
             riem = self._riemanns[key] = self._riemann(xs, h)
         return riem
 
+    @np.errstate(all="ignore")
     def _riemann(self, xs: list[float], h: float) -> np.ndarray:
         n = len(xs)
         gamma = self.christoffel(xs, h)
@@ -207,6 +214,7 @@ class CompareReport:
         return self.max_relative_deviation <= self.tolerance
 
 
+@np.errstate(all="ignore")
 def compare(
     symbolic: TensorField,
     oracle_fn: Callable[[Mapping[str, float]], np.ndarray],

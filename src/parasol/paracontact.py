@@ -37,10 +37,9 @@ from .connection import (
     christoffel,
     covariant_derivative,
     covariant_derivative_along,
-    lie_derivative_metric,
+    lie_derivative_two_ways,
     ricci,
     riemann,
-    scalar_curvature,
 )
 from .symexpr import Expr, InvariantError
 from .tensor import Frame, Metric, TensorField, kronecker
@@ -113,7 +112,9 @@ class ParacontactStructure:
         self._connection: ConnectionData | None = None
         self._riemann: TensorField | None = None
         self._ricci: dict[str, TensorField] = {}
-        self._lie_xi: TensorField | None = None
+        # id(V) -> (V, coordinate formula, connection formula); holding V keeps its id unique
+        self._lie: dict[int, tuple[TensorField, TensorField, TensorField]] = {}
+        self._lie_checked: set[int] = set()
         self._phi_squared: TensorField | None = None
         self._axioms: list[CheckOutcome] | None = None
         self._compat: list[CheckOutcome] | None = None
@@ -137,19 +138,31 @@ class ParacontactStructure:
         return self._ricci[mode]
 
     def curvature(self, mode: str = WEIGHTED_TRACE) -> CurvatureData:
-        ricci_tensor = self.ricci(mode)
-        return CurvatureData(
-            riemann=self.riemann(),
-            ricci=ricci_tensor,
-            scalar=scalar_curvature(ricci_tensor, self.metric),
-            q_operator=self.metric.raise_index(ricci_tensor, 0),
-            ricci_mode=mode,
-        )
+        return CurvatureData(riemann=self.riemann(), ricci=self.ricci(mode), ricci_mode=mode)
+
+    def lie_derivative_two_ways(self, direction: TensorField) -> tuple[TensorField, TensorField]:
+        """(L_V g) by the coordinate and by the connection formula, once per direction field.
+
+        The cache is keyed by the field object: pass the same ``TensorField``
+        to reuse the result.
+        """
+        cached = self._lie.get(id(direction))
+        if cached is None:
+            pair = lie_derivative_two_ways(self.metric, direction, self.connection())
+            cached = self._lie[id(direction)] = (direction, *pair)
+        return cached[1], cached[2]
+
+    def lie_derivative(self, direction: TensorField) -> TensorField:
+        """L_V g; the two formulas are compared once per direction and must agree."""
+        via_coordinates, via_connection = self.lie_derivative_two_ways(direction)
+        if id(direction) not in self._lie_checked:
+            if not (via_coordinates - via_connection).is_zero():
+                raise InvariantError("Lie derivative formulas disagree")
+            self._lie_checked.add(id(direction))
+        return via_coordinates
 
     def lie_xi_metric(self) -> TensorField:
-        if self._lie_xi is None:
-            self._lie_xi = lie_derivative_metric(self.metric, self.xi, self.connection())
-        return self._lie_xi
+        return self.lie_derivative(self.xi)
 
     def phi_squared(self) -> TensorField:
         if self._phi_squared is None:

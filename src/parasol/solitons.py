@@ -24,7 +24,7 @@ are evaluated and the implication status is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +34,6 @@ from .connection import (
     WEIGHTED_TRACE,
     covariant_derivative,
     covariant_derivative_along,
-    lie_derivative_metric,
     scalar_curvature,
 )
 from .paracontact import ParacontactStructure
@@ -183,7 +182,7 @@ def soliton_residual(
     mode: str = WEIGHTED_TRACE,
 ) -> TensorField:
     """T = 1/2 (L_V g) + S + lambda g + mu eta (x) eta, canonical."""
-    lie = lie_derivative_metric(structure.metric, data.potential, structure.connection())
+    lie = structure.lie_derivative(data.potential)
     ricci_tensor = structure.ricci(mode)
     half = Expr.constant(structure.chart, "1/2")
     total = lie.scale(half) + ricci_tensor
@@ -215,7 +214,7 @@ def solve_soliton_constants(
     n = chart.dimension
     base = chart.base_point
 
-    lie = lie_derivative_metric(structure.metric, potential, structure.connection())
+    lie = structure.lie_derivative(potential)
     b_tensor = lie.scale(Expr.constant(chart, "1/2")) + structure.ricci(mode)
     g_field = structure.metric.field
     eta_eta = structure.eta_tensor_eta()

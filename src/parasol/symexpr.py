@@ -23,21 +23,32 @@ Representation
 --------------
 An expression is stored as ``c * N / (x^d * B^e)``:
 
-* a key is a pair of tuples: the monomial's exponents and the atom's rates.
-  A rate is an ``int`` whenever it is integral and a ``Fraction`` only when it
-  is not, so hashing and adding keys is plain integer work;
+* a term key is one non-negative ``int`` packing 2n fields of 32 bits, most
+  significant first: the monomial's n exponents, then the n rates of the
+  exponential atom.  Each field holds its value plus a bias of 2^30, so the
+  integer order of keys is the lexicographic order of (monomial, rates) and
+  multiplying two terms is one addition, ``ka + kb - base``.  A value must
+  lie in [-2^30, 2^30); the top bit of every field is a guard that any
+  out-of-range sum or shift sets, and each result is checked once (the OR
+  of its keys), so an overflow raises ``ExprError`` instead of wrapping;
+* rates are stored as integers: every expression carries one positive rate
+  denominator r (1 unless some rate is non-integral) and its atom fields
+  hold rate * r.  Operands are brought to a common r before they are
+  combined, and every result divides r by the gcd of r and its rate fields;
 * N is a sum with integer coefficients whose gcd is 1 (its primitive part)
   and c is its one rational content;
+* x^d is a packed key with zero rates;
 * B is a sum with coprime integer coefficients and a positive leading term,
   so it is monic up to the integer factor lead(B).
 
 Sums therefore multiply and add over ``int`` only; the contents are combined
-once per operation.  The printed numerator is ``c * N / lead(B)^e`` over the
-monic expanded denominator ``x^d * (B / lead(B))^e``, the canonical form
-above.  Keeping the denominator factored lets derivatives and products of
-quotients with the same B grow the power e instead of multiplying expanded
-sums, which keeps curvature pipelines (where every denominator is a power of
-det g) small.
+once per operation, and keys are decoded only where fields are read
+(printing, content and cancellation steps, evaluation, the parser).  The
+printed numerator is ``c * N / lead(B)^e`` over the monic expanded
+denominator ``x^d * (B / lead(B))^e``, the canonical form above.  Keeping the
+denominator factored lets derivatives and products of quotients with the
+same B grow the power e instead of multiplying expanded sums, which keeps
+curvature pipelines (where every denominator is a power of det g) small.
 
 Grammar (shared with the manifest format)::
 
@@ -55,10 +66,11 @@ nonzero rational is irrational and would break exactness).
 from __future__ import annotations
 
 import math
-from array import array
+import struct
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import add
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Sequence
 
 from .chart import Chart
@@ -76,9 +88,9 @@ __all__ = [
     "parse",
 ]
 
-Mono = tuple  # tuple[int, ...]
-Atom = tuple  # tuple[int | Fraction, ...]: int wherever the rate is integral
-Key = tuple  # (Mono, Atom)
+Mono = tuple  # tuple[int, ...]: exponents
+Atom = tuple  # rates; in a key, each rate times the expression's rate denominator
+Key = int  # packed (Mono, Atom), see _Layout
 Sum = dict  # dict[Key, int]: nonzero integer coefficients
 
 
@@ -121,30 +133,97 @@ class InvariantError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# sum-of-terms helpers (plain dicts keyed by (monomial, atom), int values)
+# packed keys
+# ---------------------------------------------------------------------------
+
+_FIELD_BITS = 32
+_BIAS = 1 << (_FIELD_BITS - 2)  # a field stores value + _BIAS
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+
+
+def _range_error() -> ExprError:
+    return ExprError(
+        "exponent or exp rate out of range: every exponent, and every rate times "
+        "the common rate denominator, must lie in [-2^30, 2^30)"
+    )
+
+
+class _Layout:
+    """Packed keys for one chart dimension n.
+
+    Field f (0 <= f < 2n, most significant first) holds mono[f] for f < n and
+    atom[f - n] otherwise.  ``base`` is the key of the constant term,
+    ``units[f]`` adds 1 to field f, and ``guard`` has the top bit of every
+    field set.  Within range no field ever carries into its neighbour, and the
+    lowest field that leaves the range always ends with its guard bit set.
+    """
+
+    __slots__ = (
+        "n",
+        "base",
+        "guard",
+        "shifts",
+        "units",
+        "split",
+        "mono_mask",
+        "atom_mask",
+        "atom_base",
+        "_struct",
+        "_bytes",
+    )
+
+    def __init__(self, n: int):
+        self.n = n
+        self.shifts = tuple(_FIELD_BITS * (2 * n - 1 - f) for f in range(2 * n))
+        self.units = tuple(1 << s for s in self.shifts)
+        self.base = sum(_BIAS << s for s in self.shifts)
+        self.guard = sum(1 << (s + _FIELD_BITS - 1) for s in self.shifts)
+        self.split = _FIELD_BITS * n
+        self.atom_mask = (1 << self.split) - 1
+        self.mono_mask = ((1 << (2 * self.split)) - 1) ^ self.atom_mask
+        self.atom_base = self.base & self.atom_mask
+        self._struct = struct.Struct(">%dI" % (2 * n))
+        self._bytes = _FIELD_BITS // 8 * 2 * n
+
+    def pack(self, mono: Sequence[int], atom: Sequence[int] | None = None) -> Key:
+        values = list(mono) + (list(atom) if atom is not None else [0] * self.n)
+        if not all(-_BIAS <= v < _BIAS for v in values):
+            raise _range_error()
+        return self.base + sum(v << s for v, s in zip(values, self.shifts))
+
+    def unpack(self, key: Key) -> tuple[Mono, Atom]:
+        values = [v - _BIAS for v in self._struct.unpack(key.to_bytes(self._bytes, "big"))]
+        return tuple(values[: self.n]), tuple(values[self.n :])
+
+    def field(self, key: Key, f: int) -> int:
+        return ((key >> self.shifts[f]) & _FIELD_MASK) - _BIAS
+
+    def min_field(self, a: Sum, f: int) -> int:
+        shift = self.shifts[f]
+        return min((key >> shift) & _FIELD_MASK for key in a) - _BIAS
+
+    def content(self, a: Sum) -> Key:
+        """The key whose every field is the minimum of that field over a."""
+        unpack, size = self._struct.unpack, self._bytes
+        mins = map(min, zip(*(unpack(key.to_bytes(size, "big")) for key in a)))
+        return sum(m << s for m, s in zip(mins, self.shifts))
+
+    def check(self, keys) -> None:
+        if reduce(or_, keys, 0) & self.guard:
+            raise _range_error()
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    return _Layout(n)
+
+
+# ---------------------------------------------------------------------------
+# sum-of-terms helpers (plain dicts keyed by packed ints, int values)
 # ---------------------------------------------------------------------------
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _rational(value) -> int | Fraction:
-    """An exact rational, stored as int when it is integral."""
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _canon_atom(atom: Atom) -> Atom:
-    return tuple(x if type(x) is int else _rational(x) for x in atom)
-
-
-def _has_fraction_rate(a: Sum) -> bool:
-    return any(type(x) is not int for _, atom in a for x in atom)
-
-
-def _rate_denominator(a: Sum, i: int) -> int:
-    """Least common denominator of the exponential rates along axis i."""
-    return math.lcm(*(atom[i].denominator for _, atom in a))
 
 
 def _common_content(p: Fraction, q: Fraction) -> tuple[Fraction, int, int]:
@@ -160,10 +239,6 @@ def _common_content(p: Fraction, q: Fraction) -> tuple[Fraction, int, int]:
     )
 
 
-def _sone(n: int) -> Sum:
-    return {((0,) * n, (0,) * n): 1}
-
-
 def _sadd(a: Sum, b: Sum, ka: int = 1, kb: int = 1) -> Sum:
     """ka*a + kb*b."""
     out = dict(a) if ka == 1 else {key: coeff * ka for key, coeff in a.items()}
@@ -176,70 +251,70 @@ def _sadd(a: Sum, b: Sum, ka: int = 1, kb: int = 1) -> Sum:
     return out
 
 
-def _smul(a: Sum, b: Sum) -> Sum:
+def _smul(a: Sum, b: Sum, lay: _Layout) -> Sum:
     if not a or not b:
         return {}
     out: Sum = {}
     get = out.get
-    terms_b = list(b.items())
-    for (ma, ea), ca in a.items():
-        for (mb, eb), cb in terms_b:
-            key = (tuple(map(add, ma, mb)), tuple(map(add, ea, eb)))
+    base = lay.base
+    terms_b = [(kb - base, cb) for kb, cb in b.items()]
+    for ka, ca in a.items():
+        for kb, cb in terms_b:
+            key = ka + kb
             new = get(key, 0) + ca * cb
             if new:
                 out[key] = new
             else:
                 del out[key]
-    if _has_fraction_rate(a) and _has_fraction_rate(b):
-        # two non-integral rates may add up to an integral one
-        out = {(mono, _canon_atom(atom)): coeff for (mono, atom), coeff in out.items()}
+    lay.check(out)
     return out
 
 
-def _sscale(a: Sum, k: int, mono_shift: Mono | None = None, atom_shift: Atom | None = None) -> Sum:
-    if k == 0:
-        return {}
-    out: Sum = {}
-    for (mono, atom), c in a.items():
-        if mono_shift is not None:
-            mono = tuple(map(add, mono, mono_shift))
-        if atom_shift is not None:
-            atom = _canon_atom(tuple(map(add, atom, atom_shift)))
-        out[(mono, atom)] = c * k
+def _sscale(a: Sum, k: int) -> Sum:
+    return {key: c * k for key, c in a.items()} if k else {}
+
+
+def _sshift(a: Sum, delta: int, lay: _Layout) -> Sum:
+    """Every key moved by a packed delta (a monomial and/or rate shift)."""
+    out = {key + delta: c for key, c in a.items()}
+    lay.check(out)
     return out
 
 
-def _spow(a: Sum, k: int, n: int) -> Sum:
-    result = _sone(n)
+def _spow(a: Sum, k: int, lay: _Layout) -> Sum:
+    result = {lay.base: 1}
     base = a
     while k > 0:
         if k & 1:
-            result = _smul(result, base)
+            result = _smul(result, base, lay)
         k >>= 1
         if k:
-            base = _smul(base, base)
+            base = _smul(base, base, lay)
     return result
 
 
-def _sdiff(a: Sum, i: int, scale: int = 1) -> Sum:
-    """scale * d/dx_i of a sum: power rule on the monomial plus the atom rate.
+def _sdiff(a: Sum, i: int, rden: int, lay: _Layout) -> Sum:
+    """rden * d/dx_i of a sum whose rate fields count in units of 1/rden.
 
-    ``scale`` must clear the denominators of the rates along axis i, so that
-    every coefficient stays an integer.
+    The power rule lowers the monomial field by one; the atom contributes its
+    rate field, which is already an integer.
     """
     out: Sum = {}
-    for (mono, atom), coeff in a.items():
-        if mono[i] > 0:
-            key = (mono[:i] + (mono[i] - 1,) + mono[i + 1 :], atom)
-            new = out.get(key, 0) + coeff * mono[i] * scale
+    get = out.get
+    mono_shift, atom_shift = lay.shifts[i], lay.shifts[lay.n + i]
+    unit = lay.units[i]
+    for key, coeff in a.items():
+        k = ((key >> mono_shift) & _FIELD_MASK) - _BIAS
+        if k > 0:
+            low = key - unit
+            new = get(low, 0) + coeff * k * rden
             if new:
-                out[key] = new
+                out[low] = new
             else:
-                del out[key]
-        lam = atom[i]
-        if lam != 0:
-            key = (mono, atom)
-            new = out.get(key, 0) + coeff * int(lam * scale)
+                del out[low]
+        lam = ((key >> atom_shift) & _FIELD_MASK) - _BIAS
+        if lam:
+            new = get(key, 0) + coeff * lam
             if new:
                 out[key] = new
             else:
@@ -247,20 +322,13 @@ def _sdiff(a: Sum, i: int, scale: int = 1) -> Sum:
     return out
 
 
-def _scontent(a: Sum) -> tuple[Mono, Atom]:
-    """Componentwise minimum of monomial exponents and atom coefficients."""
-    keys = iter(a)
-    first_mono, first_atom = next(keys)
-    mono = list(first_mono)
-    atom = list(first_atom)
-    for m, e in keys:
-        for i, v in enumerate(m):
-            if v < mono[i]:
-                mono[i] = v
-        for i, v in enumerate(e):
-            if v < atom[i]:
-                atom[i] = v
-    return tuple(mono), tuple(atom)
+def _rescale_rates(a: Sum, lay: _Layout, mul: int, div: int = 1) -> Sum:
+    """The sum with every rate field replaced by field * mul // div (exact)."""
+    out: Sum = {}
+    for key, coeff in a.items():
+        mono, atom = lay.unpack(key)
+        out[lay.pack(mono, [v * mul // div for v in atom])] = coeff
+    return out
 
 
 def coordinate_values(chart: Chart, point: Mapping[str, float] | Sequence[float]) -> list[float]:
@@ -273,32 +341,54 @@ def coordinate_values(chart: Chart, point: Mapping[str, float] | Sequence[float]
     return xs
 
 
-def _seval(coeffs: Sequence[float], a: Sum, xs: Sequence[float]) -> float:
-    """Float value of a sum whose float coefficients are ``coeffs`` (in key order)."""
+@lru_cache(maxsize=4096)
+def _mono_pairs(lay: _Layout, bits: int) -> tuple:
+    """Nonzero (axis, exponent) pairs of the monomial fields ``key >> lay.split``."""
+    mono, _atom = lay.unpack((bits << lay.split) | lay.atom_base)
+    return tuple((i, k) for i, k in enumerate(mono) if k)
+
+
+@lru_cache(maxsize=4096)
+def _atom_pairs(lay: _Layout, bits: int, rden: int) -> tuple:
+    """Nonzero (axis, float rate) pairs of the atom fields ``key & lay.atom_mask``."""
+    _mono, atom = lay.unpack(bits | (lay.base & lay.mono_mask))
+    return tuple((i, lam / rden) for i, lam in enumerate(atom) if lam)
+
+
+def _float_table(coeffs, a: Sum, lay: _Layout, rden: int) -> list:
+    """(float coefficient, _mono_pairs, _atom_pairs) per term of a sum, in key order."""
+    split, atom_mask = lay.split, lay.atom_mask
+    return [
+        (value, _mono_pairs(lay, key >> split), _atom_pairs(lay, key & atom_mask, rden))
+        for value, key in zip(coeffs, a)
+    ]
+
+
+def _seval(table: list, xs: Sequence[float]) -> float:
+    """Float value of a sum from its _float_table."""
     total = 0.0
-    for value, (mono, atom) in zip(coeffs, a):
-        for x, k in zip(xs, mono):
-            if k:
-                value *= x**k
+    for value, mono, atom in table:
+        for i, k in mono:
+            value *= xs[i] ** k
         arg = 0.0
-        for x, lam in zip(xs, atom):
-            if lam:
-                arg += lam * x
+        for i, lam in atom:
+            arg += lam * xs[i]
         if arg:
             value *= math.exp(arg)
         total += value
     return total
 
 
-def _seval_exact(a: Sum, xs: Sequence[Fraction]) -> Fraction:
+def _seval_exact(a: Sum, xs: Sequence[Fraction], lay: _Layout, rden: int) -> Fraction:
     total = _F0
-    for (mono, atom), coeff in a.items():
+    for key, coeff in a.items():
+        mono, atom = lay.unpack(key)
         arg = _F0
         for x, lam in zip(xs, atom):
             arg += lam * x
         if arg != 0:
             raise ExactEvaluationError(
-                "exponential atom does not vanish at the point (value %s)" % arg
+                "exponential atom does not vanish at the point (value %s)" % (arg / rden)
             )
         value = coeff
         for x, k in zip(xs, mono):
@@ -321,82 +411,114 @@ class Expr:
     multiplies and tests whether the canonical difference is the empty sum.
     """
 
-    __slots__ = ("chart", "_scale", "_num", "_dmono", "_dbase", "_dexp", "_float")
+    __slots__ = ("chart", "_lay", "_scale", "_num", "_dmono", "_dbase", "_dexp", "_rden", "_float")
 
     def __init__(
-        self, chart: Chart, scale: Fraction, num: Sum, dmono: Mono, dbase: Sum | None, dexp: int
+        self,
+        chart: Chart,
+        lay: _Layout,
+        scale: Fraction,
+        num: Sum,
+        dmono: Key,
+        dbase: Sum | None,
+        dexp: int,
+        rden: int,
     ):
         # Internal constructor: callers go through _make/_from_num_den.
         self.chart = chart
+        self._lay = lay
         self._scale = scale
         self._num = num
         self._dmono = dmono
         self._dbase = dbase
         self._dexp = dexp
-        self._float = None  # float coefficients, filled in by the first evaluate()
+        self._rden = rden
+        self._float = None  # float term tables, filled in by the first evaluate()
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def _make(
-        cls, chart: Chart, scale: Fraction, num: Sum, dmono: Mono, dbase: Sum | None, dexp: int
+        cls,
+        chart: Chart,
+        lay: _Layout,
+        scale: Fraction,
+        num: Sum,
+        dmono: Key,
+        dbase: Sum | None,
+        dexp: int,
+        rden: int,
     ) -> "Expr":
         if not num:
             return cls.zero(chart)
         if dbase is not None and dexp == 0:
             dbase = None
-        if any(dmono):
-            mins = list(next(iter(num))[0])
-            for mono, _atom in num:
-                for i, v in enumerate(mono):
-                    if v < mins[i]:
-                        mins[i] = v
-            cancel = tuple(min(a, b) for a, b in zip(mins, dmono))
-            if any(cancel):
-                shift = tuple(-c for c in cancel)
-                num = _sscale(num, 1, mono_shift=shift)
-                dmono = tuple(a - b for a, b in zip(dmono, cancel))
+        if dmono & lay.guard:
+            raise _range_error()
+        if dmono != lay.base:
+            cancel = 0
+            for i in range(lay.n):
+                d = lay.field(dmono, i)
+                if d:
+                    c = min(lay.min_field(num, i), d)
+                    if c:
+                        cancel += c * lay.units[i]
+            if cancel:
+                num = _sshift(num, -cancel, lay)
+                dmono -= cancel
         content = math.gcd(*num.values())
         if content != 1:
             num = {key: coeff // content for key, coeff in num.items()}
             scale = scale * content
-        return cls(chart, scale, num, dmono, dbase, dexp)
+        if rden != 1:
+            g = rden
+            for terms in (num, dbase or ()):
+                for key in terms:
+                    g = math.gcd(g, *lay.unpack(key)[1])
+            if g != 1:
+                num = _rescale_rates(num, lay, 1, g)
+                if dbase is not None:
+                    dbase = _rescale_rates(dbase, lay, 1, g)
+                rden //= g
+        return cls(chart, lay, scale, num, dmono, dbase, dexp, rden)
 
     @classmethod
-    def _from_num_den(cls, chart: Chart, scale: Fraction, num: Sum, den: Sum) -> "Expr":
+    def _from_num_den(
+        cls, chart: Chart, lay: _Layout, scale: Fraction, num: Sum, den: Sum, rden: int
+    ) -> "Expr":
         """The quotient scale * num / den, normalizing the denominator."""
         if not den:
             raise DivisionByZeroExprError("division by canonical zero")
         if not num:
             return cls.zero(chart)
-        mono_c, atom_c = _scontent(den)
-        neg_atom = tuple(-a for a in atom_c)
-        stripped = _sscale(den, 1, mono_shift=tuple(-m for m in mono_c), atom_shift=neg_atom)
-        content = math.gcd(*stripped.values())
+        content = lay.content(den)
+        mono_c = (content & lay.mono_mask) | lay.atom_base
+        stripped = _sshift(den, lay.base - content, lay)
+        factor = math.gcd(*stripped.values())
         if stripped[max(stripped)] < 0:
-            content = -content
-        if content != 1:
-            stripped = {key: coeff // content for key, coeff in stripped.items()}
-        # num / (content * exp(atom_c) * x^mono_c * stripped)
-        num = _sscale(num, 1, atom_shift=neg_atom)
-        scale = scale / content
+            factor = -factor
+        if factor != 1:
+            stripped = {key: coeff // factor for key, coeff in stripped.items()}
+        # num / (factor * exp(atom content) * x^mono_c * stripped)
+        num = _sshift(num, mono_c - content, lay)
+        scale = scale / factor
         if len(stripped) == 1:
             # after content stripping a single-term denominator is exactly 1
-            return cls._make(chart, scale, num, mono_c, None, 0)
-        return cls._make(chart, scale, num, mono_c, stripped, 1)
+            return cls._make(chart, lay, scale, num, mono_c, None, 0, rden)
+        return cls._make(chart, lay, scale, num, mono_c, stripped, 1, rden)
 
     @classmethod
     def zero(cls, chart: Chart) -> "Expr":
-        n = chart.dimension
-        return cls(chart, _F1, {}, (0,) * n, None, 0)
+        lay = _layout(chart.dimension)
+        return cls(chart, lay, _F1, {}, lay.base, None, 0, 1)
 
     @classmethod
     def constant(cls, chart: Chart, value) -> "Expr":
         value = Fraction(value)
         if value == 0:
             return cls.zero(chart)
-        n = chart.dimension
-        return cls(chart, value, _sone(n), (0,) * n, None, 0)
+        lay = _layout(chart.dimension)
+        return cls(chart, lay, value, {lay.base: 1}, lay.base, None, 0, 1)
 
     @classmethod
     def one(cls, chart: Chart) -> "Expr":
@@ -408,18 +530,20 @@ class Expr:
             i = chart.axis(name)
         except KeyError:
             raise UnknownCoordinateError("unknown coordinate %r" % name) from None
-        n = chart.dimension
-        mono = tuple(1 if j == i else 0 for j in range(n))
-        return cls(chart, _F1, {(mono, (0,) * n): 1}, (0,) * n, None, 0)
+        lay = _layout(chart.dimension)
+        return cls(chart, lay, _F1, {lay.base + lay.units[i]: 1}, lay.base, None, 0, 1)
 
     @classmethod
     def exponential(cls, chart: Chart, coefficients: Sequence) -> "Expr":
         """exp of the linear form sum(coefficients[i] * x_i)."""
         n = chart.dimension
-        atom = tuple(_rational(c) for c in coefficients)
-        if len(atom) != n:
+        rates = [Fraction(c) for c in coefficients]
+        if len(rates) != n:
             raise ExprError("exponential atom needs %d coefficients" % n)
-        return cls(chart, _F1, {((0,) * n, atom): 1}, (0,) * n, None, 0)
+        rden = math.lcm(*(r.denominator for r in rates))
+        lay = _layout(n)
+        key = lay.pack((0,) * n, [int(r * rden) for r in rates])
+        return cls(chart, lay, _F1, {key: 1}, lay.base, None, 0, rden)
 
     # -- structure ----------------------------------------------------------
 
@@ -429,14 +553,14 @@ class Expr:
 
     @property
     def denominator_is_one(self) -> bool:
-        return self._dbase is None and not any(self._dmono)
+        return self._dbase is None and self._dmono == self._lay.base
 
     def _den_sum(self) -> Sum:
         """Expanded denominator x^dmono * B^dexp (primitive, positive leading term)."""
-        n = self.chart.dimension
-        out = _sone(n) if self._dbase is None else _spow(self._dbase, self._dexp, n)
-        if any(self._dmono):
-            out = _sscale(out, 1, mono_shift=self._dmono)
+        lay = self._lay
+        out = {lay.base: 1} if self._dbase is None else _spow(self._dbase, self._dexp, lay)
+        if self._dmono != lay.base:
+            out = _sshift(out, self._dmono - lay.base, lay)
         return out
 
     def _den_lead(self) -> int:
@@ -444,6 +568,17 @@ class Expr:
         if self._dbase is None:
             return 1
         return self._dbase[max(self._dbase)] ** self._dexp
+
+    def _with_rden(self, rden: int) -> "Expr":
+        """The same expression with its rate fields counted in units of 1/rden.
+
+        ``rden`` must be a multiple of the current rate denominator; the
+        result is an operand only, since it is not reduced.
+        """
+        mul, lay = rden // self._rden, self._lay
+        dbase = None if self._dbase is None else _rescale_rates(self._dbase, lay, mul)
+        num = _rescale_rates(self._num, lay, mul)
+        return Expr(self.chart, lay, self._scale, num, self._dmono, dbase, self._dexp, rden)
 
     def is_zero(self) -> bool:
         """True iff the canonical numerator is the empty sum."""
@@ -460,6 +595,12 @@ class Expr:
             return Expr.constant(self.chart, other)
         return None
 
+    def _aligned(self, other: "Expr") -> tuple["Expr", "Expr"]:
+        if self._rden == other._rden:
+            return self, other
+        rden = math.lcm(self._rden, other._rden)
+        return self._with_rden(rden), other._with_rden(rden)
+
     def __add__(self, other) -> "Expr":
         other = self._coerce(other)
         if other is None:
@@ -468,38 +609,50 @@ class Expr:
             return other
         if not other._num:
             return self
-        a, b = self, other
+        a, b = self._aligned(other)
+        lay, rden = a._lay, a._rden
         scale, ka, kb = _common_content(a._scale, b._scale)
         if a._dmono == b._dmono and a._dbase == b._dbase and a._dexp == b._dexp:
             num = _sadd(a._num, b._num, ka, kb)
-            return Expr._make(a.chart, scale, num, a._dmono, a._dbase, a._dexp)
+            return Expr._make(a.chart, lay, scale, num, a._dmono, a._dbase, a._dexp, rden)
         if a._dbase is None or b._dbase is None or a._dbase == b._dbase:
             base = a._dbase if a._dbase is not None else b._dbase
             ea = a._dexp if a._dbase is not None else 0
             eb = b._dexp if b._dbase is not None else 0
             e = max(ea, eb)
-            dmono = tuple(max(x, y) for x, y in zip(a._dmono, b._dmono))
-            n = a.chart.dimension
+            dmono = a._dmono
+            if b._dmono != dmono:
+                mono_a, mono_b = lay.unpack(a._dmono)[0], lay.unpack(b._dmono)[0]
+                dmono = lay.pack(map(max, mono_a, mono_b))
             terms = []
-            for part, ep, dm in ((a, ea, a._dmono), (b, eb, b._dmono)):
+            for part, ep in ((a, ea), (b, eb)):
                 term = part._num
                 if base is not None and e - ep:
-                    term = _smul(term, _spow(base, e - ep, n))
-                shift = tuple(x - y for x, y in zip(dmono, dm))
-                if any(shift):
-                    term = _sscale(term, 1, mono_shift=shift)
+                    term = _smul(term, _spow(base, e - ep, lay), lay)
+                if dmono != part._dmono:
+                    term = _sshift(term, dmono - part._dmono, lay)
                 terms.append(term)
-            return Expr._make(a.chart, scale, _sadd(terms[0], terms[1], ka, kb), dmono, base, e)
+            num = _sadd(terms[0], terms[1], ka, kb)
+            return Expr._make(a.chart, lay, scale, num, dmono, base, e, rden)
         da, db = a._den_sum(), b._den_sum()
         if da == db:
-            return Expr._from_num_den(a.chart, scale, _sadd(a._num, b._num, ka, kb), da)
-        num = _sadd(_smul(a._num, db), _smul(b._num, da), ka, kb)
-        return Expr._from_num_den(a.chart, scale, num, _smul(da, db))
+            return Expr._from_num_den(a.chart, lay, scale, _sadd(a._num, b._num, ka, kb), da, rden)
+        num = _sadd(_smul(a._num, db, lay), _smul(b._num, da, lay), ka, kb)
+        return Expr._from_num_den(a.chart, lay, scale, num, _smul(da, db, lay), rden)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(self.chart, -self._scale, self._num, self._dmono, self._dbase, self._dexp)
+        return Expr(
+            self.chart,
+            self._lay,
+            -self._scale,
+            self._num,
+            self._dmono,
+            self._dbase,
+            self._dexp,
+            self._rden,
+        )
 
     def __sub__(self, other) -> "Expr":
         other = self._coerce(other)
@@ -517,26 +670,30 @@ class Expr:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self, other
-        if not a._num or not b._num:
-            return Expr.zero(a.chart)
+        if not self._num:
+            return self
+        if not other._num:
+            return other
+        a, b = self._aligned(other)
+        lay = a._lay
         scale = a._scale * b._scale
-        num = _smul(a._num, b._num)
-        dmono = tuple(x + y for x, y in zip(a._dmono, b._dmono))
+        num = _smul(a._num, b._num, lay)
+        dmono = a._dmono + b._dmono - lay.base
         if a._dbase is None or b._dbase is None or a._dbase == b._dbase:
             base = a._dbase if a._dbase is not None else b._dbase
             e = (a._dexp if a._dbase is not None else 0) + (b._dexp if b._dbase is not None else 0)
-            return Expr._make(a.chart, scale, num, dmono, base, e)
-        n = a.chart.dimension
-        den = _smul(_spow(a._dbase, a._dexp, n), _spow(b._dbase, b._dexp, n))
-        return Expr._make(a.chart, scale, num, dmono, den, 1)
+            return Expr._make(a.chart, lay, scale, num, dmono, base, e, a._rden)
+        den = _smul(_spow(a._dbase, a._dexp, lay), _spow(b._dbase, b._dexp, lay), lay)
+        return Expr._make(a.chart, lay, scale, num, dmono, den, 1, a._rden)
 
     __rmul__ = __mul__
 
     def _reciprocal(self) -> "Expr":
         if not self._num:
             raise DivisionByZeroExprError("division by canonical zero")
-        return Expr._from_num_den(self.chart, _F1 / self._scale, self._den_sum(), self._num)
+        return Expr._from_num_den(
+            self.chart, self._lay, _F1 / self._scale, self._den_sum(), self._num, self._rden
+        )
 
     def __truediv__(self, other) -> "Expr":
         other = self._coerce(other)
@@ -557,14 +714,19 @@ class Expr:
             return Expr.one(self.chart)
         if k < 0:
             return self._reciprocal() ** (-k)
-        n = self.chart.dimension
+        lay = self._lay
+        dmono = self._dmono
+        if dmono != lay.base:
+            dmono = lay.pack([v * k for v in lay.unpack(dmono)[0]])
         return Expr._make(
             self.chart,
+            lay,
             self._scale**k,
-            _spow(self._num, k, n),
-            tuple(v * k for v in self._dmono),
+            _spow(self._num, k, lay),
+            dmono,
             self._dbase,
             self._dexp * k,
+            self._rden,
         )
 
     def __eq__(self, other) -> bool:
@@ -585,29 +747,39 @@ class Expr:
             raise UnknownCoordinateError("unknown coordinate %r" % name) from None
         if not self._num:
             return self
+        lay, rden = self._lay, self._rden
         num, base = self._num, self._dbase
-        rate_den = _rate_denominator(num, i)
+        scale = self._scale / rden
+        if base is None and self._dmono == lay.base:
+            out = _sdiff(num, i, rden, lay)
+            return Expr._make(self.chart, lay, scale, out, self._dmono, None, 0, rden)
+        unit = lay.units[i]
+        out = _sshift(_sdiff(num, i, rden, lay), unit, lay)
+        d = lay.field(self._dmono, i)
+        if d:
+            out = _sadd(out, _sscale(num, -d * rden))
         if base is not None:
-            rate_den = math.lcm(rate_den, _rate_denominator(base, i))
-        scale = self._scale / rate_den
-        if base is None and not any(self._dmono):
-            return Expr._make(self.chart, scale, _sdiff(num, i, rate_den), self._dmono, None, 0)
-        n = self.chart.dimension
-        unit = tuple(1 if j == i else 0 for j in range(n))
-        xi: Sum = {(unit, (0,) * n): 1}
-        out = _smul(_sdiff(num, i, rate_den), xi)
-        if self._dmono[i]:
-            out = _sadd(out, _sscale(num, -self._dmono[i] * rate_den))
-        if base is not None:
-            correction = _sscale(_smul(_smul(num, xi), _sdiff(base, i, rate_den)), -self._dexp)
-            out = _sadd(_smul(out, base), correction)
+            correction = _smul(_sshift(num, unit, lay), _sdiff(base, i, rden, lay), lay)
+            correction = _sscale(correction, -self._dexp)
+            out = _sadd(_smul(out, base, lay), correction)
             dexp = self._dexp + 1
         else:
             dexp = 0
-        dmono = tuple(v + u for v, u in zip(self._dmono, unit))
-        return Expr._make(self.chart, scale, out, dmono, base, dexp)
+        return Expr._make(self.chart, lay, scale, out, self._dmono + unit, base, dexp, rden)
 
     # -- evaluation ----------------------------------------------------------
+
+    def _float_tables(self) -> tuple:
+        lay, rden = self._lay, self._rden
+        lead, den_terms = 1, None
+        if self._dbase is not None:
+            lead = self._dbase[max(self._dbase)]
+            monic = (coeff / lead for coeff in self._dbase.values())
+            den_terms = _float_table(monic, self._dbase, lay, rden)
+        p, q = self._scale.numerator, self._scale.denominator * lead**self._dexp
+        terms = _float_table((p * coeff / q for coeff in self._num.values()), self._num, lay, rden)
+        dmono = tuple((i, k) for i, k in enumerate(lay.unpack(self._dmono)[0]) if k)
+        return terms, dmono, den_terms
 
     def evaluate(self, point: Mapping[str, float] | Sequence[float], den_tolerance: float = 1e-12) -> float:
         """Floating evaluation; raises if the denominator nearly vanishes or a float overflows."""
@@ -616,24 +788,18 @@ class Expr:
             return 0.0
         try:
             if self._float is None:
-                lead, monic = 1, None
-                if self._dbase is not None:
-                    lead = self._dbase[max(self._dbase)]
-                    monic = array("d", (coeff / lead for coeff in self._dbase.values()))
-                p, q = self._scale.numerator, self._scale.denominator * lead**self._dexp
-                self._float = (array("d", (p * coeff / q for coeff in self._num.values())), monic)
-            coeffs, monic = self._float
+                self._float = self._float_tables()
+            terms, dmono, den_terms = self._float
             den = 1.0
-            for x, k in zip(xs, self._dmono):
-                if k:
-                    den *= x**k
-            if monic is not None:
-                den *= _seval(monic, self._dbase, xs) ** self._dexp
+            for i, k in dmono:
+                den *= xs[i] ** k
+            if den_terms is not None:
+                den *= _seval(den_terms, xs) ** self._dexp
             if abs(den) <= den_tolerance:
                 raise DegenerateEvaluationError(
                     "denominator %r vanishes at %r (|value| = %g)" % (self.den_string(), xs, abs(den))
                 )
-            return _seval(coeffs, self._num, xs) / den
+            return _seval(terms, xs) / den
         except OverflowError:
             raise DegenerateEvaluationError("value overflows a float at %r" % xs) from None
 
@@ -644,15 +810,16 @@ class Expr:
             raise ExprError("point has wrong dimension")
         if not self._num:
             return _F0
+        lay, rden = self._lay, self._rden
         den = _F1
-        for x, k in zip(xs, self._dmono):
+        for x, k in zip(xs, lay.unpack(self._dmono)[0]):
             if k:
                 den *= x**k
         if self._dbase is not None:
-            den *= _seval_exact(self._dbase, xs) ** self._dexp
+            den *= _seval_exact(self._dbase, xs, lay, rden) ** self._dexp
         if den == 0:
             raise ExactEvaluationError("denominator vanishes at the point")
-        return self._scale * _seval_exact(self._num, xs) / den
+        return self._scale * _seval_exact(self._num, xs, lay, rden) / den
 
     def provably_nonvanishing(self) -> bool:
         """True when the expression provably has no real zeros.
@@ -662,20 +829,18 @@ class Expr:
         vanishes.  Multi-term sums may or may not have zeros; False means
         "unknown", not "has a zero".
         """
-        if not self._num:
-            return False
         if len(self._num) != 1:
             return False
-        (mono, _atom), _coeff = next(iter(self._num.items()))
-        return not any(mono)
+        (key,) = self._num
+        return not any(self._lay.unpack(key)[0])
 
     def as_rational_constant(self) -> Fraction | None:
         """The exact rational value if the expression is constant, else None."""
         if not self._num:
             return _F0
         if self.denominator_is_one and len(self._num) == 1:
-            (mono, atom), coeff = next(iter(self._num.items()))
-            if not any(mono) and not any(atom):
+            (key, coeff), = self._num.items()
+            if key == self._lay.base:
                 return self._scale * coeff
         try:
             guess = self.evaluate_exact(self.chart.base_point)
@@ -690,12 +855,29 @@ class Expr:
 
     def num_string(self) -> str:
         factor = self._scale / self._den_lead()
-        return _format_sum({key: factor * coeff for key, coeff in self._num.items()}, self.chart)
+        return self._format_sum({key: factor * coeff for key, coeff in self._num.items()})
 
     def den_string(self) -> str:
         lead = self._den_lead()
         terms = {key: Fraction(coeff, lead) for key, coeff in self._den_sum().items()}
-        return _format_sum(terms, self.chart)
+        return self._format_sum(terms)
+
+    def _format_sum(self, terms: dict) -> str:
+        if not terms:
+            return "0"
+        lay, rden, chart = self._lay, self._rden, self.chart
+        parts: list[str] = []
+        for key in sorted(terms, reverse=True):
+            mono, atom = lay.unpack(key)
+            if rden != 1:
+                atom = tuple(Fraction(v, rden) for v in atom)
+            coeff = terms[key]
+            body = _format_term(coeff, mono, atom, chart)
+            if not parts:
+                parts.append("-" + body if coeff < 0 else body)
+            else:
+                parts.append((" - " if coeff < 0 else " + ") + body)
+        return "".join(parts)
 
     def __str__(self) -> str:
         num = self.num_string()
@@ -739,21 +921,6 @@ def _format_term(coeff: Fraction, mono: Mono, atom: Atom, chart: Chart) -> str:
     if magnitude != 1 or not factors:
         factors.insert(0, str(magnitude))
     return "*".join(factors)
-
-
-def _format_sum(terms: Sum, chart: Chart) -> str:
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for key in sorted(terms, reverse=True):
-        mono, atom = key
-        coeff = terms[key]
-        body = _format_term(coeff, mono, atom, chart)
-        if not parts:
-            parts.append("-" + body if coeff < 0 else body)
-        else:
-            parts.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -920,9 +1087,9 @@ class _Parser:
             raise NonLinearExpArgumentError(
                 "argument of exp must be a linear form in the coordinates, got %s" % inner
             )
-        n = self.chart.dimension
-        coefficients = [_F0] * n
-        for (mono, atom), coeff in inner._num.items():
+        coefficients = [_F0] * self.chart.dimension
+        for key, coeff in inner._num.items():
+            mono, atom = inner._lay.unpack(key)
             if any(atom) or sum(mono) != 1:
                 raise NonLinearExpArgumentError(
                     "argument of exp must be a linear form in the coordinates "

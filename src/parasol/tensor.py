@@ -69,7 +69,7 @@ class FrameError(ValueError):
 class TensorField:
     """Valence-(p, q) tensor field with exact symbolic components."""
 
-    __slots__ = ("chart", "p", "q", "_comps")
+    __slots__ = ("chart", "p", "q", "_n", "_comps")
 
     def __init__(self, chart: Chart, p: int, q: int, comps: Sequence[Expr]):
         n = chart.dimension
@@ -82,6 +82,7 @@ class TensorField:
         self.chart = chart
         self.p = p
         self.q = q
+        self._n = n
         self._comps = list(comps)
 
     # -- construction --------------------------------------------------------
@@ -118,19 +119,16 @@ class TensorField:
     def valence(self) -> tuple[int, int]:
         return self.p, self.q
 
-    def _flat(self, idx: tuple[int, ...]) -> int:
-        n = self.chart.dimension
-        flat = 0
-        for k in idx:
-            flat = flat * n + k
-        return flat
-
     def __getitem__(self, idx) -> Expr:
         if isinstance(idx, int):
             idx = (idx,)
-        if len(idx) != self.rank:
+        if len(idx) != self.p + self.q:
             raise ValenceError("index %r has wrong length for valence %r" % (idx, self.valence))
-        return self._comps[self._flat(tuple(idx))]
+        n = self._n
+        flat = 0
+        for k in idx:
+            flat = flat * n + k
+        return self._comps[flat]
 
     def indices(self) -> Iterator[tuple[int, ...]]:
         return product(range(self.chart.dimension), repeat=self.rank)

@@ -217,6 +217,7 @@ def test_badly_scaled_manifest_reports_strict_json_without_traceback(tmp_path, s
     )
     assert result.returncode in (0, 1, 2)
     assert b"Traceback" not in result.stderr
+    assert b"RuntimeWarning" not in result.stderr, result.stderr
     if result.returncode == 2:
         assert result.stdout == b"" and result.stderr.startswith(b"error: ")
         return
@@ -253,6 +254,22 @@ def test_validation_suites_run_once_per_structure(monkeypatch, command):
     code, _, _ = run_cli(command + ["fixtures/ex1_r3_spacelike", "--json"])
     assert code in (0, 1)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("fixture", ["warped_r3", "ex1_r3_spacelike"])
+def test_lie_derivative_built_once_per_direction(monkeypatch, fixture):
+    # curvature, the soliton checks, the solver, the xi consequences and the
+    # oracle all need L_xi g; building it once per direction used to be 6-7 times
+    calls = []
+    build = parasol.paracontact.lie_derivative_two_ways
+    monkeypatch.setattr(
+        parasol.paracontact,
+        "lie_derivative_two_ways",
+        lambda *args: calls.append(args[1]) or build(*args),
+    )
+    code, _, _ = run_cli(["report", "--all", "fixtures/" + fixture, "--json"])
+    assert code in (0, 1)
+    assert len(calls) == 1
 
 
 def test_base_point_override_changes_signature_report():

@@ -1,5 +1,6 @@
 """Expression ring: parsing, canonicalization, calculus, evaluation."""
 
+import math
 import random
 from fractions import Fraction
 from operator import add
@@ -12,9 +13,12 @@ from parasol.symexpr import (
     DegenerateEvaluationError,
     DivisionByZeroExprError,
     Expr,
+    ExprError,
     NonLinearExpArgumentError,
     ParseError,
     UnknownCoordinateError,
+    _layout,
+    _smul,
     parse,
 )
 
@@ -531,11 +535,18 @@ def _build(terms):
 
 
 def _assert_integer_keys(expr):
+    """Packed keys decode to integral exponents and rates; the rate denominator is reduced."""
+    lay, rden = expr._lay, expr._rden
+    assert type(rden) is int and rden >= 1
+    rates = []
     for terms in (expr._num, expr._dbase or {}):
-        for (mono, atom), coeff in terms.items():
-            assert type(coeff) is int
-            assert all(type(k) is int for k in mono)
-            assert all(type(r) is int or r.denominator != 1 for r in atom), atom
+        for key, coeff in terms.items():
+            assert type(key) is int and type(coeff) is int
+            mono, atom = lay.unpack(key)
+            assert all(type(k) is int and k >= 0 for k in mono), mono
+            assert lay.pack(mono, atom) == key
+            rates.extend(atom)
+    assert math.gcd(rden, *rates) == 1, (rden, rates)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -562,8 +573,82 @@ def test_ring_matches_fraction_reference(a, b, k, axis):
 
 def test_non_integral_rates_that_sum_to_an_integer_are_stored_as_int():
     half = Expr.exponential(CHART2, [Fraction(1, 2), Fraction(-3, 2)])
+    assert half._rden == 2
     square = half * half
     assert str(square) == "exp(x - 3*y)"
     _assert_integer_keys(square)
-    (_mono, atom), = square._num
-    assert atom == (1, -3) and all(type(r) is int for r in atom)
+    (key,) = square._num
+    assert square._rden == 1
+    assert square._lay.unpack(key) == ((0, 0), (1, -3))
+
+
+# ---------------------------------------------------------------------------
+# packed keys
+# ---------------------------------------------------------------------------
+
+FIELD = st.integers(-(2**30), 2**30 - 1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(2, 5))
+def test_packed_key_order_matches_decoded_tuple_order(data, n):
+    lay = _layout(n)
+    monos = st.tuples(*[st.integers(0, 2**30 - 1) | st.integers(0, 3)] * n)
+    atoms = st.tuples(*[FIELD | st.integers(-3, 3)] * n)
+    a = (data.draw(monos), data.draw(atoms))
+    b = (data.draw(monos), data.draw(atoms))
+    ka, kb = lay.pack(*a), lay.pack(*b)
+    assert lay.unpack(ka) == a and lay.unpack(kb) == b
+    assert (ka < kb) == (a < b)
+    assert (ka == kb) == (a == b)
+
+
+def test_exponent_overflow_raises_instead_of_wrapping():
+    x = Expr.coordinate(CHART, "x")
+    with pytest.raises(ExprError, match="out of range"):
+        x ** (2**31)
+    with pytest.raises(ExprError, match="out of range"):
+        (1 / x) ** (2**31)
+    with pytest.raises(ExprError, match="out of range"):
+        Expr.exponential(CHART, [2**30, 0, 0])
+    rate = Fraction(1, 2**29)
+    with pytest.raises(ExprError, match="out of range"):
+        Expr.exponential(CHART, [rate, 0, 0]) * Expr.exponential(CHART, [4, 0, 0])
+    assert str(x ** (2**29)) == "x^%d" % 2**29
+
+
+def _tuple_smul(a, b):
+    """Product of two sums keyed by (monomial, atom) tuples, in insertion order."""
+    out = {}
+    for (ma, ea), ca in a.items():
+        for (mb, eb), cb in b.items():
+            key = (tuple(map(add, ma, mb)), tuple(map(add, ea, eb)))
+            new = out.get(key, 0) + ca * cb
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return out
+
+
+def test_packed_product_matches_tuple_keyed_reference():
+    rng = random.Random(5)
+    lay = _layout(5)
+
+    def random_sum():
+        terms = {}
+        while len(terms) < 30:
+            mono = tuple(rng.randint(0, 2) for _ in range(5))
+            atom = tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(5))
+            terms[(mono, atom)] = rng.choice((1, -1, 2, -3))
+        return terms
+
+    for _ in range(20):
+        a, b = random_sum(), random_sum()
+        expected = list(_tuple_smul(a, b).items())
+        packed = _smul(
+            {lay.pack(*key): c for key, c in a.items()},
+            {lay.pack(*key): c for key, c in b.items()},
+            lay,
+        )
+        assert [(lay.unpack(key), c) for key, c in packed.items()] == expected
