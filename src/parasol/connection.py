@@ -20,11 +20,14 @@ exactly):
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
 
 from .chart import Chart
 from .symexpr import Expr, InvariantError
-from .tensor import Frame, Metric, TensorField, ValenceError
+from .tensor import Frame, Metric, TensorField, ValenceError, contract, partials
 
 __all__ = [
     "ConnectionData",
@@ -35,6 +38,7 @@ __all__ = [
     "covariant_derivative_along",
     "riemann",
     "ricci",
+    "frame_sum",
     "scalar_curvature",
     "lie_derivative_metric",
     "lie_derivative_two_ways",
@@ -123,17 +127,9 @@ def covariant_derivative_along(
     """nabla_X T: contract the derivative slot of nabla T with a vector field."""
     if direction.valence != (1, 0):
         raise ValenceError("direction must be a vector field")
+    letters = string.ascii_uppercase[: tensor.rank]
     nabla = covariant_derivative(tensor, connection)
-    chart = tensor.chart
-    n = chart.dimension
-
-    def entry(idx: tuple[int, ...]) -> Expr:
-        total = Expr.zero(chart)
-        for c in range(n):
-            total = total + direction[c] * nabla[idx + (c,)]
-        return total
-
-    return TensorField.build(chart, tensor.p, tensor.q, entry)
+    return contract("c,%sc->%s" % (letters, letters), direction, nabla)
 
 
 def riemann(connection: ConnectionData) -> TensorField:
@@ -173,46 +169,35 @@ def ricci(
     independent.  ``paper_frame_sum`` needs a symbolically orthonormal frame
     and a metric and omits the signature weights.
     """
-    chart = riem.chart
-    n = chart.dimension
     if mode == WEIGHTED_TRACE:
-
-        def entry(idx: tuple[int, ...]) -> Expr:
-            j, k = idx
-            total = Expr.zero(chart)
-            for i in range(n):
-                total = total + riem[i, i, j, k]
-            return total
-
-        return TensorField.build(chart, 0, 2, entry)
+        return contract("iijk->jk", riem)
     if mode == PAPER_FRAME_SUM:
         if frame is None or metric is None:
             raise ValenceError("paper_frame_sum Ricci needs an orthonormal frame and a metric")
         frame.orthonormal_signs(metric)  # raises if not orthonormal
-
-        def entry(idx: tuple[int, ...]) -> Expr:
-            j, k = idx
-            total = Expr.zero(chart)
-            for vec in frame:
-                for a in range(n):
-                    for l in range(n):
-                        for m in range(n):
-                            total = total + vec[a] * riem[l, a, j, k] * metric[l, m] * vec[m]
-            return total
-
-        return TensorField.build(chart, 0, 2, entry)
+        return frame_sum(riem, metric, frame)
     raise ValueError("unknown ricci mode %r" % mode)
+
+
+def frame_sum(
+    riem: TensorField, metric: Metric, frame: Frame, weights: Sequence[int] | None = None
+) -> TensorField:
+    """sum_v w_v g(R(E_v, X)Y, E_v) over the frame vectors E_v; every w_v = 1 by default."""
+    chart = metric.chart
+    n = chart.dimension
+    rows = TensorField(chart, 1, 1, [vec[a] for vec in frame for a in range(n)])
+    weighted = rows
+    if weights is not None:
+        weighted = TensorField(
+            chart, 1, 1, [vec[a] * Fraction(w) for w, vec in zip(weights, frame) for a in range(n)]
+        )
+    # a numbers the frame vectors, outermost as in the sum over v; b, c, d are coordinates
+    return contract("ab,cbjk,cd,ad->jk", weighted, riem, metric.field, rows)
 
 
 def scalar_curvature(ricci_tensor: TensorField, metric: Metric) -> Expr:
     """r = g^{jk} S_jk."""
-    chart = metric.chart
-    n = chart.dimension
-    total = Expr.zero(chart)
-    for j in range(n):
-        for k in range(n):
-            total = total + metric.inverse[j, k] * ricci_tensor[j, k]
-    return total
+    return contract("jk,jk->", metric.inverse, ricci_tensor)
 
 
 def lie_derivative_two_ways(
@@ -227,31 +212,11 @@ def lie_derivative_two_ways(
     """
     if direction.valence != (1, 0):
         raise ValenceError("Lie derivative direction must be a vector field")
-    chart = metric.chart
-    n = chart.dimension
-    coords = chart.coordinates
-
-    def coordinate_entry(idx: tuple[int, ...]) -> Expr:
-        i, j = idx
-        total = Expr.zero(chart)
-        for k in range(n):
-            total = total + direction[k] * metric[i, j].differentiate(coords[k])
-            total = total + metric[k, j] * direction[k].differentiate(coords[i])
-            total = total + metric[i, k] * direction[k].differentiate(coords[j])
-        return total
-
-    via_coordinates = TensorField.build(chart, 0, 2, coordinate_entry)
-
+    dv = partials(direction)  # dv[k, i] = d_i V^k
+    g = metric.field
+    via_coordinates = contract("k,ijk+kj,ki+ik,kj->ij", direction, partials(g), g, dv, g, dv)
     nabla_v = covariant_derivative(direction, connection)  # (1, 1): nabla_v[k, i]
-
-    def nabla_entry(idx: tuple[int, ...]) -> Expr:
-        i, j = idx
-        total = Expr.zero(chart)
-        for k in range(n):
-            total = total + metric[k, j] * nabla_v[k, i] + metric[i, k] * nabla_v[k, j]
-        return total
-
-    via_connection = TensorField.build(chart, 0, 2, nabla_entry)
+    via_connection = contract("kj,ki+ik,kj->ij", g, nabla_v, g, nabla_v)
     return via_coordinates, via_connection
 
 

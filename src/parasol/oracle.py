@@ -86,6 +86,7 @@ class StencilSampler:
         key = tuple(xs)
         sample = self._samples.get(key)
         if sample is None:
+            xs = coordinate_values(self.chart, xs)
             matrix = np.array([[comp.evaluate(xs) for comp in row] for row in self._rows])
             matrix.flags.writeable = False
             with np.errstate(all="ignore"):

@@ -26,6 +26,7 @@ is a hard error, because every later formula branches on it.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from .checks import CheckOutcome, PASS, residual_outcome
 from .chart import Chart
@@ -36,13 +37,12 @@ from .connection import (
     WEIGHTED_TRACE,
     christoffel,
     covariant_derivative,
-    covariant_derivative_along,
     lie_derivative_two_ways,
     ricci,
     riemann,
 )
 from .symexpr import Expr, InvariantError
-from .tensor import Frame, Metric, TensorField, kronecker
+from .tensor import Frame, Metric, TensorField, contract, kronecker
 
 __all__ = [
     "ParacontactStructure",
@@ -75,8 +75,9 @@ def detect_epsilon(metric: Metric, xi: TensorField) -> int:
 class ParacontactStructure:
     """The bundle (phi, xi, eta, g, eps) over one chart, with geometry caches.
 
-    Connection, curvature and Lie-derivative data are computed on first use
-    and cached; everything is immutable so the caches are safe to share.
+    Connection, curvature, the derived tensors the check suites share and
+    the suites' own outcomes are computed on first use and cached;
+    everything is immutable so the caches are safe to share.
     """
 
     def __init__(
@@ -109,33 +110,29 @@ class ParacontactStructure:
         self.metric = metric
         self.epsilon = detected
         self.frame = frame
-        self._connection: ConnectionData | None = None
-        self._riemann: TensorField | None = None
-        self._ricci: dict[str, TensorField] = {}
+        self._cache: dict[object, object] = {}
         # id(V) -> (V, coordinate formula, connection formula); holding V keeps its id unique
         self._lie: dict[int, tuple[TensorField, TensorField, TensorField]] = {}
         self._lie_checked: set[int] = set()
-        self._phi_squared: TensorField | None = None
-        self._axioms: list[CheckOutcome] | None = None
-        self._compat: list[CheckOutcome] | None = None
+
+    def _cached(self, key, build: Callable[[], object]):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     # -- cached geometry -----------------------------------------------------
 
     def connection(self) -> ConnectionData:
-        if self._connection is None:
-            self._connection = christoffel(self.metric)
-        return self._connection
+        return self._cached("connection", lambda: christoffel(self.metric))
 
     def riemann(self) -> TensorField:
-        if self._riemann is None:
-            self._riemann = riemann(self.connection())
-        return self._riemann
+        return self._cached("riemann", lambda: riemann(self.connection()))
 
     def ricci(self, mode: str = WEIGHTED_TRACE) -> TensorField:
-        if mode not in self._ricci:
-            frame = self.frame if mode == PAPER_FRAME_SUM else None
-            self._ricci[mode] = ricci(self.riemann(), mode, metric=self.metric, frame=frame)
-        return self._ricci[mode]
+        frame = self.frame if mode == PAPER_FRAME_SUM else None
+        return self._cached(
+            ("ricci", mode), lambda: ricci(self.riemann(), mode, metric=self.metric, frame=frame)
+        )
 
     def curvature(self, mode: str = WEIGHTED_TRACE) -> CurvatureData:
         return CurvatureData(riemann=self.riemann(), ricci=self.ricci(mode), ricci_mode=mode)
@@ -164,19 +161,36 @@ class ParacontactStructure:
     def lie_xi_metric(self) -> TensorField:
         return self.lie_derivative(self.xi)
 
+    # -- derived tensors shared by the check suites ----------------------------
+
     def phi_squared(self) -> TensorField:
-        if self._phi_squared is None:
-            n = self.chart.dimension
+        return self._cached("phi^2", lambda: contract("km,mj->kj", self.phi, self.phi))
 
-            def entry(idx):
-                k, j = idx
-                total = Expr.zero(self.chart)
-                for m in range(n):
-                    total = total + self.phi[k, m] * self.phi[m, j]
-                return total
+    def g_phi_phi(self) -> TensorField:
+        """g(phi X, phi Y)."""
+        return self._cached(
+            "g(phi, phi)", lambda: contract("ab,ai,bj->ij", self.metric.field, self.phi, self.phi)
+        )
 
-            self._phi_squared = TensorField.build(self.chart, 1, 1, entry)
-        return self._phi_squared
+    def nabla_phi(self) -> TensorField:
+        """nabla phi[k, j, i] = ((nabla_i phi) d_j)^k."""
+        return self._cached("nabla phi", lambda: covariant_derivative(self.phi, self.connection()))
+
+    def nabla_xi(self) -> TensorField:
+        """nabla xi[k, i] = (nabla_i xi)^k."""
+        return self._cached("nabla xi", lambda: covariant_derivative(self.xi, self.connection()))
+
+    def r_into_xi(self) -> TensorField:
+        """R(., .) xi: [k, i, j] = (R(d_i, d_j) xi)^k."""
+        return self._cached("R(., .) xi", lambda: contract("kijm,m->kij", self.riemann(), self.xi))
+
+    def r_xi(self) -> TensorField:
+        """R(xi, .) .: [k, i, j] = (R(xi, d_i) d_j)^k."""
+        return self._cached("R(xi, .) .", lambda: contract("kmij,m->kij", self.riemann(), self.xi))
+
+    def ricci_xi(self, mode: str = WEIGHTED_TRACE) -> TensorField:
+        """S(., xi)."""
+        return self._cached(("S(., xi)", mode), lambda: contract("ij,j->i", self.ricci(mode), self.xi))
 
     def frame_signs(self) -> tuple[int, ...]:
         if self.frame is None:
@@ -184,13 +198,10 @@ class ParacontactStructure:
         return self.frame.orthonormal_signs(self.metric)
 
     def eta_of(self, vector: TensorField) -> Expr:
-        total = Expr.zero(self.chart)
-        for i in range(self.chart.dimension):
-            total = total + self.eta[i] * vector[i]
-        return total
+        return contract("i,i->", self.eta, vector)
 
     def eta_tensor_eta(self) -> TensorField:
-        return self.eta.tensor_product(self.eta)
+        return contract("i,j->ij", self.eta, self.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -206,39 +217,17 @@ def validate_axioms(structure: ParacontactStructure) -> list[CheckOutcome]:
     mean a canonicalization bug, not bad input data.  The suite runs once per
     structure; each call returns a fresh list.
     """
-    if structure._axioms is None:
-        structure._axioms = _axiom_outcomes(structure)
-    return list(structure._axioms)
+    return list(structure._cached("axioms", lambda: _axiom_outcomes(structure)))
 
 
 def _axiom_outcomes(structure: ParacontactStructure) -> list[CheckOutcome]:
-    chart = structure.chart
     phi, xi, eta = structure.phi, structure.xi, structure.eta
-
-    phi_square = structure.phi_squared() - kronecker(chart) + xi.tensor_product(eta)
-    eta_xi = structure.eta_of(xi) - 1
-    phi_xi = TensorField.build(
-        chart,
-        1,
-        0,
-        lambda idx: sum(
-            (phi[idx[0], m] * xi[m] for m in range(chart.dimension)), Expr.zero(chart)
-        ),
-    )
-    eta_phi = TensorField.build(
-        chart,
-        0,
-        1,
-        lambda idx: sum(
-            (eta[m] * phi[m, idx[0]] for m in range(chart.dimension)), Expr.zero(chart)
-        ),
-    )
-
+    phi_square = structure.phi_squared() - kronecker(structure.chart) + contract("i,j->ij", xi, eta)
     outcomes = [
         residual_outcome("axiom_phi_square", phi_square, "phi^2 = I - eta (x) xi"),
-        residual_outcome("axiom_eta_xi", eta_xi, "eta(xi) = 1"),
-        residual_outcome("axiom_phi_xi", phi_xi, "phi(xi) = 0"),
-        residual_outcome("axiom_eta_phi", eta_phi, "eta o phi = 0"),
+        residual_outcome("axiom_eta_xi", structure.eta_of(xi) - 1, "eta(xi) = 1"),
+        residual_outcome("axiom_phi_xi", contract("km,m->k", phi, xi), "phi(xi) = 0"),
+        residual_outcome("axiom_eta_phi", contract("m,mi->i", eta, phi), "eta o phi = 0"),
     ]
     if outcomes[0].status == PASS and outcomes[1].status == PASS:
         if outcomes[2].status != PASS or outcomes[3].status != PASS:
@@ -251,53 +240,24 @@ def validate_metric_compat(structure: ParacontactStructure) -> list[CheckOutcome
 
     The suite runs once per structure; each call returns a fresh list.
     """
-    if structure._compat is None:
-        structure._compat = _compat_outcomes(structure)
-    return list(structure._compat)
+    return list(structure._cached("compat", lambda: _compat_outcomes(structure)))
 
 
 def _compat_outcomes(structure: ParacontactStructure) -> list[CheckOutcome]:
-    chart = structure.chart
-    n = chart.dimension
-    g, phi, xi, eta = structure.metric, structure.phi, structure.xi, structure.eta
-    eps = structure.epsilon
-
-    def compat_phi_phi(idx):
-        i, j = idx
-        total = Expr.zero(chart)
-        for a in range(n):
-            for b in range(n):
-                total = total + g[a, b] * phi[a, i] * phi[b, j]
-        return total - g[i, j] + Fraction(eps) * eta[i] * eta[j]
-
-    def compat_xi_flat(idx):
-        (i,) = idx
-        total = Expr.zero(chart)
-        for m in range(n):
-            total = total + g[i, m] * xi[m]
-        return total - Fraction(eps) * eta[i]
-
-    def compat_phi_symmetric(idx):
-        i, j = idx
-        total = Expr.zero(chart)
-        for m in range(n):
-            total = total + g[i, m] * phi[m, j] - g[m, j] * phi[m, i]
-        return total
-
+    g, phi, xi, eta = structure.metric.field, structure.phi, structure.xi, structure.eta
+    eps_eta = eta.scale(structure.epsilon)
     outcomes = [
         residual_outcome(
             "compat_metric_phi",
-            TensorField.build(chart, 0, 2, compat_phi_phi),
+            structure.g_phi_phi() - g + contract("i,j->ij", eps_eta, eta),
             "g(phi X, phi Y) = g(X, Y) - eps eta(X) eta(Y)",
         ),
         residual_outcome(
-            "compat_metric_xi",
-            TensorField.build(chart, 0, 1, compat_xi_flat),
-            "g(X, xi) = eps eta(X)",
+            "compat_metric_xi", contract("im,m->i", g, xi) - eps_eta, "g(X, xi) = eps eta(X)"
         ),
         residual_outcome(
             "compat_phi_transpose",
-            TensorField.build(chart, 0, 2, compat_phi_symmetric),
+            contract("im,mj-mj,mi->ij", g, phi, g, phi),
             "g(X, phi Y) = g(phi X, Y)",
         ),
     ]
@@ -321,54 +281,37 @@ def is_para_sasakian(structure: ParacontactStructure) -> list[CheckOutcome]:
     """Residuals of the para-Sasakian condition and of nabla xi = eps phi.
 
     Precondition: the structure passes the axiom and compatibility suites;
-    calling this on an invalid structure raises.
+    calling this on an invalid structure raises.  The suite runs once per
+    structure; each call returns a fresh list.
     """
     if not structure_is_valid(structure):
         raise StructureError(
             "para-Sasakian test requires a structure passing the axiom and "
             "metric-compatibility suites"
         )
-    chart = structure.chart
-    n = chart.dimension
-    g, phi, xi, eta = structure.metric, structure.phi, structure.xi, structure.eta
+    return list(structure._cached("para-Sasakian", lambda: _para_sasakian_outcomes(structure)))
+
+
+def _para_sasakian_outcomes(structure: ParacontactStructure) -> list[CheckOutcome]:
+    phi, xi, eta = structure.phi, structure.xi, structure.eta
     eps = Fraction(structure.epsilon)
-    conn = structure.connection()
-    nabla_phi = covariant_derivative(phi, conn)  # [k, j, i]: (nabla_i phi)(d_j)^k
-    nabla_xi = covariant_derivative(xi, conn)  # [k, i]
-    phi2 = structure.phi_squared()
-
-    g_phi_phi = TensorField.build(
-        chart,
-        0,
-        2,
-        lambda idx: sum(
-            (
-                g[a, b] * phi[a, idx[0]] * phi[b, idx[1]]
-                for a in range(n)
-                for b in range(n)
-            ),
-            Expr.zero(chart),
-        ),
+    # X = d_i, Y = d_j: (nabla_i phi) d_j + g(phi d_i, phi d_j) xi + eps eta_j phi^2 d_i
+    nabla_phi_residual = contract(
+        "kji+ij,k+j,ki->kij",
+        structure.nabla_phi(),
+        structure.g_phi_phi(),
+        xi,
+        eta.scale(eps),
+        structure.phi_squared(),
     )
-
-    def para2_entry(idx):
-        k, i, j = idx  # X = d_i, Y = d_j
-        return nabla_phi[k, j, i] + g_phi_phi[i, j] * xi[k] + eps * eta[j] * phi2[k, i]
-
-    def para3_entry(idx):
-        k, i = idx
-        return nabla_xi[k, i] - eps * phi[k, i]
-
     outcomes = [
         residual_outcome(
             "para_sasakian_nabla_phi",
-            TensorField.build(chart, 1, 2, para2_entry),
+            nabla_phi_residual,
             "(nabla_X phi)Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X",
         ),
         residual_outcome(
-            "para_sasakian_nabla_xi",
-            TensorField.build(chart, 1, 1, para3_entry),
-            "nabla xi = eps phi",
+            "para_sasakian_nabla_xi", structure.nabla_xi() - phi.scale(eps), "nabla xi = eps phi"
         ),
     ]
     if outcomes[0].status == PASS:
@@ -380,74 +323,44 @@ def is_para_sasakian(structure: ParacontactStructure) -> list[CheckOutcome]:
 def sasakian_identity_suite(
     structure: ParacontactStructure, curvature: CurvatureData
 ) -> list[CheckOutcome]:
-    """The four para-Sasakian curvature identities (weighted-trace Ricci)."""
+    """The four para-Sasakian curvature identities (weighted-trace Ricci).
+
+    ``curvature`` is the structure's own (``structure.curvature()``); the
+    residuals come from the derived tensors the structure caches.
+    """
     if curvature.ricci_mode != WEIGHTED_TRACE:
         raise StructureError(
             "the para-Sasakian identity suite requires the weighted-trace Ricci; "
             "got %r" % curvature.ricci_mode
         )
-    chart = structure.chart
-    n = chart.dimension
-    g, xi, eta = structure.metric, structure.xi, structure.eta
+    n = structure.chart.dimension
+    g, xi, eta = structure.metric.field, structure.xi, structure.eta
     eps = Fraction(structure.epsilon)
-    riem = curvature.riemann
-    ricci_tensor = curvature.ricci
-
-    def r_xy_xi(idx):
-        k, i, j = idx
-        total = Expr.zero(chart)
-        for m in range(n):
-            total = total + riem[k, i, j, m] * xi[m]
-        delta_ki = Expr.one(chart) if k == i else Expr.zero(chart)
-        delta_kj = Expr.one(chart) if k == j else Expr.zero(chart)
-        return total - eta[i] * delta_kj + eta[j] * delta_ki
-
-    def r_xi_x_y(idx):
-        k, i, j = idx  # X = d_i, Y = d_j
-        total = Expr.zero(chart)
-        for m in range(n):
-            total = total + riem[k, m, i, j] * xi[m]
-        delta_ki = Expr.one(chart) if k == i else Expr.zero(chart)
-        return total + eps * g[i, j] * xi[k] - eta[j] * delta_ki
-
-    def eta_r(idx):
-        i, j, m = idx
-        total = Expr.zero(chart)
-        for k in range(n):
-            total = total + eta[k] * riem[k, i, j, m]
-        return total + eps * eta[i] * g[j, m] - eps * eta[j] * g[i, m]
-
-    def s_xi(idx):
-        (i,) = idx
-        total = Expr.zero(chart)
-        for j in range(n):
-            total = total + ricci_tensor[i, j] * xi[j]
-        return total + Fraction(n - 1) * eta[i]
-
+    delta = kronecker(structure.chart)
+    eps_eta = eta.scale(eps)
+    eta_r = contract("k,kijm->ijm", eta, curvature.riemann)
     return [
         residual_outcome(
             "ps_identity_r_xy_xi",
-            TensorField.build(chart, 1, 2, r_xy_xi),
+            contract("kij-i,kj+j,ki->kij", structure.r_into_xi(), eta, delta, eta, delta),
             "R(X, Y) xi = eta(X) Y - eta(Y) X",
         ),
         residual_outcome(
             "ps_identity_r_xi_x",
-            TensorField.build(chart, 1, 2, r_xi_x_y),
+            contract("kij+ij,k-j,ki->kij", structure.r_xi(), g.scale(eps), xi, eta, delta),
             "R(xi, X) Y = -eps g(X, Y) xi + eta(Y) X",
         ),
         residual_outcome(
             "ps_identity_eta_r",
-            TensorField.build(chart, 0, 3, eta_r),
+            contract("ijm+i,jm-j,im->ijm", eta_r, eps_eta, g, eps_eta, g),
             "eta(R(X, Y) Z) = -eps eta(X) g(Y, Z) + eps eta(Y) g(X, Z)",
         ),
         residual_outcome(
             "ps_identity_s_xi",
-            TensorField.build(chart, 0, 1, s_xi),
+            structure.ricci_xi(WEIGHTED_TRACE) + eta.scale(n - 1),
             "S(X, xi) = -(n - 1) eta(X)",
         ),
         residual_outcome(
-            "xi_geodesic",
-            covariant_derivative_along(xi, structure.connection(), xi),
-            "nabla_xi xi = 0",
+            "xi_geodesic", contract("c,kc->k", xi, structure.nabla_xi()), "nabla_xi xi = 0"
         ),
     ]

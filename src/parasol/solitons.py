@@ -38,7 +38,7 @@ from .connection import (
 )
 from .paracontact import ParacontactStructure
 from .symexpr import ExactEvaluationError, Expr, InvariantError
-from .tensor import TensorField, ValenceError
+from .tensor import TensorField, ValenceError, contract, kronecker
 
 __all__ = [
     "SolitonData",
@@ -160,17 +160,6 @@ def solve_normal_equations(
     return _solve_exact(normal, target, rows), normal
 
 
-def _exact_pairing(tensor: TensorField, x: TensorField, y: TensorField) -> Expr:
-    """T(X, Y) for a (0, 2) tensor and two vector fields."""
-    chart = tensor.chart
-    n = chart.dimension
-    total = Expr.zero(chart)
-    for i in range(n):
-        for j in range(n):
-            total = total + tensor[i, j] * x[i] * y[j]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # soliton residual and solver
 # ---------------------------------------------------------------------------
@@ -224,11 +213,7 @@ def solve_soliton_constants(
         for j in range(i, n):
             ei, ej = structure.frame[i], structure.frame[j]
             pair_exprs.append(
-                (
-                    _exact_pairing(g_field, ei, ej),
-                    _exact_pairing(eta_eta, ei, ej),
-                    _exact_pairing(b_tensor, ei, ej),
-                )
+                tuple(contract("ij,i,j->", t, ei, ej) for t in (g_field, eta_eta, b_tensor))
             )
     try:
         rows = [[ge.evaluate_exact(base), ee.evaluate_exact(base)] for ge, ee, _ in pair_exprs]
@@ -245,9 +230,7 @@ def solve_soliton_constants(
     residual = b_tensor + g_field.scale(lam) + eta_eta.scale(mu)
     exact = residual.is_zero()
 
-    frame_diagonal = [
-        _exact_pairing(residual, structure.frame[i], structure.frame[i]) for i in range(n)
-    ]
+    frame_diagonal = [contract("ij,i,j->", residual, e, e) for e in structure.frame]
     diagonal_constants = [e.as_rational_constant() for e in frame_diagonal]
     if all(c is not None for c in diagonal_constants):
         norm_squared = sum((c * c for c in diagonal_constants), Fraction(0))
@@ -288,22 +271,6 @@ def solve_soliton_constants(
 # ---------------------------------------------------------------------------
 
 
-def _phi_flat(structure: ParacontactStructure) -> TensorField:
-    """(0, 2) tensor g(phi X, Y)."""
-    chart = structure.chart
-    n = chart.dimension
-    g, phi = structure.metric, structure.phi
-
-    def entry(idx):
-        i, j = idx
-        total = Expr.zero(chart)
-        for m in range(n):
-            total = total + g[m, j] * phi[m, i]
-        return total
-
-    return TensorField.build(chart, 0, 2, entry)
-
-
 def einstein_like_fit(
     structure: ParacontactStructure,
     mode: str = WEIGHTED_TRACE,
@@ -324,7 +291,7 @@ def einstein_like_fit(
     if ricci_tensor is None:
         ricci_tensor = structure.ricci(mode)
     g_field = structure.metric.field
-    phi_flat = _phi_flat(structure)
+    phi_flat = contract("mj,mi->ij", g_field, structure.phi)  # g(phi X, Y)
     eta_eta = structure.eta_tensor_eta()
 
     rows: list[list[Fraction]] = []
@@ -332,14 +299,12 @@ def einstein_like_fit(
     for i in range(n):
         for j in range(i, n):
             ei, ej = structure.frame[i], structure.frame[j]
-            rows.append(
-                [
-                    _exact_pairing(g_field, ei, ej).evaluate_exact(base),
-                    _exact_pairing(phi_flat, ei, ej).evaluate_exact(base),
-                    _exact_pairing(eta_eta, ei, ej).evaluate_exact(base),
-                ]
+            *row, value = (
+                contract("ij,i,j->", t, ei, ej).evaluate_exact(base)
+                for t in (g_field, phi_flat, eta_eta, ricci_tensor)
             )
-            rhs.append(_exact_pairing(ricci_tensor, ei, ej).evaluate_exact(base))
+            rows.append(row)
+            rhs.append(value)
     solution, _ = solve_normal_equations(rows, rhs)
     constants = EinsteinLikeConstants(*solution)
     residual = (
@@ -375,112 +340,63 @@ def einstein_like_suite(
     classification, together with the theorem instance "Codazzi and f != 0
     force c = 0" whenever its hypothesis can be evaluated.
     """
-    chart = structure.chart
-    n = chart.dimension
+    n = structure.chart.dimension
     eps = Fraction(structure.epsilon)
     a, b, c = constants.a, constants.b, constants.c
-    g, phi, xi, eta = structure.metric, structure.phi, structure.xi, structure.eta
+    metric, phi, xi, eta = structure.metric, structure.phi, structure.xi, structure.eta
+    g = metric.field
     conn = structure.connection()
     ricci_tensor = structure.ricci(mode)
     eps_a_c = eps * a + c
+    nabla_phi = structure.nabla_phi()  # [m, j, i]
+    nabla_xi = structure.nabla_xi()  # [m, i]
+    nabla_xi_flat = contract("mk,mi->ik", g, nabla_xi)  # [i, k] = g(nabla_i xi, d_k)
+    q_operator = metric.raise_index(ricci_tensor, 0)
+    nabla_q = covariant_derivative(q_operator, conn)  # [m, j, i]
+    # X = d_i, Y = d_j, Z = d_k
+    nabla_s_residual = contract(
+        "jki-mk,mji->ijk", covariant_derivative(ricci_tensor, conn), g.scale(b), nabla_phi
+    ) - contract("j,ik+k,ij->ijk", eta, nabla_xi_flat, eta, nabla_xi_flat).scale(eps * c)
+    nabla_q_residual = contract("mji-mji->mij", nabla_q, nabla_phi.scale(b)) - contract(
+        "j,mi+ij,m->mij", eta, nabla_xi, nabla_xi_flat.scale(eps), xi
+    ).scale(eps * c)
 
-    outcomes: list[CheckOutcome] = []
-
-    def ricci_phi(idx):
-        i, j = idx
-        total = Expr.zero(chart)
-        for m in range(n):
-            total = total + ricci_tensor[m, j] * phi[m, i] - ricci_tensor[i, m] * phi[m, j]
-        return total
-
-    outcomes.append(
+    outcomes = [
         residual_outcome(
             "el_eq_phi_symmetry",
-            TensorField.build(chart, 0, 2, ricci_phi),
+            contract("mj,mi-im,mj->ij", ricci_tensor, phi, ricci_tensor, phi),
             "S(phi X, Y) = S(X, phi Y)",
-        )
-    )
-
-    def ricci_phi_phi(idx):
-        i, j = idx
-        total = Expr.zero(chart)
-        for u in range(n):
-            for v in range(n):
-                total = total + ricci_tensor[u, v] * phi[u, i] * phi[v, j]
-        return total - ricci_tensor[i, j] + eps_a_c * eta[i] * eta[j]
-
-    outcomes.append(
+        ),
         residual_outcome(
             "el_eq_phi_phi",
-            TensorField.build(chart, 0, 2, ricci_phi_phi),
+            contract("uv,ui,vj->ij", ricci_tensor, phi, phi)
+            - ricci_tensor
+            + contract("i,j->ij", eta.scale(eps_a_c), eta),
             "S(phi X, phi Y) = S(X, Y) - (eps a + c) eta(X) eta(Y)",
-        )
-    )
-
-    def s_xi(idx):
-        (i,) = idx
-        total = Expr.zero(chart)
-        for j in range(n):
-            total = total + ricci_tensor[i, j] * xi[j]
-        return total - eps_a_c * eta[i]
-
-    outcomes.append(
+        ),
         residual_outcome(
             "el_eq_s_xi",
-            TensorField.build(chart, 0, 1, s_xi),
+            structure.ricci_xi(mode) - eta.scale(eps_a_c),
             "S(X, xi) = (eps a + c) eta(X)",
-        )
-    )
-
-    s_xi_xi = _exact_pairing(ricci_tensor, xi, xi) - eps_a_c
-    outcomes.append(residual_outcome("el_eq_s_xi_xi", s_xi_xi, "S(xi, xi) = eps a + c"))
-
-    nabla_s = covariant_derivative(ricci_tensor, conn)  # [j, k, i]
-    nabla_phi = covariant_derivative(phi, conn)  # [m, j, i]
-    nabla_xi = covariant_derivative(xi, conn)  # [m, i]
-    nabla_xi_flat = TensorField.build(
-        chart,
-        0,
-        2,
-        lambda idx: sum(
-            (g[m, idx[1]] * nabla_xi[m, idx[0]] for m in range(n)), Expr.zero(chart)
         ),
-    )  # [i, k] = g(nabla_i xi, d_k)
-
-    def eq5a(idx):
-        i, j, k = idx  # X = d_i, Y = d_j, Z = d_k
-        total = nabla_s[j, k, i]
-        for m in range(n):
-            total = total - b * g[m, k] * nabla_phi[m, j, i]
-        total = total - eps * c * (eta[j] * nabla_xi_flat[i, k] + eta[k] * nabla_xi_flat[i, j])
-        return total
-
-    outcomes.append(
+        residual_outcome(
+            "el_eq_s_xi_xi",
+            contract("ij,i,j->", ricci_tensor, xi, xi) - eps_a_c,
+            "S(xi, xi) = eps a + c",
+        ),
         residual_outcome(
             "el_eq_nabla_s",
-            TensorField.build(chart, 0, 3, eq5a),
+            nabla_s_residual,
             "(nabla_X S)(Y, Z) = b g((nabla_X phi)Y, Z) "
             "+ eps c {eta(Y) g(nabla_X xi, Z) + eta(Z) g(nabla_X xi, Y)}",
-        )
-    )
-
-    q_operator = g.raise_index(ricci_tensor, 0)
-    nabla_q = covariant_derivative(q_operator, conn)  # [m, j, i]
-
-    def eq5b(idx):
-        m, i, j = idx  # X = d_i, Y = d_j
-        total = nabla_q[m, j, i] - b * nabla_phi[m, j, i]
-        total = total - eps * c * (eta[j] * nabla_xi[m, i] + eps * nabla_xi_flat[i, j] * xi[m])
-        return total
-
-    outcomes.append(
+        ),
         residual_outcome(
             "el_eq_nabla_q",
-            TensorField.build(chart, 1, 2, eq5b),
+            nabla_q_residual,
             "(nabla_X Q)Y = b (nabla_X phi)Y "
             "+ eps c {eta(Y) nabla_X xi + eps g(nabla_X xi, Y) xi}",
-        )
-    )
+        ),
+    ]
 
     if para_sasakian:
         trace_value = eps_a_c - (1 - n)
@@ -492,7 +408,7 @@ def einstein_like_suite(
                 details="eps a + c = 1 - n (value %s, expected %s)" % (eps_a_c, 1 - n),
             )
         )
-        scalar = scalar_curvature(ricci_tensor, g)
+        scalar = scalar_curvature(ricci_tensor, metric)
         expected = Fraction(n) * a + b * phi.trace() + eps * c
         outcomes.append(
             residual_outcome(
@@ -509,12 +425,7 @@ def einstein_like_suite(
             inapplicable("el_eq_scalar", "structure is not para-Sasakian")
         )
 
-    codazzi_residual = TensorField.build(
-        chart,
-        1,
-        2,
-        lambda idx: nabla_q[idx[0], idx[2], idx[1]] - nabla_q[idx[0], idx[1], idx[2]],
-    )
+    codazzi_residual = contract("mkj-mjk->mjk", nabla_q, nabla_q)
     codazzi_zero = codazzi_residual.is_zero()
     outcomes.append(
         CheckOutcome(
@@ -607,12 +518,10 @@ def detect_torse_forming(structure: ParacontactStructure, sample_seed: int = 42)
     """
     chart = structure.chart
     n = chart.dimension
-    nabla_xi = covariant_derivative(structure.xi, structure.connection())
+    nabla_xi = structure.nabla_xi()
     f_candidate = nabla_xi.trace() / Fraction(n - 1)
-    phi2 = structure.phi_squared()
-    residual = TensorField.build(
-        chart, 1, 1, lambda idx: nabla_xi[idx] - f_candidate * phi2[idx]
-    )
+    # nabla xi - f phi^2
+    residual = contract("ki-,ki->ki", nabla_xi, f_candidate, structure.phi_squared())
     if not residual.is_zero():
         return TorseFormingData(
             classification=NOT_TORSE_FORMING,
@@ -625,9 +534,8 @@ def detect_torse_forming(structure: ParacontactStructure, sample_seed: int = 42)
         classification = RECURRENT_CASE_II
     else:
         classification = GENERAL
-    xi_of_f = Expr.zero(chart)
-    for i, name in enumerate(chart.coordinates):
-        xi_of_f = xi_of_f + structure.xi[i] * f_candidate.differentiate(name)
+    df = TensorField.oneform(chart, [f_candidate.differentiate(name) for name in chart.coordinates])
+    xi_of_f = contract("i,i->", structure.xi, df)
     regularity = f_candidate * f_candidate + xi_of_f
     regular = not regularity.is_zero()
     note = ""
@@ -676,8 +584,6 @@ def xi_consequence_suite(
     para_sasakian: bool = False,
 ) -> list[CheckOutcome]:
     """Consequences of an eta-Ricci soliton whose potential is xi itself."""
-    chart = structure.chart
-    n = chart.dimension
     eps = Fraction(structure.epsilon)
     conn = structure.connection()
     xi, eta, g = structure.xi, structure.eta, structure.metric
@@ -698,69 +604,33 @@ def xi_consequence_suite(
             )
         )
 
-    outcomes.append(
+    nabla_phi = structure.nabla_phi()  # [k, j, i]
+    nabla_xi_phi = contract("abi,i->ab", nabla_phi, xi)
+    outcomes += [
         residual_outcome(
-            "xi_geodesic",
-            covariant_derivative_along(xi, conn, xi),
-            "nabla_xi xi = 0",
-        )
-    )
-
-    nabla_phi = covariant_derivative(structure.phi, conn)  # [k, j, i]
-
-    def nabla_xi_phi_xi(idx):
-        (k,) = idx
-        total = Expr.zero(chart)
-        for i in range(n):
-            for j in range(n):
-                total = total + nabla_phi[k, j, i] * xi[i] * xi[j]
-        return total
-
-    outcomes.append(
+            "xi_geodesic", contract("c,kc->k", xi, structure.nabla_xi()), "nabla_xi xi = 0"
+        ),
         residual_outcome(
-            "xi_nabla_phi_xi",
-            TensorField.build(chart, 1, 0, nabla_xi_phi_xi),
-            "(nabla_xi phi) xi = 0",
-        )
-    )
-    outcomes.append(
+            "xi_nabla_phi_xi", contract("kji,i,j->k", nabla_phi, xi, xi), "(nabla_xi phi) xi = 0"
+        ),
         residual_outcome(
-            "xi_nabla_eta",
-            covariant_derivative_along(eta, conn, xi),
-            "nabla_xi eta = 0",
-        )
-    )
+            "xi_nabla_eta", covariant_derivative_along(eta, conn, xi), "nabla_xi eta = 0"
+        ),
+    ]
 
     ricci_tensor = structure.ricci(mode)
     nabla_xi_s = covariant_derivative_along(ricci_tensor, conn, xi)
-    q_operator = g.raise_index(ricci_tensor, 0)
-    nabla_xi_q = covariant_derivative_along(q_operator, conn, xi)
-    nabla_xi_phi = TensorField.build(
-        chart,
-        1,
-        1,
-        lambda idx: sum(
-            (nabla_phi[idx[0], idx[1], i] * xi[i] for i in range(n)), Expr.zero(chart)
-        ),
-    )
+    nabla_xi_q = covariant_derivative_along(g.raise_index(ricci_tensor, 0), conn, xi)
 
     if constants is None:
         outcomes.append(inapplicable("xi_eq15_nabla_s", "no Einstein-like constants available"))
         outcomes.append(inapplicable("xi_eq16_nabla_q", "no Einstein-like constants available"))
     else:
         b = constants.b
-
-        def eq15(idx):
-            j, k = idx
-            total = nabla_xi_s[j, k]
-            for m in range(n):
-                total = total - b * g[m, k] * nabla_xi_phi[m, j]
-            return total
-
         outcomes.append(
             residual_outcome(
                 "xi_eq15_nabla_s",
-                TensorField.build(chart, 0, 2, eq15),
+                contract("jk-mk,mj->jk", nabla_xi_s, g.field.scale(b), nabla_xi_phi),
                 "(nabla_xi S)(Y, Z) = b g((nabla_xi phi) Y, Z)",
             )
         )
@@ -836,9 +706,7 @@ def collinear_potential_analysis(
             )
         )
     else:
-        xi_k = Expr.zero(chart)
-        for i in range(n):
-            xi_k = xi_k + structure.xi[i] * dk[i]
+        xi_k = contract("i,i->", structure.xi, dk)
         outcomes.append(
             CheckOutcome(
                 "collinear_forced_derivative",
@@ -849,7 +717,7 @@ def collinear_potential_analysis(
             )
         )
     ricci_tensor = structure.ricci(mode)
-    phi_flat = _phi_flat(structure)
+    phi_flat = contract("mj,mi->ij", structure.metric.field, structure.phi)  # g(phi X, Y)
     induced = (
         ricci_tensor
         + structure.metric.field.scale(lam)
@@ -884,28 +752,8 @@ def semi_symmetry_residual(
     ricci_tensor: TensorField,
 ) -> TensorField:
     """residual(X, Y, Z) = S(R(xi, X)Y, Z) + S(Y, R(xi, X)Z)."""
-    chart = structure.chart
-    n = chart.dimension
-    xi = structure.xi
-
-    r_xi = TensorField.build(
-        chart,
-        1,
-        2,
-        lambda idx: sum(
-            (riem[idx[0], l, idx[1], idx[2]] * xi[l] for l in range(n)), Expr.zero(chart)
-        ),
-    )  # [m, i, j] = component of R(xi, d_i) d_j
-
-    def entry(idx):
-        i, j, k = idx
-        total = Expr.zero(chart)
-        for m in range(n):
-            total = total + ricci_tensor[m, k] * r_xi[m, i, j]
-            total = total + ricci_tensor[j, m] * r_xi[m, i, k]
-        return total
-
-    return TensorField.build(chart, 0, 3, entry)
+    r_xi = contract("mlij,l->mij", riem, structure.xi)  # [m, i, j] = (R(xi, d_i) d_j)^m
+    return contract("mk,mij+jm,mik->ijk", ricci_tensor, r_xi, ricci_tensor, r_xi)
 
 
 def parallel_tensor_check(
@@ -928,8 +776,6 @@ def parallel_tensor_check(
     lambda = -eps alpha(xi, xi), cross-checked against -(a + eps (c + mu)).
     ``prefix`` disambiguates check ids when several candidates are analyzed.
     """
-    chart = structure.chart
-    n = chart.dimension
     eps = Fraction(structure.epsilon)
     if alpha.valence != (0, 2):
         raise ValenceError("alpha must be a (0, 2) tensor")
@@ -950,15 +796,7 @@ def parallel_tensor_check(
     )
 
     riem = structure.riemann()
-
-    def ricci_identity(idx):
-        i, j, k, l = idx
-        total = Expr.zero(chart)
-        for m in range(n):
-            total = total + alpha[m, l] * riem[m, i, j, k] + alpha[m, k] * riem[m, i, j, l]
-        return total
-
-    identity_residual = TensorField.build(chart, 0, 4, ricci_identity)
+    identity_residual = contract("ml,mijk+mk,mijl->ijkl", alpha, riem, alpha, riem)
     identity_zero = identity_residual.is_zero()
     if parallel and not identity_zero:
         raise InvariantError("alpha is parallel but the Ricci identity residual is nonzero")
@@ -972,7 +810,7 @@ def parallel_tensor_check(
         )
     )
 
-    alpha_xi_xi = _exact_pairing(alpha, structure.xi, structure.xi)
+    alpha_xi_xi = contract("ij,i,j->", alpha, structure.xi, structure.xi)
     hypotheses = para_sasakian or (
         torse is not None
         and torse.classification != NOT_TORSE_FORMING
@@ -1073,31 +911,18 @@ def curvature_from_torse_forming(
             inapplicable("torse_eq52_curvature", "xi is not torse-forming"),
             inapplicable("torse_eq24_25", "xi is not torse-forming"),
         ]
-    eta, xi = structure.eta, structure.xi
-    riem = structure.riemann()
-    phi2 = structure.phi_squared()
+    eta = structure.eta
     f = torse.f
-    df = [f.differentiate(c) for c in chart.coordinates]
-
-    r_into_xi = TensorField.build(
-        chart,
-        1,
-        2,
-        lambda idx: sum(
-            (riem[idx[0], idx[1], idx[2], m] * xi[m] for m in range(n)), Expr.zero(chart)
-        ),
-    )  # [k, i, j] = component of R(d_i, d_j) xi
-
-    def eq52(idx):
-        k, i, j = idx
-        expected = f * f * (eta[i] * _delta(chart, k, j) - eta[j] * _delta(chart, k, i))
-        expected = expected + df[i] * phi2[k, j] - df[j] * phi2[k, i]
-        return r_into_xi[k, i, j] - expected
-
+    df = TensorField.oneform(chart, [f.differentiate(name) for name in chart.coordinates])
+    phi2 = structure.phi_squared()
+    delta = kronecker(chart)
+    # [k, i, j]: eta(d_i) d_j - eta(d_j) d_i
+    wedge = contract("i,kj-j,ki->kij", eta, delta, eta, delta)
+    expected = contract(",kij+i,kj-j,ki->kij", f * f, wedge, df, phi2, df, phi2)
     outcomes = [
         residual_outcome(
             "torse_eq52_curvature",
-            TensorField.build(chart, 1, 2, eq52),
+            structure.r_into_xi() - expected,
             "R(X, Y) xi = f^2 {eta(X) Y - eta(Y) X} + X(f) phi^2 Y - Y(f) phi^2 X",
         )
     ]
@@ -1107,23 +932,8 @@ def curvature_from_torse_forming(
         )
     else:
         square = Fraction(a_plus_lambda) ** 2
-
-        def eq24(idx):
-            k, i, j = idx
-            expected = square * (eta[i] * _delta(chart, k, j) - eta[j] * _delta(chart, k, i))
-            return r_into_xi[k, i, j] - expected
-
-        ricci_tensor = structure.ricci(mode)
-
-        def eq25(idx):
-            (i,) = idx
-            total = Expr.zero(chart)
-            for j in range(n):
-                total = total + ricci_tensor[i, j] * xi[j]
-            return total - square * (1 - n) * eta[i]
-
-        residual = TensorField.build(chart, 1, 2, eq24)
-        residual25 = TensorField.build(chart, 0, 1, eq25)
+        residual = structure.r_into_xi() - wedge.scale(square)
+        residual25 = structure.ricci_xi(mode) - eta.scale(square * (1 - n))
         combined_zero = residual.is_zero() and residual25.is_zero()
         outcomes.append(
             CheckOutcome(
@@ -1137,7 +947,3 @@ def curvature_from_torse_forming(
             )
         )
     return outcomes
-
-
-def _delta(chart, i: int, j: int) -> Expr:
-    return Expr.one(chart) if i == j else Expr.zero(chart)

@@ -331,11 +331,23 @@ def _rescale_rates(a: Sum, lay: _Layout, mul: int, div: int = 1) -> Sum:
     return out
 
 
+class _Coordinates(list):
+    """Float coordinates in chart order, as :func:`coordinate_values` returns them."""
+
+    __slots__ = ()
+
+
 def coordinate_values(chart: Chart, point: Mapping[str, float] | Sequence[float]) -> list[float]:
-    """Float coordinates of a point given by coordinate name or in chart order."""
+    """Float coordinates of a point given by coordinate name or in chart order.
+
+    A point this function returned before is passed through unconverted, so
+    callers that evaluate many expressions at one point convert it once.
+    """
+    if type(point) is _Coordinates and len(point) == chart.dimension:
+        return point
     if isinstance(point, Mapping):
-        return [float(point[c]) for c in chart.coordinates]
-    xs = [float(v) for v in point]
+        return _Coordinates([float(point[c]) for c in chart.coordinates])
+    xs = _Coordinates([float(v) for v in point])
     if len(xs) != chart.dimension:
         raise ExprError("point has wrong dimension")
     return xs
@@ -783,7 +795,8 @@ class Expr:
 
     def evaluate(self, point: Mapping[str, float] | Sequence[float], den_tolerance: float = 1e-12) -> float:
         """Floating evaluation; raises if the denominator nearly vanishes or a float overflows."""
-        xs = coordinate_values(self.chart, point)
+        # the term loops index an exact list, which CPython indexes faster than a subclass
+        xs = list(coordinate_values(self.chart, point))
         if not self._num:
             return 0.0
         try:

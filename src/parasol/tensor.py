@@ -17,10 +17,38 @@ O(n!) and O(n n!) for a plain expansion.  Each minor is still built from
 the same ring operations in the same order as a plain expansion, so every
 printed expression is unchanged.  Bareiss elimination would need exact
 division of sums, which the ``Expr`` ring does not provide.
+
+Index gymnastics go through one exact Einstein summation,
+:func:`contract`, e.g. ``contract("ab,ai,bj->ij", g, phi, phi)`` for
+g(phi X, phi Y).  The ring is exact, but the order of its operations still
+decides the insertion order of an expression's terms, hence the float
+summation order of its evaluation and the low-order bits of every reported
+``numeric_max``.  So ``contract`` builds each component from the ring
+operations of the plain nested loop, in that loop's order:
+
+* summed indices (those not in the output) are iterated outermost-first in
+  alphabetical order;
+* each product is formed left to right in operand order;
+* a product with a symbolically zero factor is skipped, which changes
+  nothing, since ``x + 0`` returns ``x`` and ``0 * y`` returns ``0``;
+* products joined by ``+`` or ``-`` share one accumulator and are added or
+  subtracted in turn for each value of the summed indices they name:
+  ``"mk,mij+jm,mik->ijk"`` adds both products for m = 0, then both for
+  m = 1, and so on, with no intermediate tensor; a product that does not
+  name a summed index is added once, at that index's first value, so
+  ``"jk-mk,mj->jk"`` starts from T[j, k] and subtracts the m-terms;
+* each output index takes the variance of the first operand slot it
+  names, and contravariant output indices must come first;
+* permutations (``"kji->kij"``) and traces (``"iijk->jk"``) fall out of the
+  same rule, and an empty output (``"ij,i,j->"``) returns a scalar ``Expr``.
+
+An operand for an empty term (``",kij->kij"``) may be a scalar ``Expr``.
 """
 
 from __future__ import annotations
 
+import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -40,7 +68,9 @@ __all__ = [
     "DegenerateMetricError",
     "FrameError",
     "SignatureResult",
+    "contract",
     "lie_bracket",
+    "partials",
     "signature_at",
     "kronecker",
 ]
@@ -169,37 +199,19 @@ class TensorField:
 
     # -- tensor algebra ---------------------------------------------------------
 
-    def tensor_product(self, other: "TensorField") -> "TensorField":
-        self.chart.require_same(other.chart)
-        p, q = self.p + other.p, self.q + other.q
-
-        def entry(idx: tuple[int, ...]) -> Expr:
-            ups, downs = idx[:p], idx[p:]
-            left = ups[: self.p] + downs[: self.q]
-            right = ups[self.p :] + downs[self.q :]
-            return self[left] * other[right]
-
-        return TensorField.build(self.chart, p, q, entry)
-
     def trace(self) -> Expr:
         """Trace of a (1, 1) tensor."""
         if self.valence != (1, 1):
             raise ValenceError("trace needs a (1, 1) tensor, got %r" % (self.valence,))
-        n = self.chart.dimension
-        total = Expr.zero(self.chart)
-        for i in range(n):
-            total = total + self[i, i]
-        return total
+        return contract("ii->", self)
 
     def swap_down(self, a: int, b: int) -> "TensorField":
         """Transpose two covariant slots."""
-
-        def entry(idx: tuple[int, ...]) -> Expr:
-            ups, downs = list(idx[: self.p]), list(idx[self.p :])
-            downs[a], downs[b] = downs[b], downs[a]
-            return self[tuple(ups + downs)]
-
-        return TensorField.build(self.chart, self.p, self.q, entry)
+        letters = string.ascii_letters[: self.rank]
+        out = list(letters)
+        a, b = self.p + a, self.p + b
+        out[a], out[b] = out[b], out[a]
+        return contract("%s->%s" % (letters, "".join(out)), self)
 
     # -- predicates and evaluation ----------------------------------------------
 
@@ -238,7 +250,98 @@ def kronecker(chart: Chart) -> TensorField:
     """Identity (1, 1) tensor."""
     one = Expr.one(chart)
     zero = Expr.zero(chart)
-    return TensorField.build(chart, 1, 1, lambda idx: one if idx[0] == idx[1] else zero)
+    n = chart.dimension
+    return TensorField(chart, 1, 1, [one if i == j else zero for i in range(n) for j in range(n)])
+
+
+def partials(tensor: TensorField) -> TensorField:
+    """Coordinate partial derivatives, the derivative slot appended as the last covariant index."""
+    coords = tensor.chart.coordinates
+    comps = [comp.differentiate(name) for comp in tensor._comps for name in coords]
+    return TensorField(tensor.chart, tensor.p, tensor.q + 1, comps)
+
+
+def contract(spec: str, *operands: TensorField | Expr) -> TensorField | Expr:
+    """Exact Einstein summation, e.g. ``contract("ab,ai,bj->ij", g, phi, phi)``.
+
+    The rules, and why each component is built in plain nested-loop order,
+    are in the module docstring.
+    """
+    lhs, arrow, out = spec.partition("->")
+    if not arrow:
+        raise ValenceError("contraction spec %r has no '->'" % spec)
+    negated = [sign == "-" for sign in "+" + "".join(re.findall("[+-]", lhs))]
+    products = [part.split(",") for part in re.split("[+-]", lhs)]
+    terms = [term for part in products for term in part]
+    if len(terms) != len(operands):
+        raise ValenceError("%r names %d operands, got %d" % (spec, len(terms), len(operands)))
+    chart = operands[0].chart
+    fields = []
+    for term, op in zip(terms, operands):
+        if op.chart is not chart:
+            chart.require_same(op.chart)
+        if isinstance(op, Expr):
+            op = TensorField(chart, 0, 0, [op])
+        if len(term) != op.rank:
+            raise ValenceError("index %r does not fit a valence %r operand" % (term, op.valence))
+        fields.append((term, op))
+    if len(set(out)) != len(out):
+        raise ValenceError("repeated output index in %r" % spec)
+    upper = []
+    for letter in out:
+        if not all(letter in "".join(part) for part in products):
+            raise ValenceError("output index %r is missing from a product of %r" % (letter, spec))
+        term, op = next((term, op) for term, op in fields if letter in term)
+        upper.append(term.index(letter) < op.p)
+    if upper != sorted(upper, reverse=True):
+        raise ValenceError("contravariant output indices must come first in %r" % spec)
+
+    n = chart.dimension
+    summed = sorted(set(lhs) - set(out) - set("+-,"))
+    assignments = list(product(range(n), repeat=len(summed)))
+
+    def offsets(term: str, letters: Sequence[str], values: Iterable[tuple[int, ...]]) -> list[int]:
+        """Flat offset into the operand of each assignment of values to ``letters``."""
+        strides = [
+            sum(n ** (len(term) - 1 - k) for k, t in enumerate(term) if t == letter)
+            for letter in letters
+        ]
+        return [sum(map(int.__mul__, strides, v)) for v in values]
+
+    # one step per (summed assignment, product) in loop order; a product runs
+    # only where the summed indices it does not name sit at their first value
+    plans = []
+    operand = iter(fields)
+    outputs = list(product(range(n), repeat=len(out)))
+    for negate, part in zip(negated, products):
+        factors = [next(operand) for _ in part]
+        plan = [(op._comps, offsets(t, out, outputs), offsets(t, summed, assignments)) for t, op in factors]
+        plans.append((negate, "".join(part), plan))
+    steps = [
+        (negate, [(comps, outs, sums[s]) for comps, outs, sums in plan])
+        for s, values in enumerate(assignments)
+        for negate, named, plan in plans
+        if all(v == 0 or letter in named for letter, v in zip(summed, values))
+    ]
+
+    zero = Expr.zero(chart)
+    components = []
+    for o in range(len(outputs)):
+        acc = zero
+        for negate, factors in steps:
+            row = [comps[outs[o] + offset] for comps, outs, offset in factors]
+            for factor in row:
+                if factor.is_symbolically_zero:
+                    break
+            else:
+                value = row[0]
+                for factor in row[1:]:
+                    value = value * factor
+                acc = acc - value if negate else acc + value
+        components.append(acc)
+    if not out:
+        return components[0]
+    return TensorField(chart, sum(upper), len(out) - sum(upper), components)
 
 
 def _minor_det(
@@ -309,17 +412,7 @@ class Metric:
             raise InvariantError("metric inverse failed g * g^-1 = I")
 
     def _product_with_inverse(self) -> TensorField:
-        n = self.chart.dimension
-
-        def entry(idx: tuple[int, ...]) -> Expr:
-            i, j = idx
-            total = Expr.zero(self.chart)
-            for m in range(n):
-                total = total + self.inverse[i, m] * self.field[m, j]
-            expected = Expr.one(self.chart) if i == j else Expr.zero(self.chart)
-            return total - expected
-
-        return TensorField.build(self.chart, 1, 1, entry)
+        return contract("im,mj->ij", self.inverse, self.field) - kronecker(self.chart)
 
     def __getitem__(self, idx) -> Expr:
         return self.field[idx]
@@ -328,50 +421,25 @@ class Metric:
         """g(X, Y) for vector fields X, Y."""
         if x.valence != (1, 0) or y.valence != (1, 0):
             raise ValenceError("inner product needs two vector fields")
-        n = self.chart.dimension
-        total = Expr.zero(self.chart)
-        for i in range(n):
-            for j in range(n):
-                total = total + self.field[i, j] * x[i] * y[j]
-        return total
+        return contract("ij,i,j->", self.field, x, y)
 
     def lower(self, tensor: TensorField, up_slot: int = 0) -> TensorField:
         """Lower one contravariant slot; the new covariant slot goes last."""
         if not 0 <= up_slot < tensor.p:
             raise ValenceError("no contravariant slot %d to lower" % up_slot)
-        n = self.chart.dimension
-        p, q = tensor.p - 1, tensor.q + 1
-
-        def entry(idx: tuple[int, ...]) -> Expr:
-            ups, downs = list(idx[:p]), list(idx[p:])
-            a = downs[-1]
-            downs = downs[:-1]
-            total = Expr.zero(self.chart)
-            for m in range(n):
-                full = ups[:up_slot] + [m] + ups[up_slot:]
-                total = total + self.field[a, m] * tensor[tuple(full + downs)]
-            return total
-
-        return TensorField.build(self.chart, p, q, entry)
+        *letters, new, summed = string.ascii_letters[: tensor.rank + 1]
+        slots = "".join(letters[:up_slot] + [summed] + letters[up_slot:])
+        return contract("%s%s,%s->%s" % (new, summed, slots, "".join(letters) + new), self.field, tensor)
 
     def raise_index(self, tensor: TensorField, down_slot: int = 0) -> TensorField:
         """Raise one covariant slot; the new contravariant slot goes last."""
         if not 0 <= down_slot < tensor.q:
             raise ValenceError("no covariant slot %d to raise" % down_slot)
-        n = self.chart.dimension
-        p, q = tensor.p + 1, tensor.q - 1
-
-        def entry(idx: tuple[int, ...]) -> Expr:
-            ups, downs = list(idx[:p]), list(idx[p:])
-            a = ups[-1]
-            ups = ups[:-1]
-            total = Expr.zero(self.chart)
-            for m in range(n):
-                full = downs[:down_slot] + [m] + downs[down_slot:]
-                total = total + self.inverse[a, m] * tensor[tuple(ups + full)]
-            return total
-
-        return TensorField.build(self.chart, p, q, entry)
+        *letters, new, summed = string.ascii_letters[: tensor.rank + 1]
+        cut = tensor.p + down_slot
+        slots = "".join(letters[:cut] + [summed] + letters[cut:])
+        out = "".join(letters[: tensor.p] + [new] + letters[tensor.p :])
+        return contract("%s%s,%s->%s" % (new, summed, slots, out), self.inverse, tensor)
 
     def numeric_at(self, point: Mapping[str, float] | Sequence[float]) -> np.ndarray:
         return self.field.numeric_at(point)
@@ -420,18 +488,7 @@ def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
     if x.valence != (1, 0) or y.valence != (1, 0):
         raise ValenceError("lie_bracket needs two vector fields")
-    x.chart.require_same(y.chart)
-    chart = x.chart
-    coords = chart.coordinates
-
-    def entry(idx: tuple[int, ...]) -> Expr:
-        (k,) = idx
-        total = Expr.zero(chart)
-        for i, name in enumerate(coords):
-            total = total + x[i] * y[k].differentiate(name) - y[i] * x[k].differentiate(name)
-        return total
-
-    return TensorField.build(chart, 1, 0, entry)
+    return contract("i,ki-i,ki->k", x, partials(y), y, partials(x))
 
 
 class Frame:

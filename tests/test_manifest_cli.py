@@ -256,6 +256,37 @@ def test_validation_suites_run_once_per_structure(monkeypatch, command):
     assert len(calls) == 2
 
 
+def test_para_sasakian_suite_and_shared_tensors_built_once(monkeypatch):
+    # report --all used to run the para-Sasakian suite twice (the sasakian
+    # command and the para-Sasakian precondition of later commands) and to
+    # differentiate phi 4 times and xi 7 times covariantly
+    structures, suites, differentiated = [], [], []
+    init = parasol.paracontact.ParacontactStructure.__init__
+    monkeypatch.setattr(
+        parasol.paracontact.ParacontactStructure,
+        "__init__",
+        lambda self, *args, **kwargs: structures.append(self) or init(self, *args, **kwargs),
+    )
+    suite = parasol.paracontact._para_sasakian_outcomes
+    monkeypatch.setattr(
+        parasol.paracontact, "_para_sasakian_outcomes", lambda s: suites.append(s) or suite(s)
+    )
+    nabla = parasol.connection.covariant_derivative
+    for module in (parasol.connection, parasol.paracontact, parasol.solitons, parasol.analysis):
+        monkeypatch.setattr(
+            module,
+            "covariant_derivative",
+            lambda tensor, conn: differentiated.append(tensor) or nabla(tensor, conn),
+        )
+    code, _, _ = run_cli(["report", "--all", "fixtures/ex1_r3_spacelike", "--json"])
+    assert code == 1
+    (structure,) = structures
+    assert suites == [structure]
+    assert sum(t is structure.phi for t in differentiated) == 1
+    # nabla xi itself, and once more inside L_xi g, whose potential is xi
+    assert sum(t is structure.xi for t in differentiated) == 2
+
+
 @pytest.mark.parametrize("fixture", ["warped_r3", "ex1_r3_spacelike"])
 def test_lie_derivative_built_once_per_direction(monkeypatch, fixture):
     # curvature, the soliton checks, the solver, the xi consequences and the

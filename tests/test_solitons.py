@@ -36,7 +36,7 @@ from parasol.solitons import (
     xi_consequence_suite,
 )
 from parasol.symexpr import Expr, parse
-from parasol.tensor import TensorField
+from parasol.tensor import TensorField, contract
 
 
 def frame_value(structure, tensor, i, j):
@@ -167,11 +167,10 @@ def test_fit_is_idempotent(ex1, ex2):
     for structure, mode in ((ex1, WEIGHTED_TRACE), (ex2, PAPER_FRAME_SUM)):
         fit = einstein_like_fit(structure, mode)
         constants = fit.constants
-        from parasol.solitons import _phi_flat
-
+        phi_flat = contract("mj,mi->ij", structure.metric.field, structure.phi)  # g(phi X, Y)
         reconstructed = (
             structure.metric.field.scale(constants.a)
-            + _phi_flat(structure).scale(constants.b)
+            + phi_flat.scale(constants.b)
             + structure.eta_tensor_eta().scale(constants.c)
         )
         refit = einstein_like_fit(structure, mode, ricci_tensor=reconstructed)
