@@ -44,6 +44,23 @@ CASES = [
     ("ladder_n4__validate.json", ["validate", str(MANIFESTS / "ladder_n4.json"), "--json"], 1),
     ("dense_n5__curvature.json", ["curvature", str(MANIFESTS / "dense_n5.json"), "--json"], 0),
     ("dense_n5__validate.json", ["validate", str(MANIFESTS / "dense_n5.json"), "--json"], 1),
+    # report branches no bundled fixture reaches: no Einstein-like constants
+    # and a nonzero collinear gate (ex1_noframe), the soliton transfer remark
+    # (kasner_r3, b = -eps), a soliton equation that fails at declared
+    # torse-forming constants (warped_off), a failed Einstein-like fit and a
+    # nonconstant alpha(xi, xi) (bumped_r3), an invalid structure (flat_broken_phi)
+    ("ex1_noframe__report_all.json",
+     ["report", "--all", str(MANIFESTS / "ex1_noframe.json"), "--json"], 1),
+    ("kasner_r3__report_all.json",
+     ["report", "--all", str(MANIFESTS / "kasner_r3.json"), "--json"], 1),
+    ("warped_off__report_all.json",
+     ["report", "--all", str(MANIFESTS / "warped_off.json"), "--json"], 1),
+    ("bumped_r3__report_all.json",
+     ["report", "--all", str(MANIFESTS / "bumped_r3.json"), "--json"], 1),
+    ("flat_broken_phi__sasakian.json",
+     ["sasakian", str(MANIFESTS / "flat_broken_phi.json"), "--json"], 0),
+    ("ex1_r3_spacelike__einstein_fit_2xi.json",
+     ["einstein-fit", "fixtures/ex1_r3_spacelike", "--potential", "2*xi", "--json"], 0),
 ]
 
 

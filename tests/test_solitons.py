@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from parasol.checks import INAPPLICABLE, PASS
+from parasol.checks import FAIL, INAPPLICABLE, PASS
 from parasol.connection import PAPER_FRAME_SUM, WEIGHTED_TRACE
 from parasol.solitons import (
     GENERAL,
@@ -257,6 +257,22 @@ def test_suite_warped_codazzi_theorem_instance(warped):
     assert outcomes["el_codazzi"].symbolic_zero is True
     assert outcomes["el_codazzi_forces_einstein"].status == PASS
     assert fit.constants.c == 0
+
+
+def test_codazzi_with_nonzero_c_and_f_fails_the_theorem_instance(warped):
+    # no manifest reaches c != 0 with f != 0 (warped products with an exact
+    # Einstein-like fit have c = 0), so hypothetical constants pin the branch
+    outcomes = outcome_map(
+        einstein_like_suite(
+            warped, EinsteinLikeConstants(Fraction(-2), Fraction(0), Fraction(1)),
+            torse=detect_torse_forming(warped),
+        )
+    )
+    forced = outcomes["el_codazzi_forces_einstein"]
+    assert forced.status == FAIL
+    assert forced.symbolic_zero is True
+    assert forced.residual is None
+    assert forced.details == "c = 1 != 0 and f != 0, so the Ricci operator must not be Codazzi"
 
 
 # ---------------------------------------------------------------------------
