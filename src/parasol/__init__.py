@@ -11,7 +11,6 @@ from .chart import Chart, ChartError, ChartMismatchError
 from .checks import CheckOutcome
 from .connection import (
     ConnectionData,
-    CurvatureData,
     christoffel,
     covariant_derivative,
     covariant_derivative_along,

@@ -18,7 +18,17 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .checks import CheckOutcome, FAIL, PASS, inapplicable, residual_outcome
+from .checks import (
+    CLASSIFICATION,
+    FACT,
+    FAIL,
+    PASS,
+    Check,
+    CheckOutcome,
+    Need,
+    inapplicable,
+    run_checks,
+)
 from .connection import (
     PAPER_FRAME_SUM,
     WEIGHTED_TRACE,
@@ -46,7 +56,7 @@ from .paracontact import (
 )
 from .report import VerificationReport
 from .solitons import (
-    NOT_TORSE_FORMING,
+    EinsteinFitResult,
     EinsteinLikeConstants,
     RankDeficientError,
     SolitonData,
@@ -67,6 +77,21 @@ from .symexpr import DegenerateEvaluationError, Expr
 from .tensor import DegenerateMetricError, TensorField, contract, signature_at
 
 __all__ = ["RunOptions", "Analysis", "run_command", "COMMANDS"]
+
+# hypotheses of the torse-forming constants theorem, over the facts cmd_torse passes
+ETA_EINSTEIN_TORSE = Need(
+    lambda h: h.torse.forming
+    and h.torse.f.as_rational_constant() is not None
+    and h.constants is not None
+    and h.constants.b == 0
+    and h.pair is not None,
+    "needs torse-forming xi with constant f, an eta-Einstein fit (b = 0) "
+    "and declared soliton constants",
+)
+DECLARED_SOLITON = Need(
+    lambda h: h.declared_soliton().is_zero(),
+    "soliton equation does not hold exactly at the declared constants",
+)
 
 
 @dataclass(frozen=True)
@@ -114,24 +139,26 @@ class Analysis:
             )
         return self._points
 
-    def structure_valid(self) -> bool:
-        return structure_is_valid(self.structure)
-
     def para_sasakian(self) -> bool:
-        return self.structure_valid() and all(
+        return structure_is_valid(self.structure) and all(
             o.status == PASS for o in is_para_sasakian(self.structure)
         )
 
     @cached_property
-    def fit_constants(self) -> EinsteinLikeConstants | None:
-        """The constants of an exact Einstein-like fit, or None."""
-        if self.manifest.frame is None:
+    def fit(self) -> EinsteinFitResult | RankDeficientError | None:
+        """The Einstein-like fit, the error of a rank-deficient design, or None without a frame."""
+        if self.structure.frame is None:
             return None
         try:
-            fit = einstein_like_fit(self.structure, self.ricci_mode)
-        except RankDeficientError:
-            return None
-        return fit.constants if fit.ok else None
+            return einstein_like_fit(self.structure, self.ricci_mode)
+        except RankDeficientError as exc:
+            return exc
+
+    @property
+    def fit_constants(self) -> EinsteinLikeConstants | None:
+        """The constants of an exact Einstein-like fit, or None."""
+        fit = self.fit
+        return fit.constants if isinstance(fit, EinsteinFitResult) and fit.ok else None
 
     @cached_property
     def torse(self) -> TorseFormingData:
@@ -151,17 +178,15 @@ class Analysis:
 
     def potential_is_xi(self) -> bool:
         spec = self.manifest.potential
-        if spec is None:
-            return False
-        if spec.kind == "xi":
-            return True
-        return (self.potential - self.structure.xi).is_zero()
+        return spec is not None and (
+            spec.kind == "xi" or (self.potential - self.structure.xi).is_zero()
+        )
 
     def new_report(self) -> VerificationReport:
         report = VerificationReport(
             name=self.manifest.name, ricci_mode=self.ricci_mode, seed=self.options.seed
         )
-        report.set_constant("epsilon", self.structure.epsilon)
+        report.constants["epsilon"] = self.structure.epsilon
         return report
 
 
@@ -189,23 +214,20 @@ def _note(check_id: str, details: str) -> CheckOutcome:
 
 @_command
 def cmd_validate(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
-    structure = analysis.structure
-    outcomes = validate_axioms(structure)
-    outcomes.append(
-        _note(
-            "epsilon_detected",
-            "epsilon = %+d (%s xi)%s"
-            % (
-                structure.epsilon,
-                "spacelike" if structure.epsilon > 0 else "timelike",
-                "" if analysis.manifest.epsilon is None else ", matches declared value",
-            ),
-        )
-    )
-    outcomes += validate_metric_compat(structure)
-
+    structure, eps = analysis.structure, analysis.structure.epsilon
     det = structure.metric.determinant
-    outcomes.append(_note("metric_determinant", "det g = %s" % det))
+    declared = "" if analysis.manifest.epsilon is None else ", matches declared value"
+    outcomes = (
+        validate_axioms(structure)
+        + [
+            _note(
+                "epsilon_detected",
+                "epsilon = %+d (%s xi)%s" % (eps, "spacelike" if eps > 0 else "timelike", declared),
+            )
+        ]
+        + validate_metric_compat(structure)
+        + [_note("metric_determinant", "det g = %s" % det)]
+    )
     if det.as_rational_constant() is None and not det.provably_nonvanishing():
         outcomes.append(
             _note(
@@ -240,90 +262,53 @@ def _frame_diagonal_details(structure: ParacontactStructure, tensor: TensorField
 
 @_command
 def cmd_curvature(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
-    structure = analysis.structure
+    structure, mode = analysis.structure, analysis.ricci_mode
     conn = structure.connection()
     gamma = conn.gamma
     riem = structure.riemann()
-    ricci_tensor = structure.ricci(analysis.ricci_mode)
-    outcomes = [
-        residual_outcome(
-            "christoffel_torsion_free",
-            contract("kij-kji->kij", gamma, gamma),
-            "Gamma^k_ij = Gamma^k_ji",
-        ),
-        residual_outcome(
-            "metric_compatibility",
-            covariant_derivative(structure.metric.field, conn),
-            "nabla g = 0",
-        ),
-        residual_outcome(
-            "riemann_antisymmetry",
-            contract("lijk+ljik->lijk", riem, riem),
-            "R(X,Y)Z + R(Y,X)Z = 0",
-        ),
-        residual_outcome(
-            "riemann_first_bianchi",
-            contract("lijk+ljki+lkij->lijk", riem, riem, riem),
-            "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0",
-        ),
-        residual_outcome(
-            "ricci_symmetric", contract("jk-kj->jk", ricci_tensor, ricci_tensor), "S(X,Y) = S(Y,X)"
-        ),
-    ]
-
+    ricci_tensor = structure.ricci(mode)
+    # separate tables, so the Riemann-sized zero residuals are dropped before the
+    # semi-symmetry residual is built
+    outcomes = run_checks([
+        Check("christoffel_torsion_free", "Gamma^k_ij = Gamma^k_ji",
+              contract("kij-kji->kij", gamma, gamma)),
+        Check("metric_compatibility", "nabla g = 0",
+              covariant_derivative(structure.metric.field, conn)),
+        Check("riemann_antisymmetry", "R(X,Y)Z + R(Y,X)Z = 0",
+              contract("lijk+ljik->lijk", riem, riem)),
+        Check("riemann_first_bianchi", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0",
+              contract("lijk+ljki+lkij->lijk", riem, riem, riem)),
+        Check("ricci_symmetric", "S(X,Y) = S(Y,X)",
+              contract("jk-kj->jk", ricci_tensor, ricci_tensor)),
+    ])
     if structure.frame is not None:
         signs = structure.frame_signs()
-        weighted = structure.ricci(WEIGHTED_TRACE)
-        outcomes += [
-            residual_outcome(
-                "ricci_frame_independence",
-                weighted - frame_sum(riem, structure.metric, structure.frame, signs),
-                "coordinate trace equals the signature-weighted frame sum",
-            ),
-            _note(
-                "ricci_frame_diagonal",
-                "%s [%s]" % (_frame_diagonal_details(structure, ricci_tensor), analysis.ricci_mode),
-            ),
-        ]
-
+        outcomes += run_checks([
+            Check("ricci_frame_independence",
+                  "coordinate trace equals the signature-weighted frame sum",
+                  structure.ricci(WEIGHTED_TRACE)
+                  - frame_sum(riem, structure.metric, structure.frame, signs)),
+            _note("ricci_frame_diagonal",
+                  "%s [%s]" % (_frame_diagonal_details(structure, ricci_tensor), mode)),
+        ])
     scalar = scalar_curvature(ricci_tensor, structure.metric)
     scalar_constant = scalar.as_rational_constant()
-    outcomes.append(
-        _note(
-            "scalar_curvature",
-            "r = %s [%s]"
-            % (scalar_constant if scalar_constant is not None else scalar, analysis.ricci_mode),
-        )
-    )
-
     via_coordinates, via_connection = structure.lie_derivative_two_ways(
         analysis.potential or structure.xi
     )
-    outcomes.append(
-        residual_outcome(
-            "lie_derivative_dual_formula",
-            via_coordinates - via_connection,
-            "coordinate and connection formulas for L_V g agree",
-        )
-    )
-
-    semi = semi_symmetry_residual(structure, riem, ricci_tensor)
-    semi_zero = semi.is_zero()
-    outcomes.append(
-        CheckOutcome(
-            "ricci_semi_symmetry",
-            PASS,
-            symbolic_zero=semi_zero,
-            residual=semi,
-            details="R(xi, .) . S = 0 holds" if semi_zero else "R(xi, .) . S != 0",
-        )
-    )
-    return outcomes
+    return outcomes + run_checks([
+        _note("scalar_curvature",
+              "r = %s [%s]" % (scalar_constant if scalar_constant is not None else scalar, mode)),
+        Check("lie_derivative_dual_formula", "coordinate and connection formulas for L_V g agree",
+              via_coordinates - via_connection),
+        Check("ricci_semi_symmetry", ("R(xi, .) . S = 0 holds", "R(xi, .) . S != 0"),
+              semi_symmetry_residual(structure, riem, ricci_tensor), rule=CLASSIFICATION),
+    ])
 
 
 @_command
 def cmd_sasakian(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
-    if not analysis.structure_valid():
+    if not structure_is_valid(analysis.structure):
         return [
             inapplicable(
                 "para_sasakian_nabla_phi",
@@ -331,22 +316,17 @@ def cmd_sasakian(analysis: Analysis, report: VerificationReport) -> list[CheckOu
             ),
             inapplicable("para_sasakian_nabla_xi", "structure fails the axioms"),
         ]
-    curvature = analysis.structure.curvature(WEIGHTED_TRACE)
-    return is_para_sasakian(analysis.structure) + sasakian_identity_suite(
-        analysis.structure, curvature
-    )
+    return is_para_sasakian(analysis.structure) + sasakian_identity_suite(analysis.structure)
 
 
 @_command
 def cmd_einstein_fit(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
-    structure = analysis.structure
-    if structure.frame is None:
+    structure, fit = analysis.structure, analysis.fit
+    if fit is None:
         return [inapplicable("einstein_fit", "no orthonormal frame in the manifest")]
-    try:
-        fit = einstein_like_fit(structure, analysis.ricci_mode)
-    except RankDeficientError as exc:
-        return [CheckOutcome("einstein_fit", FAIL, details="rank-deficient design: %s" % exc)]
-    constants = fit.constants
+    if isinstance(fit, RankDeficientError):
+        return [CheckOutcome("einstein_fit", FAIL, details="rank-deficient design: %s" % fit)]
+    a, b, c = fit.constants.a, fit.constants.b, fit.constants.c
     if not fit.ok:
         return [
             CheckOutcome(
@@ -355,26 +335,22 @@ def cmd_einstein_fit(analysis: Analysis, report: VerificationReport) -> list[Che
                 symbolic_zero=False,
                 residual=fit.residual,
                 details="best constants (%s, %s, %s) leave component %r = %s nonzero"
-                % (constants.a, constants.b, constants.c, fit.witness_index, fit.witness_residual),
+                % (a, b, c, fit.witness_index, fit.witness_residual),
             )
         ]
-    report.set_constant("a", constants.a)
-    report.set_constant("b", constants.b)
-    report.set_constant("c", constants.c)
-    outcome = CheckOutcome(
+    report.constants.update(a=a, b=b, c=c)
+    pair = analysis.soliton_constants()
+    soliton = SolitonData(structure.xi, *pair) if pair and analysis.potential_is_xi() else None
+    fitted = CheckOutcome(
         "einstein_fit",
         PASS,
         symbolic_zero=True,
         details="S = a g + b g(phi .,.) + c eta(x)eta with (a, b, c) = (%s, %s, %s) [%s]"
-        % (constants.a, constants.b, constants.c, analysis.ricci_mode),
+        % (a, b, c, analysis.ricci_mode),
     )
-    soliton = None
-    pair = analysis.soliton_constants()
-    if pair is not None and analysis.potential_is_xi():
-        soliton = SolitonData(structure.xi, pair[0], pair[1])
-    return [outcome] + einstein_like_suite(
+    return [fitted] + einstein_like_suite(
         structure,
-        constants,
+        fit.constants,
         analysis.ricci_mode,
         para_sasakian=analysis.para_sasakian(),
         soliton=soliton,
@@ -394,31 +370,23 @@ def cmd_soliton_check(analysis: Analysis, report: VerificationReport) -> list[Ch
                 "manifest must provide a potential and constants lambda, mu",
             )
         ]
-    lam, mu = pair
-    report.set_constant("lambda", lam)
-    report.set_constant("mu", mu)
-    residual = soliton_residual(structure, SolitonData(potential, lam, mu), analysis.ricci_mode)
-    zero = residual.is_zero()
-    outcomes = [
-        CheckOutcome(
-            "soliton_residual_zero",
-            PASS if zero else FAIL,
-            symbolic_zero=zero,
-            residual=residual,
-            details="1/2 L_V g + S + lambda g + mu eta(x)eta = 0 with "
-            "(lambda, mu) = (%s, %s) [%s]" % (lam, mu, analysis.ricci_mode),
-        )
-    ]
-    if analysis.potential_is_xi():
-        outcomes += xi_consequence_suite(
-            structure,
-            lam,
-            mu,
-            constants=analysis.fit_constants,
-            mode=analysis.ricci_mode,
-            para_sasakian=analysis.para_sasakian(),
-        )
-    return outcomes
+    (lam, mu), mode = pair, analysis.ricci_mode
+    report.constants.update({"lambda": lam, "mu": mu})
+    outcomes = run_checks([
+        Check("soliton_residual_zero", "1/2 L_V g + S + lambda g + mu eta(x)eta = 0 with "
+              "(lambda, mu) = (%s, %s) [%s]" % (lam, mu, mode),
+              soliton_residual(structure, SolitonData(potential, lam, mu), mode)),
+    ])
+    if not analysis.potential_is_xi():
+        return outcomes
+    return outcomes + xi_consequence_suite(
+        structure,
+        lam,
+        mu,
+        constants=analysis.fit_constants,
+        mode=mode,
+        para_sasakian=analysis.para_sasakian(),
+    )
 
 
 @_command
@@ -439,8 +407,7 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
         guard_seed=analysis.options.seed,
         guard_points=analysis.oracle_cfg.sample_count,
     )
-    report.set_constant("lambda", result.lam)
-    report.set_constant("mu", result.mu)
+    report.constants.update({"lambda": result.lam, "mu": result.mu})
     diag = ", ".join(
         str(c) if c is not None else str(e)
         for c, e in zip(result.frame_diagonal_constants, result.frame_diagonal)
@@ -479,65 +446,46 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
 def cmd_torse(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
     structure = analysis.structure
     torse = analysis.torse
-    report.set_constant("classification", torse.classification)
+    report.constants["classification"] = torse.classification
     details = "classification: %s" % torse.classification
     if torse.f is not None:
-        report.set_constant("f", torse.f)
-        report.set_constant("regular", torse.regular)
+        report.constants.update(f=torse.f, regular=torse.regular)
         details += "; f = %s; w = -f eta; regular = %s" % (torse.f, torse.regular)
     if torse.note:
         details += "; " + torse.note
     outcomes = [_note("torse_classification", details)]
 
+    constants, pair = analysis.fit_constants, analysis.soliton_constants()
     a_plus_lambda = None
-    constants = analysis.fit_constants
-    pair = analysis.soliton_constants()
-    forming = torse.classification != NOT_TORSE_FORMING and torse.f is not None
-    if forming and constants is not None and pair is not None:
+    if torse.forming and constants is not None and pair is not None:
         candidate = constants.a + pair[0]
         if (torse.f + candidate).is_symbolically_zero:
             a_plus_lambda = candidate
-    outcomes += curvature_from_torse_forming(
-        structure, torse, a_plus_lambda=a_plus_lambda, mode=analysis.ricci_mode
-    )
+    lam, mu = pair or (None, None)
 
-    if not (
-        forming
-        and torse.f.as_rational_constant() is not None
-        and constants is not None
-        and constants.b == 0
-        and pair is not None
-    ):
-        return outcomes + [
-            inapplicable(
-                "torse_constants_consistency",
-                "needs torse-forming xi with constant f, an eta-Einstein fit (b = 0) "
-                "and declared soliton constants",
-            )
-        ]
-    lam, mu = pair
-    data = SolitonData(structure.xi, lam, mu)
-    if not soliton_residual(structure, data, analysis.ricci_mode).is_zero():
-        return outcomes + [
-            inapplicable(
-                "torse_constants_consistency",
-                "soliton equation does not hold exactly at the declared constants",
-            )
-        ]
-    c_expected, mu_expected, check = torse_forming_constants(
-        constants.a, lam, structure.epsilon, structure.chart.dimension
-    )
-    consistent = check == 0 and c_expected == constants.c and mu_expected == mu
-    return outcomes + [
-        CheckOutcome(
-            "torse_constants_consistency",
-            PASS if consistent else FAIL,
-            symbolic_zero=consistent,
-            details="induced (c, mu) = (%s, %s) from (a, lambda) = (%s, %s); "
-            "fitted (c, mu) = (%s, %s); eps(a+lambda)+c+mu = %s"
-            % (c_expected, mu_expected, constants.a, lam, constants.c, mu, check),
+    def consistency() -> tuple:
+        c_expected, mu_expected, check = torse_forming_constants(
+            constants.a, lam, structure.epsilon, structure.chart.dimension
         )
-    ]
+        consistent = check == 0 and c_expected == constants.c and mu_expected == mu
+        return consistent, c_expected, mu_expected, constants.a, lam, constants.c, mu, check
+
+    return outcomes + curvature_from_torse_forming(
+        structure, torse, a_plus_lambda=a_plus_lambda, mode=analysis.ricci_mode
+    ) + run_checks(
+        [
+            Check("torse_constants_consistency",
+                  "induced (c, mu) = (%s, %s) from (a, lambda) = (%s, %s); "
+                  "fitted (c, mu) = (%s, %s); eps(a+lambda)+c+mu = %s",
+                  consistency, (ETA_EINSTEIN_TORSE, DECLARED_SOLITON), FACT),
+        ],
+        torse=torse,
+        constants=constants,
+        pair=pair,
+        declared_soliton=lambda: soliton_residual(
+            structure, SolitonData(structure.xi, lam, mu), analysis.ricci_mode
+        ),
+    )
 
 
 @_command
@@ -552,8 +500,7 @@ def cmd_collinear(analysis: Analysis, report: VerificationReport) -> list[CheckO
             )
         ]
     lam, mu = pair
-    report.set_constant("lambda", lam)
-    report.set_constant("mu", mu)
+    report.constants.update({"lambda": lam, "mu": mu})
     return collinear_potential_analysis(
         analysis.structure,
         spec.k_expr(analysis.manifest.chart),

@@ -1,24 +1,59 @@
-"""Check outcomes shared by the validation suites and the CLI reports.
+"""Check outcomes and the check table shared by the validation suites and the CLI reports.
 
 Every verification operation produces named outcomes carrying the symbolic
 residual itself, not just a boolean: near-misses in user-supplied structures
 are diagnosed from the residual's numeric size at sample points, which the
 CLI renders next to the symbolic verdict.
+
+A suite is a table of :class:`Check` rows (id, statement, residual, needs)
+run in order by :func:`run_checks`.  A :class:`Need` is a named
+precondition: a predicate over the facts the suite was given and the reason
+it reports, so a row whose hypotheses fail is inapplicable.  A row gives its
+residual built, or as a thunk that the runner calls only once the needs
+hold, when the residual's inputs exist only under the needs or building it
+would be wasted work otherwise.  Each row follows one rule:
+
+* ``IDENTITY`` passes iff the residual is zero; the statement is the details.
+* ``CLASSIFICATION`` always passes and records whether the residual is zero;
+  a statement pair reads (when zero, when not).
+* ``FACT`` passes iff an exact boolean holds: the residual is
+  ``(holds, *args)`` and the details are ``statement % args``.
+
+A residual is an ``Expr`` or ``TensorField``, whose numeric size the report
+samples, an exact rational, or a tuple of these that is zero when every one
+is (the report samples the first).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from types import SimpleNamespace
+from typing import Any, Callable, Union
 
 from .symexpr import Expr
 from .tensor import TensorField
 
-__all__ = ["CheckOutcome", "residual_outcome", "inapplicable", "PASS", "FAIL", "INAPPLICABLE"]
+__all__ = [
+    "CheckOutcome",
+    "Check",
+    "Need",
+    "run_checks",
+    "inapplicable",
+    "IDENTITY",
+    "CLASSIFICATION",
+    "FACT",
+    "PASS",
+    "FAIL",
+    "INAPPLICABLE",
+]
 
 PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
+
+IDENTITY = "identity"
+CLASSIFICATION = "classification"
+FACT = "fact"
 
 Residual = Union[Expr, TensorField, None]
 
@@ -39,26 +74,68 @@ class CheckOutcome:
     details: str = ""
     data: dict = field(default_factory=dict)
 
-    @property
-    def failed(self) -> bool:
-        return self.status == FAIL
+
+class Need:
+    """A precondition: a predicate over a suite's facts, and the reason reported when it fails."""
+
+    __slots__ = ("holds", "reason")
+
+    def __init__(self, holds: Callable[[Any], bool], reason: str):
+        self.holds, self.reason = holds, reason
 
 
-def residual_outcome(
-    check_id: str,
-    residual: Residual,
-    details: str = "",
-    classification: bool = False,
-) -> CheckOutcome:
-    """Build an outcome from a residual tensor/scalar.
+class Check:
+    """One table row: an identity, classification or fact with its hypotheses."""
 
-    Plain checks fail when the residual is not canonically zero;
-    classifications always pass and only record whether it vanished.
-    """
-    zero = residual.is_zero() if residual is not None else True
-    status = PASS if (zero or classification) else FAIL
-    return CheckOutcome(check_id, status, symbolic_zero=zero, residual=residual, details=details)
+    __slots__ = ("id", "statement", "residual", "needs", "rule")
+
+    def __init__(
+        self,
+        id: str,
+        statement: str | tuple[str, str],
+        residual: Any,
+        needs: tuple[Need, ...] = (),
+        rule: str = IDENTITY,
+    ):
+        self.id, self.statement, self.residual, self.needs, self.rule = (
+            id, statement, residual, needs, rule
+        )
 
 
 def inapplicable(check_id: str, details: str) -> CheckOutcome:
     return CheckOutcome(check_id, INAPPLICABLE, details=details)
+
+
+def run_checks(rows, **facts) -> list[CheckOutcome]:
+    """The outcomes of the rows in order; a ready ``CheckOutcome`` row is passed through."""
+    known = SimpleNamespace(**facts)
+    return [row if isinstance(row, CheckOutcome) else _run(row, known) for row in rows]
+
+
+def _run(row: Check, facts) -> CheckOutcome:
+    unmet = next((need for need in row.needs if not need.holds(facts)), None)
+    if unmet is not None:
+        return inapplicable(row.id, unmet.reason)
+    value = row.residual() if callable(row.residual) else row.residual
+    if row.rule == FACT:
+        holds, *args = value
+        details = row.statement % tuple(args)
+        return CheckOutcome(row.id, PASS if holds else FAIL, holds, details=details)
+    parts = value if isinstance(value, tuple) else (value,)
+    zero = all(p.is_zero() if isinstance(p, (Expr, TensorField)) else p == 0 for p in parts)
+    status = PASS if zero or row.rule == CLASSIFICATION else FAIL
+    details = row.statement if isinstance(row.statement, str) else row.statement[not zero]
+    return CheckOutcome(row.id, status, zero, _kept(parts[0], zero), details)
+
+
+def _kept(residual, zero: bool) -> Residual:
+    """The residual an outcome keeps for its numeric size, which the report samples later.
+
+    A zero residual keeps only its shape: one shared zero component instead
+    of n^rank distinct ones, which would stay alive until the report is built.
+    """
+    if isinstance(residual, TensorField):
+        return TensorField.zero(residual.chart, residual.p, residual.q) if zero else residual
+    if isinstance(residual, Expr):
+        return Expr.zero(residual.chart) if zero else residual
+    return None

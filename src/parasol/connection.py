@@ -31,7 +31,6 @@ from .tensor import Frame, Metric, TensorField, ValenceError, contract, partials
 
 __all__ = [
     "ConnectionData",
-    "CurvatureData",
     "RICCI_MODES",
     "christoffel",
     "covariant_derivative",
@@ -58,19 +57,6 @@ class ConnectionData:
     @property
     def chart(self) -> Chart:
         return self.gamma.chart
-
-
-@dataclass(frozen=True)
-class CurvatureData:
-    """Riemann and Ricci tensors of a metric, with the Ricci trace mode used."""
-
-    riemann: TensorField  # (1, 3): riem[l, i, j, k] = dx^l(R(d_i, d_j) d_k)
-    ricci: TensorField  # (0, 2)
-    ricci_mode: str
-
-    @property
-    def chart(self) -> Chart:
-        return self.riemann.chart
 
 
 def christoffel(metric: Metric) -> ConnectionData:
@@ -201,11 +187,12 @@ def scalar_curvature(ricci_tensor: TensorField, metric: Metric) -> Expr:
 
 
 def lie_derivative_two_ways(
-    metric: Metric, direction: TensorField, connection: ConnectionData
+    metric: Metric, direction: TensorField, nabla_direction: TensorField
 ) -> tuple[TensorField, TensorField]:
     """(L_V g) by the coordinate formula and by the connection formula.
 
-    Returns (V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k,
+    ``nabla_direction`` is nabla V, [k, i] = (nabla_i V)^k.  Returns
+    (V^k d_k g_ij + g_kj d_i V^k + g_ik d_j V^k,
     g(nabla_X V, Y) + g(X, nabla_Y V)); the two must agree symbolically and
     callers cross-check them, since the Lie derivative is the highest-risk
     term of the soliton residual.
@@ -215,8 +202,7 @@ def lie_derivative_two_ways(
     dv = partials(direction)  # dv[k, i] = d_i V^k
     g = metric.field
     via_coordinates = contract("k,ijk+kj,ki+ik,kj->ij", direction, partials(g), g, dv, g, dv)
-    nabla_v = covariant_derivative(direction, connection)  # (1, 1): nabla_v[k, i]
-    via_connection = contract("kj,ki+ik,kj->ij", g, nabla_v, g, nabla_v)
+    via_connection = contract("kj,ki+ik,kj->ij", g, nabla_direction, g, nabla_direction)
     return via_coordinates, via_connection
 
 
@@ -224,7 +210,9 @@ def lie_derivative_metric(
     metric: Metric, direction: TensorField, connection: ConnectionData
 ) -> TensorField:
     """(L_V g)(X, Y); both formulas are computed and required to agree."""
-    via_coordinates, via_connection = lie_derivative_two_ways(metric, direction, connection)
+    via_coordinates, via_connection = lie_derivative_two_ways(
+        metric, direction, covariant_derivative(direction, connection)
+    )
     if not (via_coordinates - via_connection).is_zero():
         raise InvariantError("Lie derivative formulas disagree")
     return via_coordinates

@@ -49,28 +49,25 @@ class PotentialSpec:
     """Potential vector field: xi itself, k*xi, or explicit components."""
 
     kind: str  # "xi" | "collinear" | "components"
-    k_source: str | None = None
-    component_sources: list[str] | None = None
+    k: Expr | None = None
+    components: list[Expr] | None = None
 
     def k_expr(self, chart: Chart) -> Expr:
         if self.kind == "xi":
             return Expr.one(chart)
         if self.kind == "collinear":
-            return parse(self.k_source, chart)
+            return self.k
         raise ManifestError("potential is not collinear with xi")
 
     def vector(self, structure: ParacontactStructure) -> TensorField:
-        chart = structure.chart
         if self.kind == "xi":
             return structure.xi
         if self.kind == "collinear":
-            k = parse(self.k_source, chart)
-            return structure.xi.map(lambda comp: k * comp)
-        comps = [parse(src, chart) for src in self.component_sources]
-        return TensorField.vector(chart, comps)
+            return structure.xi.map(lambda comp: self.k * comp)
+        return TensorField.vector(structure.chart, self.components)
 
     @classmethod
-    def from_value(cls, value, dimension: int) -> "PotentialSpec":
+    def from_value(cls, value, chart: Chart) -> "PotentialSpec":
         if isinstance(value, str):
             text = value.strip()
             if text == "xi":
@@ -79,17 +76,27 @@ class PotentialSpec:
                 prefix = text[: -len("*xi")].strip()
                 if not prefix:
                     raise ManifestError("potential: empty factor in 'k*xi' form")
-                return cls("collinear", k_source=prefix)
+                return cls("collinear", k=_parse(prefix, chart, "potential"))
             raise ManifestError(
                 "potential string must be 'xi' or '<expr>*xi', got %r" % value
             )
         if isinstance(value, list):
-            if len(value) != dimension:
+            if len(value) != chart.dimension:
                 raise ManifestError(
-                    "potential needs %d components, got %d" % (dimension, len(value))
+                    "potential needs %d components, got %d" % (chart.dimension, len(value))
                 )
-            return cls("components", component_sources=[str(v) for v in value])
+            return cls(
+                "components",
+                components=[_parse(v, chart, "potential[%d]" % i) for i, v in enumerate(value)],
+            )
         raise ManifestError("potential must be a string or a list of expressions")
+
+
+def _parse(source, chart: Chart, where: str) -> Expr:
+    try:
+        return parse(str(source), chart)
+    except ExprError as exc:
+        raise ManifestError("%s: %s" % (where, exc)) from None
 
 
 def _as_fraction(value, where: str) -> Fraction:
@@ -115,13 +122,7 @@ def _parse_matrix(rows, chart: Chart, where: str) -> list[list[Expr]]:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ManifestError("%s row %d must have %d entries" % (where, i, n))
-        parsed = []
-        for j, source in enumerate(row):
-            try:
-                parsed.append(parse(str(source), chart))
-            except ExprError as exc:
-                raise ManifestError("%s[%d][%d]: %s" % (where, i, j, exc)) from None
-        out.append(parsed)
+        out.append([_parse(v, chart, "%s[%d][%d]" % (where, i, j)) for j, v in enumerate(row)])
     return out
 
 
@@ -129,13 +130,7 @@ def _parse_vector(entries, chart: Chart, where: str) -> list[Expr]:
     n = chart.dimension
     if not isinstance(entries, list) or len(entries) != n:
         raise ManifestError("%s must be a list of %d expressions" % (where, n))
-    out = []
-    for i, source in enumerate(entries):
-        try:
-            out.append(parse(str(source), chart))
-        except ExprError as exc:
-            raise ManifestError("%s[%d]: %s" % (where, i, exc)) from None
-    return out
+    return [_parse(source, chart, "%s[%d]" % (where, i)) for i, source in enumerate(entries)]
 
 
 @dataclass
@@ -252,18 +247,7 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> Manifest:
 
     potential = None
     if data.get("potential") is not None:
-        potential = PotentialSpec.from_value(data["potential"], n)
-        if potential.kind == "components":
-            for i, source in enumerate(potential.component_sources):
-                try:
-                    parse(source, chart)
-                except ExprError as exc:
-                    raise ManifestError("potential[%d]: %s" % (i, exc)) from None
-        elif potential.kind == "collinear":
-            try:
-                parse(potential.k_source, chart)
-            except ExprError as exc:
-                raise ManifestError("potential: %s" % exc) from None
+        potential = PotentialSpec.from_value(data["potential"], chart)
 
     constants: dict[str, Fraction] = {}
     raw_constants = data.get("constants", {})

@@ -18,6 +18,13 @@ The para-Sasakian condition and its curvature consequences:
     eta(R(X, Y) Z) = -eps eta(X) g(Y, Z) + eps eta(Y) g(X, Z)
     S(X, xi) = -(n - 1) eta(X)
 
+Each suite is a :func:`~parasol.checks.run_checks` table, one row per
+identity with its residual; the implications between rows (the last two
+axioms follow from the first two, and so on) are asserted after the table
+runs.  The structure caches its connection, curvature and the derived
+tensors the suites share (nabla phi, nabla xi, Q, nabla S, nabla Q, ...), so
+each is built once per run.
+
 An invalid structure is representable; the validators flag it rather than
 refuse to construct it.  A declared epsilon that disagrees with g(xi, xi)
 is a hard error, because every later formula branches on it.
@@ -28,11 +35,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .checks import CheckOutcome, PASS, residual_outcome
+from .checks import Check, CheckOutcome, PASS, run_checks
 from .chart import Chart
 from .connection import (
     ConnectionData,
-    CurvatureData,
     PAPER_FRAME_SUM,
     WEIGHTED_TRACE,
     christoffel,
@@ -41,7 +47,7 @@ from .connection import (
     ricci,
     riemann,
 )
-from .symexpr import Expr, InvariantError
+from .symexpr import InvariantError
 from .tensor import Frame, Metric, TensorField, contract, kronecker
 
 __all__ = [
@@ -111,9 +117,6 @@ class ParacontactStructure:
         self.epsilon = detected
         self.frame = frame
         self._cache: dict[object, object] = {}
-        # id(V) -> (V, coordinate formula, connection formula); holding V keeps its id unique
-        self._lie: dict[int, tuple[TensorField, TensorField, TensorField]] = {}
-        self._lie_checked: set[int] = set()
 
     def _cached(self, key, build: Callable[[], object]):
         if key not in self._cache:
@@ -134,28 +137,32 @@ class ParacontactStructure:
             ("ricci", mode), lambda: ricci(self.riemann(), mode, metric=self.metric, frame=frame)
         )
 
-    def curvature(self, mode: str = WEIGHTED_TRACE) -> CurvatureData:
-        return CurvatureData(riemann=self.riemann(), ricci=self.ricci(mode), ricci_mode=mode)
-
     def lie_derivative_two_ways(self, direction: TensorField) -> tuple[TensorField, TensorField]:
         """(L_V g) by the coordinate and by the connection formula, once per direction field.
 
         The cache is keyed by the field object: pass the same ``TensorField``
         to reuse the result.
         """
-        cached = self._lie.get(id(direction))
-        if cached is None:
-            pair = lie_derivative_two_ways(self.metric, direction, self.connection())
-            cached = self._lie[id(direction)] = (direction, *pair)
-        return cached[1], cached[2]
+
+        def build() -> tuple[TensorField, TensorField, TensorField]:
+            nabla = (
+                self.nabla_xi()
+                if direction is self.xi
+                else covariant_derivative(direction, self.connection())
+            )
+            # holding V keeps id(V) unique for as long as the entry lives
+            return direction, *lie_derivative_two_ways(self.metric, direction, nabla)
+
+        return self._cached(("L g", id(direction)), build)[1:]
 
     def lie_derivative(self, direction: TensorField) -> TensorField:
         """L_V g; the two formulas are compared once per direction and must agree."""
         via_coordinates, via_connection = self.lie_derivative_two_ways(direction)
-        if id(direction) not in self._lie_checked:
-            if not (via_coordinates - via_connection).is_zero():
-                raise InvariantError("Lie derivative formulas disagree")
-            self._lie_checked.add(id(direction))
+        agree = self._cached(
+            ("L g agrees", id(direction)), lambda: (via_coordinates - via_connection).is_zero()
+        )
+        if not agree:
+            raise InvariantError("Lie derivative formulas disagree")
         return via_coordinates
 
     def lie_xi_metric(self) -> TensorField:
@@ -180,6 +187,19 @@ class ParacontactStructure:
         """nabla xi[k, i] = (nabla_i xi)^k."""
         return self._cached("nabla xi", lambda: covariant_derivative(self.xi, self.connection()))
 
+    def ricci_derivatives(self, mode: str = WEIGHTED_TRACE) -> tuple[TensorField, ...]:
+        """(Q, nabla S, nabla Q) for the Ricci operator Q, g(QX, Y) = S(X, Y).
+
+        nabla S[j, k, i] = (nabla_i S)(d_j, d_k), nabla Q[k, j, i] = ((nabla_i Q) d_j)^k.
+        """
+
+        def build() -> tuple[TensorField, ...]:
+            q = self.metric.raise_index(self.ricci(mode), 0)
+            conn = self.connection()
+            return q, covariant_derivative(self.ricci(mode), conn), covariant_derivative(q, conn)
+
+        return self._cached(("Q, nabla S, nabla Q", mode), build)
+
     def r_into_xi(self) -> TensorField:
         """R(., .) xi: [k, i, j] = (R(d_i, d_j) xi)^k."""
         return self._cached("R(., .) xi", lambda: contract("kijm,m->kij", self.riemann(), self.xi))
@@ -197,9 +217,6 @@ class ParacontactStructure:
             raise StructureError("structure carries no frame")
         return self.frame.orthonormal_signs(self.metric)
 
-    def eta_of(self, vector: TensorField) -> Expr:
-        return contract("i,i->", self.eta, vector)
-
     def eta_tensor_eta(self) -> TensorField:
         return contract("i,j->ij", self.eta, self.eta)
 
@@ -207,6 +224,12 @@ class ParacontactStructure:
 # ---------------------------------------------------------------------------
 # validation suites
 # ---------------------------------------------------------------------------
+
+
+def _require_implied(premises: list[CheckOutcome], implied: list[CheckOutcome], what: str) -> None:
+    """An implication the algebra guarantees: its failure is a canonicalization bug."""
+    if all(o.status == PASS for o in premises) and any(o.status != PASS for o in implied):
+        raise InvariantError(what)
 
 
 def validate_axioms(structure: ParacontactStructure) -> list[CheckOutcome]:
@@ -220,18 +243,18 @@ def validate_axioms(structure: ParacontactStructure) -> list[CheckOutcome]:
     return list(structure._cached("axioms", lambda: _axiom_outcomes(structure)))
 
 
-def _axiom_outcomes(structure: ParacontactStructure) -> list[CheckOutcome]:
-    phi, xi, eta = structure.phi, structure.xi, structure.eta
-    phi_square = structure.phi_squared() - kronecker(structure.chart) + contract("i,j->ij", xi, eta)
-    outcomes = [
-        residual_outcome("axiom_phi_square", phi_square, "phi^2 = I - eta (x) xi"),
-        residual_outcome("axiom_eta_xi", structure.eta_of(xi) - 1, "eta(xi) = 1"),
-        residual_outcome("axiom_phi_xi", contract("km,m->k", phi, xi), "phi(xi) = 0"),
-        residual_outcome("axiom_eta_phi", contract("m,mi->i", eta, phi), "eta o phi = 0"),
-    ]
-    if outcomes[0].status == PASS and outcomes[1].status == PASS:
-        if outcomes[2].status != PASS or outcomes[3].status != PASS:
-            raise InvariantError("phi^2 and eta(xi) axioms hold but an implied axiom failed")
+def _axiom_outcomes(s: ParacontactStructure) -> list[CheckOutcome]:
+    phi, xi, eta = s.phi, s.xi, s.eta
+    outcomes = run_checks([
+        Check("axiom_phi_square", "phi^2 = I - eta (x) xi",
+              s.phi_squared() - kronecker(s.chart) + contract("i,j->ij", xi, eta)),
+        Check("axiom_eta_xi", "eta(xi) = 1", contract("i,i->", eta, xi) - 1),
+        Check("axiom_phi_xi", "phi(xi) = 0", contract("km,m->k", phi, xi)),
+        Check("axiom_eta_phi", "eta o phi = 0", contract("m,mi->i", eta, phi)),
+    ])
+    _require_implied(
+        outcomes[:2], outcomes[2:], "phi^2 and eta(xi) axioms hold but an implied axiom failed"
+    )
     return outcomes
 
 
@@ -243,30 +266,21 @@ def validate_metric_compat(structure: ParacontactStructure) -> list[CheckOutcome
     return list(structure._cached("compat", lambda: _compat_outcomes(structure)))
 
 
-def _compat_outcomes(structure: ParacontactStructure) -> list[CheckOutcome]:
-    g, phi, xi, eta = structure.metric.field, structure.phi, structure.xi, structure.eta
-    eps_eta = eta.scale(structure.epsilon)
-    outcomes = [
-        residual_outcome(
-            "compat_metric_phi",
-            structure.g_phi_phi() - g + contract("i,j->ij", eps_eta, eta),
-            "g(phi X, phi Y) = g(X, Y) - eps eta(X) eta(Y)",
-        ),
-        residual_outcome(
-            "compat_metric_xi", contract("im,m->i", g, xi) - eps_eta, "g(X, xi) = eps eta(X)"
-        ),
-        residual_outcome(
-            "compat_phi_transpose",
-            contract("im,mj-mj,mi->ij", g, phi, g, phi),
-            "g(X, phi Y) = g(phi X, Y)",
-        ),
-    ]
-    axioms_pass = all(o.status == PASS for o in validate_axioms(structure))
-    if axioms_pass and outcomes[0].status == PASS:
-        if outcomes[1].status != PASS or outcomes[2].status != PASS:
-            raise InvariantError(
-                "first compatibility identity holds but an implied identity failed"
-            )
+def _compat_outcomes(s: ParacontactStructure) -> list[CheckOutcome]:
+    g, phi, xi, eta = s.metric.field, s.phi, s.xi, s.eta
+    eps_eta = eta.scale(s.epsilon)
+    outcomes = run_checks([
+        Check("compat_metric_phi", "g(phi X, phi Y) = g(X, Y) - eps eta(X) eta(Y)",
+              s.g_phi_phi() - g + contract("i,j->ij", eps_eta, eta)),
+        Check("compat_metric_xi", "g(X, xi) = eps eta(X)", contract("im,m->i", g, xi) - eps_eta),
+        Check("compat_phi_transpose", "g(X, phi Y) = g(phi X, Y)",
+              contract("im,mj-mj,mi->ij", g, phi, g, phi)),
+    ])
+    _require_implied(
+        validate_axioms(s) + outcomes[:1],
+        outcomes[1:],
+        "first compatibility identity holds but an implied identity failed",
+    )
     return outcomes
 
 
@@ -292,75 +306,42 @@ def is_para_sasakian(structure: ParacontactStructure) -> list[CheckOutcome]:
     return list(structure._cached("para-Sasakian", lambda: _para_sasakian_outcomes(structure)))
 
 
-def _para_sasakian_outcomes(structure: ParacontactStructure) -> list[CheckOutcome]:
-    phi, xi, eta = structure.phi, structure.xi, structure.eta
-    eps = Fraction(structure.epsilon)
-    # X = d_i, Y = d_j: (nabla_i phi) d_j + g(phi d_i, phi d_j) xi + eps eta_j phi^2 d_i
-    nabla_phi_residual = contract(
-        "kji+ij,k+j,ki->kij",
-        structure.nabla_phi(),
-        structure.g_phi_phi(),
-        xi,
-        eta.scale(eps),
-        structure.phi_squared(),
+def _para_sasakian_outcomes(s: ParacontactStructure) -> list[CheckOutcome]:
+    eps = Fraction(s.epsilon)
+    outcomes = run_checks([
+        # X = d_i, Y = d_j: (nabla_i phi) d_j + g(phi d_i, phi d_j) xi + eps eta_j phi^2 d_i
+        Check("para_sasakian_nabla_phi",
+              "(nabla_X phi)Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X",
+              contract("kji+ij,k+j,ki->kij", s.nabla_phi(), s.g_phi_phi(), s.xi,
+                       s.eta.scale(eps), s.phi_squared())),
+        Check("para_sasakian_nabla_xi", "nabla xi = eps phi", s.nabla_xi() - s.phi.scale(eps)),
+    ])
+    _require_implied(
+        outcomes[:1], outcomes[1:], "para-Sasakian condition holds but nabla xi = eps phi failed"
     )
-    outcomes = [
-        residual_outcome(
-            "para_sasakian_nabla_phi",
-            nabla_phi_residual,
-            "(nabla_X phi)Y = -g(phi X, phi Y) xi - eps eta(Y) phi^2 X",
-        ),
-        residual_outcome(
-            "para_sasakian_nabla_xi", structure.nabla_xi() - phi.scale(eps), "nabla xi = eps phi"
-        ),
-    ]
-    if outcomes[0].status == PASS:
-        if outcomes[1].status != PASS:
-            raise InvariantError("para-Sasakian condition holds but nabla xi = eps phi failed")
     return outcomes
 
 
-def sasakian_identity_suite(
-    structure: ParacontactStructure, curvature: CurvatureData
-) -> list[CheckOutcome]:
-    """The four para-Sasakian curvature identities (weighted-trace Ricci).
+def sasakian_identity_suite(structure: ParacontactStructure) -> list[CheckOutcome]:
+    """The four para-Sasakian curvature identities and nabla_xi xi = 0.
 
-    ``curvature`` is the structure's own (``structure.curvature()``); the
-    residuals come from the derived tensors the structure caches.
+    The residuals use the structure's own curvature (weighted-trace Ricci)
+    and the derived tensors it caches.
     """
-    if curvature.ricci_mode != WEIGHTED_TRACE:
-        raise StructureError(
-            "the para-Sasakian identity suite requires the weighted-trace Ricci; "
-            "got %r" % curvature.ricci_mode
-        )
-    n = structure.chart.dimension
-    g, xi, eta = structure.metric.field, structure.xi, structure.eta
-    eps = Fraction(structure.epsilon)
-    delta = kronecker(structure.chart)
+    s, n = structure, structure.chart.dimension
+    g, xi, eta = s.metric.field, s.xi, s.eta
+    eps = Fraction(s.epsilon)
+    delta = kronecker(s.chart)
     eps_eta = eta.scale(eps)
-    eta_r = contract("k,kijm->ijm", eta, curvature.riemann)
-    return [
-        residual_outcome(
-            "ps_identity_r_xy_xi",
-            contract("kij-i,kj+j,ki->kij", structure.r_into_xi(), eta, delta, eta, delta),
-            "R(X, Y) xi = eta(X) Y - eta(Y) X",
-        ),
-        residual_outcome(
-            "ps_identity_r_xi_x",
-            contract("kij+ij,k-j,ki->kij", structure.r_xi(), g.scale(eps), xi, eta, delta),
-            "R(xi, X) Y = -eps g(X, Y) xi + eta(Y) X",
-        ),
-        residual_outcome(
-            "ps_identity_eta_r",
-            contract("ijm+i,jm-j,im->ijm", eta_r, eps_eta, g, eps_eta, g),
-            "eta(R(X, Y) Z) = -eps eta(X) g(Y, Z) + eps eta(Y) g(X, Z)",
-        ),
-        residual_outcome(
-            "ps_identity_s_xi",
-            structure.ricci_xi(WEIGHTED_TRACE) + eta.scale(n - 1),
-            "S(X, xi) = -(n - 1) eta(X)",
-        ),
-        residual_outcome(
-            "xi_geodesic", contract("c,kc->k", xi, structure.nabla_xi()), "nabla_xi xi = 0"
-        ),
-    ]
+    return run_checks([
+        Check("ps_identity_r_xy_xi", "R(X, Y) xi = eta(X) Y - eta(Y) X",
+              contract("kij-i,kj+j,ki->kij", s.r_into_xi(), eta, delta, eta, delta)),
+        Check("ps_identity_r_xi_x", "R(xi, X) Y = -eps g(X, Y) xi + eta(Y) X",
+              contract("kij+ij,k-j,ki->kij", s.r_xi(), g.scale(eps), xi, eta, delta)),
+        Check("ps_identity_eta_r", "eta(R(X, Y) Z) = -eps eta(X) g(Y, Z) + eps eta(Y) g(X, Z)",
+              contract("ijm+i,jm-j,im->ijm", contract("k,kijm->ijm", eta, s.riemann()),
+                       eps_eta, g, eps_eta, g)),
+        Check("ps_identity_s_xi", "S(X, xi) = -(n - 1) eta(X)",
+              s.ricci_xi(WEIGHTED_TRACE) + eta.scale(n - 1)),
+        Check("xi_geodesic", "nabla_xi xi = 0", contract("c,kc->k", xi, s.nabla_xi())),
+    ])

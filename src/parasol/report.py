@@ -73,18 +73,6 @@ def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> flo
     return _round_float(worst) if math.isfinite(worst) else None
 
 
-def entry_from_outcome(
-    outcome: CheckOutcome, points: list[Mapping[str, float]]
-) -> CheckEntry:
-    return CheckEntry(
-        id=outcome.id,
-        status=outcome.status,
-        symbolic_zero=outcome.symbolic_zero,
-        numeric_max=residual_numeric_max(outcome.residual, points),
-        details=outcome.details,
-    )
-
-
 def _constant_str(value) -> str | None:
     if value is None:
         return None
@@ -104,17 +92,13 @@ class VerificationReport:
     checks: list[CheckEntry] = field(default_factory=list)
     constants: dict = field(default_factory=dict)
 
-    def add(self, entry: CheckEntry) -> None:
-        self.checks.append(entry)
-
     def extend_outcomes(
         self, outcomes: Iterable[CheckOutcome], points: list[Mapping[str, float]]
     ) -> None:
-        for outcome in outcomes:
-            self.add(entry_from_outcome(outcome, points))
-
-    def set_constant(self, key: str, value) -> None:
-        self.constants[key] = value
+        """One entry per outcome, with the residual's largest value over the points."""
+        for o in outcomes:
+            numeric_max = residual_numeric_max(o.residual, points)
+            self.checks.append(CheckEntry(o.id, o.status, o.symbolic_zero, numeric_max, o.details))
 
     @property
     def exit_code(self) -> int:

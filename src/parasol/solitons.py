@@ -19,7 +19,12 @@ potential analysis, Ricci semi-symmetry, and parallel symmetric (0,2)
 tensor analysis with the soliton constant lambda = -(a + eps (c + mu)).
 
 Theorem verifiers never assert a conclusion from a hypothesis: both sides
-are evaluated and the implication status is reported.
+are evaluated and the implication status is reported.  Each suite is a
+:func:`~parasol.checks.run_checks` table whose rows name their hypotheses as
+needs (``PARA_SASAKIAN``, ``EL_CONSTANTS``, ``TORSE_FORMING``, ...), defined
+once below with the reason an unmet one reports.  The soliton link and the
+"Codazzi forces c = 0" instance follow none of the table's rules and are
+written out by hand.
 """
 
 from __future__ import annotations
@@ -29,7 +34,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import CheckOutcome, FAIL, PASS, inapplicable, residual_outcome
+from .checks import (
+    CLASSIFICATION,
+    FACT,
+    FAIL,
+    PASS,
+    Check,
+    CheckOutcome,
+    Need,
+    inapplicable,
+    run_checks,
+)
 from .connection import (
     WEIGHTED_TRACE,
     covariant_derivative,
@@ -124,40 +139,62 @@ class TorseFormingData:
     regularity: Expr | None = None  # f^2 + xi(f)
     note: str = ""
 
+    @property
+    def forming(self) -> bool:
+        return self.classification != NOT_TORSE_FORMING and self.f is not None
+
+
+# the hypotheses of the theorem instances, over the facts each suite passes to run_checks
+PARA_SASAKIAN = Need(lambda h: h.para_sasakian, "structure is not para-Sasakian")
+EL_CONSTANTS = Need(lambda h: h.constants is not None, "no Einstein-like constants available")
+SOLITON = Need(lambda h: h.soliton is not None, "no soliton constants supplied")
+TORSE_FORMING = Need(lambda h: h.torse.forming, "xi is not torse-forming")
+SOLITON_FIT = Need(lambda h: h.a_plus_lambda is not None, "no eta-Einstein soliton fit supplied")
+PARALLEL = Need(lambda h: h.parallel, "alpha is not parallel")
+PROPORTIONALITY_HYPOTHESES = Need(
+    lambda h: h.para_sasakian
+    or (h.torse is not None and h.torse.forming and bool(h.torse.regular)),
+    "structure is neither para-Sasakian nor regular torse-forming",
+)
+
 
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers
 # ---------------------------------------------------------------------------
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction], rows_for_error) -> list[Fraction]:
-    """Gaussian elimination over the rationals."""
-    n = len(matrix)
-    work = [list(row) + [value] for row, value in zip(matrix, rhs)]
+def solve_normal_equations(
+    rows: list[list[Fraction]], rhs: list[Fraction]
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Exact least squares min ||A x - b||: returns (x, A^T A).
+
+    The normal equations are solved by Gaussian elimination over the rationals.
+    """
+    n = len(rows[0])
+    normal = [[sum(row[i] * row[j] for row in rows) for j in range(n)] for i in range(n)]
+    target = [sum(row[i] * value for row, value in zip(rows, rhs)) for i in range(n)]
+    work = [list(row) + [value] for row, value in zip(normal, target)]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot_row is None:
-            raise RankDeficientError("normal equations are rank deficient", rows_for_error)
+            raise RankDeficientError("normal equations are rank deficient", rows)
         work[col], work[pivot_row] = work[pivot_row], work[col]
         pivot = work[col][col]
         for r in range(n):
             if r != col and work[r][col] != 0:
                 factor = work[r][col] / pivot
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [work[i][n] / work[i][i] for i in range(n)]
+    return [work[i][n] / work[i][i] for i in range(n)], normal
 
 
-def solve_normal_equations(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact least squares min ||A x - b||: returns (x, A^T A)."""
-    unknowns = len(rows[0])
-    normal = [
-        [sum(row[i] * row[j] for row in rows) for j in range(unknowns)]
-        for i in range(unknowns)
+def _frame_components(structure: ParacontactStructure, tensors) -> list[tuple[Expr, ...]]:
+    """(T(E_i, E_j) for each tensor T) for every frame pair i <= j, in row-major order."""
+    frame = structure.frame.vectors
+    return [
+        tuple(contract("ij,i,j->", t, ei, ej) for t in tensors)
+        for i, ei in enumerate(frame)
+        for ej in frame[i:]
     ]
-    target = [sum(row[i] * value for row, value in zip(rows, rhs)) for i in range(unknowns)]
-    return _solve_exact(normal, target, rows), normal
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +237,13 @@ def solve_soliton_constants(
         raise ValenceError("solving soliton constants requires an orthonormal frame")
     structure.frame_signs()
     chart = structure.chart
-    n = chart.dimension
     base = chart.base_point
 
     lie = structure.lie_derivative(potential)
     b_tensor = lie.scale(Expr.constant(chart, "1/2")) + structure.ricci(mode)
     g_field = structure.metric.field
     eta_eta = structure.eta_tensor_eta()
-
-    pair_exprs: list[tuple[Expr, Expr, Expr]] = []
-    for i in range(n):
-        for j in range(i, n):
-            ei, ej = structure.frame[i], structure.frame[j]
-            pair_exprs.append(
-                tuple(contract("ij,i,j->", t, ei, ej) for t in (g_field, eta_eta, b_tensor))
-            )
+    pair_exprs = _frame_components(structure, (g_field, eta_eta, b_tensor))
     try:
         rows = [[ge.evaluate_exact(base), ee.evaluate_exact(base)] for ge, ee, _ in pair_exprs]
         rhs = [-be.evaluate_exact(base) for _, _, be in pair_exprs]
@@ -285,27 +314,17 @@ def einstein_like_fit(
     if structure.frame is None:
         raise ValenceError("einstein_like_fit requires an orthonormal frame")
     structure.frame_signs()
-    chart = structure.chart
-    n = chart.dimension
-    base = chart.base_point
+    base = structure.chart.base_point
     if ricci_tensor is None:
         ricci_tensor = structure.ricci(mode)
     g_field = structure.metric.field
     phi_flat = contract("mj,mi->ij", g_field, structure.phi)  # g(phi X, Y)
     eta_eta = structure.eta_tensor_eta()
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(n):
-        for j in range(i, n):
-            ei, ej = structure.frame[i], structure.frame[j]
-            *row, value = (
-                contract("ij,i,j->", t, ei, ej).evaluate_exact(base)
-                for t in (g_field, phi_flat, eta_eta, ricci_tensor)
-            )
-            rows.append(row)
-            rhs.append(value)
-    solution, _ = solve_normal_equations(rows, rhs)
+    values = [
+        [e.evaluate_exact(base) for e in pair]
+        for pair in _frame_components(structure, (g_field, phi_flat, eta_eta, ricci_tensor))
+    ]
+    solution, _ = solve_normal_equations([v[:3] for v in values], [v[3] for v in values])
     constants = EinsteinLikeConstants(*solution)
     residual = (
         ricci_tensor
@@ -340,166 +359,83 @@ def einstein_like_suite(
     classification, together with the theorem instance "Codazzi and f != 0
     force c = 0" whenever its hypothesis can be evaluated.
     """
-    n = structure.chart.dimension
-    eps = Fraction(structure.epsilon)
+    s, n = structure, structure.chart.dimension
+    eps = Fraction(s.epsilon)
     a, b, c = constants.a, constants.b, constants.c
-    metric, phi, xi, eta = structure.metric, structure.phi, structure.xi, structure.eta
-    g = metric.field
-    conn = structure.connection()
-    ricci_tensor = structure.ricci(mode)
+    g, phi, xi, eta = s.metric.field, s.phi, s.xi, s.eta
+    ricci_tensor = s.ricci(mode)
     eps_a_c = eps * a + c
-    nabla_phi = structure.nabla_phi()  # [m, j, i]
-    nabla_xi = structure.nabla_xi()  # [m, i]
+    nabla_phi = s.nabla_phi()  # [m, j, i]
+    nabla_xi = s.nabla_xi()  # [m, i]
     nabla_xi_flat = contract("mk,mi->ik", g, nabla_xi)  # [i, k] = g(nabla_i xi, d_k)
-    q_operator = metric.raise_index(ricci_tensor, 0)
-    nabla_q = covariant_derivative(q_operator, conn)  # [m, j, i]
-    # X = d_i, Y = d_j, Z = d_k
-    nabla_s_residual = contract(
-        "jki-mk,mji->ijk", covariant_derivative(ricci_tensor, conn), g.scale(b), nabla_phi
-    ) - contract("j,ik+k,ij->ijk", eta, nabla_xi_flat, eta, nabla_xi_flat).scale(eps * c)
-    nabla_q_residual = contract("mji-mji->mij", nabla_q, nabla_phi.scale(b)) - contract(
-        "j,mi+ij,m->mij", eta, nabla_xi, nabla_xi_flat.scale(eps), xi
-    ).scale(eps * c)
-
-    outcomes = [
-        residual_outcome(
-            "el_eq_phi_symmetry",
-            contract("mj,mi-im,mj->ij", ricci_tensor, phi, ricci_tensor, phi),
-            "S(phi X, Y) = S(X, phi Y)",
-        ),
-        residual_outcome(
-            "el_eq_phi_phi",
-            contract("uv,ui,vj->ij", ricci_tensor, phi, phi)
-            - ricci_tensor
-            + contract("i,j->ij", eta.scale(eps_a_c), eta),
-            "S(phi X, phi Y) = S(X, Y) - (eps a + c) eta(X) eta(Y)",
-        ),
-        residual_outcome(
-            "el_eq_s_xi",
-            structure.ricci_xi(mode) - eta.scale(eps_a_c),
-            "S(X, xi) = (eps a + c) eta(X)",
-        ),
-        residual_outcome(
-            "el_eq_s_xi_xi",
-            contract("ij,i,j->", ricci_tensor, xi, xi) - eps_a_c,
-            "S(xi, xi) = eps a + c",
-        ),
-        residual_outcome(
-            "el_eq_nabla_s",
-            nabla_s_residual,
-            "(nabla_X S)(Y, Z) = b g((nabla_X phi)Y, Z) "
-            "+ eps c {eta(Y) g(nabla_X xi, Z) + eta(Z) g(nabla_X xi, Y)}",
-        ),
-        residual_outcome(
-            "el_eq_nabla_q",
-            nabla_q_residual,
-            "(nabla_X Q)Y = b (nabla_X phi)Y "
-            "+ eps c {eta(Y) nabla_X xi + eps g(nabla_X xi, Y) xi}",
-        ),
-    ]
-
-    if para_sasakian:
-        trace_value = eps_a_c - (1 - n)
-        outcomes.append(
-            CheckOutcome(
-                "el_eq_trace",
-                PASS if trace_value == 0 else FAIL,
-                symbolic_zero=trace_value == 0,
-                details="eps a + c = 1 - n (value %s, expected %s)" % (eps_a_c, 1 - n),
-            )
-        )
-        scalar = scalar_curvature(ricci_tensor, metric)
-        expected = Fraction(n) * a + b * phi.trace() + eps * c
-        outcomes.append(
-            residual_outcome(
-                "el_eq_scalar",
-                scalar - expected,
-                "r = n a + b trace(phi) + eps c",
-            )
-        )
-    else:
-        outcomes.append(
-            inapplicable("el_eq_trace", "structure is not para-Sasakian")
-        )
-        outcomes.append(
-            inapplicable("el_eq_scalar", "structure is not para-Sasakian")
-        )
-
-    codazzi_residual = contract("mkj-mjk->mjk", nabla_q, nabla_q)
-    codazzi_zero = codazzi_residual.is_zero()
-    outcomes.append(
-        CheckOutcome(
-            "el_codazzi",
-            PASS,
-            symbolic_zero=codazzi_zero,
-            residual=codazzi_residual,
-            details="Ricci operator is Codazzi" if codazzi_zero else "Ricci operator is not Codazzi",
-        )
+    _, nabla_s, nabla_q = s.ricci_derivatives(mode)  # [j, k, i] and [m, j, i]
+    outcomes = run_checks([
+        Check("el_eq_phi_symmetry", "S(phi X, Y) = S(X, phi Y)",
+              contract("mj,mi-im,mj->ij", ricci_tensor, phi, ricci_tensor, phi)),
+        Check("el_eq_phi_phi", "S(phi X, phi Y) = S(X, Y) - (eps a + c) eta(X) eta(Y)",
+              contract("uv,ui,vj->ij", ricci_tensor, phi, phi)
+              - ricci_tensor
+              + contract("i,j->ij", eta.scale(eps_a_c), eta)),
+        Check("el_eq_s_xi", "S(X, xi) = (eps a + c) eta(X)", s.ricci_xi(mode) - eta.scale(eps_a_c)),
+        Check("el_eq_s_xi_xi", "S(xi, xi) = eps a + c",
+              contract("ij,i,j->", ricci_tensor, xi, xi) - eps_a_c),
+        # X = d_i, Y = d_j, Z = d_k
+        Check("el_eq_nabla_s", "(nabla_X S)(Y, Z) = b g((nabla_X phi)Y, Z) "
+              "+ eps c {eta(Y) g(nabla_X xi, Z) + eta(Z) g(nabla_X xi, Y)}",
+              contract("jki-mk,mji->ijk", nabla_s, g.scale(b), nabla_phi)
+              - contract("j,ik+k,ij->ijk", eta, nabla_xi_flat, eta, nabla_xi_flat).scale(eps * c)),
+        Check("el_eq_nabla_q", "(nabla_X Q)Y = b (nabla_X phi)Y "
+              "+ eps c {eta(Y) nabla_X xi + eps g(nabla_X xi, Y) xi}",
+              contract("mji-mji->mij", nabla_q, nabla_phi.scale(b))
+              - contract("j,mi+ij,m->mij", eta, nabla_xi, nabla_xi_flat.scale(eps), xi)
+              .scale(eps * c)),
+        Check("el_eq_trace", "eps a + c = 1 - n (value %s, expected %s)",
+              (eps_a_c == 1 - n, eps_a_c, 1 - n), (PARA_SASAKIAN,), FACT),
+        Check("el_eq_scalar", "r = n a + b trace(phi) + eps c",
+              scalar_curvature(ricci_tensor, s.metric)
+              - (Fraction(n) * a + b * phi.trace() + eps * c), (PARA_SASAKIAN,)),
+        Check("el_codazzi", ("Ricci operator is Codazzi", "Ricci operator is not Codazzi"),
+              contract("mkj-mjk->mjk", nabla_q, nabla_q), rule=CLASSIFICATION),
+    ], para_sasakian=para_sasakian)
+    gaps = (eps + b, a + soliton.lam, c + soliton.mu) if soliton else (None,) * 3
+    transfer = Need(
+        lambda facts: gaps == (0, 0, 0),
+        "conditions eps + b = 0, a + lambda = 0, c + mu = 0 not met (values %s, %s, %s)" % gaps,
     )
+    outcomes.append(_codazzi_forces_einstein(c, outcomes[-1].symbolic_zero, torse))
+    return outcomes + run_checks([
+        Check("el_remark_soliton_transfer", "(g, xi, -a, -c) must itself be an eta-Ricci soliton",
+              lambda: soliton_residual(s, SolitonData(xi, -a, -c), mode), (SOLITON, transfer)),
+    ], soliton=soliton)
 
-    if torse is not None and torse.classification != NOT_TORSE_FORMING and torse.f is not None:
-        f_zero = torse.f.is_zero()
-        if c != 0 and not f_zero:
-            outcomes.append(
-                CheckOutcome(
-                    "el_codazzi_forces_einstein",
-                    PASS if not codazzi_zero else FAIL,
-                    symbolic_zero=codazzi_zero,
-                    details="c = %s != 0 and f != 0, so the Ricci operator must not be Codazzi"
-                    % c,
-                )
-            )
-        elif not f_zero and codazzi_zero:
-            outcomes.append(
-                CheckOutcome(
-                    "el_codazzi_forces_einstein",
-                    PASS if c == 0 else FAIL,
-                    symbolic_zero=c == 0,
-                    details="Codazzi with f != 0 forces c = 0 (found c = %s)" % c,
-                )
-            )
-        else:
-            outcomes.append(
-                inapplicable(
-                    "el_codazzi_forces_einstein",
-                    "hypothesis not met (f = 0 or neither branch applies)",
-                )
-            )
-    else:
-        outcomes.append(
-            inapplicable(
-                "el_codazzi_forces_einstein",
-                "potential xi is not torse-forming or no torse data supplied",
-            )
-        )
 
-    if soliton is None:
-        outcomes.append(
-            inapplicable("el_remark_soliton_transfer", "no soliton constants supplied")
+def _codazzi_forces_einstein(
+    c: Fraction, codazzi: bool, torse: TorseFormingData | None
+) -> CheckOutcome:
+    """The theorem instance "a Codazzi Ricci operator and f != 0 force c = 0"."""
+    if torse is None or not torse.forming:
+        return inapplicable(
+            "el_codazzi_forces_einstein",
+            "potential xi is not torse-forming or no torse data supplied",
         )
-    else:
-        condition = eps + b == 0 and a + soliton.lam == 0 and c + soliton.mu == 0
-        if not condition:
-            outcomes.append(
-                inapplicable(
-                    "el_remark_soliton_transfer",
-                    "conditions eps + b = 0, a + lambda = 0, c + mu = 0 not met "
-                    "(values %s, %s, %s)"
-                    % (eps + b, a + soliton.lam, c + soliton.mu),
-                )
-            )
-        else:
-            transferred = soliton_residual(
-                structure, SolitonData(xi, -a, -c), mode
-            )
-            outcomes.append(
-                residual_outcome(
-                    "el_remark_soliton_transfer",
-                    transferred,
-                    "(g, xi, -a, -c) must itself be an eta-Ricci soliton",
-                )
-            )
-    return outcomes
+    f_zero = torse.f.is_zero()
+    if c != 0 and not f_zero:
+        return CheckOutcome(
+            "el_codazzi_forces_einstein",
+            PASS if not codazzi else FAIL,
+            symbolic_zero=codazzi,
+            details="c = %s != 0 and f != 0, so the Ricci operator must not be Codazzi" % c,
+        )
+    if not f_zero and codazzi:
+        return CheckOutcome(
+            "el_codazzi_forces_einstein",
+            PASS if c == 0 else FAIL,
+            symbolic_zero=c == 0,
+            details="Codazzi with f != 0 forces c = 0 (found c = %s)" % c,
+        )
+    return inapplicable(
+        "el_codazzi_forces_einstein", "hypothesis not met (f = 0 or neither branch applies)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -584,75 +520,32 @@ def xi_consequence_suite(
     para_sasakian: bool = False,
 ) -> list[CheckOutcome]:
     """Consequences of an eta-Ricci soliton whose potential is xi itself."""
-    eps = Fraction(structure.epsilon)
-    conn = structure.connection()
-    xi, eta, g = structure.xi, structure.eta, structure.metric
-    outcomes: list[CheckOutcome] = []
-
-    if constants is None:
-        outcomes.append(
-            inapplicable("xi_eq12_constant", "no Einstein-like constants available")
-        )
-    else:
-        value = eps * (constants.a + lam) + constants.c + mu
-        outcomes.append(
-            CheckOutcome(
-                "xi_eq12_constant",
-                PASS if value == 0 else FAIL,
-                symbolic_zero=value == 0,
-                details="eps (a + lambda) + c + mu = %s" % value,
-            )
-        )
-
-    nabla_phi = structure.nabla_phi()  # [k, j, i]
+    s = structure
+    eps = Fraction(s.epsilon)
+    xi, eta, g = s.xi, s.eta, s.metric.field
+    nabla_phi = s.nabla_phi()  # [k, j, i]
     nabla_xi_phi = contract("abi,i->ab", nabla_phi, xi)
-    outcomes += [
-        residual_outcome(
-            "xi_geodesic", contract("c,kc->k", xi, structure.nabla_xi()), "nabla_xi xi = 0"
-        ),
-        residual_outcome(
-            "xi_nabla_phi_xi", contract("kji,i,j->k", nabla_phi, xi, xi), "(nabla_xi phi) xi = 0"
-        ),
-        residual_outcome(
-            "xi_nabla_eta", covariant_derivative_along(eta, conn, xi), "nabla_xi eta = 0"
-        ),
-    ]
-
-    ricci_tensor = structure.ricci(mode)
-    nabla_xi_s = covariant_derivative_along(ricci_tensor, conn, xi)
-    nabla_xi_q = covariant_derivative_along(g.raise_index(ricci_tensor, 0), conn, xi)
-
-    if constants is None:
-        outcomes.append(inapplicable("xi_eq15_nabla_s", "no Einstein-like constants available"))
-        outcomes.append(inapplicable("xi_eq16_nabla_q", "no Einstein-like constants available"))
-    else:
-        b = constants.b
-        outcomes.append(
-            residual_outcome(
-                "xi_eq15_nabla_s",
-                contract("jk-mk,mj->jk", nabla_xi_s, g.field.scale(b), nabla_xi_phi),
-                "(nabla_xi S)(Y, Z) = b g((nabla_xi phi) Y, Z)",
-            )
-        )
-        outcomes.append(
-            residual_outcome(
-                "xi_eq16_nabla_q",
-                nabla_xi_q - nabla_xi_phi.scale(b),
-                "nabla_xi Q = b nabla_xi phi",
-            )
-        )
-
-    if para_sasakian:
-        outcomes.append(
-            residual_outcome("xi_ps_nabla_s", nabla_xi_s, "nabla_xi S = 0 (para-Sasakian)")
-        )
-        outcomes.append(
-            residual_outcome("xi_ps_nabla_q", nabla_xi_q, "nabla_xi Q = 0 (para-Sasakian)")
-        )
-    else:
-        outcomes.append(inapplicable("xi_ps_nabla_s", "structure is not para-Sasakian"))
-        outcomes.append(inapplicable("xi_ps_nabla_q", "structure is not para-Sasakian"))
-    return outcomes
+    # nabla_xi T contracts the derivative slot of the cached nabla T with xi
+    _, nabla_s, nabla_q = s.ricci_derivatives(mode)
+    nabla_xi_s = contract("c,ABc->AB", xi, nabla_s)
+    nabla_xi_q = contract("c,ABc->AB", xi, nabla_q)
+    gap = None if constants is None else eps * (constants.a + lam) + constants.c + mu
+    return run_checks([
+        Check("xi_eq12_constant", "eps (a + lambda) + c + mu = %s",
+              (gap == 0, gap), (EL_CONSTANTS,), FACT),
+        Check("xi_geodesic", "nabla_xi xi = 0", contract("c,kc->k", xi, s.nabla_xi())),
+        Check("xi_nabla_phi_xi", "(nabla_xi phi) xi = 0",
+              contract("kji,i,j->k", nabla_phi, xi, xi)),
+        Check("xi_nabla_eta", "nabla_xi eta = 0",
+              covariant_derivative_along(eta, s.connection(), xi)),
+        Check("xi_eq15_nabla_s", "(nabla_xi S)(Y, Z) = b g((nabla_xi phi) Y, Z)",
+              lambda: contract("jk-mk,mj->jk", nabla_xi_s, g.scale(constants.b), nabla_xi_phi),
+              (EL_CONSTANTS,)),
+        Check("xi_eq16_nabla_q", "nabla_xi Q = b nabla_xi phi",
+              lambda: nabla_xi_q - nabla_xi_phi.scale(constants.b), (EL_CONSTANTS,)),
+        Check("xi_ps_nabla_s", "nabla_xi S = 0 (para-Sasakian)", nabla_xi_s, (PARA_SASAKIAN,)),
+        Check("xi_ps_nabla_q", "nabla_xi Q = 0 (para-Sasakian)", nabla_xi_q, (PARA_SASAKIAN,)),
+    ], para_sasakian=para_sasakian, constants=constants)
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +568,6 @@ def collinear_potential_analysis(
     S = -lambda g - eps k g(phi ., .) - mu eta (x) eta is compared against
     the actual Ricci tensor and the residual reported.
     """
-    chart = structure.chart
-    n = chart.dimension
-    eps = Fraction(structure.epsilon)
     if not para_sasakian:
         return [
             inapplicable(
@@ -685,59 +575,30 @@ def collinear_potential_analysis(
                 "collinear potential analysis needs a para-Sasakian structure",
             )
         ]
-    outcomes: list[CheckOutcome] = []
-    gate = eps * (n - 1) - lam - eps * mu
-    outcomes.append(
-        CheckOutcome(
-            "collinear_gate",
-            PASS,
-            symbolic_zero=gate == 0,
-            details="eps (n - 1) - lambda - eps mu = %s" % gate,
-            data={"gate": gate},
-        )
-    )
+    s, chart = structure, structure.chart
+    eps = Fraction(s.epsilon)
+    g = s.metric.field
+    gate = eps * (chart.dimension - 1) - lam - eps * mu
     dk = TensorField.oneform(chart, [k.differentiate(c) for c in chart.coordinates])
-    if gate == 0:
-        outcomes.append(
-            residual_outcome(
-                "collinear_k_constant",
-                dk,
-                "gate vanishes, so k must be constant: dk = 0",
-            )
-        )
-    else:
-        xi_k = contract("i,i->", structure.xi, dk)
-        outcomes.append(
-            CheckOutcome(
-                "collinear_forced_derivative",
-                PASS,
-                symbolic_zero=False,
-                details="gate = %s != 0 forces xi(k) = %s; supplied k has xi(k) = %s"
-                % (gate, gate, xi_k),
-            )
-        )
-    ricci_tensor = structure.ricci(mode)
-    phi_flat = contract("mj,mi->ij", structure.metric.field, structure.phi)  # g(phi X, Y)
-    induced = (
-        ricci_tensor
-        + structure.metric.field.scale(lam)
-        + phi_flat.scale(eps * k)
-        + structure.eta_tensor_eta().scale(mu)
+    forced = (
+        Check("collinear_k_constant", "gate vanishes, so k must be constant: dk = 0", dk)
+        if gate == 0
+        else Check("collinear_forced_derivative",
+                   "gate = %s != 0 forces xi(k) = %s; supplied k has xi(k) = %s"
+                   % (gate, gate, contract("i,i->", s.xi, dk)), gate, rule=CLASSIFICATION)
     )
-    zero = induced.is_zero()
-    outcomes.append(
-        CheckOutcome(
-            "collinear_induced_ricci",
-            PASS,
-            symbolic_zero=zero,
-            residual=induced,
-            details=(
-                "S = -lambda g - eps k g(phi ., .) - mu eta (x) eta holds exactly"
-                if zero
-                else "induced Einstein-like form differs from the computed Ricci tensor"
-            ),
-        )
-    )
+    outcomes = run_checks([
+        Check("collinear_gate", "eps (n - 1) - lambda - eps mu = %s" % gate, gate,
+              rule=CLASSIFICATION),
+        forced,
+        Check("collinear_induced_ricci",
+              ("S = -lambda g - eps k g(phi ., .) - mu eta (x) eta holds exactly",
+               "induced Einstein-like form differs from the computed Ricci tensor"),
+              s.ricci(mode) + g.scale(lam)
+              + contract("mj,mi->ij", g, s.phi).scale(eps * k)  # g(phi X, Y)
+              + s.eta_tensor_eta().scale(mu), rule=CLASSIFICATION),
+    ])
+    outcomes[0].data["gate"] = gate
     return outcomes
 
 
@@ -776,118 +637,76 @@ def parallel_tensor_check(
     lambda = -eps alpha(xi, xi), cross-checked against -(a + eps (c + mu)).
     ``prefix`` disambiguates check ids when several candidates are analyzed.
     """
-    eps = Fraction(structure.epsilon)
+    s = structure
+    eps = Fraction(s.epsilon)
     if alpha.valence != (0, 2):
         raise ValenceError("alpha must be a (0, 2) tensor")
     if not alpha.is_symmetric_down(0, 1):
         raise ValenceError("alpha must be symmetric")
-    outcomes: list[CheckOutcome] = []
-    conn = structure.connection()
-    nabla_alpha = covariant_derivative(alpha, conn)
-    parallel = nabla_alpha.is_zero()
-    outcomes.append(
-        CheckOutcome(
-            prefix + "_nabla_alpha",
-            PASS,
-            symbolic_zero=parallel,
-            residual=nabla_alpha,
-            details="alpha is parallel" if parallel else "alpha is not parallel",
-        )
-    )
-
-    riem = structure.riemann()
-    identity_residual = contract("ml,mijk+mk,mijl->ijkl", alpha, riem, alpha, riem)
-    identity_zero = identity_residual.is_zero()
-    if parallel and not identity_zero:
+    riem = s.riemann()
+    outcomes = run_checks([
+        Check(prefix + "_nabla_alpha", ("alpha is parallel", "alpha is not parallel"),
+              covariant_derivative(alpha, s.connection()), rule=CLASSIFICATION),
+        Check(prefix + "_ricci_identity", "alpha(R(X,Y)Z, W) + alpha(R(X,Y)W, Z) = 0",
+              contract("ml,mijk+mk,mijl->ijkl", alpha, riem, alpha, riem),
+              rule=CLASSIFICATION),
+    ])
+    parallel = outcomes[0].symbolic_zero
+    if parallel and not outcomes[1].symbolic_zero:
         raise InvariantError("alpha is parallel but the Ricci identity residual is nonzero")
-    outcomes.append(
-        CheckOutcome(
-            prefix + "_ricci_identity",
-            PASS,
-            symbolic_zero=identity_zero,
-            residual=identity_residual,
-            details="alpha(R(X,Y)Z, W) + alpha(R(X,Y)W, Z) = 0",
-        )
-    )
+    alpha_xi_xi = contract("ij,i,j->", alpha, s.xi, s.xi)
+    outcomes += run_checks([
+        Check(prefix + "_proportionality", "alpha = eps alpha(xi, xi) g",
+              alpha - s.metric.field.scale(eps * alpha_xi_xi),
+              (PARALLEL, PROPORTIONALITY_HYPOTHESES)),
+    ], parallel=parallel, para_sasakian=para_sasakian, torse=torse)
+    return outcomes + [_soliton_link(s, alpha_xi_xi, parallel, mode, mu_link, constants, prefix)]
 
-    alpha_xi_xi = contract("ij,i,j->", alpha, structure.xi, structure.xi)
-    hypotheses = para_sasakian or (
-        torse is not None
-        and torse.classification != NOT_TORSE_FORMING
-        and bool(torse.regular)
-    )
-    if not parallel:
-        outcomes.append(
-            inapplicable(prefix + "_proportionality", "alpha is not parallel")
-        )
-    elif not hypotheses:
-        outcomes.append(
-            inapplicable(
-                prefix + "_proportionality",
-                "structure is neither para-Sasakian nor regular torse-forming",
-            )
-        )
-    else:
-        proportionality = alpha - structure.metric.field.scale(eps * alpha_xi_xi)
-        outcomes.append(
-            residual_outcome(
-                prefix + "_proportionality",
-                proportionality,
-                "alpha = eps alpha(xi, xi) g",
-            )
-        )
 
+def _soliton_link(
+    structure: ParacontactStructure,
+    alpha_xi_xi: Expr,
+    parallel: bool,
+    mode: str,
+    mu_link: Fraction | None,
+    constants: EinsteinLikeConstants | None,
+    prefix: str,
+) -> CheckOutcome:
+    """The theorem "alpha parallel <=> (g, xi, lambda, mu) is a soliton" at the implied lambda."""
+    check_id = prefix + "_soliton_link"
     if mu_link is None:
-        outcomes.append(
-            inapplicable(
-                prefix + "_soliton_link",
-                "alpha was not built as 1/2 L_xi g + S + mu eta (x) eta",
-            )
+        return inapplicable(check_id, "alpha was not built as 1/2 L_xi g + S + mu eta (x) eta")
+    eps = Fraction(structure.epsilon)
+    lam_value = (-eps * alpha_xi_xi).as_rational_constant()
+    if lam_value is None:
+        return CheckOutcome(
+            check_id,
+            FAIL,
+            symbolic_zero=False,
+            details="alpha(xi, xi) = %s is not constant" % alpha_xi_xi,
         )
-    else:
-        lam_value = (-eps * alpha_xi_xi).as_rational_constant()
-        if lam_value is None:
-            outcomes.append(
-                CheckOutcome(
-                    prefix + "_soliton_link",
-                    FAIL,
-                    symbolic_zero=False,
-                    details="alpha(xi, xi) = %s is not constant" % alpha_xi_xi,
-                )
-            )
-        else:
-            data = SolitonData(structure.xi, lam_value, mu_link)
-            sol_residual = soliton_residual(structure, data, mode)
-            soliton_holds = sol_residual.is_zero()
-            details = "implied lambda = -eps alpha(xi, xi) = %s; " % lam_value
-            if constants is not None:
-                predicted = -(constants.a + eps * (constants.c + mu_link))
-                match = predicted == lam_value
-                details += "-(a + eps (c + mu)) = %s (%s); " % (
-                    predicted,
-                    "match" if match else "MISMATCH",
-                )
-            else:
-                match = True
-            details += (
-                "soliton equation holds at the implied constants"
-                if soliton_holds
-                else "soliton equation does not hold at the implied constants"
-            )
-            # theorem: alpha parallel <=> (g, xi, lambda, mu) is a soliton
-            equivalence = parallel == soliton_holds
-            outcomes.append(
-                CheckOutcome(
-                    prefix + "_soliton_link",
-                    PASS if (equivalence and match) else FAIL,
-                    symbolic_zero=soliton_holds,
-                    residual=sol_residual,
-                    details=details
-                    + ("; equivalence with parallelism confirmed" if equivalence else "; equivalence with parallelism VIOLATED"),
-                    data={"implied_lambda": lam_value},
-                )
-            )
-    return outcomes
+    residual = soliton_residual(structure, SolitonData(structure.xi, lam_value, mu_link), mode)
+    holds = residual.is_zero()
+    notes = ["implied lambda = -eps alpha(xi, xi) = %s" % lam_value]
+    match = True
+    if constants is not None:
+        predicted = -(constants.a + eps * (constants.c + mu_link))
+        match = predicted == lam_value
+        verdict = "match" if match else "MISMATCH"
+        notes.append("-(a + eps (c + mu)) = %s (%s)" % (predicted, verdict))
+    verb = "holds" if holds else "does not hold"
+    notes.append("soliton equation %s at the implied constants" % verb)
+    # theorem: alpha parallel <=> (g, xi, lambda, mu) is a soliton
+    equivalence = parallel == holds
+    notes.append("equivalence with parallelism " + ("confirmed" if equivalence else "VIOLATED"))
+    return CheckOutcome(
+        check_id,
+        PASS if equivalence and match else FAIL,
+        symbolic_zero=holds,
+        residual=residual,
+        details="; ".join(notes),
+        data={"implied_lambda": lam_value},
+    )
 
 
 def curvature_from_torse_forming(
@@ -904,46 +723,28 @@ def curvature_from_torse_forming(
     R(X, Y) xi = (a + lambda)^2 {eta(X) Y - eta(Y) X} and
     S(X, xi) = (a + lambda)^2 (1 - n) eta(X).
     """
-    chart = structure.chart
-    n = chart.dimension
-    if torse.classification == NOT_TORSE_FORMING or torse.f is None:
-        return [
-            inapplicable("torse_eq52_curvature", "xi is not torse-forming"),
-            inapplicable("torse_eq24_25", "xi is not torse-forming"),
-        ]
-    eta = structure.eta
-    f = torse.f
-    df = TensorField.oneform(chart, [f.differentiate(name) for name in chart.coordinates])
-    phi2 = structure.phi_squared()
-    delta = kronecker(chart)
-    # [k, i, j]: eta(d_i) d_j - eta(d_j) d_i
-    wedge = contract("i,kj-j,ki->kij", eta, delta, eta, delta)
-    expected = contract(",kij+i,kj-j,ki->kij", f * f, wedge, df, phi2, df, phi2)
-    outcomes = [
-        residual_outcome(
-            "torse_eq52_curvature",
-            structure.r_into_xi() - expected,
-            "R(X, Y) xi = f^2 {eta(X) Y - eta(Y) X} + X(f) phi^2 Y - Y(f) phi^2 X",
-        )
-    ]
-    if a_plus_lambda is None:
-        outcomes.append(
-            inapplicable("torse_eq24_25", "no eta-Einstein soliton fit supplied")
-        )
-    else:
+    s, chart = structure, structure.chart
+    eta, delta = s.eta, kronecker(chart)
+
+    wedge = contract("i,kj-j,ki->kij", eta, delta, eta, delta)  # eta(d_i) d_j - eta(d_j) d_i
+
+    def forced_by_f() -> TensorField:
+        f, phi2 = torse.f, s.phi_squared()
+        df = TensorField.oneform(chart, [f.differentiate(name) for name in chart.coordinates])
+        return s.r_into_xi() - contract(",kij+i,kj-j,ki->kij", f * f, wedge, df, phi2, df, phi2)
+
+    def forced_by_fit() -> tuple[TensorField, TensorField]:
         square = Fraction(a_plus_lambda) ** 2
-        residual = structure.r_into_xi() - wedge.scale(square)
-        residual25 = structure.ricci_xi(mode) - eta.scale(square * (1 - n))
-        combined_zero = residual.is_zero() and residual25.is_zero()
-        outcomes.append(
-            CheckOutcome(
-                "torse_eq24_25",
-                PASS if combined_zero else FAIL,
-                symbolic_zero=combined_zero,
-                residual=residual,
-                details="R(X, Y) xi = (a + lambda)^2 {eta(X) Y - eta(Y) X} and "
-                "S(X, xi) = (a + lambda)^2 (1 - n) eta(X) with a + lambda = %s"
-                % a_plus_lambda,
-            )
+        return (
+            s.r_into_xi() - wedge.scale(square),
+            s.ricci_xi(mode) - eta.scale(square * (1 - chart.dimension)),
         )
-    return outcomes
+
+    return run_checks([
+        Check("torse_eq52_curvature",
+              "R(X, Y) xi = f^2 {eta(X) Y - eta(Y) X} + X(f) phi^2 Y - Y(f) phi^2 X",
+              forced_by_f, (TORSE_FORMING,)),
+        Check("torse_eq24_25", "R(X, Y) xi = (a + lambda)^2 {eta(X) Y - eta(Y) X} and "
+              "S(X, xi) = (a + lambda)^2 (1 - n) eta(X) with a + lambda = %s" % a_plus_lambda,
+              forced_by_fit, (TORSE_FORMING, SOLITON_FIT)),
+    ], torse=torse, a_plus_lambda=a_plus_lambda)

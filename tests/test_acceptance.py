@@ -168,8 +168,7 @@ def test_criterion_04_para_sasakian_suites(ex1, ex2):
     for structure in (ex1, ex2):
         for outcome in is_para_sasakian(structure):
             assert outcome.status == PASS
-        curvature = structure.curvature(WEIGHTED_TRACE)
-        outcomes = outcome_map(sasakian_identity_suite(structure, curvature))
+        outcomes = outcome_map(sasakian_identity_suite(structure))
         for check_id, outcome in outcomes.items():
             assert outcome.status == PASS, check_id
         # S(X, xi) = -(n-1) eta(X) = -2 eta(X) in dimension 3
@@ -265,7 +264,7 @@ def test_criterion_09_property_suites_every_fixture(structures):
         ricci = structure.ricci(WEIGHTED_TRACE)
         assert ricci.is_symmetric_down(0, 1), name
         via_coordinates, via_connection = lie_derivative_two_ways(
-            structure.metric, structure.xi, structure.connection()
+            structure.metric, structure.xi, structure.nabla_xi()
         )
         assert (via_coordinates - via_connection).is_zero(), name
     announce(9, "symbolic property suites hold on every fixture")

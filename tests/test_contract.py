@@ -148,3 +148,26 @@ def test_check_layer_has_no_index_closures():
                 if any(arg.arg == "idx" for arg in node.args.args):
                     found.append("%s:%d" % (name, node.lineno))
     assert found == []
+
+
+# direct outcome constructions left after the check table: the hand-written
+# checks (einstein_fit, the soliton_solve checks, oracle_*, *_soliton_link,
+# el_codazzi_forces_einstein), the whole-command inapplicable guards, the
+# signature failure and the _note helper
+OUTCOME_CALLS = {"analysis.py": 22, "paracontact.py": 0, "solitons.py": 8}
+
+
+def test_check_layer_builds_outcomes_through_the_table():
+    # an identity, classification or fact belongs in a run_checks table; a new
+    # hand-built CheckOutcome(...), inapplicable(...) or residual_outcome(...)
+    # call would bring back the threaded preconditions
+    found = {}
+    for name in OUTCOME_CALLS:
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        found[name] = sum(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("CheckOutcome", "inapplicable", "residual_outcome")
+            for node in ast.walk(tree)
+        )
+    assert all(found[name] <= OUTCOME_CALLS[name] for name in found), found

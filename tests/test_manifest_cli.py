@@ -258,8 +258,8 @@ def test_validation_suites_run_once_per_structure(monkeypatch, command):
 
 def test_para_sasakian_suite_and_shared_tensors_built_once(monkeypatch):
     # report --all used to run the para-Sasakian suite twice (the sasakian
-    # command and the para-Sasakian precondition of later commands) and to
-    # differentiate phi 4 times and xi 7 times covariantly
+    # command and the para-Sasakian precondition of later commands), to
+    # differentiate phi 4 times and xi 7 times covariantly, and S and Q twice each
     structures, suites, differentiated = [], [], []
     init = parasol.paracontact.ParacontactStructure.__init__
     monkeypatch.setattr(
@@ -283,8 +283,26 @@ def test_para_sasakian_suite_and_shared_tensors_built_once(monkeypatch):
     (structure,) = structures
     assert suites == [structure]
     assert sum(t is structure.phi for t in differentiated) == 1
-    # nabla xi itself, and once more inside L_xi g, whose potential is xi
-    assert sum(t is structure.xi for t in differentiated) == 2
+    # L_xi g (the potential is xi) reuses the cached nabla xi, and nabla_xi S
+    # and nabla_xi Q contract the cached nabla S and nabla Q
+    assert sum(t is structure.xi for t in differentiated) == 1
+    assert sum(t is structure.ricci() for t in differentiated) == 1
+    assert sum(t is structure.ricci_derivatives()[0] for t in differentiated) == 1
+    assert len(differentiated) == 7
+
+
+@pytest.mark.parametrize("fixture", ["warped_r3", "ex1_r3_spacelike"])
+def test_einstein_like_fit_runs_once_per_report(monkeypatch, fixture):
+    # the einstein-fit command and the soliton, torse and parallel commands
+    # share one fit; report --all used to fit twice
+    calls = []
+    fit = parasol.analysis.einstein_like_fit
+    monkeypatch.setattr(
+        parasol.analysis, "einstein_like_fit", lambda *args: calls.append(args) or fit(*args)
+    )
+    code, _, _ = run_cli(["report", "--all", "fixtures/" + fixture, "--json"])
+    assert code in (0, 1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("fixture", ["warped_r3", "ex1_r3_spacelike"])

@@ -172,7 +172,7 @@ def test_sample_points_avoid_degeneracy_locus(structures):
 def test_lie_derivative_dual_numeric_agreement(ex1):
     points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
     via_coordinates, via_connection = lie_derivative_two_ways(
-        ex1.metric, ex1.xi, ex1.connection()
+        ex1.metric, ex1.xi, ex1.nabla_xi()
     )
     for point in points:
         deviation = np.abs(

@@ -3,7 +3,6 @@
 import pytest
 
 from parasol.checks import FAIL, PASS
-from parasol.connection import WEIGHTED_TRACE
 from parasol.paracontact import (
     ParacontactStructure,
     StructureError,
@@ -128,22 +127,20 @@ def test_flat_fails_with_vanishing_nabla_xi(flat):
 
 def test_identity_suite_passes_on_r3_fixtures(ex1, ex2):
     for structure in (ex1, ex2):
-        curvature = structure.curvature(WEIGHTED_TRACE)
-        outcomes = outcome_map(sasakian_identity_suite(structure, curvature))
+        outcomes = outcome_map(sasakian_identity_suite(structure))
         assert all(o.status == PASS for o in outcomes.values())
         # S(X, xi) = -(n - 1) eta(X) with n = 3
         assert outcomes["ps_identity_s_xi"].symbolic_zero
 
 
 def test_identity_suite_r_xy_xi_fails_on_flat(flat):
-    curvature = flat.curvature(WEIGHTED_TRACE)
-    outcomes = outcome_map(sasakian_identity_suite(flat, curvature))
+    outcomes = outcome_map(sasakian_identity_suite(flat))
     assert outcomes["ps_identity_r_xy_xi"].status == FAIL
 
 
 def test_xi_is_geodesic_on_para_sasakian_fixtures(ex1, ex2):
     for structure in (ex1, ex2):
-        outcomes = outcome_map(sasakian_identity_suite(structure, structure.curvature()))
+        outcomes = outcome_map(sasakian_identity_suite(structure))
         assert outcomes["xi_geodesic"].status == PASS
 
 
@@ -167,7 +164,3 @@ def test_para_sasakian_requires_valid_structure(flat):
     with pytest.raises(StructureError, match="axiom"):
         is_para_sasakian(broken)
 
-
-def test_identity_suite_rejects_frame_sum_ricci(ex2):
-    with pytest.raises(StructureError, match="weighted-trace"):
-        sasakian_identity_suite(ex2, ex2.curvature("paper_frame_sum"))
