@@ -14,7 +14,6 @@ from .connection import (
     christoffel,
     covariant_derivative,
     covariant_derivative_along,
-    lie_derivative_metric,
     ricci,
     riemann,
     scalar_curvature,

@@ -73,7 +73,7 @@ from .solitons import (
     torse_forming_constants,
     xi_consequence_suite,
 )
-from .symexpr import DegenerateEvaluationError, Expr
+from .symexpr import DegenerateEvaluationError
 from .tensor import DegenerateMetricError, TensorField, contract, signature_at
 
 __all__ = ["RunOptions", "Analysis", "run_command", "COMMANDS"]
@@ -526,10 +526,8 @@ def cmd_parallel(analysis: Analysis, report: VerificationReport) -> list[CheckOu
         )
     mu = analysis.manifest.constants.get("mu")
     if mu is not None:
-        half = Expr.constant(structure.chart, "1/2")
         combo = (
-            structure.lie_xi_metric().scale(half)
-            + structure.ricci(analysis.ricci_mode)
+            structure.soliton_tensor(structure.xi, analysis.ricci_mode)
             + structure.eta_tensor_eta().scale(mu)
         )
         outcomes += parallel_tensor_check(

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .analysis import RunOptions, run_command
 from .chart import ChartError, ChartMismatchError
-from .manifest import ManifestError, load_manifest
+from .manifest import XI_POTENTIAL, ManifestError, load_manifest
 from .oracle import StencilDegeneracyError
 from .paracontact import StructureError
 from .report import EXIT_INPUT_ERROR
@@ -134,7 +134,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
         overrides["base_point"] = [part.strip() for part in args.base_point.split(",")]
     if args.potential is not None:
         text = args.potential.strip()
-        if text == "xi" or text.endswith("*xi"):
+        if XI_POTENTIAL.fullmatch(text):
             overrides["potential"] = text
         else:
             overrides["potential"] = [part.strip() for part in text.split(",")]

@@ -16,6 +16,10 @@ exactly):
   produced which number.
 * Covariant derivatives append the differentiation slot as the last
   covariant index.
+
+Christoffel symbols, the Riemann tensor and covariant derivatives are each
+built by :func:`parasol.tensor.contract` from the partials of g, G or T;
+its loop-order rules fix the term order of every component.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chart import Chart
-from .symexpr import Expr, InvariantError
+from .symexpr import Expr
 from .tensor import Frame, Metric, TensorField, ValenceError, contract, partials
 
 __all__ = [
@@ -39,7 +43,6 @@ __all__ = [
     "ricci",
     "frame_sum",
     "scalar_curvature",
-    "lie_derivative_metric",
     "lie_derivative_two_ways",
 ]
 
@@ -61,50 +64,29 @@ class ConnectionData:
 
 def christoffel(metric: Metric) -> ConnectionData:
     """Levi-Civita Christoffel symbols of an invertible metric."""
-    chart = metric.chart
-    n = chart.dimension
-    coords = chart.coordinates
-    dg = [
-        [[metric[i, j].differentiate(coords[l]) for l in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
-    half = Expr.constant(chart, "1/2")
-
-    def entry(idx: tuple[int, ...]) -> Expr:
-        k, i, j = idx
-        total = Expr.zero(chart)
-        for l in range(n):
-            total = total + metric.inverse[k, l] * (dg[j][l][i] + dg[i][l][j] - dg[i][j][l])
-        return half * total
-
-    return ConnectionData(TensorField.build(chart, 1, 2, entry))
+    half = Expr.constant(metric.chart, "1/2")
+    ginv, dg = metric.inverse, partials(metric.field)  # dg[i, j, l] = d_l g_ij
+    doubled = contract("kl,jli+kl,ilj-kl,ijl->kij", ginv, dg, ginv, dg, ginv, dg)  # 2 G^k_ij
+    return ConnectionData(contract(",kij->kij", half, doubled))
 
 
 def covariant_derivative(tensor: TensorField, connection: ConnectionData) -> TensorField:
-    """nabla T with the derivative slot appended as the last covariant index."""
-    tensor.chart.require_same(connection.chart)
-    chart = tensor.chart
-    n = chart.dimension
-    coords = chart.coordinates
-    gamma = connection.gamma
-    p, q = tensor.p, tensor.q
+    """nabla T with the derivative slot appended as the last covariant index.
 
-    def entry(idx: tuple[int, ...]) -> Expr:
-        ups = idx[:p]
-        downs = idx[p : p + q]
-        c = idx[p + q]
-        total = tensor[ups + downs].differentiate(coords[c])
-        for slot in range(p):
-            for m in range(n):
-                replaced = ups[:slot] + (m,) + ups[slot + 1 :]
-                total = total + gamma[ups[slot], c, m] * tensor[replaced + downs]
-        for slot in range(q):
-            for m in range(n):
-                replaced = downs[:slot] + (m,) + downs[slot + 1 :]
-                total = total - gamma[m, c, downs[slot]] * tensor[ups + replaced]
-        return total
-
-    return TensorField.build(chart, p, q + 1, entry)
+    One contraction: the partials of T, plus G^a_zm T^..m.. for each
+    contravariant slot a, minus G^m_za T_..m.. for each covariant slot a,
+    each slot with its own summed letter and z the derivative letter.
+    """
+    rank = tensor.rank
+    free, summed = string.ascii_lowercase[:rank], string.ascii_lowercase[rank : 2 * rank]
+    spec, operands = free + "z", [partials(tensor)]
+    for slot, (a, m) in enumerate(zip(free, summed)):
+        if slot < tensor.p:
+            spec += "+%sz%s,%s" % (a, m, free.replace(a, m))
+        else:
+            spec += "-%sz%s,%s" % (m, a, free.replace(a, m))
+        operands += [connection.gamma, tensor]
+    return contract(spec + "->" + free + "z", *operands)
 
 
 def covariant_derivative_along(
@@ -120,26 +102,9 @@ def covariant_derivative_along(
 
 def riemann(connection: ConnectionData) -> TensorField:
     """Riemann tensor riem[l, i, j, k] = dx^l(R(d_i, d_j) d_k)."""
-    chart = connection.chart
-    n = chart.dimension
-    coords = chart.coordinates
     gamma = connection.gamma
-    dgamma = [
-        [
-            [[gamma[l, j, k].differentiate(coords[i]) for k in range(n)] for j in range(n)]
-            for l in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    def entry(idx: tuple[int, ...]) -> Expr:
-        l, i, j, k = idx
-        total = dgamma[i][l][j][k] - dgamma[j][l][i][k]
-        for m in range(n):
-            total = total + gamma[l, i, m] * gamma[m, j, k] - gamma[l, j, m] * gamma[m, i, k]
-        return total
-
-    return TensorField.build(chart, 1, 3, entry)
+    dgamma = partials(gamma)  # dgamma[l, j, k, i] = d_i G^l_jk
+    return contract("ljki-likj+lim,mjk-ljm,mik->lijk", dgamma, dgamma, gamma, gamma, gamma, gamma)
 
 
 def ricci(
@@ -204,15 +169,3 @@ def lie_derivative_two_ways(
     via_coordinates = contract("k,ijk+kj,ki+ik,kj->ij", direction, partials(g), g, dv, g, dv)
     via_connection = contract("kj,ki+ik,kj->ij", g, nabla_direction, g, nabla_direction)
     return via_coordinates, via_connection
-
-
-def lie_derivative_metric(
-    metric: Metric, direction: TensorField, connection: ConnectionData
-) -> TensorField:
-    """(L_V g)(X, Y); both formulas are computed and required to agree."""
-    via_coordinates, via_connection = lie_derivative_two_ways(
-        metric, direction, covariant_derivative(direction, connection)
-    )
-    if not (via_coordinates - via_connection).is_zero():
-        raise InvariantError("Lie derivative formulas disagree")
-    return via_coordinates

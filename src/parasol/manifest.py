@@ -27,6 +27,7 @@ and, when present, must agree with g(xi, xi).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -37,7 +38,11 @@ from .paracontact import ParacontactStructure
 from .symexpr import Expr, ExprError, parse
 from .tensor import Frame, FrameError, Metric, TensorField, ValenceError
 
-__all__ = ["Manifest", "ManifestError", "PotentialSpec", "load_manifest"]
+__all__ = ["Manifest", "ManifestError", "PotentialSpec", "XI_POTENTIAL", "load_manifest"]
+
+# a potential written as 'xi' or '<k> * xi', with spaces allowed around '*';
+# group 1 is the factor k (None for plain xi, empty for '*xi')
+XI_POTENTIAL = re.compile(r"\s*(?:(.*?)\s*\*\s*)?xi\s*", re.DOTALL)
 
 
 class ManifestError(ValueError):
@@ -69,17 +74,17 @@ class PotentialSpec:
     @classmethod
     def from_value(cls, value, chart: Chart) -> "PotentialSpec":
         if isinstance(value, str):
-            text = value.strip()
-            if text == "xi":
+            form = XI_POTENTIAL.fullmatch(value)
+            if form is None:
+                raise ManifestError(
+                    "potential string must be 'xi' or '<expr>*xi', got %r" % value
+                )
+            factor = form.group(1)
+            if factor is None:
                 return cls("xi")
-            if text.endswith("*xi"):
-                prefix = text[: -len("*xi")].strip()
-                if not prefix:
-                    raise ManifestError("potential: empty factor in 'k*xi' form")
-                return cls("collinear", k=_parse(prefix, chart, "potential"))
-            raise ManifestError(
-                "potential string must be 'xi' or '<expr>*xi', got %r" % value
-            )
+            if not factor:
+                raise ManifestError("potential: empty factor in 'k*xi' form")
+            return cls("collinear", k=_parse(factor, chart, "potential"))
         if isinstance(value, list):
             if len(value) != chart.dimension:
                 raise ManifestError(

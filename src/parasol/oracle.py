@@ -16,7 +16,7 @@ silenced, because the resulting inf and NaN values already fail the checks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -207,7 +207,6 @@ def oracle_sample_points(
 @dataclass
 class CompareReport:
     max_relative_deviation: float
-    per_point: list[float] = field(default_factory=list)
     tolerance: float = 0.0
 
     @property
@@ -227,7 +226,7 @@ def compare(
     Relative deviation uses max(1, |reference|) as denominator so that
     zero-valued components do not produce spurious failures.
     """
-    per_point: list[float] = []
+    deviations: list[float] = []
     for point in points:
         reference = oracle_fn(point)
         values = symbolic.numeric_at(point)
@@ -236,8 +235,8 @@ def compare(
                 "shape mismatch: symbolic %r vs oracle %r" % (values.shape, reference.shape)
             )
         deviation = np.abs(values - reference) / np.maximum(1.0, np.abs(reference))
-        per_point.append(float(deviation.max()))
-    return CompareReport(max_deviation(per_point), per_point, cfg.tolerance)
+        deviations.append(float(deviation.max()))
+    return CompareReport(max_deviation(deviations), cfg.tolerance)
 
 
 def max_deviation(deviations: Sequence[float]) -> float:

@@ -47,7 +47,7 @@ from .connection import (
     ricci,
     riemann,
 )
-from .symexpr import InvariantError
+from .symexpr import Expr, InvariantError
 from .tensor import Frame, Metric, TensorField, contract, kronecker
 
 __all__ = [
@@ -156,17 +156,26 @@ class ParacontactStructure:
         return self._cached(("L g", id(direction)), build)[1:]
 
     def lie_derivative(self, direction: TensorField) -> TensorField:
-        """L_V g; the two formulas are compared once per direction and must agree."""
+        """L_V g; the two formulas must agree (``soliton_tensor`` caches the result)."""
         via_coordinates, via_connection = self.lie_derivative_two_ways(direction)
-        agree = self._cached(
-            ("L g agrees", id(direction)), lambda: (via_coordinates - via_connection).is_zero()
-        )
-        if not agree:
+        if not (via_coordinates - via_connection).is_zero():
             raise InvariantError("Lie derivative formulas disagree")
         return via_coordinates
 
     def lie_xi_metric(self) -> TensorField:
         return self.lie_derivative(self.xi)
+
+    def soliton_tensor(self, direction: TensorField, mode: str = WEIGHTED_TRACE) -> TensorField:
+        """1/2 L_V g + S, the part of every soliton residual free of lambda and mu.
+
+        Built once per (direction field object, Ricci mode), like the Lie derivative.
+        """
+
+        def build() -> tuple[TensorField, TensorField]:
+            half = Expr.constant(self.chart, "1/2")
+            return direction, self.lie_derivative(direction).scale(half) + self.ricci(mode)
+
+        return self._cached(("1/2 L g + S", id(direction), mode), build)[1]
 
     # -- derived tensors shared by the check suites ----------------------------
 
@@ -218,7 +227,7 @@ class ParacontactStructure:
         return self.frame.orthonormal_signs(self.metric)
 
     def eta_tensor_eta(self) -> TensorField:
-        return contract("i,j->ij", self.eta, self.eta)
+        return self._cached("eta eta", lambda: contract("i,j->ij", self.eta, self.eta))
 
 
 # ---------------------------------------------------------------------------

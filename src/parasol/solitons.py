@@ -208,10 +208,7 @@ def soliton_residual(
     mode: str = WEIGHTED_TRACE,
 ) -> TensorField:
     """T = 1/2 (L_V g) + S + lambda g + mu eta (x) eta, canonical."""
-    lie = structure.lie_derivative(data.potential)
-    ricci_tensor = structure.ricci(mode)
-    half = Expr.constant(structure.chart, "1/2")
-    total = lie.scale(half) + ricci_tensor
+    total = structure.soliton_tensor(data.potential, mode)
     total = total + structure.metric.field.scale(data.lam)
     total = total + structure.eta_tensor_eta().scale(data.mu)
     return total
@@ -239,8 +236,7 @@ def solve_soliton_constants(
     chart = structure.chart
     base = chart.base_point
 
-    lie = structure.lie_derivative(potential)
-    b_tensor = lie.scale(Expr.constant(chart, "1/2")) + structure.ricci(mode)
+    b_tensor = structure.soliton_tensor(potential, mode)
     g_field = structure.metric.field
     eta_eta = structure.eta_tensor_eta()
     pair_exprs = _frame_components(structure, (g_field, eta_eta, b_tensor))
@@ -427,10 +423,11 @@ def _codazzi_forces_einstein(
             details="c = %s != 0 and f != 0, so the Ricci operator must not be Codazzi" % c,
         )
     if not f_zero and codazzi:
+        # the branch above returned for c != 0, so here c = 0
         return CheckOutcome(
             "el_codazzi_forces_einstein",
-            PASS if c == 0 else FAIL,
-            symbolic_zero=c == 0,
+            PASS,
+            symbolic_zero=True,
             details="Codazzi with f != 0 forces c = 0 (found c = %s)" % c,
         )
     return inapplicable(

@@ -20,11 +20,13 @@ division of sums, which the ``Expr`` ring does not provide.
 
 Index gymnastics go through one exact Einstein summation,
 :func:`contract`, e.g. ``contract("ab,ai,bj->ij", g, phi, phi)`` for
-g(phi X, phi Y).  The ring is exact, but the order of its operations still
-decides the insertion order of an expression's terms, hence the float
-summation order of its evaluation and the low-order bits of every reported
-``numeric_max``.  So ``contract`` builds each component from the ring
-operations of the plain nested loop, in that loop's order:
+g(phi X, phi Y); the connection layer (Christoffel symbols, Riemann tensor,
+covariant derivatives) is built by it too.  The ring is exact, but the order
+of its operations still decides the insertion order of an expression's
+terms, hence the float summation order of its evaluation and the low-order
+bits of every reported ``numeric_max``.  So ``contract`` builds each
+component from the ring operations of the plain nested loop, in that loop's
+order:
 
 * summed indices (those not in the output) are iterated outermost-first in
   alphabetical order;
@@ -149,14 +151,14 @@ class TensorField:
     def valence(self) -> tuple[int, int]:
         return self.p, self.q
 
-    def __getitem__(self, idx) -> Expr:
-        if isinstance(idx, int):
-            idx = (idx,)
-        if len(idx) != self.p + self.q:
-            raise ValenceError("index %r has wrong length for valence %r" % (idx, self.valence))
+    def __getitem__(self, index) -> Expr:
+        if isinstance(index, int):
+            index = (index,)
+        if len(index) != self.p + self.q:
+            raise ValenceError("index %r has wrong length for valence %r" % (index, self.valence))
         n = self._n
         flat = 0
-        for k in idx:
+        for k in index:
             flat = flat * n + k
         return self._comps[flat]
 
@@ -414,8 +416,8 @@ class Metric:
     def _product_with_inverse(self) -> TensorField:
         return contract("im,mj->ij", self.inverse, self.field) - kronecker(self.chart)
 
-    def __getitem__(self, idx) -> Expr:
-        return self.field[idx]
+    def __getitem__(self, index) -> Expr:
+        return self.field[index]
 
     def inner(self, x: TensorField, y: TensorField) -> Expr:
         """g(X, Y) for vector fields X, Y."""

@@ -138,15 +138,16 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "parasol"
 
 
 def test_check_layer_has_no_index_closures():
-    # every identity of the check layer is a contract(...) call; a new
-    # `def entry(idx)` or `lambda idx:` would bring the hand-written loops back
+    # every index sum of the package, the connection layer included, is a
+    # contract(...) call; a new `def entry(idx)` or `lambda idx:` in any module
+    # would bring the hand-written loops back
     found = []
-    for name in ("analysis.py", "paracontact.py", "solitons.py"):
-        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
                 if any(arg.arg == "idx" for arg in node.args.args):
-                    found.append("%s:%d" % (name, node.lineno))
+                    found.append("%s:%d" % (path.name, node.lineno))
     assert found == []
 
 

@@ -14,7 +14,7 @@ import pytest
 import parasol
 from parasol.cli import main, resolve_manifest_path
 from parasol.manifest import ManifestError, load_manifest
-from parasol.tensor import Metric
+from parasol.tensor import Metric, TensorField
 
 from conftest import FIXTURE_NAMES, fixture_path
 
@@ -117,6 +117,22 @@ def test_potential_forms(tmp_path):
     path.write_text(json.dumps(data))
     manifest = load_manifest(path)
     assert manifest.potential.kind == "components"
+
+
+def test_collinear_potential_allows_spaces_around_star(tmp_path):
+    # the manifest and --potential share one rule; "exp(z) * xi" used to exit 2
+    data = json.loads(fixture_path("ex1_r3_spacelike").read_text())
+    data["potential"] = "exp(z) * xi"
+    path = tmp_path / "spaced.json"
+    path.write_text(json.dumps(data))
+    manifest = load_manifest(path)
+    assert manifest.potential.kind == "collinear"
+    assert str(manifest.potential.k) == "exp(z)"
+    from_manifest = run_cli(["collinear", str(path), "--json"])
+    argv = ["collinear", "fixtures/ex1_r3_spacelike", "--json", "--potential"]
+    from_flag = run_cli(argv + ["exp(z) * xi"])
+    assert from_manifest[0] == 1
+    assert from_manifest == from_flag == run_cli(argv + ["exp(z)*xi"])
 
 
 def test_fixture_name_resolution():
@@ -319,6 +335,34 @@ def test_lie_derivative_built_once_per_direction(monkeypatch, fixture):
     code, _, _ = run_cli(["report", "--all", "fixtures/" + fixture, "--json"])
     assert code in (0, 1)
     assert len(calls) == 1
+
+
+def test_soliton_tensor_and_eta_eta_built_once_per_report(monkeypatch):
+    # the three soliton residuals, the solver and the parallel command all
+    # start from 1/2 L_xi g + S; report --all used to add it up 5 times and
+    # to build eta (x) eta 6 times
+    structures, added, products = [], [], []
+    init = parasol.paracontact.ParacontactStructure.__init__
+    monkeypatch.setattr(
+        parasol.paracontact.ParacontactStructure,
+        "__init__",
+        lambda self, *args, **kwargs: structures.append(self) or init(self, *args, **kwargs),
+    )
+    add = TensorField.__add__
+    monkeypatch.setattr(
+        TensorField, "__add__", lambda self, other: added.append(other) or add(self, other)
+    )
+    contract = parasol.paracontact.contract
+    monkeypatch.setattr(
+        parasol.paracontact,
+        "contract",
+        lambda spec, *ops: products.append(ops) or contract(spec, *ops),
+    )
+    code, _, _ = run_cli(["report", "--all", "fixtures/warped_r3", "--json"])
+    assert code in (0, 1)
+    (structure,) = structures
+    assert sum(other is structure.ricci() for other in added) == 1
+    assert products.count((structure.eta, structure.eta)) == 1
 
 
 def test_base_point_override_changes_signature_report():
