@@ -10,7 +10,6 @@ analysis, and an independent finite-difference oracle.
 from .chart import Chart, ChartError, ChartMismatchError
 from .checks import CheckOutcome
 from .connection import (
-    ConnectionData,
     christoffel,
     covariant_derivative,
     covariant_derivative_along,

@@ -1,6 +1,6 @@
 """Analysis orchestration: one verb per concern, composable into a full report.
 
-Each command takes an :class:`Analysis` (a loaded manifest plus run options)
+Each command takes an :class:`Analysis` (a loaded manifest plus its oracle config)
 and returns a :class:`~parasol.report.VerificationReport`; its body returns
 the check outcomes in report order and may set report constants.
 Applicability is data driven:
@@ -12,12 +12,12 @@ so ``report --all`` is total on any valid manifest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 
 import numpy as np
 
+from .chart import SAMPLE_COUNT
 from .checks import (
     CLASSIFICATION,
     FACT,
@@ -38,7 +38,6 @@ from .connection import (
 )
 from .manifest import Manifest, ManifestError
 from .oracle import (
-    CompareReport,
     OracleConfig,
     StencilDegeneracyError,
     StencilSampler,
@@ -76,7 +75,7 @@ from .solitons import (
 from .symexpr import DegenerateEvaluationError
 from .tensor import DegenerateMetricError, TensorField, contract, signature_at
 
-__all__ = ["RunOptions", "Analysis", "run_command", "COMMANDS"]
+__all__ = ["Analysis", "run_command", "COMMANDS"]
 
 # hypotheses of the torse-forming constants theorem, over the facts cmd_torse passes
 ETA_EINSTEIN_TORSE = Need(
@@ -94,32 +93,17 @@ DECLARED_SOLITON = Need(
 )
 
 
-@dataclass(frozen=True)
-class RunOptions:
-    ricci_mode: str | None = None
-    seed: int = 42
-    h: float = 1e-4
-    tolerance: float = 1e-6
-    sample_count: int = 10
-
-
 class Analysis:
     """Shared state for the command pipelines over one manifest."""
 
-    def __init__(self, manifest: Manifest, options: RunOptions):
+    def __init__(self, manifest: Manifest, cfg: OracleConfig):
         self.manifest = manifest
-        self.options = options
+        self.cfg = cfg
         self.structure: ParacontactStructure = manifest.structure()
-        mode = options.ricci_mode or manifest.ricci_mode or WEIGHTED_TRACE
+        mode = manifest.ricci_mode or WEIGHTED_TRACE
         if mode == PAPER_FRAME_SUM and manifest.frame is None:
             raise ManifestError("ricci_mode paper_frame_sum requires a frame in the manifest")
         self.ricci_mode = mode
-        self.oracle_cfg = OracleConfig(
-            h=options.h,
-            sample_count=options.sample_count,
-            seed=options.seed,
-            tolerance=options.tolerance,
-        )
         self._points: list[dict[str, float]] | None = None
 
     # -- shared lazies ---------------------------------------------------------
@@ -135,7 +119,7 @@ class Analysis:
                     return True
 
             self._points = self.manifest.chart.sample_points(
-                self.options.sample_count, self.options.seed, reject=reject
+                SAMPLE_COUNT, self.cfg.seed, reject=reject
             )
         return self._points
 
@@ -162,7 +146,7 @@ class Analysis:
 
     @cached_property
     def torse(self) -> TorseFormingData:
-        return detect_torse_forming(self.structure, sample_seed=self.options.seed)
+        return detect_torse_forming(self.structure, sample_seed=self.cfg.seed)
 
     def soliton_constants(self) -> tuple[Fraction, Fraction] | None:
         constants = self.manifest.constants
@@ -184,7 +168,7 @@ class Analysis:
 
     def new_report(self) -> VerificationReport:
         report = VerificationReport(
-            name=self.manifest.name, ricci_mode=self.ricci_mode, seed=self.options.seed
+            name=self.manifest.name, ricci_mode=self.ricci_mode, seed=self.cfg.seed
         )
         report.constants["epsilon"] = self.structure.epsilon
         return report
@@ -263,8 +247,7 @@ def _frame_diagonal_details(structure: ParacontactStructure, tensor: TensorField
 @_command
 def cmd_curvature(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
     structure, mode = analysis.structure, analysis.ricci_mode
-    conn = structure.connection()
-    gamma = conn.gamma
+    gamma = structure.connection()
     riem = structure.riemann()
     ricci_tensor = structure.ricci(mode)
     # separate tables, so the Riemann-sized zero residuals are dropped before the
@@ -273,7 +256,7 @@ def cmd_curvature(analysis: Analysis, report: VerificationReport) -> list[CheckO
         Check("christoffel_torsion_free", "Gamma^k_ij = Gamma^k_ji",
               contract("kij-kji->kij", gamma, gamma)),
         Check("metric_compatibility", "nabla g = 0",
-              covariant_derivative(structure.metric.field, conn)),
+              covariant_derivative(structure.metric.field, gamma)),
         Check("riemann_antisymmetry", "R(X,Y)Z + R(Y,X)Z = 0",
               contract("lijk+ljik->lijk", riem, riem)),
         Check("riemann_first_bianchi", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0",
@@ -401,11 +384,7 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
             )
         ]
     result = solve_soliton_constants(
-        structure,
-        potential,
-        analysis.ricci_mode,
-        guard_seed=analysis.options.seed,
-        guard_points=analysis.oracle_cfg.sample_count,
+        structure, potential, analysis.ricci_mode, guard_seed=analysis.cfg.seed
     )
     report.constants.update({"lambda": result.lam, "mu": result.mu})
     diag = ", ".join(
@@ -437,7 +416,7 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
             PASS if result.base_point_consistent else FAIL,
             symbolic_zero=result.base_point_consistent,
             details="stacked least squares over %d extra seeded points deviates by %.3e"
-            % (analysis.oracle_cfg.sample_count, result.base_point_max_deviation),
+            % (SAMPLE_COUNT, result.base_point_max_deviation),
         ),
     ]
 
@@ -557,7 +536,7 @@ def _deviation_text(value: float) -> str:
 @_command
 def cmd_oracle(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
     structure = analysis.structure
-    cfg = analysis.oracle_cfg
+    cfg = analysis.cfg
     metric = structure.metric
     points = oracle_sample_points(structure.chart, metric, cfg)
     if not points:
@@ -569,37 +548,29 @@ def cmd_oracle(analysis: Analysis, report: VerificationReport) -> list[CheckOutc
             )
         ]
 
-    gamma = structure.connection().gamma
-    stencil = StencilSampler(metric)
-    comparisons = [
-        ("oracle_christoffel", gamma, lambda p: stencil.christoffel(p, cfg.h)),
-        ("oracle_riemann", structure.riemann(), lambda p: stencil.riemann(p, cfg.h)),
-        ("oracle_ricci", structure.ricci(WEIGHTED_TRACE), lambda p: stencil.ricci(p, cfg.h)),
-    ]
-    outcomes = []
-    results: dict[str, CompareReport | StencilDegeneracyError] = {}
-    for check_id, symbolic, oracle_fn in comparisons:
-        try:
-            result = results[check_id] = compare(symbolic, oracle_fn, points, cfg)
-        except StencilDegeneracyError as exc:
-            results[check_id] = exc
-            outcomes.append(CheckOutcome(check_id, FAIL, details=str(exc)))
-            continue
-        outcomes.append(
-            CheckOutcome(
-                check_id,
-                PASS if result.passed else FAIL,
-                details="max relative deviation %s over %d points (tolerance %.1e, h = %.1e)"
-                % (_deviation_text(result.max_relative_deviation), len(points), cfg.tolerance, cfg.h),
-            )
+    def compared(check_id: str, deviation: float) -> CheckOutcome:
+        return CheckOutcome(
+            check_id,
+            PASS if deviation <= cfg.tolerance else FAIL,
+            details="max relative deviation %s over %d points (tolerance %.1e, h = %.1e)"
+            % (_deviation_text(deviation), len(points), cfg.tolerance, cfg.h),
         )
 
-    # the Christoffel comparison at h is the coarse side of the step-halving check
-    coarse = results["oracle_christoffel"]
-    if isinstance(coarse, StencilDegeneracyError):
-        raise coarse
-    fine = compare(gamma, lambda p: stencil.christoffel(p, cfg.h / 2.0), points, cfg)
-    at_h, at_half_h = coarse.max_relative_deviation, fine.max_relative_deviation
+    gamma = structure.connection()
+    stencil = StencilSampler(metric)
+    # a degenerate Christoffel stencil raises: the step-halving check needs this comparison
+    at_h = compare(gamma, lambda p: stencil.christoffel(p, cfg.h), points)
+    outcomes = [compared("oracle_christoffel", at_h)]
+    for check_id, symbolic, oracle_fn in (
+        ("oracle_riemann", structure.riemann(), lambda p: stencil.riemann(p, cfg.h)),
+        ("oracle_ricci", structure.ricci(WEIGHTED_TRACE), lambda p: stencil.ricci(p, cfg.h)),
+    ):
+        try:
+            outcomes.append(compared(check_id, compare(symbolic, oracle_fn, points)))
+        except StencilDegeneracyError as exc:
+            outcomes.append(CheckOutcome(check_id, FAIL, details=str(exc)))
+
+    at_half_h = compare(gamma, lambda p: stencil.christoffel(p, cfg.h / 2.0), points)
     if not (math.isfinite(at_h) and math.isfinite(at_half_h)):
         outcomes.append(
             CheckOutcome(
@@ -685,8 +656,8 @@ COMMANDS = {
 }
 
 
-def run_command(command: str, manifest: Manifest, options: RunOptions) -> VerificationReport:
-    analysis = Analysis(manifest, options)
+def run_command(command: str, manifest: Manifest, cfg: OracleConfig) -> VerificationReport:
+    analysis = Analysis(manifest, cfg)
     try:
         handler = COMMANDS[command]
     except KeyError:

@@ -12,10 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-__all__ = ["Chart", "ChartError", "ChartMismatchError"]
+__all__ = ["Chart", "ChartError", "ChartMismatchError", "SAMPLE_COUNT"]
 
 # Identifiers with special meaning in the expression grammar.
 RESERVED_NAMES = frozenset({"e", "exp"})
+
+# seeded points per numeric check: report residuals, the oracle and the soliton-solve guard
+SAMPLE_COUNT = 10
+# candidates drawn before sample_points gives up on a box that rejects almost everywhere
+MAX_SAMPLE_TRIES = 2000
 
 
 class ChartError(ValueError):
@@ -51,11 +56,11 @@ class Chart:
                 raise ChartError("coordinate name %r is reserved by the expression grammar" % name)
         if len(self.base_point) != n or len(self.domain_box) != n:
             raise ChartError("base point / domain box dimension mismatch")
-        for value, (lo, hi) in zip(self.base_point, self.domain_box):
-            if not (lo <= value <= hi):
-                raise ChartError("base point component %s outside [%s, %s]" % (value, lo, hi))
+        for name, value, (lo, hi) in zip(self.coordinates, self.base_point, self.domain_box):
             if not lo < hi:
                 raise ChartError("degenerate domain interval [%s, %s]" % (lo, hi))
+            if not (lo <= value <= hi):
+                raise ChartError("base point %s = %s outside [%s, %s]" % (name, value, lo, hi))
 
     @classmethod
     def make(
@@ -98,22 +103,19 @@ class Chart:
         self,
         count: int,
         seed: int,
-        box: Sequence[tuple[float, float]] | None = None,
         reject: Callable[[dict[str, float]], bool] | None = None,
-        max_tries: int = 2000,
     ) -> list[dict[str, float]]:
-        """Deterministic uniform samples from a box, with optional rejection.
+        """Deterministic uniform samples from the ``domain_box``, with optional rejection.
 
-        The default box is the chart's ``domain_box``.  ``reject`` returning
-        True drops the candidate (used to avoid metric degeneracy loci and
-        denominator zeros).  Returns the points found, at most ``count``.
+        ``reject`` returning True drops the candidate (used to avoid metric
+        degeneracy loci and denominator zeros).  Returns the points found, at
+        most ``count``.
         """
         rng = random.Random(seed)
-        if box is None:
-            box = [(float(lo), float(hi)) for lo, hi in self.domain_box]
+        box = [(float(lo), float(hi)) for lo, hi in self.domain_box]
         points: list[dict[str, float]] = []
         tries = 0
-        while len(points) < count and tries < max_tries:
+        while len(points) < count and tries < MAX_SAMPLE_TRIES:
             tries += 1
             point = {
                 name: lo + (hi - lo) * rng.random()

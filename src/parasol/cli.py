@@ -30,10 +30,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .analysis import RunOptions, run_command
+from .analysis import run_command
 from .chart import ChartError, ChartMismatchError
 from .manifest import XI_POTENTIAL, ManifestError, load_manifest
-from .oracle import StencilDegeneracyError
+from .oracle import OracleConfig, OracleConfigError, StencilDegeneracyError
 from .paracontact import StructureError
 from .report import EXIT_INPUT_ERROR
 from .solitons import RankDeficientError
@@ -53,6 +53,7 @@ INPUT_ERRORS = (
     ValenceError,
     RankDeficientError,
     StencilDegeneracyError,
+    OracleConfigError,
 )
 
 
@@ -152,13 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         path = resolve_manifest_path(args.manifest)
         manifest = load_manifest(path, overrides=_overrides_from_args(args))
-        options = RunOptions(
-            ricci_mode=args.ricci_mode,
-            seed=args.seed,
-            h=args.h,
-            tolerance=args.tolerance,
-        )
-        report = run_command(command, manifest, options)
+        cfg = OracleConfig(h=args.h, seed=args.seed, tolerance=args.tolerance)
+        report = run_command(command, manifest, cfg)
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT_ERROR

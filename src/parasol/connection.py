@@ -25,16 +25,13 @@ its loop-order rules fix the term order of every component.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .chart import Chart
 from .symexpr import Expr
 from .tensor import Frame, Metric, TensorField, ValenceError, contract, partials
 
 __all__ = [
-    "ConnectionData",
     "RICCI_MODES",
     "christoffel",
     "covariant_derivative",
@@ -51,26 +48,15 @@ PAPER_FRAME_SUM = "paper_frame_sum"
 RICCI_MODES = (WEIGHTED_TRACE, PAPER_FRAME_SUM)
 
 
-@dataclass(frozen=True)
-class ConnectionData:
-    """Christoffel symbols of a metric, gamma[k, i, j] symmetric in (i, j)."""
-
-    gamma: TensorField
-
-    @property
-    def chart(self) -> Chart:
-        return self.gamma.chart
-
-
-def christoffel(metric: Metric) -> ConnectionData:
-    """Levi-Civita Christoffel symbols of an invertible metric."""
+def christoffel(metric: Metric) -> TensorField:
+    """Levi-Civita Christoffel symbols gamma[k, i, j], symmetric in (i, j), of an invertible metric."""
     half = Expr.constant(metric.chart, "1/2")
     ginv, dg = metric.inverse, partials(metric.field)  # dg[i, j, l] = d_l g_ij
     doubled = contract("kl,jli+kl,ilj-kl,ijl->kij", ginv, dg, ginv, dg, ginv, dg)  # 2 G^k_ij
-    return ConnectionData(contract(",kij->kij", half, doubled))
+    return contract(",kij->kij", half, doubled)
 
 
-def covariant_derivative(tensor: TensorField, connection: ConnectionData) -> TensorField:
+def covariant_derivative(tensor: TensorField, gamma: TensorField) -> TensorField:
     """nabla T with the derivative slot appended as the last covariant index.
 
     One contraction: the partials of T, plus G^a_zm T^..m.. for each
@@ -85,24 +71,23 @@ def covariant_derivative(tensor: TensorField, connection: ConnectionData) -> Ten
             spec += "+%sz%s,%s" % (a, m, free.replace(a, m))
         else:
             spec += "-%sz%s,%s" % (m, a, free.replace(a, m))
-        operands += [connection.gamma, tensor]
+        operands += [gamma, tensor]
     return contract(spec + "->" + free + "z", *operands)
 
 
 def covariant_derivative_along(
-    tensor: TensorField, connection: ConnectionData, direction: TensorField
+    tensor: TensorField, gamma: TensorField, direction: TensorField
 ) -> TensorField:
     """nabla_X T: contract the derivative slot of nabla T with a vector field."""
     if direction.valence != (1, 0):
         raise ValenceError("direction must be a vector field")
     letters = string.ascii_uppercase[: tensor.rank]
-    nabla = covariant_derivative(tensor, connection)
+    nabla = covariant_derivative(tensor, gamma)
     return contract("c,%sc->%s" % (letters, letters), direction, nabla)
 
 
-def riemann(connection: ConnectionData) -> TensorField:
-    """Riemann tensor riem[l, i, j, k] = dx^l(R(d_i, d_j) d_k)."""
-    gamma = connection.gamma
+def riemann(gamma: TensorField) -> TensorField:
+    """Riemann tensor riem[l, i, j, k] = dx^l(R(d_i, d_j) d_k) from the Christoffel symbols."""
     dgamma = partials(gamma)  # dgamma[l, j, k, i] = d_i G^l_jk
     return contract("ljki-likj+lim,mjk-ljm,mik->lijk", dgamma, dgamma, gamma, gamma, gamma, gamma)
 

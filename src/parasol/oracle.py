@@ -16,24 +16,25 @@ silenced, because the resulting inf and NaN values already fail the checks
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chart import Chart
+from .chart import SAMPLE_COUNT, Chart
 from .symexpr import DegenerateEvaluationError, coordinate_values
 from .tensor import Metric, TensorField
 
 __all__ = [
     "OracleConfig",
+    "OracleConfigError",
     "StencilDegeneracyError",
     "fd_christoffel",
     "fd_riemann",
     "fd_ricci",
     "oracle_sample_points",
     "compare",
-    "CompareReport",
     "max_deviation",
 ]
 
@@ -46,20 +47,22 @@ class StencilDegeneracyError(ValueError):
     """A finite-difference stencil crosses a metric degeneracy locus."""
 
 
+class OracleConfigError(ValueError):
+    """A step or tolerance that is not a positive finite number."""
+
+
 @dataclass(frozen=True)
 class OracleConfig:
+    """Sampling seed, finite-difference step and relative tolerance of one run."""
+
     h: float = 1e-4
-    sample_count: int = 10
     seed: int = 42
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError("step h must be positive")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        for name, value in (("step h", self.h), ("tolerance", self.tolerance)):
+            if not (math.isfinite(value) and value > 0):
+                raise OracleConfigError("%s must be a positive finite number, got %r" % (name, value))
 
 
 class StencilSampler:
@@ -201,17 +204,7 @@ def oracle_sample_points(
             return True
         return False
 
-    return chart.sample_points(cfg.sample_count, cfg.seed, reject=reject)
-
-
-@dataclass
-class CompareReport:
-    max_relative_deviation: float
-    tolerance: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_relative_deviation <= self.tolerance
+    return chart.sample_points(SAMPLE_COUNT, cfg.seed, reject=reject)
 
 
 @np.errstate(all="ignore")
@@ -219,9 +212,8 @@ def compare(
     symbolic: TensorField,
     oracle_fn: Callable[[Mapping[str, float]], np.ndarray],
     points: Iterable[Mapping[str, float]],
-    cfg: OracleConfig,
-) -> CompareReport:
-    """Max relative deviation between a symbolic tensor and an oracle.
+) -> float:
+    """Max relative deviation between a symbolic tensor and an oracle, NaN if any is NaN.
 
     Relative deviation uses max(1, |reference|) as denominator so that
     zero-valued components do not produce spurious failures.
@@ -236,7 +228,7 @@ def compare(
             )
         deviation = np.abs(values - reference) / np.maximum(1.0, np.abs(reference))
         deviations.append(float(deviation.max()))
-    return CompareReport(max_deviation(deviations), cfg.tolerance)
+    return max_deviation(deviations)
 
 
 def max_deviation(deviations: Sequence[float]) -> float:

@@ -38,7 +38,6 @@ from typing import Callable
 from .checks import Check, CheckOutcome, PASS, run_checks
 from .chart import Chart
 from .connection import (
-    ConnectionData,
     PAPER_FRAME_SUM,
     WEIGHTED_TRACE,
     christoffel,
@@ -125,7 +124,8 @@ class ParacontactStructure:
 
     # -- cached geometry -----------------------------------------------------
 
-    def connection(self) -> ConnectionData:
+    def connection(self) -> TensorField:
+        """The Christoffel symbols gamma[k, i, j]."""
         return self._cached("connection", lambda: christoffel(self.metric))
 
     def riemann(self) -> TensorField:
@@ -161,9 +161,6 @@ class ParacontactStructure:
         if not (via_coordinates - via_connection).is_zero():
             raise InvariantError("Lie derivative formulas disagree")
         return via_coordinates
-
-    def lie_xi_metric(self) -> TensorField:
-        return self.lie_derivative(self.xi)
 
     def soliton_tensor(self, direction: TensorField, mode: str = WEIGHTED_TRACE) -> TensorField:
         """1/2 L_V g + S, the part of every soliton residual free of lambda and mu.
@@ -204,8 +201,8 @@ class ParacontactStructure:
 
         def build() -> tuple[TensorField, ...]:
             q = self.metric.raise_index(self.ricci(mode), 0)
-            conn = self.connection()
-            return q, covariant_derivative(self.ricci(mode), conn), covariant_derivative(q, conn)
+            gamma = self.connection()
+            return q, covariant_derivative(self.ricci(mode), gamma), covariant_derivative(q, gamma)
 
         return self._cached(("Q, nabla S, nabla Q", mode), build)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .checks import CheckOutcome, FAIL
-from .symexpr import DegenerateEvaluationError, Expr
+from .symexpr import Expr
 from .tensor import TensorField
 
 __all__ = ["CheckEntry", "VerificationReport", "CURVATURE_SIGN_CONVENTION"]
@@ -59,17 +59,10 @@ def _round_float(value: float) -> float:
 def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> float | None:
     """Largest |residual| over the points, or None when there is none or it is not finite."""
     if isinstance(residual, Expr):
-        worst = 0.0
-        for point in points:
-            try:
-                value = abs(residual.evaluate(point))
-            except DegenerateEvaluationError:
-                continue
-            worst = max(worst, value)
-    elif isinstance(residual, TensorField):
-        worst = residual.max_abs(points)
-    else:
+        residual = TensorField(residual.chart, 0, 0, [residual])
+    elif not isinstance(residual, TensorField):
         return None
+    worst = residual.max_abs(points)
     return _round_float(worst) if math.isfinite(worst) else None
 
 

@@ -34,6 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .chart import SAMPLE_COUNT
 from .checks import (
     CLASSIFICATION,
     FACT,
@@ -219,7 +220,6 @@ def solve_soliton_constants(
     potential: TensorField,
     mode: str = WEIGHTED_TRACE,
     guard_seed: int = 42,
-    guard_points: int = 10,
 ) -> SolitonSolveResult:
     """Solve B + lambda g + mu eta(x)eta = 0 by exact rational least squares.
 
@@ -227,8 +227,8 @@ def solve_soliton_constants(
     the chart's base point; the solution is then verified symbolically on
     the whole chart.  When the full residual is canonically zero the result
     is exact; otherwise the frame-diagonal residual vector and its norm are
-    returned.  A stacked floating least squares over extra seeded sample
-    points guards against base-point coincidences.
+    returned.  A stacked floating least squares over ``SAMPLE_COUNT`` extra
+    points drawn with ``guard_seed`` guards against base-point coincidences.
     """
     if structure.frame is None:
         raise ValenceError("solving soliton constants requires an orthonormal frame")
@@ -268,7 +268,7 @@ def solve_soliton_constants(
         )
 
     # guard against base-point coincidences: re-fit numerically at extra points
-    points = chart.sample_points(guard_points, guard_seed)
+    points = chart.sample_points(SAMPLE_COUNT, guard_seed)
     stacked_rows: list[list[float]] = []
     stacked_rhs: list[float] = []
     for point in points:

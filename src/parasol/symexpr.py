@@ -225,6 +225,9 @@ def _layout(n: int) -> _Layout:
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
+# a float denominator at most this large in magnitude makes Expr.evaluate raise
+DENOMINATOR_CUTOFF = 1e-12
+
 
 def _common_content(p: Fraction, q: Fraction) -> tuple[Fraction, int, int]:
     """(c, i, j) with p = c*i and q = c*j for coprime integers i, j."""
@@ -793,7 +796,7 @@ class Expr:
         dmono = tuple((i, k) for i, k in enumerate(lay.unpack(self._dmono)[0]) if k)
         return terms, dmono, den_terms
 
-    def evaluate(self, point: Mapping[str, float] | Sequence[float], den_tolerance: float = 1e-12) -> float:
+    def evaluate(self, point: Mapping[str, float] | Sequence[float]) -> float:
         """Floating evaluation; raises if the denominator nearly vanishes or a float overflows."""
         # the term loops index an exact list, which CPython indexes faster than a subclass
         xs = list(coordinate_values(self.chart, point))
@@ -808,7 +811,7 @@ class Expr:
                 den *= xs[i] ** k
             if den_terms is not None:
                 den *= _seval(den_terms, xs) ** self._dexp
-            if abs(den) <= den_tolerance:
+            if abs(den) <= DENOMINATOR_CUTOFF:
                 raise DegenerateEvaluationError(
                     "denominator %r vanishes at %r (|value| = %g)" % (self.den_string(), xs, abs(den))
                 )

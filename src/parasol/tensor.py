@@ -125,13 +125,8 @@ class TensorField:
         return cls(chart, p, q, [fn(idx) for idx in product(range(n), repeat=p + q)])
 
     @classmethod
-    def filled(cls, chart: Chart, p: int, q: int, value: Expr) -> "TensorField":
-        n = chart.dimension
-        return cls(chart, p, q, [value] * (n ** (p + q)))
-
-    @classmethod
     def zero(cls, chart: Chart, p: int, q: int) -> "TensorField":
-        return cls.filled(chart, p, q, Expr.zero(chart))
+        return cls(chart, p, q, [Expr.zero(chart)] * chart.dimension ** (p + q))
 
     @classmethod
     def vector(cls, chart: Chart, comps: Sequence[Expr]) -> "TensorField":
@@ -447,6 +442,10 @@ class Metric:
         return self.field.numeric_at(point)
 
 
+# |det g| at most this makes signature_at report the metric degenerate at the point
+SIGNATURE_DET_CUTOFF = 1e-9
+
+
 @dataclass(frozen=True)
 class SignatureResult:
     n_plus: int
@@ -457,11 +456,7 @@ class SignatureResult:
         return self.n_minus
 
 
-def signature_at(
-    metric: Metric,
-    point: Mapping[str, float] | Sequence[float],
-    det_tolerance: float = 1e-9,
-) -> SignatureResult:
+def signature_at(metric: Metric, point: Mapping[str, float] | Sequence[float]) -> SignatureResult:
     """Pointwise signature (eigenvalue sign counts) of the metric matrix.
 
     By Sylvester's law of inertia the sign counts equal the pivot signs of a
@@ -472,7 +467,7 @@ def signature_at(
     """
     matrix = metric.numeric_at(point)
     det = float(np.linalg.det(matrix))
-    if abs(det) <= det_tolerance:
+    if abs(det) <= SIGNATURE_DET_CUTOFF:
         raise DegenerateMetricError(
             "metric is degenerate at the point (det = %.3e)" % det, det
         )

@@ -52,8 +52,13 @@ def test_chart_rejects_duplicates():
 
 
 def test_chart_base_point_must_lie_in_box():
-    with pytest.raises(ChartError):
+    with pytest.raises(ChartError, match=r"^base point x = 2 outside \[-1, 1\]$"):
         Chart.make(["x", "y"], base_point=["2", "0"], domain_box=[["-1", "1"], ["-1", "1"]])
+
+
+def test_chart_reversed_interval_is_reported_before_the_base_point():
+    with pytest.raises(ChartError, match=r"^degenerate domain interval \[1, -1\]$"):
+        Chart.make(["x", "y"], base_point=["0", "0"], domain_box=[["1", "-1"], ["-1", "1"]])
 
 
 def test_chart_mismatch_detected():

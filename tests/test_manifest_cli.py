@@ -14,6 +14,7 @@ import pytest
 import parasol
 from parasol.cli import main, resolve_manifest_path
 from parasol.manifest import ManifestError, load_manifest
+from parasol.symexpr import parse
 from parasol.tensor import Metric, TensorField
 
 from conftest import FIXTURE_NAMES, fixture_path
@@ -112,11 +113,15 @@ def test_potential_forms(tmp_path):
     assert manifest.potential.kind == "collinear"
     structure = manifest.structure()
     vector = manifest.potential.vector(structure)
-    assert vector[2] == structure.xi[2].chart and True or True  # smoke: components parse
+    # xi = d_z on this fixture, so exp(2*z)*xi = (0, 0, exp(2*z))
+    components = [parse(c, structure.chart) for c in ("0", "0", "exp(2*z)")]
+    expected = TensorField.vector(structure.chart, components)
+    assert (vector - expected).is_zero()
     data["potential"] = ["0", "0", "exp(2*z)"]
     path.write_text(json.dumps(data))
     manifest = load_manifest(path)
     assert manifest.potential.kind == "components"
+    assert (manifest.potential.vector(manifest.structure()) - vector).is_zero()
 
 
 def test_collinear_potential_allows_spaces_around_star(tmp_path):

@@ -530,7 +530,7 @@ def test_alpha_dx_dx_on_flat(flat):
 def _soliton_combination(structure, mu, mode=WEIGHTED_TRACE):
     half = Expr.constant(structure.chart, "1/2")
     return (
-        structure.lie_xi_metric().scale(half)
+        structure.lie_derivative(structure.xi).scale(half)
         + structure.ricci(mode)
         + structure.eta_tensor_eta().scale(mu)
     )

@@ -73,7 +73,7 @@ def test_christoffel_and_ricci_match_sympy(name, structures):
     symbols, gamma, ricci = _sympy_geometry(data)
     structure = structures[name]
     n = structure.chart.dimension
-    ours_gamma = structure.connection().gamma
+    ours_gamma = structure.connection()
     ours_ricci = structure.ricci(WEIGHTED_TRACE)
     for k, i, j in product(range(n), repeat=3):
         label = "Gamma[%d, %d, %d]" % (k, i, j)
