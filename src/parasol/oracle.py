@@ -187,7 +187,15 @@ def oracle_sample_points(
 
     A point is rejected when |det g| < 1e-6 at the point or anywhere on its
     finite-difference stencil, or when the determinant changes sign there.
+    A step whose +-2h stencil spans the narrowest box interval is an input
+    error, so the box is not blamed for what the step causes.
     """
+    width = min(hi - lo for lo, hi in chart.domain_box)
+    if 4.0 * cfg.h >= width:
+        raise OracleConfigError(
+            "step h = %g does not fit the domain box: the +-2h stencil needs 4h below "
+            "its narrowest interval width %s" % (cfg.h, width)
+        )
 
     def reject(point: dict[str, float]) -> bool:
         xs = [point[c] for c in chart.coordinates]

@@ -609,9 +609,14 @@ def semi_symmetry_residual(
     riem: TensorField,
     ricci_tensor: TensorField,
 ) -> TensorField:
-    """residual(X, Y, Z) = S(R(xi, X)Y, Z) + S(Y, R(xi, X)Z)."""
+    """residual(X, Y, Z) = S(R(xi, X)Y, Z) + S(Y, R(xi, X)Z).
+
+    An exactly symmetric S makes the residual symmetric in Y and Z, so each
+    unordered (Y, Z) pair is built once and both slots share its object.
+    """
     r_xi = contract("mlij,l->mij", riem, structure.xi)  # [m, i, j] = (R(xi, d_i) d_j)^m
-    return contract("mk,mij+jm,mik->ijk", ricci_tensor, r_xi, ricci_tensor, r_xi)
+    hint = (1, 2) if ricci_tensor.is_symmetric_down(0, 1) else None
+    return contract("mk,mij+jm,mik->ijk", ricci_tensor, r_xi, ricci_tensor, r_xi, symmetric=hint)
 
 
 def parallel_tensor_check(

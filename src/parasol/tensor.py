@@ -42,7 +42,13 @@ order:
 * each output index takes the variance of the first operand slot it
   names, and contravariant output indices must come first;
 * permutations (``"kji->kij"``) and traces (``"iijk->jk"``) fall out of the
-  same rule, and an empty output (``"ij,i,j->"``) returns a scalar ``Expr``.
+  same rule, and an empty output (``"ij,i,j->"``) returns a scalar ``Expr``;
+* ``symmetric=(a, b)`` names two output positions of one variance across
+  which the result is known to be exactly symmetric: a component whose index
+  at a exceeds its index at b is not built but is the very object of its
+  swapped partner.  The caller vouches for the symmetry; nothing checks it.
+  A shared component keeps its partner's term order, not the one its own
+  loop would give, so the hint suits a result that is only evaluated.
 
 An operand for an empty term (``",kij->kij"``) may be a scalar ``Expr``.
 """
@@ -219,8 +225,11 @@ class TensorField:
         return (self - self.swap_down(a, b)).is_zero()
 
     def max_abs(self, points: Iterable[Mapping[str, float]]) -> float:
-        """Largest |component| over the sample points; degenerate points skipped."""
-        comps = [comp for comp in self._comps if not comp.is_symbolically_zero]
+        """Largest |component| over the sample points; degenerate points skipped.
+
+        A component object shared by several slots is evaluated once per point.
+        """
+        comps = {id(comp): comp for comp in self._comps if not comp.is_symbolically_zero}.values()
         worst = 0.0
         for point in points:
             xs = coordinate_values(self.chart, point)
@@ -258,7 +267,9 @@ def partials(tensor: TensorField) -> TensorField:
     return TensorField(tensor.chart, tensor.p, tensor.q + 1, comps)
 
 
-def contract(spec: str, *operands: TensorField | Expr) -> TensorField | Expr:
+def contract(
+    spec: str, *operands: TensorField | Expr, symmetric: tuple[int, int] | None = None
+) -> TensorField | Expr:
     """Exact Einstein summation, e.g. ``contract("ab,ai,bj->ij", g, phi, phi)``.
 
     The rules, and why each component is built in plain nested-loop order,
@@ -294,6 +305,16 @@ def contract(spec: str, *operands: TensorField | Expr) -> TensorField | Expr:
         raise ValenceError("contravariant output indices must come first in %r" % spec)
 
     n = chart.dimension
+    if symmetric is not None:
+        a, b = sorted(symmetric)
+        if a == b or a < 0 or b >= len(out) or upper[a] != upper[b]:
+            raise ValenceError(
+                "symmetric=%r needs two distinct output positions of one variance in %r"
+                % (symmetric, spec)
+            )
+        # flat offset from a component with index[a] > index[b] to its built partner
+        shift = n ** (len(out) - 1 - a) - n ** (len(out) - 1 - b)
+
     summed = sorted(set(lhs) - set(out) - set("+-,"))
     assignments = list(product(range(n), repeat=len(summed)))
 
@@ -323,7 +344,10 @@ def contract(spec: str, *operands: TensorField | Expr) -> TensorField | Expr:
 
     zero = Expr.zero(chart)
     components = []
-    for o in range(len(outputs)):
+    for o, index in enumerate(outputs):
+        if symmetric is not None and index[a] > index[b]:
+            components.append(components[o - (index[a] - index[b]) * shift])
+            continue
         acc = zero
         for negate, factors in steps:
             row = [comps[outs[o] + offset] for comps, outs, offset in factors]

@@ -15,9 +15,10 @@ import pytest
 from parasol.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-# synthetic manifests (perfbench.workloads.ladder_manifest(4, 42) and
-# dense_manifest(5, 42)) whose residuals are nonzero, so their goldens pin the
-# low-order bits of numeric_max outside the six fixtures
+# synthetic manifests (perfbench.workloads.ladder_manifest(4, 42),
+# ladder_manifest(5, 42) and dense_manifest(5, 42)) whose residuals are
+# nonzero, so their goldens pin the low-order bits of numeric_max outside the
+# six fixtures
 MANIFESTS = GOLDEN_DIR / "manifests"
 
 # (golden file, CLI argv, expected exit code)
@@ -42,6 +43,7 @@ CASES = [
      ["soliton", "solve", "fixtures/ex1_r3_spacelike", "--json"], 1),
     ("ladder_n4__curvature.json", ["curvature", str(MANIFESTS / "ladder_n4.json"), "--json"], 0),
     ("ladder_n4__validate.json", ["validate", str(MANIFESTS / "ladder_n4.json"), "--json"], 1),
+    ("ladder_n5__curvature.json", ["curvature", str(MANIFESTS / "ladder_n5.json"), "--json"], 0),
     ("dense_n5__curvature.json", ["curvature", str(MANIFESTS / "dense_n5.json"), "--json"], 0),
     ("dense_n5__validate.json", ["validate", str(MANIFESTS / "dense_n5.json"), "--json"], 1),
     # report branches no bundled fixture reaches: no Einstein-like constants

@@ -16,6 +16,7 @@ from parasol.cli import main
 from parasol.connection import WEIGHTED_TRACE, lie_derivative_two_ways
 from parasol.oracle import (
     OracleConfig,
+    OracleConfigError,
     StencilDegeneracyError,
     StencilSampler,
     compare,
@@ -38,6 +39,8 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "flag, value",
     [("--h", "0"), ("--h", "-1"), ("--h", "nan"), ("--h", "inf"),
+     # the +-2h stencil spans 4h, against a domain box 2 wide in each coordinate
+     ("--h", "1"), ("--h", "1e308"),
      ("--tolerance", "0"), ("--tolerance", "nan")],
 )
 def test_invalid_step_or_tolerance_is_an_input_error(flag, value):
@@ -48,6 +51,13 @@ def test_invalid_step_or_tolerance_is_an_input_error(flag, value):
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_step_must_fit_the_domain_box(flat):
+    # the box is 2 wide: 4h = 2 does not fit, 4h = 1.6 does
+    with pytest.raises(OracleConfigError, match=r"h = 0\.5 .* narrowest interval width 2$"):
+        oracle_sample_points(flat.chart, flat.metric, OracleConfig(h=0.5))
+    assert len(oracle_sample_points(flat.chart, flat.metric, OracleConfig(h=0.4))) == SAMPLE_COUNT
 
 
 def test_fd_christoffel_value_on_ex1(ex1):

@@ -484,6 +484,37 @@ def test_semi_symmetry_value_on_ex1(ex1):
     assert value == 2
 
 
+def _plain_semi_symmetry(structure, riem, ricci_tensor):
+    r_xi = contract("mlij,l->mij", riem, structure.xi)
+    return contract("mk,mij+jm,mik->ijk", ricci_tensor, r_xi, ricci_tensor, r_xi)
+
+
+def test_semi_symmetry_shares_each_unordered_pair_for_symmetric_ricci(ex1):
+    riem, ricci_tensor = ex1.riemann(), ex1.ricci()
+    residual = semi_symmetry_residual(ex1, riem, ricci_tensor)
+    plain = _plain_semi_symmetry(ex1, riem, ricci_tensor)
+    for (i, j, k), comp in residual.components():
+        assert comp is residual[i, k, j]
+        if j <= k:
+            assert str(comp) == str(plain[i, j, k])
+
+
+def test_semi_symmetry_shares_nothing_for_asymmetric_tensor(ex1):
+    # S + x (dx (x) dy - dy (x) dx) is not symmetric, so neither is the residual
+    chart = ex1.chart
+    zero, x = Expr.zero(chart), parse("x", chart)
+    twist = TensorField(chart, 0, 2, [zero, x, zero, -x, zero, zero, zero, zero, zero])
+    asymmetric = ex1.ricci() + twist
+    assert not asymmetric.is_symmetric_down(0, 1)
+    residual = semi_symmetry_residual(ex1, ex1.riemann(), asymmetric)
+    plain = _plain_semi_symmetry(ex1, ex1.riemann(), asymmetric)
+    for (i, j, k), comp in residual.components():
+        assert comp == plain[i, j, k] and str(comp) == str(plain[i, j, k])
+        # the only shared objects are those of the plain build, its one zero
+        assert (comp is residual[i, k, j]) == (plain[i, j, k] is plain[i, k, j])
+    assert any(residual[i, j, k] != residual[i, k, j] for i, j, k in residual.indices())
+
+
 # ---------------------------------------------------------------------------
 # parallel symmetric (0,2) tensors
 # ---------------------------------------------------------------------------
