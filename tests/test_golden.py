@@ -15,8 +15,8 @@ import pytest
 from parasol.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-# synthetic manifests (perfbench.workloads.ladder_manifest(4, 42),
-# ladder_manifest(5, 42) and dense_manifest(5, 42)) whose residuals are
+# synthetic manifests (perfbench.workloads.ladder_manifest(n, 42) for n = 4, 5, 6
+# and dense_manifest(5, 42)) whose residuals are
 # nonzero, so their goldens pin the low-order bits of numeric_max outside the
 # six fixtures
 MANIFESTS = GOLDEN_DIR / "manifests"
@@ -44,6 +44,7 @@ CASES = [
     ("ladder_n4__curvature.json", ["curvature", str(MANIFESTS / "ladder_n4.json"), "--json"], 0),
     ("ladder_n4__validate.json", ["validate", str(MANIFESTS / "ladder_n4.json"), "--json"], 1),
     ("ladder_n5__curvature.json", ["curvature", str(MANIFESTS / "ladder_n5.json"), "--json"], 0),
+    ("ladder_n6__curvature.json", ["curvature", str(MANIFESTS / "ladder_n6.json"), "--json"], 0),
     ("dense_n5__curvature.json", ["curvature", str(MANIFESTS / "dense_n5.json"), "--json"], 0),
     ("dense_n5__validate.json", ["validate", str(MANIFESTS / "dense_n5.json"), "--json"], 1),
     # report branches no bundled fixture reaches: no Einstein-like constants
