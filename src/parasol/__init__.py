@@ -45,6 +45,6 @@ from .solitons import (
     xi_consequence_suite,
 )
 from .symexpr import Expr, ExprError, InvariantError, ParseError, parse
-from .tensor import Frame, Metric, TensorField, contract, lie_bracket, signature_at
+from .tensor import Contraction, Frame, Metric, TensorField, contract, lie_bracket, signature_at
 
 __version__ = "0.1.0"

@@ -44,6 +44,7 @@ from .oracle import (
     compare,
     max_deviation,
     oracle_sample_points,
+    require_step_fits,
 )
 from .paracontact import (
     ParacontactStructure,
@@ -621,6 +622,8 @@ def cmd_oracle(analysis: Analysis, report: VerificationReport) -> list[CheckOutc
 
 
 def cmd_report_all(analysis: Analysis) -> VerificationReport:
+    # the oracle runs last; an input error there must not wait for the rest
+    require_step_fits(analysis.structure.chart, analysis.cfg)
     report = analysis.new_report()
     for command in (
         cmd_validate,

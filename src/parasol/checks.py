@@ -20,8 +20,18 @@ would be wasted work otherwise.  Each row follows one rule:
   ``(holds, *args)`` and the details are ``statement % args``.
 
 A residual is an ``Expr`` or ``TensorField``, whose numeric size the report
-samples, an exact rational, or a tuple of these that is zero when every one
-is (the report samples the first).
+samples, a lazy :class:`~parasol.tensor.Contraction` (a spec and its built
+operands), an exact rational, or a tuple of these that is zero when every
+one is (the report samples the first).
+
+A contraction is fingerprinted before it is built: every operand component
+is reduced modulo the prime p = 2^61 - 1 at one seeded formal point
+(x_i, E_i = e^{x_i/L}), and the residues are contracted with the same spec.
+That is a ring map of the exact expressions, so a nonzero residue proves
+the residual nonzero exactly, and the outcome keeps the contraction for the
+report to size from float factors.  When every residue is zero, or some
+denominator is not a unit mod p, the runner falls back to the exact build
+and ``is_zero``.
 """
 
 from __future__ import annotations
@@ -30,8 +40,8 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, Union
 
-from .symexpr import Expr
-from .tensor import TensorField
+from .symexpr import Expr, NonUnitResidueError
+from .tensor import Contraction, TensorField
 
 __all__ = [
     "CheckOutcome",
@@ -55,7 +65,7 @@ IDENTITY = "identity"
 CLASSIFICATION = "classification"
 FACT = "fact"
 
-Residual = Union[Expr, TensorField, None]
+Residual = Union[Expr, TensorField, Contraction, None]
 
 
 @dataclass
@@ -121,11 +131,31 @@ def _run(row: Check, facts) -> CheckOutcome:
         holds, *args = value
         details = row.statement % tuple(args)
         return CheckOutcome(row.id, PASS if holds else FAIL, holds, details=details)
-    parts = value if isinstance(value, tuple) else (value,)
-    zero = all(p.is_zero() if isinstance(p, (Expr, TensorField)) else p == 0 for p in parts)
+    parts = tuple(map(_certified_or_built, value if isinstance(value, tuple) else (value,)))
+    zero = all(_is_zero(p) for p in parts)
     status = PASS if zero or row.rule == CLASSIFICATION else FAIL
     details = row.statement if isinstance(row.statement, str) else row.statement[not zero]
     return CheckOutcome(row.id, status, zero, _kept(parts[0], zero), details)
+
+
+def _certified_or_built(part):
+    """A contraction with a nonzero residue as it is, any other contraction built exactly."""
+    if not isinstance(part, Contraction):
+        return part
+    try:
+        if part.residues().any():
+            return part
+    except NonUnitResidueError:
+        pass
+    return part.build()
+
+
+def _is_zero(part) -> bool:
+    if isinstance(part, Contraction):
+        return False  # _certified_or_built kept it for its nonzero residue
+    if isinstance(part, (Expr, TensorField)):
+        return part.is_zero()
+    return part == 0
 
 
 def _kept(residual, zero: bool) -> Residual:
@@ -138,4 +168,4 @@ def _kept(residual, zero: bool) -> Residual:
         return TensorField.zero(residual.chart, residual.p, residual.q) if zero else residual
     if isinstance(residual, Expr):
         return Expr.zero(residual.chart) if zero else residual
-    return None
+    return residual if isinstance(residual, Contraction) else None

@@ -34,6 +34,7 @@ __all__ = [
     "fd_riemann",
     "fd_ricci",
     "oracle_sample_points",
+    "require_step_fits",
     "compare",
     "max_deviation",
 ]
@@ -180,6 +181,16 @@ def fd_ricci(metric: Metric, point: Point, cfg: OracleConfig) -> np.ndarray:
     return StencilSampler(metric).ricci(point, cfg.h)
 
 
+def require_step_fits(chart: Chart, cfg: OracleConfig) -> None:
+    """Raise ``OracleConfigError`` unless the +-2h stencil fits the narrowest box interval."""
+    width = min(hi - lo for lo, hi in chart.domain_box)
+    if 4.0 * cfg.h >= width:
+        raise OracleConfigError(
+            "step h = %g does not fit the domain box: the +-2h stencil needs 4h below "
+            "its narrowest interval width %s" % (cfg.h, width)
+        )
+
+
 def oracle_sample_points(
     chart: Chart, metric: Metric, cfg: OracleConfig
 ) -> list[dict[str, float]]:
@@ -188,14 +199,10 @@ def oracle_sample_points(
     A point is rejected when |det g| < 1e-6 at the point or anywhere on its
     finite-difference stencil, or when the determinant changes sign there.
     A step whose +-2h stencil spans the narrowest box interval is an input
-    error, so the box is not blamed for what the step causes.
+    error (:func:`require_step_fits`), so the box is not blamed for what the
+    step causes.
     """
-    width = min(hi - lo for lo, hi in chart.domain_box)
-    if 4.0 * cfg.h >= width:
-        raise OracleConfigError(
-            "step h = %g does not fit the domain box: the +-2h stencil needs 4h below "
-            "its narrowest interval width %s" % (cfg.h, width)
-        )
+    require_step_fits(chart, cfg)
 
     def reject(point: dict[str, float]) -> bool:
         xs = [point[c] for c in chart.coordinates]

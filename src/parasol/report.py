@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .checks import CheckOutcome, FAIL
-from .symexpr import Expr
-from .tensor import TensorField
+from .symexpr import DegenerateEvaluationError, Expr
+from .tensor import Contraction, TensorField
 
 __all__ = ["CheckEntry", "VerificationReport", "CURVATURE_SIGN_CONVENTION"]
 
@@ -56,8 +58,38 @@ def _round_float(value: float) -> float:
     return float("%.6e" % value)
 
 
+def _factored_max(residual: Contraction, points: list[Mapping[str, float]]) -> float | None:
+    """Largest |component| summed from float factors, or None where the exact build must decide.
+
+    That is when an operand is degenerate or not finite at some point, or the
+    summed value is not finite.
+    """
+    worst = 0.0
+    for point in points:
+        try:
+            values = residual.numeric_at(point)
+        except DegenerateEvaluationError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        worst = max(worst, float(np.abs(values).max()))
+    return worst
+
+
 def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> float | None:
-    """Largest |residual| over the points, or None when there is none or it is not finite."""
+    """Largest |residual| over the points, or None when there is none or it is not finite.
+
+    A contraction takes it from float factors when every operand is finite
+    and nondegenerate at every point; otherwise it is built exactly and
+    :meth:`TensorField.max_abs` skips each component at the points where
+    that component is degenerate.
+    """
+    points = list(points)
+    if isinstance(residual, Contraction):
+        worst = _factored_max(residual, points)
+        if worst is not None:
+            return _round_float(worst)
+        residual = residual.build()
     if isinstance(residual, Expr):
         residual = TensorField(residual.chart, 0, 0, [residual])
     elif not isinstance(residual, TensorField):

@@ -54,7 +54,7 @@ from .connection import (
 )
 from .paracontact import ParacontactStructure
 from .symexpr import ExactEvaluationError, Expr, InvariantError
-from .tensor import TensorField, ValenceError, contract, kronecker
+from .tensor import Contraction, TensorField, ValenceError, contract, kronecker
 
 __all__ = [
     "SolitonData",
@@ -608,15 +608,16 @@ def semi_symmetry_residual(
     structure: ParacontactStructure,
     riem: TensorField,
     ricci_tensor: TensorField,
-) -> TensorField:
-    """residual(X, Y, Z) = S(R(xi, X)Y, Z) + S(Y, R(xi, X)Z).
+) -> Contraction:
+    """residual(X, Y, Z) = S(R(xi, X)Y, Z) + S(Y, R(xi, X)Z), as an unexpanded contraction.
 
-    An exactly symmetric S makes the residual symmetric in Y and Z, so each
-    unordered (Y, Z) pair is built once and both slots share its object.
+    An exactly symmetric S makes the residual symmetric in Y and Z, so an
+    exact build makes each unordered (Y, Z) pair once and both slots share
+    its object.
     """
     r_xi = contract("mlij,l->mij", riem, structure.xi)  # [m, i, j] = (R(xi, d_i) d_j)^m
     hint = (1, 2) if ricci_tensor.is_symmetric_down(0, 1) else None
-    return contract("mk,mij+jm,mik->ijk", ricci_tensor, r_xi, ricci_tensor, r_xi, symmetric=hint)
+    return Contraction("mk,mij+jm,mik->ijk", ricci_tensor, r_xi, ricci_tensor, r_xi, symmetric=hint)
 
 
 def parallel_tensor_check(

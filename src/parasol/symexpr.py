@@ -66,6 +66,7 @@ nonzero rational is irrational and would break exactness).
 from __future__ import annotations
 
 import math
+import random
 import struct
 from collections.abc import Mapping
 from fractions import Fraction
@@ -85,6 +86,8 @@ __all__ = [
     "DegenerateEvaluationError",
     "ExactEvaluationError",
     "InvariantError",
+    "NonUnitResidueError",
+    "FormalPoint",
     "parse",
 ]
 
@@ -903,6 +906,86 @@ class Expr:
 
     def __repr__(self) -> str:
         return "Expr(%s)" % self
+
+
+# ---------------------------------------------------------------------------
+# residues modulo a prime
+# ---------------------------------------------------------------------------
+
+RESIDUE_PRIME = (1 << 61) - 1
+# any fixed seed will do: a nonzero residue is a proof at every point
+_FORMAL_SEED = 61
+
+
+class NonUnitResidueError(ExprError):
+    """A denominator or coefficient denominator vanishes modulo the prime at the formal point."""
+
+
+def formal_values(n: int) -> tuple[list[int], list[int]]:
+    """The seeded residues of x_1..x_n and of E_1..E_n at the formal point."""
+    rng = random.Random(_FORMAL_SEED)
+    draw = [rng.randrange(2, RESIDUE_PRIME) for _ in range(2 * n)]
+    return draw[:n], draw[n:]
+
+
+class FormalPoint:
+    """A ring map from expressions to the integers modulo ``RESIDUE_PRIME``.
+
+    Every expression is a polynomial in the x_i and the E_i = e^{x_i/L} and
+    their inverses over a denominator of the same kind, where L is a common
+    multiple of the rate denominators it will meet.  Sending x_i and E_i to
+    the seeded residues of :func:`formal_values` is a ring homomorphism
+    wherever the denominators stay units, so a sum of products of residues
+    is the residue of the exact sum of products, and an exactly zero
+    expression has residue 0.  Term values are cached per packed key and
+    rate denominator.
+    """
+
+    __slots__ = ("xs", "es", "inverses", "rden", "_terms")
+
+    def __init__(self, chart: Chart, exprs: Sequence[Expr]):
+        """The point for ``exprs`` on ``chart``: L is the lcm of their rate denominators."""
+        self.xs, self.es = formal_values(chart.dimension)
+        if not all(e % RESIDUE_PRIME for e in self.es):
+            raise NonUnitResidueError("an exponential vanishes at the formal point")
+        self.inverses = [pow(e, -1, RESIDUE_PRIME) for e in self.es]
+        self.rden = math.lcm(1, *{expr._rden for expr in exprs})
+        self._terms: dict[int, dict[Key, int]] = {}
+
+    def _sum(self, a: Sum, lay: _Layout, rden: int) -> int:
+        terms = self._terms.get(rden)
+        if terms is None:
+            if self.rden % rden:
+                raise ExprError("rate denominator %d does not divide %d" % (rden, self.rden))
+            terms = self._terms[rden] = {}
+        p, step = RESIDUE_PRIME, self.rden // rden
+        total = 0
+        for key, coeff in a.items():
+            value = terms.get(key)
+            if value is None:
+                mono, atom = lay.unpack(key)
+                value = 1
+                for x, k in zip(self.xs, mono):
+                    if k:
+                        value = value * pow(x, k, p) % p
+                for e, inverse, lam in zip(self.es, self.inverses, atom):
+                    if lam:
+                        value = value * pow(e if lam > 0 else inverse, abs(lam) * step, p) % p
+                terms[key] = value
+            total += coeff * value
+        return total % p
+
+    def residue(self, expr: Expr) -> int:
+        """``expr`` modulo the prime at this point; raises ``NonUnitResidueError``."""
+        if not expr._num:
+            return 0
+        lay, rden, p = expr._lay, expr._rden, RESIDUE_PRIME
+        den = self._sum({expr._dmono: 1}, lay, rden) * expr._scale.denominator
+        if expr._dbase is not None:
+            den *= pow(self._sum(expr._dbase, lay, rden), expr._dexp, p)
+        if den % p == 0:
+            raise NonUnitResidueError("a denominator vanishes at the formal point")
+        return expr._scale.numerator * self._sum(expr._num, lay, rden) * pow(den, -1, p) % p
 
 
 # ---------------------------------------------------------------------------

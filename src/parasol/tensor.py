@@ -51,6 +51,11 @@ order:
   loop would give, so the hint suits a result that is only evaluated.
 
 An operand for an empty term (``",kij->kij"``) may be a scalar ``Expr``.
+
+A :class:`Contraction` holds a spec and its operands unexpanded.  It sums
+the spec with ``numpy.einsum`` over residues modulo a prime (an exact
+nonzero certificate, see :mod:`parasol.checks`) or over float values at a
+point, and ``build`` expands it with ``contract``.
 """
 
 from __future__ import annotations
@@ -65,7 +70,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .chart import Chart
-from .symexpr import DegenerateEvaluationError, Expr, InvariantError, coordinate_values
+from .symexpr import (
+    RESIDUE_PRIME,
+    DegenerateEvaluationError,
+    Expr,
+    FormalPoint,
+    InvariantError,
+    coordinate_values,
+)
 
 __all__ = [
     "TensorField",
@@ -76,6 +88,7 @@ __all__ = [
     "DegenerateMetricError",
     "FrameError",
     "SignatureResult",
+    "Contraction",
     "contract",
     "lie_bracket",
     "partials",
@@ -267,20 +280,19 @@ def partials(tensor: TensorField) -> TensorField:
     return TensorField(tensor.chart, tensor.p, tensor.q + 1, comps)
 
 
-def contract(
-    spec: str, *operands: TensorField | Expr, symmetric: tuple[int, int] | None = None
-) -> TensorField | Expr:
-    """Exact Einstein summation, e.g. ``contract("ab,ai,bj->ij", g, phi, phi)``.
+def _parse(spec: str, operands: Sequence[TensorField | Expr]) -> tuple:
+    """(chart, output letters, output variances, products) of a contraction spec.
 
-    The rules, and why each component is built in plain nested-loop order,
-    are in the module docstring.
+    ``products`` holds one ``(negate, [(term, field), ...])`` per product, a
+    scalar operand wrapped as a rank-0 field; ``upper[k]`` is True when output
+    index k is contravariant.
     """
     lhs, arrow, out = spec.partition("->")
     if not arrow:
         raise ValenceError("contraction spec %r has no '->'" % spec)
     negated = [sign == "-" for sign in "+" + "".join(re.findall("[+-]", lhs))]
-    products = [part.split(",") for part in re.split("[+-]", lhs)]
-    terms = [term for part in products for term in part]
+    parts = [part.split(",") for part in re.split("[+-]", lhs)]
+    terms = [term for part in parts for term in part]
     if len(terms) != len(operands):
         raise ValenceError("%r names %d operands, got %d" % (spec, len(terms), len(operands)))
     chart = operands[0].chart
@@ -297,13 +309,26 @@ def contract(
         raise ValenceError("repeated output index in %r" % spec)
     upper = []
     for letter in out:
-        if not all(letter in "".join(part) for part in products):
+        if not all(letter in "".join(part) for part in parts):
             raise ValenceError("output index %r is missing from a product of %r" % (letter, spec))
         term, op = next((term, op) for term, op in fields if letter in term)
         upper.append(term.index(letter) < op.p)
     if upper != sorted(upper, reverse=True):
         raise ValenceError("contravariant output indices must come first in %r" % spec)
+    factors = iter(fields)
+    products = [(negate, [next(factors) for _ in part]) for negate, part in zip(negated, parts)]
+    return chart, out, upper, products
 
+
+def contract(
+    spec: str, *operands: TensorField | Expr, symmetric: tuple[int, int] | None = None
+) -> TensorField | Expr:
+    """Exact Einstein summation, e.g. ``contract("ab,ai,bj->ij", g, phi, phi)``.
+
+    The rules, and why each component is built in plain nested-loop order,
+    are in the module docstring.
+    """
+    chart, out, upper, products = _parse(spec, operands)
     n = chart.dimension
     if symmetric is not None:
         a, b = sorted(symmetric)
@@ -315,7 +340,7 @@ def contract(
         # flat offset from a component with index[a] > index[b] to its built partner
         shift = n ** (len(out) - 1 - a) - n ** (len(out) - 1 - b)
 
-    summed = sorted(set(lhs) - set(out) - set("+-,"))
+    summed = sorted({letter for _, part in products for term, _ in part for letter in term} - set(out))
     assignments = list(product(range(n), repeat=len(summed)))
 
     def offsets(term: str, letters: Sequence[str], values: Iterable[tuple[int, ...]]) -> list[int]:
@@ -329,12 +354,10 @@ def contract(
     # one step per (summed assignment, product) in loop order; a product runs
     # only where the summed indices it does not name sit at their first value
     plans = []
-    operand = iter(fields)
     outputs = list(product(range(n), repeat=len(out)))
-    for negate, part in zip(negated, products):
-        factors = [next(operand) for _ in part]
+    for negate, factors in products:
         plan = [(op._comps, offsets(t, out, outputs), offsets(t, summed, assignments)) for t, op in factors]
-        plans.append((negate, "".join(part), plan))
+        plans.append((negate, "".join(t for t, _ in factors), plan))
     steps = [
         (negate, [(comps, outs, sums[s]) for comps, outs, sums in plan])
         for s, values in enumerate(assignments)
@@ -363,6 +386,74 @@ def contract(
     if not out:
         return components[0]
     return TensorField(chart, sum(upper), len(out) - sum(upper), components)
+
+
+class Contraction:
+    """``contract(spec, *operands)`` left unexpanded, so it can be decided before it is built.
+
+    The operands are built fields (or scalars).  The summation itself runs
+    with numpy over one array of values per operand: residues modulo
+    ``RESIDUE_PRIME`` at the formal point (:meth:`residues`), or floats at a
+    sample point (:meth:`numeric_at`).  :meth:`build` expands it exactly
+    with :func:`contract`, passing the ``symmetric`` hint on.
+    """
+
+    __slots__ = ("spec", "operands", "symmetric", "chart", "_out", "_products")
+
+    def __init__(
+        self, spec: str, *operands: TensorField | Expr, symmetric: tuple[int, int] | None = None
+    ):
+        self.chart, self._out, _upper, self._products = _parse(spec, operands)
+        self.spec, self.operands, self.symmetric = spec, operands, symmetric
+
+    def build(self) -> TensorField | Expr:
+        return contract(self.spec, *self.operands, symmetric=self.symmetric)
+
+    def _einsum(self, values: Callable[[TensorField], np.ndarray]) -> np.ndarray:
+        """The summation over ``values(field)`` of each operand, each distinct field valued once."""
+        arrays: dict[int, np.ndarray] = {}
+        total = 0
+        for negate, factors in self._products:
+            for _, op in factors:
+                if id(op) not in arrays:
+                    arrays[id(op)] = values(op)
+            spec = ",".join(term for term, _ in factors) + "->" + self._out
+            value = np.einsum(spec, *(arrays[id(op)] for _, op in factors))
+            total = total - value if negate else total + value
+        return total
+
+    def residues(self) -> np.ndarray:
+        """Every component modulo ``RESIDUE_PRIME`` at the formal point, as Python ints.
+
+        Raises ``NonUnitResidueError`` when an operand has no residue there.
+        """
+        point = FormalPoint(
+            self.chart, [c for _, factors in self._products for _, op in factors for c in op._comps]
+        )
+        n = self.chart.dimension
+
+        def values(op: TensorField) -> np.ndarray:
+            array = np.array([point.residue(c) for c in op._comps], dtype=object)
+            return array.reshape((n,) * op.rank)
+
+        return self._einsum(values) % RESIDUE_PRIME
+
+    def numeric_at(self, point: Mapping[str, float] | Sequence[float]) -> np.ndarray:
+        """Float components at a point, summed from the operands' float values.
+
+        Raises ``DegenerateEvaluationError`` when an operand component is
+        degenerate or not finite at the point.
+        """
+        xs = coordinate_values(self.chart, point)
+
+        def values(op: TensorField) -> np.ndarray:
+            array = op.numeric_at(xs)
+            if not np.isfinite(array).all():
+                raise DegenerateEvaluationError("an operand is not finite at %r" % xs)
+            return array
+
+        with np.errstate(all="ignore"):
+            return self._einsum(values)
 
 
 def _minor_det(

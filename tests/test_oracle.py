@@ -60,6 +60,29 @@ def test_step_must_fit_the_domain_box(flat):
     assert len(oracle_sample_points(flat.chart, flat.metric, OracleConfig(h=0.4))) == SAMPLE_COUNT
 
 
+def test_report_all_rejects_the_step_before_any_command(monkeypatch):
+    import parasol.analysis as analysis
+
+    ran = []
+    for name in [name for name in vars(analysis) if name.startswith("cmd_")]:
+        if name != "cmd_report_all":
+            monkeypatch.setattr(
+                analysis, name, lambda a, name=name: ran.append(name) or a.new_report()
+            )
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["report", "--all", "fixtures/ex1_r3_spacelike", "--h", "1"])
+    assert code == 2 and ran == [] and out.getvalue() == ""
+    assert err.getvalue() == (
+        "error: step h = 1 does not fit the domain box: the +-2h stencil needs 4h below "
+        "its narrowest interval width 2\n"
+    )
+    # with a step that fits, the same stubs all run
+    with redirect_stdout(io.StringIO()):
+        assert main(["report", "--all", "fixtures/ex1_r3_spacelike", "--h", "0.4"]) == 0
+    assert len(ran) == 10
+
+
 def test_fd_christoffel_value_on_ex1(ex1):
     # Gamma^z_xx = -e^{2z}: at z = 0.3 the value is -e^{0.6}
     gamma = fd_christoffel(ex1.metric, {"x": 0.0, "y": 0.0, "z": 0.3}, CFG)
