@@ -436,7 +436,7 @@ class Contraction:
             array = np.array([point.residue(c) for c in op._comps], dtype=object)
             return array.reshape((n,) * op.rank)
 
-        return self._einsum(values) % RESIDUE_PRIME
+        return np.asarray(self._einsum(values) % RESIDUE_PRIME)
 
     def numeric_at(self, point: Mapping[str, float] | Sequence[float]) -> np.ndarray:
         """Float components at a point, summed from the operands' float values.

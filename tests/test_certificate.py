@@ -135,6 +135,17 @@ def test_a_nonzero_residue_keeps_the_contraction(ex1):
     assert isinstance(outcome.residual, Contraction)
 
 
+def test_a_scalar_contraction_is_decided_both_ways(ex1):
+    g = ex1.metric.field
+    rows = [
+        Check("xi_xi", ("zero", "nonzero"), Contraction("ij,i,j->", g, ex1.xi, ex1.xi)),
+        Check("e1_xi", ("zero", "nonzero"), Contraction("ij,i,j->", g, ex1.frame[0], ex1.xi)),
+    ]
+    nonzero, zero = run_checks(rows)
+    assert nonzero.symbolic_zero is False and isinstance(nonzero.residual, Contraction)
+    assert zero.symbolic_zero is True and zero.residual.is_zero()
+
+
 def test_a_forced_zero_residue_falls_back_to_the_exact_build(ex1, monkeypatch):
     # x = 0 is a root of the residual x: its residue vanishes, the build decides
     monkeypatch.setattr(symexpr, "formal_values", lambda n: ([0] * n, [2] * n))
