@@ -196,11 +196,11 @@ def oracle_sample_points(
 ) -> list[dict[str, float]]:
     """Seeded sample points from the domain box, avoiding degeneracy loci.
 
-    A point is rejected when |det g| < 1e-6 at the point or anywhere on its
-    finite-difference stencil, or when the determinant changes sign there.
-    A step whose +-2h stencil spans the narrowest box interval is an input
-    error (:func:`require_step_fits`), so the box is not blamed for what the
-    step causes.
+    A point is rejected when |det g| < ``DEGENERACY_CUTOFF`` at the point or
+    anywhere on its finite-difference stencil, or when the determinant changes
+    sign there.  A step whose +-2h stencil spans the narrowest box interval is
+    an input error (:func:`require_step_fits`), so the box is not blamed for
+    what the step causes.
     """
     require_step_fits(chart, cfg)
 

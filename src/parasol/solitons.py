@@ -605,19 +605,14 @@ def collinear_potential_analysis(
 
 
 def semi_symmetry_residual(
-    structure: ParacontactStructure,
-    riem: TensorField,
-    ricci_tensor: TensorField,
+    structure: ParacontactStructure, ricci_tensor: TensorField
 ) -> Contraction:
     """residual(X, Y, Z) = S(R(xi, X)Y, Z) + S(Y, R(xi, X)Z), as an unexpanded contraction.
 
-    An exactly symmetric S makes the residual symmetric in Y and Z, so an
-    exact build makes each unordered (Y, Z) pair once and both slots share
-    its object.
+    R(xi, .) . is the structure's cached ``r_xi``, shared with the para-Sasakian identities.
     """
-    r_xi = contract("mlij,l->mij", riem, structure.xi)  # [m, i, j] = (R(xi, d_i) d_j)^m
-    hint = (1, 2) if ricci_tensor.is_symmetric_down(0, 1) else None
-    return Contraction("mk,mij+jm,mik->ijk", ricci_tensor, r_xi, ricci_tensor, r_xi, symmetric=hint)
+    r_xi = structure.r_xi()
+    return Contraction("mk,mij+jm,mik->ijk", ricci_tensor, r_xi, ricci_tensor, r_xi)
 
 
 def parallel_tensor_check(

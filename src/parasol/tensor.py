@@ -42,13 +42,7 @@ order:
 * each output index takes the variance of the first operand slot it
   names, and contravariant output indices must come first;
 * permutations (``"kji->kij"``) and traces (``"iijk->jk"``) fall out of the
-  same rule, and an empty output (``"ij,i,j->"``) returns a scalar ``Expr``;
-* ``symmetric=(a, b)`` names two output positions of one variance across
-  which the result is known to be exactly symmetric: a component whose index
-  at a exceeds its index at b is not built but is the very object of its
-  swapped partner.  The caller vouches for the symmetry; nothing checks it.
-  A shared component keeps its partner's term order, not the one its own
-  loop would give, so the hint suits a result that is only evaluated.
+  same rule, and an empty output (``"ij,i,j->"``) returns a scalar ``Expr``.
 
 An operand for an empty term (``",kij->kij"``) may be a scalar ``Expr``.
 
@@ -238,11 +232,8 @@ class TensorField:
         return (self - self.swap_down(a, b)).is_zero()
 
     def max_abs(self, points: Iterable[Mapping[str, float]]) -> float:
-        """Largest |component| over the sample points; degenerate points skipped.
-
-        A component object shared by several slots is evaluated once per point.
-        """
-        comps = {id(comp): comp for comp in self._comps if not comp.is_symbolically_zero}.values()
+        """Largest |component| over the points, skipping symbolic zeros and degenerate points."""
+        comps = [comp for comp in self._comps if not comp.is_symbolically_zero]
         worst = 0.0
         for point in points:
             xs = coordinate_values(self.chart, point)
@@ -320,9 +311,7 @@ def _parse(spec: str, operands: Sequence[TensorField | Expr]) -> tuple:
     return chart, out, upper, products
 
 
-def contract(
-    spec: str, *operands: TensorField | Expr, symmetric: tuple[int, int] | None = None
-) -> TensorField | Expr:
+def contract(spec: str, *operands: TensorField | Expr) -> TensorField | Expr:
     """Exact Einstein summation, e.g. ``contract("ab,ai,bj->ij", g, phi, phi)``.
 
     The rules, and why each component is built in plain nested-loop order,
@@ -330,15 +319,6 @@ def contract(
     """
     chart, out, upper, products = _parse(spec, operands)
     n = chart.dimension
-    if symmetric is not None:
-        a, b = sorted(symmetric)
-        if a == b or a < 0 or b >= len(out) or upper[a] != upper[b]:
-            raise ValenceError(
-                "symmetric=%r needs two distinct output positions of one variance in %r"
-                % (symmetric, spec)
-            )
-        # flat offset from a component with index[a] > index[b] to its built partner
-        shift = n ** (len(out) - 1 - a) - n ** (len(out) - 1 - b)
 
     summed = sorted({letter for _, part in products for term, _ in part for letter in term} - set(out))
     assignments = list(product(range(n), repeat=len(summed)))
@@ -367,10 +347,7 @@ def contract(
 
     zero = Expr.zero(chart)
     components = []
-    for o, index in enumerate(outputs):
-        if symmetric is not None and index[a] > index[b]:
-            components.append(components[o - (index[a] - index[b]) * shift])
-            continue
+    for o in range(len(outputs)):
         acc = zero
         for negate, factors in steps:
             row = [comps[outs[o] + offset] for comps, outs, offset in factors]
@@ -395,19 +372,17 @@ class Contraction:
     with numpy over one array of values per operand: residues modulo
     ``RESIDUE_PRIME`` at the formal point (:meth:`residues`), or floats at a
     sample point (:meth:`numeric_at`).  :meth:`build` expands it exactly
-    with :func:`contract`, passing the ``symmetric`` hint on.
+    with :func:`contract`.
     """
 
-    __slots__ = ("spec", "operands", "symmetric", "chart", "_out", "_products")
+    __slots__ = ("spec", "operands", "chart", "_out", "_products")
 
-    def __init__(
-        self, spec: str, *operands: TensorField | Expr, symmetric: tuple[int, int] | None = None
-    ):
+    def __init__(self, spec: str, *operands: TensorField | Expr):
         self.chart, self._out, _upper, self._products = _parse(spec, operands)
-        self.spec, self.operands, self.symmetric = spec, operands, symmetric
+        self.spec, self.operands = spec, operands
 
     def build(self) -> TensorField | Expr:
-        return contract(self.spec, *self.operands, symmetric=self.symmetric)
+        return contract(self.spec, *self.operands)
 
     def _einsum(self, values: Callable[[TensorField], np.ndarray]) -> np.ndarray:
         """The summation over ``values(field)`` of each operand, each distinct field valued once."""

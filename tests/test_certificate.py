@@ -44,9 +44,7 @@ def _ladder(n: int, tmp_path: Path) -> Path:
 def _semi_symmetry(path: Path):
     analysis = Analysis(load_manifest(path), OracleConfig())
     structure = analysis.structure
-    lazy = semi_symmetry_residual(
-        structure, structure.riemann(), structure.ricci(analysis.ricci_mode)
-    )
+    lazy = semi_symmetry_residual(structure, structure.ricci(analysis.ricci_mode))
     return lazy, analysis.sample_points()
 
 
@@ -168,7 +166,7 @@ def test_a_non_unit_denominator_falls_back_to_the_exact_build(ex1, monkeypatch):
 
 def test_zero_residues_keep_the_exact_verdict(flat):
     # a residual that is exactly zero has zero residues, and is built
-    lazy = semi_symmetry_residual(flat, flat.riemann(), flat.ricci())
+    lazy = semi_symmetry_residual(flat, flat.ricci())
     assert not lazy.residues().any()
     (outcome,) = run_checks([Check("semi", ("zero", "nonzero"), lazy, rule=CLASSIFICATION)])
     assert outcome.symbolic_zero is True and outcome.details == "zero"

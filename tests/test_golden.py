@@ -88,3 +88,14 @@ def test_golden_report(golden_name, argv, expected_exit, request):
         "missing golden file %s; run pytest --regen-golden" % golden_name
     )
     assert payload == golden_path.read_bytes()
+
+
+def test_numeric_rows_carry_no_symbolic_label():
+    # the oracle and the base-point guard are float observations, never exact zeros
+    labelled = 0
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        for row in json.loads(path.read_bytes())["checks"]:
+            if row["id"].startswith("oracle_") or row["id"] == "soliton_base_point_guard":
+                assert row["symbolic_zero"] is None, (path.name, row["id"])
+                labelled += 1
+    assert labelled > 0

@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports, or defines as private, is used in that module."""
 
 import ast
 from pathlib import Path
@@ -51,5 +51,55 @@ def test_package_modules_import_only_what_they_use():
         for path in sorted(SRC.glob("*.py"))
         if path.name != "__init__.py"
         and (unused := unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def unreferenced_private_names(source: str) -> list[str]:
+    """Single-underscore module-level functions, classes and assignments, and
+    single-underscore class methods, that nothing in the module refers to."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for sub in (sub for target in targets for sub in ast.walk(target)):
+                if isinstance(sub, ast.Name):
+                    defined[sub.id] = node.lineno
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined[item.name] = item.lineno
+    used = {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(tree)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
+    return [
+        "%s (line %d)" % (name, line)
+        for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+
+
+def test_detector_finds_an_unreferenced_private_name():
+    source = (
+        "_USED, _SPARE = 1, 2\n"
+        "def _dead():\n    return _USED\n"
+        "class _Kept:\n    def _helper(self):\n        return 0\n"
+        "    def __repr__(self):\n        return ''\n"
+        "def public():\n    return _Kept\n"
+    )
+    assert unreferenced_private_names(source) == [
+        "_SPARE (line 1)", "_dead (line 2)", "_helper (line 5)"
+    ]
+
+
+def test_package_modules_refer_to_every_private_name():
+    found = {
+        path.name: unreferenced
+        for path in sorted(SRC.glob("*.py"))
+        if (unreferenced := unreferenced_private_names(path.read_text(encoding="utf-8")))
     }
     assert found == {}

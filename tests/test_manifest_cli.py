@@ -506,3 +506,19 @@ def test_collinear_with_nonconstant_k_fails_constancy(tmp_path):
     statuses = {c["id"]: c["status"] for c in report["checks"]}
     assert statuses["collinear_gate"] == "pass"
     assert statuses["collinear_k_constant"] == "fail"
+
+
+def test_r_xi_built_once_per_report(monkeypatch):
+    # the para-Sasakian identities and the semi-symmetry residual share
+    # R(xi, .) .; report --all used to contract it twice
+    specs = []
+    for module in (parasol.paracontact, parasol.solitons):
+        contract = module.contract
+        monkeypatch.setattr(
+            module,
+            "contract",
+            lambda spec, *ops, contract=contract: specs.append(spec) or contract(spec, *ops),
+        )
+    code, _, _ = run_cli(["report", "--all", "fixtures/ex1_r3_spacelike", "--json"])
+    assert code == 1
+    assert specs.count("kmij,m->kij") + specs.count("mlij,l->mij") == 1
