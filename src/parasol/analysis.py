@@ -29,13 +29,7 @@ from .checks import (
     inapplicable,
     run_checks,
 )
-from .connection import (
-    PAPER_FRAME_SUM,
-    WEIGHTED_TRACE,
-    covariant_derivative,
-    frame_sum,
-    scalar_curvature,
-)
+from .connection import WEIGHTED_TRACE, covariant_derivative, frame_sum, scalar_curvature
 from .manifest import Manifest, ManifestError
 from .oracle import (
     DEGENERACY_CUTOFF,
@@ -102,10 +96,6 @@ class Analysis:
         self.manifest = manifest
         self.cfg = cfg
         self.structure: ParacontactStructure = manifest.structure()
-        mode = manifest.ricci_mode or WEIGHTED_TRACE
-        if mode == PAPER_FRAME_SUM and manifest.frame is None:
-            raise ManifestError("ricci_mode paper_frame_sum requires a frame in the manifest")
-        self.ricci_mode = mode
         self._points: list[dict[str, float]] | None = None
 
     # -- shared lazies ---------------------------------------------------------
@@ -125,18 +115,13 @@ class Analysis:
             )
         return self._points
 
-    def para_sasakian(self) -> bool:
-        return structure_is_valid(self.structure) and all(
-            o.status == PASS for o in is_para_sasakian(self.structure)
-        )
-
     @cached_property
     def fit(self) -> EinsteinFitResult | RankDeficientError | None:
         """The Einstein-like fit, the error of a rank-deficient design, or None without a frame."""
         if self.structure.frame is None:
             return None
         try:
-            return einstein_like_fit(self.structure, self.ricci_mode)
+            return einstein_like_fit(self.structure)
         except RankDeficientError as exc:
             return exc
 
@@ -170,7 +155,7 @@ class Analysis:
 
     def new_report(self) -> VerificationReport:
         report = VerificationReport(
-            name=self.manifest.name, ricci_mode=self.ricci_mode, seed=self.cfg.seed
+            name=self.manifest.name, ricci_mode=self.structure.ricci_mode, seed=self.cfg.seed
         )
         report.constants["epsilon"] = self.structure.epsilon
         return report
@@ -248,10 +233,11 @@ def _frame_diagonal_details(structure: ParacontactStructure, tensor: TensorField
 
 @_command
 def cmd_curvature(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
-    structure, mode = analysis.structure, analysis.ricci_mode
+    structure = analysis.structure
+    mode = structure.ricci_mode
     gamma = structure.connection()
     riem = structure.riemann()
-    ricci_tensor = structure.ricci(mode)
+    ricci_tensor = structure.ricci()
     # separate tables, so the Riemann-sized zero residuals are dropped before the
     # semi-symmetry residual is built
     outcomes = run_checks([
@@ -331,15 +317,10 @@ def cmd_einstein_fit(analysis: Analysis, report: VerificationReport) -> list[Che
         PASS,
         symbolic_zero=True,
         details="S = a g + b g(phi .,.) + c eta(x)eta with (a, b, c) = (%s, %s, %s) [%s]"
-        % (a, b, c, analysis.ricci_mode),
+        % (a, b, c, structure.ricci_mode),
     )
     return [fitted] + einstein_like_suite(
-        structure,
-        fit.constants,
-        analysis.ricci_mode,
-        para_sasakian=analysis.para_sasakian(),
-        soliton=soliton,
-        torse=analysis.torse,
+        structure, fit.constants, soliton=soliton, torse=analysis.torse
     )
 
 
@@ -355,23 +336,16 @@ def cmd_soliton_check(analysis: Analysis, report: VerificationReport) -> list[Ch
                 "manifest must provide a potential and constants lambda, mu",
             )
         ]
-    (lam, mu), mode = pair, analysis.ricci_mode
+    lam, mu = pair
     report.constants.update({"lambda": lam, "mu": mu})
     outcomes = run_checks([
         Check("soliton_residual_zero", "1/2 L_V g + S + lambda g + mu eta(x)eta = 0 with "
-              "(lambda, mu) = (%s, %s) [%s]" % (lam, mu, mode),
-              soliton_residual(structure, SolitonData(potential, lam, mu), mode)),
+              "(lambda, mu) = (%s, %s) [%s]" % (lam, mu, structure.ricci_mode),
+              soliton_residual(structure, SolitonData(potential, lam, mu))),
     ])
     if not analysis.potential_is_xi():
         return outcomes
-    return outcomes + xi_consequence_suite(
-        structure,
-        lam,
-        mu,
-        constants=analysis.fit_constants,
-        mode=mode,
-        para_sasakian=analysis.para_sasakian(),
-    )
+    return outcomes + xi_consequence_suite(structure, lam, mu, constants=analysis.fit_constants)
 
 
 @_command
@@ -385,9 +359,7 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
                 "solving needs a potential and an orthonormal frame in the manifest",
             )
         ]
-    result = solve_soliton_constants(
-        structure, potential, analysis.ricci_mode, guard_seed=analysis.cfg.seed
-    )
+    result = solve_soliton_constants(structure, potential, guard_seed=analysis.cfg.seed)
     report.constants.update({"lambda": result.lam, "mu": result.mu})
     diag = ", ".join(
         str(c) if c is not None else str(e)
@@ -403,7 +375,7 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
                 "exact" if result.exact else "least-squares",
                 result.lam,
                 result.mu,
-                analysis.ricci_mode,
+                structure.ricci_mode,
             ),
         ),
         CheckOutcome(
@@ -451,7 +423,7 @@ def cmd_torse(analysis: Analysis, report: VerificationReport) -> list[CheckOutco
         return consistent, c_expected, mu_expected, constants.a, lam, constants.c, mu, check
 
     return outcomes + curvature_from_torse_forming(
-        structure, torse, a_plus_lambda=a_plus_lambda, mode=analysis.ricci_mode
+        structure, torse, a_plus_lambda=a_plus_lambda
     ) + run_checks(
         [
             Check("torse_constants_consistency",
@@ -462,9 +434,7 @@ def cmd_torse(analysis: Analysis, report: VerificationReport) -> list[CheckOutco
         torse=torse,
         constants=constants,
         pair=pair,
-        declared_soliton=lambda: soliton_residual(
-            structure, SolitonData(structure.xi, lam, mu), analysis.ricci_mode
-        ),
+        declared_soliton=lambda: soliton_residual(structure, SolitonData(structure.xi, lam, mu)),
     )
 
 
@@ -482,12 +452,7 @@ def cmd_collinear(analysis: Analysis, report: VerificationReport) -> list[CheckO
     lam, mu = pair
     report.constants.update({"lambda": lam, "mu": mu})
     return collinear_potential_analysis(
-        analysis.structure,
-        spec.k_expr(analysis.manifest.chart),
-        lam,
-        mu,
-        mode=analysis.ricci_mode,
-        para_sasakian=analysis.para_sasakian(),
+        analysis.structure, spec.k_expr(analysis.manifest.chart), lam, mu
     )
 
 
@@ -497,27 +462,17 @@ def cmd_parallel(analysis: Analysis, report: VerificationReport) -> list[CheckOu
     outcomes = []
     if analysis.manifest.alpha is not None:
         outcomes += parallel_tensor_check(
-            structure,
-            analysis.manifest.alpha,
-            mode=analysis.ricci_mode,
-            torse=analysis.torse,
-            para_sasakian=analysis.para_sasakian(),
-            prefix="alpha",
+            structure, analysis.manifest.alpha, torse=analysis.torse, prefix="alpha"
         )
     mu = analysis.manifest.constants.get("mu")
     if mu is not None:
-        combo = (
-            structure.soliton_tensor(structure.xi, analysis.ricci_mode)
-            + structure.eta_tensor_eta().scale(mu)
-        )
+        combo = structure.soliton_tensor(structure.xi) + structure.eta_tensor_eta().scale(mu)
         outcomes += parallel_tensor_check(
             structure,
             combo,
-            mode=analysis.ricci_mode,
             mu_link=mu,
             constants=analysis.fit_constants,
             torse=analysis.torse,
-            para_sasakian=analysis.para_sasakian(),
             prefix="soliton_alpha",
         )
     if not outcomes:

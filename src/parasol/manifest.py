@@ -33,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .chart import Chart, ChartError
-from .connection import RICCI_MODES
+from .connection import RICCI_MODES, WEIGHTED_TRACE
 from .paracontact import ParacontactStructure
 from .symexpr import Expr, ExprError, parse
 from .tensor import Frame, FrameError, Metric, TensorField, ValenceError
@@ -161,6 +161,7 @@ class Manifest:
             metric=self.metric,
             epsilon=self.epsilon,
             frame=self.frame,
+            ricci_mode=self.ricci_mode or WEIGHTED_TRACE,
         )
 
 

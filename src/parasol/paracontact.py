@@ -25,6 +25,12 @@ runs.  The structure caches its connection, curvature and the derived
 tensors the suites share (nabla phi, nabla xi, Q, nabla S, nabla Q, ...), so
 each is built once per run.
 
+The Ricci mode is fixed per structure (a manifest's ``ricci_mode``, or the
+CLI's ``--ricci-mode``), and every derived tensor and soliton suite uses it;
+only ``ricci`` and ``ricci_xi`` take a ``mode`` override, for the rows that
+use the weighted trace on purpose.  Getting the other mode means loading the
+manifest again with ``overrides={"ricci_mode": ...}``.
+
 An invalid structure is representable; the validators flag it rather than
 refuse to construct it.  A declared epsilon that disagrees with g(xi, xi)
 is a hard error, because every later formula branches on it.
@@ -82,7 +88,9 @@ class ParacontactStructure:
 
     Connection, curvature, the derived tensors the check suites share and
     the suites' own outcomes are computed on first use and cached;
-    everything is immutable so the caches are safe to share.
+    everything is immutable so the caches are safe to share.  ``ricci_mode``
+    is the Ricci contraction of every derived tensor; ``paper_frame_sum``
+    needs a frame.
     """
 
     def __init__(
@@ -93,6 +101,7 @@ class ParacontactStructure:
         metric: Metric,
         epsilon: int | None = None,
         frame: Frame | None = None,
+        ricci_mode: str = WEIGHTED_TRACE,
     ):
         chart = metric.chart
         for name, field, valence in (
@@ -108,6 +117,8 @@ class ParacontactStructure:
             raise StructureError(
                 "declared epsilon %+d disagrees with g(xi, xi) = %+d" % (epsilon, detected)
             )
+        if ricci_mode == PAPER_FRAME_SUM and frame is None:
+            raise StructureError("ricci_mode paper_frame_sum requires a frame in the manifest")
         self.chart: Chart = chart
         self.phi = phi
         self.xi = xi
@@ -115,6 +126,7 @@ class ParacontactStructure:
         self.metric = metric
         self.epsilon = detected
         self.frame = frame
+        self.ricci_mode = ricci_mode
         self._cache: dict[object, object] = {}
 
     def _cached(self, key, build: Callable[[], object]):
@@ -131,7 +143,9 @@ class ParacontactStructure:
     def riemann(self) -> TensorField:
         return self._cached("riemann", lambda: riemann(self.connection()))
 
-    def ricci(self, mode: str = WEIGHTED_TRACE) -> TensorField:
+    def ricci(self, mode: str | None = None) -> TensorField:
+        """S in the structure's Ricci mode, or in ``mode`` when given."""
+        mode = mode or self.ricci_mode
         frame = self.frame if mode == PAPER_FRAME_SUM else None
         return self._cached(
             ("ricci", mode), lambda: ricci(self.riemann(), mode, metric=self.metric, frame=frame)
@@ -144,16 +158,16 @@ class ParacontactStructure:
         to reuse the result.
         """
 
-        def build() -> tuple[TensorField, TensorField, TensorField]:
+        def build() -> tuple[TensorField, TensorField]:
             nabla = (
                 self.nabla_xi()
                 if direction is self.xi
                 else covariant_derivative(direction, self.connection())
             )
-            # holding V keeps id(V) unique for as long as the entry lives
-            return direction, *lie_derivative_two_ways(self.metric, direction, nabla)
+            return lie_derivative_two_ways(self.metric, direction, nabla)
 
-        return self._cached(("L g", id(direction)), build)[1:]
+        # a TensorField hashes by identity
+        return self._cached(("L g", direction), build)
 
     def lie_derivative(self, direction: TensorField) -> TensorField:
         """L_V g; the two formulas must agree (``soliton_tensor`` caches the result)."""
@@ -162,17 +176,17 @@ class ParacontactStructure:
             raise InvariantError("Lie derivative formulas disagree")
         return via_coordinates
 
-    def soliton_tensor(self, direction: TensorField, mode: str = WEIGHTED_TRACE) -> TensorField:
+    def soliton_tensor(self, direction: TensorField) -> TensorField:
         """1/2 L_V g + S, the part of every soliton residual free of lambda and mu.
 
-        Built once per (direction field object, Ricci mode), like the Lie derivative.
+        Built once per direction field object, like the Lie derivative.
         """
 
-        def build() -> tuple[TensorField, TensorField]:
+        def build() -> TensorField:
             half = Expr.constant(self.chart, "1/2")
-            return direction, self.lie_derivative(direction).scale(half) + self.ricci(mode)
+            return self.lie_derivative(direction).scale(half) + self.ricci()
 
-        return self._cached(("1/2 L g + S", id(direction), mode), build)[1]
+        return self._cached(("1/2 L g + S", direction), build)
 
     # -- derived tensors shared by the check suites ----------------------------
 
@@ -193,18 +207,18 @@ class ParacontactStructure:
         """nabla xi[k, i] = (nabla_i xi)^k."""
         return self._cached("nabla xi", lambda: covariant_derivative(self.xi, self.connection()))
 
-    def ricci_derivatives(self, mode: str = WEIGHTED_TRACE) -> tuple[TensorField, ...]:
+    def ricci_derivatives(self) -> tuple[TensorField, ...]:
         """(Q, nabla S, nabla Q) for the Ricci operator Q, g(QX, Y) = S(X, Y).
 
         nabla S[j, k, i] = (nabla_i S)(d_j, d_k), nabla Q[k, j, i] = ((nabla_i Q) d_j)^k.
         """
 
         def build() -> tuple[TensorField, ...]:
-            q = self.metric.raise_index(self.ricci(mode), 0)
+            q = self.metric.raise_index(self.ricci(), 0)
             gamma = self.connection()
-            return q, covariant_derivative(self.ricci(mode), gamma), covariant_derivative(q, gamma)
+            return q, covariant_derivative(self.ricci(), gamma), covariant_derivative(q, gamma)
 
-        return self._cached(("Q, nabla S, nabla Q", mode), build)
+        return self._cached("Q, nabla S, nabla Q", build)
 
     def r_into_xi(self) -> TensorField:
         """R(., .) xi: [k, i, j] = (R(d_i, d_j) xi)^k."""
@@ -214,14 +228,24 @@ class ParacontactStructure:
         """R(xi, .) .: [k, i, j] = (R(xi, d_i) d_j)^k."""
         return self._cached("R(xi, .) .", lambda: contract("kmij,m->kij", self.riemann(), self.xi))
 
-    def ricci_xi(self, mode: str = WEIGHTED_TRACE) -> TensorField:
-        """S(., xi)."""
+    def ricci_xi(self, mode: str | None = None) -> TensorField:
+        """S(., xi) in the structure's Ricci mode, or in ``mode`` when given."""
+        mode = mode or self.ricci_mode
         return self._cached(("S(., xi)", mode), lambda: contract("ij,j->i", self.ricci(mode), self.xi))
 
     def frame_signs(self) -> tuple[int, ...]:
+        """g(E_i, E_i) for the frame vectors, verified orthonormal once per structure."""
         if self.frame is None:
             raise StructureError("structure carries no frame")
-        return self.frame.orthonormal_signs(self.metric)
+        return self._cached("frame signs", lambda: self.frame.orthonormal_signs(self.metric))
+
+    def para_sasakian(self) -> bool:
+        """The structure is valid and every ``is_para_sasakian`` row passes."""
+        return self._cached(
+            "is para-Sasakian",
+            lambda: structure_is_valid(self)
+            and all(o.status == PASS for o in is_para_sasakian(self)),
+        )
 
     def eta_tensor_eta(self) -> TensorField:
         return self._cached("eta eta", lambda: contract("i,j->ij", self.eta, self.eta))

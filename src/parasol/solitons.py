@@ -25,6 +25,11 @@ needs (``PARA_SASAKIAN``, ``EL_CONSTANTS``, ``TORSE_FORMING``, ...), defined
 once below with the reason an unmet one reports.  The soliton link and the
 "Codazzi forces c = 0" instance follow none of the table's rules and are
 written out by hand.
+
+Every function reads the Ricci tensor in the structure's own Ricci mode and
+asks the structure whether it is para-Sasakian; neither is a parameter.  A
+check in the other mode loads the manifest again with
+``overrides={"ricci_mode": ...}``.
 """
 
 from __future__ import annotations
@@ -46,12 +51,7 @@ from .checks import (
     inapplicable,
     run_checks,
 )
-from .connection import (
-    WEIGHTED_TRACE,
-    covariant_derivative,
-    covariant_derivative_along,
-    scalar_curvature,
-)
+from .connection import covariant_derivative, covariant_derivative_along, scalar_curvature
 from .paracontact import ParacontactStructure
 from .symexpr import ExactEvaluationError, Expr, InvariantError
 from .tensor import Contraction, TensorField, ValenceError, contract, kronecker
@@ -203,13 +203,9 @@ def _frame_components(structure: ParacontactStructure, tensors) -> list[tuple[Ex
 # ---------------------------------------------------------------------------
 
 
-def soliton_residual(
-    structure: ParacontactStructure,
-    data: SolitonData,
-    mode: str = WEIGHTED_TRACE,
-) -> TensorField:
+def soliton_residual(structure: ParacontactStructure, data: SolitonData) -> TensorField:
     """T = 1/2 (L_V g) + S + lambda g + mu eta (x) eta, canonical."""
-    total = structure.soliton_tensor(data.potential, mode)
+    total = structure.soliton_tensor(data.potential)
     total = total + structure.metric.field.scale(data.lam)
     total = total + structure.eta_tensor_eta().scale(data.mu)
     return total
@@ -218,7 +214,6 @@ def soliton_residual(
 def solve_soliton_constants(
     structure: ParacontactStructure,
     potential: TensorField,
-    mode: str = WEIGHTED_TRACE,
     guard_seed: int = 42,
 ) -> SolitonSolveResult:
     """Solve B + lambda g + mu eta(x)eta = 0 by exact rational least squares.
@@ -236,7 +231,7 @@ def solve_soliton_constants(
     chart = structure.chart
     base = chart.base_point
 
-    b_tensor = structure.soliton_tensor(potential, mode)
+    b_tensor = structure.soliton_tensor(potential)
     g_field = structure.metric.field
     eta_eta = structure.eta_tensor_eta()
     pair_exprs = _frame_components(structure, (g_field, eta_eta, b_tensor))
@@ -297,9 +292,7 @@ def solve_soliton_constants(
 
 
 def einstein_like_fit(
-    structure: ParacontactStructure,
-    mode: str = WEIGHTED_TRACE,
-    ricci_tensor: TensorField | None = None,
+    structure: ParacontactStructure, ricci_tensor: TensorField | None = None
 ) -> EinsteinFitResult:
     """Fit S = a g + b g(phi ., .) + c eta (x) eta over frame components.
 
@@ -312,7 +305,7 @@ def einstein_like_fit(
     structure.frame_signs()
     base = structure.chart.base_point
     if ricci_tensor is None:
-        ricci_tensor = structure.ricci(mode)
+        ricci_tensor = structure.ricci()
     g_field = structure.metric.field
     phi_flat = contract("mj,mi->ij", g_field, structure.phi)  # g(phi X, Y)
     eta_eta = structure.eta_tensor_eta()
@@ -343,8 +336,6 @@ def einstein_like_fit(
 def einstein_like_suite(
     structure: ParacontactStructure,
     constants: EinsteinLikeConstants,
-    mode: str = WEIGHTED_TRACE,
-    para_sasakian: bool | None = None,
     soliton: SolitonData | None = None,
     torse: TorseFormingData | None = None,
 ) -> list[CheckOutcome]:
@@ -359,12 +350,12 @@ def einstein_like_suite(
     eps = Fraction(s.epsilon)
     a, b, c = constants.a, constants.b, constants.c
     g, phi, xi, eta = s.metric.field, s.phi, s.xi, s.eta
-    ricci_tensor = s.ricci(mode)
+    ricci_tensor = s.ricci()
     eps_a_c = eps * a + c
     nabla_phi = s.nabla_phi()  # [m, j, i]
     nabla_xi = s.nabla_xi()  # [m, i]
     nabla_xi_flat = contract("mk,mi->ik", g, nabla_xi)  # [i, k] = g(nabla_i xi, d_k)
-    _, nabla_s, nabla_q = s.ricci_derivatives(mode)  # [j, k, i] and [m, j, i]
+    _, nabla_s, nabla_q = s.ricci_derivatives()  # [j, k, i] and [m, j, i]
     outcomes = run_checks([
         Check("el_eq_phi_symmetry", "S(phi X, Y) = S(X, phi Y)",
               contract("mj,mi-im,mj->ij", ricci_tensor, phi, ricci_tensor, phi)),
@@ -372,7 +363,7 @@ def einstein_like_suite(
               contract("uv,ui,vj->ij", ricci_tensor, phi, phi)
               - ricci_tensor
               + contract("i,j->ij", eta.scale(eps_a_c), eta)),
-        Check("el_eq_s_xi", "S(X, xi) = (eps a + c) eta(X)", s.ricci_xi(mode) - eta.scale(eps_a_c)),
+        Check("el_eq_s_xi", "S(X, xi) = (eps a + c) eta(X)", s.ricci_xi() - eta.scale(eps_a_c)),
         Check("el_eq_s_xi_xi", "S(xi, xi) = eps a + c",
               contract("ij,i,j->", ricci_tensor, xi, xi) - eps_a_c),
         # X = d_i, Y = d_j, Z = d_k
@@ -392,7 +383,7 @@ def einstein_like_suite(
               - (Fraction(n) * a + b * phi.trace() + eps * c), (PARA_SASAKIAN,)),
         Check("el_codazzi", ("Ricci operator is Codazzi", "Ricci operator is not Codazzi"),
               contract("mkj-mjk->mjk", nabla_q, nabla_q), rule=CLASSIFICATION),
-    ], para_sasakian=para_sasakian)
+    ], para_sasakian=s.para_sasakian())
     gaps = (eps + b, a + soliton.lam, c + soliton.mu) if soliton else (None,) * 3
     transfer = Need(
         lambda facts: gaps == (0, 0, 0),
@@ -401,7 +392,7 @@ def einstein_like_suite(
     outcomes.append(_codazzi_forces_einstein(c, outcomes[-1].symbolic_zero, torse))
     return outcomes + run_checks([
         Check("el_remark_soliton_transfer", "(g, xi, -a, -c) must itself be an eta-Ricci soliton",
-              lambda: soliton_residual(s, SolitonData(xi, -a, -c), mode), (SOLITON, transfer)),
+              lambda: soliton_residual(s, SolitonData(xi, -a, -c)), (SOLITON, transfer)),
     ], soliton=soliton)
 
 
@@ -513,8 +504,6 @@ def xi_consequence_suite(
     lam: Fraction,
     mu: Fraction,
     constants: EinsteinLikeConstants | None = None,
-    mode: str = WEIGHTED_TRACE,
-    para_sasakian: bool = False,
 ) -> list[CheckOutcome]:
     """Consequences of an eta-Ricci soliton whose potential is xi itself."""
     s = structure
@@ -523,7 +512,7 @@ def xi_consequence_suite(
     nabla_phi = s.nabla_phi()  # [k, j, i]
     nabla_xi_phi = contract("abi,i->ab", nabla_phi, xi)
     # nabla_xi T contracts the derivative slot of the cached nabla T with xi
-    _, nabla_s, nabla_q = s.ricci_derivatives(mode)
+    _, nabla_s, nabla_q = s.ricci_derivatives()
     nabla_xi_s = contract("c,ABc->AB", xi, nabla_s)
     nabla_xi_q = contract("c,ABc->AB", xi, nabla_q)
     gap = None if constants is None else eps * (constants.a + lam) + constants.c + mu
@@ -542,7 +531,7 @@ def xi_consequence_suite(
               lambda: nabla_xi_q - nabla_xi_phi.scale(constants.b), (EL_CONSTANTS,)),
         Check("xi_ps_nabla_s", "nabla_xi S = 0 (para-Sasakian)", nabla_xi_s, (PARA_SASAKIAN,)),
         Check("xi_ps_nabla_q", "nabla_xi Q = 0 (para-Sasakian)", nabla_xi_q, (PARA_SASAKIAN,)),
-    ], para_sasakian=para_sasakian, constants=constants)
+    ], para_sasakian=s.para_sasakian(), constants=constants)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +544,6 @@ def collinear_potential_analysis(
     k: Expr,
     lam: Fraction,
     mu: Fraction,
-    mode: str = WEIGHTED_TRACE,
-    para_sasakian: bool = False,
 ) -> list[CheckOutcome]:
     """Analysis of a soliton potential V = k xi on a para-Sasakian structure.
 
@@ -565,7 +552,7 @@ def collinear_potential_analysis(
     S = -lambda g - eps k g(phi ., .) - mu eta (x) eta is compared against
     the actual Ricci tensor and the residual reported.
     """
-    if not para_sasakian:
+    if not structure.para_sasakian():
         return [
             inapplicable(
                 "collinear_precondition",
@@ -591,7 +578,7 @@ def collinear_potential_analysis(
         Check("collinear_induced_ricci",
               ("S = -lambda g - eps k g(phi ., .) - mu eta (x) eta holds exactly",
                "induced Einstein-like form differs from the computed Ricci tensor"),
-              s.ricci(mode) + g.scale(lam)
+              s.ricci() + g.scale(lam)
               + contract("mj,mi->ij", g, s.phi).scale(eps * k)  # g(phi X, Y)
               + s.eta_tensor_eta().scale(mu), rule=CLASSIFICATION),
     ])
@@ -618,11 +605,9 @@ def semi_symmetry_residual(
 def parallel_tensor_check(
     structure: ParacontactStructure,
     alpha: TensorField,
-    mode: str = WEIGHTED_TRACE,
     mu_link: Fraction | None = None,
     constants: EinsteinLikeConstants | None = None,
     torse: TorseFormingData | None = None,
-    para_sasakian: bool = False,
     prefix: str = "alpha",
 ) -> list[CheckOutcome]:
     """Parallelism analysis of a symmetric (0, 2) candidate tensor.
@@ -657,15 +642,14 @@ def parallel_tensor_check(
         Check(prefix + "_proportionality", "alpha = eps alpha(xi, xi) g",
               alpha - s.metric.field.scale(eps * alpha_xi_xi),
               (PARALLEL, PROPORTIONALITY_HYPOTHESES)),
-    ], parallel=parallel, para_sasakian=para_sasakian, torse=torse)
-    return outcomes + [_soliton_link(s, alpha_xi_xi, parallel, mode, mu_link, constants, prefix)]
+    ], parallel=parallel, para_sasakian=s.para_sasakian(), torse=torse)
+    return outcomes + [_soliton_link(s, alpha_xi_xi, parallel, mu_link, constants, prefix)]
 
 
 def _soliton_link(
     structure: ParacontactStructure,
     alpha_xi_xi: Expr,
     parallel: bool,
-    mode: str,
     mu_link: Fraction | None,
     constants: EinsteinLikeConstants | None,
     prefix: str,
@@ -683,7 +667,7 @@ def _soliton_link(
             symbolic_zero=False,
             details="alpha(xi, xi) = %s is not constant" % alpha_xi_xi,
         )
-    residual = soliton_residual(structure, SolitonData(structure.xi, lam_value, mu_link), mode)
+    residual = soliton_residual(structure, SolitonData(structure.xi, lam_value, mu_link))
     holds = residual.is_zero()
     notes = ["implied lambda = -eps alpha(xi, xi) = %s" % lam_value]
     match = True
@@ -711,7 +695,6 @@ def curvature_from_torse_forming(
     structure: ParacontactStructure,
     torse: TorseFormingData,
     a_plus_lambda: Fraction | None = None,
-    mode: str = WEIGHTED_TRACE,
 ) -> list[CheckOutcome]:
     """Curvature forms forced by a torse-forming xi.
 
@@ -735,7 +718,7 @@ def curvature_from_torse_forming(
         square = Fraction(a_plus_lambda) ** 2
         return (
             s.r_into_xi() - wedge.scale(square),
-            s.ricci_xi(mode) - eta.scale(square * (1 - chart.dimension)),
+            s.ricci_xi() - eta.scale(square * (1 - chart.dimension)),
         )
 
     return run_checks([

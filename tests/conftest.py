@@ -17,6 +17,7 @@ try:
 except ImportError:  # fall back to the in-repo sources for uninstalled runs
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from parasol.connection import WEIGHTED_TRACE
 from parasol.manifest import load_manifest
 from parasol.paracontact import ParacontactStructure
 
@@ -63,6 +64,13 @@ def ex1(structures) -> ParacontactStructure:
 @pytest.fixture(scope="session")
 def ex2(structures) -> ParacontactStructure:
     return structures["ex2_r3_timelike"]
+
+
+@pytest.fixture(scope="session")
+def ex2_weighted() -> ParacontactStructure:
+    """Example 2 in the weighted trace; ``ex2`` follows the paper mode its manifest declares."""
+    overrides = {"ricci_mode": WEIGHTED_TRACE}
+    return load_manifest(fixture_path("ex2_r3_timelike"), overrides=overrides).structure()
 
 
 @pytest.fixture(scope="session")

@@ -187,11 +187,11 @@ def test_criterion_04_para_sasakian_suites(ex1, ex2):
 
 
 def test_criterion_05_soliton_constants(ex1, ex2):
-    result1 = solve_soliton_constants(ex1, ex1.xi, WEIGHTED_TRACE)
+    result1 = solve_soliton_constants(ex1, ex1.xi)
     assert (result1.lam, result1.mu) == (Fraction(0), Fraction(2))
     assert result1.frame_diagonal_constants == [1, -1, 0]
     assert abs(result1.residual_norm - math.sqrt(2)) <= 1e-12
-    result2 = solve_soliton_constants(ex2, ex2.xi, PAPER_FRAME_SUM)
+    result2 = solve_soliton_constants(ex2, ex2.xi)
     assert (result2.lam, result2.mu) == (Fraction(2), Fraction(4))
     assert result2.frame_diagonal_constants == [-1, 1, 0]
     assert abs(result2.residual_norm - math.sqrt(2)) <= 1e-12
@@ -199,14 +199,12 @@ def test_criterion_05_soliton_constants(ex1, ex2):
 
 
 def test_criterion_06_einstein_like_fits(ex1, ex2):
-    fit1 = einstein_like_fit(ex1, WEIGHTED_TRACE)
+    fit1 = einstein_like_fit(ex1)
     assert fit1.ok and (fit1.constants.a, fit1.constants.b, fit1.constants.c) == (0, 0, -2)
-    fit2 = einstein_like_fit(ex2, PAPER_FRAME_SUM)
+    fit2 = einstein_like_fit(ex2)
     assert fit2.ok and (fit2.constants.a, fit2.constants.b, fit2.constants.c) == (-2, 0, -4)
-    for structure, fit, mode in ((ex1, fit1, WEIGHTED_TRACE), (ex2, fit2, PAPER_FRAME_SUM)):
-        outcomes = outcome_map(
-            einstein_like_suite(structure, fit.constants, mode, para_sasakian=True)
-        )
+    for structure, fit in ((ex1, fit1), (ex2, fit2)):
+        outcomes = outcome_map(einstein_like_suite(structure, fit.constants))
         assert outcomes["el_eq_trace"].status == PASS  # eps a + c = 1 - n
         assert outcomes["el_eq_scalar"].status == PASS  # r = na + b tr(phi) + eps c
     announce(6, "Einstein-like fits (0, 0, -2) and (-2, 0, -4) with exact identities")
@@ -301,40 +299,34 @@ def test_criterion_10_oracle_agreement(structures):
 def test_criterion_11_parallel_tensor_theorems(ex1, ex2, warped):
     # alpha = 3g: parallel with vanishing proportionality residual
     outcomes = outcome_map(
-        parallel_tensor_check(ex1, ex1.metric.field.scale(Fraction(3)), para_sasakian=True)
+        parallel_tensor_check(ex1, ex1.metric.field.scale(Fraction(3)))
     )
     assert outcomes["alpha_nabla_alpha"].symbolic_zero is True
     assert outcomes["alpha_proportionality"].status == PASS
     # alpha = g + eta (x) eta on example 1: not parallel
-    outcomes = outcome_map(
-        parallel_tensor_check(
-            ex1, ex1.metric.field + ex1.eta_tensor_eta(), para_sasakian=True
-        )
-    )
+    outcomes = outcome_map(parallel_tensor_check(ex1, ex1.metric.field + ex1.eta_tensor_eta()))
     assert outcomes["alpha_nabla_alpha"].symbolic_zero is False
     # lambda = -eps alpha(xi, xi) = -(a + eps(c + mu)) for the soliton combination
     half = Expr.constant(ex1.chart, "1/2")
     expectations = [
-        (ex1, WEIGHTED_TRACE, Fraction(2), Fraction(0), True),
-        (ex2, PAPER_FRAME_SUM, Fraction(4), Fraction(2), True),
-        (warped, WEIGHTED_TRACE, Fraction(1), Fraction(1), False),
+        (ex1, Fraction(2), Fraction(0)),
+        (ex2, Fraction(4), Fraction(2)),
+        (warped, Fraction(1), Fraction(1)),
     ]
-    for structure, mode, mu, lam_expected, para_sasakian in expectations:
+    for structure, mu, lam_expected in expectations:
         alpha = (
             structure.lie_derivative(structure.xi).scale(half)
-            + structure.ricci(mode)
+            + structure.ricci()
             + structure.eta_tensor_eta().scale(mu)
         )
-        fit = einstein_like_fit(structure, mode)
+        fit = einstein_like_fit(structure)
         outcomes = outcome_map(
             parallel_tensor_check(
                 structure,
                 alpha,
-                mode=mode,
                 mu_link=mu,
                 constants=fit.constants,
                 torse=detect_torse_forming(structure),
-                para_sasakian=para_sasakian,
             )
         )
         link = outcomes["alpha_soliton_link"]
@@ -346,11 +338,9 @@ def test_criterion_11_parallel_tensor_theorems(ex1, ex2, warped):
 
 
 def test_criterion_12_xi_consequences_on_example_one(ex1):
-    fit = einstein_like_fit(ex1, WEIGHTED_TRACE)
+    fit = einstein_like_fit(ex1)
     outcomes = outcome_map(
-        xi_consequence_suite(
-            ex1, Fraction(0), Fraction(2), constants=fit.constants, para_sasakian=True
-        )
+        xi_consequence_suite(ex1, Fraction(0), Fraction(2), constants=fit.constants)
     )
     assert outcomes["xi_eq12_constant"].status == PASS
     assert outcomes["xi_geodesic"].status == PASS and outcomes["xi_geodesic"].symbolic_zero

@@ -44,7 +44,7 @@ def _ladder(n: int, tmp_path: Path) -> Path:
 def _semi_symmetry(path: Path):
     analysis = Analysis(load_manifest(path), OracleConfig())
     structure = analysis.structure
-    lazy = semi_symmetry_residual(structure, structure.ricci(analysis.ricci_mode))
+    lazy = semi_symmetry_residual(structure, structure.ricci())
     return lazy, analysis.sample_points()
 
 

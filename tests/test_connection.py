@@ -255,9 +255,9 @@ def test_weighted_ricci_is_frame_independent(ex1, ex2):
         assert (structure.ricci(WEIGHTED_TRACE) - frame_version).is_zero()
 
 
-def test_ricci_symmetric_both_modes(ex2):
-    for mode in (WEIGHTED_TRACE, PAPER_FRAME_SUM):
-        ricci_tensor = ex2.ricci(mode)
+def test_ricci_symmetric_both_modes(ex2, ex2_weighted):
+    for structure in (ex2_weighted, ex2):
+        ricci_tensor = structure.ricci()
         assert ricci_tensor.is_symmetric_down(0, 1)
 
 

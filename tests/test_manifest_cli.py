@@ -14,8 +14,9 @@ import pytest
 import parasol
 from parasol.cli import main, resolve_manifest_path
 from parasol.manifest import ManifestError, load_manifest
+from parasol.solitons import einstein_like_fit, einstein_like_suite, solve_soliton_constants
 from parasol.symexpr import parse
-from parasol.tensor import Metric, TensorField
+from parasol.tensor import Frame, Metric, TensorField
 
 from conftest import FIXTURE_NAMES, fixture_path
 
@@ -188,6 +189,14 @@ def test_curvature_weighted_mode_diag_on_ex2():
     report = json.loads(out)
     diag = next(c for c in report["checks"] if c["id"] == "ricci_frame_diagonal")
     assert "S(E1,E1)=0, S(E2,E2)=0, S(E3,E3)=-2" in diag["details"]
+
+
+@pytest.mark.parametrize("command", [["curvature"], ["report", "--all"]])
+def test_paper_mode_without_frame_is_input_error(command):
+    manifest = str(Path(__file__).resolve().parent / "golden" / "manifests" / "ex1_noframe.json")
+    code, out, err = run_cli(command + [manifest, "--ricci-mode", "paper_frame_sum"])
+    assert (code, out) == (2, "")
+    assert err == "error: ricci_mode paper_frame_sum requires a frame in the manifest\n"
 
 
 def test_unknown_command_is_usage_error():
@@ -368,6 +377,63 @@ def test_soliton_tensor_and_eta_eta_built_once_per_report(monkeypatch):
     (structure,) = structures
     assert sum(other is structure.ricci() for other in added) == 1
     assert products.count((structure.eta, structure.eta)) == 1
+
+
+@pytest.mark.parametrize(
+    "fixture, frame_checks, ricci_modes",
+    [
+        ("ex1_r3_spacelike", 1, ["weighted_trace"]),
+        ("ex5d_r5_g1", 0, ["weighted_trace"]),
+        ("warped_r3", 1, ["weighted_trace"]),
+        ("ex2_r3_timelike", 2, ["paper_frame_sum", "weighted_trace"]),
+    ],
+)
+def test_frame_checked_and_ricci_built_once_per_mode(monkeypatch, fixture, frame_checks, ricci_modes):
+    # report --all used to verify the frame 3 times (4 on ex2); in paper mode
+    # connection.ricci verifies it once more itself
+    checks, modes = [], []
+    orthonormal_signs = Frame.orthonormal_signs
+    monkeypatch.setattr(
+        Frame,
+        "orthonormal_signs",
+        lambda self, metric: checks.append(self) or orthonormal_signs(self, metric),
+    )
+    ricci = parasol.paracontact.ricci
+    monkeypatch.setattr(
+        parasol.paracontact,
+        "ricci",
+        lambda riem, mode, **kwargs: modes.append(mode) or ricci(riem, mode, **kwargs),
+    )
+    code, _, _ = run_cli(["report", "--all", "fixtures/" + fixture, "--json"])
+    assert code in (0, 1)
+    assert (len(checks), modes) == (frame_checks, ricci_modes)
+
+
+def test_library_follows_the_declared_ricci_mode_like_the_cli():
+    # ex2 declares paper_frame_sum; the library used to fit and solve in the
+    # weighted trace unless every call repeated the mode
+    path = fixture_path("ex2_r3_timelike")
+    cli = [
+        json.loads(run_cli(command + [str(path), "--json"])[1])["constants"]
+        for command in (["einstein-fit"], ["soliton", "solve"])
+    ]
+    for overrides, fitted, solved in (
+        (None, (-2, 0, -4), (2, 4)),
+        ({"ricci_mode": "weighted_trace"}, (0, 0, -2), (0, 2)),
+    ):
+        structure = load_manifest(path, overrides=overrides).structure()
+        fit = einstein_like_fit(structure)
+        result = solve_soliton_constants(structure, structure.xi)
+        assert (fit.constants.a, fit.constants.b, fit.constants.c) == fitted
+        assert (result.lam, result.mu) == solved
+        failing = [
+            o.id
+            for o in einstein_like_suite(structure, fit.constants)
+            if o.id.startswith("el_eq_") and o.status == "fail"
+        ]
+        assert failing == []
+    assert [Fraction(cli[0][key]) for key in "abc"] == [-2, 0, -4]
+    assert [Fraction(cli[1][key]) for key in ("lambda", "mu")] == [2, 4]
 
 
 def test_base_point_override_changes_signature_report():

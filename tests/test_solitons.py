@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from parasol.checks import FAIL, INAPPLICABLE, PASS
-from parasol.connection import PAPER_FRAME_SUM, WEIGHTED_TRACE
 from parasol.solitons import (
     GENERAL,
     IRROTATIONAL_CASE_I,
@@ -83,7 +82,7 @@ def test_flat_zero_potential_is_trivial_soliton(flat):
 
 
 def test_solve_ex1_recovers_paper_constants(ex1):
-    result = solve_soliton_constants(ex1, ex1.xi, WEIGHTED_TRACE)
+    result = solve_soliton_constants(ex1, ex1.xi)
     assert (result.lam, result.mu) == (Fraction(0), Fraction(2))
     assert not result.exact
     assert result.frame_diagonal_constants == [1, -1, 0]
@@ -93,7 +92,7 @@ def test_solve_ex1_recovers_paper_constants(ex1):
 
 
 def test_solve_ex2_paper_mode_recovers_paper_constants(ex2):
-    result = solve_soliton_constants(ex2, ex2.xi, PAPER_FRAME_SUM)
+    result = solve_soliton_constants(ex2, ex2.xi)
     assert (result.lam, result.mu) == (Fraction(2), Fraction(4))
     assert not result.exact
     assert result.frame_diagonal_constants == [-1, 1, 0]
@@ -101,9 +100,9 @@ def test_solve_ex2_paper_mode_recovers_paper_constants(ex2):
     assert abs(result.residual_norm - math.sqrt(2)) <= 1e-12
 
 
-def test_solve_ex2_weighted_mode_gives_different_minimizer(ex2):
+def test_solve_ex2_weighted_mode_gives_different_minimizer(ex2_weighted):
     # under the tensorial contraction the minimizer is (0, 2), not (2, 4)
-    result = solve_soliton_constants(ex2, ex2.xi, WEIGHTED_TRACE)
+    result = solve_soliton_constants(ex2_weighted, ex2_weighted.xi)
     assert (result.lam, result.mu) == (Fraction(0), Fraction(2))
     assert result.frame_diagonal_constants == [-1, 1, 0]
 
@@ -134,19 +133,19 @@ def test_solve_exact_iff_residual_zero(structures):
 
 
 def test_fit_ex1(ex1):
-    fit = einstein_like_fit(ex1, WEIGHTED_TRACE)
+    fit = einstein_like_fit(ex1)
     assert fit.ok
     assert fit.constants == EinsteinLikeConstants(Fraction(0), Fraction(0), Fraction(-2))
 
 
 def test_fit_ex2_paper_mode(ex2):
-    fit = einstein_like_fit(ex2, PAPER_FRAME_SUM)
+    fit = einstein_like_fit(ex2)
     assert fit.ok
     assert fit.constants == EinsteinLikeConstants(Fraction(-2), Fraction(0), Fraction(-4))
 
 
-def test_fit_ex2_weighted_mode(ex2):
-    fit = einstein_like_fit(ex2, WEIGHTED_TRACE)
+def test_fit_ex2_weighted_mode(ex2_weighted):
+    fit = einstein_like_fit(ex2_weighted)
     assert fit.ok
     assert fit.constants == EinsteinLikeConstants(Fraction(0), Fraction(0), Fraction(-2))
 
@@ -164,8 +163,8 @@ def test_fit_warped_is_einstein(warped):
 
 
 def test_fit_is_idempotent(ex1, ex2):
-    for structure, mode in ((ex1, WEIGHTED_TRACE), (ex2, PAPER_FRAME_SUM)):
-        fit = einstein_like_fit(structure, mode)
+    for structure in (ex1, ex2):
+        fit = einstein_like_fit(structure)
         constants = fit.constants
         phi_flat = contract("mj,mi->ij", structure.metric.field, structure.phi)  # g(phi X, Y)
         reconstructed = (
@@ -173,7 +172,7 @@ def test_fit_is_idempotent(ex1, ex2):
             + phi_flat.scale(constants.b)
             + structure.eta_tensor_eta().scale(constants.c)
         )
-        refit = einstein_like_fit(structure, mode, ricci_tensor=reconstructed)
+        refit = einstein_like_fit(structure, ricci_tensor=reconstructed)
         assert refit.ok and refit.constants == constants
 
 
@@ -198,13 +197,11 @@ def test_fit_failure_returns_witness(warped):
 
 
 def test_suite_ex1_trace_and_scalar_identities(ex1):
-    fit = einstein_like_fit(ex1, WEIGHTED_TRACE)
+    fit = einstein_like_fit(ex1)
     outcomes = outcome_map(
         einstein_like_suite(
             ex1,
             fit.constants,
-            WEIGHTED_TRACE,
-            para_sasakian=True,
             soliton=SolitonData(ex1.xi, Fraction(0), Fraction(2)),
             torse=detect_torse_forming(ex1),
         )
@@ -222,10 +219,8 @@ def test_suite_ex1_trace_and_scalar_identities(ex1):
 
 
 def test_suite_ex2_paper_mode_identities(ex2):
-    fit = einstein_like_fit(ex2, PAPER_FRAME_SUM)
-    outcomes = outcome_map(
-        einstein_like_suite(ex2, fit.constants, PAPER_FRAME_SUM, para_sasakian=True)
-    )
+    fit = einstein_like_fit(ex2)
+    outcomes = outcome_map(einstein_like_suite(ex2, fit.constants))
     # eps a + c = 2 - 4 = -2 = 1 - n and r = na + b tr(phi) + eps c = -6 + 4 = -2
     assert outcomes["el_eq_trace"].status == PASS
     assert outcomes["el_eq_scalar"].status == PASS
@@ -233,9 +228,7 @@ def test_suite_ex2_paper_mode_identities(ex2):
 
 def test_suite_flat_trivial(flat):
     fit = einstein_like_fit(flat)
-    outcomes = outcome_map(
-        einstein_like_suite(flat, fit.constants, para_sasakian=False)
-    )
+    outcomes = outcome_map(einstein_like_suite(flat, fit.constants))
     for check_id in ("el_eq_phi_symmetry", "el_eq_phi_phi", "el_eq_s_xi", "el_eq_s_xi_xi"):
         assert outcomes[check_id].status == PASS
     assert outcomes["el_eq_trace"].status == INAPPLICABLE
@@ -246,12 +239,7 @@ def test_suite_warped_codazzi_theorem_instance(warped):
     fit = einstein_like_fit(warped)
     torse = detect_torse_forming(warped)
     outcomes = outcome_map(
-        einstein_like_suite(
-            warped,
-            fit.constants,
-            para_sasakian=False,
-            torse=torse,
-        )
+        einstein_like_suite(warped, fit.constants, torse=torse)
     )
     # Q = -2 I is parallel, hence Codazzi; with f = 1 != 0 the theorem forces c = 0
     assert outcomes["el_codazzi"].symbolic_zero is True
@@ -367,15 +355,9 @@ def test_torse_constants_match_on_warped(warped):
 
 
 def test_xi_consequences_on_ex1(ex1):
-    fit = einstein_like_fit(ex1, WEIGHTED_TRACE)
+    fit = einstein_like_fit(ex1)
     outcomes = outcome_map(
-        xi_consequence_suite(
-            ex1,
-            Fraction(0),
-            Fraction(2),
-            constants=fit.constants,
-            para_sasakian=True,
-        )
+        xi_consequence_suite(ex1, Fraction(0), Fraction(2), constants=fit.constants)
     )
     assert outcomes["xi_eq12_constant"].status == PASS  # 1*(0+0) + (-2) + 2 = 0
     for check_id in (
@@ -393,9 +375,7 @@ def test_xi_consequences_on_ex1(ex1):
 def test_xi_consequences_on_flat_all_vanish(flat):
     fit = einstein_like_fit(flat)
     outcomes = outcome_map(
-        xi_consequence_suite(
-            flat, Fraction(0), Fraction(0), constants=fit.constants, para_sasakian=False
-        )
+        xi_consequence_suite(flat, Fraction(0), Fraction(0), constants=fit.constants)
     )
     for check_id in ("xi_geodesic", "xi_nabla_phi_xi", "xi_nabla_eta",
                      "xi_eq15_nabla_s", "xi_eq16_nabla_q"):
@@ -410,9 +390,7 @@ def test_xi_consequences_on_flat_all_vanish(flat):
 
 def test_collinear_gate_zero_on_ex1(ex1):
     outcomes = outcome_map(
-        collinear_potential_analysis(
-            ex1, Expr.one(ex1.chart), Fraction(0), Fraction(2), para_sasakian=True
-        )
+        collinear_potential_analysis(ex1, Expr.one(ex1.chart), Fraction(0), Fraction(2))
     )
     assert outcomes["collinear_gate"].data["gate"] == 0
     assert outcomes["collinear_k_constant"].status == PASS
@@ -422,14 +400,7 @@ def test_collinear_gate_zero_on_ex1(ex1):
 
 def test_collinear_gate_zero_on_ex2(ex2):
     outcomes = outcome_map(
-        collinear_potential_analysis(
-            ex2,
-            Expr.one(ex2.chart),
-            Fraction(2),
-            Fraction(4),
-            mode=PAPER_FRAME_SUM,
-            para_sasakian=True,
-        )
+        collinear_potential_analysis(ex2, Expr.one(ex2.chart), Fraction(2), Fraction(4))
     )
     # gate = eps(n-1) - lambda - eps mu = -2 - 2 + 4 = 0
     assert outcomes["collinear_gate"].data["gate"] == 0
@@ -438,9 +409,7 @@ def test_collinear_gate_zero_on_ex2(ex2):
 
 def test_collinear_nonzero_gate_reports_forced_derivative(ex1):
     outcomes = outcome_map(
-        collinear_potential_analysis(
-            ex1, Expr.one(ex1.chart), Fraction(1), Fraction(0), para_sasakian=True
-        )
+        collinear_potential_analysis(ex1, Expr.one(ex1.chart), Fraction(1), Fraction(0))
     )
     # gate = 2 - 1 - 0 = 1 forces xi(k) = 1
     assert outcomes["collinear_gate"].data["gate"] == 1
@@ -448,9 +417,7 @@ def test_collinear_nonzero_gate_reports_forced_derivative(ex1):
 
 
 def test_collinear_requires_para_sasakian(flat):
-    outcomes = collinear_potential_analysis(
-        flat, Expr.one(flat.chart), Fraction(0), Fraction(0), para_sasakian=False
-    )
+    outcomes = collinear_potential_analysis(flat, Expr.one(flat.chart), Fraction(0), Fraction(0))
     assert outcomes[0].status == INAPPLICABLE
 
 
@@ -510,9 +477,7 @@ def test_semi_symmetry_shares_nothing_for_asymmetric_tensor(ex1):
 
 def test_alpha_three_g_is_parallel_with_zero_proportionality(ex1):
     alpha = ex1.metric.field.scale(Fraction(3))
-    outcomes = outcome_map(
-        parallel_tensor_check(ex1, alpha, para_sasakian=True)
-    )
+    outcomes = outcome_map(parallel_tensor_check(ex1, alpha))
     assert outcomes["alpha_nabla_alpha"].symbolic_zero is True
     assert outcomes["alpha_ricci_identity"].symbolic_zero is True
     assert outcomes["alpha_proportionality"].status == PASS
@@ -521,7 +486,7 @@ def test_alpha_three_g_is_parallel_with_zero_proportionality(ex1):
 
 def test_alpha_g_plus_eta_eta_not_parallel(ex1):
     alpha = ex1.metric.field + ex1.eta_tensor_eta()
-    outcomes = outcome_map(parallel_tensor_check(ex1, alpha, para_sasakian=True))
+    outcomes = outcome_map(parallel_tensor_check(ex1, alpha))
     # nabla eta != 0 since nabla xi = phi != 0
     assert outcomes["alpha_nabla_alpha"].symbolic_zero is False
     assert outcomes["alpha_proportionality"].status == INAPPLICABLE
@@ -535,22 +500,18 @@ def test_alpha_dx_dx_on_flat(flat):
         2,
         [parse(s, chart) for s in ["1", "0", "0", "0", "0", "0", "0", "0", "0"]],
     )
-    outcomes = outcome_map(
-        parallel_tensor_check(
-            flat, alpha, torse=detect_torse_forming(flat), para_sasakian=False
-        )
-    )
+    outcomes = outcome_map(parallel_tensor_check(flat, alpha, torse=detect_torse_forming(flat)))
     assert outcomes["alpha_nabla_alpha"].symbolic_zero is True
     assert outcomes["alpha_ricci_identity"].symbolic_zero is True
     # flat xi is torse-forming with f = 0, hence not regular: theorem inapplicable
     assert outcomes["alpha_proportionality"].status == INAPPLICABLE
 
 
-def _soliton_combination(structure, mu, mode=WEIGHTED_TRACE):
+def _soliton_combination(structure, mu):
     half = Expr.constant(structure.chart, "1/2")
     return (
         structure.lie_derivative(structure.xi).scale(half)
-        + structure.ricci(mode)
+        + structure.ricci()
         + structure.eta_tensor_eta().scale(mu)
     )
 
@@ -566,7 +527,6 @@ def test_soliton_link_on_warped(warped):
             mu_link=mu,
             constants=fit.constants,
             torse=detect_torse_forming(warped),
-            para_sasakian=False,
         )
     )
     assert outcomes["alpha_nabla_alpha"].symbolic_zero is True  # alpha = -g
@@ -588,7 +548,6 @@ def test_soliton_link_on_ex1_not_parallel_not_soliton(ex1):
             mu_link=mu,
             constants=fit.constants,
             torse=detect_torse_forming(ex1),
-            para_sasakian=True,
         )
     )
     link = outcomes["alpha_soliton_link"]
@@ -602,17 +561,11 @@ def test_soliton_link_on_ex1_not_parallel_not_soliton(ex1):
 
 def test_soliton_link_on_ex2_paper_mode(ex2):
     mu = Fraction(4)
-    alpha = _soliton_combination(ex2, mu, PAPER_FRAME_SUM)
-    fit = einstein_like_fit(ex2, PAPER_FRAME_SUM)
+    alpha = _soliton_combination(ex2, mu)
+    fit = einstein_like_fit(ex2)
     outcomes = outcome_map(
         parallel_tensor_check(
-            ex2,
-            alpha,
-            mode=PAPER_FRAME_SUM,
-            mu_link=mu,
-            constants=fit.constants,
-            torse=detect_torse_forming(ex2),
-            para_sasakian=True,
+            ex2, alpha, mu_link=mu, constants=fit.constants, torse=detect_torse_forming(ex2)
         )
     )
     link = outcomes["alpha_soliton_link"]
@@ -737,10 +690,9 @@ def test_solve_exactness_consistent_with_residual_operation(structures):
     # operation evaluated at the returned constants
     for name in ("ex1_r3_spacelike", "ex2_r3_timelike", "flat_r3", "warped_r3"):
         structure = structures[name]
-        mode = PAPER_FRAME_SUM if name == "ex2_r3_timelike" else WEIGHTED_TRACE
-        result = solve_soliton_constants(structure, structure.xi, mode)
+        result = solve_soliton_constants(structure, structure.xi)
         data = SolitonData(structure.xi, result.lam, result.mu)
-        assert result.exact == soliton_residual(structure, data, mode).is_zero()
+        assert result.exact == soliton_residual(structure, data).is_zero()
 
 
 def test_solve_flat_with_zero_potential_is_exact(flat):
