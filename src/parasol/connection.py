@@ -102,15 +102,16 @@ def ricci(
 
     ``weighted_trace`` is the coordinate contraction S_jk = R^i_ijk,
     equivalently the signature-weighted orthonormal frame sum; it is frame
-    independent.  ``paper_frame_sum`` needs a symbolically orthonormal frame
-    and a metric and omits the signature weights.
+    independent.  ``paper_frame_sum`` needs a metric and a frame already
+    verified symbolically orthonormal (:meth:`Frame.orthonormal_signs`; a
+    structure verifies its frame once, in ``frame_signs``) and omits the
+    signature weights.
     """
     if mode == WEIGHTED_TRACE:
         return contract("iijk->jk", riem)
     if mode == PAPER_FRAME_SUM:
         if frame is None or metric is None:
             raise ValenceError("paper_frame_sum Ricci needs an orthonormal frame and a metric")
-        frame.orthonormal_signs(metric)  # raises if not orthonormal
         return frame_sum(riem, metric, frame)
     raise ValueError("unknown ricci mode %r" % mode)
 

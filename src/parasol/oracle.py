@@ -2,16 +2,29 @@
 
 The oracle recomputes Christoffel symbols, Riemann and Ricci tensors from
 central differences of numerically evaluated metric components.  It shares
-nothing with the symbolic derivative code paths except ``Expr.evaluate``,
-which keeps it an independent witness.  Central differences are O(h^2):
-halving the step should shrink the deviation by roughly 4x, and that scaling
-is itself a checkable property.  Within one oracle run each stencil point is
-evaluated once: the Riemann stencil revisits the points of its Christoffel
-stencils, and the Ricci and step-halving checks reuse the Riemann and
-Christoffel references, so a :class:`StencilSampler` keeps them for the run.
-On badly scaled metrics the float work may overflow; numpy's warnings are
-silenced, because the resulting inf and NaN values already fail the checks
-(see :func:`max_deviation`).
+nothing with the symbolic derivative code paths except float evaluation
+(``Expr.evaluate`` and its batched form, :mod:`parasol.batch`), which keeps
+it an independent witness.  Central differences are O(h^2): halving the step
+should shrink the deviation by roughly 4x, and that scaling is itself a
+checkable property.  Within one oracle run each stencil point is evaluated
+once: the Riemann stencil revisits the points of its Christoffel stencils,
+and the Ricci and step-halving checks reuse the Riemann and Christoffel
+references, so a :class:`StencilSampler` keeps them for the run.
+
+Float evaluation is batched.  A Christoffel or Riemann reference evaluates
+the metric at the points of its stencil in one batch (at most 1 + 2n(n + 2)
+points, so the arrays stay a few kilobytes); each candidate sample point's
+probes form one batch; :func:`compare` evaluates the symbolic tensor at all
+sample points in one call.  A batch does ``+``, ``*`` and
+``/`` in numpy, in the order of the one-point path, and leaves ``x ** k``
+and ``exp`` to Python's libm calls: numpy's vectorised ``power`` and ``exp``
+round differently on some inputs, which would move the roundoff-level
+deviations the reports print.  Every value therefore has the bits that
+``Expr.evaluate`` gives, and a point where ``Expr.evaluate`` would raise is
+evaluated alone when it is looked up, so it raises the same error in the
+same order.  On badly scaled metrics the float work may overflow; numpy's
+warnings are silenced, because the resulting inf and NaN values already fail
+the checks (see :func:`max_deviation`).
 """
 
 from __future__ import annotations
@@ -23,7 +36,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .chart import SAMPLE_COUNT, Chart
-from .symexpr import DegenerateEvaluationError, coordinate_values
+from .batch import PointBatch
+from .symexpr import coordinate_values
 from .tensor import Metric, TensorField
 
 __all__ = [
@@ -66,24 +80,73 @@ class OracleConfig:
                 raise OracleConfigError("%s must be a positive finite number, got %r" % (name, value))
 
 
+def _neighbours(xs: Sequence[float], h: float) -> list[tuple[list[float], list[float]]]:
+    """(xs + h e_i, xs - h e_i) per axis: the float arithmetic every stencil key comes from."""
+    pairs = []
+    for i in range(len(xs)):
+        plus = list(xs)
+        minus = list(xs)
+        plus[i] += h
+        minus[i] -= h
+        pairs.append((plus, minus))
+    return pairs
+
+
+def _stencil(xs: list[float], h: float) -> list[list[float]]:
+    """The points a Christoffel stencil at ``xs`` visits: the centre and its neighbours."""
+    return [xs] + [side for pair in _neighbours(xs, h) for side in pair]
+
+
 class StencilSampler:
     """Central-difference references of one metric for the length of one run.
 
     The metric's matrix and determinant are kept per point, keyed by the
-    exact float coordinates that the stencil arithmetic (``xs[i] += h``)
-    produces, so a point that several stencils visit is evaluated once.  The
-    degeneracy checks run on every lookup: stencils that share a point check
-    it against their own centre's determinant sign.  Christoffel and Riemann
-    references are kept per point and step for the checks that reuse them.
+    exact float coordinates that the stencil arithmetic (:func:`_neighbours`)
+    produces, so a point that several stencils visit is evaluated once.  A
+    Christoffel or Riemann reference first fills, in one
+    :class:`~parasol.batch.PointBatch`, the keys of its stencil that are not
+    kept yet: 1 + 2n points for a Christoffel stencil, up to 1 + 2n(n + 2)
+    for a Riemann stencil.  Each metric entry is evaluated once over the
+    batch and one ``np.linalg.det`` runs over the stack.  The batch leaves
+    ``x ** k`` and ``exp`` to Python rather than ``np.power`` and ``np.exp``,
+    which round differently from libm on some inputs, so every value has the
+    bits of ``Expr.evaluate``.  A key where an entry is degenerate is not
+    kept: its lookup evaluates it alone, and that raises the entry's own
+    error.  The degeneracy checks run on every lookup, in the order the
+    stencils visit their points: stencils that share a point check it against
+    their own centre's determinant sign.  Christoffel and Riemann references
+    at the points looked up are kept per point and step for the checks that
+    reuse them.  Once a Riemann reference is computed, the points of its
+    stencil other than the centre are dropped, and so are the Christoffel
+    symbols of the neighbours: no later check visits them, and the run's
+    memory peaks while they would be kept.
     """
 
     def __init__(self, metric: Metric):
         self.chart = metric.chart
-        n = self.chart.dimension
-        self._rows = [[metric[i, j] for j in range(n)] for i in range(n)]
+        self._field = metric.field
         self._samples: dict[tuple[float, ...], tuple[np.ndarray, float]] = {}
         self._gammas: dict[tuple, np.ndarray] = {}
         self._riemanns: dict[tuple, np.ndarray] = {}
+
+    @np.errstate(all="ignore")
+    def fill(self, keys: Iterable[Sequence[float]]) -> bool:
+        """Evaluate the metric at the points not kept yet, in one batch.
+
+        Returns False when an entry is degenerate at one of them; such a
+        point is not kept.
+        """
+        keys = [key for key in dict.fromkeys(map(tuple, keys)) if key not in self._samples]
+        if not keys:
+            return True
+        stack, degenerate = self._field.numeric_many(PointBatch(self.chart, keys))
+        dets = np.linalg.det(stack).tolist()
+        for key, matrix, det, skip in zip(keys, stack, dets, degenerate.tolist()):
+            if not skip:
+                matrix = matrix.copy()  # its own memory, freed when the key is dropped
+                matrix.flags.writeable = False
+                self._samples[key] = (matrix, det)
+        return not degenerate.any()
 
     def sample(self, xs: list[float], center_det_sign: float | None = None) -> tuple[np.ndarray, float]:
         """(matrix, det) of the metric at ``xs``; raises where the stencil degenerates."""
@@ -91,7 +154,7 @@ class StencilSampler:
         sample = self._samples.get(key)
         if sample is None:
             xs = coordinate_values(self.chart, xs)
-            matrix = np.array([[comp.evaluate(xs) for comp in row] for row in self._rows])
+            matrix = self._field.numeric_at(xs)
             matrix.flags.writeable = False
             with np.errstate(all="ignore"):
                 det = float(np.linalg.det(matrix))
@@ -111,6 +174,7 @@ class StencilSampler:
         key = (tuple(xs), h)
         gamma = self._gammas.get(key)
         if gamma is None:
+            self.fill(_stencil(xs, h))
             gamma = self._gammas[key] = self._christoffel(xs, h)
         return gamma
 
@@ -121,11 +185,7 @@ class StencilSampler:
         sign = float(np.sign(det))
         ginv = np.linalg.inv(center)
         dg = np.empty((n, n, n))
-        for i in range(n):
-            plus = list(xs)
-            minus = list(xs)
-            plus[i] += h
-            minus[i] -= h
+        for i, (plus, minus) in enumerate(_neighbours(xs, h)):
             dg[i] = (self.sample(plus, sign)[0] - self.sample(minus, sign)[0]) / (2.0 * h)
         # gamma[k, i, j] = 1/2 g^{kl} (dg_i[j, l] + dg_j[i, l] - dg_l[i, j])
         return 0.5 * (
@@ -140,7 +200,11 @@ class StencilSampler:
         key = (tuple(xs), h)
         riem = self._riemanns.get(key)
         if riem is None:
+            stencil = [tuple(p) for q in _stencil(xs, h) for p in _stencil(q, h)]
+            self.fill(stencil)
             riem = self._riemanns[key] = self._riemann(xs, h)
+            for dropped in set(stencil) - {key[0]}:
+                del self._samples[dropped]
         return riem
 
     @np.errstate(all="ignore")
@@ -148,12 +212,8 @@ class StencilSampler:
         n = len(xs)
         gamma = self.christoffel(xs, h)
         dgamma = np.empty((n, n, n, n))
-        for i in range(n):
-            plus = list(xs)
-            minus = list(xs)
-            plus[i] += h
-            minus[i] -= h
-            dgamma[i] = (self.christoffel(plus, h) - self.christoffel(minus, h)) / (2.0 * h)
+        for i, (plus, minus) in enumerate(_neighbours(xs, h)):
+            dgamma[i] = (self._christoffel(plus, h) - self._christoffel(minus, h)) / (2.0 * h)
         # riem[l, i, j, k] = d_i gamma[l, j, k] - d_j gamma[l, i, k]
         #                    + gamma[l, i, m] gamma[m, j, k] - gamma[l, j, m] gamma[m, i, k]
         riem = np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
@@ -206,16 +266,21 @@ def oracle_sample_points(
 
     def reject(point: dict[str, float]) -> bool:
         xs = [point[c] for c in chart.coordinates]
+        probes = [xs]
+        for i in range(chart.dimension):
+            for offset in (-2.0 * cfg.h, 2.0 * cfg.h):
+                shifted = list(xs)
+                shifted[i] += offset
+                probes.append(shifted)
         # a candidate's probes share no points with another's: nothing to keep
         stencil = StencilSampler(metric)
+        if not stencil.fill(probes):
+            return True
         try:
             sign = float(np.sign(stencil.sample(xs)[1]))
-            for i in range(chart.dimension):
-                for offset in (-2.0 * cfg.h, 2.0 * cfg.h):
-                    shifted = list(xs)
-                    shifted[i] += offset
-                    stencil.sample(shifted, sign)
-        except (StencilDegeneracyError, DegenerateEvaluationError):
+            for probe in probes[1:]:
+                stencil.sample(probe, sign)
+        except StencilDegeneracyError:
             return True
         return False
 
@@ -233,15 +298,18 @@ def compare(
     Relative deviation uses max(1, |reference|) as denominator so that
     zero-valued components do not produce spurious failures.
     """
+    points = list(points)
+    values, degenerate = symbolic.numeric_many(PointBatch(symbolic.chart, points))
     deviations: list[float] = []
-    for point in points:
+    for point, value, skip in zip(points, values, degenerate.tolist()):
         reference = oracle_fn(point)
-        values = symbolic.numeric_at(point)
-        if values.shape != reference.shape:
+        if skip:
+            value = symbolic.numeric_at(point)  # raises the degenerate component's own error
+        if value.shape != reference.shape:
             raise ValueError(
-                "shape mismatch: symbolic %r vs oracle %r" % (values.shape, reference.shape)
+                "shape mismatch: symbolic %r vs oracle %r" % (value.shape, reference.shape)
             )
-        deviation = np.abs(values - reference) / np.maximum(1.0, np.abs(reference))
+        deviation = np.abs(value - reference) / np.maximum(1.0, np.abs(reference))
         deviations.append(float(deviation.max()))
     return max_deviation(deviations)
 

@@ -45,6 +45,7 @@ from .checks import Check, CheckOutcome, PASS, run_checks
 from .chart import Chart
 from .connection import (
     PAPER_FRAME_SUM,
+    RICCI_MODES,
     WEIGHTED_TRACE,
     christoffel,
     covariant_derivative,
@@ -117,6 +118,8 @@ class ParacontactStructure:
             raise StructureError(
                 "declared epsilon %+d disagrees with g(xi, xi) = %+d" % (epsilon, detected)
             )
+        if ricci_mode not in RICCI_MODES:
+            raise StructureError("ricci_mode must be one of %s, got %r" % (RICCI_MODES, ricci_mode))
         if ricci_mode == PAPER_FRAME_SUM and frame is None:
             raise StructureError("ricci_mode paper_frame_sum requires a frame in the manifest")
         self.chart: Chart = chart
@@ -147,9 +150,13 @@ class ParacontactStructure:
         """S in the structure's Ricci mode, or in ``mode`` when given."""
         mode = mode or self.ricci_mode
         frame = self.frame if mode == PAPER_FRAME_SUM else None
-        return self._cached(
-            ("ricci", mode), lambda: ricci(self.riemann(), mode, metric=self.metric, frame=frame)
-        )
+
+        def build() -> TensorField:
+            if frame is not None:
+                self.frame_signs()  # connection.ricci takes the frame as verified
+            return ricci(self.riemann(), mode, metric=self.metric, frame=frame)
+
+        return self._cached(("ricci", mode), build)
 
     def lie_derivative_two_ways(self, direction: TensorField) -> tuple[TensorField, TensorField]:
         """(L_V g) by the coordinate and by the connection formula, once per direction field.

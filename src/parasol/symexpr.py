@@ -822,6 +822,15 @@ class Expr:
         except OverflowError:
             raise DegenerateEvaluationError("value overflows a float at %r" % xs) from None
 
+    def evaluate_many(self, batch: "PointBatch") -> tuple:
+        """(values, flags) at every point of a :class:`parasol.batch.PointBatch`.
+
+        A value has the bits :meth:`evaluate` gives at its point where the
+        flag is False; where it is True, :meth:`evaluate` raises.
+        """
+        values, degenerate = batch.evaluate([self])
+        return values[0], degenerate[0]
+
     def evaluate_exact(self, point: Sequence) -> Fraction:
         """Exact rational evaluation; only possible where every atom vanishes."""
         xs = [Fraction(v) for v in point]

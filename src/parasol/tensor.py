@@ -63,6 +63,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .batch import PointBatch
 from .chart import Chart
 from .symexpr import (
     RESIDUE_PRIME,
@@ -251,6 +252,20 @@ class TensorField:
         xs = coordinate_values(self.chart, point)
         values = [0.0 if comp.is_symbolically_zero else comp.evaluate(xs) for comp in self._comps]
         return np.array(values, dtype=float).reshape((n,) * self.rank) if self.rank else np.array(values[0])
+
+    def numeric_many(self, batch: PointBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Components at every point of a batch, stacked on a leading axis, and per-point flags.
+
+        A point is flagged where :meth:`numeric_at` raises; every other row
+        has the bits of :meth:`numeric_at` there (see :class:`PointBatch`).
+        """
+        # each distinct nonzero component is evaluated once; the last row is zeros
+        rows = {id(c): c for c in self._comps if not c.is_symbolically_zero}
+        values, degenerate = batch.evaluate([*rows.values(), Expr.zero(self.chart)])
+        row = {key: r for r, key in enumerate(rows)}
+        index = [row.get(id(c), len(rows)) for c in self._comps]
+        shape = (batch.size,) + (self.chart.dimension,) * self.rank
+        return values[index].T.reshape(shape), degenerate.any(axis=0)
 
     def __repr__(self) -> str:
         return "TensorField(p=%d, q=%d, dim=%d)" % (self.p, self.q, self.chart.dimension)

@@ -1,0 +1,270 @@
+"""Batched float evaluation: each value has the bits of ``Expr.evaluate`` at its point.
+
+``Expr.evaluate_many`` and everything built on it (the oracle's stencil
+sampler and candidate probes, ``compare``, the float-factor ``numeric_max``)
+must report what the scalar path reports, down to the last bit, the sign of
+zero and the points where it raises.
+"""
+
+import io
+import json
+import math
+import random
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from conftest import FIXTURE_NAMES, fixture_path
+from parasol.analysis import Analysis, cmd_oracle
+from parasol.chart import Chart
+from parasol.cli import main
+from parasol.connection import WEIGHTED_TRACE
+from parasol.manifest import load_manifest
+from parasol.oracle import (
+    OracleConfig,
+    StencilDegeneracyError,
+    fd_christoffel,
+    fd_riemann,
+    oracle_sample_points,
+)
+from parasol.paracontact import ParacontactStructure, StructureError
+from parasol.batch import PointBatch
+from parasol.symexpr import DegenerateEvaluationError, Expr, parse
+from parasol.tensor import Metric, TensorField
+
+GOLDEN_MANIFESTS = sorted((Path(__file__).resolve().parent / "golden" / "manifests").glob("*.json"))
+ALL_MANIFESTS = [fixture_path(name) for name in FIXTURE_NAMES] + GOLDEN_MANIFESTS
+
+
+def same_bits(a: float, b: float) -> bool:
+    """Equal floats, zeros of one sign, or two NaNs."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def mismatches(field: TensorField, batch: PointBatch) -> list[str]:
+    """Points where ``numeric_many`` disagrees with ``numeric_at`` in bits or in raising."""
+    values, degenerate = field.numeric_many(batch)
+    found = []
+    for xs, row, flagged in zip(batch.points, values, degenerate.tolist()):
+        try:
+            expected = field.numeric_at(xs)
+        except DegenerateEvaluationError:
+            if not flagged:
+                found.append("%r: numeric_at raises, the batch does not" % (xs,))
+            continue
+        if flagged:
+            found.append("%r: the batch flags, numeric_at gives %r" % (xs, expected))
+        elif not all(map(same_bits, row.ravel().tolist(), expected.ravel().tolist())):
+            found.append("%r: batch %r, numeric_at %r" % (xs, row, expected))
+    return found
+
+
+def oracle_run(path: Path, monkeypatch) -> tuple[ParacontactStructure, list[PointBatch]]:
+    """The structure of one oracle run, and every batch the run evaluates at.
+
+    Those are the candidate probes, the stencils and the sample points.
+    """
+    analysis = Analysis(load_manifest(path), OracleConfig())
+    batches: dict[int, PointBatch] = {}
+    evaluate = PointBatch.evaluate
+
+    def recording(self, exprs):
+        batches.setdefault(id(self), self)
+        return evaluate(self, exprs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PointBatch, "evaluate", recording)
+        cmd_oracle(analysis)
+    return analysis.structure, list(batches.values())
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.stem) for p in ALL_MANIFESTS])
+def test_batch_values_are_the_scalar_values_bit_for_bit(path, monkeypatch):
+    structure, batches = oracle_run(path, monkeypatch)
+    # the metric at every point the run evaluates it at; the curvature, which
+    # is dearer to evaluate one point at a time, at the largest stencil
+    stencil = max(batches, key=lambda batch: batch.size)
+    cases = [(structure.metric.field, batches)] + [
+        (field, [stencil])
+        for field in (structure.connection(), structure.riemann(), structure.ricci(WEIGHTED_TRACE))
+    ]
+    found = [
+        problem for field, where in cases for batch in where for problem in mismatches(field, batch)
+    ]
+    assert found == []
+
+
+CHART = Chart.make(["x", "y", "z"])
+EDGE_POINTS = [
+    [x, y, z]
+    for x in (0.0, -0.0, 1e-13, 0.25, -1e3, 1e10)
+    for y in (0.0, 1.0, -3.0)
+    for z in (-0.9, 0.0, 0.9, 1.0)
+]
+
+
+# (source, power, whether evaluate raises somewhere); the parser expands powers,
+# while ** keeps the denominator as a power B^e of its base
+EDGE_CASES = [
+    ("1/x", 1, True),  # the denominator vanishes
+    ("y/(x^2 - y)", 3, True),  # ... through the power of its base
+    ("1/(1 + x^2)", 20, True),  # the power of the base overflows
+    ("1/(1 + exp(800*z))", 1, True),  # the base overflows
+    ("x^200", 1, True),  # x ** k overflows
+    ("y/x^200", 1, True),  # ... in the denominator
+    ("exp(800*z) - exp(-800*z)", 1, True),  # exp overflows
+    ("exp(400*z)/x + x*y^3*exp(x - 2*y)", 1, True),
+    ("(x - y)/(1 + x^2*y^2)", 4, False),
+    ("-x", 1, False),  # -0.0 at x = 0 comes out as 0.0: the scalar sum starts from 0.0
+    ("x/(y - 2)", 1, False),  # 0.0 over a negative denominator is -0.0
+    ("x^3*y^2*z - 2*x*y*z^2/7 + 5", 1, False),
+    ("0", 1, False),
+]
+EDGE_EXPRS = [parse(source, CHART) ** power for source, power, _ in EDGE_CASES]
+
+
+@pytest.mark.parametrize("expr, degenerates", [(e, case[2]) for e, case in zip(EDGE_EXPRS, EDGE_CASES)])
+def test_batch_flags_the_points_where_evaluate_raises(expr, degenerates):
+    values, flags = expr.evaluate_many(PointBatch(CHART, EDGE_POINTS))
+    for xs, value, flagged in zip(EDGE_POINTS, values.tolist(), flags.tolist()):
+        try:
+            expected = expr.evaluate(xs)
+        except DegenerateEvaluationError:
+            assert flagged, xs
+            continue
+        assert not flagged and same_bits(value, expected), (xs, value, expected)
+    assert flags.any() == degenerates
+
+
+def test_powers_and_exponentials_round_like_the_one_point_path():
+    # numpy's vectorised power and exp differ from libm in the last bit on a
+    # few percent of such inputs; 400 points meet many of them
+    rng = random.Random(7)
+    points = [[rng.uniform(-2.0, 2.0) for _ in range(3)] for _ in range(400)]
+    expr = parse("(x - y)/(3 + x*y^2)", CHART) ** 5 + parse("exp(x/3 - y)*x^7*z^3", CHART)
+    values, flags = expr.evaluate_many(PointBatch(CHART, points))
+    assert not flags.any()
+    assert values.tolist() == [expr.evaluate(xs) for xs in points]
+
+
+def test_expressions_batched_together_keep_their_own_bits():
+    values, flags = PointBatch(CHART, EDGE_POINTS).evaluate(EDGE_EXPRS)
+    for expr, row, row_flags in zip(EDGE_EXPRS, values, flags):
+        alone, alone_flags = expr.evaluate_many(PointBatch(CHART, EDGE_POINTS))
+        assert (row_flags == alone_flags).all()
+        assert row[~row_flags].tobytes() == alone[~alone_flags].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# degenerate stencils keep their error text and verdict
+# ---------------------------------------------------------------------------
+
+
+def test_stencil_crossing_t_1_keeps_its_error_text(structures):
+    g2 = structures["ex5d_r5_g2"].metric  # det = 1 + y^2 - t^2
+    cfg = OracleConfig(h=1e-3)
+    for fd, t, det, at in (
+        (fd_christoffel, 0.9999, "-1.801e-03", 1.0009),
+        (fd_riemann, 0.9999, "-1.801e-03", 1.0009),
+        (fd_christoffel, 1.0001, "1.799e-03", 0.9991),
+        (fd_riemann, 1.0, "0.000e+00", 1.0),
+    ):
+        point = {"x": 0.0, "y": 0.0, "z": 0.0, "t": t, "s": 0.0}
+        with pytest.raises(StencilDegeneracyError) as error:
+            fd(g2, point, cfg)
+        assert str(error.value) == (
+            "metric determinant %s degenerates inside the stencil at [0.0, 0.0, 0.0, %r, 0.0]"
+            % (det, at)
+        )
+
+
+def test_degenerate_metric_entries_keep_their_error_text():
+    entries = ["1 + 1/x", "0", "0", "0", "1", "0", "0", "0", "exp(800*z)"]
+    metric = Metric(TensorField(CHART, 0, 2, [parse(e, CHART) for e in entries]))
+    cfg = OracleConfig(h=1e-4)
+    # x - h is 0.0 on this stencil; exp(800*z) overflows at z = 0.9
+    for fd, point, text in (
+        (fd_christoffel, [1e-4, 0.1, 0.0], "denominator 'x' vanishes at [0.0, 0.1, 0.0] (|value| = 0)"),
+        (fd_riemann, [1e-4, 0.1, 0.8], "denominator 'x' vanishes at [0.0, 0.1, 0.8] (|value| = 0)"),
+        (fd_riemann, [1e-4, 0.1, 0.9], "value overflows a float at [0.0001, 0.1, 0.9]"),
+        (fd_christoffel, [0.3, 0.1, 0.95], "value overflows a float at [0.3, 0.1, 0.95]"),
+    ):
+        with pytest.raises(DegenerateEvaluationError) as error:
+            fd(metric, point, cfg)
+        assert str(error.value) == text
+
+
+def test_candidates_whose_probes_overflow_are_rejected():
+    box = [(-1, 1), (-1, 1), ("4/5", 1)]
+    chart = Chart.make(["x", "y", "z"], base_point=[0, 0, "9/10"], domain_box=box)
+    entries = ["1 + 1/x", "0", "0", "0", "1", "0", "0", "0", "exp(800*z)"]
+    metric = Metric(TensorField(chart, 0, 2, [parse(e, chart) for e in entries]))
+    # exp(800*z) overflows above z = 0.887: 20 of the first 30 candidates have a probe there
+    points = oracle_sample_points(chart, metric, OracleConfig(h=1e-3, seed=3))
+    assert [round(point["z"], 4) for point in points] == [
+        0.874, 0.8131, 0.8519, 0.879, 0.8272, 0.8127, 0.8177, 0.8302, 0.809, 0.8816
+    ]
+
+
+def _oracle_rows(path: Path) -> tuple[int, list[tuple[str, str, str]]]:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["oracle", str(path), "--json"])
+    return code, [(c["id"], c["status"], c["details"]) for c in json.loads(out.getvalue())["checks"]]
+
+
+def test_oracle_verdicts_on_an_overflowing_and_a_crossing_manifest(tmp_path):
+    data = json.loads(fixture_path("ex1_r3_spacelike").read_text(encoding="utf-8"))
+    data["metric"][0][0], data["metric"][1][1] = "exp(800*z)", "exp(-800*z)"
+    data["frame"][0][0], data["frame"][1][1] = "exp(-400*z)", "exp(400*z)"
+    steep = tmp_path / "ex1_exp800.json"
+    steep.write_text(json.dumps(data), encoding="utf-8")
+    over = "over 10 points (tolerance 1.0e-06, h = 1.0e-04)"
+    assert _oracle_rows(steep) == (1, [
+        ("oracle_christoffel", "fail", "max relative deviation 1.066e-03 " + over),
+        ("oracle_riemann", "fail", "max relative deviation 2.131e-03 " + over),
+        ("oracle_ricci", "fail", "max relative deviation 1.000e+00 " + over),
+        ("oracle_h_scaling", "pass", "halving h changed the Christoffel deviation by a factor "
+         "3.998 (expected in [3, 5] for a central O(h^2) scheme)"),
+        ("oracle_lie_dual", "pass", "coordinate vs connection Lie derivative deviate by "
+         "0.000e+00 numerically"),
+    ])
+    # ex5d_r5_g2 with t in [-1/2, 3/2]: candidates whose stencil crosses t = 1 are rejected
+    data = json.loads(fixture_path("ex5d_r5_g2").read_text(encoding="utf-8"))
+    data["domain_box"][3] = ["-1/2", "3/2"]
+    wide = tmp_path / "ex5d_g2_wide.json"
+    wide.write_text(json.dumps(data), encoding="utf-8")
+    assert _oracle_rows(wide) == (1, [
+        ("oracle_christoffel", "pass", "max relative deviation 1.106e-13 " + over),
+        ("oracle_riemann", "fail", "max relative deviation 1.409e-05 " + over),
+        ("oracle_ricci", "fail", "max relative deviation 3.089e-06 " + over),
+        ("oracle_h_scaling", "inapplicable", "deviation 1.106e-13 is already at the roundoff "
+         "floor; O(h^2) ratio is not informative"),
+        ("oracle_lie_dual", "pass", "coordinate vs connection Lie derivative deviate by "
+         "0.000e+00 numerically"),
+    ])
+
+
+def test_oracle_evaluates_no_metric_entry_one_point_at_a_time(manifests, monkeypatch):
+    analysis = Analysis(manifests["ex5d_r5_g1"], OracleConfig())
+    metric = analysis.structure.metric
+    n = metric.chart.dimension
+    entries = {id(metric[i, j]) for i in range(n) for j in range(n)}
+    calls = []
+    evaluate = Expr.evaluate
+
+    def counting_evaluate(self, point):
+        calls.append(id(self) in entries)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(Expr, "evaluate", counting_evaluate)
+    assert len(cmd_oracle(analysis).checks) == 5
+    assert calls and sum(calls) == 0
+
+
+def test_an_unknown_ricci_mode_is_a_structure_error(flat):
+    with pytest.raises(StructureError, match="ricci_mode must be one of .*, got 'frame'"):
+        ParacontactStructure(flat.phi, flat.xi, flat.eta, flat.metric, ricci_mode="frame")

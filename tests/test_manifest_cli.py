@@ -385,12 +385,12 @@ def test_soliton_tensor_and_eta_eta_built_once_per_report(monkeypatch):
         ("ex1_r3_spacelike", 1, ["weighted_trace"]),
         ("ex5d_r5_g1", 0, ["weighted_trace"]),
         ("warped_r3", 1, ["weighted_trace"]),
-        ("ex2_r3_timelike", 2, ["paper_frame_sum", "weighted_trace"]),
+        ("ex2_r3_timelike", 1, ["paper_frame_sum", "weighted_trace"]),
     ],
 )
 def test_frame_checked_and_ricci_built_once_per_mode(monkeypatch, fixture, frame_checks, ricci_modes):
-    # report --all used to verify the frame 3 times (4 on ex2); in paper mode
-    # connection.ricci verifies it once more itself
+    # report --all used to verify the frame 3 times (4 on ex2); paper mode
+    # takes the structure's cached frame_signs() instead of verifying again
     checks, modes = [], []
     orthonormal_signs = Frame.orthonormal_signs
     monkeypatch.setattr(

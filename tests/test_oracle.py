@@ -25,6 +25,7 @@ from parasol.oracle import (
     fd_riemann,
     oracle_sample_points,
 )
+from parasol.batch import PointBatch
 from parasol.symexpr import Expr
 from parasol.tensor import TensorField
 
@@ -252,6 +253,12 @@ def test_oracle_evaluates_each_stencil_point_once(manifests, monkeypatch):
         counts["metric"] += id(self) in entries
         return evaluate(self, point, *args, **kwargs)
 
+    evaluate_batch = PointBatch.evaluate
+
+    def counting_evaluate_batch(self, exprs):
+        counts["metric"] += self.size * sum(id(expr) in entries for expr in exprs)
+        return evaluate_batch(self, exprs)
+
     def counting_sample_points(self, count, seed, reject=None):
         def counted(point):
             counts["candidates"] += 1
@@ -260,6 +267,7 @@ def test_oracle_evaluates_each_stencil_point_once(manifests, monkeypatch):
         return sample_points(self, count, seed, counted)
 
     monkeypatch.setattr(Expr, "evaluate", counting_evaluate)
+    monkeypatch.setattr(PointBatch, "evaluate", counting_evaluate_batch)
     monkeypatch.setattr(Chart, "sample_points", counting_sample_points)
     report = cmd_oracle(analysis)
     assert [entry.id for entry in report.checks] == [
