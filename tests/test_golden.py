@@ -64,6 +64,10 @@ CASES = [
      ["sasakian", str(MANIFESTS / "flat_broken_phi.json"), "--json"], 0),
     ("ex1_r3_spacelike__einstein_fit_2xi.json",
      ["einstein-fit", "fixtures/ex1_r3_spacelike", "--potential", "2*xi", "--json"], 0),
+    # a torse-forming xi with nonconstant regular f = e^z/(1 + e^z), so
+    # f^2 + xi(f) = f is reported with its sampled values
+    ("torse_sigmoid_r3__torse.json",
+     ["torse", str(MANIFESTS / "torse_sigmoid_r3.json"), "--json"], 0),
 ]
 
 
