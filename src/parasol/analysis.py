@@ -17,11 +17,13 @@ from functools import cached_property, wraps
 
 import numpy as np
 
+from .batch import PointBatch
 from .chart import SAMPLE_COUNT
 from .checks import (
     CLASSIFICATION,
     FACT,
     FAIL,
+    INAPPLICABLE,
     PASS,
     Check,
     CheckOutcome,
@@ -68,7 +70,7 @@ from .solitons import (
     torse_forming_constants,
     xi_consequence_suite,
 )
-from .symexpr import DegenerateEvaluationError
+from .symexpr import DegenerateEvaluationError, Expr
 from .tensor import DegenerateMetricError, TensorField, contract, signature_at
 
 __all__ = ["Analysis", "run_command", "COMMANDS"]
@@ -133,7 +135,7 @@ class Analysis:
 
     @cached_property
     def torse(self) -> TorseFormingData:
-        return detect_torse_forming(self.structure, sample_seed=self.cfg.seed)
+        return detect_torse_forming(self.structure)
 
     def soliton_constants(self) -> tuple[Fraction, Fraction] | None:
         constants = self.manifest.constants
@@ -176,6 +178,14 @@ def _command(body):
 def _note(check_id: str, details: str) -> CheckOutcome:
     """A passing informational entry with no symbolic verdict."""
     return CheckOutcome(check_id, PASS, details=details)
+
+
+def _sampled(exprs: list[Expr], points: list[dict[str, float]]) -> np.ndarray:
+    """Each expression at every point; the first (point, expression) flagged raises its error."""
+    values, degenerate = PointBatch(exprs[0].chart, points).evaluate(exprs)
+    for p, e in np.argwhere(degenerate.T)[:1]:
+        exprs[e].evaluate(points[p])
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +369,24 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
                 "solving needs a potential and an orthonormal frame in the manifest",
             )
         ]
-    result = solve_soliton_constants(structure, potential, guard_seed=analysis.cfg.seed)
+    result = solve_soliton_constants(structure, potential)
     report.constants.update({"lambda": result.lam, "mu": result.mu})
     diag = ", ".join(
         str(c) if c is not None else str(e)
         for c, e in zip(result.frame_diagonal_constants, result.frame_diagonal)
     )
+    # guard against base-point coincidences: the same fit in floats at the sample points
+    points = analysis.sample_points()
+    guard, guard_details = INAPPLICABLE, "no nondegenerate sample points found in the domain box"
+    if points:
+        values = _sampled([e for pair in result.frame_pairs for e in pair], points)
+        rows = np.stack([values[0::3].T.ravel(), values[1::3].T.ravel()], axis=1)
+        solution, *_ = np.linalg.lstsq(rows, -values[2::3].T.ravel(), rcond=None)
+        deviation = float(max(abs(solution - [float(result.lam), float(result.mu)])))
+        guard = PASS if deviation <= 1e-8 else FAIL
+        guard_details = "stacked least squares over %d extra seeded points deviates by %.3e" % (
+            len(points), deviation
+        )
     return [
         CheckOutcome(
             "soliton_solve",
@@ -385,12 +407,7 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
             residual=result.residual,
             details="residual frame diagonal (%s), norm %.12g" % (diag, result.residual_norm),
         ),
-        CheckOutcome(
-            "soliton_base_point_guard",
-            PASS if result.base_point_consistent else FAIL,
-            details="stacked least squares over %d extra seeded points deviates by %.3e"
-            % (SAMPLE_COUNT, result.base_point_max_deviation),
-        ),
+        CheckOutcome("soliton_base_point_guard", guard, details=guard_details),
     ]
 
 
@@ -405,6 +422,11 @@ def cmd_torse(analysis: Analysis, report: VerificationReport) -> list[CheckOutco
         details += "; f = %s; w = -f eta; regular = %s" % (torse.f, torse.regular)
     if torse.note:
         details += "; " + torse.note
+    if torse.regular and torse.regularity.as_rational_constant() is None:
+        values = _sampled([torse.regularity], analysis.sample_points()[:5])[0]
+        details += "; f^2 + xi(f) = %s is nonconstant; sampled values: %s" % (
+            torse.regularity, ", ".join("%.4g" % v for v in values.tolist())
+        )
     outcomes = [_note("torse_classification", details)]
 
     constants, pair = analysis.fit_constants, analysis.soliton_constants()
@@ -558,13 +580,14 @@ def cmd_oracle(analysis: Analysis, report: VerificationReport) -> list[CheckOutc
     via_coordinates, via_connection = structure.lie_derivative_two_ways(
         analysis.potential or structure.xi
     )
+    batch = PointBatch(structure.chart, points)
+    one, one_flags = via_coordinates.numeric_many(batch)
+    other, other_flags = via_connection.numeric_many(batch)
+    for p in np.flatnonzero(one_flags | other_flags)[:1]:  # raise the one-point error there
+        via_coordinates.numeric_at(points[p])
+        via_connection.numeric_at(points[p])
     with np.errstate(all="ignore"):
-        worst = max_deviation(
-            [
-                float(np.abs(via_coordinates.numeric_at(p) - via_connection.numeric_at(p)).max())
-                for p in points
-            ]
-        )
+        worst = max_deviation(np.abs(one - other).reshape(len(points), -1).max(axis=1).tolist())
     outcomes.append(
         CheckOutcome(
             "oracle_lie_dual",

@@ -23,7 +23,7 @@ from .symexpr import DENOMINATOR_CUTOFF, Expr, coordinate_values
 __all__ = ["PointBatch"]
 
 # terms times points that PointBatch.evaluate works on in one step
-_STEP_ELEMENTS = 4096
+_STEP_ELEMENTS = 2048
 
 
 def _python_floats(fn, values: list[float]) -> tuple[list[float], list[bool] | None]:
@@ -51,15 +51,16 @@ class PointBatch:
     expression evaluated on it.
     """
 
-    __slots__ = ("chart", "points", "size", "_axes", "_keys", "_rows", "_overflowed")
+    __slots__ = ("chart", "points", "size", "_keys", "_factors", "_stack", "_new", "_overflowed")
 
     def __init__(self, chart: Chart, points: Iterable[Mapping[str, float] | Sequence[float]]):
         self.chart = chart
         self.points = [coordinate_values(chart, point) for point in points]
         self.size = len(self.points)
-        self._axes = [[xs[i] for xs in self.points] for i in range(chart.dimension)]
-        self._keys: dict = {}  # column key -> row of _rows
-        self._rows = [[1.0] * self.size]  # row 0 pads a term's factors: x * 1.0 is x
+        self._keys: dict = {}  # column key -> row of _stack
+        self._factors: dict = {}  # (pairs, atom) of a term -> its rows of _stack
+        self._stack = np.ones((1, self.size))  # row 0 pads a term's factors: x * 1.0 is x
+        self._new: list = []  # rows made since _stack last grew
         self._overflowed: list = [None]
 
     def _row(self, key: tuple) -> int:
@@ -69,13 +70,13 @@ class PointBatch:
             if isinstance(key[0], tuple):  # an atom: ((axis, rate), ...)
                 arg = 0.0
                 for i, lam in key:
-                    arg = arg + lam * np.array(self._axes[i])
+                    arg = arg + lam * np.array([xs[i] for xs in self.points])
                 values, overflowed = _python_floats(math.exp, arg.tolist())
             else:
                 i, k = key
-                values, overflowed = _python_floats(lambda x: x**k, self._axes[i])
-            row = self._keys[key] = len(self._rows)
-            self._rows.append(values)
+                values, overflowed = _python_floats(lambda x: x**k, [xs[i] for xs in self.points])
+            row = self._keys[key] = len(self._stack) + len(self._new)
+            self._new.append(values)
             self._overflowed.append(overflowed)
         return row
 
@@ -84,36 +85,62 @@ class PointBatch:
 
         Also returns where a factor overflowed (None: nowhere).
         """
-        rows = [
-            [self._row(pair) for pair in mono] + ([self._row(atom)] if atom else [])
-            for _, mono, atom in terms
-        ]
-        index = np.zeros((max([1, *map(len, rows)]), len(rows)), dtype=np.intp)
-        for t, factors in enumerate(rows):
-            index[: len(factors), t] = factors
-        stack = np.array(self._rows)
-        products = np.array([coeff for coeff, _, _ in terms])[:, None] * stack[index[0]]
+        rows = []
+        for _, mono, atom in terms:
+            factors = self._factors.get((mono, atom))
+            if factors is None:
+                factors = [self._row(pair) for pair in mono] + ([self._row(atom)] if atom else [])
+                self._factors[mono, atom] = factors
+            rows.append(factors)
+        if self._new:
+            self._stack = np.concatenate([self._stack, self._new])
+            self._new = []
+        # factor k of every term, row 0 (ones) where a term has fewer factors
+        width = max([1, *map(len, rows)])
+        index = [[r[k] if k < len(r) else 0 for r in rows] for k in range(width)]
+        stack = self._stack
+        products = np.array([c for c, _, _ in terms])[:, None] * np.take(stack, index[0], axis=0)
         for factors in index[1:]:
-            products *= stack[factors]
+            products *= np.take(stack, factors, axis=0)
         if not any(self._overflowed):
             return products, None
         overflowed = np.array([o or [False] * self.size for o in self._overflowed])
-        return products, overflowed[index].any(axis=0)
+        return products, np.take(overflowed, index, axis=0).any(axis=0)
 
     def _sums(self, tables: list) -> tuple[np.ndarray, np.ndarray | None]:
-        """The sum of each _float_table at every point, adding its terms in order from 0.0."""
-        terms = [term for table in tables for term in table]
+        """The sum of each _float_table at every point, adding its terms in order from 0.0.
+
+        ``np.add.accumulate`` keeps that order (from the first term: ``0.0 +``
+        mends the sign of an all -0.0 sum); ``np.add.reduce`` and ``reduceat`` do not.
+        """
+        lengths = [len(table) for table in tables]
+        by_table = len(tables) < max(lengths)
+        if by_table:
+            # few long tables: one accumulate per table
+            order, blocks = range(len(tables)), lengths
+            terms = [term for table in tables for term in table]
+        else:
+            # many short tables, longest first and term by term: term k of every
+            # table that long is one block of rows, added to a prefix of totals
+            order = sorted(range(len(tables)), key=lengths.__getitem__, reverse=True)
+            blocks = [sum(length > k for length in lengths) for k in range(max(lengths))]
+            terms = [tables[order[j]][k] for k, count in enumerate(blocks) for j in range(count)]
         products, overflowed = self._products(terms)
-        lengths = np.array([len(table) for table in tables])
-        starts = np.cumsum(lengths) - lengths
         totals = np.zeros((len(tables), self.size))
         bad = None if overflowed is None else np.zeros(totals.shape, dtype=bool)
-        for t in range(lengths.max()):
-            which = np.flatnonzero(lengths > t)
-            totals[which] += products[starts[which] + t]
-            if bad is not None:
-                bad[which] |= overflowed[starts[which] + t]
-        return totals, bad
+        start = 0
+        for t, block in enumerate(blocks):
+            rows, start = slice(start, start + block), start + block
+            if by_table:
+                totals[t] += np.add.accumulate(products[rows])[-1]
+                if bad is not None:
+                    bad[t] = overflowed[rows].any(axis=0)
+            else:
+                totals[:block] += products[rows]
+                if bad is not None:
+                    bad[:block] |= overflowed[rows]
+        back = sorted(range(len(tables)), key=order.__getitem__)  # to the order of ``tables``
+        return np.take(totals, back, axis=0), bad if bad is None else np.take(bad, back, axis=0)
 
     @np.errstate(all="ignore")
     def evaluate(self, exprs: Sequence[Expr]) -> tuple[np.ndarray, np.ndarray]:
@@ -131,10 +158,8 @@ class PointBatch:
         for e, expr in enumerate(exprs):
             if not expr._num:
                 continue
-            if expr._float is None:
-                expr._float = expr._float_tables()
             step.append(e)
-            size += (len(expr._float[0]) + len(expr._float[2] or ())) * self.size
+            size += (len(expr._num) + len(expr._dbase or ())) * self.size
             if size >= _STEP_ELEMENTS:
                 self._evaluate(exprs, step, values, degenerate)
                 step, size = [], 0
@@ -144,7 +169,8 @@ class PointBatch:
 
     def _evaluate(self, exprs: Sequence[Expr], live: list[int], values, degenerate) -> None:
         """Fill the rows ``live`` of :meth:`evaluate`'s arrays."""
-        tables = [exprs[e]._float for e in live]
+        # float tables are built per step, not kept: a residual is evaluated once
+        tables = [exprs[e]._float or exprs[e]._float_tables() for e in live]
         # the one-point order: den = x^d (a product from 1.0), times B^e; then num / den
         den, overflowed = self._products([(1.0, dmono, ()) for _, dmono, _ in tables])
         flags = np.zeros(den.shape, dtype=bool) if overflowed is None else overflowed
@@ -162,6 +188,8 @@ class PointBatch:
         num, overflowed = self._sums([terms for terms, _, _ in tables])
         if overflowed is not None:
             flags |= overflowed
-        flags |= np.abs(den) <= DENOMINATOR_CUTOFF
+        for j, (_, dmono, den_terms) in enumerate(tables):
+            if dmono or den_terms is not None:  # a denominator other than 1
+                flags[j] |= [abs(v) <= DENOMINATOR_CUTOFF for v in den[j].tolist()]
         values[live] = num / den
         degenerate[live] = flags

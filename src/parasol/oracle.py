@@ -256,11 +256,14 @@ def oracle_sample_points(
 ) -> list[dict[str, float]]:
     """Seeded sample points from the domain box, avoiding degeneracy loci.
 
-    A point is rejected when |det g| < ``DEGENERACY_CUTOFF`` at the point or
-    anywhere on its finite-difference stencil, or when the determinant changes
-    sign there.  A step whose +-2h stencil spans the narrowest box interval is
-    an input error (:func:`require_step_fits`), so the box is not blamed for
-    what the step causes.
+    A candidate is probed at 1 + 2n points, itself and itself moved by +-2h
+    along each axis, and rejected when a metric entry is degenerate at a
+    probe, |det g| < ``DEGENERACY_CUTOFF`` there, or det g there has the
+    other sign than at the candidate.  The stencils' other points (the +-h
+    and diagonal steps) are not probed; the comparison checks them as it
+    visits them.  A step whose +-2h stencil spans the narrowest box interval
+    is an input error (:func:`require_step_fits`), so the box is not blamed
+    for what the step causes.
     """
     require_step_fits(chart, cfg)
 

@@ -20,8 +20,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .batch import PointBatch
 from .checks import CheckOutcome, FAIL
-from .symexpr import DegenerateEvaluationError, Expr
+from .symexpr import Expr
 from .tensor import Contraction, TensorField
 
 __all__ = ["CheckEntry", "VerificationReport", "CURVATURE_SIGN_CONVENTION"]
@@ -64,25 +65,18 @@ def _factored_max(residual: Contraction, points: list[Mapping[str, float]]) -> f
     That is when an operand is degenerate or not finite at some point, or the
     summed value is not finite.
     """
-    worst = 0.0
-    for point in points:
-        try:
-            values = residual.numeric_at(point)
-        except DegenerateEvaluationError:
-            return None
-        if not np.isfinite(values).all():
-            return None
-        worst = max(worst, float(np.abs(values).max()))
-    return worst
+    values = residual.numeric_many(PointBatch(residual.chart, points))
+    if values is None or not all(np.isfinite(value).all() for value in values):
+        return None
+    return max((float(np.abs(value).max()) for value in values), default=0.0)
 
 
 def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> float | None:
     """Largest |residual| over the points, or None when there is none or it is not finite.
 
-    A contraction takes it from float factors when every operand is finite
-    and nondegenerate at every point; otherwise it is built exactly and
-    :meth:`TensorField.max_abs` skips each component at the points where
-    that component is degenerate.
+    A contraction takes it from float factors when every operand is finite and
+    nondegenerate at every point, else from its exact build.  A built residual evaluates
+    each distinct nonzero component once on a batch, skipping it where degenerate or NaN.
     """
     points = list(points)
     if isinstance(residual, Contraction):
@@ -94,7 +88,12 @@ def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> flo
         residual = TensorField(residual.chart, 0, 0, [residual])
     elif not isinstance(residual, TensorField):
         return None
-    worst = residual.max_abs(points)
+    distinct = {id(c): c for _, c in residual.components() if not c.is_symbolically_zero}
+    if not distinct:
+        return 0.0
+    values, degenerate = PointBatch(residual.chart, points).evaluate(list(distinct.values()))
+    kept = zip(values.ravel().tolist(), degenerate.ravel().tolist())
+    worst = max((abs(v) for v, skip in kept if not (skip or math.isnan(v))), default=0.0)
     return _round_float(worst) if math.isfinite(worst) else None
 
 

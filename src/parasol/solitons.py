@@ -37,9 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .chart import SAMPLE_COUNT
 from .checks import (
     CLASSIFICATION,
     FACT,
@@ -127,8 +124,8 @@ class SolitonSolveResult:
     frame_diagonal_constants: list[Fraction | None]
     norm_squared: Fraction | None
     residual_norm: float
-    base_point_consistent: bool
-    base_point_max_deviation: float
+    # (g, eta(x)eta, B) at each frame pair (E_i, E_j), i <= j: the fit's design
+    frame_pairs: list[tuple[Expr, Expr, Expr]]
 
 
 @dataclass
@@ -212,9 +209,7 @@ def soliton_residual(structure: ParacontactStructure, data: SolitonData) -> Tens
 
 
 def solve_soliton_constants(
-    structure: ParacontactStructure,
-    potential: TensorField,
-    guard_seed: int = 42,
+    structure: ParacontactStructure, potential: TensorField
 ) -> SolitonSolveResult:
     """Solve B + lambda g + mu eta(x)eta = 0 by exact rational least squares.
 
@@ -222,8 +217,7 @@ def solve_soliton_constants(
     the chart's base point; the solution is then verified symbolically on
     the whole chart.  When the full residual is canonically zero the result
     is exact; otherwise the frame-diagonal residual vector and its norm are
-    returned.  A stacked floating least squares over ``SAMPLE_COUNT`` extra
-    points drawn with ``guard_seed`` guards against base-point coincidences.
+    returned.
     """
     if structure.frame is None:
         raise ValenceError("solving soliton constants requires an orthonormal frame")
@@ -261,17 +255,6 @@ def solve_soliton_constants(
         residual_norm = (
             sum(e.evaluate(base_floats) ** 2 for e in frame_diagonal) ** 0.5
         )
-
-    # guard against base-point coincidences: re-fit numerically at extra points
-    points = chart.sample_points(SAMPLE_COUNT, guard_seed)
-    stacked_rows: list[list[float]] = []
-    stacked_rhs: list[float] = []
-    for point in points:
-        for ge, ee, be in pair_exprs:
-            stacked_rows.append([ge.evaluate(point), ee.evaluate(point)])
-            stacked_rhs.append(-be.evaluate(point))
-    solution, *_ = np.linalg.lstsq(np.array(stacked_rows), np.array(stacked_rhs), rcond=None)
-    deviation = float(max(abs(solution[0] - float(lam)), abs(solution[1] - float(mu))))
     return SolitonSolveResult(
         exact=exact,
         lam=lam,
@@ -281,8 +264,7 @@ def solve_soliton_constants(
         frame_diagonal_constants=diagonal_constants,
         norm_squared=norm_squared,
         residual_norm=residual_norm,
-        base_point_consistent=deviation <= 1e-8,
-        base_point_max_deviation=deviation,
+        frame_pairs=pair_exprs,
     )
 
 
@@ -431,14 +413,13 @@ def _codazzi_forces_einstein(
 # ---------------------------------------------------------------------------
 
 
-def detect_torse_forming(structure: ParacontactStructure, sample_seed: int = 42) -> TorseFormingData:
+def detect_torse_forming(structure: ParacontactStructure) -> TorseFormingData:
     """Classify nabla xi against the torse-forming form f phi^2.
 
     The candidate f is recovered from the trace of nabla xi (trace phi^2 is
     n - 1) and then verified; extracting f from a component ratio is not
     total, the trace always is.  Regularity means f^2 + xi(f) is not
-    canonically zero; when that expression is a nonconstant function its
-    sampled values are reported so the user can see the zero set.
+    canonically zero.
     """
     chart = structure.chart
     n = chart.dimension
@@ -461,19 +442,12 @@ def detect_torse_forming(structure: ParacontactStructure, sample_seed: int = 42)
     df = TensorField.oneform(chart, [f_candidate.differentiate(name) for name in chart.coordinates])
     xi_of_f = contract("i,i->", structure.xi, df)
     regularity = f_candidate * f_candidate + xi_of_f
-    regular = not regularity.is_zero()
-    note = ""
-    if regular and regularity.as_rational_constant() is None:
-        points = chart.sample_points(5, sample_seed)
-        values = ", ".join("%.4g" % regularity.evaluate(p) for p in points)
-        note = "f^2 + xi(f) = %s is nonconstant; sampled values: %s" % (regularity, values)
     return TorseFormingData(
         classification=classification,
         f=f_candidate,
         w=w,
-        regular=regular,
+        regular=not regularity.is_zero(),
         regularity=regularity,
-        note=note,
     )
 
 

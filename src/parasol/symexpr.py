@@ -822,15 +822,6 @@ class Expr:
         except OverflowError:
             raise DegenerateEvaluationError("value overflows a float at %r" % xs) from None
 
-    def evaluate_many(self, batch: "PointBatch") -> tuple:
-        """(values, flags) at every point of a :class:`parasol.batch.PointBatch`.
-
-        A value has the bits :meth:`evaluate` gives at its point where the
-        flag is False; where it is True, :meth:`evaluate` raises.
-        """
-        values, degenerate = batch.evaluate([self])
-        return values[0], degenerate[0]
-
     def evaluate_exact(self, point: Sequence) -> Fraction:
         """Exact rational evaluation; only possible where every atom vanishes."""
         xs = [Fraction(v) for v in point]
@@ -863,17 +854,19 @@ class Expr:
         return not any(self._lay.unpack(key)[0])
 
     def as_rational_constant(self) -> Fraction | None:
-        """The exact rational value if the expression is constant, else None."""
+        """The exact rational value if the expression is constant, else None.
+
+        A constant c makes the numerator c x^d B^e, so the leading terms agree; key order is
+        a monomial order, so lead(x^d B^e) = d + e (max(B) - base) without expanding B^e.
+        """
         if not self._num:
             return _F0
-        if self.denominator_is_one and len(self._num) == 1:
-            (key, coeff), = self._num.items()
-            if key == self._lay.base:
-                return self._scale * coeff
-        try:
-            guess = self.evaluate_exact(self.chart.base_point)
-        except ExactEvaluationError:
+        lead, expected = max(self._num), self._dmono
+        if self._dbase is not None:
+            expected += self._dexp * (max(self._dbase) - self._lay.base)
+        if lead != expected:
             return None
+        guess = self._scale * self._num[lead] / self._den_lead()
         return guess if (self - guess).is_symbolically_zero else None
 
     # -- printing ------------------------------------------------------------

@@ -48,8 +48,8 @@ An operand for an empty term (``",kij->kij"``) may be a scalar ``Expr``.
 
 A :class:`Contraction` holds a spec and its operands unexpanded.  It sums
 the spec with ``numpy.einsum`` over residues modulo a prime (an exact
-nonzero certificate, see :mod:`parasol.checks`) or over float values at a
-point, and ``build`` expands it with ``contract``.
+nonzero certificate, see :mod:`parasol.checks`) or over float values at
+each point of a batch, and ``build`` expands it with ``contract``.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .batch import PointBatch
 from .chart import Chart
 from .symexpr import (
     RESIDUE_PRIME,
-    DegenerateEvaluationError,
     Expr,
     FormalPoint,
     InvariantError,
@@ -232,21 +231,6 @@ class TensorField:
     def is_symmetric_down(self, a: int, b: int) -> bool:
         return (self - self.swap_down(a, b)).is_zero()
 
-    def max_abs(self, points: Iterable[Mapping[str, float]]) -> float:
-        """Largest |component| over the points, skipping symbolic zeros and degenerate points."""
-        comps = [comp for comp in self._comps if not comp.is_symbolically_zero]
-        worst = 0.0
-        for point in points:
-            xs = coordinate_values(self.chart, point)
-            for comp in comps:
-                try:
-                    value = abs(comp.evaluate(xs))
-                except DegenerateEvaluationError:
-                    continue
-                if value > worst:
-                    worst = value
-        return worst
-
     def numeric_at(self, point: Mapping[str, float] | Sequence[float]) -> np.ndarray:
         n = self.chart.dimension
         xs = coordinate_values(self.chart, point)
@@ -385,28 +369,26 @@ class Contraction:
 
     The operands are built fields (or scalars).  The summation itself runs
     with numpy over one array of values per operand: residues modulo
-    ``RESIDUE_PRIME`` at the formal point (:meth:`residues`), or floats at a
-    sample point (:meth:`numeric_at`).  :meth:`build` expands it exactly
-    with :func:`contract`.
+    ``RESIDUE_PRIME`` at the formal point (:meth:`residues`), or floats at
+    each point of a batch (:meth:`numeric_many`).  :meth:`build` expands it
+    exactly with :func:`contract`.
     """
 
-    __slots__ = ("spec", "operands", "chart", "_out", "_products")
+    __slots__ = ("spec", "operands", "chart", "_out", "_products", "_fields")
 
     def __init__(self, spec: str, *operands: TensorField | Expr):
         self.chart, self._out, _upper, self._products = _parse(spec, operands)
         self.spec, self.operands = spec, operands
+        # each distinct operand field, keyed by id, valued once per summation
+        self._fields = {id(op): op for _, factors in self._products for _, op in factors}
 
     def build(self) -> TensorField | Expr:
         return contract(self.spec, *self.operands)
 
-    def _einsum(self, values: Callable[[TensorField], np.ndarray]) -> np.ndarray:
-        """The summation over ``values(field)`` of each operand, each distinct field valued once."""
-        arrays: dict[int, np.ndarray] = {}
+    def _einsum(self, arrays: Mapping[int, np.ndarray]) -> np.ndarray:
+        """The summation over the array of each operand field, keyed as ``_fields``."""
         total = 0
         for negate, factors in self._products:
-            for _, op in factors:
-                if id(op) not in arrays:
-                    arrays[id(op)] = values(op)
             spec = ",".join(term for term, _ in factors) + "->" + self._out
             value = np.einsum(spec, *(arrays[id(op)] for _, op in factors))
             total = total - value if negate else total + value
@@ -417,33 +399,30 @@ class Contraction:
 
         Raises ``NonUnitResidueError`` when an operand has no residue there.
         """
-        point = FormalPoint(
-            self.chart, [c for _, factors in self._products for _, op in factors for c in op._comps]
-        )
+        point = FormalPoint(self.chart, [c for op in self._fields.values() for c in op._comps])
         n = self.chart.dimension
+        arrays = {
+            key: np.array([point.residue(c) for c in op._comps], dtype=object).reshape((n,) * op.rank)
+            for key, op in self._fields.items()
+        }
+        return np.asarray(self._einsum(arrays) % RESIDUE_PRIME)
 
-        def values(op: TensorField) -> np.ndarray:
-            array = np.array([point.residue(c) for c in op._comps], dtype=object)
-            return array.reshape((n,) * op.rank)
+    def numeric_many(self, batch: PointBatch) -> list[np.ndarray] | None:
+        """Float components at each point of a batch, summed from the operands' float values.
 
-        return np.asarray(self._einsum(values) % RESIDUE_PRIME)
-
-    def numeric_at(self, point: Mapping[str, float] | Sequence[float]) -> np.ndarray:
-        """Float components at a point, summed from the operands' float values.
-
-        Raises ``DegenerateEvaluationError`` when an operand component is
-        degenerate or not finite at the point.
+        Each operand is valued once on the batch, then one einsum runs per
+        point.  None when an operand is degenerate or not finite somewhere.
         """
-        xs = coordinate_values(self.chart, point)
-
-        def values(op: TensorField) -> np.ndarray:
-            array = op.numeric_at(xs)
-            if not np.isfinite(array).all():
-                raise DegenerateEvaluationError("an operand is not finite at %r" % xs)
-            return array
-
+        stacks = {}
+        for key, op in self._fields.items():
+            values, degenerate = op.numeric_many(batch)
+            if degenerate.any() or not np.isfinite(values).all():
+                return None
+            # einsum picks its kernel by the operands' strides: keep each
+            # point's values C-contiguous, as a one-point array is
+            stacks[key] = np.ascontiguousarray(values)
         with np.errstate(all="ignore"):
-            return self._einsum(values)
+            return [self._einsum({k: s[p] for k, s in stacks.items()}) for p in range(batch.size)]
 
 
 def _minor_det(

@@ -1,8 +1,8 @@
 """Batched float evaluation: each value has the bits of ``Expr.evaluate`` at its point.
 
-``Expr.evaluate_many`` and everything built on it (the oracle's stencil
-sampler and candidate probes, ``compare``, the float-factor ``numeric_max``)
-must report what the scalar path reports, down to the last bit, the sign of
+``PointBatch.evaluate`` and everything built on it (the oracle's stencil
+sampler and candidate probes, ``compare``, ``numeric_max``, the soliton
+guard and the torse note) must report what the scalar path reports, down to the last bit, the sign of
 zero and the points where it raises.
 """
 
@@ -119,6 +119,7 @@ EDGE_CASES = [
     ("exp(400*z)/x + x*y^3*exp(x - 2*y)", 1, True),
     ("(x - y)/(1 + x^2*y^2)", 4, False),
     ("-x", 1, False),  # -0.0 at x = 0 comes out as 0.0: the scalar sum starts from 0.0
+    ("-x - 2*y", 1, False),  # ... also where one accumulate adds the terms -0.0 + -0.0
     ("x/(y - 2)", 1, False),  # 0.0 over a negative denominator is -0.0
     ("x^3*y^2*z - 2*x*y*z^2/7 + 5", 1, False),
     ("0", 1, False),
@@ -128,7 +129,7 @@ EDGE_EXPRS = [parse(source, CHART) ** power for source, power, _ in EDGE_CASES]
 
 @pytest.mark.parametrize("expr, degenerates", [(e, case[2]) for e, case in zip(EDGE_EXPRS, EDGE_CASES)])
 def test_batch_flags_the_points_where_evaluate_raises(expr, degenerates):
-    values, flags = expr.evaluate_many(PointBatch(CHART, EDGE_POINTS))
+    (values,), (flags,) = PointBatch(CHART, EDGE_POINTS).evaluate([expr])
     for xs, value, flagged in zip(EDGE_POINTS, values.tolist(), flags.tolist()):
         try:
             expected = expr.evaluate(xs)
@@ -145,7 +146,7 @@ def test_powers_and_exponentials_round_like_the_one_point_path():
     rng = random.Random(7)
     points = [[rng.uniform(-2.0, 2.0) for _ in range(3)] for _ in range(400)]
     expr = parse("(x - y)/(3 + x*y^2)", CHART) ** 5 + parse("exp(x/3 - y)*x^7*z^3", CHART)
-    values, flags = expr.evaluate_many(PointBatch(CHART, points))
+    (values,), (flags,) = PointBatch(CHART, points).evaluate([expr])
     assert not flags.any()
     assert values.tolist() == [expr.evaluate(xs) for xs in points]
 
@@ -153,7 +154,7 @@ def test_powers_and_exponentials_round_like_the_one_point_path():
 def test_expressions_batched_together_keep_their_own_bits():
     values, flags = PointBatch(CHART, EDGE_POINTS).evaluate(EDGE_EXPRS)
     for expr, row, row_flags in zip(EDGE_EXPRS, values, flags):
-        alone, alone_flags = expr.evaluate_many(PointBatch(CHART, EDGE_POINTS))
+        (alone,), (alone_flags,) = PointBatch(CHART, EDGE_POINTS).evaluate([expr])
         assert (row_flags == alone_flags).all()
         assert row[~row_flags].tobytes() == alone[~alone_flags].tobytes()
 

@@ -22,6 +22,7 @@ from parasol.analysis import Analysis
 from parasol.checks import CLASSIFICATION, Check, run_checks
 from parasol.manifest import load_manifest
 from parasol.oracle import OracleConfig
+from parasol.batch import PointBatch
 from parasol.report import _factored_max, _round_float, residual_numeric_max
 from parasol.solitons import semi_symmetry_residual
 from parasol.symexpr import RESIDUE_PRIME, Expr, FormalPoint, NonUnitResidueError, parse
@@ -67,7 +68,13 @@ def test_certificate_matches_the_exact_build(manifest, tmp_path):
     assert certified == nonzero
     factored = _factored_max(lazy, points)
     assert factored is not None  # no operand is degenerate at these points
-    assert _round_float(factored) == _round_float(exact.max_abs(points))
+    # the built residual's batch values are its one-point values, bit for bit
+    stack, degenerate = exact.numeric_many(PointBatch(exact.chart, points))
+    assert not degenerate.any()
+    assert stack.tobytes() == np.array([exact.numeric_at(p) for p in points]).tobytes()
+    built = residual_numeric_max(exact, points)
+    assert built == _round_float(float(np.abs(stack).max(initial=0.0)))
+    assert _round_float(factored) == built
 
 
 def test_ladder_certificates_find_every_nonzero_component():
@@ -185,21 +192,54 @@ def test_curvature_report_is_unchanged_when_every_residue_is_zero(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# numeric_max: float factors, or max_abs of the exact build
+# numeric_max: float factors, or the exact build evaluated on a batch
 # ---------------------------------------------------------------------------
 
 
-def test_a_degenerate_operand_takes_numeric_max_from_max_abs(ex1):
+def test_numeric_max_evaluates_each_distinct_nonzero_component_once(ex1, monkeypatch):
+    # nine slots, three distinct nonzero components: one batch evaluates those
+    # three at every point, and nothing is evaluated one point at a time
+    chart = ex1.chart
+    a, b, c = (parse(source, chart) for source in ("x + 2*exp(y)", "x*y - 1", "exp(z) - x"))
+    zero = Expr.zero(chart)
+    tensor = TensorField(chart, 0, 2, [a, b, zero, b, c, a, zero, a, c])
+    points = [{"x": 0.1 * k, "y": -0.2 * k, "z": 0.3} for k in range(4)]
+    expected = max(abs(comp.evaluate(p)) for comp in (a, b, c) for p in points)
+    batched, one_point = [], []
+    evaluate, batch_evaluate = Expr.evaluate, PointBatch.evaluate
+    monkeypatch.setattr(Expr, "evaluate", lambda self, xs: one_point.append(self) or evaluate(self, xs))
+    monkeypatch.setattr(
+        PointBatch, "evaluate", lambda self, exprs: batched.append(exprs) or batch_evaluate(self, exprs)
+    )
+    assert residual_numeric_max(tensor, points) == _round_float(expected)
+    assert [list(map(id, exprs)) for exprs in batched] == [[id(a), id(b), id(c)]]
+    assert one_point == []
+    # a residual with no nonzero component builds no batch
+    assert residual_numeric_max(TensorField.zero(chart, 0, 2), points) == 0.0
+    assert len(batched) == 1
+
+
+def test_a_degenerate_operand_takes_numeric_max_from_the_build(ex1):
     chart = ex1.chart
     vector = TensorField.vector(chart, [parse("1/x", chart), parse("y", chart), Expr.zero(chart)])
     lazy = Contraction("i->i", vector)
-    # 1/x is degenerate at the first point, where max_abs skips it and keeps |y| = 3
+    # 1/x is degenerate at the first point, where the build skips it and keeps |y| = 3
     points = [{"x": 0.0, "y": 3.0, "z": 0.0}, {"x": 0.5, "y": 1.0, "z": 0.0}]
     assert _factored_max(lazy, points) is None
-    assert residual_numeric_max(lazy, points) == vector.max_abs(points) == 3.0
+    assert residual_numeric_max(lazy, points) == residual_numeric_max(vector, points) == 3.0
 
 
-def test_an_overflowing_manifest_takes_numeric_max_from_max_abs(tmp_path):
+def test_a_nan_or_infinite_component_value(ex1):
+    # a NaN value is skipped like a degenerate one; an infinite one leaves no maximum
+    chart = ex1.chart
+    # at the first point each term of x^300 (e^{300 y} - e^{300 z}) overflows to inf
+    nan = parse("x^300*exp(300*y) - x^300*exp(300*z)", chart)
+    points = [{"x": 10.0, "y": 1.0, "z": 1.0}, {"x": 0.0, "y": 0.0, "z": 0.0}]
+    assert residual_numeric_max(TensorField.vector(chart, [nan, parse("y - 2", chart), nan]), points) == 2.0
+    assert residual_numeric_max(parse("x^300*exp(300*y)", chart), points) is None
+
+
+def test_an_overflowing_manifest_takes_numeric_max_from_the_build(tmp_path):
     # ex1 with every exp rate scaled by 600: S and R(xi, .) overflow a float at
     # the sample points with z > 0.59, while det g = 1 keeps those points
     data = json.loads(fixture_path("ex1_r3_spacelike").read_text(encoding="utf-8"))

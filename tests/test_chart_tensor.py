@@ -304,19 +304,6 @@ def test_kronecker_trace():
     assert kronecker(CHART).trace() == Expr.constant(CHART, 3)
 
 
-def test_max_abs_evaluates_each_distinct_component_once(monkeypatch):
-    # seven nonzero slots, each evaluated once per point; zeros are never evaluated
-    a, b, c, zero = P("x + 2*exp(y)"), P("x*y - 1"), P("exp(z) - x"), Expr.zero(CHART)
-    tensor = TensorField(CHART, 0, 2, [a, b, zero, b, c, a, zero, a, c])
-    points = [{"x": 0.1 * k, "y": -0.2 * k, "z": 0.3} for k in range(4)]
-    expected = max(abs(comp.evaluate(p)) for comp in (a, b, c) for p in points)
-    calls = []
-    evaluate = Expr.evaluate
-    monkeypatch.setattr(Expr, "evaluate", lambda self, xs: calls.append(self) or evaluate(self, xs))
-    assert tensor.max_abs(points) == expected
-    assert len(calls) == 7 * len(points)
-
-
 # ---------------------------------------------------------------------------
 # Lie brackets
 # ---------------------------------------------------------------------------

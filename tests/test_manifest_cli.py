@@ -446,6 +446,15 @@ def test_base_point_override_changes_signature_report():
     assert "index 3" in signature["details"]
 
 
+def test_a_constant_frame_norm_is_found_off_the_zero_base_point():
+    # bumped_r3 has g(E_1, E_1) = (1 + e^z)^2 / (1 + e^z)^2 unreduced, and no
+    # exp atom vanishes at z = 1/2
+    manifest = str(Path(__file__).resolve().parent / "golden" / "manifests" / "bumped_r3.json")
+    for command in ("validate", "curvature"):
+        code, _, err = run_cli([command, manifest, "--base-point", "0,0,1/2"])
+        assert code == 0, err
+
+
 def test_base_point_override_is_validated():
     code, _, err = run_cli(
         ["validate", "fixtures/ex1_r3_spacelike", "--base-point", "0,0"]

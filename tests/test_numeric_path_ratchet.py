@@ -1,0 +1,172 @@
+"""One float evaluator and one point set for every multi-point numeric observation.
+
+``PointBatch`` evaluates every multi-point float observation (``numeric_max``,
+the soliton base-point guard, the torse note, the oracle rows), and the
+report's points come from ``Analysis.sample_points`` alone; the oracle draws
+its own stencil-safe points.  The one-point paths that are kept are
+``Expr.evaluate`` and ``TensorField.numeric_at``: the reference of the batch
+and the source of its error texts.
+"""
+
+import ast
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from parasol.chart import Chart
+from parasol.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "parasol"
+MANIFESTS = Path(__file__).resolve().parent / "golden" / "manifests"
+
+DELETED_FUNCTIONS = {"max_abs", "evaluate_many"}
+DELETED_PARAMETERS = {"guard_seed", "sample_seed"}
+CHART_SAMPLERS = {"Analysis.sample_points", "oracle_sample_points"}
+
+
+def _functions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node) of every function, methods as 'Class.method'."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+            yield from _functions(node, prefix + node.name + ".")
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, prefix + node.name + ".")
+
+
+def deleted_names(source: str) -> list[str]:
+    """Functions and parameters that must stay deleted, as found in a module."""
+    found = []
+    for name, function in _functions(ast.parse(source)):
+        if name.split(".")[-1] in DELETED_FUNCTIONS or name == "Contraction.numeric_at":
+            found.append(name)
+        args = function.args
+        found += [
+            "%s(%s)" % (name, a.arg)
+            for a in args.posonlyargs + args.args + args.kwonlyargs
+            if a.arg in DELETED_PARAMETERS
+        ]
+    return found
+
+
+def chart_sample_callers(source: str) -> list[str]:
+    """Functions that call ``Chart.sample_points``: a ``.sample_points(...)`` call with arguments.
+
+    ``Analysis.sample_points()`` takes none, so its callers are not listed.
+    """
+    return [
+        name
+        for name, function in _functions(ast.parse(source))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "sample_points"
+        and (node.args or node.keywords)
+    ]
+
+
+def imported_names(source: str) -> set[str]:
+    """Every module and every name a module imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_detectors_find_the_deleted_paths():
+    source = (
+        "import numpy as np\n"
+        "from .chart import SAMPLE_COUNT\n"
+        "class TensorField:\n"
+        "    def max_abs(self, points):\n        pass\n"
+        "class Contraction:\n"
+        "    def numeric_at(self, point):\n        pass\n"
+        "class Metric:\n"
+        "    def numeric_at(self, point):\n        pass\n"
+        "def solve(structure, guard_seed=42):\n"
+        "    return chart.sample_points(10, guard_seed)\n"
+        "def torse(structure, *, sample_seed=42):\n"
+        "    return analysis.sample_points()[:5]\n"
+    )
+    assert deleted_names(source) == [
+        "TensorField.max_abs", "Contraction.numeric_at", "solve(guard_seed)", "torse(sample_seed)"
+    ]
+    assert chart_sample_callers(source) == ["solve"]
+    assert {"numpy", "SAMPLE_COUNT"} <= imported_names(source)
+
+
+def test_the_one_point_leftovers_stay_deleted():
+    found = {
+        path.name: deleted_names(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_solitons_do_no_float_sampling():
+    imported = imported_names((SRC / "solitons.py").read_text(encoding="utf-8"))
+    assert not {"numpy", "SAMPLE_COUNT"} & imported
+
+
+def test_only_the_report_and_oracle_point_sets_draw_from_the_chart():
+    callers = {
+        caller
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "chart.py"
+        for caller in chart_sample_callers(path.read_text(encoding="utf-8"))
+    }
+    assert callers == CHART_SAMPLERS
+
+
+# ---------------------------------------------------------------------------
+# the same rules, seen from a run
+# ---------------------------------------------------------------------------
+
+
+def _report(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main(argv + ["--json"])
+    return json.loads(out.getvalue())
+
+
+def test_a_report_draws_one_point_set_and_the_oracle_another(monkeypatch):
+    # ex1 runs the soliton guard, torse_sigmoid_r3 the torse note; both read
+    # the report's point set
+    draws = []
+    sample_points = Chart.sample_points
+
+    def recording(self, count, seed, reject=None):
+        draws.append((count, seed))
+        return sample_points(self, count, seed, reject)
+
+    monkeypatch.setattr(Chart, "sample_points", recording)
+    for manifest in ("fixtures/ex1_r3_spacelike", str(MANIFESTS / "torse_sigmoid_r3.json")):
+        draws.clear()
+        _report(["report", "--all", manifest, "--seed", "7"])
+        assert draws == [(10, 7), (10, 7)], manifest
+
+
+def test_the_guard_without_sample_points_is_inapplicable(tmp_path):
+    # a flat metric scaled so that |det g| = 1e-8 is below the sampling cutoff everywhere
+    manifest = {
+        "name": "flat_small", "coordinates": ["x", "y", "z"], "base_point": ["0", "0", "0"],
+        "domain_box": [["-1", "1"]] * 3, "epsilon": 1,
+        "metric": [["1/10000", "0", "0"], ["0", "1/10000", "0"], ["0", "0", "1"]],
+        "phi": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"]],
+        "xi": ["0", "0", "1"], "eta": ["0", "0", "1"],
+        "frame": [["100", "0", "0"], ["0", "100", "0"], ["0", "0", "1"]], "potential": "xi",
+    }
+    path = tmp_path / "flat_small.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    guard = _report(["soliton", "solve", str(path)])["checks"][-1]
+    assert (guard["id"], guard["status"], guard["details"]) == (
+        "soliton_base_point_guard",
+        "inapplicable",
+        "no nondegenerate sample points found in the domain box",
+    )

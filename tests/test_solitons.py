@@ -88,7 +88,6 @@ def test_solve_ex1_recovers_paper_constants(ex1):
     assert result.frame_diagonal_constants == [1, -1, 0]
     assert result.norm_squared == 2
     assert abs(result.residual_norm - math.sqrt(2)) <= 1e-12
-    assert result.base_point_consistent
 
 
 def test_solve_ex2_paper_mode_recovers_paper_constants(ex2):

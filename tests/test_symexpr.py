@@ -12,6 +12,7 @@ from parasol.chart import Chart, ChartError
 from parasol.symexpr import (
     DegenerateEvaluationError,
     DivisionByZeroExprError,
+    ExactEvaluationError,
     Expr,
     ExprError,
     NonLinearExpArgumentError,
@@ -258,6 +259,22 @@ def test_evaluate_exact_rational():
 def test_as_rational_constant_sees_through_quotients():
     assert P("(x+1)/(x+1)").as_rational_constant() == 1
     assert P("x").as_rational_constant() is None
+
+
+def test_as_rational_constant_does_not_depend_on_the_base_point():
+    # at z = 1/2 no exp atom vanishes, so the base point cannot be evaluated exactly
+    chart = Chart.make(["x", "y", "z"], base_point=[0, 0, "1/2"])
+    square = P("(1 + exp(z))^2", chart)
+    assert str(square / square) == "(exp(2*z) + 2*exp(z) + 1)/(exp(2*z) + 2*exp(z) + 1)"
+    with pytest.raises(ExactEvaluationError):
+        square.evaluate_exact(chart.base_point)
+    assert (square / square).as_rational_constant() == 1
+    # a power B^e of the denominator base, and content in the numerator
+    cube = P("1/(1 + exp(z))", chart) ** 3
+    assert (P("-2*(1 + exp(z))^3/3", chart) * cube).as_rational_constant() == Fraction(-2, 3)
+    assert (P("exp(z)", chart) * cube).as_rational_constant() is None
+    assert (P("x + exp(z)", chart) / P("x + exp(z) + 1", chart)).as_rational_constant() is None
+    assert P("exp(z)*exp(-z)", chart).as_rational_constant() == 1
 
 
 # ---------------------------------------------------------------------------
