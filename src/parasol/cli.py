@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -83,7 +84,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="parasol",
         description="Symbolic verifier for almost paracontact metric structures "

@@ -125,6 +125,10 @@ class StencilSampler:
     def __init__(self, metric: Metric):
         self.chart = metric.chart
         self._field = metric.field
+        # every fill batches the same entries: their float tables are built once, here
+        for comp in metric.field._comps:
+            if not comp.is_symbolically_zero:
+                comp.keep_float_tables()
         self._samples: dict[tuple[float, ...], tuple[np.ndarray, float]] = {}
         self._gammas: dict[tuple, np.ndarray] = {}
         self._riemanns: dict[tuple, np.ndarray] = {}

@@ -451,7 +451,7 @@ class Expr:
         self._dbase = dbase
         self._dexp = dexp
         self._rden = rden
-        self._float = None  # float term tables, filled in by the first evaluate()
+        self._float = None  # float term tables, kept by keep_float_tables()
 
     # -- constructors -------------------------------------------------------
 
@@ -799,6 +799,15 @@ class Expr:
         dmono = tuple((i, k) for i, k in enumerate(lay.unpack(self._dmono)[0]) if k)
         return terms, dmono, den_terms
 
+    def keep_float_tables(self) -> tuple:
+        """The float term tables of :meth:`evaluate`, built on first use and kept on the expression.
+
+        :class:`~parasol.batch.PointBatch` uses kept tables and builds the others per call.
+        """
+        if self._float is None:
+            self._float = self._float_tables()
+        return self._float
+
     def evaluate(self, point: Mapping[str, float] | Sequence[float]) -> float:
         """Floating evaluation; raises if the denominator nearly vanishes or a float overflows."""
         # the term loops index an exact list, which CPython indexes faster than a subclass
@@ -806,9 +815,7 @@ class Expr:
         if not self._num:
             return 0.0
         try:
-            if self._float is None:
-                self._float = self._float_tables()
-            terms, dmono, den_terms = self._float
+            terms, dmono, den_terms = self.keep_float_tables()
             den = 1.0
             for i, k in dmono:
                 den *= xs[i] ** k

@@ -46,6 +46,22 @@ order:
 
 An operand for an empty term (``",kij->kij"``) may be a scalar ``Expr``.
 
+``contract`` reaches that result without the loop's bookkeeping.  A plan,
+built once per (spec, n, operand valences) and kept for the process, checks
+the spec against the valences and holds each factor's flat operand offsets
+over the outputs and over the summed assignments, and which products run at
+which assignment; no operand value enters it.  Per call, each operand's
+symbolically zero components are marked once, and for each factor and
+assignment the outputs where it is nonzero become one bitmask, gathered
+with byte-string slices.  The steps then run in the loop's order, and a
+product visits only the outputs in the AND of its factors' masks: every
+factor is known nonzero before the first multiplication, the product is
+formed left to right and added to or subtracted from that output's
+accumulator.  Outputs are visited step by step rather than one after
+another, but each accumulator meets the same ring operations in the same
+order as in the loop, so every printed expression and every float bit is
+unchanged.
+
 A :class:`Contraction` holds a spec and its operands unexpanded.  It sums
 the spec with ``numpy.einsum`` over residues modulo a prime (an exact
 nonzero certificate, see :mod:`parasol.checks`) or over float values at
@@ -58,8 +74,10 @@ import re
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache
+from itertools import compress, product, repeat
+from operator import and_, attrgetter, mul, or_
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -270,44 +288,124 @@ def partials(tensor: TensorField) -> TensorField:
     return TensorField(tensor.chart, tensor.p, tensor.q + 1, comps)
 
 
-def _parse(spec: str, operands: Sequence[TensorField | Expr]) -> tuple:
-    """(chart, output letters, output variances, products) of a contraction spec.
+_NUMERATOR = attrgetter("_num")  # an Expr's numerator terms, empty iff it is symbolically zero
 
-    ``products`` holds one ``(negate, [(term, field), ...])`` per product, a
-    scalar operand wrapped as a rank-0 field; ``upper[k]`` is True when output
-    index k is contravariant.
-    """
+
+def _split(spec: str) -> tuple[str, tuple[tuple[bool, tuple[str, ...]], ...]]:
+    """(output letters, products) of a contraction spec, each product ``(negate, terms)``."""
     lhs, arrow, out = spec.partition("->")
     if not arrow:
         raise ValenceError("contraction spec %r has no '->'" % spec)
     negated = [sign == "-" for sign in "+" + "".join(re.findall("[+-]", lhs))]
-    parts = [part.split(",") for part in re.split("[+-]", lhs)]
-    terms = [term for part in parts for term in part]
-    if len(terms) != len(operands):
-        raise ValenceError("%r names %d operands, got %d" % (spec, len(terms), len(operands)))
-    chart = operands[0].chart
-    fields = []
-    for term, op in zip(terms, operands):
-        if op.chart is not chart:
-            chart.require_same(op.chart)
-        if isinstance(op, Expr):
-            op = TensorField(chart, 0, 0, [op])
-        if len(term) != op.rank:
-            raise ValenceError("index %r does not fit a valence %r operand" % (term, op.valence))
-        fields.append((term, op))
+    parts = re.split("[+-]", lhs)
+    return out, tuple((negate, tuple(part.split(","))) for negate, part in zip(negated, parts))
+
+
+@lru_cache(maxsize=None)
+def _offsets(strides: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """``sum(stride * value)`` for each assignment of values in range(n), the last stride fastest.
+
+    Kept per (strides, n), so all plans whose factors share strides share one tuple.
+    """
+    values = [0]
+    for stride in strides:
+        values = [v + stride * i for v in values for i in range(n)]
+    return tuple(values)
+
+
+class _Plan(NamedTuple):
+    """The bookkeeping of one spec on operands of given valences in one dimension.
+
+    No operand value enters it.  A factor's flat operand offset at output
+    ``o`` and assignment ``s`` is ``bases[q] + stride * r + sums[s]`` with
+    ``q, r = divmod(o, count)``: ``stride`` steps through the ``count``
+    innermost outputs, which move the offset as one row-major index (a
+    stride of 0 repeats it), and ``bases`` holds the offset at each value
+    of the outer output indices.
+    """
+
+    upper: int  # contravariant output indices
+    lower: int  # covariant output indices
+    size: int  # output components
+    count: int  # assignments of values to the summed indices, in loop order
+    outs: tuple  # per factor, (stride, count, bases)
+    sums: tuple  # per factor, its flat operand offset at each assignment
+    products: tuple  # per product (negate, its factors, runs): runs is None or 0/1 per assignment
+
+
+@lru_cache(maxsize=None)
+def _plan(spec: str, n: int, variances: tuple[int, ...]) -> _Plan:
+    """The plan of ``spec`` on operands of valences (p0, q0), (p1, q1), ... = ``variances``.
+
+    Raises ``ValenceError`` where the spec does not fit them.
+    """
+    out, parts = _split(spec)
+    terms = [term for _, part in parts for term in part]
+    valences = list(zip(variances[::2], variances[1::2]))
+    if len(terms) != len(valences):
+        raise ValenceError("%r names %d operands, got %d" % (spec, len(terms), len(valences)))
+    for term, valence in zip(terms, valences):
+        if len(term) != sum(valence):
+            raise ValenceError("index %r does not fit a valence %r operand" % (term, valence))
     if len(set(out)) != len(out):
         raise ValenceError("repeated output index in %r" % spec)
     upper = []
     for letter in out:
-        if not all(letter in "".join(part) for part in parts):
-            raise ValenceError("output index %r is missing from a product of %r" % (letter, spec))
-        term, op = next((term, op) for term, op in fields if letter in term)
-        upper.append(term.index(letter) < op.p)
+        for _, part in parts:
+            if letter not in "".join(part):
+                raise ValenceError(
+                    "output index %r is missing from a product of %r" % (letter, spec)
+                )
+        for term, (p, _) in zip(terms, valences):
+            if letter in term:
+                upper.append(term.index(letter) < p)
+                break
     if upper != sorted(upper, reverse=True):
         raise ValenceError("contravariant output indices must come first in %r" % spec)
-    factors = iter(fields)
-    products = [(negate, [next(factors) for _ in part]) for negate, part in zip(negated, parts)]
-    return chart, out, upper, products
+    summed = sorted(set("".join(terms)) - set(out))
+
+    outs, sums = [], []
+    for term in terms:
+        place: dict[str, int] = {}  # the flat operand offset of one step in each letter
+        for k, letter in enumerate(term):
+            place[letter] = place.get(letter, 0) + n ** (len(term) - 1 - k)
+        steps = tuple(map(place.get, out, repeat(0)))
+        k, stride, count = len(steps), steps[-1] if steps else 0, 1
+        while k and steps[k - 1] == stride * count:
+            k, count = k - 1, count * n
+        outs.append((stride, count, _offsets(steps[:k], n)))
+        sums.append(_offsets(tuple(map(place.get, summed, repeat(0))), n))
+
+    products, first = [], 0
+    for negate, part in parts:
+        # a product runs only where the summed indices it does not name sit at
+        # their first value: at the assignments that vary the ones it names
+        named = "".join(part)
+        runs = None
+        if not set(summed) <= set(named):
+            runs = bytearray(n ** len(summed))
+            steps = [n ** (len(summed) - 1 - k) if s in named else 0 for k, s in enumerate(summed)]
+            for s in _offsets(tuple(steps), n):
+                runs[s] = 1
+            runs = bytes(runs)
+        products.append((negate, range(first, first + len(part)), runs))
+        first += len(part)
+    upper = sum(upper)
+    size, count = n ** len(out), n ** len(summed)
+    return _Plan(upper, len(out) - upper, size, count, tuple(outs), tuple(sums), tuple(products))
+
+
+def _parse(spec: str, operands: Sequence[TensorField | Expr]) -> tuple[Chart, _Plan]:
+    """The operands' chart and the plan of ``spec`` on them."""
+    if not operands:
+        raise ValenceError("%r has no operands" % spec)
+    chart = operands[0].chart
+    variances: list[int] = []
+    for op in operands:
+        if op.chart is not chart:
+            chart.require_same(op.chart)
+        variances += (0, 0) if isinstance(op, Expr) else (op.p, op.q)
+    return chart, _plan(spec, chart.dimension, tuple(variances))
 
 
 def contract(spec: str, *operands: TensorField | Expr) -> TensorField | Expr:
@@ -316,52 +414,57 @@ def contract(spec: str, *operands: TensorField | Expr) -> TensorField | Expr:
     The rules, and why each component is built in plain nested-loop order,
     are in the module docstring.
     """
-    chart, out, upper, products = _parse(spec, operands)
-    n = chart.dimension
+    chart, plan = _parse(spec, operands)
+    comps = [[op] if isinstance(op, Expr) else op._comps for op in operands]
 
-    summed = sorted({letter for _, part in products for term, _ in part for letter in term} - set(out))
-    assignments = list(product(range(n), repeat=len(summed)))
-
-    def offsets(term: str, letters: Sequence[str], values: Iterable[tuple[int, ...]]) -> list[int]:
-        """Flat offset into the operand of each assignment of values to ``letters``."""
-        strides = [
-            sum(n ** (len(term) - 1 - k) for k, t in enumerate(term) if t == letter)
-            for letter in letters
-        ]
-        return [sum(map(int.__mul__, strides, v)) for v in values]
-
-    # one step per (summed assignment, product) in loop order; a product runs
-    # only where the summed indices it does not name sit at their first value
-    plans = []
-    outputs = list(product(range(n), repeat=len(out)))
-    for negate, factors in products:
-        plan = [(op._comps, offsets(t, out, outputs), offsets(t, summed, assignments)) for t, op in factors]
-        plans.append((negate, "".join(t for t, _ in factors), plan))
-    steps = [
-        (negate, [(comps, outs, sums[s]) for comps, outs, sums in plan])
-        for s, values in enumerate(assignments)
-        for negate, named, plan in plans
-        if all(v == 0 or letter in named for letter, v in zip(summed, values))
-    ]
-
-    zero = Expr.zero(chart)
-    components = []
-    for o in range(len(outputs)):
-        acc = zero
-        for negate, factors in steps:
-            row = [comps[outs[o] + offset] for comps, outs, offset in factors]
-            for factor in row:
-                if factor.is_symbolically_zero:
-                    break
+    # per factor and assignment, the outputs where the factor is nonzero as an
+    # int with one byte per output; a product visits the nonzero bytes of the AND
+    nonzero = {id(values): bytes(map(bool, map(_NUMERATOR, values))) for values in comps}
+    masks = []
+    for (stride, count, bases), sums, values in zip(plan.outs, plan.sums, comps):
+        flags = nonzero[id(values)]
+        span = stride * (count - 1) + 1
+        by_offset = {}
+        for off in set(sums):
+            if len(bases) == 1:  # bases == (0,): one slice, no list
+                gathered = flags[off : off + span : stride] if stride else flags[off : off + 1] * count
+            elif stride:
+                gathered = b"".join([flags[b : b + span : stride] for b in map(off.__add__, bases)])
             else:
-                value = row[0]
-                for factor in row[1:]:
-                    value = value * factor
-                acc = acc - value if negate else acc + value
-        components.append(acc)
-    if not out:
+                gathered = b"".join([flags[b : b + 1] * count for b in map(off.__add__, bases)])
+            by_offset[off] = int.from_bytes(gathered, "little")
+        masks.append(list(map(by_offset.__getitem__, sums)))
+
+    # per product, the AND of its factors' masks at each assignment, 0 where it does not run
+    hits = []
+    for _, factors, runs in plan.products:
+        product_hits = masks[factors[0]]
+        for f in factors[1:]:
+            product_hits = map(and_, product_hits, masks[f])
+        if runs is not None:
+            product_hits = map(mul, product_hits, runs)
+        hits.append(list(product_hits))
+    active = hits[0]
+    for product_hits in hits[1:]:
+        active = map(or_, active, product_hits)
+
+    components = [Expr.zero(chart)] * plan.size
+    outputs = range(plan.size)
+    for s in compress(range(plan.count), active):
+        for (negate, factors, _), product_hits in zip(plan.products, hits):
+            if not product_hits[s]:
+                continue
+            row = [(comps[f], *plan.outs[f], plan.sums[f][s]) for f in factors]
+            for o in compress(outputs, product_hits[s].to_bytes(plan.size, "little")):
+                value = None
+                for values, stride, count, bases, off in row:
+                    q, r = divmod(o, count)
+                    factor = values[bases[q] + stride * r + off]
+                    value = factor if value is None else value * factor
+                components[o] = components[o] - value if negate else components[o] + value
+    if not plan.upper + plan.lower:
         return components[0]
-    return TensorField(chart, sum(upper), len(out) - sum(upper), components)
+    return TensorField(chart, plan.upper, plan.lower, components)
 
 
 class Contraction:
@@ -377,8 +480,14 @@ class Contraction:
     __slots__ = ("spec", "operands", "chart", "_out", "_products", "_fields")
 
     def __init__(self, spec: str, *operands: TensorField | Expr):
-        self.chart, self._out, _upper, self._products = _parse(spec, operands)
+        self.chart, _ = _parse(spec, operands)
         self.spec, self.operands = spec, operands
+        self._out, parts = _split(spec)
+        # one (negate, [(term, field), ...]) per product, a scalar operand wrapped as a rank-0 field
+        fields = iter(
+            [TensorField(self.chart, 0, 0, [op]) if isinstance(op, Expr) else op for op in operands]
+        )
+        self._products = [(negate, [(t, next(fields)) for t in part]) for negate, part in parts]
         # each distinct operand field, keyed by id, valued once per summation
         self._fields = {id(op): op for _, factors in self._products for _, op in factors}
 

@@ -1,9 +1,12 @@
 """The exact Einstein summation ``contract`` against a plain nested loop."""
 
 import ast
+import operator
 import random
 import re
+from functools import reduce
 from itertools import product
+from unittest import mock
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from parasol.chart import Chart
 from parasol.symexpr import Expr, parse
-from parasol.tensor import TensorField, ValenceError, contract
+from parasol.tensor import TensorField, ValenceError, _plan, contract
 
 CHARTS = {n: Chart.make(["x", "y", "z", "t"][:n]) for n in (2, 3, 4)}
 # multi-term entries expose the insertion order of terms; zeros exercise the skips
@@ -19,18 +22,16 @@ SOURCES = ["0", "0", "0", "1", "-2", "x", "x + 2*exp(y)", "x*y - 1", "3/2*exp(-x
            "exp(x + y) - x", "y/(1 + x^2)"]
 
 
-def reference(spec, *operands):
-    """The nested loop ``contract`` must reproduce, with no zero skipping."""
+def nested_loop(spec, *operands):
+    """Per output component, the (sign, factors) of each product, in plain nested-loop order."""
     lhs, out = spec.split("->")
     signs = "+" + "".join(c for c in lhs if c in "+-")
     operand = iter(operands)
     products = [[(term, next(operand)) for term in part.split(",")] for part in re.split("[+-]", lhs)]
     summed = sorted(set(lhs) - set(out) - set("+-,"))
-    chart = operands[0].chart
-    n = chart.dimension
-    comps = []
+    n = operands[0].chart.dimension
     for out_values in product(range(n), repeat=len(out)):
-        total = Expr.zero(chart)
+        terms = []
         for sum_values in product(range(n), repeat=len(summed)):
             env = dict(zip(out, out_values))
             env.update(zip(summed, sum_values))
@@ -38,11 +39,22 @@ def reference(spec, *operands):
                 named = "".join(term for term, _ in part)
                 if any(env[letter] for letter in summed if letter not in named):
                     continue  # a product runs once over the summed indices it does not name
-                value = None
-                for term, op in part:
-                    factor = op if isinstance(op, Expr) else op[tuple(env[c] for c in term)]
-                    value = factor if value is None else value * factor
-                total = total + value if sign == "+" else total - value
+                factors = [
+                    op if isinstance(op, Expr) else op[tuple(env[c] for c in term)]
+                    for term, op in part
+                ]
+                terms.append((sign, factors))
+        yield terms
+
+
+def reference(spec, *operands):
+    """The nested loop ``contract`` must reproduce, with no zero skipping."""
+    comps = []
+    for terms in nested_loop(spec, *operands):
+        total = Expr.zero(operands[0].chart)
+        for sign, factors in terms:
+            value = reduce(operator.mul, factors)
+            total = total + value if sign == "+" else total - value
         comps.append(total)
     return comps
 
@@ -103,6 +115,65 @@ def test_contract_matches_nested_loop(case):
         comps = result._comps
     assert [str(c) for c in comps] == [str(c) for c in expected]
     assert [list(c._num) for c in comps] == [list(c._num) for c in expected]
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=contractions())
+def test_contract_multiplies_only_products_with_every_factor_nonzero(case):
+    # every factor of a product is checked before the first multiplication,
+    # so no partial product of a product with a zero factor is ever built
+    spec, operands = case
+    expected = sum(
+        len(factors) - 1
+        for terms in nested_loop(spec, *operands)
+        for _, factors in terms
+        if not any(factor.is_symbolically_zero for factor in factors)
+    )
+    calls = []
+    multiply = Expr.__mul__
+    with mock.patch.object(Expr, "__mul__", lambda a, b: calls.append(1) or multiply(a, b)):
+        contract(spec, *operands)
+    assert len(calls) == expected
+
+
+SPEC = "mk,mij+jm,mik-ijk->ijk"
+SPEC_VALENCES = [(0, 2), (0, 3), (0, 2), (0, 3), (0, 3)]
+
+
+def random_fields(n, seed, valences):
+    """Fields of the given valences on CHARTS[n], their components drawn from SOURCES."""
+    rng = random.Random(seed)
+    chart = CHARTS[n]
+    pool = [parse(source, chart) for source in SOURCES]
+    return [
+        TensorField(chart, p, q, [rng.choice(pool) for _ in range(n ** (p + q))])
+        for p, q in valences
+    ]
+
+
+def test_one_spec_matches_the_nested_loop_in_every_dimension():
+    # the plan is keyed by the dimension too: one built at n = 2 must not
+    # serve n = 3, nor one built at n = 4 a later n = 2
+    for n in (2, 3, 4, 2):
+        operands = random_fields(n, n, SPEC_VALENCES)
+        result = contract(SPEC, *operands)
+        assert [str(c) for c in result._comps] == [str(c) for c in reference(SPEC, *operands)]
+
+
+def test_repeated_calls_keep_one_plan_per_spec_dimension_and_valences():
+    _plan.cache_clear()
+    for seed in range(3):
+        for n in (2, 3):
+            g, v, riem, up = random_fields(n, seed, [(0, 2), (1, 0), (1, 3), (2, 0)])
+            contract(SPEC, *random_fields(n, seed, SPEC_VALENCES))
+            contract("ab,ai,bj->ij", g, g, g)
+            contract("iijk->jk", riem)
+            contract("ij,i,j->", g, v, v)
+            contract("ij->ji", g)
+            contract("ij->ji", up)  # the same spec on other valences
+    info = _plan.cache_info()
+    assert info.currsize == info.misses == 2 * 6
 
 
 def test_contract_output_variance_follows_the_named_slot():

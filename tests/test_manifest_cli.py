@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import parasol
-from parasol.cli import main, resolve_manifest_path
+from parasol.cli import build_parser, main, resolve_manifest_path
 from parasol.manifest import ManifestError, load_manifest
 from parasol.solitons import einstein_like_fit, einstein_like_suite, solve_soliton_constants
 from parasol.symexpr import parse
@@ -228,6 +228,21 @@ def test_optimized_interpreter_reproduces_golden_report(name):
     )
     assert result.returncode == 1, result.stderr
     assert result.stdout == golden.read_bytes()
+
+
+def test_one_process_reproduces_fresh_interpreters_with_one_parser():
+    # the parser is built once per process, so no parse may leave state on it
+    # for the next: a seed, --json or a default carried over would show here
+    assert build_parser() is build_parser()
+    manifest = "fixtures/ex1_r3_spacelike"
+    for argv in (
+        ["report", "--all", manifest, "--json", "--seed", "1"],
+        ["report", "--all", manifest, "--json"],
+        ["report", "--all", manifest],
+    ):
+        code, out, err = run_cli(argv)
+        fresh = run_cli_process("-m", "parasol", *argv)
+        assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def _reject_non_finite(constant):

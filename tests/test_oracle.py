@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_NAMES
+from conftest import FIXTURE_NAMES, fixture_path
 from parasol.analysis import Analysis, cmd_oracle
 from parasol.chart import SAMPLE_COUNT, Chart
 from parasol.cli import main
 from parasol.connection import WEIGHTED_TRACE, lie_derivative_two_ways
+from parasol.manifest import load_manifest
 from parasol.oracle import (
     OracleConfig,
     OracleConfigError,
@@ -204,6 +205,23 @@ def test_stencil_sampler_checks_cached_points_on_every_lookup(ex1):
     with pytest.raises(StencilDegeneracyError):
         stencil.sample(xs, -sign)
     assert stencil.sample(xs, sign)[0] is matrix
+
+
+def test_stencil_sampler_builds_each_metric_float_table_once(monkeypatch):
+    # every fill batches the same metric entries, so their float tables are
+    # built with the sampler and never again in the run
+    metric = load_manifest(fixture_path("ex5d_r5_g1")).metric  # no table built yet
+    entries = {id(comp) for comp in metric.field._comps if not comp.is_symbolically_zero}
+    built = []
+    float_tables = Expr._float_tables
+    monkeypatch.setattr(
+        Expr, "_float_tables", lambda self: built.append(id(self)) or float_tables(self)
+    )
+    sampler = StencilSampler(metric)
+    assert sorted(built) == sorted(entries)
+    sampler.riemann([0.1, 0.2, 0.1, 0.3, -0.2], CFG.h)
+    sampler.christoffel([0.3, 0.1, -0.2, 0.1, 0.2], CFG.h)
+    assert len(built) == len(entries)
 
 
 def test_sample_points_avoid_degeneracy_locus(structures):
