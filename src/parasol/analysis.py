@@ -535,20 +535,20 @@ def cmd_oracle(analysis: Analysis, report: VerificationReport) -> list[CheckOutc
         )
 
     gamma = structure.connection()
-    stencil = StencilSampler(metric)
+    stencil = StencilSampler(metric, cfg.h)
     # a degenerate Christoffel stencil raises: the step-halving check needs this comparison
-    at_h = compare(gamma, lambda p: stencil.christoffel(p, cfg.h), points)
+    at_h = compare(gamma, stencil.christoffel, points)
     outcomes = [compared("oracle_christoffel", at_h)]
     for check_id, symbolic, oracle_fn in (
-        ("oracle_riemann", structure.riemann(), lambda p: stencil.riemann(p, cfg.h)),
-        ("oracle_ricci", structure.ricci(WEIGHTED_TRACE), lambda p: stencil.ricci(p, cfg.h)),
+        ("oracle_riemann", structure.riemann(), stencil.riemann),
+        ("oracle_ricci", structure.ricci(WEIGHTED_TRACE), stencil.ricci),
     ):
         try:
             outcomes.append(compared(check_id, compare(symbolic, oracle_fn, points)))
         except StencilDegeneracyError as exc:
             outcomes.append(CheckOutcome(check_id, FAIL, details=str(exc)))
 
-    at_half_h = compare(gamma, lambda p: stencil.christoffel(p, cfg.h / 2.0), points)
+    at_half_h = compare(gamma, stencil.christoffel_half_step, points)
     if not (math.isfinite(at_h) and math.isfinite(at_half_h)):
         outcomes.append(
             CheckOutcome(

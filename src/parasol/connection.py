@@ -128,8 +128,11 @@ def frame_sum(
         weighted = TensorField(
             chart, 1, 1, [vec[a] * Fraction(w) for w, vec in zip(weights, frame) for a in range(n)]
         )
-    # a numbers the frame vectors, outermost as in the sum over v; b, c, d are coordinates
-    return contract("ab,cbjk,cd,ad->jk", weighted, riem, metric.field, rows)
+    # a numbers the frame vectors; b, c, d are coordinates.  Three pairwise
+    # contractions cost O(n^4); the one spec "ab,cbjk,cd,ad->jk" takes n^6 products
+    lowered = contract("cd,ad->ac", metric.field, rows)  # g(E_a, d_c)
+    paired = contract("ab,ac->bc", weighted, lowered)  # sum_a w_a E_a^b g(E_a, d_c)
+    return contract("bc,cbjk->jk", paired, riem)
 
 
 def scalar_curvature(ricci_tensor: TensorField, metric: Metric) -> Expr:

@@ -6,25 +6,27 @@ nothing with the symbolic derivative code paths except float evaluation
 (``Expr.evaluate`` and its batched form, :mod:`parasol.batch`), which keeps
 it an independent witness.  Central differences are O(h^2): halving the step
 should shrink the deviation by roughly 4x, and that scaling is itself a
-checkable property.  Within one oracle run each stencil point is evaluated
-once: the Riemann stencil revisits the points of its Christoffel stencils,
-and the Ricci and step-halving checks reuse the Riemann and Christoffel
-references, so a :class:`StencilSampler` keeps them for the run.
+checkable property.
 
-Float evaluation is batched.  A Christoffel or Riemann reference evaluates
-the metric at the points of its stencil in one batch (at most 1 + 2n(n + 2)
-points, so the arrays stay a few kilobytes); each candidate sample point's
-probes form one batch; :func:`compare` evaluates the symbolic tensor at all
-sample points in one call.  A batch does ``+``, ``*`` and
-``/`` in numpy, in the order of the one-point path, and leaves ``x ** k``
-and ``exp`` to Python's libm calls: numpy's vectorised ``power`` and ``exp``
-round differently on some inputs, which would move the roundoff-level
-deviations the reports print.  Every value therefore has the bits that
-``Expr.evaluate`` gives, and a point where ``Expr.evaluate`` would raise is
-evaluated alone when it is looked up, so it raises the same error in the
-same order.  On badly scaled metrics the float work may overflow; numpy's
-warnings are silenced, because the resulting inf and NaN values already fail
-the checks (see :func:`max_deviation`).
+Float evaluation is batched, one batch per sample point.  All the references
+at a sample point (Christoffel symbols at h and at h/2, Riemann and Ricci
+tensors at h) come from one batch of the metric at the points their stencils
+visit, at most 1 + 2n(n + 2) + 2n of them, and from stacked numpy work over
+those stencils (:class:`StencilSampler`).  Not one batch per run: putting
+all ten sample points of a run in one batch was about 5 % faster on the
+``fixtures`` benchmark, but raised its peak RSS by 0.35 MB (median of three
+30 s pairs, 2-core Xeon, numpy 2.4), where the benchmark's bound is 0.1 MB.
+Each candidate sample point's probes form one batch, and :func:`compare`
+evaluates the symbolic tensor at all sample points in one call.  A batch
+does ``+``, ``*`` and ``/`` in numpy, in the order of the one-point path,
+and leaves ``x ** k`` and ``exp`` to Python's libm calls: numpy's vectorised
+``power`` and ``exp`` round differently on some inputs, which would move the
+roundoff-level deviations the reports print.  Every value therefore has the
+bits that ``Expr.evaluate`` gives, and a point where ``Expr.evaluate`` would
+raise is evaluated alone when a reference that visits it is looked up, so it
+raises the same error in the same order.  On badly scaled metrics the float
+work may overflow; numpy's warnings are silenced, because the resulting inf
+and NaN values already fail the checks (see :func:`max_deviation`).
 """
 
 from __future__ import annotations
@@ -93,156 +95,174 @@ def _neighbours(xs: Sequence[float], h: float) -> list[tuple[list[float], list[f
 
 
 def _stencil(xs: list[float], h: float) -> list[list[float]]:
-    """The points a Christoffel stencil at ``xs`` visits: the centre and its neighbours."""
+    """The points a Christoffel stencil at ``xs`` visits, in order: centre, then neighbours."""
     return [xs] + [side for pair in _neighbours(xs, h) for side in pair]
 
 
-class StencilSampler:
-    """Central-difference references of one metric for the length of one run.
+def _keep_float_tables(metric: Metric) -> TensorField:
+    """The metric's field, the float tables of its entries built once for all batches of a run."""
+    for comp in metric.field._comps:
+        if not comp.is_symbolically_zero:
+            comp.keep_float_tables()
+    return metric.field
 
-    The metric's matrix and determinant are kept per point, keyed by the
-    exact float coordinates that the stencil arithmetic (:func:`_neighbours`)
-    produces, so a point that several stencils visit is evaluated once.  A
-    Christoffel or Riemann reference first fills, in one
-    :class:`~parasol.batch.PointBatch`, the keys of its stencil that are not
-    kept yet: 1 + 2n points for a Christoffel stencil, up to 1 + 2n(n + 2)
-    for a Riemann stencil.  Each metric entry is evaluated once over the
-    batch and one ``np.linalg.det`` runs over the stack.  The batch leaves
-    ``x ** k`` and ``exp`` to Python rather than ``np.power`` and ``np.exp``,
-    which round differently from libm on some inputs, so every value has the
-    bits of ``Expr.evaluate``.  A key where an entry is degenerate is not
-    kept: its lookup evaluates it alone, and that raises the entry's own
-    error.  The degeneracy checks run on every lookup, in the order the
-    stencils visit their points: stencils that share a point check it against
-    their own centre's determinant sign.  Christoffel and Riemann references
-    at the points looked up are kept per point and step for the checks that
-    reuse them.  Once a Riemann reference is computed, the points of its
-    stencil other than the centre are dropped, and so are the Christoffel
-    symbols of the neighbours: no later check visits them, and the run's
-    memory peaks while they would be kept.
+
+@np.errstate(all="ignore")
+def _metric_at(
+    field: TensorField, points: Iterable[Sequence[float]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The metric's matrices at the points, their determinants, and where an entry is degenerate."""
+    matrices, degenerate = field.numeric_many(PointBatch(field.chart, points))
+    return matrices, np.linalg.det(matrices), degenerate
+
+
+def _failures(dets: np.ndarray, degenerate: np.ndarray, stencils: np.ndarray) -> np.ndarray:
+    """Where the visits of each stencil fail; a stencil is a row of point indices, centre first.
+
+    A visit fails where a metric entry is degenerate, where |det g| <
+    ``DEGENERACY_CUTOFF``, and, past the centre, where det g has the other
+    sign than at the stencil's own centre.
+    """
+    det = dets[stencils]
+    fails = degenerate[stencils] | (np.abs(det) < DEGENERACY_CUTOFF)
+    fails[:, 1:] |= det[:, 1:] * np.sign(det[:, :1]) < 0
+    return fails
+
+
+# a reference's first failing visit: the point, det g there, whether an entry is degenerate
+_Failure = tuple[list[float], float, bool]
+_Reference = tuple[np.ndarray, _Failure | None]
+
+
+class StencilSampler:
+    """Central-difference references of one metric at one step h, for the length of one run.
+
+    A sample point's references, the Christoffel symbols at h and at h/2
+    and the Riemann and Ricci tensors at h, are computed together at the
+    point's first lookup, from one :class:`~parasol.batch.PointBatch` of the
+    metric at every point they visit: the Riemann stencil of stencils at h
+    and the Christoffel stencil at h/2, at most 1 + 2n(n + 2) + 2n points.
+    Points are keyed by the exact float coordinates that the stencil
+    arithmetic (:func:`_neighbours`) produces, so a point that several
+    stencils visit is evaluated once; the values are one stacked
+    (points, n, n) array, indexed through the keys.  The Christoffel symbols
+    of all 2n + 2 stencils come from one stacked ``np.linalg.inv`` and three
+    stacked einsums, the Riemann tensor from those of the point and its 2n
+    neighbours at h, the Ricci tensor from the Riemann tensor; each stacked
+    value has the bits of the same arithmetic on one stencil.
+
+    One batch per sample point, not per run: a batch of all of a run's
+    sample points was faster still, but raised the peak RSS of the
+    ``fixtures`` benchmark by 0.35 MB, over its 0.1 MB bound (see the module
+    docstring).
+
+    The degeneracy checks run on the stacked determinants.  Each reference
+    keeps its first failing visit, in the order the one-stencil computation
+    visits the points: a stencil's centre, then its neighbours, plus before
+    minus, axis by axis; for the Riemann tensor the point's stencil, then
+    each neighbour's.  Looking the reference up raises there: the metric's
+    own error where an entry is degenerate (the one-point
+    :meth:`~parasol.tensor.TensorField.numeric_at` raises it), else
+    :class:`StencilDegeneracyError`.
     """
 
-    def __init__(self, metric: Metric):
+    def __init__(self, metric: Metric, h: float):
         self.chart = metric.chart
-        self._field = metric.field
-        # every fill batches the same entries: their float tables are built once, here
-        for comp in metric.field._comps:
-            if not comp.is_symbolically_zero:
-                comp.keep_float_tables()
-        self._samples: dict[tuple[float, ...], tuple[np.ndarray, float]] = {}
-        self._gammas: dict[tuple, np.ndarray] = {}
-        self._riemanns: dict[tuple, np.ndarray] = {}
+        self.h = h
+        self._field = _keep_float_tables(metric)
+        # sample point -> reference name -> (value, first failing visit or None)
+        self._references: dict[tuple[float, ...], dict[str, _Reference]] = {}
 
-    @np.errstate(all="ignore")
-    def fill(self, keys: Iterable[Sequence[float]]) -> bool:
-        """Evaluate the metric at the points not kept yet, in one batch.
-
-        Returns False when an entry is degenerate at one of them; such a
-        point is not kept.
-        """
-        keys = [key for key in dict.fromkeys(map(tuple, keys)) if key not in self._samples]
-        if not keys:
-            return True
-        stack, degenerate = self._field.numeric_many(PointBatch(self.chart, keys))
-        dets = np.linalg.det(stack).tolist()
-        for key, matrix, det, skip in zip(keys, stack, dets, degenerate.tolist()):
-            if not skip:
-                matrix = matrix.copy()  # its own memory, freed when the key is dropped
-                matrix.flags.writeable = False
-                self._samples[key] = (matrix, det)
-        return not degenerate.any()
-
-    def sample(self, xs: list[float], center_det_sign: float | None = None) -> tuple[np.ndarray, float]:
-        """(matrix, det) of the metric at ``xs``; raises where the stencil degenerates."""
-        key = tuple(xs)
-        sample = self._samples.get(key)
-        if sample is None:
-            xs = coordinate_values(self.chart, xs)
-            matrix = self._field.numeric_at(xs)
-            matrix.flags.writeable = False
-            with np.errstate(all="ignore"):
-                det = float(np.linalg.det(matrix))
-            sample = self._samples[key] = (matrix, det)
-        det = sample[1]
-        if abs(det) < DEGENERACY_CUTOFF or (
-            center_det_sign is not None and det * center_det_sign < 0
-        ):
-            raise StencilDegeneracyError(
-                "metric determinant %.3e degenerates inside the stencil at %r" % (det, list(xs))
-            )
-        return sample
-
-    def christoffel(self, point: Point, h: float) -> np.ndarray:
+    def christoffel(self, point: Point) -> np.ndarray:
         """Christoffel symbols gamma[k, i, j] from central differences of g."""
-        xs = coordinate_values(self.chart, point)
-        key = (tuple(xs), h)
-        gamma = self._gammas.get(key)
-        if gamma is None:
-            self.fill(_stencil(xs, h))
-            gamma = self._gammas[key] = self._christoffel(xs, h)
-        return gamma
+        return self._lookup(point, "christoffel")
 
-    @np.errstate(all="ignore")
-    def _christoffel(self, xs: list[float], h: float) -> np.ndarray:
-        n = len(xs)
-        center, det = self.sample(xs)
-        sign = float(np.sign(det))
-        ginv = np.linalg.inv(center)
-        dg = np.empty((n, n, n))
-        for i, (plus, minus) in enumerate(_neighbours(xs, h)):
-            dg[i] = (self.sample(plus, sign)[0] - self.sample(minus, sign)[0]) / (2.0 * h)
-        # gamma[k, i, j] = 1/2 g^{kl} (dg_i[j, l] + dg_j[i, l] - dg_l[i, j])
-        return 0.5 * (
-            np.einsum("kl,ijl->kij", ginv, dg)
-            + np.einsum("kl,jil->kij", ginv, dg)
-            - np.einsum("kl,lij->kij", ginv, dg)
-        )
+    def christoffel_half_step(self, point: Point) -> np.ndarray:
+        """Christoffel symbols gamma[k, i, j] at the step h/2, for the O(h^2) scaling check."""
+        return self._lookup(point, "christoffel_half_step")
 
-    def riemann(self, point: Point, h: float) -> np.ndarray:
+    def riemann(self, point: Point) -> np.ndarray:
         """Riemann tensor riem[l, i, j, k] from nested central differences."""
+        return self._lookup(point, "riemann")
+
+    def ricci(self, point: Point) -> np.ndarray:
+        """Ricci tensor S[j, k] = riem[i, i, j, k] (weighted trace only)."""
+        return self._lookup(point, "ricci")
+
+    def _lookup(self, point: Point, name: str) -> np.ndarray:
         xs = coordinate_values(self.chart, point)
-        key = (tuple(xs), h)
-        riem = self._riemanns.get(key)
-        if riem is None:
-            stencil = [tuple(p) for q in _stencil(xs, h) for p in _stencil(q, h)]
-            self.fill(stencil)
-            riem = self._riemanns[key] = self._riemann(xs, h)
-            for dropped in set(stencil) - {key[0]}:
-                del self._samples[dropped]
-        return riem
+        key = tuple(xs)
+        references = self._references.get(key)
+        if references is None:
+            references = self._references[key] = self._compute(xs)
+        value, failure = references[name]
+        if failure is not None:
+            at, det, degenerate = failure
+            if degenerate:
+                self._field.numeric_at(at)  # raises the degenerate entry's own error
+            raise StencilDegeneracyError(
+                "metric determinant %.3e degenerates inside the stencil at %r" % (det, at)
+            )
+        return value
 
     @np.errstate(all="ignore")
-    def _riemann(self, xs: list[float], h: float) -> np.ndarray:
-        n = len(xs)
-        gamma = self.christoffel(xs, h)
-        dgamma = np.empty((n, n, n, n))
-        for i, (plus, minus) in enumerate(_neighbours(xs, h)):
-            dgamma[i] = (self._christoffel(plus, h) - self._christoffel(minus, h)) / (2.0 * h)
+    def _compute(self, xs: list[float]) -> dict[str, _Reference]:
+        h, n = self.h, len(xs)
+        # the stencils at h of xs and of its 2n neighbours, then the stencil at h/2 of xs
+        stencils = [_stencil(q, h) for q in _stencil(xs, h)] + [_stencil(xs, h / 2.0)]
+        rows: dict[tuple[float, ...], int] = {}
+        index = np.array([[rows.setdefault(tuple(p), len(rows)) for p in s] for s in stencils])
+        matrices, dets, degenerate = _metric_at(self._field, rows)
+        fails = _failures(dets, degenerate, index)
+
+        def first_failure(first: int, last: int) -> _Failure | None:
+            """The first failing visit of the stencils first..last, in visiting order."""
+            hits = np.flatnonzero(fails[first : last + 1])
+            if not hits.size:
+                return None
+            s, k = divmod(int(hits[0]), 2 * n + 1)
+            row = index[first + s, k]
+            return list(stencils[first + s][k]), float(dets[row]), bool(degenerate[row])
+
+        # a failing centre is replaced by the identity, so that inv raises nowhere:
+        # the references on its stencil raise when they are looked up
+        ginv = np.linalg.inv(np.where(fails[:, 0, None, None], np.eye(n), matrices[index[:, 0]]))
+        steps = np.array([2.0 * h] * (len(stencils) - 1) + [2.0 * (h / 2.0)])
+        dg = (matrices[index[:, 1::2]] - matrices[index[:, 2::2]]) / steps[:, None, None, None]
+        # gamma[s, k, i, j] = 1/2 g^{kl} (dg_i[j, l] + dg_j[i, l] - dg_l[i, j]) on stencil s
+        gamma = 0.5 * (
+            np.einsum("...kl,...ijl->...kij", ginv, dg)
+            + np.einsum("...kl,...jil->...kij", ginv, dg)
+            - np.einsum("...kl,...lij->...kij", ginv, dg)
+        )
         # riem[l, i, j, k] = d_i gamma[l, j, k] - d_j gamma[l, i, k]
         #                    + gamma[l, i, m] gamma[m, j, k] - gamma[l, j, m] gamma[m, i, k]
+        dgamma = (gamma[1:-1:2] - gamma[2:-1:2]) / (2.0 * h)
         riem = np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-        riem += np.einsum("lim,mjk->lijk", gamma, gamma)
-        riem -= np.einsum("ljm,mik->lijk", gamma, gamma)
-        return riem
-
-    def ricci(self, point: Point, h: float) -> np.ndarray:
-        """Ricci tensor S[j, k] = riem[i, i, j, k] (weighted trace only)."""
-        return np.einsum("iijk->jk", self.riemann(point, h))
+        riem += np.einsum("lim,mjk->lijk", gamma[0], gamma[0])
+        riem -= np.einsum("ljm,mik->lijk", gamma[0], gamma[0])
+        riemann_failure = first_failure(0, 2 * n)
+        return {
+            "christoffel": (gamma[0].copy(), first_failure(0, 0)),
+            "riemann": (riem, riemann_failure),
+            "ricci": (np.einsum("iijk->jk", riem), riemann_failure),
+            "christoffel_half_step": (gamma[-1].copy(), first_failure(2 * n + 1, 2 * n + 1)),
+        }
 
 
 def fd_christoffel(metric: Metric, point: Point, cfg: OracleConfig) -> np.ndarray:
     """Christoffel symbols gamma[k, i, j] from central differences of g."""
-    return StencilSampler(metric).christoffel(point, cfg.h)
+    return StencilSampler(metric, cfg.h).christoffel(point)
 
 
 def fd_riemann(metric: Metric, point: Point, cfg: OracleConfig) -> np.ndarray:
     """Riemann tensor riem[l, i, j, k] from nested central differences."""
-    return StencilSampler(metric).riemann(point, cfg.h)
+    return StencilSampler(metric, cfg.h).riemann(point)
 
 
 def fd_ricci(metric: Metric, point: Point, cfg: OracleConfig) -> np.ndarray:
     """Ricci tensor S[j, k] = riem[i, i, j, k] (weighted trace only)."""
-    return StencilSampler(metric).ricci(point, cfg.h)
+    return StencilSampler(metric, cfg.h).ricci(point)
 
 
 def require_step_fits(chart: Chart, cfg: OracleConfig) -> None:
@@ -271,6 +291,9 @@ def oracle_sample_points(
     """
     require_step_fits(chart, cfg)
 
+    field = _keep_float_tables(metric)
+    probe_stencil = np.arange(1 + 2 * chart.dimension)[None, :]
+
     def reject(point: dict[str, float]) -> bool:
         xs = [point[c] for c in chart.coordinates]
         probes = [xs]
@@ -279,17 +302,8 @@ def oracle_sample_points(
                 shifted = list(xs)
                 shifted[i] += offset
                 probes.append(shifted)
-        # a candidate's probes share no points with another's: nothing to keep
-        stencil = StencilSampler(metric)
-        if not stencil.fill(probes):
-            return True
-        try:
-            sign = float(np.sign(stencil.sample(xs)[1]))
-            for probe in probes[1:]:
-                stencil.sample(probe, sign)
-        except StencilDegeneracyError:
-            return True
-        return False
+        _, dets, degenerate = _metric_at(field, probes)
+        return bool(_failures(dets, degenerate, probe_stencil).any())
 
     return chart.sample_points(SAMPLE_COUNT, cfg.seed, reject=reject)
 

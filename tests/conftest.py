@@ -37,6 +37,12 @@ def fixture_path(name: str) -> Path:
     return FIXTURES_DIR / (name + ".json")
 
 
+# every bundled fixture and every golden manifest
+ALL_MANIFESTS = [fixture_path(name) for name in FIXTURE_NAMES] + sorted(
+    (Path(__file__).resolve().parent / "golden" / "manifests").glob("*.json")
+)
+
+
 def pytest_addoption(parser):
     parser.addoption(
         "--regen-golden",

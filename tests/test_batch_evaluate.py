@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import ALL_MANIFESTS, fixture_path
 from parasol.analysis import Analysis, cmd_oracle
 from parasol.chart import Chart
 from parasol.cli import main
@@ -32,9 +32,6 @@ from parasol.paracontact import ParacontactStructure, StructureError
 from parasol.batch import PointBatch
 from parasol.symexpr import DegenerateEvaluationError, Expr, parse
 from parasol.tensor import Metric, TensorField
-
-GOLDEN_MANIFESTS = sorted((Path(__file__).resolve().parent / "golden" / "manifests").glob("*.json"))
-ALL_MANIFESTS = [fixture_path(name) for name in FIXTURE_NAMES] + GOLDEN_MANIFESTS
 
 
 def same_bits(a: float, b: float) -> bool:

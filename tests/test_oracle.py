@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import ALL_MANIFESTS, FIXTURE_NAMES, fixture_path
 from parasol.analysis import Analysis, cmd_oracle
 from parasol.chart import SAMPLE_COUNT, Chart
 from parasol.cli import main
@@ -197,14 +197,49 @@ def test_stencil_rejects_degeneracy_crossing(structures):
         fd_christoffel(g2, {"x": 0.0, "y": 0.0, "z": 0.0, "t": 1.0, "s": 0.0}, CFG)
 
 
-def test_stencil_sampler_checks_cached_points_on_every_lookup(ex1):
-    stencil = StencilSampler(ex1.metric)
-    xs = [0.0, 0.0, 0.3]
-    matrix, det = stencil.sample(xs)
-    sign = float(np.sign(det))
-    with pytest.raises(StencilDegeneracyError):
-        stencil.sample(xs, -sign)
-    assert stencil.sample(xs, sign)[0] is matrix
+def test_stencil_sampler_checks_cached_points_on_every_lookup(structures):
+    # det g = 1 + y^2 - t^2; the point sits 1.5h above t = 1.  Its Christoffel
+    # stencil stays above; the stencil of its neighbour at t - h reaches below,
+    # to a point whose det 9.997e-04 is above the cutoff but has the other
+    # sign than that stencil's own centre
+    metric = structures["ex5d_r5_g2"].metric
+    h = 1e-3
+    stencil = StencilSampler(metric, h)
+    xs = [0.0, 0.0, 0.0, 1.0 + 1.5 * h, 0.0]
+    gamma = stencil.christoffel(xs)
+    for _ in range(2):
+        with pytest.raises(StencilDegeneracyError) as error:
+            stencil.riemann(xs)
+        assert str(error.value) == (
+            "metric determinant 9.997e-04 degenerates inside the stencil at "
+            "[0.0, 0.0, 0.0, 0.9995000000000002, 0.0]"
+        )
+    assert stencil.christoffel(xs) is gamma
+
+
+def test_compare_raises_a_failed_riemann_stencil_at_its_own_lookups(structures):
+    # point 1 sits 1.5h below t = 1, where det g = 1 + y^2 - t^2 changes sign:
+    # its Christoffel stencil at h stays below, but the stencil of its
+    # neighbour at t + h reaches t + 2h, above
+    g2 = structures["ex5d_r5_g2"]
+    h = 1e-3
+    points = [
+        {"x": 0.1, "y": 0.2, "z": -0.3, "t": 0.4, "s": 0.5},
+        {"x": 0.0, "y": 0.0, "z": 0.0, "t": 1.0 - 1.5 * h, "s": 0.0},
+    ]
+    stencil = StencilSampler(g2.metric, h)
+    assert compare(g2.connection(), stencil.christoffel, points) <= CFG.tolerance
+    for symbolic, oracle_fn in (
+        (g2.riemann(), stencil.riemann),
+        (g2.ricci(WEIGHTED_TRACE), stencil.ricci),
+    ):
+        with pytest.raises(StencilDegeneracyError) as error:
+            compare(symbolic, oracle_fn, points)
+        assert str(error.value) == (
+            "metric determinant -1.000e-03 degenerates inside the stencil at "
+            "[0.0, 0.0, 0.0, 1.0005, 0.0]"
+        )
+    assert compare(g2.connection(), stencil.christoffel_half_step, points) <= CFG.tolerance
 
 
 def test_stencil_sampler_builds_each_metric_float_table_once(monkeypatch):
@@ -217,11 +252,92 @@ def test_stencil_sampler_builds_each_metric_float_table_once(monkeypatch):
     monkeypatch.setattr(
         Expr, "_float_tables", lambda self: built.append(id(self)) or float_tables(self)
     )
-    sampler = StencilSampler(metric)
+    sampler = StencilSampler(metric, CFG.h)
     assert sorted(built) == sorted(entries)
-    sampler.riemann([0.1, 0.2, 0.1, 0.3, -0.2], CFG.h)
-    sampler.christoffel([0.3, 0.1, -0.2, 0.1, 0.2], CFG.h)
+    sampler.riemann([0.1, 0.2, 0.1, 0.3, -0.2])
+    sampler.christoffel([0.3, 0.1, -0.2, 0.1, 0.2])
     assert len(built) == len(entries)
+
+
+def _one_stencil_christoffel(metric, xs, h):
+    """Christoffel symbols on one stencil: one-point metric values, one inv, three einsums."""
+    n = len(xs)
+    ginv = np.linalg.inv(metric.numeric_at(xs))
+    dg = np.empty((n, n, n))
+    for i in range(n):
+        plus, minus = list(xs), list(xs)
+        plus[i] += h
+        minus[i] -= h
+        dg[i] = (metric.numeric_at(plus) - metric.numeric_at(minus)) / (2.0 * h)
+    return 0.5 * (
+        np.einsum("kl,ijl->kij", ginv, dg)
+        + np.einsum("kl,jil->kij", ginv, dg)
+        - np.einsum("kl,lij->kij", ginv, dg)
+    )
+
+
+def _one_stencil_riemann(metric, xs, h):
+    """The Riemann tensor from the one-stencil Christoffel symbols of xs and its neighbours."""
+    n = len(xs)
+    gamma = _one_stencil_christoffel(metric, xs, h)
+    dgamma = np.empty((n, n, n, n))
+    for i in range(n):
+        plus, minus = list(xs), list(xs)
+        plus[i] += h
+        minus[i] -= h
+        dgamma[i] = (
+            _one_stencil_christoffel(metric, plus, h) - _one_stencil_christoffel(metric, minus, h)
+        ) / (2.0 * h)
+    riem = np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
+    riem += np.einsum("lim,mjk->lijk", gamma, gamma)
+    riem -= np.einsum("ljm,mik->lijk", gamma, gamma)
+    return riem
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in zip(a.ravel().tolist(), b.ravel().tolist())
+    )
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.stem) for p in ALL_MANIFESTS])
+def test_stacked_references_have_the_bits_of_one_stencil_at_a_time(path):
+    metric = load_manifest(path).metric
+    stencil = StencilSampler(metric, CFG.h)
+    for point in oracle_sample_points(metric.chart, metric, CFG):
+        xs = [point[c] for c in metric.chart.coordinates]
+        riem = _one_stencil_riemann(metric, xs, CFG.h)
+        assert _same_bits(stencil.christoffel(point), _one_stencil_christoffel(metric, xs, CFG.h))
+        assert _same_bits(
+            stencil.christoffel_half_step(point), _one_stencil_christoffel(metric, xs, CFG.h / 2.0)
+        )
+        assert _same_bits(stencil.riemann(point), riem)
+        assert _same_bits(stencil.ricci(point), np.einsum("iijk->jk", riem))
+
+
+def test_oracle_fills_the_metric_once_per_sample_point(manifests, monkeypatch):
+    analysis = Analysis(manifests["ex5d_r5_g1"], OracleConfig())
+    analysis.sample_points()  # the numeric_max points are not oracle work
+    entries = {id(comp) for comp in analysis.structure.metric.field._comps}
+    batches: dict[int, PointBatch] = {}
+    candidates = []
+    evaluate_batch = PointBatch.evaluate
+    sample_points = Chart.sample_points
+
+    def recording(self, exprs):
+        if any(id(expr) in entries for expr in exprs):
+            batches.setdefault(id(self), self)
+        return evaluate_batch(self, exprs)
+
+    def counting_sample_points(self, count, seed, reject=None):
+        return sample_points(self, count, seed, lambda p: candidates.append(p) or reject(p))
+
+    monkeypatch.setattr(PointBatch, "evaluate", recording)
+    monkeypatch.setattr(Chart, "sample_points", counting_sample_points)
+    assert len(cmd_oracle(analysis).checks) == 5
+    # one batch per candidate's probes, and one per sample point for all its references
+    assert len(batches) == len(candidates) + SAMPLE_COUNT
 
 
 def test_sample_points_avoid_degeneracy_locus(structures):
