@@ -18,7 +18,7 @@ from .connection import (
     scalar_curvature,
 )
 from .manifest import Manifest, ManifestError, load_manifest
-from .oracle import OracleConfig, compare, fd_christoffel, fd_ricci, fd_riemann
+from .oracle import OracleConfig, StencilSampler, compare
 from .paracontact import (
     ParacontactStructure,
     StructureError,
@@ -37,6 +37,7 @@ from .solitons import (
     detect_torse_forming,
     einstein_like_fit,
     einstein_like_suite,
+    fit_constants,
     parallel_tensor_check,
     semi_symmetry_residual,
     solve_soliton_constants,

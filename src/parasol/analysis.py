@@ -53,16 +53,14 @@ from .paracontact import (
 )
 from .report import VerificationReport
 from .solitons import (
-    EinsteinFitResult,
-    EinsteinLikeConstants,
     RankDeficientError,
     SolitonData,
-    TorseFormingData,
     collinear_potential_analysis,
     curvature_from_torse_forming,
     detect_torse_forming,
     einstein_like_fit,
     einstein_like_suite,
+    fit_constants,
     parallel_tensor_check,
     semi_symmetry_residual,
     solve_soliton_constants,
@@ -116,26 +114,6 @@ class Analysis:
                 SAMPLE_COUNT, self.cfg.seed, reject=reject
             )
         return self._points
-
-    @cached_property
-    def fit(self) -> EinsteinFitResult | RankDeficientError | None:
-        """The Einstein-like fit, the error of a rank-deficient design, or None without a frame."""
-        if self.structure.frame is None:
-            return None
-        try:
-            return einstein_like_fit(self.structure)
-        except RankDeficientError as exc:
-            return exc
-
-    @property
-    def fit_constants(self) -> EinsteinLikeConstants | None:
-        """The constants of an exact Einstein-like fit, or None."""
-        fit = self.fit
-        return fit.constants if isinstance(fit, EinsteinFitResult) and fit.ok else None
-
-    @cached_property
-    def torse(self) -> TorseFormingData:
-        return detect_torse_forming(self.structure)
 
     def soliton_constants(self) -> tuple[Fraction, Fraction] | None:
         constants = self.manifest.constants
@@ -302,11 +280,13 @@ def cmd_sasakian(analysis: Analysis, report: VerificationReport) -> list[CheckOu
 
 @_command
 def cmd_einstein_fit(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
-    structure, fit = analysis.structure, analysis.fit
-    if fit is None:
+    structure = analysis.structure
+    if structure.frame is None:
         return [inapplicable("einstein_fit", "no orthonormal frame in the manifest")]
-    if isinstance(fit, RankDeficientError):
-        return [CheckOutcome("einstein_fit", FAIL, details="rank-deficient design: %s" % fit)]
+    try:
+        fit = einstein_like_fit(structure)
+    except RankDeficientError as exc:
+        return [CheckOutcome("einstein_fit", FAIL, details="rank-deficient design: %s" % exc)]
     a, b, c = fit.constants.a, fit.constants.b, fit.constants.c
     if not fit.ok:
         return [
@@ -329,9 +309,7 @@ def cmd_einstein_fit(analysis: Analysis, report: VerificationReport) -> list[Che
         details="S = a g + b g(phi .,.) + c eta(x)eta with (a, b, c) = (%s, %s, %s) [%s]"
         % (a, b, c, structure.ricci_mode),
     )
-    return [fitted] + einstein_like_suite(
-        structure, fit.constants, soliton=soliton, torse=analysis.torse
-    )
+    return [fitted] + einstein_like_suite(structure, fit.constants, soliton=soliton)
 
 
 @_command
@@ -355,7 +333,7 @@ def cmd_soliton_check(analysis: Analysis, report: VerificationReport) -> list[Ch
     ])
     if not analysis.potential_is_xi():
         return outcomes
-    return outcomes + xi_consequence_suite(structure, lam, mu, constants=analysis.fit_constants)
+    return outcomes + xi_consequence_suite(structure, lam, mu)
 
 
 @_command
@@ -414,7 +392,7 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
 @_command
 def cmd_torse(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
     structure = analysis.structure
-    torse = analysis.torse
+    torse = detect_torse_forming(structure)
     report.constants["classification"] = torse.classification
     details = "classification: %s" % torse.classification
     if torse.f is not None:
@@ -429,12 +407,7 @@ def cmd_torse(analysis: Analysis, report: VerificationReport) -> list[CheckOutco
         )
     outcomes = [_note("torse_classification", details)]
 
-    constants, pair = analysis.fit_constants, analysis.soliton_constants()
-    a_plus_lambda = None
-    if torse.forming and constants is not None and pair is not None:
-        candidate = constants.a + pair[0]
-        if (torse.f + candidate).is_symbolically_zero:
-            a_plus_lambda = candidate
+    constants, pair = fit_constants(structure), analysis.soliton_constants()
     lam, mu = pair or (None, None)
 
     def consistency() -> tuple:
@@ -444,9 +417,7 @@ def cmd_torse(analysis: Analysis, report: VerificationReport) -> list[CheckOutco
         consistent = check == 0 and c_expected == constants.c and mu_expected == mu
         return consistent, c_expected, mu_expected, constants.a, lam, constants.c, mu, check
 
-    return outcomes + curvature_from_torse_forming(
-        structure, torse, a_plus_lambda=a_plus_lambda
-    ) + run_checks(
+    return outcomes + curvature_from_torse_forming(structure, lam) + run_checks(
         [
             Check("torse_constants_consistency",
                   "induced (c, mu) = (%s, %s) from (a, lambda) = (%s, %s); "
@@ -483,20 +454,11 @@ def cmd_parallel(analysis: Analysis, report: VerificationReport) -> list[CheckOu
     structure = analysis.structure
     outcomes = []
     if analysis.manifest.alpha is not None:
-        outcomes += parallel_tensor_check(
-            structure, analysis.manifest.alpha, torse=analysis.torse, prefix="alpha"
-        )
+        outcomes += parallel_tensor_check(structure, analysis.manifest.alpha, prefix="alpha")
     mu = analysis.manifest.constants.get("mu")
     if mu is not None:
         combo = structure.soliton_tensor(structure.xi) + structure.eta_tensor_eta().scale(mu)
-        outcomes += parallel_tensor_check(
-            structure,
-            combo,
-            mu_link=mu,
-            constants=analysis.fit_constants,
-            torse=analysis.torse,
-            prefix="soliton_alpha",
-        )
+        outcomes += parallel_tensor_check(structure, combo, mu_link=mu, prefix="soliton_alpha")
     if not outcomes:
         outcomes.append(
             inapplicable(

@@ -46,9 +46,7 @@ __all__ = [
     "OracleConfig",
     "OracleConfigError",
     "StencilDegeneracyError",
-    "fd_christoffel",
-    "fd_riemann",
-    "fd_ricci",
+    "StencilSampler",
     "oracle_sample_points",
     "require_step_fits",
     "compare",
@@ -250,21 +248,6 @@ class StencilSampler:
         }
 
 
-def fd_christoffel(metric: Metric, point: Point, cfg: OracleConfig) -> np.ndarray:
-    """Christoffel symbols gamma[k, i, j] from central differences of g."""
-    return StencilSampler(metric, cfg.h).christoffel(point)
-
-
-def fd_riemann(metric: Metric, point: Point, cfg: OracleConfig) -> np.ndarray:
-    """Riemann tensor riem[l, i, j, k] from nested central differences."""
-    return StencilSampler(metric, cfg.h).riemann(point)
-
-
-def fd_ricci(metric: Metric, point: Point, cfg: OracleConfig) -> np.ndarray:
-    """Ricci tensor S[j, k] = riem[i, i, j, k] (weighted trace only)."""
-    return StencilSampler(metric, cfg.h).ricci(point)
-
-
 def require_step_fits(chart: Chart, cfg: OracleConfig) -> None:
     """Raise ``OracleConfigError`` unless the +-2h stencil fits the narrowest box interval."""
     width = min(hi - lo for lo, hi in chart.domain_box)
@@ -295,13 +278,7 @@ def oracle_sample_points(
     probe_stencil = np.arange(1 + 2 * chart.dimension)[None, :]
 
     def reject(point: dict[str, float]) -> bool:
-        xs = [point[c] for c in chart.coordinates]
-        probes = [xs]
-        for i in range(chart.dimension):
-            for offset in (-2.0 * cfg.h, 2.0 * cfg.h):
-                shifted = list(xs)
-                shifted[i] += offset
-                probes.append(shifted)
+        probes = _stencil([point[c] for c in chart.coordinates], 2.0 * cfg.h)
         _, dets, degenerate = _metric_at(field, probes)
         return bool(_failures(dets, degenerate, probe_stencil).any())
 

@@ -87,11 +87,13 @@ def detect_epsilon(metric: Metric, xi: TensorField) -> int:
 class ParacontactStructure:
     """The bundle (phi, xi, eta, g, eps) over one chart, with geometry caches.
 
-    Connection, curvature, the derived tensors the check suites share and
-    the suites' own outcomes are computed on first use and cached;
-    everything is immutable so the caches are safe to share.  ``ricci_mode``
-    is the Ricci contraction of every derived tensor; ``paper_frame_sum``
-    needs a frame.
+    Connection, curvature, the derived tensors the check suites share, the
+    suites' own outcomes and two derived facts, the torse-forming data of xi
+    (:func:`~parasol.solitons.detect_torse_forming`) and the Einstein-like
+    fit (:func:`~parasol.solitons.einstein_like_fit`), are computed on first
+    use and cached; everything is immutable so the caches are safe to share.
+    ``ricci_mode`` is the Ricci contraction of every derived tensor;
+    ``paper_frame_sum`` needs a frame.
     """
 
     def __init__(

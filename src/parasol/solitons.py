@@ -27,9 +27,12 @@ once below with the reason an unmet one reports.  The soliton link and the
 written out by hand.
 
 Every function reads the Ricci tensor in the structure's own Ricci mode and
-asks the structure whether it is para-Sasakian; neither is a parameter.  A
-check in the other mode loads the manifest again with
-``overrides={"ricci_mode": ...}``.
+asks the structure whether it is para-Sasakian, for its torse-forming data
+(:func:`detect_torse_forming`) and for its Einstein-like fit
+(:func:`einstein_like_fit`, :func:`fit_constants`); none of these is a
+parameter.  The torse-forming data and the fit are computed once per
+structure and cached on it.  A check in the other mode loads the manifest
+again with ``overrides={"ricci_mode": ...}``.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ __all__ = [
     "soliton_residual",
     "solve_soliton_constants",
     "einstein_like_fit",
+    "fit_constants",
     "einstein_like_suite",
     "detect_torse_forming",
     "torse_forming_constants",
@@ -150,8 +154,7 @@ TORSE_FORMING = Need(lambda h: h.torse.forming, "xi is not torse-forming")
 SOLITON_FIT = Need(lambda h: h.a_plus_lambda is not None, "no eta-Einstein soliton fit supplied")
 PARALLEL = Need(lambda h: h.parallel, "alpha is not parallel")
 PROPORTIONALITY_HYPOTHESES = Need(
-    lambda h: h.para_sasakian
-    or (h.torse is not None and h.torse.forming and bool(h.torse.regular)),
+    lambda h: h.para_sasakian or (h.torse.forming and bool(h.torse.regular)),
     "structure is neither para-Sasakian nor regular torse-forming",
 )
 
@@ -280,8 +283,45 @@ def einstein_like_fit(
 
     The three constants are solved exactly from base-point frame components,
     then the fit is verified symbolically on every component; on failure the
-    first offending component is returned as a witness.
+    first offending component is returned as a witness.  The fit of the
+    structure's own Ricci tensor runs once per structure: its result, or the
+    ``RankDeficientError`` of a rank-deficient design, is cached and returned
+    or raised again at every call.  An explicit ``ricci_tensor`` is fitted at
+    every call.
     """
+    if ricci_tensor is not None:
+        return _fit_einstein_like(structure, ricci_tensor)
+
+    def build() -> EinsteinFitResult | RankDeficientError:
+        try:
+            return _fit_einstein_like(structure, None)
+        except RankDeficientError as exc:
+            return exc
+
+    fit = structure._cached("Einstein-like fit", build)
+    if isinstance(fit, RankDeficientError):
+        raise fit.with_traceback(None)
+    return fit
+
+
+def fit_constants(structure: ParacontactStructure) -> EinsteinLikeConstants | None:
+    """The constants of the structure's exact Einstein-like fit.
+
+    None without a frame, on a rank-deficient design and when the fit is not
+    exact.  An ``ExactEvaluationError`` at the base point is not caught.
+    """
+    if structure.frame is None:
+        return None
+    try:
+        fit = einstein_like_fit(structure)
+    except RankDeficientError:
+        return None
+    return fit.constants if fit.ok else None
+
+
+def _fit_einstein_like(
+    structure: ParacontactStructure, ricci_tensor: TensorField | None
+) -> EinsteinFitResult:
     if structure.frame is None:
         raise ValenceError("einstein_like_fit requires an orthonormal frame")
     structure.frame_signs()
@@ -319,15 +359,16 @@ def einstein_like_suite(
     structure: ParacontactStructure,
     constants: EinsteinLikeConstants,
     soliton: SolitonData | None = None,
-    torse: TorseFormingData | None = None,
 ) -> list[CheckOutcome]:
     """Identity suite of an Einstein-like structure with constants (a, b, c).
 
     The para-Sasakian-only identities are marked inapplicable when the
     structure is not para-Sasakian; the Codazzi condition is reported as a
     classification, together with the theorem instance "Codazzi and f != 0
-    force c = 0" whenever its hypothesis can be evaluated.
+    force c = 0" whenever its hypothesis can be evaluated on the structure's
+    torse-forming data.
     """
+    torse = detect_torse_forming(structure)
     s, n = structure, structure.chart.dimension
     eps = Fraction(s.epsilon)
     a, b, c = constants.a, constants.b, constants.c
@@ -378,11 +419,9 @@ def einstein_like_suite(
     ], soliton=soliton)
 
 
-def _codazzi_forces_einstein(
-    c: Fraction, codazzi: bool, torse: TorseFormingData | None
-) -> CheckOutcome:
+def _codazzi_forces_einstein(c: Fraction, codazzi: bool, torse: TorseFormingData) -> CheckOutcome:
     """The theorem instance "a Codazzi Ricci operator and f != 0 force c = 0"."""
-    if torse is None or not torse.forming:
+    if not torse.forming:
         return inapplicable(
             "el_codazzi_forces_einstein",
             "potential xi is not torse-forming or no torse data supplied",
@@ -414,13 +453,17 @@ def _codazzi_forces_einstein(
 
 
 def detect_torse_forming(structure: ParacontactStructure) -> TorseFormingData:
-    """Classify nabla xi against the torse-forming form f phi^2.
+    """Classify nabla xi against the torse-forming form f phi^2, once per structure.
 
     The candidate f is recovered from the trace of nabla xi (trace phi^2 is
     n - 1) and then verified; extracting f from a component ratio is not
     total, the trace always is.  Regularity means f^2 + xi(f) is not
-    canonically zero.
+    canonically zero.  The result is cached on the structure.
     """
+    return structure._cached("torse-forming data", lambda: _torse_forming_data(structure))
+
+
+def _torse_forming_data(structure: ParacontactStructure) -> TorseFormingData:
     chart = structure.chart
     n = chart.dimension
     nabla_xi = structure.nabla_xi()
@@ -474,12 +517,13 @@ def torse_forming_constants(
 
 
 def xi_consequence_suite(
-    structure: ParacontactStructure,
-    lam: Fraction,
-    mu: Fraction,
-    constants: EinsteinLikeConstants | None = None,
+    structure: ParacontactStructure, lam: Fraction, mu: Fraction
 ) -> list[CheckOutcome]:
-    """Consequences of an eta-Ricci soliton whose potential is xi itself."""
+    """Consequences of an eta-Ricci soliton whose potential is xi itself.
+
+    The rows that need Einstein-like constants use the structure's exact fit.
+    """
+    constants = fit_constants(structure)
     s = structure
     eps = Fraction(s.epsilon)
     xi, eta, g = s.xi, s.eta, s.metric.field
@@ -580,8 +624,6 @@ def parallel_tensor_check(
     structure: ParacontactStructure,
     alpha: TensorField,
     mu_link: Fraction | None = None,
-    constants: EinsteinLikeConstants | None = None,
-    torse: TorseFormingData | None = None,
     prefix: str = "alpha",
 ) -> list[CheckOutcome]:
     """Parallelism analysis of a symmetric (0, 2) candidate tensor.
@@ -591,9 +633,13 @@ def parallel_tensor_check(
     whenever alpha is parallel), the proportionality alpha = eps alpha(xi,xi) g
     under the theorem hypotheses, and - when alpha is the soliton combination
     1/2 L_xi g + S + mu eta (x) eta - the implied constant
-    lambda = -eps alpha(xi, xi), cross-checked against -(a + eps (c + mu)).
-    ``prefix`` disambiguates check ids when several candidates are analyzed.
+    lambda = -eps alpha(xi, xi), cross-checked against -(a + eps (c + mu))
+    when the structure has an exact Einstein-like fit.  ``prefix``
+    disambiguates check ids when several candidates are analyzed.
     """
+    # asked before any row, so that an error of the fit ends the check first
+    constants = fit_constants(structure) if mu_link is not None else None
+    torse = detect_torse_forming(structure)
     s = structure
     eps = Fraction(s.epsilon)
     if alpha.valence != (0, 2):
@@ -666,18 +712,24 @@ def _soliton_link(
 
 
 def curvature_from_torse_forming(
-    structure: ParacontactStructure,
-    torse: TorseFormingData,
-    a_plus_lambda: Fraction | None = None,
+    structure: ParacontactStructure, lam: Fraction | None = None
 ) -> list[CheckOutcome]:
     """Curvature forms forced by a torse-forming xi.
 
     Always checks R(X, Y) xi = f^2 {eta(X) Y - eta(Y) X} + X(f) phi^2 Y
-    - Y(f) phi^2 X with the detected f.  When a soliton fit supplies
-    a + lambda (with f = -(a + lambda)), additionally checks
+    - Y(f) phi^2 X with the detected f.  When the declared soliton constant
+    ``lam`` and the structure's exact Einstein-like fit give
+    f + a + lambda = 0, additionally checks
     R(X, Y) xi = (a + lambda)^2 {eta(X) Y - eta(Y) X} and
     S(X, xi) = (a + lambda)^2 (1 - n) eta(X).
     """
+    torse = detect_torse_forming(structure)
+    constants = None if lam is None else fit_constants(structure)
+    a_plus_lambda = None
+    if torse.forming and constants is not None:
+        candidate = constants.a + lam
+        if (torse.f + candidate).is_symbolically_zero:
+            a_plus_lambda = candidate
     s, chart = structure, structure.chart
     eta, delta = s.eta, kronecker(chart)
 

@@ -17,6 +17,7 @@ try:
 except ImportError:  # fall back to the in-repo sources for uninstalled runs
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import parasol.solitons
 from parasol.connection import WEIGHTED_TRACE
 from parasol.manifest import load_manifest
 from parasol.paracontact import ParacontactStructure
@@ -50,6 +51,19 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite the golden report files instead of comparing against them",
     )
+
+
+@pytest.fixture
+def normal_equation_designs(monkeypatch) -> list:
+    """The designs the exact least squares solves (the Einstein-like fit, the soliton solver)."""
+    designs = []
+    solve = parasol.solitons.solve_normal_equations
+    monkeypatch.setattr(
+        parasol.solitons,
+        "solve_normal_equations",
+        lambda rows, rhs: designs.append(rows) or solve(rows, rhs),
+    )
+    return designs
 
 
 @pytest.fixture(scope="session")

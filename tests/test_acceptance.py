@@ -20,7 +20,7 @@ from parasol.connection import (
     lie_derivative_two_ways,
     scalar_curvature,
 )
-from parasol.oracle import OracleConfig, compare, fd_christoffel, fd_ricci, fd_riemann, oracle_sample_points
+from parasol.oracle import OracleConfig, StencilSampler, compare, oracle_sample_points
 from parasol.paracontact import (
     is_para_sasakian,
     sasakian_identity_suite,
@@ -35,6 +35,7 @@ from parasol.solitons import (
     detect_torse_forming,
     einstein_like_fit,
     einstein_like_suite,
+    fit_constants,
     parallel_tensor_check,
     solve_soliton_constants,
     soliton_residual,
@@ -273,24 +274,21 @@ def test_criterion_10_oracle_agreement(structures):
     for name, structure in structures.items():
         points = oracle_sample_points(structure.chart, structure.metric, cfg)
         assert len(points) == 10, name
-        gamma = structure.connection()
-        deviation = compare(gamma, lambda p: fd_christoffel(structure.metric, p, cfg), points)
-        assert deviation <= cfg.tolerance, (name, "christoffel", deviation)
-        deviation = compare(
-            structure.riemann(), lambda p: fd_riemann(structure.metric, p, cfg), points
-        )
-        assert deviation <= cfg.tolerance, (name, "riemann", deviation)
-        deviation = compare(
-            structure.ricci(WEIGHTED_TRACE), lambda p: fd_ricci(structure.metric, p, cfg), points
-        )
-        assert deviation <= cfg.tolerance, (name, "ricci", deviation)
+        # one sampler fills each sample point's stencils once for all three references
+        stencil = StencilSampler(structure.metric, cfg.h)
+        for reference, symbolic, oracle_fn in (
+            ("christoffel", structure.connection(), stencil.christoffel),
+            ("riemann", structure.riemann(), stencil.riemann),
+            ("ricci", structure.ricci(WEIGHTED_TRACE), stencil.ricci),
+        ):
+            deviation = compare(symbolic, oracle_fn, points)
+            assert deviation <= cfg.tolerance, (name, reference, deviation)
     # O(h^2): halving h improves the example-1 Christoffel agreement by [3, 5]
     ex1 = structures["ex1_r3_spacelike"]
     points = oracle_sample_points(ex1.chart, ex1.metric, cfg)
     gamma = ex1.connection()
-    coarse = compare(gamma, lambda p: fd_christoffel(ex1.metric, p, cfg), points)
-    fine_cfg = OracleConfig(h=cfg.h / 2.0, seed=42, tolerance=cfg.tolerance)
-    fine = compare(gamma, lambda p: fd_christoffel(ex1.metric, p, fine_cfg), points)
+    coarse = compare(gamma, StencilSampler(ex1.metric, cfg.h).christoffel, points)
+    fine = compare(gamma, StencilSampler(ex1.metric, cfg.h / 2.0).christoffel, points)
     ratio = coarse / fine
     assert 3.0 <= ratio <= 5.0, ratio
     announce(10, "oracle agreement within 1e-6 on all fixtures; h-scaling ratio %.3f" % ratio)
@@ -319,29 +317,18 @@ def test_criterion_11_parallel_tensor_theorems(ex1, ex2, warped):
             + structure.ricci()
             + structure.eta_tensor_eta().scale(mu)
         )
-        fit = einstein_like_fit(structure)
-        outcomes = outcome_map(
-            parallel_tensor_check(
-                structure,
-                alpha,
-                mu_link=mu,
-                constants=fit.constants,
-                torse=detect_torse_forming(structure),
-            )
-        )
+        outcomes = outcome_map(parallel_tensor_check(structure, alpha, mu_link=mu))
         link = outcomes["alpha_soliton_link"]
         assert link.status == PASS
         assert link.data["implied_lambda"] == lam_expected
-        predicted = -(fit.constants.a + structure.epsilon * (fit.constants.c + mu))
+        constants = fit_constants(structure)
+        predicted = -(constants.a + structure.epsilon * (constants.c + mu))
         assert predicted == lam_expected
     announce(11, "parallel tensor theorems and lambda = -(a + eps(c + mu)) instances")
 
 
 def test_criterion_12_xi_consequences_on_example_one(ex1):
-    fit = einstein_like_fit(ex1)
-    outcomes = outcome_map(
-        xi_consequence_suite(ex1, Fraction(0), Fraction(2), constants=fit.constants)
-    )
+    outcomes = outcome_map(xi_consequence_suite(ex1, Fraction(0), Fraction(2)))
     assert outcomes["xi_eq12_constant"].status == PASS
     assert outcomes["xi_geodesic"].status == PASS and outcomes["xi_geodesic"].symbolic_zero
     assert outcomes["xi_ps_nabla_s"].status == PASS and outcomes["xi_ps_nabla_s"].symbolic_zero

@@ -24,8 +24,7 @@ from parasol.manifest import load_manifest
 from parasol.oracle import (
     OracleConfig,
     StencilDegeneracyError,
-    fd_christoffel,
-    fd_riemann,
+    StencilSampler,
     oracle_sample_points,
 )
 from parasol.paracontact import ParacontactStructure, StructureError
@@ -164,15 +163,15 @@ def test_expressions_batched_together_keep_their_own_bits():
 def test_stencil_crossing_t_1_keeps_its_error_text(structures):
     g2 = structures["ex5d_r5_g2"].metric  # det = 1 + y^2 - t^2
     cfg = OracleConfig(h=1e-3)
-    for fd, t, det, at in (
-        (fd_christoffel, 0.9999, "-1.801e-03", 1.0009),
-        (fd_riemann, 0.9999, "-1.801e-03", 1.0009),
-        (fd_christoffel, 1.0001, "1.799e-03", 0.9991),
-        (fd_riemann, 1.0, "0.000e+00", 1.0),
+    for reference, t, det, at in (
+        ("christoffel", 0.9999, "-1.801e-03", 1.0009),
+        ("riemann", 0.9999, "-1.801e-03", 1.0009),
+        ("christoffel", 1.0001, "1.799e-03", 0.9991),
+        ("riemann", 1.0, "0.000e+00", 1.0),
     ):
         point = {"x": 0.0, "y": 0.0, "z": 0.0, "t": t, "s": 0.0}
         with pytest.raises(StencilDegeneracyError) as error:
-            fd(g2, point, cfg)
+            getattr(StencilSampler(g2, cfg.h), reference)(point)
         assert str(error.value) == (
             "metric determinant %s degenerates inside the stencil at [0.0, 0.0, 0.0, %r, 0.0]"
             % (det, at)
@@ -184,14 +183,14 @@ def test_degenerate_metric_entries_keep_their_error_text():
     metric = Metric(TensorField(CHART, 0, 2, [parse(e, CHART) for e in entries]))
     cfg = OracleConfig(h=1e-4)
     # x - h is 0.0 on this stencil; exp(800*z) overflows at z = 0.9
-    for fd, point, text in (
-        (fd_christoffel, [1e-4, 0.1, 0.0], "denominator 'x' vanishes at [0.0, 0.1, 0.0] (|value| = 0)"),
-        (fd_riemann, [1e-4, 0.1, 0.8], "denominator 'x' vanishes at [0.0, 0.1, 0.8] (|value| = 0)"),
-        (fd_riemann, [1e-4, 0.1, 0.9], "value overflows a float at [0.0001, 0.1, 0.9]"),
-        (fd_christoffel, [0.3, 0.1, 0.95], "value overflows a float at [0.3, 0.1, 0.95]"),
+    for reference, point, text in (
+        ("christoffel", [1e-4, 0.1, 0.0], "denominator 'x' vanishes at [0.0, 0.1, 0.0] (|value| = 0)"),
+        ("riemann", [1e-4, 0.1, 0.8], "denominator 'x' vanishes at [0.0, 0.1, 0.8] (|value| = 0)"),
+        ("riemann", [1e-4, 0.1, 0.9], "value overflows a float at [0.0001, 0.1, 0.9]"),
+        ("christoffel", [0.3, 0.1, 0.95], "value overflows a float at [0.3, 0.1, 0.95]"),
     ):
         with pytest.raises(DegenerateEvaluationError) as error:
-            fd(metric, point, cfg)
+            getattr(StencilSampler(metric, cfg.h), reference)(point)
         assert str(error.value) == text
 
 

@@ -20,6 +20,8 @@ from parasol.tensor import Frame, Metric, TensorField
 
 from conftest import FIXTURE_NAMES, fixture_path
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
 
 def run_cli(argv):
     """Invoke the CLI, returning (exit_code, stdout, stderr)."""
@@ -337,17 +339,44 @@ def test_para_sasakian_suite_and_shared_tensors_built_once(monkeypatch):
 
 
 @pytest.mark.parametrize("fixture", ["warped_r3", "ex1_r3_spacelike"])
-def test_einstein_like_fit_runs_once_per_report(monkeypatch, fixture):
+def test_einstein_like_fit_runs_once_per_report(normal_equation_designs, fixture):
     # the einstein-fit command and the soliton, torse and parallel commands
-    # share one fit; report --all used to fit twice
-    calls = []
-    fit = parasol.analysis.einstein_like_fit
-    monkeypatch.setattr(
-        parasol.analysis, "einstein_like_fit", lambda *args: calls.append(args) or fit(*args)
-    )
+    # share the fit the structure caches; report --all used to fit twice
+    designs = normal_equation_designs
     code, _, _ = run_cli(["report", "--all", "fixtures/" + fixture, "--json"])
     assert code in (0, 1)
-    assert len(calls) == 1
+    # the fit solves for (a, b, c), the soliton solver for (lambda, mu)
+    assert sorted(len(rows[0]) for rows in designs) == [2, 3]
+
+
+def test_the_suites_ask_for_the_fit_where_the_commands_did(normal_equation_designs, tmp_path):
+    # where a suite asks for the fit decides which error ends a run: on
+    # bumped_r3 with the base point (0, 0, 1/2) the fit's exact evaluation
+    # fails, and parallel stops with exit 2 before any row.  Asking lazily,
+    # inside the soliton link, would print a report (exit 1) instead; a
+    # change of that outcome must be made on purpose.
+    designs = normal_equation_designs
+    code, out, err = run_cli(
+        ["parallel", str(GOLDEN_DIR / "manifests" / "bumped_r3.json"), "--base-point", "0,0,1/2"]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: exponential atom does not vanish at the point (value 1/2)\n"
+    assert designs == []
+    # flat_r3 gives parallel an alpha and a mu: the mu check fits once
+    code, _, _ = run_cli(["parallel", "fixtures/flat_r3", "--json"])
+    assert code in (0, 1) and len(designs) == 1
+    # without mu only alpha is checked, and the fit is never asked for
+    manifest = json.loads(fixture_path("flat_r3").read_text(encoding="utf-8"))
+    del manifest["constants"]
+    path = tmp_path / "flat_no_mu.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    designs.clear()
+    code, out, _ = run_cli(["parallel", str(path), "--json"])
+    assert code in (0, 1) and designs == []
+    assert [c["id"] for c in json.loads(out)["checks"]][0] == "alpha_nabla_alpha"
+    # soliton check with potential xi fits once, for the xi consequences
+    code, _, _ = run_cli(["soliton", "check", "fixtures/ex1_r3_spacelike", "--json"])
+    assert code in (0, 1) and len(designs) == 1
 
 
 @pytest.mark.parametrize("fixture", ["warped_r3", "ex1_r3_spacelike"])

@@ -20,7 +20,8 @@ from parasol.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src" / "parasol"
 MANIFESTS = Path(__file__).resolve().parent / "golden" / "manifests"
 
-DELETED_FUNCTIONS = {"max_abs", "evaluate_many"}
+# the fd_* wrappers built a new StencilSampler per call; a sampler is the one way in
+DELETED_FUNCTIONS = {"max_abs", "evaluate_many", "fd_christoffel", "fd_riemann", "fd_ricci"}
 DELETED_PARAMETERS = {"guard_seed", "sample_seed"}
 CHART_SAMPLERS = {"Analysis.sample_points", "oracle_sample_points"}
 
@@ -92,9 +93,12 @@ def test_detectors_find_the_deleted_paths():
         "    return chart.sample_points(10, guard_seed)\n"
         "def torse(structure, *, sample_seed=42):\n"
         "    return analysis.sample_points()[:5]\n"
+        "def fd_ricci(metric, point, cfg):\n"
+        "    return StencilSampler(metric, cfg.h).ricci(point)\n"
     )
     assert deleted_names(source) == [
-        "TensorField.max_abs", "Contraction.numeric_at", "solve(guard_seed)", "torse(sample_seed)"
+        "TensorField.max_abs", "Contraction.numeric_at", "solve(guard_seed)", "torse(sample_seed)",
+        "fd_ricci",
     ]
     assert chart_sample_callers(source) == ["solve"]
     assert {"numpy", "SAMPLE_COUNT"} <= imported_names(source)

@@ -21,9 +21,6 @@ from parasol.oracle import (
     StencilDegeneracyError,
     StencilSampler,
     compare,
-    fd_christoffel,
-    fd_ricci,
-    fd_riemann,
     oracle_sample_points,
 )
 from parasol.batch import PointBatch
@@ -87,25 +84,25 @@ def test_report_all_rejects_the_step_before_any_command(monkeypatch):
 
 def test_fd_christoffel_value_on_ex1(ex1):
     # Gamma^z_xx = -e^{2z}: at z = 0.3 the value is -e^{0.6}
-    gamma = fd_christoffel(ex1.metric, {"x": 0.0, "y": 0.0, "z": 0.3}, CFG)
+    gamma = StencilSampler(ex1.metric, CFG.h).christoffel({"x": 0.0, "y": 0.0, "z": 0.3})
     expected = -math.exp(0.6)
     assert abs(gamma[2, 0, 0] - expected) <= 1e-6 * abs(expected)
 
 
 def test_fd_christoffel_flat_is_zero(flat):
-    gamma = fd_christoffel(flat.metric, {"x": 0.1, "y": -0.2, "z": 0.4}, CFG)
+    gamma = StencilSampler(flat.metric, CFG.h).christoffel({"x": 0.1, "y": -0.2, "z": 0.4})
     assert np.max(np.abs(gamma)) <= 1e-10
 
 
 def test_fd_christoffel_value_on_ex2(ex2):
     # Gamma^x_xz = -1 for the timelike example
-    gamma = fd_christoffel(ex2.metric, {"x": 0.0, "y": 0.0, "z": 0.0}, CFG)
+    gamma = StencilSampler(ex2.metric, CFG.h).christoffel({"x": 0.0, "y": 0.0, "z": 0.0})
     assert abs(gamma[0, 0, 2] - (-1.0)) <= 1e-6
 
 
 def test_fd_riemann_frame_value_on_ex1(ex1):
     # component of R(E1, E2)E2 along E1 at the origin is 1
-    riem = fd_riemann(ex1.metric, {"x": 0.0, "y": 0.0, "z": 0.0}, CFG)
+    riem = StencilSampler(ex1.metric, CFG.h).riemann({"x": 0.0, "y": 0.0, "z": 0.0})
     frame = np.array([vec.numeric_at({"x": 0.0, "y": 0.0, "z": 0.0}) for vec in ex1.frame])
     g = ex1.metric.numeric_at({"x": 0.0, "y": 0.0, "z": 0.0})
     vector = np.einsum("lijk,i,j,k->l", riem, frame[0], frame[1], frame[1])
@@ -114,14 +111,14 @@ def test_fd_riemann_frame_value_on_ex1(ex1):
 
 
 def test_fd_riemann_flat_is_zero(flat):
-    riem = fd_riemann(flat.metric, {"x": 0.0, "y": 0.0, "z": 0.0}, CFG)
+    riem = StencilSampler(flat.metric, CFG.h).riemann({"x": 0.0, "y": 0.0, "z": 0.0})
     assert np.max(np.abs(riem)) <= 1e-8
 
 
 def test_fd_ricci_diag_on_ex2(ex2):
     # weighted-trace Ricci has frame diagonal (0, 0, -2) on the timelike example
     point = {"x": 0.0, "y": 0.0, "z": 0.0}
-    ricci = fd_ricci(ex2.metric, point, CFG)
+    ricci = StencilSampler(ex2.metric, CFG.h).ricci(point)
     frame = np.array([vec.numeric_at(point) for vec in ex2.frame])
     diag = [frame[i] @ ricci @ frame[i] for i in range(3)]
     assert abs(diag[0]) <= 1e-5 and abs(diag[1]) <= 1e-5
@@ -131,15 +128,10 @@ def test_fd_ricci_diag_on_ex2(ex2):
 def test_compare_passes_on_fixture_geometry(ex1):
     points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
     assert len(points) == SAMPLE_COUNT
-    gamma = ex1.connection()
-    deviation = compare(gamma, lambda p: fd_christoffel(ex1.metric, p, CFG), points)
-    assert deviation <= CFG.tolerance
-    riem = ex1.riemann()
-    deviation = compare(riem, lambda p: fd_riemann(ex1.metric, p, CFG), points)
-    assert deviation <= CFG.tolerance
-    ricci = ex1.ricci(WEIGHTED_TRACE)
-    deviation = compare(ricci, lambda p: fd_ricci(ex1.metric, p, CFG), points)
-    assert deviation <= CFG.tolerance
+    stencil = StencilSampler(ex1.metric, CFG.h)
+    assert compare(ex1.connection(), stencil.christoffel, points) <= CFG.tolerance
+    assert compare(ex1.riemann(), stencil.riemann, points) <= CFG.tolerance
+    assert compare(ex1.ricci(WEIGHTED_TRACE), stencil.ricci, points) <= CFG.tolerance
 
 
 def test_compare_detects_injected_fault(ex1):
@@ -153,7 +145,7 @@ def test_compare_detects_injected_fault(ex1):
         if idx == (2, 0, 0)
         else gamma[idx],
     )
-    deviation = compare(perturbed, lambda p: fd_christoffel(ex1.metric, p, CFG), points)
+    deviation = compare(perturbed, StencilSampler(ex1.metric, CFG.h).christoffel, points)
     assert not deviation <= CFG.tolerance
     assert deviation >= 1e-4
 
@@ -163,9 +155,10 @@ def test_compare_fails_on_nan_deviation(ex1):
     points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
     gamma = ex1.connection()
     nan_at = points[1]
+    stencil = StencilSampler(ex1.metric, CFG.h)
 
     def oracle(point):
-        reference = fd_christoffel(ex1.metric, point, CFG)
+        reference = stencil.christoffel(point)
         return np.full_like(reference, math.nan) if point is nan_at else reference
 
     deviation = compare(gamma, oracle, points)
@@ -176,16 +169,16 @@ def test_compare_fails_on_nan_deviation(ex1):
 def test_compare_shape_mismatch(ex1):
     points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
     with pytest.raises(ValueError, match="shape"):
-        compare(ex1.xi, lambda p: fd_christoffel(ex1.metric, p, CFG), points)
+        compare(ex1.xi, StencilSampler(ex1.metric, CFG.h).christoffel, points)
 
 
 def test_halving_h_improves_by_factor_near_four(ex1):
     # central differences are O(h^2): the deviation ratio must land in [3, 5]
     points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
     gamma = ex1.connection()
-    coarse = compare(gamma, lambda p: fd_christoffel(ex1.metric, p, CFG), points)
-    fine_cfg = OracleConfig(h=CFG.h / 2.0)
-    fine = compare(gamma, lambda p: fd_christoffel(ex1.metric, p, fine_cfg), points)
+    stencil = StencilSampler(ex1.metric, CFG.h)
+    coarse = compare(gamma, stencil.christoffel, points)
+    fine = compare(gamma, stencil.christoffel_half_step, points)
     ratio = coarse / fine
     assert 3.0 <= ratio <= 5.0
 
@@ -194,7 +187,7 @@ def test_stencil_rejects_degeneracy_crossing(structures):
     g2 = structures["ex5d_r5_g2"].metric
     # det = 1 + y^2 - t^2 vanishes at t = 1, y = 0
     with pytest.raises(StencilDegeneracyError):
-        fd_christoffel(g2, {"x": 0.0, "y": 0.0, "z": 0.0, "t": 1.0, "s": 0.0}, CFG)
+        StencilSampler(g2, CFG.h).christoffel({"x": 0.0, "y": 0.0, "z": 0.0, "t": 1.0, "s": 0.0})
 
 
 def test_stencil_sampler_checks_cached_points_on_every_lookup(structures):

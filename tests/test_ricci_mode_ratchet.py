@@ -1,9 +1,12 @@
-"""The Ricci mode and the para-Sasakian fact are read from the structure, never passed in.
+"""The structure's own facts are read from the structure, never passed in.
 
 A ``ParacontactStructure`` takes its Ricci mode once and caches whether it is
-para-Sasakian, so no soliton function takes either as a parameter; only
-``ricci`` and ``ricci_xi`` keep a ``mode`` override for the rows that use the
-weighted trace on purpose.
+para-Sasakian, its torse-forming data and its Einstein-like fit, so no soliton
+function takes the mode, the para-Sasakian fact or the torse data as a
+parameter, and only ``einstein_like_suite`` takes constants (hypothetical ones
+pin a branch no manifest reaches).  Only ``ricci`` and ``ricci_xi`` keep a
+``mode`` override for the rows that use the weighted trace on purpose, and
+``Analysis`` keeps no copy of the fit or the torse data.
 """
 
 import ast
@@ -12,6 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "parasol"
 
 STRUCTURE_MODE_OVERRIDES = {"__init__", "ricci", "ricci_xi"}
+MODE_PARAMETERS = ("mode", "para_sasakian")
 
 
 def _parameters(function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
@@ -29,13 +33,13 @@ def _class(tree: ast.Module, name: str) -> ast.ClassDef | None:
     return next((n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name), None)
 
 
-def mode_parameters(source: str) -> list[str]:
-    """Every function of a module that takes ``mode`` or ``para_sasakian``, as 'function(parameter)'."""
+def named_parameters(source: str, names) -> list[str]:
+    """Every function of a module that takes one of ``names``, as 'function(parameter)'."""
     return [
         "%s(%s)" % (function.name, name)
         for function in _functions(ast.parse(source))
         for name in _parameters(function)
-        if name in ("mode", "para_sasakian")
+        if name in names
     ]
 
 
@@ -87,9 +91,12 @@ def test_detectors_find_mode_parameters_and_attributes():
         "    def __init__(self, manifest):\n        self.ricci_mode = manifest.ricci_mode\n"
         "class Report:\n    ricci_mode: str\n"
     )
-    assert mode_parameters(source) == [
+    assert named_parameters(source, MODE_PARAMETERS) == [
         "suite(mode)", "_link(para_sasakian)", "__init__(mode)", "ricci(mode)",
         "soliton_tensor(mode)",
+    ]
+    assert named_parameters(source, ("constants", "ricci_mode")) == [
+        "suite(constants)", "fine(ricci_mode)"
     ]
     assert structure_mode_parameters(source) == ["soliton_tensor"]
     assert defines_attribute(source, "Analysis", "ricci_mode")
@@ -99,7 +106,18 @@ def test_detectors_find_mode_parameters_and_attributes():
 
 
 def test_soliton_functions_take_neither_mode_nor_para_sasakian():
-    assert mode_parameters((SRC / "solitons.py").read_text(encoding="utf-8")) == []
+    assert named_parameters((SRC / "solitons.py").read_text(encoding="utf-8"), MODE_PARAMETERS) == []
+
+
+def test_soliton_suites_read_the_torse_data_and_the_fit_from_the_structure():
+    public = [
+        found
+        for found in named_parameters(
+            (SRC / "solitons.py").read_text(encoding="utf-8"), ("torse", "a_plus_lambda", "constants")
+        )
+        if not found.startswith("_")
+    ]
+    assert public == ["einstein_like_suite(constants)"]
 
 
 def test_only_ricci_and_ricci_xi_override_the_structure_mode():
@@ -109,3 +127,10 @@ def test_only_ricci_and_ricci_xi_override_the_structure_mode():
 def test_analysis_reads_the_ricci_mode_from_its_structure():
     source = (SRC / "analysis.py").read_text(encoding="utf-8")
     assert not defines_attribute(source, "Analysis", "ricci_mode")
+
+
+def test_analysis_keeps_no_fit_or_torse_data():
+    source = (SRC / "analysis.py").read_text(encoding="utf-8")
+    assert defines_attribute(source, "Analysis", "potential")
+    for attribute in ("fit", "fit_constants", "torse"):
+        assert not defines_attribute(source, "Analysis", attribute), attribute

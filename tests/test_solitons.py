@@ -11,22 +11,27 @@ Ricci, B = (-3, -1, -2) over g = (1, 1, -1) gives (2, 4) with residual
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from parasol.checks import FAIL, INAPPLICABLE, PASS
+from parasol.manifest import load_manifest
+from parasol.paracontact import ParacontactStructure
 from parasol.solitons import (
     GENERAL,
     IRROTATIONAL_CASE_I,
     NOT_TORSE_FORMING,
     RECURRENT_CASE_II,
     EinsteinLikeConstants,
+    RankDeficientError,
     SolitonData,
     collinear_potential_analysis,
     curvature_from_torse_forming,
     detect_torse_forming,
     einstein_like_fit,
     einstein_like_suite,
+    fit_constants,
     parallel_tensor_check,
     semi_symmetry_residual,
     solve_soliton_constants,
@@ -35,7 +40,10 @@ from parasol.solitons import (
     xi_consequence_suite,
 )
 from parasol.symexpr import Expr, parse
-from parasol.tensor import TensorField, contract
+from parasol.tensor import Frame, TensorField, contract
+
+
+GOLDEN_MANIFESTS = Path(__file__).resolve().parent / "golden" / "manifests"
 
 
 def frame_value(structure, tensor, i, j):
@@ -190,6 +198,45 @@ def test_fit_failure_returns_witness(warped):
     assert not fit.witness_residual.is_zero()
 
 
+def test_torse_data_and_fit_are_cached_on_the_structure(structures):
+    for structure in structures.values():
+        assert detect_torse_forming(structure) is detect_torse_forming(structure)
+        if structure.frame is not None:
+            assert einstein_like_fit(structure) is einstein_like_fit(structure)
+
+
+def test_a_rank_deficient_fit_is_cached_with_its_error(flat, normal_equation_designs):
+    designs = normal_equation_designs
+    broken = _degenerate_eta(flat)
+    texts = []
+    for _ in range(2):
+        with pytest.raises(RankDeficientError) as error:
+            einstein_like_fit(broken)
+        texts.append(str(error.value))
+    assert texts == ["normal equations are rank deficient"] * 2
+    assert len(designs) == 1
+    assert fit_constants(broken) is None
+    assert len(designs) == 1
+
+
+def test_an_explicit_ricci_tensor_is_fitted_at_every_call(warped, normal_equation_designs):
+    designs = normal_equation_designs
+    ricci_tensor = warped.ricci()
+    first = einstein_like_fit(warped, ricci_tensor=ricci_tensor)
+    second = einstein_like_fit(warped, ricci_tensor=ricci_tensor)
+    assert first is not second and first.constants == second.constants
+    assert len(designs) == 2
+
+
+def test_fit_constants_is_none_unless_the_fit_is_exact(structures):
+    assert fit_constants(structures["ex5d_r5_g1"]) is None  # no frame
+    bumped = load_manifest(GOLDEN_MANIFESTS / "bumped_r3.json").structure()
+    assert not einstein_like_fit(bumped).ok
+    assert fit_constants(bumped) is None
+    warped = structures["warped_r3"]
+    assert fit_constants(warped) == EinsteinLikeConstants(Fraction(-2), Fraction(0), Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # Einstein-like identity suite
 # ---------------------------------------------------------------------------
@@ -198,12 +245,7 @@ def test_fit_failure_returns_witness(warped):
 def test_suite_ex1_trace_and_scalar_identities(ex1):
     fit = einstein_like_fit(ex1)
     outcomes = outcome_map(
-        einstein_like_suite(
-            ex1,
-            fit.constants,
-            soliton=SolitonData(ex1.xi, Fraction(0), Fraction(2)),
-            torse=detect_torse_forming(ex1),
-        )
+        einstein_like_suite(ex1, fit.constants, soliton=SolitonData(ex1.xi, Fraction(0), Fraction(2)))
     )
     # eps a + c = -2 = 1 - n with n = 3
     assert outcomes["el_eq_trace"].status == PASS
@@ -236,10 +278,7 @@ def test_suite_flat_trivial(flat):
 
 def test_suite_warped_codazzi_theorem_instance(warped):
     fit = einstein_like_fit(warped)
-    torse = detect_torse_forming(warped)
-    outcomes = outcome_map(
-        einstein_like_suite(warped, fit.constants, torse=torse)
-    )
+    outcomes = outcome_map(einstein_like_suite(warped, fit.constants))
     # Q = -2 I is parallel, hence Codazzi; with f = 1 != 0 the theorem forces c = 0
     assert outcomes["el_codazzi"].symbolic_zero is True
     assert outcomes["el_codazzi_forces_einstein"].status == PASS
@@ -250,10 +289,7 @@ def test_codazzi_with_nonzero_c_and_f_fails_the_theorem_instance(warped):
     # no manifest reaches c != 0 with f != 0 (warped products with an exact
     # Einstein-like fit have c = 0), so hypothetical constants pin the branch
     outcomes = outcome_map(
-        einstein_like_suite(
-            warped, EinsteinLikeConstants(Fraction(-2), Fraction(0), Fraction(1)),
-            torse=detect_torse_forming(warped),
-        )
+        einstein_like_suite(warped, EinsteinLikeConstants(Fraction(-2), Fraction(0), Fraction(1)))
     )
     forced = outcomes["el_codazzi_forces_einstein"]
     assert forced.status == FAIL
@@ -354,10 +390,7 @@ def test_torse_constants_match_on_warped(warped):
 
 
 def test_xi_consequences_on_ex1(ex1):
-    fit = einstein_like_fit(ex1)
-    outcomes = outcome_map(
-        xi_consequence_suite(ex1, Fraction(0), Fraction(2), constants=fit.constants)
-    )
+    outcomes = outcome_map(xi_consequence_suite(ex1, Fraction(0), Fraction(2)))
     assert outcomes["xi_eq12_constant"].status == PASS  # 1*(0+0) + (-2) + 2 = 0
     for check_id in (
         "xi_geodesic",
@@ -372,10 +405,7 @@ def test_xi_consequences_on_ex1(ex1):
 
 
 def test_xi_consequences_on_flat_all_vanish(flat):
-    fit = einstein_like_fit(flat)
-    outcomes = outcome_map(
-        xi_consequence_suite(flat, Fraction(0), Fraction(0), constants=fit.constants)
-    )
+    outcomes = outcome_map(xi_consequence_suite(flat, Fraction(0), Fraction(0)))
     for check_id in ("xi_geodesic", "xi_nabla_phi_xi", "xi_nabla_eta",
                      "xi_eq15_nabla_s", "xi_eq16_nabla_q"):
         assert outcomes[check_id].status == PASS
@@ -499,7 +529,7 @@ def test_alpha_dx_dx_on_flat(flat):
         2,
         [parse(s, chart) for s in ["1", "0", "0", "0", "0", "0", "0", "0", "0"]],
     )
-    outcomes = outcome_map(parallel_tensor_check(flat, alpha, torse=detect_torse_forming(flat)))
+    outcomes = outcome_map(parallel_tensor_check(flat, alpha))
     assert outcomes["alpha_nabla_alpha"].symbolic_zero is True
     assert outcomes["alpha_ricci_identity"].symbolic_zero is True
     # flat xi is torse-forming with f = 0, hence not regular: theorem inapplicable
@@ -518,16 +548,7 @@ def _soliton_combination(structure, mu):
 def test_soliton_link_on_warped(warped):
     mu = Fraction(1)
     alpha = _soliton_combination(warped, mu)
-    fit = einstein_like_fit(warped)
-    outcomes = outcome_map(
-        parallel_tensor_check(
-            warped,
-            alpha,
-            mu_link=mu,
-            constants=fit.constants,
-            torse=detect_torse_forming(warped),
-        )
-    )
+    outcomes = outcome_map(parallel_tensor_check(warped, alpha, mu_link=mu))
     assert outcomes["alpha_nabla_alpha"].symbolic_zero is True  # alpha = -g
     link = outcomes["alpha_soliton_link"]
     assert link.status == PASS
@@ -539,16 +560,7 @@ def test_soliton_link_on_warped(warped):
 def test_soliton_link_on_ex1_not_parallel_not_soliton(ex1):
     mu = Fraction(2)
     alpha = _soliton_combination(ex1, mu)
-    fit = einstein_like_fit(ex1)
-    outcomes = outcome_map(
-        parallel_tensor_check(
-            ex1,
-            alpha,
-            mu_link=mu,
-            constants=fit.constants,
-            torse=detect_torse_forming(ex1),
-        )
-    )
+    outcomes = outcome_map(parallel_tensor_check(ex1, alpha, mu_link=mu))
     link = outcomes["alpha_soliton_link"]
     # implied lambda = 0 = -(a + eps(c + mu)); neither parallel nor a soliton,
     # so the equivalence of the theorem is respected
@@ -561,12 +573,7 @@ def test_soliton_link_on_ex1_not_parallel_not_soliton(ex1):
 def test_soliton_link_on_ex2_paper_mode(ex2):
     mu = Fraction(4)
     alpha = _soliton_combination(ex2, mu)
-    fit = einstein_like_fit(ex2)
-    outcomes = outcome_map(
-        parallel_tensor_check(
-            ex2, alpha, mu_link=mu, constants=fit.constants, torse=detect_torse_forming(ex2)
-        )
-    )
+    outcomes = outcome_map(parallel_tensor_check(ex2, alpha, mu_link=mu))
     link = outcomes["alpha_soliton_link"]
     assert link.data["implied_lambda"] == 2
     assert "match" in link.details
@@ -593,32 +600,31 @@ def test_parallel_rejects_asymmetric_alpha(flat):
 
 
 def test_curvature_form_trivial_on_flat(flat):
-    torse = detect_torse_forming(flat)
-    outcomes = outcome_map(curvature_from_torse_forming(flat, torse))
+    outcomes = outcome_map(curvature_from_torse_forming(flat))
     assert outcomes["torse_eq52_curvature"].status == PASS
 
 
 def test_curvature_form_on_warped(warped):
-    torse = detect_torse_forming(warped)
-    outcomes = outcome_map(curvature_from_torse_forming(warped, torse))
+    outcomes = outcome_map(curvature_from_torse_forming(warped))
     # R(X, Y) xi = eta(X) Y - eta(Y) X with f = 1
     assert outcomes["torse_eq52_curvature"].status == PASS
     assert outcomes["torse_eq52_curvature"].symbolic_zero is True
 
 
 def test_eq24_25_on_warped_with_hypothetical_constant(warped):
-    # a + lambda = -1 = -f: S(X, xi) = (a+lambda)^2 (1-n) eta(X) = -2 eta(X)
-    torse = detect_torse_forming(warped)
-    outcomes = outcome_map(
-        curvature_from_torse_forming(warped, torse, a_plus_lambda=Fraction(-1))
-    )
+    # lambda = 1 with the fitted a = -2 gives a + lambda = -1 = -f:
+    # S(X, xi) = (a+lambda)^2 (1-n) eta(X) = -2 eta(X)
+    outcomes = outcome_map(curvature_from_torse_forming(warped, Fraction(1)))
     assert outcomes["torse_eq24_25"].status == PASS
+    assert outcomes["torse_eq24_25"].details.endswith("with a + lambda = -1")
 
 
 def test_eq24_25_inapplicable_without_fit(warped):
-    torse = detect_torse_forming(warped)
-    outcomes = outcome_map(curvature_from_torse_forming(warped, torse))
-    assert outcomes["torse_eq24_25"].status == INAPPLICABLE
+    # no declared lambda, or one with f + a + lambda != 0: no soliton fit
+    for lam in (None, Fraction(2)):
+        outcomes = outcome_map(curvature_from_torse_forming(warped, lam))
+        assert outcomes["torse_eq24_25"].status == INAPPLICABLE
+        assert outcomes["torse_eq24_25"].details.endswith("no eta-Einstein soliton fit supplied")
 
 
 # ---------------------------------------------------------------------------
@@ -626,25 +632,21 @@ def test_eq24_25_inapplicable_without_fit(warped):
 # ---------------------------------------------------------------------------
 
 
-def test_solve_rank_deficient_on_degenerate_eta(flat):
-    # eta = x dz vanishes at the base point, so the eta (x) eta rows are zero
-    # and the normal equations lose rank
-    from parasol.paracontact import ParacontactStructure
-    from parasol.solitons import RankDeficientError
-    from parasol.tensor import Frame
-
+def _degenerate_eta(flat):
+    """flat_r3 with eta = x dz, which vanishes at the base point: the eta (x) eta rows are zero."""
     chart = flat.chart
-    eta = TensorField.oneform(
-        chart,
-        [parse(s, chart) for s in ["0", "0", "x"]],
-    )
-    broken = ParacontactStructure(
+    return ParacontactStructure(
         phi=flat.phi,
         xi=flat.xi,
-        eta=eta,
+        eta=TensorField.oneform(chart, [parse(s, chart) for s in ["0", "0", "x"]]),
         metric=flat.metric,
         frame=Frame(list(flat.frame)),
     )
+
+
+def test_solve_rank_deficient_on_degenerate_eta(flat):
+    # the eta (x) eta rows are zero, so the normal equations lose rank
+    broken = _degenerate_eta(flat)
     with pytest.raises(RankDeficientError):
         solve_soliton_constants(broken, broken.xi)
 
