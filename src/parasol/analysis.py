@@ -235,8 +235,9 @@ def cmd_curvature(analysis: Analysis, report: VerificationReport) -> list[CheckO
               covariant_derivative(structure.metric.field, gamma)),
         Check("riemann_antisymmetry", "R(X,Y)Z + R(Y,X)Z = 0",
               contract("lijk+ljik->lijk", riem, riem)),
+        # riem is exactly antisymmetric in (i, j), so B_ljik = -B_lijk: the mirror is exact
         Check("riemann_first_bianchi", "R(X,Y)Z + R(Y,Z)X + R(Z,X)Y = 0",
-              contract("lijk+ljki+lkij->lijk", riem, riem, riem)),
+              contract("lijk+ljki+lkij->lijk", riem, riem, riem, antisymmetric=(1, 2))),
         Check("ricci_symmetric", "S(X,Y) = S(Y,X)",
               contract("jk-kj->jk", ricci_tensor, ricci_tensor)),
     ])
@@ -498,8 +499,10 @@ def cmd_oracle(analysis: Analysis, report: VerificationReport) -> list[CheckOutc
 
     gamma = structure.connection()
     stencil = StencilSampler(metric, cfg.h)
+    # the comparisons at h and at h/2 read one evaluation of the symbols
+    gamma_values = gamma.numeric_many(PointBatch(gamma.chart, points))
     # a degenerate Christoffel stencil raises: the step-halving check needs this comparison
-    at_h = compare(gamma, stencil.christoffel, points)
+    at_h = compare(gamma, stencil.christoffel, points, gamma_values)
     outcomes = [compared("oracle_christoffel", at_h)]
     for check_id, symbolic, oracle_fn in (
         ("oracle_riemann", structure.riemann(), stencil.riemann),
@@ -510,7 +513,7 @@ def cmd_oracle(analysis: Analysis, report: VerificationReport) -> list[CheckOutc
         except StencilDegeneracyError as exc:
             outcomes.append(CheckOutcome(check_id, FAIL, details=str(exc)))
 
-    at_half_h = compare(gamma, stencil.christoffel_half_step, points)
+    at_half_h = compare(gamma, stencil.christoffel_half_step, points, gamma_values)
     if not (math.isfinite(at_h) and math.isfinite(at_half_h)):
         outcomes.append(
             CheckOutcome(

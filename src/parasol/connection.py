@@ -19,7 +19,8 @@ exactly):
 
 Christoffel symbols, the Riemann tensor and covariant derivatives are each
 built by :func:`parasol.tensor.contract` from the partials of g, G or T;
-its loop-order rules fix the term order of every component.
+its loop-order rules fix the term order of every component.  The Riemann
+tensor's components with i > j are the exact negations of those with i < j.
 """
 
 from __future__ import annotations
@@ -87,9 +88,18 @@ def covariant_derivative_along(
 
 
 def riemann(gamma: TensorField) -> TensorField:
-    """Riemann tensor riem[l, i, j, k] = dx^l(R(d_i, d_j) d_k) from the Christoffel symbols."""
+    """Riemann tensor riem[l, i, j, k] = dx^l(R(d_i, d_j) d_k) from the Christoffel symbols.
+
+    Only the components with i < j are summed.  Those with i = j are zero and
+    those with i > j are the exact negations of their (i, j)-swapped
+    partners: R(X, Y) = -R(Y, X) by the definition of R, for any connection.
+    """
     dgamma = partials(gamma)  # dgamma[l, j, k, i] = d_i G^l_jk
-    return contract("ljki-likj+lim,mjk-ljm,mik->lijk", dgamma, dgamma, gamma, gamma, gamma, gamma)
+    # swapping i and j swaps the two products of each signed pair: exact for any G
+    return contract(
+        "ljki-likj+lim,mjk-ljm,mik->lijk", dgamma, dgamma, gamma, gamma, gamma, gamma,
+        antisymmetric=(1, 2),
+    )
 
 
 def ricci(

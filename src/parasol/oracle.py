@@ -290,14 +290,18 @@ def compare(
     symbolic: TensorField,
     oracle_fn: Callable[[Mapping[str, float]], np.ndarray],
     points: Iterable[Mapping[str, float]],
+    evaluated: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Max relative deviation between a symbolic tensor and an oracle, NaN if any is NaN.
 
     Relative deviation uses max(1, |reference|) as denominator so that
-    zero-valued components do not produce spurious failures.
+    zero-valued components do not produce spurious failures.  ``evaluated``
+    is ``symbolic.numeric_many`` on the points, when the caller has it.
     """
     points = list(points)
-    values, degenerate = symbolic.numeric_many(PointBatch(symbolic.chart, points))
+    if evaluated is None:
+        evaluated = symbolic.numeric_many(PointBatch(symbolic.chart, points))
+    values, degenerate = evaluated
     deviations: list[float] = []
     for point, value, skip in zip(points, values, degenerate.tolist()):
         reference = oracle_fn(point)

@@ -62,6 +62,20 @@ another, but each accumulator meets the same ring operations in the same
 order as in the loop, so every printed expression and every float bit is
 unchanged.
 
+``contract(..., antisymmetric=(a, b))`` builds a result antisymmetric in
+output positions a < b (of one variance) from its upper half.  A product
+visits only the outputs whose index at a is less than the one at b (one
+mask per (n, rank, pair), kept for the process, ANDed into its hits);
+outputs with equal indices there stay zero, and the others are the
+negations of their partners with the two indices swapped.  A kept output
+meets the loop's ring operations in the loop's order, so its printed
+expression and float bits are unchanged.  A negation keeps its partner's
+numerator terms and flips the sign of the scale, so it evaluates to the
+exact negation of the partner's float.  Pass the keyword only where the
+spec is antisymmetric by construction, for any operand values, as the
+Riemann tensor is in (i, j): where the antisymmetry is a property of the
+input, mirroring would assert what a check has to decide.
+
 A :class:`Contraction` holds a spec and its operands unexpanded.  It sums
 the spec with ``numpy.einsum`` over residues modulo a prime (an exact
 nonzero certificate, see :mod:`parasol.checks`) or over float values at
@@ -313,6 +327,26 @@ def _offsets(strides: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+@lru_cache(maxsize=None)
+def _mirror(n: int, rank: int, pair: tuple[int, int]) -> tuple[int, tuple]:
+    """The outputs kept under antisymmetry in positions ``pair``, and the mirrored ones.
+
+    Returns the kept outputs (index at a < index at b) as an int with one
+    byte per output, and (output, partner) for each output whose index at a
+    is greater, the partner having the two indices swapped.
+    """
+    a, b = pair
+    # swapping the indices at a and b moves an output by (index[b] - index[a]) * step
+    step = n ** (rank - 1 - a) - n ** (rank - 1 - b)
+    keep, mirrored = bytearray(n**rank), []
+    for o, index in enumerate(product(range(n), repeat=rank)):
+        if index[a] < index[b]:
+            keep[o] = 1
+        elif index[a] > index[b]:
+            mirrored.append((o, o + (index[b] - index[a]) * step))
+    return int.from_bytes(keep, "little"), tuple(mirrored)
+
+
 class _Plan(NamedTuple):
     """The bookkeeping of one spec on operands of given valences in one dimension.
 
@@ -408,13 +442,27 @@ def _parse(spec: str, operands: Sequence[TensorField | Expr]) -> tuple[Chart, _P
     return chart, _plan(spec, chart.dimension, tuple(variances))
 
 
-def contract(spec: str, *operands: TensorField | Expr) -> TensorField | Expr:
+def contract(
+    spec: str, *operands: TensorField | Expr, antisymmetric: tuple[int, int] | None = None
+) -> TensorField | Expr:
     """Exact Einstein summation, e.g. ``contract("ab,ai,bj->ij", g, phi, phi)``.
 
     The rules, and why each component is built in plain nested-loop order,
-    are in the module docstring.
+    are in the module docstring.  ``antisymmetric=(a, b)`` builds only the
+    outputs with index a < index b and mirrors the rest; pass it only where
+    the spec is antisymmetric in those output positions for any operands.
     """
     chart, plan = _parse(spec, operands)
+    keep = None
+    if antisymmetric is not None:
+        a, b = antisymmetric
+        rank = plan.upper + plan.lower
+        if not 0 <= a < b < rank or (a < plan.upper) != (b < plan.upper):
+            raise ValenceError(
+                "antisymmetric=%r needs output positions a < b of one variance in %r"
+                % (antisymmetric, spec)
+            )
+        keep, mirrored = _mirror(chart.dimension, rank, (a, b))
     comps = [[op] if isinstance(op, Expr) else op._comps for op in operands]
 
     # per factor and assignment, the outputs where the factor is nonzero as an
@@ -443,6 +491,8 @@ def contract(spec: str, *operands: TensorField | Expr) -> TensorField | Expr:
             product_hits = map(and_, product_hits, masks[f])
         if runs is not None:
             product_hits = map(mul, product_hits, runs)
+        if keep is not None:
+            product_hits = map(and_, product_hits, repeat(keep))
         hits.append(list(product_hits))
     active = hits[0]
     for product_hits in hits[1:]:
@@ -462,6 +512,10 @@ def contract(spec: str, *operands: TensorField | Expr) -> TensorField | Expr:
                     factor = values[bases[q] + stride * r + off]
                     value = factor if value is None else value * factor
                 components[o] = components[o] - value if negate else components[o] + value
+    if keep is not None:
+        for o, partner in mirrored:
+            if components[partner]._num:  # a zero partner leaves Expr.zero in place
+                components[o] = -components[partner]
     if not plan.upper + plan.lower:
         return components[0]
     return TensorField(chart, plan.upper, plan.lower, components)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from parasol.chart import Chart
 from parasol.symexpr import Expr, parse
-from parasol.tensor import TensorField, ValenceError, _plan, contract
+from parasol.tensor import TensorField, ValenceError, _plan, contract, partials
 
 CHARTS = {n: Chart.make(["x", "y", "z", "t"][:n]) for n in (2, 3, 4)}
 # multi-term entries expose the insertion order of terms; zeros exercise the skips
@@ -204,6 +204,96 @@ def test_contract_valence_errors():
         contract("ij+i->ij", g, TensorField.zero(chart, 0, 1))
     with pytest.raises(ValenceError, match="->"):
         contract("ij", g)
+
+
+def test_antisymmetric_valence_errors():
+    chart = CHARTS[3]
+    g = TensorField.zero(chart, 0, 2)
+    phi = TensorField.zero(chart, 1, 1)
+    for pair in [(0, 2), (-1, 1), (1, 1), (1, 0)]:  # out of range, a == b, a > b
+        with pytest.raises(ValenceError, match="a < b of one variance"):
+            contract("ij-ji->ij", g, g, antisymmetric=pair)
+    with pytest.raises(ValenceError, match="a < b of one variance"):
+        contract("ij->ij", phi, antisymmetric=(0, 1))  # mixed variance
+    with pytest.raises(ValenceError, match="a < b of one variance"):
+        contract("ij,ij->", g, g, antisymmetric=(0, 1))  # an empty output
+
+
+RIEMANN_SPEC = "ljki-likj+lim,mjk-ljm,mik->lijk"
+
+
+def riemann_operands(gamma):
+    """The operands of the Riemann spec on a (1, 2) field, as ``connection.riemann`` passes them."""
+    dgamma = partials(gamma)
+    return dgamma, dgamma, gamma, gamma, gamma, gamma
+
+
+@st.composite
+def antisymmetric_contractions(draw):
+    """A spec antisymmetric in two output positions for any operands, and its operands."""
+    n = draw(st.integers(2, 4))
+    chart = CHARTS[n]
+    pool = [parse(source, chart) for source in SOURCES]
+
+    def field(p, q):
+        return TensorField(chart, p, q, [draw(st.sampled_from(pool)) for _ in range(n ** (p + q))])
+
+    kind = draw(st.sampled_from(["swap", "upper swap", "pair", "riemann", "bianchi"]))
+    if kind == "swap":
+        t = field(0, 2)
+        return "ij-ji->ij", (t, t), (0, 1)
+    if kind == "upper swap":
+        t = field(1, 2)
+        return "kij-kji->kij", (t, t), (1, 2)
+    if kind == "pair":  # X^a_i X^b_j A_ab - X^a_j X^b_i A_ab
+        x, a = field(1, 1), field(0, 2)
+        return "ai,bj,ab-aj,bi,ab->ij", (x, x, a, x, x, a), (0, 1)
+    gamma = field(1, 2)  # no symmetry: a connection with torsion breaks the first Bianchi identity
+    if kind == "riemann":
+        return RIEMANN_SPEC, riemann_operands(gamma), (1, 2)
+    riem = contract(RIEMANN_SPEC, *riemann_operands(gamma), antisymmetric=(1, 2))
+    return "lijk+ljki+lkij->lijk", (riem, riem, riem), (1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=antisymmetric_contractions())
+def test_mirrored_contract_equals_the_plain_one(case):
+    spec, operands, pair = case
+    mirrored = contract(spec, *operands, antisymmetric=pair)
+    plain = contract(spec, *operands)
+    indices = product(range(plain.chart.dimension), repeat=plain.rank)
+    for index, ours, theirs in zip(indices, mirrored._comps, plain._comps):
+        assert (ours - theirs).is_zero()
+        assert str(ours) == str(theirs)
+        if index[pair[0]] < index[pair[1]]:  # a kept output: the loop's terms in the loop's order
+            assert list(ours._num) == list(theirs._num)
+            assert ours._scale == theirs._scale
+
+
+def test_mirrored_riemann_multiplies_only_for_the_kept_outputs():
+    gamma = random_fields(3, 5, [(1, 2)])[0]
+    operands = riemann_operands(gamma)
+    kept = [index[1] < index[2] for index in product(range(3), repeat=4)]
+    expected = sum(
+        len(factors) - 1
+        for keep, terms in zip(kept, nested_loop(RIEMANN_SPEC, *operands))
+        if keep
+        for _, factors in terms
+        if not any(factor.is_symbolically_zero for factor in factors)
+    )
+    calls = []
+    multiply = Expr.__mul__
+    with mock.patch.object(Expr, "__mul__", lambda a, b: calls.append(1) or multiply(a, b)):
+        contract(RIEMANN_SPEC, *operands, antisymmetric=(1, 2))
+    assert 0 < len(calls) == expected
+
+
+def test_mirrored_contract_shares_the_plain_plan():
+    g = random_fields(3, 1, [(0, 2)])[0]
+    contract("ij-ji->ij", g, g)
+    misses = _plan.cache_info().misses
+    contract("ij-ji->ij", g, g, antisymmetric=(0, 1))
+    assert _plan.cache_info().misses == misses
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parasol"

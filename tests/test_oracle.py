@@ -333,6 +333,26 @@ def test_oracle_fills_the_metric_once_per_sample_point(manifests, monkeypatch):
     assert len(batches) == len(candidates) + SAMPLE_COUNT
 
 
+@pytest.mark.parametrize("name", ["ex1_r3_spacelike", "ex5d_r5_g1"])
+def test_oracle_evaluates_the_christoffel_symbols_once(name, manifests, monkeypatch):
+    # the comparisons at h and at h/2 share one evaluation of the symbols
+    analysis = Analysis(manifests[name], OracleConfig())
+    gamma = analysis.structure.connection()
+    evaluated = []
+    numeric_many = TensorField.numeric_many
+
+    def recording(self, batch):
+        evaluated.append(self)
+        return numeric_many(self, batch)
+
+    monkeypatch.setattr(TensorField, "numeric_many", recording)
+    checks = cmd_oracle(analysis).checks
+    assert [check.id for check in checks][:4] == [
+        "oracle_christoffel", "oracle_riemann", "oracle_ricci", "oracle_h_scaling"
+    ]
+    assert sum(tensor is gamma for tensor in evaluated) == 1
+
+
 def test_sample_points_avoid_degeneracy_locus(structures):
     g2 = structures["ex5d_r5_g2"].metric
     chart = structures["ex5d_r5_g2"].chart
