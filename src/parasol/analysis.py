@@ -51,7 +51,7 @@ from .paracontact import (
     validate_axioms,
     validate_metric_compat,
 )
-from .report import VerificationReport
+from .report import VerificationReport, constant_text
 from .solitons import (
     RankDeficientError,
     SolitonData,
@@ -214,8 +214,7 @@ def _frame_diagonal_details(structure: ParacontactStructure, tensor: TensorField
     parts = []
     for i, vec in enumerate(structure.frame):
         total = contract("ab,a,b->", tensor, vec, vec)
-        constant = total.as_rational_constant()
-        parts.append("S(E%d,E%d)=%s" % (i + 1, i + 1, constant if constant is not None else total))
+        parts.append("S(E%d,E%d)=%s" % (i + 1, i + 1, constant_text(total)))
     return ", ".join(parts)
 
 
@@ -252,13 +251,12 @@ def cmd_curvature(analysis: Analysis, report: VerificationReport) -> list[CheckO
                   "%s [%s]" % (_frame_diagonal_details(structure, ricci_tensor), mode)),
         ])
     scalar = scalar_curvature(ricci_tensor, structure.metric)
-    scalar_constant = scalar.as_rational_constant()
     via_coordinates, via_connection = structure.lie_derivative_two_ways(
         analysis.potential or structure.xi
     )
     return outcomes + run_checks([
         _note("scalar_curvature",
-              "r = %s [%s]" % (scalar_constant if scalar_constant is not None else scalar, mode)),
+              "r = %s [%s]" % (constant_text(scalar), mode)),
         Check("lie_derivative_dual_formula", "coordinate and connection formulas for L_V g agree",
               via_coordinates - via_connection),
         Check("ricci_semi_symmetry", ("R(xi, .) . S = 0 holds", "R(xi, .) . S != 0"),
@@ -350,10 +348,7 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
         ]
     result = solve_soliton_constants(structure, potential)
     report.constants.update({"lambda": result.lam, "mu": result.mu})
-    diag = ", ".join(
-        str(c) if c is not None else str(e)
-        for c, e in zip(result.frame_diagonal_constants, result.frame_diagonal)
-    )
+    diag = ", ".join(map(constant_text, result.frame_diagonal))
     # guard against base-point coincidences: the same fit in floats at the sample points
     points = analysis.sample_points()
     guard, guard_details = INAPPLICABLE, "no nondegenerate sample points found in the domain box"
@@ -568,18 +563,9 @@ def cmd_report_all(analysis: Analysis) -> VerificationReport:
     # the oracle runs last; an input error there must not wait for the rest
     require_step_fits(analysis.structure.chart, analysis.cfg)
     report = analysis.new_report()
-    for command in (
-        cmd_validate,
-        cmd_curvature,
-        cmd_sasakian,
-        cmd_einstein_fit,
-        cmd_soliton_check,
-        cmd_soliton_solve,
-        cmd_torse,
-        cmd_collinear,
-        cmd_parallel,
-        cmd_oracle,
-    ):
+    for name, command in COMMANDS.items():
+        if name == "report":
+            continue
         partial = command(analysis)
         report.checks.extend(partial.checks)
         for key, value in partial.constants.items():

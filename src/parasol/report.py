@@ -97,7 +97,8 @@ def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> flo
     return _round_float(worst) if math.isfinite(worst) else None
 
 
-def _constant_str(value) -> str | None:
+def constant_text(value) -> str | None:
+    """A value as printed: an expression that is a rational constant prints as that constant."""
     if value is None:
         return None
     if isinstance(value, Fraction):
@@ -150,7 +151,7 @@ class VerificationReport:
             elif key == "classification":
                 constants[key] = value
             else:
-                constants[key] = _constant_str(value)
+                constants[key] = constant_text(value)
         return {
             "name": self.name,
             "conventions": {

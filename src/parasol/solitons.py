@@ -5,14 +5,15 @@ The central object is the residual of the soliton equation
     T = 1/2 (L_V g) + S + lambda g + mu eta (x) eta,
 
 which vanishes identically exactly when (g, V, lambda, mu) is an eta-Ricci
-soliton.  The solver inverts this equation for (lambda, mu) by exact
-rational least squares over orthonormal-frame components at the base point
-and then verifies the result symbolically everywhere: published examples
-satisfy the equation only in the xi-slots, so quantifying the off-xi
-residual vector is the point of the exercise, not a failure mode.
+soliton.  The solver inverts this equation for (lambda, mu) and then
+verifies the result symbolically everywhere: published examples satisfy the
+equation only in the xi-slots, so quantifying the off-xi residual vector is
+the point of the exercise, not a failure mode.
 
 Also here: Einstein-like fitting S = a g + b g(phi ., .) + c eta (x) eta
-with its identity suite, torse-forming detection nabla_X xi = f X + w(X) xi,
+with its identity suite.  Both fits are one routine, :func:`_frame_fit`:
+exact rational least squares over the orthonormal-frame components at the
+chart's base point.  Also torse-forming detection nabla_X xi = f X + w(X) xi,
 the induced constants c = -eps a + (a + lambda)^2 (1 - n) and
 mu = -eps (lambda + eps (a + lambda)^2 (1 - n)), pointwise-collinear
 potential analysis, Ricci semi-symmetry, and parallel symmetric (0,2)
@@ -84,11 +85,7 @@ NOT_TORSE_FORMING = "not_torse_forming"
 
 
 class RankDeficientError(ValueError):
-    """Normal equations are singular; carries the design matrix rows."""
-
-    def __init__(self, message: str, rows):
-        super().__init__(message)
-        self.rows = rows
+    """The frame fit has no unique exact solution at the base point."""
 
 
 @dataclass(frozen=True)
@@ -164,10 +161,8 @@ PROPORTIONALITY_HYPOTHESES = Need(
 # ---------------------------------------------------------------------------
 
 
-def solve_normal_equations(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact least squares min ||A x - b||: returns (x, A^T A).
+def solve_normal_equations(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Exact least squares min ||A x - b||.
 
     The normal equations are solved by Gaussian elimination over the rationals.
     """
@@ -178,24 +173,39 @@ def solve_normal_equations(
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
         if pivot_row is None:
-            raise RankDeficientError("normal equations are rank deficient", rows)
+            raise RankDeficientError("normal equations are rank deficient")
         work[col], work[pivot_row] = work[pivot_row], work[col]
         pivot = work[col][col]
         for r in range(n):
             if r != col and work[r][col] != 0:
                 factor = work[r][col] / pivot
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return [work[i][n] / work[i][i] for i in range(n)], normal
+    return [work[i][n] / work[i][i] for i in range(n)]
 
 
-def _frame_components(structure: ParacontactStructure, tensors) -> list[tuple[Expr, ...]]:
-    """(T(E_i, E_j) for each tensor T) for every frame pair i <= j, in row-major order."""
+def _frame_fit(
+    structure: ParacontactStructure, target: TensorField, basis: tuple[TensorField, ...]
+) -> tuple[list[Fraction], TensorField, list[tuple[Expr, ...]]]:
+    """Exact least squares target = sum c_k basis_k over the frame pairs at the base point.
+
+    Returns the constants c_k, the residual target - sum c_k basis_k and the
+    design: (basis_k(E_i, E_j)..., target(E_i, E_j)) for every frame pair
+    i <= j, in row-major order.
+    """
+    structure.frame_signs()
+    base = structure.chart.base_point
     frame = structure.frame.vectors
-    return [
-        tuple(contract("ij,i,j->", t, ei, ej) for t in tensors)
+    design = [
+        tuple(contract("ij,i,j->", t, ei, ej) for t in (*basis, target))
         for i, ei in enumerate(frame)
         for ej in frame[i:]
     ]
+    values = [[e.evaluate_exact(base) for e in pair] for pair in design]
+    constants = solve_normal_equations([v[:-1] for v in values], [v[-1] for v in values])
+    residual = target
+    for constant, tensor in zip(constants, basis):
+        residual = residual - tensor.scale(constant)
+    return constants, residual, design
 
 
 # ---------------------------------------------------------------------------
@@ -216,35 +226,24 @@ def solve_soliton_constants(
 ) -> SolitonSolveResult:
     """Solve B + lambda g + mu eta(x)eta = 0 by exact rational least squares.
 
-    The normal equations are assembled from orthonormal-frame components at
-    the chart's base point; the solution is then verified symbolically on
-    the whole chart.  When the full residual is canonically zero the result
+    B = 1/2 L_V g + S is fitted on (g, eta(x)eta) by :func:`_frame_fit`, so
+    (lambda, mu) are the negated fit constants; the residual is then verified
+    symbolically on the whole chart.  When it is canonically zero the result
     is exact; otherwise the frame-diagonal residual vector and its norm are
     returned.
     """
     if structure.frame is None:
         raise ValenceError("solving soliton constants requires an orthonormal frame")
-    structure.frame_signs()
     chart = structure.chart
-    base = chart.base_point
-
     b_tensor = structure.soliton_tensor(potential)
-    g_field = structure.metric.field
-    eta_eta = structure.eta_tensor_eta()
-    pair_exprs = _frame_components(structure, (g_field, eta_eta, b_tensor))
+    basis = (structure.metric.field, structure.eta_tensor_eta())
     try:
-        rows = [[ge.evaluate_exact(base), ee.evaluate_exact(base)] for ge, ee, _ in pair_exprs]
-        rhs = [-be.evaluate_exact(base) for _, _, be in pair_exprs]
+        constants, residual, design = _frame_fit(structure, b_tensor, basis)
     except ExactEvaluationError as exc:
         raise RankDeficientError(
-            "frame components cannot be evaluated exactly at the base point: %s" % exc, []
+            "frame components cannot be evaluated exactly at the base point: %s" % exc
         ) from exc
-    (lam, mu), normal = solve_normal_equations(rows, rhs)
-    # the 2x2 normal matrix must be positive definite for a unique minimizer
-    if not (normal[0][0] > 0 and normal[0][0] * normal[1][1] - normal[0][1] ** 2 > 0):
-        raise InvariantError("normal matrix is not positive definite; g and eta(x)eta degenerate")
-
-    residual = b_tensor + g_field.scale(lam) + eta_eta.scale(mu)
+    lam, mu = -constants[0], -constants[1]
     exact = residual.is_zero()
 
     frame_diagonal = [contract("ij,i,j->", residual, e, e) for e in structure.frame]
@@ -254,7 +253,7 @@ def solve_soliton_constants(
         residual_norm = float(norm_squared) ** 0.5
     else:
         norm_squared = None
-        base_floats = {name: float(v) for name, v in zip(chart.coordinates, base)}
+        base_floats = {name: float(v) for name, v in zip(chart.coordinates, chart.base_point)}
         residual_norm = (
             sum(e.evaluate(base_floats) ** 2 for e in frame_diagonal) ** 0.5
         )
@@ -267,7 +266,7 @@ def solve_soliton_constants(
         frame_diagonal_constants=diagonal_constants,
         norm_squared=norm_squared,
         residual_norm=residual_norm,
-        frame_pairs=pair_exprs,
+        frame_pairs=design,
     )
 
 
@@ -276,25 +275,19 @@ def solve_soliton_constants(
 # ---------------------------------------------------------------------------
 
 
-def einstein_like_fit(
-    structure: ParacontactStructure, ricci_tensor: TensorField | None = None
-) -> EinsteinFitResult:
+def einstein_like_fit(structure: ParacontactStructure) -> EinsteinFitResult:
     """Fit S = a g + b g(phi ., .) + c eta (x) eta over frame components.
 
-    The three constants are solved exactly from base-point frame components,
-    then the fit is verified symbolically on every component; on failure the
-    first offending component is returned as a witness.  The fit of the
-    structure's own Ricci tensor runs once per structure: its result, or the
-    ``RankDeficientError`` of a rank-deficient design, is cached and returned
-    or raised again at every call.  An explicit ``ricci_tensor`` is fitted at
-    every call.
+    The three constants are the exact frame fit of :func:`_frame_fit`, which
+    is then verified symbolically on every component; on failure the first
+    offending component is returned as a witness.  The fit runs once per
+    structure: its result, or the ``RankDeficientError`` of a rank-deficient
+    design, is cached and returned or raised again at every call.
     """
-    if ricci_tensor is not None:
-        return _fit_einstein_like(structure, ricci_tensor)
 
     def build() -> EinsteinFitResult | RankDeficientError:
         try:
-            return _fit_einstein_like(structure, None)
+            return _fit_einstein_like(structure)
         except RankDeficientError as exc:
             return exc
 
@@ -319,30 +312,15 @@ def fit_constants(structure: ParacontactStructure) -> EinsteinLikeConstants | No
     return fit.constants if fit.ok else None
 
 
-def _fit_einstein_like(
-    structure: ParacontactStructure, ricci_tensor: TensorField | None
-) -> EinsteinFitResult:
+def _fit_einstein_like(structure: ParacontactStructure) -> EinsteinFitResult:
     if structure.frame is None:
         raise ValenceError("einstein_like_fit requires an orthonormal frame")
-    structure.frame_signs()
-    base = structure.chart.base_point
-    if ricci_tensor is None:
-        ricci_tensor = structure.ricci()
     g_field = structure.metric.field
     phi_flat = contract("mj,mi->ij", g_field, structure.phi)  # g(phi X, Y)
-    eta_eta = structure.eta_tensor_eta()
-    values = [
-        [e.evaluate_exact(base) for e in pair]
-        for pair in _frame_components(structure, (g_field, phi_flat, eta_eta, ricci_tensor))
-    ]
-    solution, _ = solve_normal_equations([v[:3] for v in values], [v[3] for v in values])
-    constants = EinsteinLikeConstants(*solution)
-    residual = (
-        ricci_tensor
-        - g_field.scale(constants.a)
-        - phi_flat.scale(constants.b)
-        - eta_eta.scale(constants.c)
+    solution, residual, _ = _frame_fit(
+        structure, structure.ricci(), (g_field, phi_flat, structure.eta_tensor_eta())
     )
+    constants = EinsteinLikeConstants(*solution)
     for idx, comp in residual.components():
         if not comp.is_zero():
             return EinsteinFitResult(

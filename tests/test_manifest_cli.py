@@ -377,6 +377,18 @@ def test_the_suites_ask_for_the_fit_where_the_commands_did(normal_equation_desig
     # soliton check with potential xi fits once, for the xi consequences
     code, _, _ = run_cli(["soliton", "check", "fixtures/ex1_r3_spacelike", "--json"])
     assert code in (0, 1) and len(designs) == 1
+    # the soliton solve wraps the same exact-evaluation error in its own text
+    designs.clear()
+    code, out, err = run_cli(
+        ["soliton", "solve", str(GOLDEN_DIR / "manifests" / "bumped_r3.json"),
+         "--base-point", "0,0,1/2"]
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: frame components cannot be evaluated exactly at the base point: "
+        "exponential atom does not vanish at the point (value 1/2)\n"
+    )
+    assert designs == []
 
 
 @pytest.mark.parametrize("fixture", ["warped_r3", "ex1_r3_spacelike"])

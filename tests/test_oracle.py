@@ -63,10 +63,10 @@ def test_report_all_rejects_the_step_before_any_command(monkeypatch):
     import parasol.analysis as analysis
 
     ran = []
-    for name in [name for name in vars(analysis) if name.startswith("cmd_")]:
-        if name != "cmd_report_all":
-            monkeypatch.setattr(
-                analysis, name, lambda a, name=name: ran.append(name) or a.new_report()
+    for name in analysis.COMMANDS:
+        if name != "report":
+            monkeypatch.setitem(
+                analysis.COMMANDS, name, lambda a, name=name: ran.append(name) or a.new_report()
             )
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -9,14 +9,20 @@ Ricci, B = (-3, -1, -2) over g = (1, 1, -1) gives (2, 4) with residual
 (-1, 1, 0).  Both norms are sqrt(2).
 """
 
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import ALL_MANIFESTS
+from families import paracontact_example, warped_soliton
+from parasol.analysis import Analysis
+from parasol.batch import PointBatch
 from parasol.checks import FAIL, INAPPLICABLE, PASS
 from parasol.manifest import load_manifest
+from parasol.oracle import OracleConfig
 from parasol.paracontact import ParacontactStructure
 from parasol.solitons import (
     GENERAL,
@@ -38,6 +44,7 @@ from parasol.solitons import (
     soliton_residual,
     torse_forming_constants,
     xi_consequence_suite,
+    _frame_fit,
 )
 from parasol.symexpr import Expr, parse
 from parasol.tensor import Frame, TensorField, contract
@@ -169,18 +176,21 @@ def test_fit_warped_is_einstein(warped):
     assert fit.constants == EinsteinLikeConstants(Fraction(-2), Fraction(0), Fraction(0))
 
 
+def _einstein_basis(structure):
+    """(g, g(phi ., .), eta (x) eta), the basis of the Einstein-like fit."""
+    g = structure.metric.field
+    return g, contract("mj,mi->ij", g, structure.phi), structure.eta_tensor_eta()
+
+
 def test_fit_is_idempotent(ex1, ex2):
     for structure in (ex1, ex2):
-        fit = einstein_like_fit(structure)
-        constants = fit.constants
-        phi_flat = contract("mj,mi->ij", structure.metric.field, structure.phi)  # g(phi X, Y)
+        constants = einstein_like_fit(structure).constants
+        g, phi_flat, eta_eta = basis = _einstein_basis(structure)
         reconstructed = (
-            structure.metric.field.scale(constants.a)
-            + phi_flat.scale(constants.b)
-            + structure.eta_tensor_eta().scale(constants.c)
+            g.scale(constants.a) + phi_flat.scale(constants.b) + eta_eta.scale(constants.c)
         )
-        refit = einstein_like_fit(structure, ricci_tensor=reconstructed)
-        assert refit.ok and refit.constants == constants
+        refit, residual, _ = _frame_fit(structure, reconstructed, basis)
+        assert residual.is_zero() and EinsteinLikeConstants(*refit) == constants
 
 
 def test_fit_failure_returns_witness(warped):
@@ -192,7 +202,10 @@ def test_fit_failure_returns_witness(warped):
         2,
         [parse(s, chart) for s in ["1", "0", "0", "0", "0", "0", "0", "0", "0"]],
     )
-    fit = einstein_like_fit(warped, ricci_tensor=bad)
+    _, residual, _ = _frame_fit(warped, bad, _einstein_basis(warped))
+    assert not residual.is_zero()
+    # a structure whose own Ricci tensor is not Einstein-like
+    fit = einstein_like_fit(load_manifest(GOLDEN_MANIFESTS / "bumped_r3.json").structure())
     assert not fit.ok
     assert fit.witness_index is not None
     assert not fit.witness_residual.is_zero()
@@ -217,15 +230,6 @@ def test_a_rank_deficient_fit_is_cached_with_its_error(flat, normal_equation_des
     assert len(designs) == 1
     assert fit_constants(broken) is None
     assert len(designs) == 1
-
-
-def test_an_explicit_ricci_tensor_is_fitted_at_every_call(warped, normal_equation_designs):
-    designs = normal_equation_designs
-    ricci_tensor = warped.ricci()
-    first = einstein_like_fit(warped, ricci_tensor=ricci_tensor)
-    second = einstein_like_fit(warped, ricci_tensor=ricci_tensor)
-    assert first is not second and first.constants == second.constants
-    assert len(designs) == 2
 
 
 def test_fit_constants_is_none_unless_the_fit_is_exact(structures):
@@ -680,10 +684,57 @@ def test_exact_normal_equations_match_numpy_lstsq():
         matrix = np.array([[float(v) for v in row] for row in rows])
         if np.linalg.matrix_rank(matrix) < 2:
             continue
-        exact, _ = solve_normal_equations(rows, rhs)
+        exact = solve_normal_equations(rows, rhs)
         expected, *_ = np.linalg.lstsq(matrix, np.array([float(v) for v in rhs]), rcond=None)
         assert abs(float(exact[0]) - expected[0]) <= 1e-9
         assert abs(float(exact[1]) - expected[1]) <= 1e-9
+
+
+# every framed manifest, and Families 1 and 2 at n = 5 as manifest dicts
+FRAMED_SOURCES = [
+    pytest.param(path, id=path.stem)
+    for path in ALL_MANIFESTS
+    if load_manifest(path).frame is not None
+] + [
+    pytest.param(paracontact_example(2, 1), id="family_1_n5"),
+    pytest.param(warped_soliton(2, 1), id="family_2_n5"),
+]
+
+
+def _assert_same_residual(actual: TensorField, expected: TensorField, points) -> None:
+    """Equal printed components and equal float bits at every point."""
+    assert [str(c) for _, c in actual.components()] == [str(c) for _, c in expected.components()]
+    batch = PointBatch(actual.chart, points)
+    values, degenerate = actual.numeric_many(batch)
+    expected_values, expected_degenerate = expected.numeric_many(batch)
+    assert values.tobytes() == expected_values.tobytes()
+    assert degenerate.tolist() == expected_degenerate.tolist()
+
+
+@pytest.mark.parametrize("source", FRAMED_SOURCES)
+def test_fit_residuals_keep_their_bits(source, tmp_path):
+    # the fits subtract the fitted basis from the target; the soliton solve
+    # fits B, so its residual must equal B + lambda g + mu eta(x)eta bit for bit
+    if isinstance(source, dict):
+        source_path = tmp_path / (source["name"] + ".json")
+        source_path.write_text(json.dumps(source), encoding="utf-8")
+        source = source_path
+    analysis = Analysis(load_manifest(source), OracleConfig())
+    s, points = analysis.structure, analysis.sample_points()
+    assert points
+    potential = analysis.potential or s.xi
+    solved = solve_soliton_constants(s, potential)
+    _assert_same_residual(
+        solved.residual,
+        soliton_residual(s, SolitonData(potential, solved.lam, solved.mu)),
+        points,
+    )
+    fit = einstein_like_fit(s)
+    g, phi_flat, eta_eta = _einstein_basis(s)
+    a, b, c = fit.constants.a, fit.constants.b, fit.constants.c
+    _assert_same_residual(
+        fit.residual, s.ricci() - g.scale(a) - phi_flat.scale(b) - eta_eta.scale(c), points
+    )
 
 
 def test_solve_exactness_consistent_with_residual_operation(structures):
