@@ -19,8 +19,9 @@ exactly):
 
 Christoffel symbols, the Riemann tensor and covariant derivatives are each
 built by :func:`parasol.tensor.contract` from the partials of g, G or T;
-its loop-order rules fix the term order of every component.  The Riemann
-tensor's components with i > j are the exact negations of those with i < j.
+its loop-order rules fix the term order of every component.  G^k_ji is the
+same object as G^k_ij, and the Riemann tensor's components with i > j are
+the exact negations of those with i < j.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ def christoffel(metric: Metric) -> TensorField:
     """Levi-Civita Christoffel symbols gamma[k, i, j], symmetric in (i, j), of an invertible metric."""
     half = Expr.constant(metric.chart, "1/2")
     ginv, dg = metric.inverse, partials(metric.field)  # dg[i, j, l] = d_l g_ij
-    doubled = contract("kl,jli+kl,ilj-kl,ijl->kij", ginv, dg, ginv, dg, ginv, dg)  # 2 G^k_ij
-    return contract(",kij->kij", half, doubled)
+    # symmetric in (i, j) because g_ij = g_ji exactly, which Metric checks: G^k_ji is G^k_ij
+    doubled = contract("kl,jli+kl,ilj-kl,ijl->kij", ginv, dg, ginv, dg, ginv, dg, symmetric=(1, 2))
+    return contract(",kij->kij", half, doubled, symmetric=(1, 2))
 
 
 def covariant_derivative(tensor: TensorField, gamma: TensorField) -> TensorField:

@@ -627,6 +627,10 @@ class Expr:
             return other
         if not other._num:
             return self
+        if other._num is self._num and other._dbase is self._dbase and other._dmono == self._dmono:
+            # x + (-x) where -x shares x's terms: the zero the sum below would reach
+            if other._dexp == self._dexp and other._scale == -self._scale:
+                return Expr.zero(self.chart)
         a, b = self._aligned(other)
         lay, rden = a._lay, a._rden
         scale, ka, kb = _common_content(a._scale, b._scale)

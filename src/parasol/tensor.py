@@ -15,8 +15,11 @@ again, and freed once no later cofactor can meet it.  The determinant alone
 costs O(n 2^n) ring operations and the whole inverse O(n^2 2^n), against
 O(n!) and O(n n!) for a plain expansion.  Each minor is still built from
 the same ring operations in the same order as a plain expansion, so every
-printed expression is unchanged.  Bareiss elimination would need exact
-division of sums, which the ``Expr`` ring does not provide.
+printed expression is unchanged.  As g is symmetric, so is adj(g): only the
+cofactors with i >= j are expanded, ``inverse[j, i]`` is ``inverse[i, j]``,
+and the g g^-1 = I check still multiplies out every entry.  Bareiss
+elimination would need exact division of sums, which the ``Expr`` ring does
+not provide.
 
 Index gymnastics go through one exact Einstein summation,
 :func:`contract`, e.g. ``contract("ab,ai,bj->ij", g, phi, phi)`` for
@@ -63,18 +66,23 @@ order as in the loop, so every printed expression and every float bit is
 unchanged.
 
 ``contract(..., antisymmetric=(a, b))`` builds a result antisymmetric in
-output positions a < b (of one variance) from its upper half.  A product
-visits only the outputs whose index at a is less than the one at b (one
-mask per (n, rank, pair), kept for the process, ANDed into its hits);
-outputs with equal indices there stay zero, and the others are the
-negations of their partners with the two indices swapped.  A kept output
-meets the loop's ring operations in the loop's order, so its printed
-expression and float bits are unchanged.  A negation keeps its partner's
-numerator terms and flips the sign of the scale, so it evaluates to the
-exact negation of the partner's float.  Pass the keyword only where the
-spec is antisymmetric by construction, for any operand values, as the
-Riemann tensor is in (i, j): where the antisymmetry is a property of the
-input, mirroring would assert what a check has to decide.
+output positions a < b (of one variance) from the outputs whose index at a
+is less than the one at b, and ``symmetric=(a, b)`` a symmetric one from
+those where it is at most that (one mask per (n, rank, pair, sign), kept
+for the process, ANDed into each product's hits).  Every other output is
+its partner with the two indices swapped: the same object, or under
+antisymmetry its negation, and zero where the two indices are equal.  A
+kept output meets the loop's ring operations in the loop's order, so its
+printed expression and float bits are unchanged.  A negation keeps its
+partner's numerator terms and denominator and flips the sign of the scale,
+so ``x + (-x)`` is zero at once, and :meth:`TensorField.numeric_many`
+evaluates each component once up to sign: the negation's float is the
+partner's negated, or the partner's own where that is a zero sum (both sums
+start from +0.0).  Pass a keyword only where the spec has the symmetry by
+construction, as the Riemann tensor is antisymmetric in (i, j) for any
+Gamma, or by an exact check, as 2 G^k_ij is symmetric once ``Metric`` has
+checked g_ij = g_ji: mirroring an unchecked property would assert what a
+check has to decide.
 
 A :class:`Contraction` holds a spec and its operands unexpanded.  It sums
 the spec with ``numpy.einsum`` over residues modulo a prime (an exact
@@ -273,15 +281,25 @@ class TensorField:
         """Components at every point of a batch, stacked on a leading axis, and per-point flags.
 
         A point is flagged where :meth:`numeric_at` raises; every other row
-        has the bits of :meth:`numeric_at` there (see :class:`PointBatch`).
+        has the bits of :meth:`numeric_at` there (see :class:`PointBatch`),
+        up to the sign of a zero that a nonzero sum underflows to.
         """
-        # each distinct nonzero component is evaluated once; the last row is zeros
-        rows = {id(c): c for c in self._comps if not c.is_symbolically_zero}
-        values, degenerate = batch.evaluate([*rows.values(), Expr.zero(self.chart)])
-        row = {key: r for r, key in enumerate(rows)}
-        index = [row.get(id(c), len(rows)) for c in self._comps]
+        # each nonzero component is evaluated once up to sign; index -1 is the row of zeros
+        rows: dict[tuple, int] = {}
+        kept, index, signs = [], [], []
+        for c in self._comps:
+            r = -1
+            if c._num:
+                scale = c._scale
+                key = (id(c._num), id(c._dbase), c._dmono, c._dexp, abs(scale.numerator), scale.denominator)
+                r = rows.setdefault(key, len(kept))
+                kept += [c] if r == len(kept) else []
+            index.append(r)
+            signs.append(1.0 if r < 0 or c._scale == kept[r]._scale else -1.0)
+        values, degenerate = batch.evaluate([*kept, Expr.zero(self.chart)])
+        values = values[index].T
         shape = (batch.size,) + (self.chart.dimension,) * self.rank
-        return values[index].T.reshape(shape), degenerate.any(axis=0)
+        return np.where(values == 0.0, values, values * signs).reshape(shape), degenerate.any(axis=0)
 
     def __repr__(self) -> str:
         return "TensorField(p=%d, q=%d, dim=%d)" % (self.p, self.q, self.chart.dimension)
@@ -298,7 +316,11 @@ def kronecker(chart: Chart) -> TensorField:
 def partials(tensor: TensorField) -> TensorField:
     """Coordinate partial derivatives, the derivative slot appended as the last covariant index."""
     coords = tensor.chart.coordinates
-    comps = [comp.differentiate(name) for comp in tensor._comps for name in coords]
+    rows: dict[int, list[Expr]] = {}  # each distinct nonzero component is differentiated once
+    for comp in tensor._comps:
+        if id(comp) not in rows:
+            rows[id(comp)] = [comp.differentiate(name) if comp._num else comp for name in coords]
+    comps = [d for comp in tensor._comps for d in rows[id(comp)]]
     return TensorField(tensor.chart, tensor.p, tensor.q + 1, comps)
 
 
@@ -328,19 +350,19 @@ def _offsets(strides: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _mirror(n: int, rank: int, pair: tuple[int, int]) -> tuple[int, tuple]:
-    """The outputs kept under antisymmetry in positions ``pair``, and the mirrored ones.
+def _mirror(n: int, rank: int, pair: tuple[int, int], sign: int) -> tuple[int, tuple]:
+    """The outputs kept under (anti)symmetry in positions ``pair``, and the mirrored ones.
 
-    Returns the kept outputs (index at a < index at b) as an int with one
-    byte per output, and (output, partner) for each output whose index at a
-    is greater, the partner having the two indices swapped.
+    Returns the kept outputs (index at a < index at b, or <= for ``sign`` +1)
+    as an int with one byte per output, and (output, partner) for each output
+    whose index at a is greater, the partner having the two indices swapped.
     """
     a, b = pair
     # swapping the indices at a and b moves an output by (index[b] - index[a]) * step
     step = n ** (rank - 1 - a) - n ** (rank - 1 - b)
     keep, mirrored = bytearray(n**rank), []
     for o, index in enumerate(product(range(n), repeat=rank)):
-        if index[a] < index[b]:
+        if index[a] < index[b] or (sign > 0 and index[a] == index[b]):
             keep[o] = 1
         elif index[a] > index[b]:
             mirrored.append((o, o + (index[b] - index[a]) * step))
@@ -443,26 +465,33 @@ def _parse(spec: str, operands: Sequence[TensorField | Expr]) -> tuple[Chart, _P
 
 
 def contract(
-    spec: str, *operands: TensorField | Expr, antisymmetric: tuple[int, int] | None = None
+    spec: str,
+    *operands: TensorField | Expr,
+    antisymmetric: tuple[int, int] | None = None,
+    symmetric: tuple[int, int] | None = None,
 ) -> TensorField | Expr:
     """Exact Einstein summation, e.g. ``contract("ab,ai,bj->ij", g, phi, phi)``.
 
     The rules, and why each component is built in plain nested-loop order,
     are in the module docstring.  ``antisymmetric=(a, b)`` builds only the
-    outputs with index a < index b and mirrors the rest; pass it only where
-    the spec is antisymmetric in those output positions for any operands.
+    outputs with index a < index b and mirrors the rest, ``symmetric=(a, b)``
+    those with index a <= index b; pass one only where the spec has that
+    symmetry in those output positions for the operands it is given.
     """
     chart, plan = _parse(spec, operands)
     keep = None
-    if antisymmetric is not None:
-        a, b = antisymmetric
+    sign, pair = (-1, antisymmetric) if symmetric is None else (1, symmetric)
+    if pair is not None:
+        if sign > 0 and antisymmetric is not None:
+            raise ValenceError("pass antisymmetric= or symmetric=, not both")
+        a, b = pair
         rank = plan.upper + plan.lower
         if not 0 <= a < b < rank or (a < plan.upper) != (b < plan.upper):
             raise ValenceError(
-                "antisymmetric=%r needs output positions a < b of one variance in %r"
-                % (antisymmetric, spec)
+                "%ssymmetric=%r needs output positions a < b of one variance in %r"
+                % ("" if sign > 0 else "anti", pair, spec)
             )
-        keep, mirrored = _mirror(chart.dimension, rank, (a, b))
+        keep, mirrored = _mirror(chart.dimension, rank, (a, b), sign)
     comps = [[op] if isinstance(op, Expr) else op._comps for op in operands]
 
     # per factor and assignment, the outputs where the factor is nonzero as an
@@ -515,7 +544,7 @@ def contract(
     if keep is not None:
         for o, partner in mirrored:
             if components[partner]._num:  # a zero partner leaves Expr.zero in place
-                components[o] = -components[partner]
+                components[o] = components[partner] if sign > 0 else -components[partner]
     if not plan.upper + plan.lower:
         return components[0]
     return TensorField(chart, plan.upper, plan.lower, components)
@@ -641,10 +670,11 @@ class Metric:
         inverse_entries = [None] * (n * n)
         for j in range(n):
             rows = everything[:j] + everything[j + 1 :]
-            for i in range(n):
+            for i in range(j, n):  # adj(g) is symmetric: one object per (i, j) pair
                 cols = everything[:i] + everything[i + 1 :]
                 entry = _minor_det(matrix, self.chart, cache, rows, cols) * reciprocal
-                inverse_entries[i * n + j] = entry if (i + j) % 2 == 0 else -entry
+                entry = entry if (i + j) % 2 == 0 else -entry
+                inverse_entries[i * n + j] = inverse_entries[j * n + i] = entry
             # cofactors for a later j drop a later row, so of the minors cached
             # so far they only meet those on rows (k, ..., n - 1) with k > j + 1;
             # dropping the rest keeps peak memory near the plain expansion's

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parasol.batch import PointBatch
 from parasol.chart import Chart, ChartError, ChartMismatchError
 from parasol.symexpr import Expr, parse
 from parasol.tensor import (
@@ -18,6 +19,7 @@ from parasol.tensor import (
     TensorField,
     kronecker,
     lie_bracket,
+    partials,
     signature_at,
 )
 
@@ -124,6 +126,53 @@ def test_metric_product_identity_all_fixtures(structures):
                     total = total + g.field[i, m] * g.inverse[m, j]
                 expected = Expr.one(g.chart) if i == j else Expr.zero(g.chart)
                 assert (total - expected).is_zero()
+
+
+def test_metric_inverse_is_one_object_per_symmetric_pair(structures):
+    for structure in structures.values():
+        inverse = structure.metric.inverse
+        n = structure.chart.dimension
+        assert all(inverse[i, j] is inverse[j, i] for i in range(n) for j in range(n))
+
+
+def test_partials_differentiates_each_distinct_nonzero_component_once(structures, monkeypatch):
+    gamma = structures["ex5d_r5_g1"].connection()
+    coords = gamma.chart.coordinates
+    calls = []
+    differentiate = Expr.differentiate
+    monkeypatch.setattr(
+        Expr, "differentiate", lambda self, name: calls.append(self) or differentiate(self, name)
+    )
+    dgamma = partials(gamma)
+    monkeypatch.undo()
+    distinct = {id(c) for c in gamma._comps if c._num}
+    assert len(distinct) < sum(1 for c in gamma._comps if c._num)  # Gamma^k_ji is Gamma^k_ij
+    assert len(calls) == len(coords) * len(distinct)
+    assert all(c._num for c in calls)
+    for (k, i, j, a), d in dgamma.components():
+        assert str(d) == str(gamma[k, i, j].differentiate(coords[a]))
+
+
+def test_numeric_many_evaluates_each_component_once_up_to_sign(structures, monkeypatch):
+    structure = structures["ex5d_r5_g1"]
+    riem = structure.riemann()
+    points = structure.chart.sample_points(10, 5)
+    evaluated = []
+    evaluate = PointBatch.evaluate
+    monkeypatch.setattr(
+        PointBatch, "evaluate", lambda self, exprs: evaluated.extend(exprs) or evaluate(self, exprs)
+    )
+    values, degenerate = riem.numeric_many(PointBatch(riem.chart, points))
+    monkeypatch.undo()
+    evaluated = [e for e in evaluated if e._num]
+    numerators = {id(e._num) for e in evaluated}
+    assert len(numerators) == len(evaluated)  # a negation shares its partner's numerator
+    nonzero = [c for c in riem._comps if c._num]
+    assert all(id(c._num) in numerators for c in nonzero)
+    assert len(evaluated) < len(nonzero)  # R^l_jik = -R^l_ijk
+    assert not degenerate.any()
+    for point, row in zip(points, values):
+        assert (row == riem.numeric_at(point)).all()
 
 
 def test_singular_metric_rejected():

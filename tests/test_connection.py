@@ -181,6 +181,7 @@ def test_torsion_free_all_fixtures(structures):
             for i in range(n):
                 for j in range(i + 1, n):
                     assert (gamma[k, i, j] - gamma[k, j, i]).is_zero()
+                    assert gamma[k, j, i] is gamma[k, i, j]  # one object per symmetric pair
 
 
 def test_riemann_antisymmetry_and_bianchi(ex1, ex2, warped):

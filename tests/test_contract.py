@@ -10,7 +10,7 @@ from unittest import mock
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from parasol.chart import Chart
 from parasol.symexpr import Expr, parse
@@ -206,20 +206,35 @@ def test_contract_valence_errors():
         contract("ij", g)
 
 
-def test_antisymmetric_valence_errors():
+def assert_mirror_valence_errors(keyword):
     chart = CHARTS[3]
     g = TensorField.zero(chart, 0, 2)
     phi = TensorField.zero(chart, 1, 1)
     for pair in [(0, 2), (-1, 1), (1, 1), (1, 0)]:  # out of range, a == b, a > b
         with pytest.raises(ValenceError, match="a < b of one variance"):
-            contract("ij-ji->ij", g, g, antisymmetric=pair)
+            contract("ij-ji->ij", g, g, **{keyword: pair})
     with pytest.raises(ValenceError, match="a < b of one variance"):
-        contract("ij->ij", phi, antisymmetric=(0, 1))  # mixed variance
+        contract("ij->ij", phi, **{keyword: (0, 1)})  # mixed variance
     with pytest.raises(ValenceError, match="a < b of one variance"):
-        contract("ij,ij->", g, g, antisymmetric=(0, 1))  # an empty output
+        contract("ij,ij->", g, g, **{keyword: (0, 1)})  # an empty output
+
+
+def test_antisymmetric_valence_errors():
+    assert_mirror_valence_errors("antisymmetric")
+
+
+def test_symmetric_valence_errors():
+    assert_mirror_valence_errors("symmetric")
+
+
+def test_mirror_takes_one_symmetry():
+    g = TensorField.zero(CHARTS[3], 0, 2)
+    with pytest.raises(ValenceError, match="not both"):
+        contract("ij->ij", g, antisymmetric=(0, 1), symmetric=(0, 1))
 
 
 RIEMANN_SPEC = "ljki-likj+lim,mjk-ljm,mik->lijk"
+CHRISTOFFEL_SPEC = "kl,jli+kl,ilj-kl,ijl->kij"  # 2 G^k_ij, as connection.christoffel sums it
 
 
 def riemann_operands(gamma):
@@ -229,8 +244,8 @@ def riemann_operands(gamma):
 
 
 @st.composite
-def antisymmetric_contractions(draw):
-    """A spec antisymmetric in two output positions for any operands, and its operands."""
+def mirrored_contractions(draw):
+    """A spec (anti)symmetric in two output positions for its operands: (spec, operands, pair, sign)."""
     n = draw(st.integers(2, 4))
     chart = CHARTS[n]
     pool = [parse(source, chart) for source in SOURCES]
@@ -238,36 +253,73 @@ def antisymmetric_contractions(draw):
     def field(p, q):
         return TensorField(chart, p, q, [draw(st.sampled_from(pool)) for _ in range(n ** (p + q))])
 
-    kind = draw(st.sampled_from(["swap", "upper swap", "pair", "riemann", "bianchi"]))
+    kind = draw(st.sampled_from(
+        ["swap", "upper swap", "pair", "riemann", "bianchi", "symmetric swap", "christoffel"]
+    ))
     if kind == "swap":
         t = field(0, 2)
-        return "ij-ji->ij", (t, t), (0, 1)
+        return "ij-ji->ij", (t, t), (0, 1), -1
     if kind == "upper swap":
         t = field(1, 2)
-        return "kij-kji->kij", (t, t), (1, 2)
+        return "kij-kji->kij", (t, t), (1, 2), -1
+    if kind == "symmetric swap":
+        t = field(0, 2)
+        return "ij+ji->ij", (t, t), (0, 1), 1
     if kind == "pair":  # X^a_i X^b_j A_ab - X^a_j X^b_i A_ab
         x, a = field(1, 1), field(0, 2)
-        return "ai,bj,ab-aj,bi,ab->ij", (x, x, a, x, x, a), (0, 1)
+        return "ai,bj,ab-aj,bi,ab->ij", (x, x, a, x, x, a), (0, 1), -1
+    if kind == "christoffel":  # symmetric in (i, j) because g is: any g^kl will do
+        entries = {}
+        for i, j in product(range(n), repeat=2):
+            entries[i, j] = entries[j, i] if (j, i) in entries else draw(st.sampled_from(pool))
+        dg = partials(TensorField(chart, 0, 2, [entries[i, j] for i, j in product(range(n), repeat=2)]))
+        ginv = field(2, 0)
+        return CHRISTOFFEL_SPEC, (ginv, dg, ginv, dg, ginv, dg), (1, 2), 1
     gamma = field(1, 2)  # no symmetry: a connection with torsion breaks the first Bianchi identity
     if kind == "riemann":
-        return RIEMANN_SPEC, riemann_operands(gamma), (1, 2)
+        return RIEMANN_SPEC, riemann_operands(gamma), (1, 2), -1
     riem = contract(RIEMANN_SPEC, *riemann_operands(gamma), antisymmetric=(1, 2))
-    return "lijk+ljki+lkij->lijk", (riem, riem, riem), (1, 2)
+    return "lijk+ljki+lkij->lijk", (riem, riem, riem), (1, 2), -1
 
 
+def riemann_case(picks):
+    """The Riemann spec on a 4-D Gamma whose component k is SOURCES[picks[k]], "0" elsewhere."""
+    chart = CHARTS[4]
+    gamma = TensorField(chart, 1, 2, [parse(SOURCES[picks.get(k, 0)], chart) for k in range(64)])
+    return RIEMANN_SPEC, riemann_operands(gamma), (1, 2), -1
+
+
+# the draws of --hypothesis-seed=2 and 38 where a mirrored output prints 1 and
+# the plain loop (x^2 + 1)/(x^2 + 1): equal values, unequal printed forms
+@example(case=riemann_case({11: 10, 27: 3, 31: 10, 41: 3, 44: 3, 45: 3}))
+@example(case=riemann_case({4: 10, 36: 3, 38: 10, 44: 3, 46: 3}))
 @settings(max_examples=60, deadline=None)
-@given(case=antisymmetric_contractions())
+@given(case=mirrored_contractions())
 def test_mirrored_contract_equals_the_plain_one(case):
-    spec, operands, pair = case
-    mirrored = contract(spec, *operands, antisymmetric=pair)
+    # a kept output is the loop's, term for term; a mirrored one is its partner
+    # (or the partner negated), which equals the loop's output in value only,
+    # since the ring cancels no multi-term common factor
+    spec, operands, (a, b), sign = case
+    mirrored = contract(spec, *operands, **{"symmetric" if sign > 0 else "antisymmetric": (a, b)})
     plain = contract(spec, *operands)
-    indices = product(range(plain.chart.dimension), repeat=plain.rank)
-    for index, ours, theirs in zip(indices, mirrored._comps, plain._comps):
+    by_index = dict(zip(plain.indices(), mirrored._comps))
+    for (index, ours), theirs in zip(mirrored.components(), plain._comps):
         assert (ours - theirs).is_zero()
-        assert str(ours) == str(theirs)
-        if index[pair[0]] < index[pair[1]]:  # a kept output: the loop's terms in the loop's order
+        if index[a] < index[b] or (sign > 0 and index[a] == index[b]):
+            assert str(ours) == str(theirs)
             assert list(ours._num) == list(theirs._num)
             assert ours._scale == theirs._scale
+            continue
+        swapped = list(index)
+        swapped[a], swapped[b] = index[b], index[a]
+        partner = by_index[tuple(swapped)]
+        if index[a] == index[b] or not partner._num:
+            assert ours.is_symbolically_zero
+        elif sign > 0:
+            assert ours is partner
+        else:
+            assert ours._num is partner._num
+            assert str(ours) == str(-partner)
 
 
 def test_mirrored_riemann_multiplies_only_for_the_kept_outputs():

@@ -8,6 +8,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parasol import symexpr
 from parasol.chart import Chart, ChartError
 from parasol.symexpr import (
     DegenerateEvaluationError,
@@ -123,6 +124,23 @@ def test_reserved_coordinate_names_rejected():
 
 def test_exponential_atoms_merge():
     assert str(P("exp(z)*exp(-z)")) == "1"
+
+
+def test_a_sum_with_its_own_negation_is_zero_at_once(monkeypatch):
+    # -x shares x's terms, so x + (-x) and x - x need no term-by-term sum;
+    # an equal-valued -x built another way still cancels term by term
+    x = P("x*y - 3/2*exp(-x)/(1 + y^2)")
+    calls = []
+    add = symexpr._sadd
+    monkeypatch.setattr(symexpr, "_sadd", lambda *args: calls.append(1) or add(*args))
+    for total in (x + (-x), -x + x, x - x):
+        assert total.is_symbolically_zero and str(total) == "0"
+    assert calls == []
+    other = P("3/2*exp(-x)/(1 + y^2) - x*y")
+    assert str(other) == str(-x) and other._num is not x._num
+    assert (x + other).is_symbolically_zero
+    assert calls
+    assert not (x + x).is_symbolically_zero  # the same object, not its negation
 
 
 def test_binomial_expansion_cancels():
