@@ -210,14 +210,6 @@ def cmd_validate(analysis: Analysis, report: VerificationReport) -> list[CheckOu
     ]
 
 
-def _frame_diagonal_details(structure: ParacontactStructure, tensor: TensorField) -> str:
-    parts = []
-    for i, vec in enumerate(structure.frame):
-        total = contract("ab,a,b->", tensor, vec, vec)
-        parts.append("S(E%d,E%d)=%s" % (i + 1, i + 1, constant_text(total)))
-    return ", ".join(parts)
-
-
 @_command
 def cmd_curvature(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
     structure = analysis.structure
@@ -242,13 +234,16 @@ def cmd_curvature(analysis: Analysis, report: VerificationReport) -> list[CheckO
     ])
     if structure.frame is not None:
         signs = structure.frame_signs()
+        table = structure.frame_table(ricci_tensor)
+        diagonal = ", ".join(
+            "S(E%d,E%d)=%s" % (i + 1, i + 1, constant_text(table[i, i])) for i in range(len(signs))
+        )
         outcomes += run_checks([
             Check("ricci_frame_independence",
                   "coordinate trace equals the signature-weighted frame sum",
                   structure.ricci(WEIGHTED_TRACE)
                   - frame_sum(riem, structure.metric, structure.frame, signs)),
-            _note("ricci_frame_diagonal",
-                  "%s [%s]" % (_frame_diagonal_details(structure, ricci_tensor), mode)),
+            _note("ricci_frame_diagonal", "%s [%s]" % (diagonal, mode)),
         ])
     scalar = scalar_curvature(ricci_tensor, structure.metric)
     via_coordinates, via_connection = structure.lie_derivative_two_ways(
@@ -353,9 +348,11 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
     points = analysis.sample_points()
     guard, guard_details = INAPPLICABLE, "no nondegenerate sample points found in the domain box"
     if points:
-        values = _sampled([e for pair in result.frame_pairs for e in pair], points)
-        rows = np.stack([values[0::3].T.ravel(), values[1::3].T.ravel()], axis=1)
-        solution, *_ = np.linalg.lstsq(rows, -values[2::3].T.ravel(), rcond=None)
+        pairs = structure.frame.pairs
+        values = _sampled([t[pair] for pair in pairs for t in result.frame_tables], points)
+        # per table, point by point and pair by pair within a point
+        g, eta, b = values.reshape(len(pairs), 3, -1).transpose(1, 2, 0).reshape(3, -1)
+        solution, *_ = np.linalg.lstsq(np.stack([g, eta], axis=1), -b, rcond=None)
         deviation = float(max(abs(solution - [float(result.lam), float(result.mu)])))
         guard = PASS if deviation <= 1e-8 else FAIL
         guard_details = "stacked least squares over %d extra seeded points deviates by %.3e" % (

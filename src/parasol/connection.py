@@ -27,7 +27,6 @@ the exact negations of those with i < j.
 from __future__ import annotations
 
 import string
-from fractions import Fraction
 from typing import Sequence
 
 from .symexpr import Expr
@@ -115,9 +114,10 @@ def ricci(
     ``weighted_trace`` is the coordinate contraction S_jk = R^i_ijk,
     equivalently the signature-weighted orthonormal frame sum; it is frame
     independent.  ``paper_frame_sum`` needs a metric and a frame already
-    verified symbolically orthonormal (:meth:`Frame.orthonormal_signs`; a
-    structure verifies its frame once, in ``frame_signs``) and omits the
-    signature weights.
+    verified symbolically orthonormal (:meth:`Frame.orthonormal_signs` of the
+    frame's table of g; a structure verifies its frame once, in
+    ``frame_signs``) and is :func:`frame_sum` over the frame matrix, without
+    the signature weights.
     """
     if mode == WEIGHTED_TRACE:
         return contract("iijk->jk", riem)
@@ -131,19 +131,18 @@ def ricci(
 def frame_sum(
     riem: TensorField, metric: Metric, frame: Frame, weights: Sequence[int] | None = None
 ) -> TensorField:
-    """sum_v w_v g(R(E_v, X)Y, E_v) over the frame vectors E_v; every w_v = 1 by default."""
-    chart = metric.chart
-    n = chart.dimension
-    rows = TensorField(chart, 1, 1, [vec[a] for vec in frame for a in range(n)])
-    weighted = rows
-    if weights is not None:
-        weighted = TensorField(
-            chart, 1, 1, [vec[a] * Fraction(w) for w, vec in zip(weights, frame) for a in range(n)]
-        )
-    # a numbers the frame vectors; b, c, d are coordinates.  Three pairwise
-    # contractions cost O(n^4); the one spec "ab,cbjk,cd,ad->jk" takes n^6 products
-    lowered = contract("cd,ad->ac", metric.field, rows)  # g(E_a, d_c)
-    paired = contract("ab,ac->bc", weighted, lowered)  # sum_a w_a E_a^b g(E_a, d_c)
+    """sum_v w_v g(R(E_v, X)Y, E_v) over the frame vectors E_v; every w_v = 1 by default.
+
+    The frame enters as its matrix E[b, a] = E_a^b.  Three pairwise
+    contractions cost O(n^4); the one spec "cd,da,ba,cbjk->jk" takes n^6 products.
+    """
+    e = frame.matrix  # a numbers the frame vectors; b, c, d are coordinates
+    lowered = contract("cd,da->ac", metric.field, e)  # g(E_a, d_c)
+    if weights is None:
+        paired = contract("ba,ac->bc", e, lowered)  # sum_a E_a^b g(E_a, d_c)
+    else:
+        w = TensorField.oneform(metric.chart, [Expr.constant(metric.chart, w) for w in weights])
+        paired = contract("ba,a,ac->bc", e, w, lowered)  # sum_a E_a^b w_a g(E_a, d_c)
     return contract("bc,cbjk->jk", paired, riem)
 
 

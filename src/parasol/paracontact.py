@@ -73,7 +73,7 @@ class StructureError(ValueError):
 
 def detect_epsilon(metric: Metric, xi: TensorField) -> int:
     """The canonical constant value of g(xi, xi) when it is +1 or -1."""
-    value = metric.inner(xi, xi)
+    value = contract("ij,i,j->", metric.field, xi, xi)
     if (value - 1).is_symbolically_zero:
         return 1
     if (value + 1).is_symbolically_zero:
@@ -242,11 +242,21 @@ class ParacontactStructure:
         mode = mode or self.ricci_mode
         return self._cached(("S(., xi)", mode), lambda: contract("ij,j->i", self.ricci(mode), self.xi))
 
-    def frame_signs(self) -> tuple[int, ...]:
-        """g(E_i, E_i) for the frame vectors, verified orthonormal once per structure."""
+    def frame_table(self, tensor: TensorField) -> TensorField:
+        """:meth:`Frame.table` of T, kept for g and the tensors cached here.
+
+        Several fits and checks read those; a caller's own tensor gets a new table.
+        """
         if self.frame is None:
             raise StructureError("structure carries no frame")
-        return self._cached("frame signs", lambda: self.frame.orthonormal_signs(self.metric))
+        if tensor is self.metric.field or any(tensor is t for t in self._cache.values()):
+            return self._cached(("frame table", tensor), lambda: self.frame.table(tensor))
+        return self.frame.table(tensor)
+
+    def frame_signs(self) -> tuple[int, ...]:
+        """g(E_i, E_i) for the frame vectors, verified orthonormal once per structure."""
+        gram = self.frame_table(self.metric.field)
+        return self._cached("frame signs", lambda: self.frame.orthonormal_signs(gram))
 
     def para_sasakian(self) -> bool:
         """The structure is valid and every ``is_para_sasakian`` row passes."""

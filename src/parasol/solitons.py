@@ -13,8 +13,9 @@ the point of the exercise, not a failure mode.
 Also here: Einstein-like fitting S = a g + b g(phi ., .) + c eta (x) eta
 with its identity suite.  Both fits are one routine, :func:`_frame_fit`:
 exact rational least squares over the orthonormal-frame components at the
-chart's base point.  Also torse-forming detection nabla_X xi = f X + w(X) xi,
-the induced constants c = -eps a + (a + lambda)^2 (1 - n) and
+chart's base point, read from one E^T T E table per tensor (``frame_table``).
+Also torse-forming detection nabla_X xi = f X + w(X) xi, the induced
+constants c = -eps a + (a + lambda)^2 (1 - n) and
 mu = -eps (lambda + eps (a + lambda)^2 (1 - n)), pointwise-collinear
 potential analysis, Ricci semi-symmetry, and parallel symmetric (0,2)
 tensor analysis with the soliton constant lambda = -(a + eps (c + mu)).
@@ -125,8 +126,8 @@ class SolitonSolveResult:
     frame_diagonal_constants: list[Fraction | None]
     norm_squared: Fraction | None
     residual_norm: float
-    # (g, eta(x)eta, B) at each frame pair (E_i, E_j), i <= j: the fit's design
-    frame_pairs: list[tuple[Expr, Expr, Expr]]
+    # the frame tables [i, j] = T(E_i, E_j) of T = g, eta(x)eta, B: the fit's design
+    frame_tables: tuple[TensorField, TensorField, TensorField]
 
 
 @dataclass
@@ -185,27 +186,21 @@ def solve_normal_equations(rows: list[list[Fraction]], rhs: list[Fraction]) -> l
 
 def _frame_fit(
     structure: ParacontactStructure, target: TensorField, basis: tuple[TensorField, ...]
-) -> tuple[list[Fraction], TensorField, list[tuple[Expr, ...]]]:
+) -> tuple[list[Fraction], TensorField, tuple[TensorField, ...]]:
     """Exact least squares target = sum c_k basis_k over the frame pairs at the base point.
 
     Returns the constants c_k, the residual target - sum c_k basis_k and the
-    design: (basis_k(E_i, E_j)..., target(E_i, E_j)) for every frame pair
-    i <= j, in row-major order.
+    design: the frame tables of (basis..., target), read at ``Frame.pairs``.
     """
     structure.frame_signs()
     base = structure.chart.base_point
-    frame = structure.frame.vectors
-    design = [
-        tuple(contract("ij,i,j->", t, ei, ej) for t in (*basis, target))
-        for i, ei in enumerate(frame)
-        for ej in frame[i:]
-    ]
-    values = [[e.evaluate_exact(base) for e in pair] for pair in design]
+    tables = tuple(structure.frame_table(t) for t in (*basis, target))
+    values = [[t[pair].evaluate_exact(base) for t in tables] for pair in structure.frame.pairs]
     constants = solve_normal_equations([v[:-1] for v in values], [v[-1] for v in values])
     residual = target
     for constant, tensor in zip(constants, basis):
         residual = residual - tensor.scale(constant)
-    return constants, residual, design
+    return constants, residual, tables
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +233,7 @@ def solve_soliton_constants(
     b_tensor = structure.soliton_tensor(potential)
     basis = (structure.metric.field, structure.eta_tensor_eta())
     try:
-        constants, residual, design = _frame_fit(structure, b_tensor, basis)
+        constants, residual, tables = _frame_fit(structure, b_tensor, basis)
     except ExactEvaluationError as exc:
         raise RankDeficientError(
             "frame components cannot be evaluated exactly at the base point: %s" % exc
@@ -246,7 +241,8 @@ def solve_soliton_constants(
     lam, mu = -constants[0], -constants[1]
     exact = residual.is_zero()
 
-    frame_diagonal = [contract("ij,i,j->", residual, e, e) for e in structure.frame]
+    residual_table = structure.frame_table(residual)
+    frame_diagonal = [residual_table[i, i] for i in range(chart.dimension)]
     diagonal_constants = [e.as_rational_constant() for e in frame_diagonal]
     if all(c is not None for c in diagonal_constants):
         norm_squared = sum((c * c for c in diagonal_constants), Fraction(0))
@@ -266,7 +262,7 @@ def solve_soliton_constants(
         frame_diagonal_constants=diagonal_constants,
         norm_squared=norm_squared,
         residual_norm=residual_norm,
-        frame_pairs=design,
+        frame_tables=tables,
     )
 
 

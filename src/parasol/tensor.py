@@ -97,7 +97,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product, repeat
+from itertools import combinations_with_replacement, compress, product, repeat
 from operator import and_, attrgetter, mul, or_
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -691,12 +691,6 @@ class Metric:
     def __getitem__(self, index) -> Expr:
         return self.field[index]
 
-    def inner(self, x: TensorField, y: TensorField) -> Expr:
-        """g(X, Y) for vector fields X, Y."""
-        if x.valence != (1, 0) or y.valence != (1, 0):
-            raise ValenceError("inner product needs two vector fields")
-        return contract("ij,i,j->", self.field, x, y)
-
     def lower(self, tensor: TensorField, up_slot: int = 0) -> TensorField:
         """Lower one contravariant slot; the new covariant slot goes last."""
         if not 0 <= up_slot < tensor.p:
@@ -781,39 +775,41 @@ class Frame:
                 raise FrameError("frame entries must be vector fields")
         self.chart = chart
         self.vectors = tuple(vectors)
-        base = {name: float(v) for name, v in zip(chart.coordinates, chart.base_point)}
-        matrix = np.array([[vec[i].evaluate(base) for i in range(n)] for vec in vectors])
-        if abs(np.linalg.det(matrix)) <= 1e-9:
+        # the vectors as columns, E[a, i] = E_i^a, and the pairs (i, j), i <= j, in row-major order
+        self.matrix = TensorField(chart, 1, 1, [vec[a] for a in range(n) for vec in vectors])
+        self.pairs = tuple(combinations_with_replacement(range(n), 2))
+        values = self.matrix.numeric_at(chart.base_point)
+        # |det E| <= prod_i |E_i| (Hadamard), with equality for orthogonal vectors:
+        # compared with that bound, a frame of a large- or small-scale metric passes
+        if abs(np.linalg.det(values)) <= 1e-9 * np.prod(np.linalg.norm(values, axis=0)):
             raise FrameError("frame vectors are numerically dependent at the base point")
 
     def __iter__(self):
         return iter(self.vectors)
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     def __getitem__(self, i: int) -> TensorField:
         return self.vectors[i]
 
-    def orthonormal_signs(self, metric: Metric) -> tuple[int, ...]:
-        """Verify g(E_i, E_j) = +/- delta_ij symbolically and return the signs."""
-        n = self.chart.dimension
+    def table(self, tensor: TensorField) -> TensorField:
+        """[i, j] = T(E_i, E_j) for a (0, 2) tensor T, from one contraction E^T T E.
+
+        Each entry is built as ``contract("ij,i,j->", T, E_i, E_j)`` builds it.
+        """
+        return contract("ab,ai,bj->ij", tensor, self.matrix, self.matrix)
+
+    def orthonormal_signs(self, gram: TensorField) -> tuple[int, ...]:
+        """Verify g(E_i, E_j) = +/- delta_ij on the :meth:`table` of g and return the signs.
+
+        The first failing pair of ``pairs`` is reported.
+        """
         signs: list[int] = []
-        for i in range(n):
-            for j in range(i, n):
-                value = metric.inner(self.vectors[i], self.vectors[j])
-                if i == j:
-                    constant = value.as_rational_constant()
-                    if constant == 1:
-                        signs.append(1)
-                    elif constant == -1:
-                        signs.append(-1)
-                    else:
-                        raise FrameError(
-                            "frame is not orthonormal: g(E_%d, E_%d) = %s" % (i + 1, i + 1, value)
-                        )
-                elif not value.is_symbolically_zero:
-                    raise FrameError(
-                        "frame is not orthonormal: g(E_%d, E_%d) = %s" % (i + 1, j + 1, value)
-                    )
+        for i, j in self.pairs:
+            value = gram[i, j]
+            sign = value.as_rational_constant() if i == j else None
+            if sign in (1, -1):
+                signs.append(int(sign))
+            elif i == j or not value.is_symbolically_zero:
+                raise FrameError(
+                    "frame is not orthonormal: g(E_%d, E_%d) = %s" % (i + 1, j + 1, value)
+                )
         return tuple(signs)

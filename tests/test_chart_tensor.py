@@ -406,12 +406,19 @@ def test_frame_signs(ex1, ex2):
 
 
 def test_non_orthonormal_frame_rejected(ex1):
-    dx = TensorField.vector(CHART, [Expr.one(CHART), Expr.zero(CHART), Expr.zero(CHART)])
-    dy = TensorField.vector(CHART, [Expr.zero(CHART), Expr.one(CHART), Expr.zero(CHART)])
-    dz = TensorField.vector(CHART, [Expr.zero(CHART), Expr.zero(CHART), Expr.one(CHART)])
-    frame = Frame([dx, dy, dz])
-    with pytest.raises(FrameError):
-        frame.orthonormal_signs(ex1.metric)
+    # the first failing pair (E_i, E_j), i <= j, in row-major order: a failing
+    # diagonal entry, then (1, 3) before the failing (2, 2), then an
+    # off-diagonal entry before the failing (3, 3)
+    cases = [
+        (ex1.metric, ["1,0,0", "0,1,0", "0,0,1"], "g(E_1, E_1) = exp(2*z)"),
+        (euclidean(), ["1,0,0", "0,2,0", "1,0,1"], "g(E_1, E_3) = 1"),
+        (euclidean(), ["1,0,0", "0,1,0", "0,exp(z),1"], "g(E_2, E_3) = exp(z)"),
+    ]
+    for metric, rows, text in cases:
+        frame = Frame([TensorField.vector(CHART, [P(c) for c in row.split(",")]) for row in rows])
+        with pytest.raises(FrameError) as raised:
+            frame.orthonormal_signs(frame.table(metric.field))
+        assert str(raised.value) == "frame is not orthonormal: " + text
 
 
 def test_dependent_frame_rejected():

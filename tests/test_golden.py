@@ -68,6 +68,12 @@ CASES = [
     # f^2 + xi(f) = f is reported with its sampled values
     ("torse_sigmoid_r3__torse.json",
      ["torse", str(MANIFESTS / "torse_sigmoid_r3.json"), "--json"], 0),
+    # tests/families.py at n = 5: Family 1 (m = 2, eps = -1) in the paper's
+    # frame sum and Family 2 (m = 2, k = 1), so the frame code meets n > 3
+    ("paracontact_example_n5_eps-1__report_all.json",
+     ["report", "--all", str(MANIFESTS / "paracontact_example_n5_eps-1.json"), "--json"], 1),
+    ("warped_soliton_n5_k1__report_all.json",
+     ["report", "--all", str(MANIFESTS / "warped_soliton_n5_k1.json"), "--json"], 1),
 ]
 
 

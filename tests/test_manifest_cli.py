@@ -279,6 +279,26 @@ def test_badly_scaled_manifest_reports_strict_json_without_traceback(tmp_path, s
         assert "non-finite" in lie_dual["details"]
 
 
+def test_orthonormal_frame_of_a_large_scale_metric_is_accepted(tmp_path):
+    # |det E| = 1e-10 at the base point, yet E is orthonormal for g: frame
+    # dependence is judged against prod |E_i|, not against an absolute cutoff
+    data = json.loads(fixture_path("flat_r3").read_text())
+    del data["alpha"]
+    data["metric"] = [["10000000000", "0", "0"], ["0", "10000000000", "0"], ["0", "0", "1"]]
+    data["frame"] = [["1/100000", "0", "0"], ["0", "1/100000", "0"], ["0", "0", "1"]]
+    path = tmp_path / "flat_r3_scaled.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["validate", str(path), "--json"])[0] == 0
+    assert run_cli(["einstein-fit", str(path), "--json"])[0] == 0
+    failing = []
+    for manifest in (fixture_path("flat_r3"), path):
+        code, out, _ = run_cli(["report", "--all", str(manifest), "--json"])
+        checks = json.loads(out)["checks"]
+        failing.append((code, [c["id"] for c in checks if c["status"] == "fail"]))
+    assert failing[0] == failing[1]
+    assert failing[0][0] == 1 and len(failing[0][1]) == 6
+
+
 def test_failed_invariant_exits_two_without_traceback(monkeypatch):
     # g * g^-1 - I comes back as g itself, which is not zero
     monkeypatch.setattr(Metric, "_product_with_inverse", lambda self: self.field)
@@ -452,7 +472,7 @@ def test_frame_checked_and_ricci_built_once_per_mode(monkeypatch, fixture, frame
     monkeypatch.setattr(
         Frame,
         "orthonormal_signs",
-        lambda self, metric: checks.append(self) or orthonormal_signs(self, metric),
+        lambda self, gram: checks.append(self) or orthonormal_signs(self, gram),
     )
     ricci = parasol.paracontact.ricci
     monkeypatch.setattr(
@@ -463,6 +483,28 @@ def test_frame_checked_and_ricci_built_once_per_mode(monkeypatch, fixture, frame
     code, _, _ = run_cli(["report", "--all", "fixtures/" + fixture, "--json"])
     assert code in (0, 1)
     assert (len(checks), modes) == (frame_checks, ricci_modes)
+
+
+def test_report_builds_each_frame_table_once(monkeypatch):
+    # g is read by the frame check and both fits, S by the Einstein-like fit and
+    # the curvature frame diagonal, eta (x) eta by both fits: one table each
+    structures, tensors = [], []
+    init = parasol.paracontact.ParacontactStructure.__init__
+    monkeypatch.setattr(
+        parasol.paracontact.ParacontactStructure,
+        "__init__",
+        lambda self, *args, **kwargs: structures.append(self) or init(self, *args, **kwargs),
+    )
+    table = Frame.table
+    monkeypatch.setattr(
+        Frame, "table", lambda self, tensor: tensors.append(tensor) or table(self, tensor)
+    )
+    code, _, _ = run_cli(["report", "--all", "fixtures/ex2_r3_timelike", "--json"])
+    assert code == 1
+    (structure,) = structures
+    shared = [structure.metric.field, structure.ricci(), structure.eta_tensor_eta()]
+    assert [sum(t is s for t in tensors) for s in shared] == [1, 1, 1]
+    assert len({id(t) for t in tensors}) == len(tensors)
 
 
 def test_library_follows_the_declared_ricci_mode_like_the_cli():
