@@ -1,8 +1,12 @@
 """Analysis orchestration: one verb per concern, composable into a full report.
 
-Each command takes an :class:`Analysis` (a loaded manifest plus its oracle config)
-and returns a :class:`~parasol.report.VerificationReport`; its body returns
-the check outcomes in report order and may set report constants.
+An :class:`Analysis` is one run: a loaded manifest, its oracle config and
+the run's one :class:`~parasol.report.VerificationReport`.  Each command
+takes only the analysis, appends its check outcomes to that report in order
+and returns it; ``report --all`` runs every other command on the same
+analysis.  A command records report constants through
+:meth:`Analysis.record_constants`, and the first value recorded for a key
+wins, so ``report --all`` keeps the value of the first command that has one.
 Applicability is data driven:
 operations whose inputs are missing from the manifest (no frame, no
 potential, no constants) contribute inapplicable entries rather than errors,
@@ -87,16 +91,26 @@ DECLARED_SOLITON = Need(
     lambda h: h.declared_soliton().is_zero(),
     "soliton equation does not hold exactly at the declared constants",
 )
+NO_POINTS = "no nondegenerate sample points found in the domain box"
 
 
 class Analysis:
-    """Shared state for the command pipelines over one manifest."""
+    """One run over one manifest: the state the commands share and the run's report."""
 
     def __init__(self, manifest: Manifest, cfg: OracleConfig):
         self.manifest = manifest
         self.cfg = cfg
         self.structure: ParacontactStructure = manifest.structure()
+        self.report = VerificationReport(
+            name=manifest.name, ricci_mode=self.structure.ricci_mode, seed=cfg.seed
+        )
+        self.record_constants({"epsilon": self.structure.epsilon})
         self._points: list[dict[str, float]] | None = None
+
+    def record_constants(self, constants: dict) -> None:
+        """Report constants; a key keeps the first value recorded for it."""
+        for key, value in constants.items():
+            self.report.constants.setdefault(key, value)
 
     # -- shared lazies ---------------------------------------------------------
 
@@ -133,22 +147,14 @@ class Analysis:
             spec.kind == "xi" or (self.potential - self.structure.xi).is_zero()
         )
 
-    def new_report(self) -> VerificationReport:
-        report = VerificationReport(
-            name=self.manifest.name, ricci_mode=self.structure.ricci_mode, seed=self.cfg.seed
-        )
-        report.constants["epsilon"] = self.structure.epsilon
-        return report
-
 
 def _command(body):
-    """A command from a body that sets report constants and returns its outcomes in order."""
+    """A command from a body that returns its outcomes in order, appended to the run's report."""
 
     @wraps(body)
     def command(analysis: Analysis) -> VerificationReport:
-        report = analysis.new_report()
-        report.extend_outcomes(body(analysis, report), analysis.sample_points())
-        return report
+        analysis.report.extend_outcomes(body(analysis), analysis.sample_points())
+        return analysis.report
 
     return command
 
@@ -172,7 +178,7 @@ def _sampled(exprs: list[Expr], points: list[dict[str, float]]) -> np.ndarray:
 
 
 @_command
-def cmd_validate(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
+def cmd_validate(analysis: Analysis) -> list[CheckOutcome]:
     structure, eps = analysis.structure, analysis.structure.epsilon
     det = structure.metric.determinant
     declared = "" if analysis.manifest.epsilon is None else ", matches declared value"
@@ -211,7 +217,7 @@ def cmd_validate(analysis: Analysis, report: VerificationReport) -> list[CheckOu
 
 
 @_command
-def cmd_curvature(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
+def cmd_curvature(analysis: Analysis) -> list[CheckOutcome]:
     structure = analysis.structure
     mode = structure.ricci_mode
     gamma = structure.connection()
@@ -260,7 +266,7 @@ def cmd_curvature(analysis: Analysis, report: VerificationReport) -> list[CheckO
 
 
 @_command
-def cmd_sasakian(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
+def cmd_sasakian(analysis: Analysis) -> list[CheckOutcome]:
     if not structure_is_valid(analysis.structure):
         return [
             inapplicable(
@@ -273,7 +279,7 @@ def cmd_sasakian(analysis: Analysis, report: VerificationReport) -> list[CheckOu
 
 
 @_command
-def cmd_einstein_fit(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
+def cmd_einstein_fit(analysis: Analysis) -> list[CheckOutcome]:
     structure = analysis.structure
     if structure.frame is None:
         return [inapplicable("einstein_fit", "no orthonormal frame in the manifest")]
@@ -293,7 +299,7 @@ def cmd_einstein_fit(analysis: Analysis, report: VerificationReport) -> list[Che
                 % (a, b, c, fit.witness_index, fit.witness_residual),
             )
         ]
-    report.constants.update(a=a, b=b, c=c)
+    analysis.record_constants({"a": a, "b": b, "c": c})
     pair = analysis.soliton_constants()
     soliton = SolitonData(structure.xi, *pair) if pair and analysis.potential_is_xi() else None
     fitted = CheckOutcome(
@@ -307,7 +313,7 @@ def cmd_einstein_fit(analysis: Analysis, report: VerificationReport) -> list[Che
 
 
 @_command
-def cmd_soliton_check(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
+def cmd_soliton_check(analysis: Analysis) -> list[CheckOutcome]:
     structure = analysis.structure
     potential = analysis.potential
     pair = analysis.soliton_constants()
@@ -319,7 +325,7 @@ def cmd_soliton_check(analysis: Analysis, report: VerificationReport) -> list[Ch
             )
         ]
     lam, mu = pair
-    report.constants.update({"lambda": lam, "mu": mu})
+    analysis.record_constants({"lambda": lam, "mu": mu})
     outcomes = run_checks([
         Check("soliton_residual_zero", "1/2 L_V g + S + lambda g + mu eta(x)eta = 0 with "
               "(lambda, mu) = (%s, %s) [%s]" % (lam, mu, structure.ricci_mode),
@@ -331,7 +337,7 @@ def cmd_soliton_check(analysis: Analysis, report: VerificationReport) -> list[Ch
 
 
 @_command
-def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
+def cmd_soliton_solve(analysis: Analysis) -> list[CheckOutcome]:
     structure = analysis.structure
     potential = analysis.potential
     if potential is None or structure.frame is None:
@@ -342,11 +348,11 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
             )
         ]
     result = solve_soliton_constants(structure, potential)
-    report.constants.update({"lambda": result.lam, "mu": result.mu})
+    analysis.record_constants({"lambda": result.lam, "mu": result.mu})
     diag = ", ".join(map(constant_text, result.frame_diagonal))
     # guard against base-point coincidences: the same fit in floats at the sample points
     points = analysis.sample_points()
-    guard, guard_details = INAPPLICABLE, "no nondegenerate sample points found in the domain box"
+    guard, guard_details = INAPPLICABLE, NO_POINTS
     if points:
         pairs = structure.frame.pairs
         values = _sampled([t[pair] for pair in pairs for t in result.frame_tables], points)
@@ -358,7 +364,7 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
         guard_details = "stacked least squares over %d extra seeded points deviates by %.3e" % (
             len(points), deviation
         )
-    return [
+    return run_checks([
         CheckOutcome(
             "soliton_solve",
             PASS,
@@ -371,32 +377,29 @@ def cmd_soliton_solve(analysis: Analysis, report: VerificationReport) -> list[Ch
                 structure.ricci_mode,
             ),
         ),
-        CheckOutcome(
-            "soliton_exactness",
-            PASS if result.exact else FAIL,
-            symbolic_zero=result.exact,
-            residual=result.residual,
-            details="residual frame diagonal (%s), norm %.12g" % (diag, result.residual_norm),
-        ),
+        Check("soliton_exactness",
+              "residual frame diagonal (%s), norm %.12g" % (diag, result.residual_norm),
+              result.residual),
         CheckOutcome("soliton_base_point_guard", guard, details=guard_details),
-    ]
+    ])
 
 
 @_command
-def cmd_torse(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
+def cmd_torse(analysis: Analysis) -> list[CheckOutcome]:
     structure = analysis.structure
     torse = detect_torse_forming(structure)
-    report.constants["classification"] = torse.classification
+    analysis.record_constants({"classification": torse.classification})
     details = "classification: %s" % torse.classification
     if torse.f is not None:
-        report.constants.update(f=torse.f, regular=torse.regular)
+        analysis.record_constants({"f": torse.f, "regular": torse.regular})
         details += "; f = %s; w = -f eta; regular = %s" % (torse.f, torse.regular)
     if torse.note:
         details += "; " + torse.note
     if torse.regular and torse.regularity.as_rational_constant() is None:
-        values = _sampled([torse.regularity], analysis.sample_points()[:5])[0]
-        details += "; f^2 + xi(f) = %s is nonconstant; sampled values: %s" % (
-            torse.regularity, ", ".join("%.4g" % v for v in values.tolist())
+        points = analysis.sample_points()[:5]
+        values = ", ".join("%.4g" % v for v in _sampled([torse.regularity], points)[0].tolist())
+        details += "; f^2 + xi(f) = %s is nonconstant; %s" % (
+            torse.regularity, "sampled values: " + values if points else NO_POINTS
         )
     outcomes = [_note("torse_classification", details)]
 
@@ -425,7 +428,7 @@ def cmd_torse(analysis: Analysis, report: VerificationReport) -> list[CheckOutco
 
 
 @_command
-def cmd_collinear(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
+def cmd_collinear(analysis: Analysis) -> list[CheckOutcome]:
     spec = analysis.manifest.potential
     pair = analysis.soliton_constants()
     if spec is None or spec.kind == "components" or pair is None:
@@ -436,14 +439,14 @@ def cmd_collinear(analysis: Analysis, report: VerificationReport) -> list[CheckO
             )
         ]
     lam, mu = pair
-    report.constants.update({"lambda": lam, "mu": mu})
+    analysis.record_constants({"lambda": lam, "mu": mu})
     return collinear_potential_analysis(
         analysis.structure, spec.k_expr(analysis.manifest.chart), lam, mu
     )
 
 
 @_command
-def cmd_parallel(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
+def cmd_parallel(analysis: Analysis) -> list[CheckOutcome]:
     structure = analysis.structure
     outcomes = []
     if analysis.manifest.alpha is not None:
@@ -467,19 +470,13 @@ def _deviation_text(value: float) -> str:
 
 
 @_command
-def cmd_oracle(analysis: Analysis, report: VerificationReport) -> list[CheckOutcome]:
+def cmd_oracle(analysis: Analysis) -> list[CheckOutcome]:
     structure = analysis.structure
     cfg = analysis.cfg
     metric = structure.metric
     points = oracle_sample_points(structure.chart, metric, cfg)
     if not points:
-        return [
-            CheckOutcome(
-                "oracle_christoffel",
-                FAIL,
-                details="no nondegenerate sample points found in the domain box",
-            )
-        ]
+        return [CheckOutcome("oracle_christoffel", FAIL, details=NO_POINTS)]
 
     def compared(check_id: str, deviation: float) -> CheckOutcome:
         return CheckOutcome(
@@ -559,15 +556,10 @@ def cmd_oracle(analysis: Analysis, report: VerificationReport) -> list[CheckOutc
 def cmd_report_all(analysis: Analysis) -> VerificationReport:
     # the oracle runs last; an input error there must not wait for the rest
     require_step_fits(analysis.structure.chart, analysis.cfg)
-    report = analysis.new_report()
     for name, command in COMMANDS.items():
-        if name == "report":
-            continue
-        partial = command(analysis)
-        report.checks.extend(partial.checks)
-        for key, value in partial.constants.items():
-            report.constants.setdefault(key, value)
-    return report
+        if name != "report":
+            command(analysis)
+    return analysis.report
 
 
 COMMANDS = {

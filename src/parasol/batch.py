@@ -190,6 +190,6 @@ class PointBatch:
             flags |= overflowed
         for j, (_, dmono, den_terms) in enumerate(tables):
             if dmono or den_terms is not None:  # a denominator other than 1
-                flags[j] |= [abs(v) <= DENOMINATOR_CUTOFF for v in den[j].tolist()]
+                flags[j] |= np.abs(den[j]) <= DENOMINATOR_CUTOFF
         values[live] = num / den
         degenerate[live] = flags

@@ -260,7 +260,7 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> Manifest:
     if not isinstance(raw_constants, dict):
         raise ManifestError("constants must be an object")
     for key, value in raw_constants.items():
-        if key not in ("lambda", "mu", "a", "b", "c"):
+        if key not in ("lambda", "mu"):
             raise ManifestError("constants: unknown key %r" % key)
         constants[key] = _as_fraction(value, "constants.%s" % key)
 

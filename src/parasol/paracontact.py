@@ -21,9 +21,11 @@ The para-Sasakian condition and its curvature consequences:
 Each suite is a :func:`~parasol.checks.run_checks` table, one row per
 identity with its residual; the implications between rows (the last two
 axioms follow from the first two, and so on) are asserted after the table
-runs.  The structure caches its connection, curvature and the derived
-tensors the suites share (nabla phi, nabla xi, Q, nabla S, nabla Q, ...), so
-each is built once per run.
+runs.  The curvature identities assume a para-Sasakian structure: their
+rows need :data:`PARA_SASAKIAN`, the one need every suite that assumes it
+shares, and are inapplicable without it.  The structure caches its
+connection, curvature and the derived tensors the suites share (nabla phi,
+nabla xi, Q, nabla S, nabla Q, ...), so each is built once per run.
 
 The Ricci mode is fixed per structure (a manifest's ``ricci_mode``, or the
 CLI's ``--ricci-mode``), and every derived tensor and soliton suite uses it;
@@ -41,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .checks import Check, CheckOutcome, PASS, run_checks
+from .checks import Check, CheckOutcome, Need, PASS, run_checks
 from .chart import Chart
 from .connection import (
     PAPER_FRAME_SUM,
@@ -64,7 +66,11 @@ __all__ = [
     "validate_metric_compat",
     "is_para_sasakian",
     "sasakian_identity_suite",
+    "PARA_SASAKIAN",
 ]
+
+# the hypothesis of every para-Sasakian identity, over a suite's facts
+PARA_SASAKIAN = Need(lambda h: h.para_sasakian, "structure is not para-Sasakian")
 
 
 class StructureError(ValueError):
@@ -372,10 +378,12 @@ def _para_sasakian_outcomes(s: ParacontactStructure) -> list[CheckOutcome]:
 
 
 def sasakian_identity_suite(structure: ParacontactStructure) -> list[CheckOutcome]:
-    """The four para-Sasakian curvature identities and nabla_xi xi = 0.
+    """The four para-Sasakian curvature identities, inapplicable on other structures.
 
     The residuals use the structure's own curvature (weighted-trace Ricci)
-    and the derived tensors it caches.
+    and the derived tensors it caches; they are built only when the
+    structure is para-Sasakian.  nabla_xi xi = 0 is no row of its own here:
+    nabla xi = eps phi and phi xi = 0 give it.
     """
     s, n = structure, structure.chart.dimension
     g, xi, eta = s.metric.field, s.xi, s.eta
@@ -384,13 +392,15 @@ def sasakian_identity_suite(structure: ParacontactStructure) -> list[CheckOutcom
     eps_eta = eta.scale(eps)
     return run_checks([
         Check("ps_identity_r_xy_xi", "R(X, Y) xi = eta(X) Y - eta(Y) X",
-              contract("kij-i,kj+j,ki->kij", s.r_into_xi(), eta, delta, eta, delta)),
+              lambda: contract("kij-i,kj+j,ki->kij", s.r_into_xi(), eta, delta, eta, delta),
+              (PARA_SASAKIAN,)),
         Check("ps_identity_r_xi_x", "R(xi, X) Y = -eps g(X, Y) xi + eta(Y) X",
-              contract("kij+ij,k-j,ki->kij", s.r_xi(), g.scale(eps), xi, eta, delta)),
+              lambda: contract("kij+ij,k-j,ki->kij", s.r_xi(), g.scale(eps), xi, eta, delta),
+              (PARA_SASAKIAN,)),
         Check("ps_identity_eta_r", "eta(R(X, Y) Z) = -eps eta(X) g(Y, Z) + eps eta(Y) g(X, Z)",
-              contract("ijm+i,jm-j,im->ijm", contract("k,kijm->ijm", eta, s.riemann()),
-                       eps_eta, g, eps_eta, g)),
+              lambda: contract("ijm+i,jm-j,im->ijm", contract("k,kijm->ijm", eta, s.riemann()),
+                               eps_eta, g, eps_eta, g),
+              (PARA_SASAKIAN,)),
         Check("ps_identity_s_xi", "S(X, xi) = -(n - 1) eta(X)",
-              s.ricci_xi(WEIGHTED_TRACE) + eta.scale(n - 1)),
-        Check("xi_geodesic", "nabla_xi xi = 0", contract("c,kc->k", xi, s.nabla_xi())),
-    ])
+              lambda: s.ricci_xi(WEIGHTED_TRACE) + eta.scale(n - 1), (PARA_SASAKIAN,)),
+    ], para_sasakian=s.para_sasakian())

@@ -31,6 +31,9 @@ CURVATURE_SIGN_CONVENTION = (
     "R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z"
 )
 
+# the report's constants, in this order, each null when no command recorded it
+CONSTANT_KEYS = ("epsilon", "a", "b", "c", "lambda", "mu", "f", "classification", "regular")
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
@@ -77,9 +80,12 @@ def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> flo
     A contraction takes it from float factors when every operand is finite and
     nondegenerate at every point, else from its exact build.  A built residual evaluates
     each distinct nonzero component once on a batch, skipping it where degenerate or NaN.
+    Without points only a symbolically zero residual has a size, 0.0.
     """
     points = list(points)
     if isinstance(residual, Contraction):
+        if not points:
+            return None  # a kept contraction has a nonzero residue
         worst = _factored_max(residual, points)
         if worst is not None:
             return _round_float(worst)
@@ -91,6 +97,8 @@ def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> flo
     distinct = {id(c): c for _, c in residual.components() if not c.is_symbolically_zero}
     if not distinct:
         return 0.0
+    if not points:
+        return None
     values, degenerate = PointBatch(residual.chart, points).evaluate(list(distinct.values()))
     kept = zip(values.ravel().tolist(), degenerate.ravel().tolist())
     worst = max((abs(v) for v, skip in kept if not (skip or math.isnan(v))), default=0.0)
@@ -107,6 +115,11 @@ def constant_text(value) -> str | None:
         constant = value.as_rational_constant()
         return str(constant) if constant is not None else str(value)
     return str(value)
+
+
+def _json_constant(value):
+    """epsilon, regular and classification as they are (int, bool, str); other values as text."""
+    return value if isinstance(value, (int, str)) else constant_text(value)
 
 
 @dataclass
@@ -130,28 +143,7 @@ class VerificationReport:
         return EXIT_CHECK_FAILED if any(c.status == FAIL for c in self.checks) else EXIT_OK
 
     def to_dict(self) -> dict:
-        constant_keys = (
-            "epsilon",
-            "a",
-            "b",
-            "c",
-            "lambda",
-            "mu",
-            "f",
-            "classification",
-            "regular",
-        )
-        constants = {}
-        for key in constant_keys:
-            value = self.constants.get(key)
-            if key == "epsilon" and value is not None:
-                constants[key] = int(value)
-            elif key == "regular" and value is not None:
-                constants[key] = bool(value)
-            elif key == "classification":
-                constants[key] = value
-            else:
-                constants[key] = constant_text(value)
+        constants = {key: _json_constant(self.constants.get(key)) for key in CONSTANT_KEYS}
         return {
             "name": self.name,
             "conventions": {

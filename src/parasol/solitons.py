@@ -23,10 +23,11 @@ tensor analysis with the soliton constant lambda = -(a + eps (c + mu)).
 Theorem verifiers never assert a conclusion from a hypothesis: both sides
 are evaluated and the implication status is reported.  Each suite is a
 :func:`~parasol.checks.run_checks` table whose rows name their hypotheses as
-needs (``PARA_SASAKIAN``, ``EL_CONSTANTS``, ``TORSE_FORMING``, ...), defined
-once below with the reason an unmet one reports.  The soliton link and the
-"Codazzi forces c = 0" instance follow none of the table's rules and are
-written out by hand.
+needs (``EL_CONSTANTS``, ``TORSE_FORMING``, ...), defined once below with
+the reason an unmet one reports; ``PARA_SASAKIAN`` comes from
+:mod:`parasol.paracontact`, whose identities assume it too.  The soliton
+link and the "Codazzi forces c = 0" instance follow none of the table's
+rules and are written out by hand.
 
 Every function reads the Ricci tensor in the structure's own Ricci mode and
 asks the structure whether it is para-Sasakian, for its torse-forming data
@@ -54,7 +55,7 @@ from .checks import (
     run_checks,
 )
 from .connection import covariant_derivative, covariant_derivative_along, scalar_curvature
-from .paracontact import ParacontactStructure
+from .paracontact import PARA_SASAKIAN, ParacontactStructure
 from .symexpr import ExactEvaluationError, Expr, InvariantError
 from .tensor import Contraction, TensorField, ValenceError, contract, kronecker
 
@@ -145,7 +146,6 @@ class TorseFormingData:
 
 
 # the hypotheses of the theorem instances, over the facts each suite passes to run_checks
-PARA_SASAKIAN = Need(lambda h: h.para_sasakian, "structure is not para-Sasakian")
 EL_CONSTANTS = Need(lambda h: h.constants is not None, "no Einstein-like constants available")
 SOLITON = Need(lambda h: h.soliton is not None, "no soliton constants supplied")
 TORSE_FORMING = Need(lambda h: h.torse.forming, "xi is not torse-forming")

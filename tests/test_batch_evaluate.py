@@ -262,6 +262,13 @@ def test_oracle_evaluates_no_metric_entry_one_point_at_a_time(manifests, monkeyp
     assert calls and sum(calls) == 0
 
 
+def test_a_batch_of_no_points_evaluates_to_empty_rows(ex1):
+    # every kind of denominator: none, a monomial, a base
+    exprs = [parse(source, ex1.chart) for source in ("exp(z) - y", "1/x", "x/(1 + exp(y))")]
+    values, degenerate = PointBatch(ex1.chart, []).evaluate(exprs)
+    assert values.shape == degenerate.shape == (3, 0)
+
+
 def test_an_unknown_ricci_mode_is_a_structure_error(flat):
     with pytest.raises(StructureError, match="ricci_mode must be one of .*, got 'frame'"):
         ParacontactStructure(flat.phi, flat.xi, flat.eta, flat.metric, ricci_mode="frame")

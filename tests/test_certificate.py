@@ -219,6 +219,15 @@ def test_numeric_max_evaluates_each_distinct_nonzero_component_once(ex1, monkeyp
     assert len(batched) == 1
 
 
+def test_no_point_sizes_a_nonzero_residual(ex1):
+    chart = ex1.chart
+    vector = TensorField.vector(chart, [parse("1/x", chart), parse("y", chart), Expr.zero(chart)])
+    assert residual_numeric_max(vector, []) is None
+    assert residual_numeric_max(parse("1 + exp(z)", chart), []) is None
+    assert residual_numeric_max(Contraction("i->i", vector), []) is None
+    assert residual_numeric_max(TensorField.zero(chart, 0, 2), []) == 0.0
+
+
 def test_a_degenerate_operand_takes_numeric_max_from_the_build(ex1):
     chart = ex1.chart
     vector = TensorField.vector(chart, [parse("1/x", chart), parse("y", chart), Expr.zero(chart)])

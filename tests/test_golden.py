@@ -74,6 +74,16 @@ CASES = [
      ["report", "--all", str(MANIFESTS / "paracontact_example_n5_eps-1.json"), "--json"], 1),
     ("warped_soliton_n5_k1__report_all.json",
      ["report", "--all", str(MANIFESTS / "warped_soliton_n5_k1.json"), "--json"], 1),
+    # ex1_r3_spacelike with E1, E2 rotated by (3/5, 4/5): a frame that is not
+    # diagonal, so every E^T T E table sums over more than one term and a
+    # transposed table shows
+    ("ex1_rotated_frame__einstein_fit.json",
+     ["einstein-fit", str(MANIFESTS / "ex1_rotated_frame.json"), "--json"], 0),
+    ("ex1_rotated_frame__soliton_solve.json",
+     ["soliton", "solve", str(MANIFESTS / "ex1_rotated_frame.json"), "--json"], 1),
+    ("ex1_rotated_frame__curvature_paper.json",
+     ["curvature", str(MANIFESTS / "ex1_rotated_frame.json"), "--ricci-mode", "paper_frame_sum",
+      "--json"], 0),
 ]
 
 

@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 import parasol
+from parasol.analysis import COMMANDS
 from parasol.cli import build_parser, main, resolve_manifest_path
 from parasol.manifest import ManifestError, load_manifest
 from parasol.solitons import einstein_like_fit, einstein_like_suite, solve_soliton_constants
 from parasol.symexpr import parse
 from parasol.tensor import Frame, Metric, TensorField
 
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import ALL_MANIFESTS, FIXTURE_NAMES, fixture_path
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -87,6 +88,18 @@ def test_float_constants_rejected(tmp_path):
     bad.write_text(json.dumps(data))
     with pytest.raises(ManifestError, match="exact rational"):
         load_manifest(bad)
+
+
+@pytest.mark.parametrize("key", ["a", "b", "c"])
+def test_constants_nothing_reads_are_rejected(tmp_path, key):
+    # the Einstein-like constants are fitted, never read from the manifest
+    data = json.loads(fixture_path("ex1_r3_spacelike").read_text())
+    data["constants"][key] = "1"
+    bad = tmp_path / "unread_constant.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(["report", "--all", str(bad), "--json"])
+    assert (code, out) == (2, "")
+    assert err == "error: constants: unknown key %r\n" % key
 
 
 def test_asymmetric_alpha_rejected(tmp_path):
@@ -296,7 +309,49 @@ def test_orthonormal_frame_of_a_large_scale_metric_is_accepted(tmp_path):
         checks = json.loads(out)["checks"]
         failing.append((code, [c["id"] for c in checks if c["status"] == "fail"]))
     assert failing[0] == failing[1]
-    assert failing[0][0] == 1 and len(failing[0][1]) == 6
+    assert failing[0][0] == 1 and len(failing[0][1]) == 2
+
+
+def test_a_manifest_with_no_sample_point_reports_without_traceback(tmp_path):
+    # |det g| = (1 + e^z)^4 / 10^12 stays under the degeneracy cutoff in the
+    # whole box, so every candidate sample point is rejected
+    data = json.loads((Path(__file__).resolve().parent / "golden" / "manifests"
+                       / "torse_sigmoid_r3.json").read_text())
+    for i in (0, 1):
+        data["metric"][i][i] = "(1+exp(z))^2/1000000"
+        data["frame"][i][i] = "1000/(1+exp(z))"
+    path = tmp_path / "torse_tiny.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(["torse", str(path), "--json"])
+    assert code == 0
+    note = json.loads(out)["checks"][0]["details"]
+    assert note.endswith(
+        "is nonconstant; no nondegenerate sample points found in the domain box"
+    )
+    code, out, _ = run_cli(["report", "--all", str(path), "--json"])
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    # no point sizes a residual that is not symbolically zero
+    assert any(c["symbolic_zero"] is False for c in checks)
+    for check in checks:
+        if check["symbolic_zero"] is not None:
+            assert check["numeric_max"] == (0.0 if check["symbolic_zero"] else None), check
+
+
+def _argv(command: str) -> list[str]:
+    """The CLI arguments of a command named as in ``parasol.analysis.COMMANDS``."""
+    if command == "report":
+        return ["report", "--all"]
+    return command.split("-", 1) if command.startswith("soliton-") else [command]
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=p.stem) for p in ALL_MANIFESTS])
+def test_every_report_states_each_row_once(path):
+    for command in COMMANDS:
+        code, out, err = run_cli(_argv(command) + [str(path), "--json"])
+        assert code in (0, 1), (command, err)
+        ids = [check["id"] for check in json.loads(out)["checks"]]
+        assert len(ids) == len(set(ids)), (command, ids)
 
 
 def test_failed_invariant_exits_two_without_traceback(monkeypatch):

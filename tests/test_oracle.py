@@ -66,7 +66,7 @@ def test_report_all_rejects_the_step_before_any_command(monkeypatch):
     for name in analysis.COMMANDS:
         if name != "report":
             monkeypatch.setitem(
-                analysis.COMMANDS, name, lambda a, name=name: ran.append(name) or a.new_report()
+                analysis.COMMANDS, name, lambda a, name=name: ran.append(name) or a.report
             )
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

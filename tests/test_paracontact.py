@@ -1,8 +1,10 @@
 """Structure axioms, epsilon detection, para-Sasakian suites."""
 
+from fractions import Fraction
+
 import pytest
 
-from parasol.checks import FAIL, PASS
+from parasol.checks import FAIL, INAPPLICABLE, PASS
 from parasol.paracontact import (
     ParacontactStructure,
     StructureError,
@@ -12,6 +14,7 @@ from parasol.paracontact import (
     validate_axioms,
     validate_metric_compat,
 )
+from parasol.solitons import xi_consequence_suite
 from parasol.symexpr import parse
 from parasol.tensor import TensorField
 
@@ -133,14 +136,22 @@ def test_identity_suite_passes_on_r3_fixtures(ex1, ex2):
         assert outcomes["ps_identity_s_xi"].symbolic_zero
 
 
-def test_identity_suite_r_xy_xi_fails_on_flat(flat):
-    outcomes = outcome_map(sasakian_identity_suite(flat))
-    assert outcomes["ps_identity_r_xy_xi"].status == FAIL
+def test_identity_suite_is_inapplicable_on_flat(flat):
+    # the identities assume a para-Sasakian structure, which flat space is not
+    outcomes = sasakian_identity_suite(flat)
+    assert [o.id for o in outcomes] == [
+        "ps_identity_r_xy_xi", "ps_identity_r_xi_x", "ps_identity_eta_r", "ps_identity_s_xi"
+    ]
+    for outcome in outcomes:
+        assert outcome.status == INAPPLICABLE and outcome.residual is None
+        assert outcome.details == "structure is not para-Sasakian"
 
 
 def test_xi_is_geodesic_on_para_sasakian_fixtures(ex1, ex2):
+    # one row, in the V = xi suite: nabla xi = eps phi and phi xi = 0 give it
     for structure in (ex1, ex2):
-        outcomes = outcome_map(sasakian_identity_suite(structure))
+        assert "xi_geodesic" not in outcome_map(sasakian_identity_suite(structure))
+        outcomes = outcome_map(xi_consequence_suite(structure, Fraction(0), Fraction(0)))
         assert outcomes["xi_geodesic"].status == PASS
 
 
