@@ -118,11 +118,14 @@ class Analysis:
         if self._points is None:
             det = self.structure.metric.determinant
 
-            def reject(point: dict[str, float]) -> bool:
+            def degenerate(point: dict[str, float]) -> bool:
                 try:
                     return abs(det.evaluate(point)) < DEGENERACY_CUTOFF
                 except DegenerateEvaluationError:
                     return True
+
+            def reject(candidates: list[dict[str, float]]) -> list[bool]:
+                return [degenerate(point) for point in candidates]
 
             self._points = self.manifest.chart.sample_points(
                 SAMPLE_COUNT, self.cfg.seed, reject=reject
@@ -474,7 +477,8 @@ def cmd_oracle(analysis: Analysis) -> list[CheckOutcome]:
     structure = analysis.structure
     cfg = analysis.cfg
     metric = structure.metric
-    points = oracle_sample_points(structure.chart, metric, cfg)
+    stencil = StencilSampler(metric, cfg.h)
+    points = oracle_sample_points(stencil, cfg.seed)
     if not points:
         return [CheckOutcome("oracle_christoffel", FAIL, details=NO_POINTS)]
 
@@ -487,7 +491,6 @@ def cmd_oracle(analysis: Analysis) -> list[CheckOutcome]:
         )
 
     gamma = structure.connection()
-    stencil = StencilSampler(metric, cfg.h)
     # the comparisons at h and at h/2 read one evaluation of the symbols
     gamma_values = gamma.numeric_many(PointBatch(gamma.chart, points))
     # a degenerate Christoffel stencil raises: the step-halving check needs this comparison
@@ -555,7 +558,7 @@ def cmd_oracle(analysis: Analysis) -> list[CheckOutcome]:
 
 def cmd_report_all(analysis: Analysis) -> VerificationReport:
     # the oracle runs last; an input error there must not wait for the rest
-    require_step_fits(analysis.structure.chart, analysis.cfg)
+    require_step_fits(analysis.structure.chart, analysis.cfg.h)
     for name, command in COMMANDS.items():
         if name != "report":
             command(analysis)

@@ -103,25 +103,30 @@ class Chart:
         self,
         count: int,
         seed: int,
-        reject: Callable[[dict[str, float]], bool] | None = None,
+        reject: Callable[[list[dict[str, float]]], Sequence[bool]] | None = None,
     ) -> list[dict[str, float]]:
         """Deterministic uniform samples from the ``domain_box``, with optional rejection.
 
-        ``reject`` returning True drops the candidate (used to avoid metric
-        degeneracy loci and denominator zeros).  Returns the points found, at
-        most ``count``.
+        ``reject`` takes candidates in the order they are drawn and returns,
+        for each, whether to drop it (used to avoid metric degeneracy loci
+        and denominator zeros).  It is given as many candidates at a time as
+        points are still missing, so it sees exactly the candidates that a
+        draw of one at a time would, and can judge them in one batch.
+        Returns the points found, at most ``count``.
         """
         rng = random.Random(seed)
-        box = [(float(lo), float(hi)) for lo, hi in self.domain_box]
+        ranges = [(c, float(lo), float(hi)) for c, (lo, hi) in zip(self.coordinates, self.domain_box)]
         points: list[dict[str, float]] = []
         tries = 0
         while len(points) < count and tries < MAX_SAMPLE_TRIES:
-            tries += 1
-            point = {
-                name: lo + (hi - lo) * rng.random()
-                for name, (lo, hi) in zip(self.coordinates, box)
-            }
-            if reject is not None and reject(point):
-                continue
-            points.append(point)
+            drawn = min(count - len(points), MAX_SAMPLE_TRIES - tries)
+            tries += drawn
+            candidates = [
+                {name: lo + (hi - lo) * rng.random() for name, lo, hi in ranges}
+                for _ in range(drawn)
+            ]
+            if reject is None:
+                points += candidates
+            else:
+                points += [point for point, drop in zip(candidates, reject(candidates)) if not drop]
         return points

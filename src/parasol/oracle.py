@@ -8,18 +8,24 @@ it an independent witness.  Central differences are O(h^2): halving the step
 should shrink the deviation by roughly 4x, and that scaling is itself a
 checkable property.
 
-Float evaluation is batched, one batch per sample point.  All the references
-at a sample point (Christoffel symbols at h and at h/2, Riemann and Ricci
-tensors at h) come from one batch of the metric at the points their stencils
-visit, at most 1 + 2n(n + 2) + 2n of them, and from stacked numpy work over
-those stencils (:class:`StencilSampler`).  Not one batch per run: putting
-all ten sample points of a run in one batch was about 5 % faster on the
-``fixtures`` benchmark, but raised its peak RSS by 0.35 MB (median of three
-30 s pairs, 2-core Xeon, numpy 2.4), where the benchmark's bound is 0.1 MB.
-Each candidate sample point's probes form one batch, and :func:`compare`
-evaluates the symbolic tensor at all sample points in one call.  A batch
-does ``+``, ``*`` and ``/`` in numpy, in the order of the one-point path,
-and leaves ``x ** k`` and ``exp`` to Python's libm calls: numpy's vectorised
+Float evaluation is planned once per run and batched.  A run's
+:class:`StencilSampler` builds the metric's :class:`~parasol.batch.Plan`
+once and runs it on one batch per round of candidate sample points (their
+probes: each candidate and its +-2h steps) and one batch per sample point:
+every point that its references (Christoffel symbols at h and at h/2,
+Riemann and Ricci tensors at h) visit, at most 1 + 2n(n + 2) + 2n points,
+from which the references come by stacked numpy work over the stencils.
+The probes are not folded into the stencil batches: that saved a batch per
+accepted candidate, but a rejected candidate then paid for all its stencil
+points, and ``report --all`` on a manifest whose 2000 candidates are all
+rejected went from 0.41 to 0.57 s; with the probes of a round in one batch
+it takes 0.10 s (in-process, medians of three runs).  On the ``fixtures``
+benchmark, where no candidate is rejected, the verdict time went from
+0.188 to 0.171 s (medians of ten alternating 30 s runs each, seed 1).  Both
+on a 2-core Xeon, numpy 2.4.  :func:`compare` evaluates the symbolic tensor
+at all sample points in one call.  A batch does ``+``, ``*`` and ``/`` in
+numpy, in the order of the one-point path, and leaves ``x ** k`` and
+``exp`` to Python's libm calls: numpy's vectorised
 ``power`` and ``exp`` round differently on some inputs, which would move the
 roundoff-level deviations the reports print.  Every value therefore has the
 bits that ``Expr.evaluate`` gives, and a point where ``Expr.evaluate`` would
@@ -38,7 +44,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .chart import SAMPLE_COUNT, Chart
-from .batch import PointBatch
+from .batch import Plan, PointBatch
 from .symexpr import coordinate_values
 from .tensor import Metric, TensorField
 
@@ -97,23 +103,6 @@ def _stencil(xs: list[float], h: float) -> list[list[float]]:
     return [xs] + [side for pair in _neighbours(xs, h) for side in pair]
 
 
-def _keep_float_tables(metric: Metric) -> TensorField:
-    """The metric's field, the float tables of its entries built once for all batches of a run."""
-    for comp in metric.field._comps:
-        if not comp.is_symbolically_zero:
-            comp.keep_float_tables()
-    return metric.field
-
-
-@np.errstate(all="ignore")
-def _metric_at(
-    field: TensorField, points: Iterable[Sequence[float]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The metric's matrices at the points, their determinants, and where an entry is degenerate."""
-    matrices, degenerate = field.numeric_many(PointBatch(field.chart, points))
-    return matrices, np.linalg.det(matrices), degenerate
-
-
 def _failures(dets: np.ndarray, degenerate: np.ndarray, stencils: np.ndarray) -> np.ndarray:
     """Where the visits of each stencil fail; a stencil is a row of point indices, centre first.
 
@@ -135,24 +124,22 @@ _Reference = tuple[np.ndarray, _Failure | None]
 class StencilSampler:
     """Central-difference references of one metric at one step h, for the length of one run.
 
-    A sample point's references, the Christoffel symbols at h and at h/2
-    and the Riemann and Ricci tensors at h, are computed together at the
-    point's first lookup, from one :class:`~parasol.batch.PointBatch` of the
-    metric at every point they visit: the Riemann stencil of stencils at h
-    and the Christoffel stencil at h/2, at most 1 + 2n(n + 2) + 2n points.
-    Points are keyed by the exact float coordinates that the stencil
-    arithmetic (:func:`_neighbours`) produces, so a point that several
-    stencils visit is evaluated once; the values are one stacked
-    (points, n, n) array, indexed through the keys.  The Christoffel symbols
-    of all 2n + 2 stencils come from one stacked ``np.linalg.inv`` and three
-    stacked einsums, the Riemann tensor from those of the point and its 2n
-    neighbours at h, the Ricci tensor from the Riemann tensor; each stacked
-    value has the bits of the same arithmetic on one stencil.
-
-    One batch per sample point, not per run: a batch of all of a run's
-    sample points was faster still, but raised the peak RSS of the
-    ``fixtures`` benchmark by 0.35 MB, over its 0.1 MB bound (see the module
-    docstring).
+    The sampler keeps the metric's :class:`~parasol.batch.Plan`, built once,
+    and runs it on one :class:`~parasol.batch.PointBatch` per round of
+    candidates' probes (:meth:`probe_fails`) and one per sample point.  A
+    sample point's references, the Christoffel symbols at h and at h/2 and
+    the Riemann and Ricci tensors at h, are computed together at the point's
+    first lookup, from the batch of every point they visit: the Riemann
+    stencil of stencils at h and the Christoffel stencil at h/2, at most
+    1 + 2n(n + 2) + 2n points.  Points are keyed by the exact float
+    coordinates that the stencil arithmetic (:func:`_neighbours`) produces,
+    so a point that several stencils visit is evaluated once; the values are
+    one stacked (points, n, n) array, indexed through the keys.  The
+    Christoffel symbols of all 2n + 2 stencils come from one stacked
+    ``np.linalg.inv`` and three stacked einsums, the Riemann tensor from
+    those of the point and its 2n neighbours at h, the Ricci tensor from the
+    Riemann tensor; each stacked value has the bits of the same arithmetic
+    on one stencil.
 
     The degeneracy checks run on the stacked determinants.  Each reference
     keeps its first failing visit, in the order the one-stencil computation
@@ -167,7 +154,8 @@ class StencilSampler:
     def __init__(self, metric: Metric, h: float):
         self.chart = metric.chart
         self.h = h
-        self._field = _keep_float_tables(metric)
+        self._field = metric.field
+        self._plan = Plan(metric.field._comps)
         # sample point -> reference name -> (value, first failing visit or None)
         self._references: dict[tuple[float, ...], dict[str, _Reference]] = {}
 
@@ -204,13 +192,35 @@ class StencilSampler:
         return value
 
     @np.errstate(all="ignore")
+    def probe_fails(self, candidates: list[Point]) -> list[bool]:
+        """Whether each candidate sample point fails one of its probes, all in one batch of the plan.
+
+        A candidate's probes are the candidate and the candidate moved by
+        +-2h along each axis; one fails where a metric entry is degenerate,
+        where |det g| < ``DEGENERACY_CUTOFF``, or where det g has the other
+        sign than at the candidate.  No reference is computed or kept.
+        """
+        step = 2.0 * self.h
+        probes = [_stencil(coordinate_values(self.chart, point), step) for point in candidates]
+        dets, degenerate = self._metric_at([p for stencil in probes for p in stencil])[1:]
+        index = np.arange(dets.size).reshape(len(probes), -1)
+        return _failures(dets, degenerate, index).any(axis=1).tolist()
+
+    def _metric_at(self, points: Iterable[Sequence[float]]) -> tuple[np.ndarray, ...]:
+        """The metric's matrices at the points, their determinants, and where an entry is degenerate."""
+        values, flags = self._plan.run(PointBatch(self.chart, points))
+        n = self.chart.dimension
+        matrices = values.T.reshape(-1, n, n)
+        return matrices, np.linalg.det(matrices), flags.any(axis=0)
+
+    @np.errstate(all="ignore")
     def _compute(self, xs: list[float]) -> dict[str, _Reference]:
         h, n = self.h, len(xs)
         # the stencils at h of xs and of its 2n neighbours, then the stencil at h/2 of xs
         stencils = [_stencil(q, h) for q in _stencil(xs, h)] + [_stencil(xs, h / 2.0)]
         rows: dict[tuple[float, ...], int] = {}
         index = np.array([[rows.setdefault(tuple(p), len(rows)) for p in s] for s in stencils])
-        matrices, dets, degenerate = _metric_at(self._field, rows)
+        matrices, dets, degenerate = self._metric_at(rows)
         fails = _failures(dets, degenerate, index)
 
         def first_failure(first: int, last: int) -> _Failure | None:
@@ -248,41 +258,31 @@ class StencilSampler:
         }
 
 
-def require_step_fits(chart: Chart, cfg: OracleConfig) -> None:
+def require_step_fits(chart: Chart, h: float) -> None:
     """Raise ``OracleConfigError`` unless the +-2h stencil fits the narrowest box interval."""
     width = min(hi - lo for lo, hi in chart.domain_box)
-    if 4.0 * cfg.h >= width:
+    if 4.0 * h >= width:
         raise OracleConfigError(
             "step h = %g does not fit the domain box: the +-2h stencil needs 4h below "
-            "its narrowest interval width %s" % (cfg.h, width)
+            "its narrowest interval width %s" % (h, width)
         )
 
 
-def oracle_sample_points(
-    chart: Chart, metric: Metric, cfg: OracleConfig
-) -> list[dict[str, float]]:
+def oracle_sample_points(sampler: StencilSampler, seed: int) -> list[dict[str, float]]:
     """Seeded sample points from the domain box, avoiding degeneracy loci.
 
     A candidate is probed at 1 + 2n points, itself and itself moved by +-2h
-    along each axis, and rejected when a metric entry is degenerate at a
-    probe, |det g| < ``DEGENERACY_CUTOFF`` there, or det g there has the
-    other sign than at the candidate.  The stencils' other points (the +-h
-    and diagonal steps) are not probed; the comparison checks them as it
-    visits them.  A step whose +-2h stencil spans the narrowest box interval
-    is an input error (:func:`require_step_fits`), so the box is not blamed
-    for what the step causes.
+    along each axis, and rejected when a probe fails; the candidates of one
+    round of :meth:`~parasol.chart.Chart.sample_points` are probed in one
+    batch (:meth:`StencilSampler.probe_fails`).  The stencils' other points
+    (the +-h and diagonal steps) are not probed; a reference that visits a
+    failing one raises when it is looked up.  A step whose +-2h stencil
+    spans the narrowest box interval is an input error
+    (:func:`require_step_fits`), so the box is not blamed for what the step
+    causes.
     """
-    require_step_fits(chart, cfg)
-
-    field = _keep_float_tables(metric)
-    probe_stencil = np.arange(1 + 2 * chart.dimension)[None, :]
-
-    def reject(point: dict[str, float]) -> bool:
-        probes = _stencil([point[c] for c in chart.coordinates], 2.0 * cfg.h)
-        _, dets, degenerate = _metric_at(field, probes)
-        return bool(_failures(dets, degenerate, probe_stencil).any())
-
-    return chart.sample_points(SAMPLE_COUNT, cfg.seed, reject=reject)
+    require_step_fits(sampler.chart, sampler.h)
+    return sampler.chart.sample_points(SAMPLE_COUNT, seed, reject=sampler.probe_fails)
 
 
 @np.errstate(all="ignore")

@@ -80,7 +80,8 @@ def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> flo
     A contraction takes it from float factors when every operand is finite and
     nondegenerate at every point, else from its exact build.  A built residual evaluates
     each distinct nonzero component once on a batch, skipping it where degenerate or NaN.
-    Without points only a symbolically zero residual has a size, 0.0.
+    A symbolically zero residual has the size 0.0; a nonzero one with no value left to
+    take (no points, or each degenerate or NaN) has none.
     """
     points = list(points)
     if isinstance(residual, Contraction):
@@ -101,7 +102,7 @@ def residual_numeric_max(residual, points: Iterable[Mapping[str, float]]) -> flo
         return None
     values, degenerate = PointBatch(residual.chart, points).evaluate(list(distinct.values()))
     kept = zip(values.ravel().tolist(), degenerate.ravel().tolist())
-    worst = max((abs(v) for v, skip in kept if not (skip or math.isnan(v))), default=0.0)
+    worst = max((abs(v) for v, skip in kept if not (skip or math.isnan(v))), default=math.inf)
     return _round_float(worst) if math.isfinite(worst) else None
 
 

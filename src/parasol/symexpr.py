@@ -351,7 +351,8 @@ def coordinate_values(chart: Chart, point: Mapping[str, float] | Sequence[float]
     """
     if type(point) is _Coordinates and len(point) == chart.dimension:
         return point
-    if isinstance(point, Mapping):
+    # a list or tuple skips the Mapping check, which costs more than the conversion
+    if not isinstance(point, (list, tuple)) and isinstance(point, Mapping):
         return _Coordinates([float(point[c]) for c in chart.coordinates])
     xs = _Coordinates([float(v) for v in point])
     if len(xs) != chart.dimension:
@@ -806,7 +807,7 @@ class Expr:
     def keep_float_tables(self) -> tuple:
         """The float term tables of :meth:`evaluate`, built on first use and kept on the expression.
 
-        :class:`~parasol.batch.PointBatch` uses kept tables and builds the others per call.
+        A :class:`~parasol.batch.Plan` uses kept tables and builds the others without keeping them.
         """
         if self._float is None:
             self._float = self._float_tables()

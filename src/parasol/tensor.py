@@ -103,7 +103,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .batch import PointBatch
+from .batch import Plan, PointBatch
 from .chart import Chart
 from .symexpr import (
     RESIDUE_PRIME,
@@ -281,25 +281,11 @@ class TensorField:
         """Components at every point of a batch, stacked on a leading axis, and per-point flags.
 
         A point is flagged where :meth:`numeric_at` raises; every other row
-        has the bits of :meth:`numeric_at` there (see :class:`PointBatch`),
-        up to the sign of a zero that a nonzero sum underflows to.
+        has the bits of :meth:`numeric_at` there (see :class:`~parasol.batch.Plan`).
         """
-        # each nonzero component is evaluated once up to sign; index -1 is the row of zeros
-        rows: dict[tuple, int] = {}
-        kept, index, signs = [], [], []
-        for c in self._comps:
-            r = -1
-            if c._num:
-                scale = c._scale
-                key = (id(c._num), id(c._dbase), c._dmono, c._dexp, abs(scale.numerator), scale.denominator)
-                r = rows.setdefault(key, len(kept))
-                kept += [c] if r == len(kept) else []
-            index.append(r)
-            signs.append(1.0 if r < 0 or c._scale == kept[r]._scale else -1.0)
-        values, degenerate = batch.evaluate([*kept, Expr.zero(self.chart)])
-        values = values[index].T
+        values, degenerate = Plan(self._comps).run(batch)
         shape = (batch.size,) + (self.chart.dimension,) * self.rank
-        return np.where(values == 0.0, values, values * signs).reshape(shape), degenerate.any(axis=0)
+        return values.T.reshape(shape), degenerate.any(axis=0)
 
     def __repr__(self) -> str:
         return "TensorField(p=%d, q=%d, dim=%d)" % (self.p, self.q, self.chart.dimension)

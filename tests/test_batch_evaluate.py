@@ -1,8 +1,8 @@
 """Batched float evaluation: each value has the bits of ``Expr.evaluate`` at its point.
 
-``PointBatch.evaluate`` and everything built on it (the oracle's stencil
-sampler and candidate probes, ``compare``, ``numeric_max``, the soliton
-guard and the torse note) must report what the scalar path reports, down to the last bit, the sign of
+``Plan.run`` and everything built on it (``PointBatch.evaluate``, the
+oracle's stencil sampler and candidate probes, ``compare``, ``numeric_max``,
+the soliton guard and the torse note) must report what the scalar path reports, down to the last bit, the sign of
 zero and the points where it raises.
 """
 
@@ -28,7 +28,7 @@ from parasol.oracle import (
     oracle_sample_points,
 )
 from parasol.paracontact import ParacontactStructure, StructureError
-from parasol.batch import PointBatch
+from parasol.batch import _STEP_ELEMENTS, Plan, PointBatch
 from parasol.symexpr import DegenerateEvaluationError, Expr, parse
 from parasol.tensor import Metric, TensorField
 
@@ -61,20 +61,44 @@ def mismatches(field: TensorField, batch: PointBatch) -> list[str]:
 def oracle_run(path: Path, monkeypatch) -> tuple[ParacontactStructure, list[PointBatch]]:
     """The structure of one oracle run, and every batch the run evaluates at.
 
-    Those are the candidate probes, the stencils and the sample points.
+    Those are the candidates' batches (probes and stencils) and the sample points.
     """
     analysis = Analysis(load_manifest(path), OracleConfig())
     batches: dict[int, PointBatch] = {}
-    evaluate = PointBatch.evaluate
+    run = Plan.run
 
-    def recording(self, exprs):
-        batches.setdefault(id(self), self)
-        return evaluate(self, exprs)
+    def recording(self, batch):
+        batches.setdefault(id(batch), batch)
+        return run(self, batch)
 
     with monkeypatch.context() as patch:
-        patch.setattr(PointBatch, "evaluate", recording)
+        patch.setattr(Plan, "run", recording)
         cmd_oracle(analysis)
     return analysis.structure, list(batches.values())
+
+
+def plan_mismatches(plan: Plan, exprs: list[Expr], batch: PointBatch) -> list[str]:
+    """(expression, point) pairs where ``plan.run`` disagrees with ``Expr.evaluate`` in bits or in raising."""
+    values, flags = plan.run(batch)
+    assert values.shape == flags.shape == (len(exprs), batch.size)
+    found = []
+    for expr, row, row_flags in zip(exprs, values.tolist(), flags.tolist()):
+        for xs, value, flagged in zip(batch.points, row, row_flags):
+            try:
+                expected = expr.evaluate(xs)
+            except DegenerateEvaluationError:
+                if not flagged:
+                    found.append("%s at %r: evaluate raises, the plan does not flag" % (expr, xs))
+                continue
+            if flagged or not same_bits(value, expected):
+                found.append("%s at %r: plan %r (flagged %s), evaluate %r" % (expr, xs, value, flagged, expected))
+    return found
+
+
+# on a chart's first coordinate: a denominator that vanishes, exp and x ** k that
+# overflow, a power of a base that overflows
+PLAN_EDGE_SOURCES = ["1/{0}", "exp(800*{0})", "{0}^200", "({0} - 1)/(1 + {0}^2)"]
+PLAN_EDGE_VALUES = [0.0, 1e-12, -1e-12, 1.0000000000000002e-12, 0.95, 40.0, -40.0, 0.5, -0.0]
 
 
 @pytest.mark.parametrize("path", [pytest.param(p, id=p.stem) for p in ALL_MANIFESTS])
@@ -90,6 +114,21 @@ def test_batch_values_are_the_scalar_values_bit_for_bit(path, monkeypatch):
     found = [
         problem for field, where in cases for batch in where for problem in mismatches(field, batch)
     ]
+    # one plan run on batches of many sizes: the metric, expressions that
+    # overflow or meet DENOMINATOR_CUTOFF (|1/x| at x = 1e-12), scaled copies
+    # of them and their negations (which share their terms), more than
+    # _STEP_ELEMENTS terms times points on every batch but the empty one
+    chart = structure.chart
+    edge = [parse(source.format(chart.coordinates[0]), chart) for source in PLAN_EDGE_SOURCES]
+    edge[3] = edge[3] ** 120
+    scaled = [e * k for k in range(-30, 31) for e in edge]
+    exprs = structure.metric.field._comps + scaled + [-e for e in scaled]
+    plan = Plan(exprs)
+    centre = stencil.points[0]
+    points = [[x] + centre[1:] for x in PLAN_EDGE_VALUES]
+    assert sum(len(e._num) for e in plan.kept) * len(points) > _STEP_ELEMENTS
+    for batch in (PointBatch(chart, []), PointBatch(chart, points), stencil, PointBatch(chart, points[:1])):
+        found += plan_mismatches(plan, exprs, batch)
     assert found == []
 
 
@@ -200,7 +239,7 @@ def test_candidates_whose_probes_overflow_are_rejected():
     entries = ["1 + 1/x", "0", "0", "0", "1", "0", "0", "0", "exp(800*z)"]
     metric = Metric(TensorField(chart, 0, 2, [parse(e, chart) for e in entries]))
     # exp(800*z) overflows above z = 0.887: 20 of the first 30 candidates have a probe there
-    points = oracle_sample_points(chart, metric, OracleConfig(h=1e-3, seed=3))
+    points = oracle_sample_points(StencilSampler(metric, 1e-3), 3)
     assert [round(point["z"], 4) for point in points] == [
         0.874, 0.8131, 0.8519, 0.879, 0.8272, 0.8127, 0.8177, 0.8302, 0.809, 0.8816
     ]

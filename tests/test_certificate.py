@@ -226,6 +226,10 @@ def test_no_point_sizes_a_nonzero_residual(ex1):
     assert residual_numeric_max(parse("1 + exp(z)", chart), []) is None
     assert residual_numeric_max(Contraction("i->i", vector), []) is None
     assert residual_numeric_max(TensorField.zero(chart, 0, 2), []) == 0.0
+    # nor at points where each of its values is degenerate or NaN
+    assert residual_numeric_max(parse("1/x + y", chart), [{"x": 0.0, "y": 5.0, "z": 0.0}]) is None
+    nan = parse("x^300*exp(300*y) - x^300*exp(300*z)", chart)
+    assert residual_numeric_max(nan, [{"x": 10.0, "y": 1.0, "z": 1.0}]) is None
 
 
 def test_a_degenerate_operand_takes_numeric_max_from_the_build(ex1):

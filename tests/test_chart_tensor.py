@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parasol.batch import PointBatch
-from parasol.chart import Chart, ChartError, ChartMismatchError
+from parasol.batch import Plan, PointBatch
+from parasol.chart import MAX_SAMPLE_TRIES, Chart, ChartError, ChartMismatchError
 from parasol.symexpr import Expr, parse
 from parasol.tensor import (
     DegenerateMetricError,
@@ -110,6 +110,26 @@ def test_g2_inverse_matches_numeric_inversion(structures):
         assert np.max(np.abs(actual - expected)) <= 1e-9
 
 
+def test_rejection_rounds_judge_the_candidates_of_a_draw_one_at_a_time():
+    chart = Chart.make(["x", "y"], base_point=[0, 0], domain_box=[(-1, 1), (-1, 1)])
+    rounds = []
+
+    def reject_left(candidates):
+        rounds.append(len(candidates))
+        return [point["x"] < 0 for point in candidates]
+
+    points = chart.sample_points(10, 3, reject_left)
+    # a round draws as many candidates as points are still missing, so the
+    # last candidate drawn is the tenth point
+    drawn = chart.sample_points(sum(rounds), 3)
+    assert points == [point for point in drawn if point["x"] >= 0]
+    assert len(points) == 10 and drawn[-1]["x"] >= 0
+    assert rounds[0] == 10 and len(rounds) > 1
+    rounds.clear()
+    assert chart.sample_points(10, 3, lambda c: rounds.append(len(c)) or [True] * len(c)) == []
+    assert rounds == [10] * (MAX_SAMPLE_TRIES // 10)
+
+
 def test_g1_determinant_is_minus_one(structures):
     g1 = structures["ex5d_r5_g1"].metric
     assert g1.determinant == Expr.constant(g1.chart, -1)
@@ -158,13 +178,11 @@ def test_numeric_many_evaluates_each_component_once_up_to_sign(structures, monke
     riem = structure.riemann()
     points = structure.chart.sample_points(10, 5)
     evaluated = []
-    evaluate = PointBatch.evaluate
-    monkeypatch.setattr(
-        PointBatch, "evaluate", lambda self, exprs: evaluated.extend(exprs) or evaluate(self, exprs)
-    )
+    run = Plan.run
+    monkeypatch.setattr(Plan, "run", lambda self, batch: evaluated.extend(self.kept) or run(self, batch))
     values, degenerate = riem.numeric_many(PointBatch(riem.chart, points))
     monkeypatch.undo()
-    evaluated = [e for e in evaluated if e._num]
+    assert all(e._num for e in evaluated)
     numerators = {id(e._num) for e in evaluated}
     assert len(numerators) == len(evaluated)  # a negation shares its partner's numerator
     nonzero = [c for c in riem._comps if c._num]

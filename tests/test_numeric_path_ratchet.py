@@ -1,6 +1,6 @@
 """One float evaluator and one point set for every multi-point numeric observation.
 
-``PointBatch`` evaluates every multi-point float observation (``numeric_max``,
+``PointBatch`` (through a ``Plan``) evaluates every multi-point float observation (``numeric_max``,
 the soliton base-point guard, the torse note, the oracle rows), and the
 report's points come from ``Analysis.sample_points`` alone; the oracle draws
 its own stencil-safe points.  The one-point paths that are kept are

@@ -23,7 +23,7 @@ from parasol.oracle import (
     compare,
     oracle_sample_points,
 )
-from parasol.batch import PointBatch
+from parasol.batch import Plan, PointBatch
 from parasol.symexpr import Expr
 from parasol.tensor import TensorField
 
@@ -55,8 +55,8 @@ def test_invalid_step_or_tolerance_is_an_input_error(flag, value):
 def test_step_must_fit_the_domain_box(flat):
     # the box is 2 wide: 4h = 2 does not fit, 4h = 1.6 does
     with pytest.raises(OracleConfigError, match=r"h = 0\.5 .* narrowest interval width 2$"):
-        oracle_sample_points(flat.chart, flat.metric, OracleConfig(h=0.5))
-    assert len(oracle_sample_points(flat.chart, flat.metric, OracleConfig(h=0.4))) == SAMPLE_COUNT
+        oracle_sample_points(StencilSampler(flat.metric, 0.5), CFG.seed)
+    assert len(oracle_sample_points(StencilSampler(flat.metric, 0.4), CFG.seed)) == SAMPLE_COUNT
 
 
 def test_report_all_rejects_the_step_before_any_command(monkeypatch):
@@ -126,16 +126,17 @@ def test_fd_ricci_diag_on_ex2(ex2):
 
 
 def test_compare_passes_on_fixture_geometry(ex1):
-    points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
-    assert len(points) == SAMPLE_COUNT
     stencil = StencilSampler(ex1.metric, CFG.h)
+    points = oracle_sample_points(stencil, CFG.seed)
+    assert len(points) == SAMPLE_COUNT
     assert compare(ex1.connection(), stencil.christoffel, points) <= CFG.tolerance
     assert compare(ex1.riemann(), stencil.riemann, points) <= CFG.tolerance
     assert compare(ex1.ricci(WEIGHTED_TRACE), stencil.ricci, points) <= CFG.tolerance
 
 
 def test_compare_detects_injected_fault(ex1):
-    points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
+    stencil = StencilSampler(ex1.metric, CFG.h)
+    points = oracle_sample_points(stencil, CFG.seed)
     gamma = ex1.connection()
     perturbed = TensorField.build(
         ex1.chart,
@@ -145,17 +146,17 @@ def test_compare_detects_injected_fault(ex1):
         if idx == (2, 0, 0)
         else gamma[idx],
     )
-    deviation = compare(perturbed, StencilSampler(ex1.metric, CFG.h).christoffel, points)
+    deviation = compare(perturbed, stencil.christoffel, points)
     assert not deviation <= CFG.tolerance
     assert deviation >= 1e-4
 
 
 def test_compare_fails_on_nan_deviation(ex1):
     # Python's max drops a NaN that is not first; one NaN point must still fail
-    points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
+    stencil = StencilSampler(ex1.metric, CFG.h)
+    points = oracle_sample_points(stencil, CFG.seed)
     gamma = ex1.connection()
     nan_at = points[1]
-    stencil = StencilSampler(ex1.metric, CFG.h)
 
     def oracle(point):
         reference = stencil.christoffel(point)
@@ -167,16 +168,17 @@ def test_compare_fails_on_nan_deviation(ex1):
 
 
 def test_compare_shape_mismatch(ex1):
-    points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
+    stencil = StencilSampler(ex1.metric, CFG.h)
+    points = oracle_sample_points(stencil, CFG.seed)
     with pytest.raises(ValueError, match="shape"):
-        compare(ex1.xi, StencilSampler(ex1.metric, CFG.h).christoffel, points)
+        compare(ex1.xi, stencil.christoffel, points)
 
 
 def test_halving_h_improves_by_factor_near_four(ex1):
     # central differences are O(h^2): the deviation ratio must land in [3, 5]
-    points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
-    gamma = ex1.connection()
     stencil = StencilSampler(ex1.metric, CFG.h)
+    points = oracle_sample_points(stencil, CFG.seed)
+    gamma = ex1.connection()
     coarse = compare(gamma, stencil.christoffel, points)
     fine = compare(gamma, stencil.christoffel_half_step, points)
     ratio = coarse / fine
@@ -236,8 +238,8 @@ def test_compare_raises_a_failed_riemann_stencil_at_its_own_lookups(structures):
 
 
 def test_stencil_sampler_builds_each_metric_float_table_once(monkeypatch):
-    # every fill batches the same metric entries, so their float tables are
-    # built with the sampler and never again in the run
+    # every fill runs the sampler's one plan of the metric entries, so their
+    # float tables are built at the first fill and never again in the run
     metric = load_manifest(fixture_path("ex5d_r5_g1")).metric  # no table built yet
     entries = {id(comp) for comp in metric.field._comps if not comp.is_symbolically_zero}
     built = []
@@ -246,8 +248,8 @@ def test_stencil_sampler_builds_each_metric_float_table_once(monkeypatch):
         Expr, "_float_tables", lambda self: built.append(id(self)) or float_tables(self)
     )
     sampler = StencilSampler(metric, CFG.h)
-    assert sorted(built) == sorted(entries)
     sampler.riemann([0.1, 0.2, 0.1, 0.3, -0.2])
+    assert sorted(built) == sorted(entries)
     sampler.christoffel([0.3, 0.1, -0.2, 0.1, 0.2])
     assert len(built) == len(entries)
 
@@ -298,7 +300,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def test_stacked_references_have_the_bits_of_one_stencil_at_a_time(path):
     metric = load_manifest(path).metric
     stencil = StencilSampler(metric, CFG.h)
-    for point in oracle_sample_points(metric.chart, metric, CFG):
+    for point in oracle_sample_points(stencil, CFG.seed):
         xs = [point[c] for c in metric.chart.coordinates]
         riem = _one_stencil_riemann(metric, xs, CFG.h)
         assert _same_bits(stencil.christoffel(point), _one_stencil_christoffel(metric, xs, CFG.h))
@@ -309,28 +311,46 @@ def test_stacked_references_have_the_bits_of_one_stencil_at_a_time(path):
         assert _same_bits(stencil.ricci(point), np.einsum("iijk->jk", riem))
 
 
+def _metric_plan_runs(analysis: Analysis, monkeypatch) -> tuple[list[Plan], list[PointBatch]]:
+    """Every plan that holds a metric entry, and every batch one of them runs on, from now on."""
+    entries = {id(comp) for comp in analysis.structure.metric.field._comps}
+    plans, batches = [], []
+    plan_init, plan_run = Plan.__init__, Plan.run
+
+    def recording_init(self, exprs):
+        plan_init(self, exprs)
+        if any(id(expr) in entries for expr in exprs):
+            plans.append(self)
+
+    def recording_run(self, batch):
+        if any(self is plan for plan in plans):
+            batches.append(batch)
+        return plan_run(self, batch)
+
+    monkeypatch.setattr(Plan, "__init__", recording_init)
+    monkeypatch.setattr(Plan, "run", recording_run)
+    return plans, batches
+
+
 def test_oracle_fills_the_metric_once_per_sample_point(manifests, monkeypatch):
     analysis = Analysis(manifests["ex5d_r5_g1"], OracleConfig())
     analysis.sample_points()  # the numeric_max points are not oracle work
-    entries = {id(comp) for comp in analysis.structure.metric.field._comps}
-    batches: dict[int, PointBatch] = {}
-    candidates = []
-    evaluate_batch = PointBatch.evaluate
+    plans, batches = _metric_plan_runs(analysis, monkeypatch)
+    rounds = []
     sample_points = Chart.sample_points
 
-    def recording(self, exprs):
-        if any(id(expr) in entries for expr in exprs):
-            batches.setdefault(id(self), self)
-        return evaluate_batch(self, exprs)
-
     def counting_sample_points(self, count, seed, reject=None):
-        return sample_points(self, count, seed, lambda p: candidates.append(p) or reject(p))
+        return sample_points(self, count, seed, lambda ps: rounds.append(ps) or reject(ps))
 
-    monkeypatch.setattr(PointBatch, "evaluate", recording)
     monkeypatch.setattr(Chart, "sample_points", counting_sample_points)
     assert len(cmd_oracle(analysis).checks) == 5
-    # one batch per candidate's probes, and one per sample point for all its references
-    assert len(batches) == len(candidates) + SAMPLE_COUNT
+    # one plan of the metric per run, one batch per round of candidates' probes,
+    # and one per sample point for every point its references visit
+    assert len(plans) == 1
+    assert len(batches) == len(rounds) + SAMPLE_COUNT
+    assert [batch.size for batch in batches[: len(rounds)]] == [
+        len(candidates) * (1 + 2 * analysis.structure.chart.dimension) for candidates in rounds
+    ]
 
 
 @pytest.mark.parametrize("name", ["ex1_r3_spacelike", "ex5d_r5_g1"])
@@ -356,7 +376,7 @@ def test_oracle_evaluates_the_christoffel_symbols_once(name, manifests, monkeypa
 def test_sample_points_avoid_degeneracy_locus(structures):
     g2 = structures["ex5d_r5_g2"].metric
     chart = structures["ex5d_r5_g2"].chart
-    points = oracle_sample_points(chart, g2, CFG)
+    points = oracle_sample_points(StencilSampler(g2, CFG.h), CFG.seed)
     assert points
     for point in points:
         det = g2.determinant.evaluate(point)
@@ -364,7 +384,7 @@ def test_sample_points_avoid_degeneracy_locus(structures):
 
 
 def test_lie_derivative_dual_numeric_agreement(ex1):
-    points = oracle_sample_points(ex1.chart, ex1.metric, CFG)
+    points = oracle_sample_points(StencilSampler(ex1.metric, CFG.h), CFG.seed)
     via_coordinates, via_connection = lie_derivative_two_ways(
         ex1.metric, ex1.xi, ex1.nabla_xi()
     )
@@ -392,6 +412,7 @@ def test_oracle_evaluates_each_stencil_point_once(manifests, monkeypatch):
     metric = analysis.structure.metric
     n = metric.chart.dimension
     entries = {id(metric[i, j]) for i in range(n) for j in range(n)}
+    plans, batches = _metric_plan_runs(analysis, monkeypatch)
     counts = {"metric": 0, "candidates": 0}
     evaluate = Expr.evaluate
     sample_points = Chart.sample_points
@@ -400,21 +421,14 @@ def test_oracle_evaluates_each_stencil_point_once(manifests, monkeypatch):
         counts["metric"] += id(self) in entries
         return evaluate(self, point, *args, **kwargs)
 
-    evaluate_batch = PointBatch.evaluate
-
-    def counting_evaluate_batch(self, exprs):
-        counts["metric"] += self.size * sum(id(expr) in entries for expr in exprs)
-        return evaluate_batch(self, exprs)
-
     def counting_sample_points(self, count, seed, reject=None):
-        def counted(point):
-            counts["candidates"] += 1
-            return reject(point)
+        def counted(candidates):
+            counts["candidates"] += len(candidates)
+            return reject(candidates)
 
         return sample_points(self, count, seed, counted)
 
     monkeypatch.setattr(Expr, "evaluate", counting_evaluate)
-    monkeypatch.setattr(PointBatch, "evaluate", counting_evaluate_batch)
     monkeypatch.setattr(Chart, "sample_points", counting_sample_points)
     report = cmd_oracle(analysis)
     assert [entry.id for entry in report.checks] == [
@@ -430,4 +444,5 @@ def test_oracle_evaluates_each_stencil_point_once(manifests, monkeypatch):
     stencil_points = 1 + 2 * n + 2 * n * (n - 1) + 2 * n + 2 * n + 2 * n
     # each sample-point candidate is probed at its centre and at +-2h per axis
     probes = counts["candidates"] * (1 + 2 * n)
+    counts["metric"] += sum(batch.size for batch in batches) * len(plans[0].kept)
     assert counts["metric"] <= n * n * (SAMPLE_COUNT * stencil_points + probes)
