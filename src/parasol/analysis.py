@@ -21,7 +21,7 @@ from functools import cached_property, wraps
 
 import numpy as np
 
-from .batch import PointBatch
+from .batch import Plan, PointBatch
 from .chart import SAMPLE_COUNT
 from .checks import (
     CLASSIFICATION,
@@ -35,7 +35,7 @@ from .checks import (
     inapplicable,
     run_checks,
 )
-from .connection import WEIGHTED_TRACE, covariant_derivative, frame_sum, scalar_curvature
+from .connection import WEIGHTED_TRACE, covariant_derivative, frame_sum
 from .manifest import Manifest, ManifestError
 from .oracle import (
     DEGENERACY_CUTOFF,
@@ -72,7 +72,6 @@ from .solitons import (
     torse_forming_constants,
     xi_consequence_suite,
 )
-from .symexpr import DegenerateEvaluationError, Expr
 from .tensor import DegenerateMetricError, TensorField, contract, signature_at
 
 __all__ = ["Analysis", "run_command", "COMMANDS"]
@@ -115,21 +114,16 @@ class Analysis:
     # -- shared lazies ---------------------------------------------------------
 
     def sample_points(self) -> list[dict[str, float]]:
+        """The report's points; each round of candidates is judged by one run of a det g plan."""
         if self._points is None:
-            det = self.structure.metric.determinant
-
-            def degenerate(point: dict[str, float]) -> bool:
-                try:
-                    return abs(det.evaluate(point)) < DEGENERACY_CUTOFF
-                except DegenerateEvaluationError:
-                    return True
+            chart = self.manifest.chart
+            plan = Plan([self.structure.metric.determinant])
 
             def reject(candidates: list[dict[str, float]]) -> list[bool]:
-                return [degenerate(point) for point in candidates]
+                (det,), (flagged,) = plan.run(PointBatch(chart, candidates))
+                return (flagged | (np.abs(det) < DEGENERACY_CUTOFF)).tolist()
 
-            self._points = self.manifest.chart.sample_points(
-                SAMPLE_COUNT, self.cfg.seed, reject=reject
-            )
+            self._points = chart.sample_points(SAMPLE_COUNT, self.cfg.seed, reject=reject)
         return self._points
 
     def soliton_constants(self) -> tuple[Fraction, Fraction] | None:
@@ -167,14 +161,6 @@ def _note(check_id: str, details: str) -> CheckOutcome:
     return CheckOutcome(check_id, PASS, details=details)
 
 
-def _sampled(exprs: list[Expr], points: list[dict[str, float]]) -> np.ndarray:
-    """Each expression at every point; the first (point, expression) flagged raises its error."""
-    values, degenerate = PointBatch(exprs[0].chart, points).evaluate(exprs)
-    for p, e in np.argwhere(degenerate.T)[:1]:
-        exprs[e].evaluate(points[p])
-    return values
-
-
 # ---------------------------------------------------------------------------
 # individual commands
 # ---------------------------------------------------------------------------
@@ -210,6 +196,10 @@ def cmd_validate(analysis: Analysis) -> list[CheckOutcome]:
         signature = signature_at(structure.metric, base)
     except DegenerateMetricError as exc:
         return outcomes + [CheckOutcome("signature_base_point", FAIL, details=str(exc))]
+    if signature is None:
+        return outcomes + [
+            inapplicable("signature_base_point", "metric is not finite at the base point")
+        ]
     return outcomes + [
         _note(
             "signature_base_point",
@@ -254,7 +244,7 @@ def cmd_curvature(analysis: Analysis) -> list[CheckOutcome]:
                   - frame_sum(riem, structure.metric, structure.frame, signs)),
             _note("ricci_frame_diagonal", "%s [%s]" % (diagonal, mode)),
         ])
-    scalar = scalar_curvature(ricci_tensor, structure.metric)
+    scalar = structure.scalar_curvature()
     via_coordinates, via_connection = structure.lie_derivative_two_ways(
         analysis.potential or structure.xi
     )
@@ -358,7 +348,9 @@ def cmd_soliton_solve(analysis: Analysis) -> list[CheckOutcome]:
     guard, guard_details = INAPPLICABLE, NO_POINTS
     if points:
         pairs = structure.frame.pairs
-        values = _sampled([t[pair] for pair in pairs for t in result.frame_tables], points)
+        values = PointBatch(structure.chart, points).evaluate_or_raise(
+            [t[pair] for pair in pairs for t in result.frame_tables]
+        )
         # per table, point by point and pair by pair within a point
         g, eta, b = values.reshape(len(pairs), 3, -1).transpose(1, 2, 0).reshape(3, -1)
         solution, *_ = np.linalg.lstsq(np.stack([g, eta], axis=1), -b, rcond=None)
@@ -400,9 +392,10 @@ def cmd_torse(analysis: Analysis) -> list[CheckOutcome]:
         details += "; " + torse.note
     if torse.regular and torse.regularity.as_rational_constant() is None:
         points = analysis.sample_points()[:5]
-        values = ", ".join("%.4g" % v for v in _sampled([torse.regularity], points)[0].tolist())
+        (values,) = PointBatch(structure.chart, points).evaluate_or_raise([torse.regularity])
+        sampled = "sampled values: " + ", ".join("%.4g" % v for v in values.tolist())
         details += "; f^2 + xi(f) = %s is nonconstant; %s" % (
-            torse.regularity, "sampled values: " + values if points else NO_POINTS
+            torse.regularity, sampled if points else NO_POINTS
         )
     outcomes = [_note("torse_classification", details)]
 
@@ -537,14 +530,11 @@ def cmd_oracle(analysis: Analysis) -> list[CheckOutcome]:
     via_coordinates, via_connection = structure.lie_derivative_two_ways(
         analysis.potential or structure.xi
     )
-    batch = PointBatch(structure.chart, points)
-    one, one_flags = via_coordinates.numeric_many(batch)
-    other, other_flags = via_connection.numeric_many(batch)
-    for p in np.flatnonzero(one_flags | other_flags)[:1]:  # raise the one-point error there
-        via_coordinates.numeric_at(points[p])
-        via_connection.numeric_at(points[p])
+    comps = [comp for field in (via_coordinates, via_connection) for _, comp in field.components()]
+    values = PointBatch(structure.chart, points).evaluate_or_raise(comps)
+    one, other = np.split(values, 2)
     with np.errstate(all="ignore"):
-        worst = max_deviation(np.abs(one - other).reshape(len(points), -1).max(axis=1).tolist())
+        worst = max_deviation(np.abs(one - other).max(axis=0).tolist())
     outcomes.append(
         CheckOutcome(
             "oracle_lie_dual",

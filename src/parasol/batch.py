@@ -6,8 +6,10 @@ columns their terms multiply (one per ``x_i ** k`` and per exponential
 atom), and each term's coefficient, factor columns and place in the
 summing order.  :meth:`Plan.run` evaluates the expressions at the points of
 one :class:`PointBatch`.  A caller that evaluates the same expressions on
-many batches (the oracle's metric) keeps its plan;
-:meth:`PointBatch.evaluate` builds one for a single batch.
+many batches (the oracle's metric, the report's det g) keeps its plan;
+:meth:`PointBatch.evaluate` builds one for a single batch, and
+:meth:`PointBatch.evaluate_or_raise` also raises the one-point error of the
+first value it flags.
 
 ``+``, ``*`` and ``/`` run elementwise in numpy, in the order of the
 one-point path (``symexpr._seval``), so they round the same way.  ``x ** k``
@@ -320,3 +322,10 @@ class PointBatch:
     def evaluate(self, exprs: Sequence[Expr]) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`Plan.run` of a plan of ``exprs`` used on this batch alone."""
         return Plan(exprs).run(self)
+
+    def evaluate_or_raise(self, exprs: Sequence[Expr]) -> np.ndarray:
+        """:meth:`evaluate`'s values; the first (point, expression) flagged raises its own error."""
+        values, flags = self.evaluate(exprs)
+        for p, e in np.argwhere(flags.T)[:1]:
+            exprs[e].evaluate(self.points[p])
+        return values

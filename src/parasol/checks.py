@@ -36,7 +36,7 @@ and ``is_zero``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Callable, Union
 
@@ -82,7 +82,6 @@ class CheckOutcome:
     symbolic_zero: bool | None = None
     residual: Residual = None
     details: str = ""
-    data: dict = field(default_factory=dict)
 
 
 class Need:

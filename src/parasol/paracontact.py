@@ -54,6 +54,7 @@ from .connection import (
     lie_derivative_two_ways,
     ricci,
     riemann,
+    scalar_curvature,
 )
 from .symexpr import Expr, InvariantError
 from .tensor import Frame, Metric, TensorField, contract, kronecker
@@ -208,6 +209,10 @@ class ParacontactStructure:
     def phi_squared(self) -> TensorField:
         return self._cached("phi^2", lambda: contract("km,mj->kj", self.phi, self.phi))
 
+    def g_phi(self) -> TensorField:
+        """g(phi X, Y)."""
+        return self._cached("g(phi, .)", lambda: contract("mj,mi->ij", self.metric.field, self.phi))
+
     def g_phi_phi(self) -> TensorField:
         """g(phi X, phi Y)."""
         return self._cached(
@@ -234,6 +239,10 @@ class ParacontactStructure:
             return q, covariant_derivative(self.ricci(), gamma), covariant_derivative(q, gamma)
 
         return self._cached("Q, nabla S, nabla Q", build)
+
+    def scalar_curvature(self) -> Expr:
+        """r = g^{jk} S_jk in the structure's Ricci mode."""
+        return self._cached("r", lambda: scalar_curvature(self.ricci(), self.metric))
 
     def r_into_xi(self) -> TensorField:
         """R(., .) xi: [k, i, j] = (R(d_i, d_j) xi)^k."""

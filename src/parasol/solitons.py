@@ -54,7 +54,7 @@ from .checks import (
     inapplicable,
     run_checks,
 )
-from .connection import covariant_derivative, covariant_derivative_along, scalar_curvature
+from .connection import covariant_derivative, covariant_derivative_along
 from .paracontact import PARA_SASAKIAN, ParacontactStructure
 from .symexpr import ExactEvaluationError, Expr, InvariantError
 from .tensor import Contraction, TensorField, ValenceError, contract, kronecker
@@ -125,7 +125,6 @@ class SolitonSolveResult:
     residual: TensorField
     frame_diagonal: list[Expr]
     frame_diagonal_constants: list[Fraction | None]
-    norm_squared: Fraction | None
     residual_norm: float
     # the frame tables [i, j] = T(E_i, E_j) of T = g, eta(x)eta, B: the fit's design
     frame_tables: tuple[TensorField, TensorField, TensorField]
@@ -135,7 +134,6 @@ class SolitonSolveResult:
 class TorseFormingData:
     classification: str
     f: Expr | None = None
-    w: TensorField | None = None
     regular: bool | None = None
     regularity: Expr | None = None  # f^2 + xi(f)
     note: str = ""
@@ -245,10 +243,8 @@ def solve_soliton_constants(
     frame_diagonal = [residual_table[i, i] for i in range(chart.dimension)]
     diagonal_constants = [e.as_rational_constant() for e in frame_diagonal]
     if all(c is not None for c in diagonal_constants):
-        norm_squared = sum((c * c for c in diagonal_constants), Fraction(0))
-        residual_norm = float(norm_squared) ** 0.5
+        residual_norm = float(sum((c * c for c in diagonal_constants), Fraction(0))) ** 0.5
     else:
-        norm_squared = None
         base_floats = {name: float(v) for name, v in zip(chart.coordinates, chart.base_point)}
         residual_norm = (
             sum(e.evaluate(base_floats) ** 2 for e in frame_diagonal) ** 0.5
@@ -260,7 +256,6 @@ def solve_soliton_constants(
         residual=residual,
         frame_diagonal=frame_diagonal,
         frame_diagonal_constants=diagonal_constants,
-        norm_squared=norm_squared,
         residual_norm=residual_norm,
         frame_tables=tables,
     )
@@ -311,11 +306,8 @@ def fit_constants(structure: ParacontactStructure) -> EinsteinLikeConstants | No
 def _fit_einstein_like(structure: ParacontactStructure) -> EinsteinFitResult:
     if structure.frame is None:
         raise ValenceError("einstein_like_fit requires an orthonormal frame")
-    g_field = structure.metric.field
-    phi_flat = contract("mj,mi->ij", g_field, structure.phi)  # g(phi X, Y)
-    solution, residual, _ = _frame_fit(
-        structure, structure.ricci(), (g_field, phi_flat, structure.eta_tensor_eta())
-    )
+    basis = (structure.metric.field, structure.g_phi(), structure.eta_tensor_eta())
+    solution, residual, _ = _frame_fit(structure, structure.ricci(), basis)
     constants = EinsteinLikeConstants(*solution)
     for idx, comp in residual.components():
         if not comp.is_zero():
@@ -376,8 +368,8 @@ def einstein_like_suite(
         Check("el_eq_trace", "eps a + c = 1 - n (value %s, expected %s)",
               (eps_a_c == 1 - n, eps_a_c, 1 - n), (PARA_SASAKIAN,), FACT),
         Check("el_eq_scalar", "r = n a + b trace(phi) + eps c",
-              scalar_curvature(ricci_tensor, s.metric)
-              - (Fraction(n) * a + b * phi.trace() + eps * c), (PARA_SASAKIAN,)),
+              lambda: s.scalar_curvature() - (Fraction(n) * a + b * phi.trace() + eps * c),
+              (PARA_SASAKIAN,)),
         Check("el_codazzi", ("Ricci operator is Codazzi", "Ricci operator is not Codazzi"),
               contract("mkj-mjk->mjk", nabla_q, nabla_q), rule=CLASSIFICATION),
     ], para_sasakian=s.para_sasakian())
@@ -449,7 +441,6 @@ def _torse_forming_data(structure: ParacontactStructure) -> TorseFormingData:
             classification=NOT_TORSE_FORMING,
             note="nabla xi is not of the form f (X - eta(X) xi)",
         )
-    w = structure.eta.scale(-f_candidate)
     if (f_candidate + 1).is_symbolically_zero:
         classification = IRROTATIONAL_CASE_I
     elif f_candidate.is_symbolically_zero:
@@ -462,7 +453,6 @@ def _torse_forming_data(structure: ParacontactStructure) -> TorseFormingData:
     return TorseFormingData(
         classification=classification,
         f=f_candidate,
-        w=w,
         regular=not regularity.is_zero(),
         regularity=regularity,
     )
@@ -563,7 +553,7 @@ def collinear_potential_analysis(
                    "gate = %s != 0 forces xi(k) = %s; supplied k has xi(k) = %s"
                    % (gate, gate, contract("i,i->", s.xi, dk)), gate, rule=CLASSIFICATION)
     )
-    outcomes = run_checks([
+    return run_checks([
         Check("collinear_gate", "eps (n - 1) - lambda - eps mu = %s" % gate, gate,
               rule=CLASSIFICATION),
         forced,
@@ -571,11 +561,9 @@ def collinear_potential_analysis(
               ("S = -lambda g - eps k g(phi ., .) - mu eta (x) eta holds exactly",
                "induced Einstein-like form differs from the computed Ricci tensor"),
               s.ricci() + g.scale(lam)
-              + contract("mj,mi->ij", g, s.phi).scale(eps * k)  # g(phi X, Y)
+              + s.g_phi().scale(eps * k)
               + s.eta_tensor_eta().scale(mu), rule=CLASSIFICATION),
     ])
-    outcomes[0].data["gate"] = gate
-    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +669,6 @@ def _soliton_link(
         symbolic_zero=holds,
         residual=residual,
         details="; ".join(notes),
-        data={"implied_lambda": lam_value},
     )
 
 

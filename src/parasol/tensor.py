@@ -695,9 +695,6 @@ class Metric:
         out = "".join(letters[: tensor.p] + [new] + letters[tensor.p :])
         return contract("%s%s,%s->%s" % (new, summed, slots, out), self.inverse, tensor)
 
-    def numeric_at(self, point: Mapping[str, float] | Sequence[float]) -> np.ndarray:
-        return self.field.numeric_at(point)
-
 
 # |det g| at most this makes signature_at report the metric degenerate at the point
 SIGNATURE_DET_CUTOFF = 1e-9
@@ -713,8 +710,8 @@ class SignatureResult:
         return self.n_minus
 
 
-def signature_at(metric: Metric, point: Mapping[str, float] | Sequence[float]) -> SignatureResult:
-    """Pointwise signature (eigenvalue sign counts) of the metric matrix.
+def signature_at(metric: Metric, point: Mapping[str, float] | Sequence[float]) -> SignatureResult | None:
+    """Signature (eigenvalue sign counts) of the metric at a point; None where it is not finite.
 
     By Sylvester's law of inertia the sign counts equal the pivot signs of a
     symmetric pivoted elimination; the counts are computed from the symmetric
@@ -722,8 +719,11 @@ def signature_at(metric: Metric, point: Mapping[str, float] | Sequence[float]) -
     per point only: metrics whose determinant changes sign across the chart
     have no global signature.
     """
-    matrix = metric.numeric_at(point)
-    det = float(np.linalg.det(matrix))
+    matrix = metric.field.numeric_at(point)
+    if not np.isfinite(matrix).all():
+        return None
+    with np.errstate(all="ignore"):  # a finite matrix may still overflow its determinant
+        det = float(np.linalg.det(matrix))
     if abs(det) <= SIGNATURE_DET_CUTOFF:
         raise DegenerateMetricError(
             "metric is degenerate at the point (det = %.3e)" % det, det
@@ -765,10 +765,13 @@ class Frame:
         self.matrix = TensorField(chart, 1, 1, [vec[a] for a in range(n) for vec in vectors])
         self.pairs = tuple(combinations_with_replacement(range(n), 2))
         values = self.matrix.numeric_at(chart.base_point)
+        if not np.isfinite(values).all():
+            raise FrameError("frame vectors are not finite at the base point")
         # |det E| <= prod_i |E_i| (Hadamard), with equality for orthogonal vectors:
         # compared with that bound, a frame of a large- or small-scale metric passes
-        if abs(np.linalg.det(values)) <= 1e-9 * np.prod(np.linalg.norm(values, axis=0)):
-            raise FrameError("frame vectors are numerically dependent at the base point")
+        with np.errstate(all="ignore"):  # finite entries may still overflow both sides
+            if abs(np.linalg.det(values)) <= 1e-9 * np.prod(np.linalg.norm(values, axis=0)):
+                raise FrameError("frame vectors are numerically dependent at the base point")
 
     def __iter__(self):
         return iter(self.vectors)

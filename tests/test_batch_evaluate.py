@@ -1,16 +1,18 @@
 """Batched float evaluation: each value has the bits of ``Expr.evaluate`` at its point.
 
-``Plan.run`` and everything built on it (``PointBatch.evaluate``, the
-oracle's stencil sampler and candidate probes, ``compare``, ``numeric_max``,
-the soliton guard and the torse note) must report what the scalar path reports, down to the last bit, the sign of
-zero and the points where it raises.
+``Plan.run`` and everything built on it (``PointBatch.evaluate`` and
+``evaluate_or_raise``, the oracle's stencil sampler and candidate probes,
+``compare``, ``numeric_max``, the report's candidate points, the soliton
+guard, the torse note and the oracle's Lie-dual row) must report what the
+scalar path reports, down to the last bit, the sign of zero and the points
+where it raises.
 """
 
 import io
 import json
 import math
 import random
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -298,7 +300,10 @@ def test_oracle_evaluates_no_metric_entry_one_point_at_a_time(manifests, monkeyp
 
     monkeypatch.setattr(Expr, "evaluate", counting_evaluate)
     assert len(cmd_oracle(analysis).checks) == 5
-    assert calls and sum(calls) == 0
+    # nor any other expression: the report's points come from a plan as well
+    assert calls == []
+    metric[0, 0].evaluate([0.0] * n)
+    assert calls == [True]  # the count sees a one-point call
 
 
 def test_a_batch_of_no_points_evaluates_to_empty_rows(ex1):
@@ -311,3 +316,55 @@ def test_a_batch_of_no_points_evaluates_to_empty_rows(ex1):
 def test_an_unknown_ricci_mode_is_a_structure_error(flat):
     with pytest.raises(StructureError, match="ricci_mode must be one of .*, got 'frame'"):
         ParacontactStructure(flat.phi, flat.xi, flat.eta, flat.metric, ricci_mode="frame")
+
+
+def test_report_points_are_judged_as_one_det_evaluate_at_a_time_would(tmp_path):
+    # x^2 exp(1600 z): |det g| is below the cutoff for most z < 0, and
+    # overflows a float above z = 0.444
+    data = json.loads(fixture_path("flat_r3").read_text(encoding="utf-8"))
+    data["metric"][0][0] = "x^2*exp(1600*z)"
+    del data["frame"], data["alpha"]
+    path = tmp_path / "overflowing_det.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    manifest = load_manifest(path)
+    det = manifest.structure().metric.determinant
+    reasons = []
+
+    def one_at_a_time(candidates):
+        drops = []
+        for point in candidates:
+            try:
+                small = abs(det.evaluate(point)) < 1e-6
+                reasons.append("cutoff" if small else "kept")
+            except DegenerateEvaluationError:
+                small = True
+                reasons.append("overflow")
+            drops.append(small)
+        return drops
+
+    for seed in (1, 42):
+        reasons.clear()
+        expected = manifest.chart.sample_points(10, seed, reject=one_at_a_time)
+        assert {"cutoff", "overflow", "kept"} <= set(reasons)
+        assert Analysis(manifest, OracleConfig(seed=seed)).sample_points() == expected
+
+
+def test_an_overflowing_lie_dual_value_raises_the_one_point_error():
+    # exp(800 z) xi: L_V g overflows a float where z > 0.887, which seed 1 draws
+    path = fixture_path("ex1_r3_spacelike")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["oracle", str(path), "--potential", "exp(800*z)*xi", "--seed", "1"])
+    manifest = load_manifest(path, overrides={"potential": "exp(800*z)*xi"})
+    structure = manifest.structure()
+    fields = structure.lie_derivative_two_ways(manifest.potential.vector(structure))
+    expected = None
+    for point in oracle_sample_points(StencilSampler(structure.metric, 1e-4), 1):
+        try:
+            for field in fields:
+                field.numeric_at(point)
+        except DegenerateEvaluationError as exc:
+            expected = str(exc)
+            break
+    assert expected is not None and expected.startswith("value overflows a float at ")
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: %s\n" % expected)

@@ -104,7 +104,7 @@ def test_g2_inverse_matches_numeric_inversion(structures):
     chart = g2.chart
     points = chart.sample_points(10, seed=42)
     for point in points:
-        matrix = g2.numeric_at(point)
+        matrix = g2.field.numeric_at(point)
         expected = np.linalg.inv(matrix)
         actual = g2.inverse.numeric_at(point)
         assert np.max(np.abs(actual - expected)) <= 1e-9
@@ -456,5 +456,5 @@ def test_g2_determinant_matches_numpy_at_sample_points(structures):
     g2 = structures["ex5d_r5_g2"].metric
     for point in g2.chart.sample_points(10, seed=42):
         symbolic = g2.determinant.evaluate(point)
-        numeric = float(np.linalg.det(g2.numeric_at(point)))
+        numeric = float(np.linalg.det(g2.field.numeric_at(point)))
         assert abs(symbolic - numeric) <= 1e-9 * max(1.0, abs(numeric))

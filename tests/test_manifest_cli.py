@@ -750,3 +750,47 @@ def test_r_xi_built_once_per_report(monkeypatch):
     code, _, _ = run_cli(["report", "--all", "fixtures/ex1_r3_spacelike", "--json"])
     assert code == 1
     assert specs.count("kmij,m->kij") + specs.count("mlij,l->mij") == 1
+
+
+def test_scalar_curvature_and_g_phi_built_once_per_report(monkeypatch):
+    # r is reported by curvature and checked by el_eq_scalar; g(phi X, Y) is
+    # a basis tensor of the Einstein-like fit and a term of collinear_induced_ricci
+    specs = []
+    for module in (parasol.connection, parasol.paracontact, parasol.solitons):
+        contract = module.contract
+        monkeypatch.setattr(
+            module,
+            "contract",
+            lambda spec, *ops, contract=contract, **keywords: specs.append(spec)
+            or contract(spec, *ops, **keywords),
+        )
+    code, _, _ = run_cli(["report", "--all", "fixtures/ex1_r3_spacelike", "--json"])
+    assert code == 1
+    assert (specs.count("jk,jk->"), specs.count("mj,mi->ij")) == (1, 1)
+
+
+def _not_finite_at_the_base_point(tmp_path, key: str) -> str:
+    # at (10, 10, 0) both monomials overflow to inf in floats, so the entry is inf - inf = NaN
+    data = json.loads(fixture_path("flat_r3").read_text())
+    data["base_point"] = ["10", "10", "0"]
+    data["domain_box"] = [["9", "11"], ["9", "11"], ["-1", "1"]]
+    data[key][0][0] = "x^200*y^200 - x^199*y^201 + 1"
+    path = tmp_path / ("nonfinite_%s.json" % key)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_a_metric_not_finite_at_the_base_point_has_no_signature_there(tmp_path):
+    path = _not_finite_at_the_base_point(tmp_path, "metric")
+    code, out, err = run_cli(["validate", path, "--json"])
+    row = next(c for c in json.loads(out)["checks"] if c["id"] == "signature_base_point")
+    assert (row["status"], row["details"]) == (
+        "inapplicable", "metric is not finite at the base point"
+    )
+    assert (code, err) == (0, "")
+
+
+def test_a_frame_not_finite_at_the_base_point_is_an_input_error(tmp_path):
+    code, out, err = run_cli(["validate", _not_finite_at_the_base_point(tmp_path, "frame")])
+    assert (code, out) == (2, "")
+    assert err == "error: frame: frame vectors are not finite at the base point\n"

@@ -1,11 +1,12 @@
 """One float evaluator and one point set for every multi-point numeric observation.
 
 ``PointBatch`` (through a ``Plan``) evaluates every multi-point float observation (``numeric_max``,
-the soliton base-point guard, the torse note, the oracle rows), and the
-report's points come from ``Analysis.sample_points`` alone; the oracle draws
-its own stencil-safe points.  The one-point paths that are kept are
-``Expr.evaluate`` and ``TensorField.numeric_at``: the reference of the batch
-and the source of its error texts.
+the soliton base-point guard, the torse note, the oracle rows, the report's
+candidate points), and the report's points come from ``Analysis.sample_points``
+alone; the oracle draws its own stencil-safe points.  The one-point paths that
+are kept are ``Expr.evaluate`` and ``TensorField.numeric_at``: the reference of
+the batch and the source of its error texts.  The analysis layer calls neither:
+where a value is flagged, ``PointBatch.evaluate_or_raise`` raises its error.
 """
 
 import ast
@@ -23,6 +24,10 @@ MANIFESTS = Path(__file__).resolve().parent / "golden" / "manifests"
 # the fd_* wrappers built a new StencilSampler per call; a sampler is the one way in
 DELETED_FUNCTIONS = {"max_abs", "evaluate_many", "fd_christoffel", "fd_riemann", "fd_ricci"}
 DELETED_PARAMETERS = {"guard_seed", "sample_seed"}
+# Metric.numeric_at only delegated to its field; the fields were written and never read
+DELETED_METHODS = {"Contraction.numeric_at", "Metric.numeric_at"}
+DELETED_FIELDS = {"CheckOutcome.data", "SolitonSolveResult.norm_squared", "TorseFormingData.w"}
+ONE_POINT_CALLS = {"evaluate", "numeric_at"}
 CHART_SAMPLERS = {"Analysis.sample_points", "oracle_sample_points"}
 
 
@@ -37,10 +42,19 @@ def _functions(tree: ast.AST, prefix: str = ""):
 
 
 def deleted_names(source: str) -> list[str]:
-    """Functions and parameters that must stay deleted, as found in a module."""
-    found = []
-    for name, function in _functions(ast.parse(source)):
-        if name.split(".")[-1] in DELETED_FUNCTIONS or name == "Contraction.numeric_at":
+    """Functions, parameters and class fields that must stay deleted, as found in a module."""
+    tree = ast.parse(source)
+    found = [
+        "%s.%s" % (node.name, item.target.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and "%s.%s" % (node.name, item.target.id) in DELETED_FIELDS
+    ]
+    for name, function in _functions(tree):
+        if name.split(".")[-1] in DELETED_FUNCTIONS or name in DELETED_METHODS:
             found.append(name)
         args = function.args
         found += [
@@ -67,6 +81,18 @@ def chart_sample_callers(source: str) -> list[str]:
     ]
 
 
+def one_point_calls(source: str) -> list[str]:
+    """The ``.evaluate(...)`` and ``.numeric_at(...)`` calls of a module, as 'function: call'."""
+    return [
+        "%s: .%s" % (name, node.func.attr)
+        for name, function in _functions(ast.parse(source))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ONE_POINT_CALLS
+    ]
+
+
 def imported_names(source: str) -> set[str]:
     """Every module and every name a module imports."""
     names = set()
@@ -89,6 +115,9 @@ def test_detectors_find_the_deleted_paths():
         "    def numeric_at(self, point):\n        pass\n"
         "class Metric:\n"
         "    def numeric_at(self, point):\n        pass\n"
+        "class TorseFormingData:\n"
+        "    classification: str\n"
+        "    w: TensorField | None = None\n"
         "def solve(structure, guard_seed=42):\n"
         "    return chart.sample_points(10, guard_seed)\n"
         "def torse(structure, *, sample_seed=42):\n"
@@ -97,10 +126,14 @@ def test_detectors_find_the_deleted_paths():
         "    return StencilSampler(metric, cfg.h).ricci(point)\n"
     )
     assert deleted_names(source) == [
-        "TensorField.max_abs", "Contraction.numeric_at", "solve(guard_seed)", "torse(sample_seed)",
-        "fd_ricci",
+        "TorseFormingData.w", "TensorField.max_abs", "Contraction.numeric_at", "Metric.numeric_at",
+        "solve(guard_seed)", "torse(sample_seed)", "fd_ricci",
     ]
     assert chart_sample_callers(source) == ["solve"]
+    assert one_point_calls(
+        "def guard(det, field, point):\n"
+        "    return det.evaluate(point), field.numeric_at(point), batch.evaluate_or_raise([det])\n"
+    ) == ["guard: .evaluate", "guard: .numeric_at"]
     assert {"numpy", "SAMPLE_COUNT"} <= imported_names(source)
 
 
@@ -110,6 +143,10 @@ def test_the_one_point_leftovers_stay_deleted():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_the_analysis_layer_makes_no_one_point_float_call():
+    assert one_point_calls((SRC / "analysis.py").read_text(encoding="utf-8")) == []
 
 
 def test_solitons_do_no_float_sampling():

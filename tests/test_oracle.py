@@ -104,7 +104,7 @@ def test_fd_riemann_frame_value_on_ex1(ex1):
     # component of R(E1, E2)E2 along E1 at the origin is 1
     riem = StencilSampler(ex1.metric, CFG.h).riemann({"x": 0.0, "y": 0.0, "z": 0.0})
     frame = np.array([vec.numeric_at({"x": 0.0, "y": 0.0, "z": 0.0}) for vec in ex1.frame])
-    g = ex1.metric.numeric_at({"x": 0.0, "y": 0.0, "z": 0.0})
+    g = ex1.metric.field.numeric_at({"x": 0.0, "y": 0.0, "z": 0.0})
     vector = np.einsum("lijk,i,j,k->l", riem, frame[0], frame[1], frame[1])
     along_e1 = vector @ g @ frame[0]  # g(R(E1,E2)E2, E1), e1 is unit spacelike
     assert abs(along_e1 - 1.0) <= 1e-5
@@ -257,13 +257,13 @@ def test_stencil_sampler_builds_each_metric_float_table_once(monkeypatch):
 def _one_stencil_christoffel(metric, xs, h):
     """Christoffel symbols on one stencil: one-point metric values, one inv, three einsums."""
     n = len(xs)
-    ginv = np.linalg.inv(metric.numeric_at(xs))
+    ginv = np.linalg.inv(metric.field.numeric_at(xs))
     dg = np.empty((n, n, n))
     for i in range(n):
         plus, minus = list(xs), list(xs)
         plus[i] += h
         minus[i] -= h
-        dg[i] = (metric.numeric_at(plus) - metric.numeric_at(minus)) / (2.0 * h)
+        dg[i] = (metric.field.numeric_at(plus) - metric.field.numeric_at(minus)) / (2.0 * h)
     return 0.5 * (
         np.einsum("kl,ijl->kij", ginv, dg)
         + np.einsum("kl,jil->kij", ginv, dg)

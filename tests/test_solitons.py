@@ -101,7 +101,7 @@ def test_solve_ex1_recovers_paper_constants(ex1):
     assert (result.lam, result.mu) == (Fraction(0), Fraction(2))
     assert not result.exact
     assert result.frame_diagonal_constants == [1, -1, 0]
-    assert result.norm_squared == 2
+    assert sum(c * c for c in result.frame_diagonal_constants) == 2
     assert abs(result.residual_norm - math.sqrt(2)) <= 1e-12
 
 
@@ -110,7 +110,7 @@ def test_solve_ex2_paper_mode_recovers_paper_constants(ex2):
     assert (result.lam, result.mu) == (Fraction(2), Fraction(4))
     assert not result.exact
     assert result.frame_diagonal_constants == [-1, 1, 0]
-    assert result.norm_squared == 2
+    assert sum(c * c for c in result.frame_diagonal_constants) == 2
     assert abs(result.residual_norm - math.sqrt(2)) <= 1e-12
 
 
@@ -311,7 +311,7 @@ def test_warped_is_torse_forming_with_f_one(warped):
     torse = detect_torse_forming(warped)
     assert torse.classification == GENERAL
     assert torse.f == 1
-    assert (torse.w + warped.eta).is_zero()  # w = -f eta = -eta
+    assert (warped.eta.scale(-torse.f) + warped.eta).is_zero()  # w = -f eta = -eta
     assert torse.regular  # f^2 + xi(f) = 1
     assert torse.regularity == 1
 
@@ -425,7 +425,7 @@ def test_collinear_gate_zero_on_ex1(ex1):
     outcomes = outcome_map(
         collinear_potential_analysis(ex1, Expr.one(ex1.chart), Fraction(0), Fraction(2))
     )
-    assert outcomes["collinear_gate"].data["gate"] == 0
+    assert outcomes["collinear_gate"].details == "eps (n - 1) - lambda - eps mu = 0"
     assert outcomes["collinear_k_constant"].status == PASS
     # the induced Einstein-like form differs off the xi-slots, like the residual
     assert outcomes["collinear_induced_ricci"].symbolic_zero is False
@@ -436,7 +436,7 @@ def test_collinear_gate_zero_on_ex2(ex2):
         collinear_potential_analysis(ex2, Expr.one(ex2.chart), Fraction(2), Fraction(4))
     )
     # gate = eps(n-1) - lambda - eps mu = -2 - 2 + 4 = 0
-    assert outcomes["collinear_gate"].data["gate"] == 0
+    assert outcomes["collinear_gate"].details == "eps (n - 1) - lambda - eps mu = 0"
     assert outcomes["collinear_k_constant"].status == PASS
 
 
@@ -445,7 +445,7 @@ def test_collinear_nonzero_gate_reports_forced_derivative(ex1):
         collinear_potential_analysis(ex1, Expr.one(ex1.chart), Fraction(1), Fraction(0))
     )
     # gate = 2 - 1 - 0 = 1 forces xi(k) = 1
-    assert outcomes["collinear_gate"].data["gate"] == 1
+    assert outcomes["collinear_gate"].details == "eps (n - 1) - lambda - eps mu = 1"
     assert "xi(k) = 1" in outcomes["collinear_forced_derivative"].details
 
 
@@ -556,7 +556,8 @@ def test_soliton_link_on_warped(warped):
     assert outcomes["alpha_nabla_alpha"].symbolic_zero is True  # alpha = -g
     link = outcomes["alpha_soliton_link"]
     assert link.status == PASS
-    assert link.data["implied_lambda"] == 1  # = -(a + eps(c + mu)) = -(-2 + 1)
+    # = -(a + eps(c + mu)) = -(-2 + 1)
+    assert link.details.startswith("implied lambda = -eps alpha(xi, xi) = 1;")
     assert link.symbolic_zero is True  # soliton equation holds at (1, 1)
     assert outcomes["alpha_proportionality"].status == PASS
 
@@ -568,7 +569,7 @@ def test_soliton_link_on_ex1_not_parallel_not_soliton(ex1):
     link = outcomes["alpha_soliton_link"]
     # implied lambda = 0 = -(a + eps(c + mu)); neither parallel nor a soliton,
     # so the equivalence of the theorem is respected
-    assert link.data["implied_lambda"] == 0
+    assert link.details.startswith("implied lambda = -eps alpha(xi, xi) = 0;")
     assert link.status == PASS
     assert link.symbolic_zero is False
     assert outcomes["alpha_nabla_alpha"].symbolic_zero is False
@@ -579,7 +580,7 @@ def test_soliton_link_on_ex2_paper_mode(ex2):
     alpha = _soliton_combination(ex2, mu)
     outcomes = outcome_map(parallel_tensor_check(ex2, alpha, mu_link=mu))
     link = outcomes["alpha_soliton_link"]
-    assert link.data["implied_lambda"] == 2
+    assert link.details.startswith("implied lambda = -eps alpha(xi, xi) = 2;")
     assert "match" in link.details
     assert link.status == PASS
 
