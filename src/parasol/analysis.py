@@ -190,10 +190,8 @@ def cmd_validate(analysis: Analysis) -> list[CheckOutcome]:
                 "and the signature is reported per point only" % det,
             )
         )
-    chart = analysis.manifest.chart
-    base = {name: float(value) for name, value in zip(chart.coordinates, chart.base_point)}
     try:
-        signature = signature_at(structure.metric, base)
+        signature = signature_at(structure.metric, structure.chart.base_point)
     except DegenerateMetricError as exc:
         return outcomes + [CheckOutcome("signature_base_point", FAIL, details=str(exc))]
     if signature is None:

@@ -1,22 +1,27 @@
 """Batched float evaluation of expressions, with the bits of ``Expr.evaluate``.
 
-Evaluation comes in two parts.  A :class:`Plan` is the part that does not
-depend on the points: which expressions are one another up to sign, the
-columns their terms multiply (one per ``x_i ** k`` and per exponential
-atom), and each term's coefficient, factor columns and place in the
-summing order.  :meth:`Plan.run` evaluates the expressions at the points of
-one :class:`PointBatch`.  A caller that evaluates the same expressions on
+This is the program's one float evaluator, at sample points, oracle stencils
+and the base point alike; ``Expr.evaluate`` is its reference and the source
+of its error texts.  Evaluation comes in two parts.  A :class:`Plan` is the
+part that does not depend on the points: which expressions are one another
+up to sign, the columns their terms multiply (one per ``x_i ** k`` and per
+exponential atom), and each term's coefficient, factor columns and place in
+the summing order.  :meth:`Plan.run` evaluates the expressions at the points
+of one :class:`PointBatch`.  A caller that evaluates the same expressions on
 many batches (the oracle's metric, the report's det g) keeps its plan;
 :meth:`PointBatch.evaluate` builds one for a single batch, and
-:meth:`PointBatch.evaluate_or_raise` also raises the one-point error of the
-first value it flags.
+:meth:`PointBatch.evaluate_or_raise` also raises the error of the first
+value it flags, from ``Expr.evaluate`` of that expression at that point.
 
-``+``, ``*`` and ``/`` run elementwise in numpy, in the order of the
-one-point path (``symexpr._seval``), so they round the same way.  ``x ** k``
+``+``, ``*`` and ``/`` run elementwise in numpy, in the order of
+``Expr.evaluate`` (``symexpr._seval``), so they round the same way.  ``x ** k``
 and ``exp`` stay in Python, because numpy's vectorised ``power`` and ``exp``
 round differently from libm on some inputs; each column is computed once per
-batch.  A point where ``Expr.evaluate`` would raise (a denominator at most
-``DENOMINATOR_CUTOFF`` in magnitude, or a Python float overflow) is flagged.
+batch (an exp's argument too, summed as ``_seval`` sums it: faster than a
+numpy round trip at a few points, with the same bits).  A point where
+``Expr.evaluate`` would raise (a denominator at most ``DENOMINATOR_CUTOFF``
+in magnitude, a Python float overflow, or a coefficient too large for a
+float) is flagged.
 
 The plan calls only numpy routines that the rest of the program calls too
 (``take``, ``where``, ``concatenate``, ``add.accumulate``, elementwise
@@ -200,11 +205,17 @@ class Plan:
                 out.append((c, rows))
             return out
 
-        # tables that Expr.evaluate kept are reused; the others are not kept
-        tables = [expr._float or expr._float_tables() for expr in self.kept[first:stop]]
+        tables, overflowing = [], []
+        for j, expr in enumerate(self.kept[first:stop]):
+            try:
+                tables.append(expr._float_tables())
+            except OverflowError:  # a coefficient overflows: evaluate raises at every point
+                tables.append(([(0.0, (), ())], (), None))
+                overflowing.append(j)
         based = [j for j, (_, _, base) in enumerate(tables) if base is not None]
         monomial = any(dmono for _, dmono, _ in tables)
         return (
+            overflowing,
             _product_layout(terms([(1.0, dmono, ()) for _, dmono, _ in tables])) if monomial else None,
             based,
             [self.kept[first + j]._dexp for j in based],
@@ -262,11 +273,14 @@ class Plan:
 
         The denominators are None where all are 1, the flags where none is set.
         """
-        dmono, based, powers, bases, terms = layout
+        overflowing, dmono, based, powers, bases, terms = layout
         num, flags = _sums(terms, stack, overflowed)
+        if overflowing:
+            flags = np.zeros(num.shape, dtype=bool) if flags is None else flags
+            flags[overflowing] = True
         if dmono is None and not based:
             return num, None, flags
-        # the one-point order: den = x^d (a product from 1.0), times B^e; then num / den
+        # the order of Expr.evaluate: den = x^d (a product from 1.0), times B^e; then num / den
         den, bad = (np.ones(num.shape), None) if dmono is None else _products(dmono, stack, overflowed)
         if bad is not None:
             flags = bad if flags is None else flags | bad
@@ -309,10 +323,13 @@ class PointBatch:
         column = self._columns.get(key)
         if column is None:
             if isinstance(key[0], tuple):  # an atom: ((axis, rate), ...)
-                arg = 0.0
-                for i, lam in key:
-                    arg = arg + lam * np.array([xs[i] for xs in self.points])
-                column = _python_floats(math.exp, arg.tolist())
+                args = []
+                for xs in self.points:  # summed as symexpr._seval sums it
+                    arg = 0.0
+                    for i, lam in key:
+                        arg += lam * xs[i]
+                    args.append(arg)
+                column = _python_floats(math.exp, args)
             else:
                 i, k = key
                 column = _python_floats(lambda x: x**k, [xs[i] for xs in self.points])
@@ -325,7 +342,7 @@ class PointBatch:
 
     def evaluate_or_raise(self, exprs: Sequence[Expr]) -> np.ndarray:
         """:meth:`evaluate`'s values; the first (point, expression) flagged raises its own error."""
-        values, flags = self.evaluate(exprs)
+        values, flags = Plan(exprs).run(self)
         for p, e in np.argwhere(flags.T)[:1]:
             exprs[e].evaluate(self.points[p])
         return values

@@ -3,10 +3,9 @@
 The oracle recomputes Christoffel symbols, Riemann and Ricci tensors from
 central differences of numerically evaluated metric components.  It shares
 nothing with the symbolic derivative code paths except float evaluation
-(``Expr.evaluate`` and its batched form, :mod:`parasol.batch`), which keeps
-it an independent witness.  Central differences are O(h^2): halving the step
-should shrink the deviation by roughly 4x, and that scaling is itself a
-checkable property.
+(:mod:`parasol.batch`), which keeps it an independent witness.  Central
+differences are O(h^2): halving the step should shrink the deviation by
+roughly 4x, and that scaling is itself a checkable property.
 
 Float evaluation is planned once per run and batched.  A run's
 :class:`StencilSampler` builds the metric's :class:`~parasol.batch.Plan`
@@ -24,15 +23,18 @@ benchmark, where no candidate is rejected, the verdict time went from
 0.188 to 0.171 s (medians of ten alternating 30 s runs each, seed 1).  Both
 on a 2-core Xeon, numpy 2.4.  :func:`compare` evaluates the symbolic tensor
 at all sample points in one call.  A batch does ``+``, ``*`` and ``/`` in
-numpy, in the order of the one-point path, and leaves ``x ** k`` and
+numpy, in the order of ``Expr.evaluate``, and leaves ``x ** k`` and
 ``exp`` to Python's libm calls: numpy's vectorised
 ``power`` and ``exp`` round differently on some inputs, which would move the
 roundoff-level deviations the reports print.  Every value therefore has the
-bits that ``Expr.evaluate`` gives, and a point where ``Expr.evaluate`` would
-raise is evaluated alone when a reference that visits it is looked up, so it
-raises the same error in the same order.  On badly scaled metrics the float
-work may overflow; numpy's warnings are silenced, because the resulting inf
-and NaN values already fail the checks (see :func:`max_deviation`).
+bits that ``Expr.evaluate`` gives.  A flagged point (where ``Expr.evaluate``
+would raise) is run again as a one-point batch when a reference that visits
+it is looked up, or when :func:`compare` reaches it, and
+:meth:`~parasol.batch.PointBatch.evaluate_or_raise` raises the first flagged
+entry's own error, in the same order as evaluating the entries one by one.
+On badly scaled metrics the float work may overflow; numpy's warnings are
+silenced, because the resulting inf and NaN values already fail the checks
+(see :func:`max_deviation`).
 """
 
 from __future__ import annotations
@@ -146,16 +148,15 @@ class StencilSampler:
     visits the points: a stencil's centre, then its neighbours, plus before
     minus, axis by axis; for the Riemann tensor the point's stencil, then
     each neighbour's.  Looking the reference up raises there: the metric's
-    own error where an entry is degenerate (the one-point
-    :meth:`~parasol.tensor.TensorField.numeric_at` raises it), else
-    :class:`StencilDegeneracyError`.
+    own error where an entry is degenerate (a one-point batch of the entries
+    raises it), else :class:`StencilDegeneracyError`.
     """
 
     def __init__(self, metric: Metric, h: float):
         self.chart = metric.chart
         self.h = h
-        self._field = metric.field
-        self._plan = Plan(metric.field._comps)
+        self._entries = metric.field._comps
+        self._plan = Plan(self._entries)
         # sample point -> reference name -> (value, first failing visit or None)
         self._references: dict[tuple[float, ...], dict[str, _Reference]] = {}
 
@@ -185,7 +186,7 @@ class StencilSampler:
         if failure is not None:
             at, det, degenerate = failure
             if degenerate:
-                self._field.numeric_at(at)  # raises the degenerate entry's own error
+                PointBatch(self.chart, [at]).evaluate_or_raise(self._entries)
             raise StencilDegeneracyError(
                 "metric determinant %.3e degenerates inside the stencil at %r" % (det, at)
             )
@@ -296,7 +297,8 @@ def compare(
 
     Relative deviation uses max(1, |reference|) as denominator so that
     zero-valued components do not produce spurious failures.  ``evaluated``
-    is ``symbolic.numeric_many`` on the points, when the caller has it.
+    is ``symbolic.numeric_many`` on the points, when the caller has it.  A
+    flagged point raises its error from a one-point batch, after its reference.
     """
     points = list(points)
     if evaluated is None:
@@ -306,7 +308,7 @@ def compare(
     for point, value, skip in zip(points, values, degenerate.tolist()):
         reference = oracle_fn(point)
         if skip:
-            value = symbolic.numeric_at(point)  # raises the degenerate component's own error
+            PointBatch(symbolic.chart, [point]).evaluate_or_raise(symbolic._comps)
         if value.shape != reference.shape:
             raise ValueError(
                 "shape mismatch: symbolic %r vs oracle %r" % (value.shape, reference.shape)

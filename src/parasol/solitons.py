@@ -43,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .batch import PointBatch
 from .checks import (
     CLASSIFICATION,
     FACT,
@@ -245,10 +246,8 @@ def solve_soliton_constants(
     if all(c is not None for c in diagonal_constants):
         residual_norm = float(sum((c * c for c in diagonal_constants), Fraction(0))) ** 0.5
     else:
-        base_floats = {name: float(v) for name, v in zip(chart.coordinates, chart.base_point)}
-        residual_norm = (
-            sum(e.evaluate(base_floats) ** 2 for e in frame_diagonal) ** 0.5
-        )
+        values = PointBatch(chart, [chart.base_point]).evaluate_or_raise(frame_diagonal)
+        residual_norm = sum(v**2 for v in values[:, 0].tolist()) ** 0.5
     return SolitonSolveResult(
         exact=exact,
         lam=lam,

@@ -337,24 +337,12 @@ def _rescale_rates(a: Sum, lay: _Layout, mul: int, div: int = 1) -> Sum:
     return out
 
 
-class _Coordinates(list):
-    """Float coordinates in chart order, as :func:`coordinate_values` returns them."""
-
-    __slots__ = ()
-
-
 def coordinate_values(chart: Chart, point: Mapping[str, float] | Sequence[float]) -> list[float]:
-    """Float coordinates of a point given by coordinate name or in chart order.
-
-    A point this function returned before is passed through unconverted, so
-    callers that evaluate many expressions at one point convert it once.
-    """
-    if type(point) is _Coordinates and len(point) == chart.dimension:
-        return point
+    """Float coordinates of a point given by coordinate name or in chart order."""
     # a list or tuple skips the Mapping check, which costs more than the conversion
     if not isinstance(point, (list, tuple)) and isinstance(point, Mapping):
-        return _Coordinates([float(point[c]) for c in chart.coordinates])
-    xs = _Coordinates([float(v) for v in point])
+        return [float(point[c]) for c in chart.coordinates]
+    xs = [float(v) for v in point]
     if len(xs) != chart.dimension:
         raise ExprError("point has wrong dimension")
     return xs
@@ -430,7 +418,7 @@ class Expr:
     multiplies and tests whether the canonical difference is the empty sum.
     """
 
-    __slots__ = ("chart", "_lay", "_scale", "_num", "_dmono", "_dbase", "_dexp", "_rden", "_float")
+    __slots__ = ("chart", "_lay", "_scale", "_num", "_dmono", "_dbase", "_dexp", "_rden")
 
     def __init__(
         self,
@@ -452,7 +440,6 @@ class Expr:
         self._dbase = dbase
         self._dexp = dexp
         self._rden = rden
-        self._float = None  # float term tables, kept by keep_float_tables()
 
     # -- constructors -------------------------------------------------------
 
@@ -804,23 +791,13 @@ class Expr:
         dmono = tuple((i, k) for i, k in enumerate(lay.unpack(self._dmono)[0]) if k)
         return terms, dmono, den_terms
 
-    def keep_float_tables(self) -> tuple:
-        """The float term tables of :meth:`evaluate`, built on first use and kept on the expression.
-
-        A :class:`~parasol.batch.Plan` uses kept tables and builds the others without keeping them.
-        """
-        if self._float is None:
-            self._float = self._float_tables()
-        return self._float
-
     def evaluate(self, point: Mapping[str, float] | Sequence[float]) -> float:
         """Floating evaluation; raises if the denominator nearly vanishes or a float overflows."""
-        # the term loops index an exact list, which CPython indexes faster than a subclass
-        xs = list(coordinate_values(self.chart, point))
+        xs = coordinate_values(self.chart, point)
         if not self._num:
             return 0.0
         try:
-            terms, dmono, den_terms = self.keep_float_tables()
+            terms, dmono, den_terms = self._float_tables()
             den = 1.0
             for i, k in dmono:
                 den *= xs[i] ** k

@@ -105,13 +105,7 @@ import numpy as np
 
 from .batch import Plan, PointBatch
 from .chart import Chart
-from .symexpr import (
-    RESIDUE_PRIME,
-    Expr,
-    FormalPoint,
-    InvariantError,
-    coordinate_values,
-)
+from .symexpr import RESIDUE_PRIME, Expr, FormalPoint, InvariantError
 
 __all__ = [
     "TensorField",
@@ -271,17 +265,11 @@ class TensorField:
     def is_symmetric_down(self, a: int, b: int) -> bool:
         return (self - self.swap_down(a, b)).is_zero()
 
-    def numeric_at(self, point: Mapping[str, float] | Sequence[float]) -> np.ndarray:
-        n = self.chart.dimension
-        xs = coordinate_values(self.chart, point)
-        values = [0.0 if comp.is_symbolically_zero else comp.evaluate(xs) for comp in self._comps]
-        return np.array(values, dtype=float).reshape((n,) * self.rank) if self.rank else np.array(values[0])
-
     def numeric_many(self, batch: PointBatch) -> tuple[np.ndarray, np.ndarray]:
         """Components at every point of a batch, stacked on a leading axis, and per-point flags.
 
-        A point is flagged where :meth:`numeric_at` raises; every other row
-        has the bits of :meth:`numeric_at` there (see :class:`~parasol.batch.Plan`).
+        A point is flagged where :meth:`Expr.evaluate` raises on a component;
+        every other row has its bits there (see :class:`~parasol.batch.Plan`).
         """
         values, degenerate = Plan(self._comps).run(batch)
         shape = (batch.size,) + (self.chart.dimension,) * self.rank
@@ -713,14 +701,15 @@ class SignatureResult:
 def signature_at(metric: Metric, point: Mapping[str, float] | Sequence[float]) -> SignatureResult | None:
     """Signature (eigenvalue sign counts) of the metric at a point; None where it is not finite.
 
-    By Sylvester's law of inertia the sign counts equal the pivot signs of a
-    symmetric pivoted elimination; the counts are computed from the symmetric
-    eigenvalue decomposition of the numeric matrix.  Signature is reported
-    per point only: metrics whose determinant changes sign across the chart
-    have no global signature.
+    An entry that is flagged there (where ``Expr.evaluate`` raises) is not
+    finite.  By Sylvester's law of inertia the sign counts equal the pivot
+    signs of a symmetric pivoted elimination; the counts are computed from the
+    symmetric eigenvalue decomposition of the numeric matrix.  Signature is
+    reported per point only: metrics whose determinant changes sign across
+    the chart have no global signature.
     """
-    matrix = metric.field.numeric_at(point)
-    if not np.isfinite(matrix).all():
+    (matrix,), (flagged,) = metric.field.numeric_many(PointBatch(metric.chart, [point]))
+    if flagged or not np.isfinite(matrix).all():
         return None
     with np.errstate(all="ignore"):  # a finite matrix may still overflow its determinant
         det = float(np.linalg.det(matrix))
@@ -746,7 +735,7 @@ def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
 
 
 class Frame:
-    """Ordered list of n vector fields, numerically independent at the base point."""
+    """Ordered list of n vector fields, finite and numerically independent at the base point."""
 
     def __init__(self, vectors: Sequence[TensorField]):
         if not vectors:
@@ -764,8 +753,8 @@ class Frame:
         # the vectors as columns, E[a, i] = E_i^a, and the pairs (i, j), i <= j, in row-major order
         self.matrix = TensorField(chart, 1, 1, [vec[a] for a in range(n) for vec in vectors])
         self.pairs = tuple(combinations_with_replacement(range(n), 2))
-        values = self.matrix.numeric_at(chart.base_point)
-        if not np.isfinite(values).all():
+        (values,), (flagged,) = self.matrix.numeric_many(PointBatch(chart, [chart.base_point]))
+        if flagged or not np.isfinite(values).all():
             raise FrameError("frame vectors are not finite at the base point")
         # |det E| <= prod_i |E_i| (Hadamard), with equality for orthogonal vectors:
         # compared with that bound, a frame of a large- or small-scale metric passes

@@ -10,6 +10,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -21,6 +22,8 @@ import parasol.solitons
 from parasol.connection import WEIGHTED_TRACE
 from parasol.manifest import load_manifest
 from parasol.paracontact import ParacontactStructure
+from parasol.symexpr import coordinate_values
+from parasol.tensor import TensorField
 
 FIXTURE_NAMES = [
     "ex1_r3_spacelike",
@@ -42,6 +45,13 @@ def fixture_path(name: str) -> Path:
 ALL_MANIFESTS = [fixture_path(name) for name in FIXTURE_NAMES] + sorted(
     (Path(__file__).resolve().parent / "golden" / "manifests").glob("*.json")
 )
+
+
+def numeric_at(field: TensorField, point) -> np.ndarray:
+    """A tensor's components at one point, one ``Expr.evaluate`` each: the batch's reference."""
+    xs = coordinate_values(field.chart, point)
+    values = [comp.evaluate(xs) for comp in field._comps]
+    return np.array(values).reshape((field.chart.dimension,) * field.rank)
 
 
 def pytest_addoption(parser):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ALL_MANIFESTS, fixture_path
+from conftest import ALL_MANIFESTS, fixture_path, numeric_at
 from parasol.analysis import Analysis, cmd_oracle
 from parasol.chart import Chart
 from parasol.cli import main
@@ -48,7 +48,7 @@ def mismatches(field: TensorField, batch: PointBatch) -> list[str]:
     found = []
     for xs, row, flagged in zip(batch.points, values, degenerate.tolist()):
         try:
-            expected = field.numeric_at(xs)
+            expected = numeric_at(field, xs)
         except DegenerateEvaluationError:
             if not flagged:
                 found.append("%r: numeric_at raises, the batch does not" % (xs,))
@@ -160,6 +160,7 @@ EDGE_CASES = [
     ("x/(y - 2)", 1, False),  # 0.0 over a negative denominator is -0.0
     ("x^3*y^2*z - 2*x*y*z^2/7 + 5", 1, False),
     ("0", 1, False),
+    ("10^400*x^2 + 1", 1, True),  # a coefficient that overflows a float: flagged at every point
 ]
 EDGE_EXPRS = [parse(source, CHART) ** power for source, power, _ in EDGE_CASES]
 
@@ -233,6 +234,26 @@ def test_degenerate_metric_entries_keep_their_error_text():
         with pytest.raises(DegenerateEvaluationError) as error:
             getattr(StencilSampler(metric, cfg.h), reference)(point)
         assert str(error.value) == text
+
+
+def test_an_overflowing_coefficient_raises_its_one_point_error(tmp_path):
+    exprs = [parse("x", CHART), parse("10^400*x^2 + 1", CHART)]
+    with pytest.raises(DegenerateEvaluationError) as error:
+        PointBatch(CHART, [[0.5, 0.0, 0.0]]).evaluate_or_raise(exprs)
+    assert str(error.value) == "value overflows a float at [0.5, 0.0, 0.0]"
+    # no sample point survives; the run reports it, with no traceback
+    data = json.loads(fixture_path("flat_r3").read_text())
+    data["metric"][0][0] = "10^400*x^2 + 1"
+    path = tmp_path / "huge_coefficient.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["oracle", str(path), "--json"])
+    (row,) = json.loads(out.getvalue())["checks"]
+    assert (code, err.getvalue()) == (1, "")
+    assert (row["id"], row["status"], row["details"]) == (
+        "oracle_christoffel", "fail", "no nondegenerate sample points found in the domain box"
+    )
 
 
 def test_candidates_whose_probes_overflow_are_rejected():
@@ -362,7 +383,7 @@ def test_an_overflowing_lie_dual_value_raises_the_one_point_error():
     for point in oracle_sample_points(StencilSampler(structure.metric, 1e-4), 1):
         try:
             for field in fields:
-                field.numeric_at(point)
+                numeric_at(field, point)
         except DegenerateEvaluationError as exc:
             expected = str(exc)
             break

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import FIXTURE_NAMES, fixture_path, numeric_at
 from parasol import symexpr
 from parasol.analysis import Analysis
 from parasol.checks import CLASSIFICATION, Check, run_checks
@@ -71,7 +71,7 @@ def test_certificate_matches_the_exact_build(manifest, tmp_path):
     # the built residual's batch values are its one-point values, bit for bit
     stack, degenerate = exact.numeric_many(PointBatch(exact.chart, points))
     assert not degenerate.any()
-    assert stack.tobytes() == np.array([exact.numeric_at(p) for p in points]).tobytes()
+    assert stack.tobytes() == np.array([numeric_at(exact, p) for p in points]).tobytes()
     built = residual_numeric_max(exact, points)
     assert built == _round_float(float(np.abs(stack).max(initial=0.0)))
     assert _round_float(factored) == built

@@ -769,28 +769,46 @@ def test_scalar_curvature_and_g_phi_built_once_per_report(monkeypatch):
     assert (specs.count("jk,jk->"), specs.count("mj,mi->ij")) == (1, 1)
 
 
-def _not_finite_at_the_base_point(tmp_path, key: str) -> str:
-    # at (10, 10, 0) both monomials overflow to inf in floats, so the entry is inf - inf = NaN
+# at (10, 10, 0) both monomials overflow to inf in floats, so the entry is inf - inf = NaN
+# entries that are not finite at their base point: inf - inf = NaN at (10, 10, 0) (both
+# monomials overflow to inf), and three whose float evaluation raises there: an
+# overflow, a vanishing denominator and a coefficient that overflows a float
+NOT_FINITE_AT_BASE_POINT = [
+    ("x^200*y^200 - x^199*y^201 + 1", ("10", "10", "0")),
+    ("x^400 + 1", ("10", "10", "0")),
+    ("1 + 1/x", ("0", "0", "0")),
+    ("10^400*x^2 + 1", ("0", "0", "0")),
+]
+
+
+def _not_finite_at_the_base_point(tmp_path, key: str, entry: str, base: tuple) -> str:
     data = json.loads(fixture_path("flat_r3").read_text())
-    data["base_point"] = ["10", "10", "0"]
-    data["domain_box"] = [["9", "11"], ["9", "11"], ["-1", "1"]]
-    data[key][0][0] = "x^200*y^200 - x^199*y^201 + 1"
+    data["base_point"] = list(base)
+    data["domain_box"] = [[str(int(v) - 1), str(int(v) + 1)] for v in base[:2]] + [["-1", "1"]]
+    data[key][0][0] = entry
     path = tmp_path / ("nonfinite_%s.json" % key)
     path.write_text(json.dumps(data))
     return str(path)
 
 
 def test_a_metric_not_finite_at_the_base_point_has_no_signature_there(tmp_path):
-    path = _not_finite_at_the_base_point(tmp_path, "metric")
-    code, out, err = run_cli(["validate", path, "--json"])
-    row = next(c for c in json.loads(out)["checks"] if c["id"] == "signature_base_point")
-    assert (row["status"], row["details"]) == (
-        "inapplicable", "metric is not finite at the base point"
-    )
-    assert (code, err) == (0, "")
+    for entry, base in NOT_FINITE_AT_BASE_POINT:
+        path = _not_finite_at_the_base_point(tmp_path, "metric", entry, base)
+        code, out, err = run_cli(["validate", path, "--json"])
+        assert (code, err) == (0, ""), entry
+        # the exact rows, then the signature row
+        checks = json.loads(out)["checks"]
+        assert [c["id"] for c in checks[:4]] == [
+            "axiom_phi_square", "axiom_eta_xi", "axiom_phi_xi", "axiom_eta_phi"
+        ]
+        assert (checks[-1]["id"], checks[-1]["status"], checks[-1]["details"]) == (
+            "signature_base_point", "inapplicable", "metric is not finite at the base point"
+        ), entry
 
 
 def test_a_frame_not_finite_at_the_base_point_is_an_input_error(tmp_path):
-    code, out, err = run_cli(["validate", _not_finite_at_the_base_point(tmp_path, "frame")])
-    assert (code, out) == (2, "")
-    assert err == "error: frame: frame vectors are not finite at the base point\n"
+    for entry, base in NOT_FINITE_AT_BASE_POINT:
+        path = _not_finite_at_the_base_point(tmp_path, "frame", entry, base)
+        code, out, err = run_cli(["validate", path])
+        assert (code, out) == (2, ""), entry
+        assert err == "error: frame: frame vectors are not finite at the base point\n", entry

@@ -1,12 +1,14 @@
-"""One float evaluator and one point set for every multi-point numeric observation.
+"""One float evaluator and one point set for every numeric observation.
 
-``PointBatch`` (through a ``Plan``) evaluates every multi-point float observation (``numeric_max``,
-the soliton base-point guard, the torse note, the oracle rows, the report's
-candidate points), and the report's points come from ``Analysis.sample_points``
-alone; the oracle draws its own stencil-safe points.  The one-point paths that
-are kept are ``Expr.evaluate`` and ``TensorField.numeric_at``: the reference of
-the batch and the source of its error texts.  The analysis layer calls neither:
-where a value is flagged, ``PointBatch.evaluate_or_raise`` raises its error.
+A ``batch.Plan`` (run through ``PointBatch``) evaluates every float the
+program reads: ``numeric_max``, the soliton base-point guard, the torse note,
+the oracle rows and references, the report's candidate points, and the
+base-point reads (the signature, the frame check, the soliton residual norm).
+``Expr.evaluate`` is kept as the reference of the batch and the source of its
+error texts; the one call of it in the program is ``PointBatch.evaluate_or_raise``,
+which evaluates the first flagged value alone so that it raises its own error.
+``TensorField.numeric_at`` and the caches only the one-point path read (the
+float tables kept on an expression, the converted-point passthrough) are gone.
 """
 
 import ast
@@ -24,10 +26,19 @@ MANIFESTS = Path(__file__).resolve().parent / "golden" / "manifests"
 # the fd_* wrappers built a new StencilSampler per call; a sampler is the one way in
 DELETED_FUNCTIONS = {"max_abs", "evaluate_many", "fd_christoffel", "fd_riemann", "fd_ricci"}
 DELETED_PARAMETERS = {"guard_seed", "sample_seed"}
-# Metric.numeric_at only delegated to its field; the fields were written and never read
-DELETED_METHODS = {"Contraction.numeric_at", "Metric.numeric_at"}
-DELETED_FIELDS = {"CheckOutcome.data", "SolitonSolveResult.norm_squared", "TorseFormingData.w"}
+# Metric.numeric_at only delegated to its field; the fields were written and never read;
+# TensorField.numeric_at and the one-point caches were left without a caller by batch.Plan
+DELETED_METHODS = {
+    "Contraction.numeric_at", "Metric.numeric_at", "TensorField.numeric_at",
+    "Expr.keep_float_tables",
+}
+DELETED_FIELDS = {
+    "CheckOutcome.data", "SolitonSolveResult.norm_squared", "TorseFormingData.w", "Expr._float",
+}
+DELETED_CLASSES = {"_Coordinates"}
 ONE_POINT_CALLS = {"evaluate", "numeric_at"}
+# the one one-point call of the program: the raise rule of the batch
+RAISE_PATH = {"batch.py": ["PointBatch.evaluate_or_raise: .evaluate"]}
 CHART_SAMPLERS = {"Analysis.sample_points", "oracle_sample_points"}
 
 
@@ -41,18 +52,30 @@ def _functions(tree: ast.AST, prefix: str = ""):
             yield from _functions(node, prefix + node.name + ".")
 
 
+def _fields(node: ast.ClassDef):
+    """The annotated fields and the ``__slots__`` names of a class."""
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id
+        elif isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+        ):
+            yield from (e.value for e in ast.walk(item.value) if isinstance(e, ast.Constant))
+
+
 def deleted_names(source: str) -> list[str]:
-    """Functions, parameters and class fields that must stay deleted, as found in a module."""
+    """Classes, functions, parameters and class fields that must stay deleted, found in a module."""
     tree = ast.parse(source)
-    found = [
-        "%s.%s" % (node.name, item.target.id)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
-        for item in node.body
-        if isinstance(item, ast.AnnAssign)
-        and isinstance(item.target, ast.Name)
-        and "%s.%s" % (node.name, item.target.id) in DELETED_FIELDS
-    ]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            if node.name in DELETED_CLASSES:
+                found.append(node.name)
+            found += [
+                "%s.%s" % (node.name, field)
+                for field in _fields(node)
+                if "%s.%s" % (node.name, field) in DELETED_FIELDS
+            ]
     for name, function in _functions(tree):
         if name.split(".")[-1] in DELETED_FUNCTIONS or name in DELETED_METHODS:
             found.append(name)
@@ -81,8 +104,20 @@ def chart_sample_callers(source: str) -> list[str]:
     ]
 
 
+def _batch(node: ast.expr) -> bool:
+    """Whether an expression is a ``PointBatch(...)`` call, whose ``.evaluate`` is batched."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "PointBatch"
+    )
+
+
 def one_point_calls(source: str) -> list[str]:
-    """The ``.evaluate(...)`` and ``.numeric_at(...)`` calls of a module, as 'function: call'."""
+    """The ``.evaluate(...)`` and ``.numeric_at(...)`` calls of a module, as 'function: call'.
+
+    ``PointBatch(...).evaluate(...)`` is a batch's call and is not listed.
+    """
     return [
         "%s: .%s" % (name, node.func.attr)
         for name, function in _functions(ast.parse(source))
@@ -90,6 +125,7 @@ def one_point_calls(source: str) -> list[str]:
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in ONE_POINT_CALLS
+        and not _batch(node.func.value)
     ]
 
 
@@ -109,8 +145,14 @@ def test_detectors_find_the_deleted_paths():
     source = (
         "import numpy as np\n"
         "from .chart import SAMPLE_COUNT\n"
+        "class _Coordinates(list):\n"
+        "    __slots__ = ()\n"
+        "class Expr:\n"
+        "    __slots__ = (\"chart\", \"_float\")\n"
+        "    def keep_float_tables(self):\n        pass\n"
         "class TensorField:\n"
         "    def max_abs(self, points):\n        pass\n"
+        "    def numeric_at(self, point):\n        pass\n"
         "class Contraction:\n"
         "    def numeric_at(self, point):\n        pass\n"
         "class Metric:\n"
@@ -126,13 +168,17 @@ def test_detectors_find_the_deleted_paths():
         "    return StencilSampler(metric, cfg.h).ricci(point)\n"
     )
     assert deleted_names(source) == [
-        "TorseFormingData.w", "TensorField.max_abs", "Contraction.numeric_at", "Metric.numeric_at",
+        "_Coordinates", "Expr._float", "TorseFormingData.w", "Expr.keep_float_tables",
+        "TensorField.max_abs", "TensorField.numeric_at", "Contraction.numeric_at",
+        "Metric.numeric_at",
         "solve(guard_seed)", "torse(sample_seed)", "fd_ricci",
     ]
     assert chart_sample_callers(source) == ["solve"]
     assert one_point_calls(
         "def guard(det, field, point):\n"
         "    return det.evaluate(point), field.numeric_at(point), batch.evaluate_or_raise([det])\n"
+        "def observe(chart, points, exprs):\n"
+        "    return PointBatch(chart, points).evaluate(exprs)\n"
     ) == ["guard: .evaluate", "guard: .numeric_at"]
     assert {"numpy", "SAMPLE_COUNT"} <= imported_names(source)
 
@@ -145,8 +191,12 @@ def test_the_one_point_leftovers_stay_deleted():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def test_the_analysis_layer_makes_no_one_point_float_call():
-    assert one_point_calls((SRC / "analysis.py").read_text(encoding="utf-8")) == []
+def test_only_the_batch_raise_path_makes_a_one_point_float_call():
+    found = {
+        path.name: one_point_calls(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: calls for name, calls in found.items() if calls} == RAISE_PATH
 
 
 def test_solitons_do_no_float_sampling():

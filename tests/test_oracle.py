@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ALL_MANIFESTS, FIXTURE_NAMES, fixture_path
+from conftest import ALL_MANIFESTS, FIXTURE_NAMES, fixture_path, numeric_at
 from parasol.analysis import Analysis, cmd_oracle
 from parasol.chart import SAMPLE_COUNT, Chart
 from parasol.cli import main
@@ -24,7 +24,7 @@ from parasol.oracle import (
     oracle_sample_points,
 )
 from parasol.batch import Plan, PointBatch
-from parasol.symexpr import Expr
+from parasol.symexpr import DegenerateEvaluationError, Expr, parse
 from parasol.tensor import TensorField
 
 CFG = OracleConfig()
@@ -103,8 +103,8 @@ def test_fd_christoffel_value_on_ex2(ex2):
 def test_fd_riemann_frame_value_on_ex1(ex1):
     # component of R(E1, E2)E2 along E1 at the origin is 1
     riem = StencilSampler(ex1.metric, CFG.h).riemann({"x": 0.0, "y": 0.0, "z": 0.0})
-    frame = np.array([vec.numeric_at({"x": 0.0, "y": 0.0, "z": 0.0}) for vec in ex1.frame])
-    g = ex1.metric.field.numeric_at({"x": 0.0, "y": 0.0, "z": 0.0})
+    frame = np.array([numeric_at(vec, {"x": 0.0, "y": 0.0, "z": 0.0}) for vec in ex1.frame])
+    g = numeric_at(ex1.metric.field, {"x": 0.0, "y": 0.0, "z": 0.0})
     vector = np.einsum("lijk,i,j,k->l", riem, frame[0], frame[1], frame[1])
     along_e1 = vector @ g @ frame[0]  # g(R(E1,E2)E2, E1), e1 is unit spacelike
     assert abs(along_e1 - 1.0) <= 1e-5
@@ -119,7 +119,7 @@ def test_fd_ricci_diag_on_ex2(ex2):
     # weighted-trace Ricci has frame diagonal (0, 0, -2) on the timelike example
     point = {"x": 0.0, "y": 0.0, "z": 0.0}
     ricci = StencilSampler(ex2.metric, CFG.h).ricci(point)
-    frame = np.array([vec.numeric_at(point) for vec in ex2.frame])
+    frame = np.array([numeric_at(vec, point) for vec in ex2.frame])
     diag = [frame[i] @ ricci @ frame[i] for i in range(3)]
     assert abs(diag[0]) <= 1e-5 and abs(diag[1]) <= 1e-5
     assert abs(diag[2] - (-2.0)) <= 1e-5
@@ -172,6 +172,38 @@ def test_compare_shape_mismatch(ex1):
     points = oracle_sample_points(stencil, CFG.seed)
     with pytest.raises(ValueError, match="shape"):
         compare(ex1.xi, stencil.christoffel, points)
+
+
+def _poles_on_axes(chart: Chart) -> TensorField:
+    """The vector field (1, 1/x, 1/y): flagged at the second point of ``POLE_POINTS``."""
+    return TensorField.vector(chart, [parse(e, chart) for e in ("1", "1/x", "1/y")])
+
+
+POLE_POINTS = [{"x": 0.5, "y": 0.5, "z": 0.1}, {"x": 0.0, "y": 0.0, "z": 0.3}]
+
+
+def test_compare_raises_a_flagged_component_after_its_reference(flat):
+    # both 1/x and 1/y vanish at the second point; the first in component order raises
+    seen = []
+
+    def oracle(point):
+        seen.append(point)
+        return np.zeros(3)
+
+    with pytest.raises(DegenerateEvaluationError) as error:
+        compare(_poles_on_axes(flat.chart), oracle, POLE_POINTS)
+    assert str(error.value) == "denominator 'x' vanishes at [0.0, 0.0, 0.3] (|value| = 0)"
+    assert seen == POLE_POINTS
+
+
+def test_compare_raises_the_oracle_error_before_a_flagged_component(flat):
+    def oracle(point):
+        if point["x"] == 0.0:
+            raise StencilDegeneracyError("the oracle fails first")
+        return np.zeros(3)
+
+    with pytest.raises(StencilDegeneracyError, match="the oracle fails first"):
+        compare(_poles_on_axes(flat.chart), oracle, POLE_POINTS)
 
 
 def test_halving_h_improves_by_factor_near_four(ex1):
@@ -257,13 +289,13 @@ def test_stencil_sampler_builds_each_metric_float_table_once(monkeypatch):
 def _one_stencil_christoffel(metric, xs, h):
     """Christoffel symbols on one stencil: one-point metric values, one inv, three einsums."""
     n = len(xs)
-    ginv = np.linalg.inv(metric.field.numeric_at(xs))
+    ginv = np.linalg.inv(numeric_at(metric.field, xs))
     dg = np.empty((n, n, n))
     for i in range(n):
         plus, minus = list(xs), list(xs)
         plus[i] += h
         minus[i] -= h
-        dg[i] = (metric.field.numeric_at(plus) - metric.field.numeric_at(minus)) / (2.0 * h)
+        dg[i] = (numeric_at(metric.field, plus) - numeric_at(metric.field, minus)) / (2.0 * h)
     return 0.5 * (
         np.einsum("kl,ijl->kij", ginv, dg)
         + np.einsum("kl,jil->kij", ginv, dg)
@@ -390,7 +422,7 @@ def test_lie_derivative_dual_numeric_agreement(ex1):
     )
     for point in points:
         deviation = np.abs(
-            via_coordinates.numeric_at(point) - via_connection.numeric_at(point)
+            numeric_at(via_coordinates, point) - numeric_at(via_connection, point)
         )
         assert np.max(deviation) <= CFG.tolerance
 

@@ -247,19 +247,6 @@ def test_evaluate_near_zero_denominator_raises():
         e.evaluate({"x": 0.0, "y": 0.0, "z": 0.0})
 
 
-def test_converted_point_is_not_converted_again():
-    xs = coordinate_values(CHART, [1, 2, 3])
-    assert xs == [1.0, 2.0, 3.0] and all(type(v) is float for v in xs)
-    # what coordinate_values returned passes through; plain lists are copied
-    assert coordinate_values(CHART, xs) is xs
-    plain = [1.0, 2.0, 3.0]
-    assert coordinate_values(CHART, plain) is not plain
-    e = P("x*y + exp(z)/(1 + x^2)")
-    value = e.evaluate(xs)
-    assert value == e.evaluate([1, 2, 3]) == e.evaluate({"x": 1, "y": 2, "z": 3})
-    assert value == e.evaluate((1.0, 2.0, 3.0)) == e.evaluate({"x": 1.0, "y": 2.0, "z": 3.0})
-
-
 def test_converted_point_of_another_dimension_is_rejected():
     xs = coordinate_values(CHART5, [0, 1, 2, 3, 4])
     with pytest.raises(ExprError):
