@@ -342,7 +342,7 @@ class PointBatch:
 
     def evaluate_or_raise(self, exprs: Sequence[Expr]) -> np.ndarray:
         """:meth:`evaluate`'s values; the first (point, expression) flagged raises its own error."""
-        values, flags = Plan(exprs).run(self)
+        values, flags = self.evaluate(exprs)
         for p, e in np.argwhere(flags.T)[:1]:
             exprs[e].evaluate(self.points[p])
         return values

@@ -22,7 +22,7 @@ import parasol.solitons
 from parasol.connection import WEIGHTED_TRACE
 from parasol.manifest import load_manifest
 from parasol.paracontact import ParacontactStructure
-from parasol.symexpr import coordinate_values
+from parasol.symexpr import Expr, coordinate_values
 from parasol.tensor import TensorField
 
 FIXTURE_NAMES = [
@@ -61,6 +61,23 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite the golden report files instead of comparing against them",
     )
+
+
+@pytest.fixture
+def float_tables_kept(monkeypatch):
+    """``Expr.evaluate`` builds each expression's float tables once per test, not once per call.
+
+    Its values and errors stay those of the reference; a bit-for-bit test
+    evaluates each expression at many points.
+    """
+    build, kept = Expr._float_tables, {}
+
+    def tables(expr):
+        if id(expr) not in kept:
+            kept[id(expr)] = expr, build(expr)  # the expression is kept so its id stays its own
+        return kept[id(expr)][1]
+
+    monkeypatch.setattr(Expr, "_float_tables", tables)
 
 
 @pytest.fixture

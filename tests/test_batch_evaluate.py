@@ -104,6 +104,7 @@ PLAN_EDGE_VALUES = [0.0, 1e-12, -1e-12, 1.0000000000000002e-12, 0.95, 40.0, -40.
 
 
 @pytest.mark.parametrize("path", [pytest.param(p, id=p.stem) for p in ALL_MANIFESTS])
+@pytest.mark.usefixtures("float_tables_kept")
 def test_batch_values_are_the_scalar_values_bit_for_bit(path, monkeypatch):
     structure, batches = oracle_run(path, monkeypatch)
     # the metric at every point the run evaluates it at; the curvature, which

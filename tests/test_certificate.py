@@ -58,6 +58,7 @@ MANIFEST_CASES = (
 
 
 @pytest.mark.parametrize("manifest", MANIFEST_CASES)
+@pytest.mark.usefixtures("float_tables_kept")
 def test_certificate_matches_the_exact_build(manifest, tmp_path):
     path = _ladder(manifest, tmp_path) if isinstance(manifest, int) else manifest
     lazy, points = _semi_symmetry(path)

@@ -769,7 +769,6 @@ def test_scalar_curvature_and_g_phi_built_once_per_report(monkeypatch):
     assert (specs.count("jk,jk->"), specs.count("mj,mi->ij")) == (1, 1)
 
 
-# at (10, 10, 0) both monomials overflow to inf in floats, so the entry is inf - inf = NaN
 # entries that are not finite at their base point: inf - inf = NaN at (10, 10, 0) (both
 # monomials overflow to inf), and three whose float evaluation raises there: an
 # overflow, a vanishing denominator and a coefficient that overflows a float

@@ -104,19 +104,25 @@ def chart_sample_callers(source: str) -> list[str]:
     ]
 
 
-def _batch(node: ast.expr) -> bool:
-    """Whether an expression is a ``PointBatch(...)`` call, whose ``.evaluate`` is batched."""
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "PointBatch"
-    )
+def _batch(node: ast.expr, function: str) -> bool:
+    """Whether a receiver is a ``PointBatch``, whose ``.evaluate`` is batched.
+
+    That is a ``PointBatch(...)`` call, ``self`` in a ``PointBatch`` method, or
+    by convention a name that ends in ``batch``.
+    """
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "PointBatch"
+    if isinstance(node, ast.Name):
+        return node.id.endswith("batch") or (
+            node.id == "self" and function.startswith("PointBatch.")
+        )
+    return False
 
 
 def one_point_calls(source: str) -> list[str]:
     """The ``.evaluate(...)`` and ``.numeric_at(...)`` calls of a module, as 'function: call'.
 
-    ``PointBatch(...).evaluate(...)`` is a batch's call and is not listed.
+    A batch's ``.evaluate(...)`` (see :func:`_batch`) is not listed.
     """
     return [
         "%s: .%s" % (name, node.func.attr)
@@ -125,7 +131,7 @@ def one_point_calls(source: str) -> list[str]:
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in ONE_POINT_CALLS
-        and not _batch(node.func.value)
+        and not _batch(node.func.value, name)
     ]
 
 
@@ -177,9 +183,18 @@ def test_detectors_find_the_deleted_paths():
     assert one_point_calls(
         "def guard(det, field, point):\n"
         "    return det.evaluate(point), field.numeric_at(point), batch.evaluate_or_raise([det])\n"
-        "def observe(chart, points, exprs):\n"
-        "    return PointBatch(chart, points).evaluate(exprs)\n"
-    ) == ["guard: .evaluate", "guard: .numeric_at"]
+        "def observe(chart, points, exprs, stencil_batch):\n"
+        "    return PointBatch(chart, points).evaluate(exprs), stencil_batch.evaluate(exprs)\n"
+        "class PointBatch:\n"
+        "    def evaluate_or_raise(self, exprs):\n"
+        "        return self.evaluate(exprs), exprs[0].evaluate(self.points[0])\n"
+        "class Frame:\n"
+        "    def check(self, point):\n"
+        "        return self.evaluate(point)\n"
+    ) == [
+        "guard: .evaluate", "guard: .numeric_at", "PointBatch.evaluate_or_raise: .evaluate",
+        "Frame.check: .evaluate",
+    ]
     assert {"numpy", "SAMPLE_COUNT"} <= imported_names(source)
 
 
