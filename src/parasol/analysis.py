@@ -481,9 +481,11 @@ def cmd_oracle(analysis: Analysis) -> list[CheckOutcome]:
             % (_deviation_text(deviation), len(points), cfg.tolerance, cfg.h),
         )
 
+    # every symbolic tensor is evaluated on one batch of the sample points
+    batch = PointBatch(structure.chart, points)
     gamma = structure.connection()
     # the comparisons at h and at h/2 read one evaluation of the symbols
-    gamma_values = gamma.numeric_many(PointBatch(gamma.chart, points))
+    gamma_values = gamma.numeric_many(batch)
     # a degenerate Christoffel stencil raises: the step-halving check needs this comparison
     at_h = compare(gamma, stencil.christoffel, points, gamma_values)
     outcomes = [compared("oracle_christoffel", at_h)]
@@ -492,7 +494,8 @@ def cmd_oracle(analysis: Analysis) -> list[CheckOutcome]:
         ("oracle_ricci", structure.ricci(WEIGHTED_TRACE), stencil.ricci),
     ):
         try:
-            outcomes.append(compared(check_id, compare(symbolic, oracle_fn, points)))
+            deviation = compare(symbolic, oracle_fn, points, symbolic.numeric_many(batch))
+            outcomes.append(compared(check_id, deviation))
         except StencilDegeneracyError as exc:
             outcomes.append(CheckOutcome(check_id, FAIL, details=str(exc)))
 
@@ -529,7 +532,7 @@ def cmd_oracle(analysis: Analysis) -> list[CheckOutcome]:
         analysis.potential or structure.xi
     )
     comps = [comp for field in (via_coordinates, via_connection) for _, comp in field.components()]
-    values = PointBatch(structure.chart, points).evaluate_or_raise(comps)
+    values = batch.evaluate_or_raise(comps)
     one, other = np.split(values, 2)
     with np.errstate(all="ignore"):
         worst = max_deviation(np.abs(one - other).max(axis=0).tolist())

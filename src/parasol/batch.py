@@ -314,6 +314,14 @@ class PointBatch:
         self.size = len(self.points)
         self._columns: dict[tuple, tuple[list[float], list[bool] | None]] = {}
 
+    @classmethod
+    def of_coordinates(cls, chart: Chart, points: list[list[float]]) -> PointBatch:
+        """A batch of points already given as lists of float coordinates in chart order."""
+        batch = cls(chart, ())
+        batch.points = points
+        batch.size = len(points)
+        return batch
+
     def column(self, key: tuple) -> tuple[list[float], list[bool] | None]:
         """A column at every point, and where it overflowed (None: nowhere).
 

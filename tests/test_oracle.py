@@ -16,6 +16,7 @@ from parasol.cli import main
 from parasol.connection import WEIGHTED_TRACE, lie_derivative_two_ways
 from parasol.manifest import load_manifest
 from parasol.oracle import (
+    GROUP_VISITS,
     OracleConfig,
     OracleConfigError,
     StencilDegeneracyError,
@@ -245,16 +246,25 @@ def test_stencil_sampler_checks_cached_points_on_every_lookup(structures):
 
 
 def test_compare_raises_a_failed_riemann_stencil_at_its_own_lookups(structures):
-    # point 1 sits 1.5h below t = 1, where det g = 1 + y^2 - t^2 changes sign:
-    # its Christoffel stencil at h stays below, but the stencil of its
-    # neighbour at t + h reaches t + 2h, above
+    # the last point sits 1.5h below t = 1, where det g = 1 + y^2 - t^2 changes
+    # sign: its Christoffel stencil at h stays below, but the stencil of its
+    # neighbour at t + h reaches t + 2h, above.  At n = 5 a group holds two
+    # points: the last point is in the second group, the second in the first
     g2 = structures["ex5d_r5_g2"]
+    chart = g2.chart
     h = 1e-3
     points = [
         {"x": 0.1, "y": 0.2, "z": -0.3, "t": 0.4, "s": 0.5},
+        {"x": 0.0, "y": 0.1, "z": 0.2, "t": 0.3, "s": -0.1},
+        {"x": -0.2, "y": 0.3, "z": 0.1, "t": -0.4, "s": 0.2},
         {"x": 0.0, "y": 0.0, "z": 0.0, "t": 1.0 - 1.5 * h, "s": 0.0},
     ]
+    failed_stencil = (
+        "metric determinant -1.000e-03 degenerates inside the stencil at "
+        "[0.0, 0.0, 0.0, 1.0005, 0.0]"
+    )
     stencil = StencilSampler(g2.metric, h)
+    stencil.expect(points)
     assert compare(g2.connection(), stencil.christoffel, points) <= CFG.tolerance
     for symbolic, oracle_fn in (
         (g2.riemann(), stencil.riemann),
@@ -262,11 +272,23 @@ def test_compare_raises_a_failed_riemann_stencil_at_its_own_lookups(structures):
     ):
         with pytest.raises(StencilDegeneracyError) as error:
             compare(symbolic, oracle_fn, points)
-        assert str(error.value) == (
-            "metric determinant -1.000e-03 degenerates inside the stencil at "
-            "[0.0, 0.0, 0.0, 1.0005, 0.0]"
-        )
+        assert str(error.value) == failed_stencil
     assert compare(g2.connection(), stencil.christoffel_half_step, points) <= CFG.tolerance
+
+    # a Riemann-shaped tensor flagged where x = 0: the second point, in the first
+    # group, raises before the failed stencil of the second group is reached
+    comps = [Expr.zero(chart)] * chart.dimension**4
+    comps[1] = parse("1/x", chart)
+    poles = TensorField(chart, 1, 3, comps)
+    stencil = StencilSampler(g2.metric, h)
+    stencil.expect(points)
+    with pytest.raises(DegenerateEvaluationError) as error:
+        compare(poles, stencil.riemann, points)
+    assert str(error.value) == "denominator 'x' vanishes at [0.0, 0.1, 0.2, 0.3, -0.1] (|value| = 0)"
+    # and a failed stencil raises before its point's flagged component and a later one
+    with pytest.raises(StencilDegeneracyError) as error:
+        compare(poles, stencil.riemann, [points[0], points[3], points[1]])
+    assert str(error.value) == failed_stencil
 
 
 def test_stencil_sampler_builds_each_metric_float_table_once(monkeypatch):
@@ -330,17 +352,22 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("path", [pytest.param(p, id=p.stem) for p in ALL_MANIFESTS])
 def test_stacked_references_have_the_bits_of_one_stencil_at_a_time(path):
+    # the sample points are grouped: at n = 3 a group holds six points, at n = 5 two,
+    # and two seeds put different points at every position of a group
     metric = load_manifest(path).metric
-    stencil = StencilSampler(metric, CFG.h)
-    for point in oracle_sample_points(stencil, CFG.seed):
-        xs = [point[c] for c in metric.chart.coordinates]
-        riem = _one_stencil_riemann(metric, xs, CFG.h)
-        assert _same_bits(stencil.christoffel(point), _one_stencil_christoffel(metric, xs, CFG.h))
-        assert _same_bits(
-            stencil.christoffel_half_step(point), _one_stencil_christoffel(metric, xs, CFG.h / 2.0)
-        )
-        assert _same_bits(stencil.riemann(point), riem)
-        assert _same_bits(stencil.ricci(point), np.einsum("iijk->jk", riem))
+    for seed in (42, 1):
+        stencil = StencilSampler(metric, CFG.h)
+        for point in oracle_sample_points(stencil, seed):
+            xs = [point[c] for c in metric.chart.coordinates]
+            riem = _one_stencil_riemann(metric, xs, CFG.h)
+            gamma = _one_stencil_christoffel(metric, xs, CFG.h)
+            assert _same_bits(stencil.christoffel(point), gamma)
+            assert _same_bits(
+                stencil.christoffel_half_step(point),
+                _one_stencil_christoffel(metric, xs, CFG.h / 2.0),
+            )
+            assert _same_bits(stencil.riemann(point), riem)
+            assert _same_bits(stencil.ricci(point), np.einsum("iijk->jk", riem))
 
 
 def _metric_plan_runs(analysis: Analysis, monkeypatch) -> tuple[list[Plan], list[PointBatch]]:
@@ -364,7 +391,7 @@ def _metric_plan_runs(analysis: Analysis, monkeypatch) -> tuple[list[Plan], list
     return plans, batches
 
 
-def test_oracle_fills_the_metric_once_per_sample_point(manifests, monkeypatch):
+def test_oracle_fills_the_metric_once_per_round_and_per_group(manifests, monkeypatch):
     analysis = Analysis(manifests["ex5d_r5_g1"], OracleConfig())
     analysis.sample_points()  # the numeric_max points are not oracle work
     plans, batches = _metric_plan_runs(analysis, monkeypatch)
@@ -377,12 +404,16 @@ def test_oracle_fills_the_metric_once_per_sample_point(manifests, monkeypatch):
     monkeypatch.setattr(Chart, "sample_points", counting_sample_points)
     assert len(cmd_oracle(analysis).checks) == 5
     # one plan of the metric per run, one batch per round of candidates' probes,
-    # and one per sample point for every point its references visit
+    # and one per group of sample points for every point their references visit
+    n = analysis.structure.chart.dimension
+    per_group = GROUP_VISITS // (2 * n * n + 6 * n + 1)
+    assert per_group == 2
     assert len(plans) == 1
-    assert len(batches) == len(rounds) + SAMPLE_COUNT
+    assert len(batches) == len(rounds) + math.ceil(SAMPLE_COUNT / per_group)
     assert [batch.size for batch in batches[: len(rounds)]] == [
-        len(candidates) * (1 + 2 * analysis.structure.chart.dimension) for candidates in rounds
+        len(candidates) * (1 + 2 * n) for candidates in rounds
     ]
+    assert all(batch.size <= GROUP_VISITS for batch in batches[len(rounds) :])
 
 
 @pytest.mark.parametrize("name", ["ex1_r3_spacelike", "ex5d_r5_g1"])
