@@ -10,42 +10,36 @@ roughly 4x, and that scaling is itself a checkable property.
 Float evaluation is planned once per run and batched.  A run's
 :class:`StencilSampler` builds the metric's :class:`~parasol.batch.Plan`
 once and runs it on one batch per round of candidate sample points (their
-probes: each candidate and its +-2h steps) and one batch per group of
-sample points: every point that their references (Christoffel symbols at h
-and at h/2, Riemann and Ricci tensors at h) visit, 2n^2 + 6n + 1 per sample
-point, from which the references of the whole group come by one stacked
-numpy pass with a leading point axis.  A group holds at most
-``GROUP_VISITS`` = 240 visits (six sample points at n = 3, two at
-n = 5), because the size of its stacks sets the run's peak RSS: all ten
-points in one group (810 visits at n = 5) raised the ``fixtures``
-benchmark's ``peak_rss_mb`` by 0.47 MB over one point per group, and
-three points at n = 5 (243 visits) raised the traced peak of
-``report --all`` on ``ex5d_r5_g1`` by 100 KB, two points by 37 KB.
-The probes are not folded into the stencil batches: that saved a batch per
-accepted candidate, but a rejected candidate then paid for all its stencil
-points, and ``report --all`` on a manifest whose 2000 candidates are all
-rejected went from 0.41 to 0.57 s; with the probes of a round in one batch
-it takes 0.10 s (in-process, medians of three runs).  On the ``fixtures``
-benchmark, where no candidate is rejected, the verdict time went from
-0.188 to 0.171 s with one batch per sample point (medians of ten
-alternating 30 s runs each, seed 1), and from 0.174 to 0.161 s with one
-batch per group (medians of seven alternated 30 s pairs, seed 1, the
-grouped run faster in all seven).  All on a 2-core Xeon, numpy 2.4.  The
-symbolic tensors that the ``oracle`` command compares, and its Lie-dual
-pair, are evaluated on one batch of the sample points, so each ``x ** k``
-and ``exp`` column is computed once per run.  A batch does ``+``, ``*`` and ``/`` in
-numpy, in the order of ``Expr.evaluate``, and leaves ``x ** k`` and
-``exp`` to Python's libm calls: numpy's vectorised
-``power`` and ``exp`` round differently on some inputs, which would move the
-roundoff-level deviations the reports print.  Every value therefore has the
-bits that ``Expr.evaluate`` gives.  A flagged point (where ``Expr.evaluate``
-would raise) is run again as a one-point batch when a reference that visits
-it is looked up, or when :func:`compare` reaches it, and
-:meth:`~parasol.batch.PointBatch.evaluate_or_raise` raises the first flagged
-entry's own error, in the same order as evaluating the entries one by one.
-On badly scaled metrics the float work may overflow; numpy's warnings are
-silenced, because the resulting inf and NaN values already fail the checks
-(see :func:`max_deviation`).
+probes: each candidate and its +-2h steps), then computes the references of
+the sample points in one call (:meth:`StencilSampler.references`), one
+batch per group of points: every point that their references (Christoffel
+symbols at h and at h/2, Riemann and Ricci tensors at h) visit, 2n^2 + 6n +
+1 per sample point, from which the references of the whole group come by
+one stacked numpy pass with a leading point axis.  A group holds at most
+``GROUP_VISITS`` = 240 visits (six sample points at n = 3, two at n = 5),
+because the size of its stacks sets the run's peak RSS: all ten points in
+one group (810 visits at n = 5) raised the ``fixtures`` benchmark's
+``peak_rss_mb`` by 0.47 MB over one point per group, and three points at
+n = 5 (243 visits) raised the traced peak of ``report --all`` on
+``ex5d_r5_g1`` by 100 KB, two points by 37 KB.  The probes stay out of the
+stencil batches, where a rejected candidate would pay for all its stencil
+points: ``report --all`` on a manifest whose 2000 candidates are all
+rejected took 0.57 s that way, and takes 0.10 s with the probes of a round
+in one batch (in-process, medians of three runs).  The symbolic tensors
+that the ``oracle`` command compares, and its Lie-dual pair, are evaluated
+on one batch of the sample points, so each ``x ** k`` and ``exp`` column is
+computed once per run.  A batch does ``+``, ``*`` and ``/`` in numpy, in the
+order of ``Expr.evaluate``, and leaves ``x ** k`` and ``exp`` to Python's
+libm calls: numpy's vectorised ``power`` and ``exp`` round differently on
+some inputs, which would move the roundoff-level deviations the reports
+print.  Every value therefore has the bits that ``Expr.evaluate`` gives.  A
+reference whose stencil fails comes with the error that comparing it raises,
+and a flagged point (where ``Expr.evaluate`` would raise) is run again as a
+one-point batch, where :meth:`~parasol.batch.PointBatch.evaluate_or_raise`
+raises the first flagged entry's own error, in the same order as evaluating
+the entries one by one.  On badly scaled metrics the float work may
+overflow; numpy's warnings are silenced, because the resulting inf and NaN
+values already fail the checks (see :func:`max_deviation`).
 """
 
 from __future__ import annotations
@@ -53,13 +47,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .chart import SAMPLE_COUNT, Chart
 from .batch import Plan, PointBatch
-from .symexpr import coordinate_values
+from .symexpr import DegenerateEvaluationError, coordinate_values
 from .tensor import Metric, TensorField
 
 __all__ = [
@@ -163,9 +157,8 @@ def _failures(dets: np.ndarray, degenerate: np.ndarray, stencils: np.ndarray) ->
     return fails
 
 
-# a reference's first failing visit: the point, det g there, whether an entry is degenerate
-_Failure = tuple[list[float], float, bool]
-_Reference = tuple[np.ndarray, _Failure | None]
+# a reference's value at a sample point, and the error that comparing it raises, or None
+Reference = tuple[np.ndarray, Exception | None]
 
 
 class StencilSampler:
@@ -174,31 +167,29 @@ class StencilSampler:
     The sampler keeps the metric's :class:`~parasol.batch.Plan`, built once,
     and runs it on one :class:`~parasol.batch.PointBatch` per round of
     candidates' probes (:meth:`probe_fails`) and one per group of sample
-    points (:meth:`expect`).  A point's references, the Christoffel symbols
-    at h and at h/2 and the Riemann and Ricci tensors at h, are computed at
-    the first lookup of any point of its group, together with those of the
-    whole group; a point outside every group is computed alone.  A point's
-    references visit the Riemann stencil of stencils at h and the
-    Christoffel stencil at h/2.  The visits are float arrays made by
-    :func:`_neighbours`, and a visit that several stencils make by the same
-    steps (:func:`_distinct_visits`) is evaluated once: 2n^2 + 6n + 1
-    visits per point, and a group holds as many points as keep it within
+    points (:meth:`references`).  A point's references are the Christoffel
+    symbols at h and at h/2 and the Riemann and Ricci tensors at h; they
+    visit the Riemann stencil of stencils at h and the Christoffel stencil at
+    h/2.  The visits are float arrays made by :func:`_chain_values`, and a
+    visit that several stencils make by the same steps
+    (:func:`_distinct_visits`) is evaluated once: 2n^2 + 6n + 1 visits per
+    point, and a group holds as many consecutive points as keep it within
     ``GROUP_VISITS`` visits (at least one).  The values are one stacked
-    (visits, n, n) array, indexed by stencil.  The Christoffel symbols of every
-    stencil of the group come from one stacked ``np.linalg.inv`` and three
-    stacked einsums, the Riemann tensors from those of each point and its 2n
-    neighbours at h, the Ricci tensors from the Riemann tensors; each
+    (visits, n, n) array, indexed by stencil.  The Christoffel symbols of
+    every stencil of the group come from one stacked ``np.linalg.inv`` and
+    three stacked einsums, the Riemann tensors from those of each point and
+    its 2n neighbours at h, the Ricci tensors from the Riemann tensors; each
     stacked value has the bits of the same arithmetic on one stencil.  The
     cap bounds the stacks, whose size sets the run's peak RSS (see the
-    module docstring for the sizes measured).
+    module docstring).
 
-    The degeneracy checks run on the stacked determinants.  Each reference
-    keeps its first failing visit, in the order the one-stencil computation
-    visits the points: a stencil's centre, then its neighbours, plus before
-    minus, axis by axis; for the Riemann tensor the point's stencil, then
-    each neighbour's.  Looking the reference up raises there: the metric's
-    own error where an entry is degenerate (a one-point batch of the entries
-    raises it), else :class:`StencilDegeneracyError`.
+    The degeneracy checks run on the stacked determinants.  A reference
+    fails at its first failing visit, in the order the one-stencil
+    computation visits the points: a stencil's centre, then its neighbours,
+    plus before minus, axis by axis; for the Riemann tensor the point's
+    stencil, then each neighbour's.  Its error is the metric's own where an
+    entry is degenerate there (a one-point batch of the entries raises it),
+    else :class:`StencilDegeneracyError`.
     """
 
     def __init__(self, metric: Metric, h: float):
@@ -207,60 +198,24 @@ class StencilSampler:
         self._entries = metric.field._comps
         self._plan = Plan(self._entries)
         self._pattern, self._chains = _distinct_visits(self.chart.dimension)
-        # sample point -> reference name -> (value, first failing visit or None)
-        self._references: dict[tuple[float, ...], dict[str, _Reference]] = {}
-        # sample point not computed yet -> the points of its group
-        self._groups: dict[tuple[float, ...], list[list[float]]] = {}
 
-    def christoffel(self, point: Point) -> np.ndarray:
-        """Christoffel symbols gamma[k, i, j] from central differences of g."""
-        return self._lookup(point, "christoffel")
+    def references(self, points: Iterable[Point]) -> dict[str, list[Reference]]:
+        """Each reference's (value, error) at each point, in the points' order.
 
-    def christoffel_half_step(self, point: Point) -> np.ndarray:
-        """Christoffel symbols gamma[k, i, j] at the step h/2, for the O(h^2) scaling check."""
-        return self._lookup(point, "christoffel_half_step")
-
-    def riemann(self, point: Point) -> np.ndarray:
-        """Riemann tensor riem[l, i, j, k] from nested central differences."""
-        return self._lookup(point, "riemann")
-
-    def ricci(self, point: Point) -> np.ndarray:
-        """Ricci tensor S[j, k] = riem[i, i, j, k] (weighted trace only)."""
-        return self._lookup(point, "ricci")
-
-    def expect(self, points: Iterable[Point]) -> None:
-        """Group the points whose references will be looked up, within ``GROUP_VISITS`` a group.
-
-        A group is consecutive points, as many as 2n^2 + 6n + 1 visits each
-        fit (at least one); a point already computed joins none.
+        The references are ``christoffel``, ``christoffel_half_step``,
+        ``riemann`` and ``ricci``.  A group is consecutive points, as many as
+        2n^2 + 6n + 1 visits each fit within ``GROUP_VISITS`` (at least one).
         """
         n = self.chart.dimension
         size = max(1, GROUP_VISITS // (2 * n * n + 6 * n + 1))
         pending = [coordinate_values(self.chart, point) for point in points]
-        pending = [xs for xs in pending if tuple(xs) not in self._references]
+        references: dict[str, list[Reference]] = {
+            name: [] for name in ("christoffel", "christoffel_half_step", "riemann", "ricci")
+        }
         for start in range(0, len(pending), size):
-            group = pending[start : start + size]
-            self._groups.update((tuple(xs), group) for xs in group)
-
-    def _lookup(self, point: Point, name: str) -> np.ndarray:
-        xs = coordinate_values(self.chart, point)
-        key = tuple(xs)
-        references = self._references.get(key)
-        if references is None:
-            group = self._groups.get(key, [xs])
-            for member, computed in zip(group, self._compute(group)):
-                self._groups.pop(tuple(member), None)
-                self._references[tuple(member)] = computed
-            references = self._references[key]
-        value, failure = references[name]
-        if failure is not None:
-            at, det, degenerate = failure
-            if degenerate:
-                PointBatch(self.chart, [at]).evaluate_or_raise(self._entries)
-            raise StencilDegeneracyError(
-                "metric determinant %.3e degenerates inside the stencil at %r" % (det, at)
-            )
-        return value
+            for name, computed in self._compute(pending[start : start + size]).items():
+                references[name] += computed
+        return references
 
     @np.errstate(all="ignore")
     def probe_fails(self, candidates: list[Point]) -> list[bool]:
@@ -286,7 +241,7 @@ class StencilSampler:
         return matrices, np.linalg.det(matrices), flags.any(axis=0)
 
     @np.errstate(all="ignore")
-    def _compute(self, group: list[list[float]]) -> list[dict[str, _Reference]]:
+    def _compute(self, group: list[list[float]]) -> dict[str, list[Reference]]:
         """The references of each point of the group: one batch of the plan, one stacked pass."""
         h, n = self.h, self.chart.dimension
         # the distinct visits of every point, shape (points, 2n^2 + 6n + 1, n),
@@ -297,17 +252,24 @@ class StencilSampler:
         fails = _failures(dets, degenerate, index.reshape(-1, 2 * n + 1)).reshape(index.shape)
         failing = fails.any(axis=2).tolist()
 
-        def first_failure(p: int, first: int, last: int) -> _Failure | None:
-            """The first failing visit of point p's stencils first..last, in visiting order."""
+        def error(p: int, first: int, last: int) -> Exception | None:
+            """The error of point p's stencils first..last, at their first failing visit."""
             if not any(failing[p][first : last + 1]):
                 return None
             s, k = divmod(int(np.flatnonzero(fails[p, first : last + 1])[0]), 2 * n + 1)
-            at, row = visits[p, self._pattern[first + s, k]], index[p, first + s, k]
-            return at.tolist(), float(dets[row]), bool(degenerate[row])
+            at, row = visits[p, self._pattern[first + s, k]].tolist(), index[p, first + s, k]
+            if degenerate[row]:
+                try:
+                    PointBatch(self.chart, [at]).evaluate_or_raise(self._entries)
+                except DegenerateEvaluationError as exc:
+                    return exc
+            return StencilDegeneracyError(
+                "metric determinant %.3e degenerates inside the stencil at %r" % (dets[row], at)
+            )
 
         # a failing centre is replaced by the identity, so that inv raises nowhere
         # (det and inv factor alike: a centre inv would call singular has det 0):
-        # the references on its stencil raise when they are looked up
+        # the references on its stencil carry their error instead
         centres = np.where(fails[..., 0, None, None], np.eye(n), matrices[index[..., 0]])
         ginv = np.linalg.inv(centres)
         steps = np.array([2.0 * h] * (2 * n + 1) + [2.0 * (h / 2.0)])
@@ -330,17 +292,16 @@ class StencilSampler:
         riem += np.einsum("...lim,...mjk->...lijk", centre, centre)
         riem -= np.einsum("...ljm,...mik->...lijk", centre, centre)
         ricci = np.einsum("...iijk->...jk", riem)
-        references = []
-        for p in range(len(group)):
-            riemann_failure = first_failure(p, 0, 2 * n)
-            half_step_failure = first_failure(p, 2 * n + 1, 2 * n + 1)
-            references.append({
-                "christoffel": (gamma[p, 0].copy(), first_failure(p, 0, 0)),
-                "riemann": (riem[p], riemann_failure),
-                "ricci": (ricci[p], riemann_failure),
-                "christoffel_half_step": (gamma[p, -1].copy(), half_step_failure),
-            })
-        return references
+        points = range(len(group))
+        riemann_errors = [error(p, 0, 2 * n) for p in points]
+        return {
+            "christoffel": [(gamma[p, 0].copy(), error(p, 0, 0)) for p in points],
+            "christoffel_half_step": [
+                (gamma[p, -1].copy(), error(p, 2 * n + 1, 2 * n + 1)) for p in points
+            ],
+            "riemann": list(zip(riem, riemann_errors)),
+            "ricci": list(zip(ricci, riemann_errors)),
+        }
 
 
 def require_step_fits(chart: Chart, h: float) -> None:
@@ -361,31 +322,32 @@ def oracle_sample_points(sampler: StencilSampler, seed: int) -> list[dict[str, f
     round of :meth:`~parasol.chart.Chart.sample_points` are probed in one
     batch (:meth:`StencilSampler.probe_fails`).  The stencils' other points
     (the +-h and diagonal steps) are not probed; a reference that visits a
-    failing one raises when it is looked up.  A step whose +-2h stencil
-    spans the narrowest box interval is an input error
-    (:func:`require_step_fits`), so the box is not blamed for what the step
-    causes.
+    failing one carries its error (:meth:`StencilSampler.references`).  A
+    step whose +-2h stencil spans the narrowest box interval is an input
+    error (:func:`require_step_fits`), so the box is not blamed for what the
+    step causes.
     """
     require_step_fits(sampler.chart, sampler.h)
-    points = sampler.chart.sample_points(SAMPLE_COUNT, seed, reject=sampler.probe_fails)
-    sampler.expect(points)
-    return points
+    return sampler.chart.sample_points(SAMPLE_COUNT, seed, reject=sampler.probe_fails)
 
 
 @np.errstate(all="ignore")
 def compare(
     symbolic: TensorField,
-    oracle_fn: Callable[[Mapping[str, float]], np.ndarray],
+    references: Sequence[Reference],
     points: Iterable[Mapping[str, float]],
     evaluated: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    """Max relative deviation between a symbolic tensor and an oracle, NaN if any is NaN.
+    """Max relative deviation between a symbolic tensor and its references, NaN if any is NaN.
 
-    Relative deviation uses max(1, |reference|) as denominator so that
-    zero-valued components do not produce spurious failures.  ``evaluated``
-    is ``symbolic.numeric_many`` on the points, when the caller has it.  A
-    flagged point raises its error from a one-point batch, after its
-    reference.  Deviations are taken point by point: one expression over the
+    ``references`` is one reference's (value, error) pairs
+    (:meth:`StencilSampler.references`), aligned with the points; a list of
+    another length raises ``ValueError``.  Relative deviation uses max(1,
+    |reference|) as denominator so that zero-valued components do not
+    produce spurious failures.  ``evaluated`` is ``symbolic.numeric_many``
+    on the points, when the caller has it.  At each point a reference's
+    error is raised first, then a flagged component's error from a one-point
+    batch.  Deviations are taken point by point: one expression over the
     stacked references holds two more arrays of the tensor's size, and for
     the Riemann tensor at n = 5 that raised the ``oracle`` command's peak of
     traced memory by about 100 KB.
@@ -395,8 +357,12 @@ def compare(
         evaluated = symbolic.numeric_many(PointBatch(symbolic.chart, points))
     values, degenerate = evaluated
     deviations: list[float] = []
-    for point, value, skip in zip(points, values, degenerate.tolist()):
-        reference = oracle_fn(point)
+    for point, (reference, error), value, skip in zip(
+        points, references, values, degenerate.tolist(), strict=True
+    ):
+        if error is not None:
+            # one error object per failed stencil: each raise starts a new traceback
+            raise error.with_traceback(None)
         if skip:
             PointBatch(symbolic.chart, [point]).evaluate_or_raise(symbolic._comps)
         if value.shape != reference.shape:

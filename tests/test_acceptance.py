@@ -276,20 +276,22 @@ def test_criterion_10_oracle_agreement(structures):
         stencil = StencilSampler(structure.metric, cfg.h)
         points = oracle_sample_points(stencil, cfg.seed)
         assert len(points) == 10, name
-        for reference, symbolic, oracle_fn in (
-            ("christoffel", structure.connection(), stencil.christoffel),
-            ("riemann", structure.riemann(), stencil.riemann),
-            ("ricci", structure.ricci(WEIGHTED_TRACE), stencil.ricci),
+        references = stencil.references(points)
+        for reference, symbolic in (
+            ("christoffel", structure.connection()),
+            ("riemann", structure.riemann()),
+            ("ricci", structure.ricci(WEIGHTED_TRACE)),
         ):
-            deviation = compare(symbolic, oracle_fn, points)
+            deviation = compare(symbolic, references[reference], points)
             assert deviation <= cfg.tolerance, (name, reference, deviation)
     # O(h^2): halving h improves the example-1 Christoffel agreement by [3, 5]
     ex1 = structures["ex1_r3_spacelike"]
     stencil = StencilSampler(ex1.metric, cfg.h)
     points = oracle_sample_points(stencil, cfg.seed)
     gamma = ex1.connection()
-    coarse = compare(gamma, stencil.christoffel, points)
-    fine = compare(gamma, StencilSampler(ex1.metric, cfg.h / 2.0).christoffel, points)
+    coarse = compare(gamma, stencil.references(points)["christoffel"], points)
+    half_step = StencilSampler(ex1.metric, cfg.h / 2.0).references(points)["christoffel"]
+    fine = compare(gamma, half_step, points)
     ratio = coarse / fine
     assert 3.0 <= ratio <= 5.0, ratio
     announce(10, "oracle agreement within 1e-6 on all fixtures; h-scaling ratio %.3f" % ratio)

@@ -25,12 +25,16 @@ MANIFESTS = Path(__file__).resolve().parent / "golden" / "manifests"
 
 # the fd_* wrappers built a new StencilSampler per call; a sampler is the one way in
 DELETED_FUNCTIONS = {"max_abs", "evaluate_many", "fd_christoffel", "fd_riemann", "fd_ricci"}
-DELETED_PARAMETERS = {"guard_seed", "sample_seed"}
+# compare takes a reference's (value, error) pairs, not a per-point lookup
+DELETED_PARAMETERS = {"guard_seed", "sample_seed", "oracle_fn"}
 # Metric.numeric_at only delegated to its field; the fields were written and never read;
-# TensorField.numeric_at and the one-point caches were left without a caller by batch.Plan
+# TensorField.numeric_at and the one-point caches were left without a caller by batch.Plan;
+# StencilSampler.references computes the points it is given, with no lazy per-point lookup
 DELETED_METHODS = {
     "Contraction.numeric_at", "Metric.numeric_at", "TensorField.numeric_at",
     "Expr.keep_float_tables",
+    "StencilSampler.expect", "StencilSampler._lookup", "StencilSampler.christoffel",
+    "StencilSampler.christoffel_half_step", "StencilSampler.riemann", "StencilSampler.ricci",
 }
 DELETED_FIELDS = {
     "CheckOutcome.data", "SolitonSolveResult.norm_squared", "TorseFormingData.w", "Expr._float",
@@ -172,12 +176,21 @@ def test_detectors_find_the_deleted_paths():
         "    return analysis.sample_points()[:5]\n"
         "def fd_ricci(metric, point, cfg):\n"
         "    return StencilSampler(metric, cfg.h).ricci(point)\n"
+        "class StencilSampler:\n"
+        "    def expect(self, points):\n        pass\n"
+        "    def _lookup(self, point, name):\n        pass\n"
+        "    def riemann(self, point):\n        pass\n"
+        "    def references(self, points):\n        pass\n"
+        "def compare(symbolic, oracle_fn, points):\n"
+        "    pass\n"
     )
     assert deleted_names(source) == [
         "_Coordinates", "Expr._float", "TorseFormingData.w", "Expr.keep_float_tables",
         "TensorField.max_abs", "TensorField.numeric_at", "Contraction.numeric_at",
         "Metric.numeric_at",
         "solve(guard_seed)", "torse(sample_seed)", "fd_ricci",
+        "StencilSampler.expect", "StencilSampler._lookup", "StencilSampler.riemann",
+        "compare(oracle_fn)",
     ]
     assert chart_sample_callers(source) == ["solve"]
     assert one_point_calls(

@@ -31,6 +31,14 @@ from parasol.tensor import TensorField
 CFG = OracleConfig()
 
 
+def _reference(metric, name, point):
+    """One reference's value at one point; its error is raised."""
+    ((value, error),) = StencilSampler(metric, CFG.h).references([point])[name]
+    if error is not None:
+        raise error
+    return value
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(h=0.0)
@@ -85,25 +93,25 @@ def test_report_all_rejects_the_step_before_any_command(monkeypatch):
 
 def test_fd_christoffel_value_on_ex1(ex1):
     # Gamma^z_xx = -e^{2z}: at z = 0.3 the value is -e^{0.6}
-    gamma = StencilSampler(ex1.metric, CFG.h).christoffel({"x": 0.0, "y": 0.0, "z": 0.3})
+    gamma = _reference(ex1.metric, "christoffel", {"x": 0.0, "y": 0.0, "z": 0.3})
     expected = -math.exp(0.6)
     assert abs(gamma[2, 0, 0] - expected) <= 1e-6 * abs(expected)
 
 
 def test_fd_christoffel_flat_is_zero(flat):
-    gamma = StencilSampler(flat.metric, CFG.h).christoffel({"x": 0.1, "y": -0.2, "z": 0.4})
+    gamma = _reference(flat.metric, "christoffel", {"x": 0.1, "y": -0.2, "z": 0.4})
     assert np.max(np.abs(gamma)) <= 1e-10
 
 
 def test_fd_christoffel_value_on_ex2(ex2):
     # Gamma^x_xz = -1 for the timelike example
-    gamma = StencilSampler(ex2.metric, CFG.h).christoffel({"x": 0.0, "y": 0.0, "z": 0.0})
+    gamma = _reference(ex2.metric, "christoffel", {"x": 0.0, "y": 0.0, "z": 0.0})
     assert abs(gamma[0, 0, 2] - (-1.0)) <= 1e-6
 
 
 def test_fd_riemann_frame_value_on_ex1(ex1):
     # component of R(E1, E2)E2 along E1 at the origin is 1
-    riem = StencilSampler(ex1.metric, CFG.h).riemann({"x": 0.0, "y": 0.0, "z": 0.0})
+    riem = _reference(ex1.metric, "riemann", {"x": 0.0, "y": 0.0, "z": 0.0})
     frame = np.array([numeric_at(vec, {"x": 0.0, "y": 0.0, "z": 0.0}) for vec in ex1.frame])
     g = numeric_at(ex1.metric.field, {"x": 0.0, "y": 0.0, "z": 0.0})
     vector = np.einsum("lijk,i,j,k->l", riem, frame[0], frame[1], frame[1])
@@ -112,14 +120,14 @@ def test_fd_riemann_frame_value_on_ex1(ex1):
 
 
 def test_fd_riemann_flat_is_zero(flat):
-    riem = StencilSampler(flat.metric, CFG.h).riemann({"x": 0.0, "y": 0.0, "z": 0.0})
+    riem = _reference(flat.metric, "riemann", {"x": 0.0, "y": 0.0, "z": 0.0})
     assert np.max(np.abs(riem)) <= 1e-8
 
 
 def test_fd_ricci_diag_on_ex2(ex2):
     # weighted-trace Ricci has frame diagonal (0, 0, -2) on the timelike example
     point = {"x": 0.0, "y": 0.0, "z": 0.0}
-    ricci = StencilSampler(ex2.metric, CFG.h).ricci(point)
+    ricci = _reference(ex2.metric, "ricci", point)
     frame = np.array([numeric_at(vec, point) for vec in ex2.frame])
     diag = [frame[i] @ ricci @ frame[i] for i in range(3)]
     assert abs(diag[0]) <= 1e-5 and abs(diag[1]) <= 1e-5
@@ -130,9 +138,10 @@ def test_compare_passes_on_fixture_geometry(ex1):
     stencil = StencilSampler(ex1.metric, CFG.h)
     points = oracle_sample_points(stencil, CFG.seed)
     assert len(points) == SAMPLE_COUNT
-    assert compare(ex1.connection(), stencil.christoffel, points) <= CFG.tolerance
-    assert compare(ex1.riemann(), stencil.riemann, points) <= CFG.tolerance
-    assert compare(ex1.ricci(WEIGHTED_TRACE), stencil.ricci, points) <= CFG.tolerance
+    references = stencil.references(points)
+    assert compare(ex1.connection(), references["christoffel"], points) <= CFG.tolerance
+    assert compare(ex1.riemann(), references["riemann"], points) <= CFG.tolerance
+    assert compare(ex1.ricci(WEIGHTED_TRACE), references["ricci"], points) <= CFG.tolerance
 
 
 def test_compare_detects_injected_fault(ex1):
@@ -147,7 +156,7 @@ def test_compare_detects_injected_fault(ex1):
         if idx == (2, 0, 0)
         else gamma[idx],
     )
-    deviation = compare(perturbed, stencil.christoffel, points)
+    deviation = compare(perturbed, stencil.references(points)["christoffel"], points)
     assert not deviation <= CFG.tolerance
     assert deviation >= 1e-4
 
@@ -157,13 +166,10 @@ def test_compare_fails_on_nan_deviation(ex1):
     stencil = StencilSampler(ex1.metric, CFG.h)
     points = oracle_sample_points(stencil, CFG.seed)
     gamma = ex1.connection()
-    nan_at = points[1]
-
-    def oracle(point):
-        reference = stencil.christoffel(point)
-        return np.full_like(reference, math.nan) if point is nan_at else reference
-
-    deviation = compare(gamma, oracle, points)
+    references = stencil.references(points)["christoffel"]
+    reference, error = references[1]
+    references[1] = (np.full_like(reference, math.nan), error)
+    deviation = compare(gamma, references, points)
     assert math.isnan(deviation)
     assert not deviation <= CFG.tolerance
 
@@ -172,7 +178,7 @@ def test_compare_shape_mismatch(ex1):
     stencil = StencilSampler(ex1.metric, CFG.h)
     points = oracle_sample_points(stencil, CFG.seed)
     with pytest.raises(ValueError, match="shape"):
-        compare(ex1.xi, stencil.christoffel, points)
+        compare(ex1.xi, stencil.references(points)["christoffel"], points)
 
 
 def _poles_on_axes(chart: Chart) -> TensorField:
@@ -185,26 +191,22 @@ POLE_POINTS = [{"x": 0.5, "y": 0.5, "z": 0.1}, {"x": 0.0, "y": 0.0, "z": 0.3}]
 
 def test_compare_raises_a_flagged_component_after_its_reference(flat):
     # both 1/x and 1/y vanish at the second point; the first in component order raises
-    seen = []
-
-    def oracle(point):
-        seen.append(point)
-        return np.zeros(3)
-
     with pytest.raises(DegenerateEvaluationError) as error:
-        compare(_poles_on_axes(flat.chart), oracle, POLE_POINTS)
+        compare(_poles_on_axes(flat.chart), [(np.zeros(3), None)] * 2, POLE_POINTS)
     assert str(error.value) == "denominator 'x' vanishes at [0.0, 0.0, 0.3] (|value| = 0)"
-    assert seen == POLE_POINTS
 
 
 def test_compare_raises_the_oracle_error_before_a_flagged_component(flat):
-    def oracle(point):
-        if point["x"] == 0.0:
-            raise StencilDegeneracyError("the oracle fails first")
-        return np.zeros(3)
-
+    failed = StencilDegeneracyError("the oracle fails first")
+    references = [(np.zeros(3), None), (np.zeros(3), failed)]
     with pytest.raises(StencilDegeneracyError, match="the oracle fails first"):
-        compare(_poles_on_axes(flat.chart), oracle, POLE_POINTS)
+        compare(_poles_on_axes(flat.chart), references, POLE_POINTS)
+
+
+def test_compare_rejects_references_not_aligned_with_the_points(flat):
+    # the first point is not flagged, so only the missing reference of the second can raise
+    with pytest.raises(ValueError, match="zip"):
+        compare(_poles_on_axes(flat.chart), [(np.zeros(3), None)], POLE_POINTS)
 
 
 def test_halving_h_improves_by_factor_near_four(ex1):
@@ -212,8 +214,9 @@ def test_halving_h_improves_by_factor_near_four(ex1):
     stencil = StencilSampler(ex1.metric, CFG.h)
     points = oracle_sample_points(stencil, CFG.seed)
     gamma = ex1.connection()
-    coarse = compare(gamma, stencil.christoffel, points)
-    fine = compare(gamma, stencil.christoffel_half_step, points)
+    references = stencil.references(points)
+    coarse = compare(gamma, references["christoffel"], points)
+    fine = compare(gamma, references["christoffel_half_step"], points)
     ratio = coarse / fine
     assert 3.0 <= ratio <= 5.0
 
@@ -222,7 +225,7 @@ def test_stencil_rejects_degeneracy_crossing(structures):
     g2 = structures["ex5d_r5_g2"].metric
     # det = 1 + y^2 - t^2 vanishes at t = 1, y = 0
     with pytest.raises(StencilDegeneracyError):
-        StencilSampler(g2, CFG.h).christoffel({"x": 0.0, "y": 0.0, "z": 0.0, "t": 1.0, "s": 0.0})
+        _reference(g2, "christoffel", {"x": 0.0, "y": 0.0, "z": 0.0, "t": 1.0, "s": 0.0})
 
 
 def test_stencil_sampler_checks_cached_points_on_every_lookup(structures):
@@ -230,19 +233,18 @@ def test_stencil_sampler_checks_cached_points_on_every_lookup(structures):
     # stencil stays above; the stencil of its neighbour at t - h reaches below,
     # to a point whose det 9.997e-04 is above the cutoff but has the other
     # sign than that stencil's own centre
-    metric = structures["ex5d_r5_g2"].metric
+    g2 = structures["ex5d_r5_g2"]
     h = 1e-3
-    stencil = StencilSampler(metric, h)
-    xs = [0.0, 0.0, 0.0, 1.0 + 1.5 * h, 0.0]
-    gamma = stencil.christoffel(xs)
+    point = {"x": 0.0, "y": 0.0, "z": 0.0, "t": 1.0 + 1.5 * h, "s": 0.0}
+    references = StencilSampler(g2.metric, h).references([point])
+    assert references["christoffel"][0][1] is None
     for _ in range(2):
         with pytest.raises(StencilDegeneracyError) as error:
-            stencil.riemann(xs)
+            compare(g2.riemann(), references["riemann"], [point])
         assert str(error.value) == (
             "metric determinant 9.997e-04 degenerates inside the stencil at "
             "[0.0, 0.0, 0.0, 0.9995000000000002, 0.0]"
         )
-    assert stencil.christoffel(xs) is gamma
 
 
 def test_compare_raises_a_failed_riemann_stencil_at_its_own_lookups(structures):
@@ -263,31 +265,27 @@ def test_compare_raises_a_failed_riemann_stencil_at_its_own_lookups(structures):
         "metric determinant -1.000e-03 degenerates inside the stencil at "
         "[0.0, 0.0, 0.0, 1.0005, 0.0]"
     )
-    stencil = StencilSampler(g2.metric, h)
-    stencil.expect(points)
-    assert compare(g2.connection(), stencil.christoffel, points) <= CFG.tolerance
-    for symbolic, oracle_fn in (
-        (g2.riemann(), stencil.riemann),
-        (g2.ricci(WEIGHTED_TRACE), stencil.ricci),
-    ):
+    references = StencilSampler(g2.metric, h).references(points)
+    assert compare(g2.connection(), references["christoffel"], points) <= CFG.tolerance
+    for symbolic, name in ((g2.riemann(), "riemann"), (g2.ricci(WEIGHTED_TRACE), "ricci")):
         with pytest.raises(StencilDegeneracyError) as error:
-            compare(symbolic, oracle_fn, points)
+            compare(symbolic, references[name], points)
         assert str(error.value) == failed_stencil
-    assert compare(g2.connection(), stencil.christoffel_half_step, points) <= CFG.tolerance
+    assert compare(g2.connection(), references["christoffel_half_step"], points) <= CFG.tolerance
 
     # a Riemann-shaped tensor flagged where x = 0: the second point, in the first
     # group, raises before the failed stencil of the second group is reached
     comps = [Expr.zero(chart)] * chart.dimension**4
     comps[1] = parse("1/x", chart)
     poles = TensorField(chart, 1, 3, comps)
-    stencil = StencilSampler(g2.metric, h)
-    stencil.expect(points)
     with pytest.raises(DegenerateEvaluationError) as error:
-        compare(poles, stencil.riemann, points)
+        compare(poles, references["riemann"], points)
     assert str(error.value) == "denominator 'x' vanishes at [0.0, 0.1, 0.2, 0.3, -0.1] (|value| = 0)"
-    # and a failed stencil raises before its point's flagged component and a later one
+    # and a failed stencil raises before its point's flagged component and a later one;
+    # the reordered points are grouped anew, the failed stencil's point now in the first group
+    reordered = [points[0], points[3], points[1]]
     with pytest.raises(StencilDegeneracyError) as error:
-        compare(poles, stencil.riemann, [points[0], points[3], points[1]])
+        compare(poles, StencilSampler(g2.metric, h).references(reordered)["riemann"], reordered)
     assert str(error.value) == failed_stencil
 
 
@@ -302,9 +300,9 @@ def test_stencil_sampler_builds_each_metric_float_table_once(monkeypatch):
         Expr, "_float_tables", lambda self: built.append(id(self)) or float_tables(self)
     )
     sampler = StencilSampler(metric, CFG.h)
-    sampler.riemann([0.1, 0.2, 0.1, 0.3, -0.2])
+    sampler.references([[0.1, 0.2, 0.1, 0.3, -0.2]])
     assert sorted(built) == sorted(entries)
-    sampler.christoffel([0.3, 0.1, -0.2, 0.1, 0.2])
+    sampler.references([[0.3, 0.1, -0.2, 0.1, 0.2]])
     assert len(built) == len(entries)
 
 
@@ -357,17 +355,22 @@ def test_stacked_references_have_the_bits_of_one_stencil_at_a_time(path):
     metric = load_manifest(path).metric
     for seed in (42, 1):
         stencil = StencilSampler(metric, CFG.h)
-        for point in oracle_sample_points(stencil, seed):
+        points = oracle_sample_points(stencil, seed)
+        references = stencil.references(points)
+        assert sorted(references) == ["christoffel", "christoffel_half_step", "ricci", "riemann"]
+        for name, pairs in references.items():
+            assert len(pairs) == len(points) and all(error is None for _, error in pairs), name
+        for p, point in enumerate(points):
             xs = [point[c] for c in metric.chart.coordinates]
             riem = _one_stencil_riemann(metric, xs, CFG.h)
             gamma = _one_stencil_christoffel(metric, xs, CFG.h)
-            assert _same_bits(stencil.christoffel(point), gamma)
+            assert _same_bits(references["christoffel"][p][0], gamma)
             assert _same_bits(
-                stencil.christoffel_half_step(point),
+                references["christoffel_half_step"][p][0],
                 _one_stencil_christoffel(metric, xs, CFG.h / 2.0),
             )
-            assert _same_bits(stencil.riemann(point), riem)
-            assert _same_bits(stencil.ricci(point), np.einsum("iijk->jk", riem))
+            assert _same_bits(references["riemann"][p][0], riem)
+            assert _same_bits(references["ricci"][p][0], np.einsum("iijk->jk", riem))
 
 
 def _metric_plan_runs(analysis: Analysis, monkeypatch) -> tuple[list[Plan], list[PointBatch]]:
