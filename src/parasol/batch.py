@@ -163,14 +163,13 @@ class Plan:
             r, negate = -1, False  # row -1: the row of zeros after the kept ones
             if expr._num:
                 # a negation shares its partner's terms and denominator, and |scale|
-                scale = expr._scale
                 key = (id(expr._num), id(expr._dbase), expr._dmono, expr._dexp,
-                       abs(scale.numerator), scale.denominator)
+                       abs(expr._sn), expr._sd)
                 r = distinct.setdefault(key, len(kept))
                 if r == len(kept):
                     kept.append(expr)
                 else:
-                    negate = scale.numerator != kept[r]._scale.numerator
+                    negate = expr._sn != kept[r]._sn
             flag_rows.append(r)
             negated.append(negate)
         self.kept = kept

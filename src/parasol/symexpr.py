@@ -36,7 +36,12 @@ An expression is stored as ``c * N / (x^d * B^e)``:
   hold rate * r.  Operands are brought to a common r before they are
   combined, and every result divides r by the gcd of r and its rate fields;
 * N is a sum with integer coefficients whose gcd is 1 (its primitive part)
-  and c is its one rational content;
+  and c is its one rational content, held as two ints: the numerator and
+  the positive denominator of the reduced fraction.  Arithmetic combines
+  these ints directly (cross-gcd products, division by an int, the gcd and
+  lcm of two contents); a ``Fraction`` is built only at the boundaries, when
+  a constant or an ``exp`` argument is parsed, when a coefficient is printed,
+  and in ``evaluate_exact`` and ``as_rational_constant``;
 * x^d is a packed key with zero rates;
 * B is a sum with coprime integer coefficients and a positive leading term,
   so it is monic up to the integer factor lead(B).
@@ -232,17 +237,31 @@ _F1 = Fraction(1)
 DENOMINATOR_CUTOFF = 1e-12
 
 
-def _common_content(p: Fraction, q: Fraction) -> tuple[Fraction, int, int]:
-    """(c, i, j) with p = c*i and q = c*j for coprime integers i, j."""
-    if p == q:
-        return p, 1, 1
-    g = math.gcd(p.numerator, q.numerator)
-    l = math.lcm(p.denominator, q.denominator)
-    return (
-        Fraction(g, l),
-        p.numerator // g * (l // p.denominator),
-        q.numerator // g * (l // q.denominator),
-    )
+# A rational content is a pair (n, d) of ints with d > 0 and gcd(n, d) == 1:
+# the numerator and denominator that Fraction would hold.
+
+
+def _qmul(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """The product of an/ad and bn/bd, reduced by the cross gcds."""
+    g, h = math.gcd(an, bd), math.gcd(bn, ad)
+    return (an // g) * (bn // h), (ad // h) * (bd // g)
+
+
+def _qdiv(n: int, d: int, k: int) -> tuple[int, int]:
+    """The quotient of n/d by a nonzero int k."""
+    g = math.gcd(n, k)
+    n, d = n // g, d * (k // g)
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def _common_content(pn: int, pd: int, qn: int, qd: int) -> tuple[int, int, int, int]:
+    """(cn, cd, i, j) with p = c*i and q = c*j for c = cn/cd and coprime integers i, j."""
+    if pn == qn and pd == qd:
+        return pn, pd, 1, 1
+    g = math.gcd(pn, qn)
+    l = math.lcm(pd, qd)
+    # a prime of g divides pn and qn, so neither pd nor qd: g/l is reduced
+    return g, l, pn // g * (l // pd), qn // g * (l // qd)
 
 
 def _sadd(a: Sum, b: Sum, ka: int = 1, kb: int = 1) -> Sum:
@@ -418,13 +437,14 @@ class Expr:
     multiplies and tests whether the canonical difference is the empty sum.
     """
 
-    __slots__ = ("chart", "_lay", "_scale", "_num", "_dmono", "_dbase", "_dexp", "_rden")
+    __slots__ = ("chart", "_lay", "_sn", "_sd", "_num", "_dmono", "_dbase", "_dexp", "_rden")
 
     def __init__(
         self,
         chart: Chart,
         lay: _Layout,
-        scale: Fraction,
+        sn: int,
+        sd: int,
         num: Sum,
         dmono: Key,
         dbase: Sum | None,
@@ -434,7 +454,8 @@ class Expr:
         # Internal constructor: callers go through _make/_from_num_den.
         self.chart = chart
         self._lay = lay
-        self._scale = scale
+        self._sn = sn
+        self._sd = sd
         self._num = num
         self._dmono = dmono
         self._dbase = dbase
@@ -448,7 +469,8 @@ class Expr:
         cls,
         chart: Chart,
         lay: _Layout,
-        scale: Fraction,
+        sn: int,
+        sd: int,
         num: Sum,
         dmono: Key,
         dbase: Sum | None,
@@ -475,7 +497,8 @@ class Expr:
         content = math.gcd(*num.values())
         if content != 1:
             num = {key: coeff // content for key, coeff in num.items()}
-            scale = scale * content
+            g = math.gcd(content, sd)
+            sn, sd = sn * (content // g), sd // g
         if rden != 1:
             g = rden
             for terms in (num, dbase or ()):
@@ -486,13 +509,13 @@ class Expr:
                 if dbase is not None:
                     dbase = _rescale_rates(dbase, lay, 1, g)
                 rden //= g
-        return cls(chart, lay, scale, num, dmono, dbase, dexp, rden)
+        return cls(chart, lay, sn, sd, num, dmono, dbase, dexp, rden)
 
     @classmethod
     def _from_num_den(
-        cls, chart: Chart, lay: _Layout, scale: Fraction, num: Sum, den: Sum, rden: int
+        cls, chart: Chart, lay: _Layout, sn: int, sd: int, num: Sum, den: Sum, rden: int
     ) -> "Expr":
-        """The quotient scale * num / den, normalizing the denominator."""
+        """The quotient (sn/sd) * num / den, normalizing the denominator."""
         if not den:
             raise DivisionByZeroExprError("division by canonical zero")
         if not num:
@@ -507,16 +530,16 @@ class Expr:
             stripped = {key: coeff // factor for key, coeff in stripped.items()}
         # num / (factor * exp(atom content) * x^mono_c * stripped)
         num = _sshift(num, mono_c - content, lay)
-        scale = scale / factor
+        sn, sd = _qdiv(sn, sd, factor)
         if len(stripped) == 1:
             # after content stripping a single-term denominator is exactly 1
-            return cls._make(chart, lay, scale, num, mono_c, None, 0, rden)
-        return cls._make(chart, lay, scale, num, mono_c, stripped, 1, rden)
+            return cls._make(chart, lay, sn, sd, num, mono_c, None, 0, rden)
+        return cls._make(chart, lay, sn, sd, num, mono_c, stripped, 1, rden)
 
     @classmethod
     def zero(cls, chart: Chart) -> "Expr":
         lay = _layout(chart.dimension)
-        return cls(chart, lay, _F1, {}, lay.base, None, 0, 1)
+        return cls(chart, lay, 1, 1, {}, lay.base, None, 0, 1)
 
     @classmethod
     def constant(cls, chart: Chart, value) -> "Expr":
@@ -524,7 +547,9 @@ class Expr:
         if value == 0:
             return cls.zero(chart)
         lay = _layout(chart.dimension)
-        return cls(chart, lay, value, {lay.base: 1}, lay.base, None, 0, 1)
+        return cls(
+            chart, lay, value.numerator, value.denominator, {lay.base: 1}, lay.base, None, 0, 1
+        )
 
     @classmethod
     def one(cls, chart: Chart) -> "Expr":
@@ -537,7 +562,7 @@ class Expr:
         except KeyError:
             raise UnknownCoordinateError("unknown coordinate %r" % name) from None
         lay = _layout(chart.dimension)
-        return cls(chart, lay, _F1, {lay.base + lay.units[i]: 1}, lay.base, None, 0, 1)
+        return cls(chart, lay, 1, 1, {lay.base + lay.units[i]: 1}, lay.base, None, 0, 1)
 
     @classmethod
     def exponential(cls, chart: Chart, coefficients: Sequence) -> "Expr":
@@ -549,7 +574,7 @@ class Expr:
         rden = math.lcm(*(r.denominator for r in rates))
         lay = _layout(n)
         key = lay.pack((0,) * n, [int(r * rden) for r in rates])
-        return cls(chart, lay, _F1, {key: 1}, lay.base, None, 0, rden)
+        return cls(chart, lay, 1, 1, {key: 1}, lay.base, None, 0, rden)
 
     # -- structure ----------------------------------------------------------
 
@@ -584,7 +609,9 @@ class Expr:
         mul, lay = rden // self._rden, self._lay
         dbase = None if self._dbase is None else _rescale_rates(self._dbase, lay, mul)
         num = _rescale_rates(self._num, lay, mul)
-        return Expr(self.chart, lay, self._scale, num, self._dmono, dbase, self._dexp, rden)
+        return Expr(
+            self.chart, lay, self._sn, self._sd, num, self._dmono, dbase, self._dexp, rden
+        )
 
     def is_zero(self) -> bool:
         """True iff the canonical numerator is the empty sum."""
@@ -617,14 +644,14 @@ class Expr:
             return self
         if other._num is self._num and other._dbase is self._dbase and other._dmono == self._dmono:
             # x + (-x) where -x shares x's terms: the zero the sum below would reach
-            if other._dexp == self._dexp and other._scale == -self._scale:
+            if other._dexp == self._dexp and other._sn == -self._sn and other._sd == self._sd:
                 return Expr.zero(self.chart)
         a, b = self._aligned(other)
         lay, rden = a._lay, a._rden
-        scale, ka, kb = _common_content(a._scale, b._scale)
+        sn, sd, ka, kb = _common_content(a._sn, a._sd, b._sn, b._sd)
         if a._dmono == b._dmono and a._dbase == b._dbase and a._dexp == b._dexp:
             num = _sadd(a._num, b._num, ka, kb)
-            return Expr._make(a.chart, lay, scale, num, a._dmono, a._dbase, a._dexp, rden)
+            return Expr._make(a.chart, lay, sn, sd, num, a._dmono, a._dbase, a._dexp, rden)
         if a._dbase is None or b._dbase is None or a._dbase == b._dbase:
             base = a._dbase if a._dbase is not None else b._dbase
             ea = a._dexp if a._dbase is not None else 0
@@ -643,12 +670,13 @@ class Expr:
                     term = _sshift(term, dmono - part._dmono, lay)
                 terms.append(term)
             num = _sadd(terms[0], terms[1], ka, kb)
-            return Expr._make(a.chart, lay, scale, num, dmono, base, e, rden)
+            return Expr._make(a.chart, lay, sn, sd, num, dmono, base, e, rden)
         da, db = a._den_sum(), b._den_sum()
         if da == db:
-            return Expr._from_num_den(a.chart, lay, scale, _sadd(a._num, b._num, ka, kb), da, rden)
+            num = _sadd(a._num, b._num, ka, kb)
+            return Expr._from_num_den(a.chart, lay, sn, sd, num, da, rden)
         num = _sadd(_smul(a._num, db, lay), _smul(b._num, da, lay), ka, kb)
-        return Expr._from_num_den(a.chart, lay, scale, num, _smul(da, db, lay), rden)
+        return Expr._from_num_den(a.chart, lay, sn, sd, num, _smul(da, db, lay), rden)
 
     __radd__ = __add__
 
@@ -656,7 +684,8 @@ class Expr:
         return Expr(
             self.chart,
             self._lay,
-            -self._scale,
+            -self._sn,
+            self._sd,
             self._num,
             self._dmono,
             self._dbase,
@@ -686,23 +715,24 @@ class Expr:
             return other
         a, b = self._aligned(other)
         lay = a._lay
-        scale = a._scale * b._scale
+        sn, sd = _qmul(a._sn, a._sd, b._sn, b._sd)
         num = _smul(a._num, b._num, lay)
         dmono = a._dmono + b._dmono - lay.base
         if a._dbase is None or b._dbase is None or a._dbase == b._dbase:
             base = a._dbase if a._dbase is not None else b._dbase
             e = (a._dexp if a._dbase is not None else 0) + (b._dexp if b._dbase is not None else 0)
-            return Expr._make(a.chart, lay, scale, num, dmono, base, e, a._rden)
+            return Expr._make(a.chart, lay, sn, sd, num, dmono, base, e, a._rden)
         den = _smul(_spow(a._dbase, a._dexp, lay), _spow(b._dbase, b._dexp, lay), lay)
-        return Expr._make(a.chart, lay, scale, num, dmono, den, 1, a._rden)
+        return Expr._make(a.chart, lay, sn, sd, num, dmono, den, 1, a._rden)
 
     __rmul__ = __mul__
 
     def _reciprocal(self) -> "Expr":
         if not self._num:
             raise DivisionByZeroExprError("division by canonical zero")
+        sn, sd = (-self._sd, -self._sn) if self._sn < 0 else (self._sd, self._sn)
         return Expr._from_num_den(
-            self.chart, self._lay, _F1 / self._scale, self._den_sum(), self._num, self._rden
+            self.chart, self._lay, sn, sd, self._den_sum(), self._num, self._rden
         )
 
     def __truediv__(self, other) -> "Expr":
@@ -731,7 +761,8 @@ class Expr:
         return Expr._make(
             self.chart,
             lay,
-            self._scale**k,
+            self._sn**k,
+            self._sd**k,
             _spow(self._num, k, lay),
             dmono,
             self._dbase,
@@ -759,10 +790,10 @@ class Expr:
             return self
         lay, rden = self._lay, self._rden
         num, base = self._num, self._dbase
-        scale = self._scale / rden
+        sn, sd = _qdiv(self._sn, self._sd, rden)
         if base is None and self._dmono == lay.base:
             out = _sdiff(num, i, rden, lay)
-            return Expr._make(self.chart, lay, scale, out, self._dmono, None, 0, rden)
+            return Expr._make(self.chart, lay, sn, sd, out, self._dmono, None, 0, rden)
         unit = lay.units[i]
         out = _sshift(_sdiff(num, i, rden, lay), unit, lay)
         d = lay.field(self._dmono, i)
@@ -775,7 +806,7 @@ class Expr:
             dexp = self._dexp + 1
         else:
             dexp = 0
-        return Expr._make(self.chart, lay, scale, out, self._dmono + unit, base, dexp, rden)
+        return Expr._make(self.chart, lay, sn, sd, out, self._dmono + unit, base, dexp, rden)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -786,7 +817,7 @@ class Expr:
             lead = self._dbase[max(self._dbase)]
             monic = (coeff / lead for coeff in self._dbase.values())
             den_terms = _float_table(monic, self._dbase, lay, rden)
-        p, q = self._scale.numerator, self._scale.denominator * lead**self._dexp
+        p, q = self._sn, self._sd * lead**self._dexp
         terms = _float_table((p * coeff / q for coeff in self._num.values()), self._num, lay, rden)
         dmono = tuple((i, k) for i, k in enumerate(lay.unpack(self._dmono)[0]) if k)
         return terms, dmono, den_terms
@@ -827,7 +858,7 @@ class Expr:
             den *= _seval_exact(self._dbase, xs, lay, rden) ** self._dexp
         if den == 0:
             raise ExactEvaluationError("denominator vanishes at the point")
-        return self._scale * _seval_exact(self._num, xs, lay, rden) / den
+        return Fraction(self._sn, self._sd) * _seval_exact(self._num, xs, lay, rden) / den
 
     def provably_nonvanishing(self) -> bool:
         """True when the expression provably has no real zeros.
@@ -855,7 +886,7 @@ class Expr:
             expected += self._dexp * (max(self._dbase) - self._lay.base)
         if lead != expected:
             return None
-        guess = self._scale * self._num[lead] / self._den_lead()
+        guess = Fraction(self._sn * self._num[lead], self._sd * self._den_lead())
         return guess if (self - guess).is_symbolically_zero else None
 
     # -- printing ------------------------------------------------------------
@@ -864,7 +895,7 @@ class Expr:
     # makes the expanded denominator monic.
 
     def num_string(self) -> str:
-        factor = self._scale / self._den_lead()
+        factor = Fraction(self._sn, self._sd * self._den_lead())
         return self._format_sum({key: factor * coeff for key, coeff in self._num.items()})
 
     def den_string(self) -> str:
@@ -971,12 +1002,12 @@ class FormalPoint:
         if not expr._num:
             return 0
         lay, rden, p = expr._lay, expr._rden, RESIDUE_PRIME
-        den = self._sum({expr._dmono: 1}, lay, rden) * expr._scale.denominator
+        den = self._sum({expr._dmono: 1}, lay, rden) * expr._sd
         if expr._dbase is not None:
             den *= pow(self._sum(expr._dbase, lay, rden), expr._dexp, p)
         if den % p == 0:
             raise NonUnitResidueError("a denominator vanishes at the formal point")
-        return expr._scale.numerator * self._sum(expr._num, lay, rden) * pow(den, -1, p) % p
+        return expr._sn * self._sum(expr._num, lay, rden) * pow(den, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -1185,7 +1216,7 @@ class _Parser:
                     "argument of exp must be a linear form in the coordinates "
                     "with no constant part, got %s" % inner
                 )
-            coefficients[mono.index(1)] += inner._scale * coeff
+            coefficients[mono.index(1)] += Fraction(inner._sn * coeff, inner._sd)
         return Expr.exponential(self.chart, coefficients)
 
 

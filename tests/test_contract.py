@@ -308,7 +308,7 @@ def test_mirrored_contract_equals_the_plain_one(case):
         if index[a] < index[b] or (sign > 0 and index[a] == index[b]):
             assert str(ours) == str(theirs)
             assert list(ours._num) == list(theirs._num)
-            assert ours._scale == theirs._scale
+            assert (ours._sn, ours._sd) == (theirs._sn, theirs._sd)
             continue
         swapped = list(index)
         swapped[a], swapped[b] = index[b], index[a]

@@ -36,8 +36,8 @@ def _assert_tables_match_the_pairs(frame, tensors):
         for i, j in product(range(n), repeat=2):
             ours = table[i, j]
             pair = contract("ij,i,j->", tensor, frame[i], frame[j])
-            assert (str(ours), list(ours._num.items()), ours._scale) == (
-                str(pair), list(pair._num.items()), pair._scale
+            assert (str(ours), list(ours._num.items()), ours._sn, ours._sd) == (
+                str(pair), list(pair._num.items()), pair._sn, pair._sd
             ), (name, i, j)
 
 

@@ -9,6 +9,10 @@ error texts; the one call of it in the program is ``PointBatch.evaluate_or_raise
 which evaluates the first flagged value alone so that it raises its own error.
 ``TensorField.numeric_at`` and the caches only the one-point path read (the
 float tables kept on an expression, the converted-point passthrough) are gone.
+
+The exact ring's arithmetic keeps an expression's rational content as two
+ints; ``Fraction`` is built only where a value is parsed, printed or
+evaluated exactly.
 """
 
 import ast
@@ -38,12 +42,20 @@ DELETED_METHODS = {
 }
 DELETED_FIELDS = {
     "CheckOutcome.data", "SolitonSolveResult.norm_squared", "TorseFormingData.w", "Expr._float",
+    "Expr._scale",
 }
 DELETED_CLASSES = {"_Coordinates"}
 ONE_POINT_CALLS = {"evaluate", "numeric_at"}
 # the one one-point call of the program: the raise rule of the batch
 RAISE_PATH = {"batch.py": ["PointBatch.evaluate_or_raise: .evaluate"]}
 CHART_SAMPLERS = {"Analysis.sample_points", "oracle_sample_points"}
+# the ring's arithmetic: the content is an int pair, with no Fraction in between
+INT_CONTENT_FUNCTIONS = {
+    "Expr.__add__", "Expr.__neg__", "Expr.__sub__", "Expr.__mul__", "Expr._reciprocal",
+    "Expr.__pow__", "Expr.differentiate", "Expr._make", "Expr._from_num_den",
+    "Expr._with_rden", "_common_content",
+}
+FRACTION_NAMES = {"Fraction", "_F0", "_F1"}
 
 
 def _functions(tree: ast.AST, prefix: str = ""):
@@ -108,6 +120,17 @@ def chart_sample_callers(source: str) -> list[str]:
     ]
 
 
+def fraction_uses(source: str) -> list[str]:
+    """The names of ``FRACTION_NAMES`` read in the ring's arithmetic, as 'function: name'."""
+    return [
+        "%s: %s" % (name, node.id)
+        for name, function in _functions(ast.parse(source))
+        if name in INT_CONTENT_FUNCTIONS
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id in FRACTION_NAMES
+    ]
+
+
 def _batch(node: ast.expr, function: str) -> bool:
     """Whether a receiver is a ``PointBatch``, whose ``.evaluate`` is batched.
 
@@ -158,7 +181,7 @@ def test_detectors_find_the_deleted_paths():
         "class _Coordinates(list):\n"
         "    __slots__ = ()\n"
         "class Expr:\n"
-        "    __slots__ = (\"chart\", \"_float\")\n"
+        "    __slots__ = (\"chart\", \"_float\", \"_scale\")\n"
         "    def keep_float_tables(self):\n        pass\n"
         "class TensorField:\n"
         "    def max_abs(self, points):\n        pass\n"
@@ -185,7 +208,8 @@ def test_detectors_find_the_deleted_paths():
         "    pass\n"
     )
     assert deleted_names(source) == [
-        "_Coordinates", "Expr._float", "TorseFormingData.w", "Expr.keep_float_tables",
+        "_Coordinates", "Expr._float", "Expr._scale", "TorseFormingData.w",
+        "Expr.keep_float_tables",
         "TensorField.max_abs", "TensorField.numeric_at", "Contraction.numeric_at",
         "Metric.numeric_at",
         "solve(guard_seed)", "torse(sample_seed)", "fd_ricci",
@@ -209,6 +233,17 @@ def test_detectors_find_the_deleted_paths():
         "Frame.check: .evaluate",
     ]
     assert {"numpy", "SAMPLE_COUNT"} <= imported_names(source)
+    assert fraction_uses(
+        "def _common_content(p, q):\n"
+        "    return Fraction(p.numerator, q.denominator), 1, 1\n"
+        "class Expr:\n"
+        "    def __neg__(self):\n"
+        "        return Expr(-self._sn, self._sd)\n"
+        "    def _reciprocal(self):\n"
+        "        return _F1 / self._scale\n"
+        "    def num_string(self):\n"
+        "        return str(Fraction(self._sn, self._sd))\n"
+    ) == ["_common_content: Fraction", "Expr._reciprocal: _F1"]
 
 
 def test_the_one_point_leftovers_stay_deleted():
@@ -225,6 +260,12 @@ def test_only_the_batch_raise_path_makes_a_one_point_float_call():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: calls for name, calls in found.items() if calls} == RAISE_PATH
+
+
+def test_the_ring_arithmetic_names_no_fraction():
+    source = (SRC / "symexpr.py").read_text(encoding="utf-8")
+    assert {name for name, _ in _functions(ast.parse(source))} >= INT_CONTENT_FUNCTIONS
+    assert fraction_uses(source) == []
 
 
 def test_solitons_do_no_float_sampling():

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from operator import add
+from operator import add, mul, sub, truediv
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -452,6 +452,72 @@ def test_canonical_form_independent_of_construction_order():
         # and through a quotient: (sum)/d built two ways prints identically
         denominator = P("1 + x^2")
         assert str(forward / denominator) == str(backward / denominator)
+
+
+# ---------------------------------------------------------------------------
+# the rational content: a pair of ints, against Fraction as the oracle
+# ---------------------------------------------------------------------------
+
+
+def _random_int(rng: random.Random) -> int:
+    """A nonzero int of either sign, up to 2^3, 2^20, 2^64 or 2^80 in magnitude."""
+    value = rng.randint(1, 1 << rng.choice((3, 20, 64, 80)))
+    return value if rng.random() < 0.5 else -value
+
+
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(_random_int(rng), abs(_random_int(rng)))
+
+
+def _pair(q: Fraction) -> tuple[int, int]:
+    return q.numerator, q.denominator
+
+
+def _content(expr: Expr) -> tuple[int, int]:
+    return expr._sn, expr._sd
+
+
+def test_content_arithmetic_matches_fraction_seeded():
+    rng = random.Random(29)
+    for _ in range(500):
+        p = _random_fraction(rng)
+        q = p if rng.random() < 0.1 else _random_fraction(rng)
+        k = _random_int(rng)
+        assert symexpr._qmul(*_pair(p), *_pair(q)) == _pair(p * q)
+        assert symexpr._qdiv(*_pair(p), k) == _pair(p / k)
+        cn, cd, i, j = symexpr._common_content(*_pair(p), *_pair(q))
+        assert (cn, cd) == _pair(Fraction(cn, cd))
+        assert (Fraction(cn, cd) * i, Fraction(cn, cd) * j) == (p, q)
+        assert math.gcd(i, j) == 1
+        if p == q:  # the content keeps the sign: the numerators are not negated
+            assert (cn, cd, i, j) == (p.numerator, p.denominator, 1, 1)
+        # a constant's one term has coefficient 1, so its content is its value
+        constant = Expr.constant(CHART, p)
+        assert _content(constant) == _pair(p)
+        assert _content(constant._reciprocal()) == _pair(1 / p)
+        k = rng.randint(1, 4)
+        assert _content(constant**k) == _pair(p**k)
+
+
+def test_every_result_keeps_a_reduced_content_seeded():
+    rng = random.Random(31)
+    binary = {"+": add, "-": sub, "*": mul, "/": truediv}
+    for _ in range(60):
+        value = _random_expr(rng)
+        for _ in range(5):
+            op = rng.choice(("+", "-", "*", "/", "**", "d", "c"))
+            if op == "d":
+                value = value.differentiate(rng.choice(CHART.coordinates))
+            elif op == "c":
+                value = value * Expr.constant(CHART, _random_fraction(rng))
+            elif op == "**":
+                value = value ** rng.randint(-2 if value._num else 0, 2)
+            else:
+                other = _random_expr(rng)
+                if op == "/" and other.is_symbolically_zero:
+                    continue
+                value = binary[op](value, other)
+            assert value._sd > 0 and math.gcd(value._sn, value._sd) == 1, (op, value)
 
 
 # ---------------------------------------------------------------------------
