@@ -111,7 +111,8 @@ class Chart:
         for each, whether to drop it (used to avoid metric degeneracy loci
         and denominator zeros).  It is given as many candidates at a time as
         points are still missing, so it sees exactly the candidates that a
-        draw of one at a time would, and can judge them in one batch.
+        draw of one at a time would, and can judge them in one batch; a
+        rule that returns another number of flags raises ``ValueError``.
         Returns the points found, at most ``count``.
         """
         rng = random.Random(seed)
@@ -128,5 +129,6 @@ class Chart:
             if reject is None:
                 points += candidates
             else:
-                points += [point for point, drop in zip(candidates, reject(candidates)) if not drop]
+                flags = zip(candidates, reject(candidates), strict=True)
+                points += [point for point, drop in flags if not drop]
         return points

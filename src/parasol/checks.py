@@ -160,11 +160,9 @@ def _is_zero(part) -> bool:
 def _kept(residual, zero: bool) -> Residual:
     """The residual an outcome keeps for its numeric size, which the report samples later.
 
-    A zero residual keeps only its shape: one shared zero component instead
-    of n^rank distinct ones, which would stay alive until the report is built.
+    A zero residual keeps one scalar zero: its n^rank components would stay
+    alive until the report is built, and the report would walk them all.
     """
-    if isinstance(residual, TensorField):
-        return TensorField.zero(residual.chart, residual.p, residual.q) if zero else residual
-    if isinstance(residual, Expr):
+    if isinstance(residual, (Expr, TensorField)):
         return Expr.zero(residual.chart) if zero else residual
     return residual if isinstance(residual, Contraction) else None

@@ -33,8 +33,9 @@ from pathlib import Path
 
 from .analysis import run_command
 from .chart import ChartError, ChartMismatchError
+from .connection import RICCI_MODES
 from .manifest import XI_POTENTIAL, ManifestError, load_manifest
-from .oracle import OracleConfig, OracleConfigError, StencilDegeneracyError
+from .oracle import OracleConfig, OracleConfigError
 from .paracontact import StructureError
 from .report import EXIT_INPUT_ERROR
 from .solitons import RankDeficientError
@@ -53,24 +54,31 @@ INPUT_ERRORS = (
     SingularMetricError,
     ValenceError,
     RankDeficientError,
-    StencilDegeneracyError,
     OracleConfigError,
 )
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = OracleConfig()
     parser.add_argument("manifest", help="manifest path or bundled fixture name")
     parser.add_argument(
         "--ricci-mode",
-        choices=("weighted_trace", "paper_frame_sum"),
+        choices=RICCI_MODES,
         default=None,
         help="override the manifest's Ricci contraction mode",
     )
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    parser.add_argument("--seed", type=int, default=42, help="sampling seed (default 42)")
-    parser.add_argument("--h", type=float, default=1e-4, help="finite-difference step (default 1e-4)")
     parser.add_argument(
-        "--tolerance", type=float, default=1e-6, help="oracle relative tolerance (default 1e-6)"
+        "--seed", type=int, default=defaults.seed, help="sampling seed (default %(default)s)"
+    )
+    parser.add_argument(
+        "--h", type=float, default=defaults.h, help="finite-difference step (default %(default)s)"
+    )
+    parser.add_argument(
+        "--tolerance",
+        type=float,
+        default=defaults.tolerance,
+        help="oracle relative tolerance (default %(default)s)",
     )
     parser.add_argument(
         "--base-point",

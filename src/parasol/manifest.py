@@ -227,10 +227,9 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> Manifest:
         raise ManifestError(str(exc)) from None
 
     epsilon = data.get("epsilon")
-    if epsilon is not None:
-        if epsilon not in (1, -1):
-            raise ManifestError("epsilon must be +1 or -1, got %r" % epsilon)
-        epsilon = int(epsilon)
+    # the integers only: True and 1.0 equal 1
+    if epsilon is not None and (type(epsilon) is not int or epsilon not in (1, -1)):
+        raise ManifestError("epsilon must be +1 or -1, got %r" % epsilon)
 
     metric_rows = _parse_matrix(_require(data, "metric"), chart, "metric")
     try:

@@ -273,10 +273,8 @@ def test_criterion_10_oracle_agreement(structures):
     cfg = OracleConfig(h=1e-4, seed=42, tolerance=1e-6)
     for name, structure in structures.items():
         # one sampler fills each sample point's stencils once for all three references
-        stencil = StencilSampler(structure.metric, cfg.h)
-        points = oracle_sample_points(stencil, cfg.seed)
+        points, references = oracle_sample_points(StencilSampler(structure.metric, cfg.h), cfg.seed)
         assert len(points) == 10, name
-        references = stencil.references(points)
         for reference, symbolic in (
             ("christoffel", structure.connection()),
             ("riemann", structure.riemann()),
@@ -286,12 +284,12 @@ def test_criterion_10_oracle_agreement(structures):
             assert deviation <= cfg.tolerance, (name, reference, deviation)
     # O(h^2): halving h improves the example-1 Christoffel agreement by [3, 5]
     ex1 = structures["ex1_r3_spacelike"]
-    stencil = StencilSampler(ex1.metric, cfg.h)
-    points = oracle_sample_points(stencil, cfg.seed)
+    points, references = oracle_sample_points(StencilSampler(ex1.metric, cfg.h), cfg.seed)
     gamma = ex1.connection()
-    coarse = compare(gamma, stencil.references(points)["christoffel"], points)
-    half_step = StencilSampler(ex1.metric, cfg.h / 2.0).references(points)["christoffel"]
-    fine = compare(gamma, half_step, points)
+    coarse = compare(gamma, references["christoffel"], points)
+    sound, half_step = StencilSampler(ex1.metric, cfg.h / 2.0).judge(points)
+    assert all(sound)
+    fine = compare(gamma, half_step["christoffel"], points)
     ratio = coarse / fine
     assert 3.0 <= ratio <= 5.0, ratio
     announce(10, "oracle agreement within 1e-6 on all fixtures; h-scaling ratio %.3f" % ratio)

@@ -131,6 +131,13 @@ def test_rejection_rounds_judge_the_candidates_of_a_draw_one_at_a_time():
     assert rounds == [10] * (MAX_SAMPLE_TRIES // 10)
 
 
+def test_a_rejection_rule_with_a_flag_missing_raises():
+    # a dropped candidate would misalign what the rule keeps for each point
+    chart = Chart.make(["x", "y"], base_point=[0, 0], domain_box=[(-1, 1), (-1, 1)])
+    with pytest.raises(ValueError, match="zip"):
+        chart.sample_points(10, 3, lambda candidates: [False] * (len(candidates) - 1))
+
+
 def test_g1_determinant_is_minus_one(structures):
     g1 = structures["ex5d_r5_g1"].metric
     assert g1.determinant == Expr.constant(g1.chart, -1)

@@ -14,7 +14,9 @@ import pytest
 import parasol
 from parasol.analysis import COMMANDS
 from parasol.cli import build_parser, main, resolve_manifest_path
+from parasol.connection import RICCI_MODES
 from parasol.manifest import ManifestError, load_manifest
+from parasol.oracle import OracleConfig
 from parasol.solitons import einstein_like_fit, einstein_like_suite, solve_soliton_constants
 from parasol.symexpr import parse
 from parasol.tensor import Frame, Metric, TensorField
@@ -88,6 +90,18 @@ def test_float_constants_rejected(tmp_path):
     bad.write_text(json.dumps(data))
     with pytest.raises(ManifestError, match="exact rational"):
         load_manifest(bad)
+
+
+@pytest.mark.parametrize("epsilon", [True, 1.0, -1.0, "1", 2])
+def test_epsilon_is_the_integer_1_or_minus_1(tmp_path, epsilon):
+    # True and 1.0 equal 1 in Python, yet the manifest means an integer
+    data = json.loads(fixture_path("ex1_r3_spacelike").read_text())
+    data["epsilon"] = epsilon
+    bad = tmp_path / "epsilon.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(["validate", str(bad)])
+    assert (code, out) == (2, "")
+    assert err == "error: epsilon must be +1 or -1, got %r\n" % epsilon
 
 
 @pytest.mark.parametrize("key", ["a", "b", "c"])
@@ -243,6 +257,14 @@ def test_optimized_interpreter_reproduces_golden_report(name):
     )
     assert result.returncode == 1, result.stderr
     assert result.stdout == golden.read_bytes()
+
+
+def test_a_bare_parse_gives_the_default_oracle_config():
+    args = build_parser().parse_args(["oracle", "fixtures/flat_r3"])
+    assert OracleConfig(h=args.h, seed=args.seed, tolerance=args.tolerance) == OracleConfig()
+    for mode in RICCI_MODES:
+        args = build_parser().parse_args(["oracle", "fixtures/flat_r3", "--ricci-mode", mode])
+        assert args.ricci_mode == mode
 
 
 def test_one_process_reproduces_fresh_interpreters_with_one_parser():

@@ -33,18 +33,21 @@ DELETED_FUNCTIONS = {"max_abs", "evaluate_many", "fd_christoffel", "fd_riemann",
 DELETED_PARAMETERS = {"guard_seed", "sample_seed", "oracle_fn"}
 # Metric.numeric_at only delegated to its field; the fields were written and never read;
 # TensorField.numeric_at and the one-point caches were left without a caller by batch.Plan;
-# StencilSampler.references computes the points it is given, with no lazy per-point lookup
+# StencilSampler.references computes the points it is given, with no lazy per-point lookup;
+# the sampler judges a candidate by all its stencil visits, with no probes of its own
 DELETED_METHODS = {
     "Contraction.numeric_at", "Metric.numeric_at", "TensorField.numeric_at",
     "Expr.keep_float_tables",
     "StencilSampler.expect", "StencilSampler._lookup", "StencilSampler.christoffel",
     "StencilSampler.christoffel_half_step", "StencilSampler.riemann", "StencilSampler.ricci",
+    "StencilSampler.probe_fails",
 }
 DELETED_FIELDS = {
     "CheckOutcome.data", "SolitonSolveResult.norm_squared", "TorseFormingData.w", "Expr._float",
     "Expr._scale",
 }
-DELETED_CLASSES = {"_Coordinates"}
+# a sample point's references are numbers, with no error for a failed stencil
+DELETED_CLASSES = {"_Coordinates", "StencilDegeneracyError"}
 ONE_POINT_CALLS = {"evaluate", "numeric_at"}
 # the one one-point call of the program: the raise rule of the batch
 RAISE_PATH = {"batch.py": ["PointBatch.evaluate_or_raise: .evaluate"]}
@@ -199,8 +202,11 @@ def test_detectors_find_the_deleted_paths():
         "    return analysis.sample_points()[:5]\n"
         "def fd_ricci(metric, point, cfg):\n"
         "    return StencilSampler(metric, cfg.h).ricci(point)\n"
+        "class StencilDegeneracyError(ValueError):\n"
+        "    pass\n"
         "class StencilSampler:\n"
         "    def expect(self, points):\n        pass\n"
+        "    def probe_fails(self, candidates):\n        pass\n"
         "    def _lookup(self, point, name):\n        pass\n"
         "    def riemann(self, point):\n        pass\n"
         "    def references(self, points):\n        pass\n"
@@ -209,12 +215,13 @@ def test_detectors_find_the_deleted_paths():
     )
     assert deleted_names(source) == [
         "_Coordinates", "Expr._float", "Expr._scale", "TorseFormingData.w",
+        "StencilDegeneracyError",
         "Expr.keep_float_tables",
         "TensorField.max_abs", "TensorField.numeric_at", "Contraction.numeric_at",
         "Metric.numeric_at",
         "solve(guard_seed)", "torse(sample_seed)", "fd_ricci",
-        "StencilSampler.expect", "StencilSampler._lookup", "StencilSampler.riemann",
-        "compare(oracle_fn)",
+        "StencilSampler.expect", "StencilSampler.probe_fails", "StencilSampler._lookup",
+        "StencilSampler.riemann", "compare(oracle_fn)",
     ]
     assert chart_sample_callers(source) == ["solve"]
     assert one_point_calls(
