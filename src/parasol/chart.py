@@ -36,12 +36,14 @@ class Chart:
     """An n-dimensional coordinate chart (n >= 2).
 
     ``base_point`` must lie inside ``domain_box``; both are exact rationals
-    so that evaluation at the base point can stay exact.
+    so that evaluation at the base point can stay exact.  Every exp rate of
+    an expression on the chart is a multiple of ``1 / rate_denominator``.
     """
 
     coordinates: tuple[str, ...]
     base_point: tuple[Fraction, ...]
     domain_box: tuple[tuple[Fraction, Fraction], ...]
+    rate_denominator: int = 1
 
     def __post_init__(self) -> None:
         n = len(self.coordinates)
@@ -61,6 +63,9 @@ class Chart:
                 raise ChartError("degenerate domain interval [%s, %s]" % (lo, hi))
             if not (lo <= value <= hi):
                 raise ChartError("base point %s = %s outside [%s, %s]" % (name, value, lo, hi))
+        den = self.rate_denominator
+        if type(den) is not int or den < 1:
+            raise ChartError("rate denominator must be a positive int, got %r" % (den,))
 
     @classmethod
     def make(
@@ -68,8 +73,9 @@ class Chart:
         coordinates: Sequence[str],
         base_point: Sequence | None = None,
         domain_box: Sequence | None = None,
+        rate_denominator: int = 1,
     ) -> "Chart":
-        """Build a chart, defaulting to base point 0 and box [-1, 1]^n."""
+        """Build a chart, defaulting to base point 0, box [-1, 1]^n and integral rates."""
         coords = tuple(coordinates)
         n = len(coords)
         if base_point is None:
@@ -80,7 +86,7 @@ class Chart:
             box = tuple((b - 1, b + 1) for b in base)
         else:
             box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in domain_box)
-        return cls(coords, base, box)
+        return cls(coords, base, box, rate_denominator)
 
     @property
     def dimension(self) -> int:

@@ -21,12 +21,14 @@ A manifest is a UTF-8 JSON document::
 
 Expression strings follow the shared grammar (see :mod:`parasol.symexpr`);
 rationals are written as "p/q" strings or integers.  ``epsilon`` is optional
-and, when present, must agree with g(xi, xi).
+and, when present, must agree with g(xi, xi).  The chart's rate denominator L
+is the lcm of the denominators of the manifest's exp rates; no field sets it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +37,7 @@ from pathlib import Path
 from .chart import Chart, ChartError
 from .connection import RICCI_MODES, WEIGHTED_TRACE
 from .paracontact import ParacontactStructure
-from .symexpr import Expr, ExprError, parse
+from .symexpr import Expr, ExprError, RateDenominatorError, parse
 from .tensor import Frame, FrameError, Metric, TensorField, ValenceError
 
 __all__ = ["Manifest", "ManifestError", "PotentialSpec", "XI_POTENTIAL", "load_manifest"]
@@ -100,6 +102,8 @@ class PotentialSpec:
 def _parse(source, chart: Chart, where: str) -> Expr:
     try:
         return parse(str(source), chart)
+    except RateDenominatorError:
+        raise  # load_manifest widens the chart's rate denominator and reads again
     except ExprError as exc:
         raise ManifestError("%s: %s" % (where, exc)) from None
 
@@ -171,6 +175,11 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> Manifest:
     ``overrides`` replaces top-level fields before validation (used by the
     CLI flags --base-point, --potential and --ricci-mode), so overridden
     values go through exactly the same checks as file contents.
+
+    The fields are read on a chart of rate denominator L = 1 first.  When an
+    expression field, an override included, has an exp rate whose denominator
+    does not divide L, L widens to the lcm of the two and the fields are read
+    again; each retry adds a new factor to L, so the loop ends.
     """
     path = Path(path)
     try:
@@ -187,7 +196,16 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> Manifest:
     if overrides:
         recenter_box = "base_point" in overrides and "domain_box" not in overrides
         data.update(overrides)
+    rate_denominator = 1
+    while True:
+        try:
+            return _read_fields(data, recenter_box, rate_denominator)
+        except RateDenominatorError as exc:
+            rate_denominator = math.lcm(rate_denominator, exc.denominator)
 
+
+def _read_fields(data: dict, recenter_box: bool, rate_denominator: int) -> Manifest:
+    """The manifest of a JSON object, on a chart of the given rate denominator."""
     name = str(_require(data, "name"))
     coordinates = _require(data, "coordinates")
     if not isinstance(coordinates, list) or not all(isinstance(c, str) for c in coordinates):
@@ -222,7 +240,7 @@ def load_manifest(path: str | Path, overrides: dict | None = None) -> Manifest:
             (b - (hi - lo) / 2, b + (hi - lo) / 2) for b, (lo, hi) in zip(base, box)
         ]
     try:
-        chart = Chart.make(coordinates, base, box)
+        chart = Chart.make(coordinates, base, box, rate_denominator)
     except ChartError as exc:
         raise ManifestError(str(exc)) from None
 

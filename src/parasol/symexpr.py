@@ -31,10 +31,12 @@ An expression is stored as ``c * N / (x^d * B^e)``:
   lie in [-2^30, 2^30); the top bit of every field is a guard that any
   out-of-range sum or shift sets, and each result is checked once (the OR
   of its keys), so an overflow raises ``ExprError`` instead of wrapping;
-* rates are stored as integers: every expression carries one positive rate
-  denominator r (1 unless some rate is non-integral) and its atom fields
-  hold rate * r.  Operands are brought to a common r before they are
-  combined, and every result divides r by the gcd of r and its rate fields;
+* rates are stored as integers: the chart fixes one positive rate
+  denominator L (1 unless some rate is non-integral), and every atom field
+  holds rate * L.  Products add rates and derivatives keep them, so every
+  rate an expression reaches stays a multiple of 1/L, and operands combine
+  with no rescaling.  ``exp`` of a rate whose denominator does not divide L
+  raises ``RateDenominatorError``;
 * N is a sum with integer coefficients whose gcd is 1 (its primitive part)
   and c is its one rational content, held as two ints: the numerator and
   the positive denominator of the reduced fraction.  Arithmetic combines
@@ -85,6 +87,7 @@ __all__ = [
     "Expr",
     "ExprError",
     "ParseError",
+    "RateDenominatorError",
     "UnknownCoordinateError",
     "NonLinearExpArgumentError",
     "DivisionByZeroExprError",
@@ -97,7 +100,7 @@ __all__ = [
 ]
 
 Mono = tuple  # tuple[int, ...]: exponents
-Atom = tuple  # rates; in a key, each rate times the expression's rate denominator
+Atom = tuple  # rates; in a key, each rate times the chart's rate denominator L
 Key = int  # packed (Mono, Atom), see _Layout
 Sum = dict  # dict[Key, int]: nonzero integer coefficients
 
@@ -114,6 +117,17 @@ class ParseError(ExprError):
 
 class UnknownCoordinateError(ExprError):
     pass
+
+
+class RateDenominatorError(ExprError):
+    """An exp rate's denominator does not divide the chart's rate denominator."""
+
+    def __init__(self, denominator: int, rate_denominator: int):
+        super().__init__(
+            "exp rate denominator %d does not divide the chart's rate denominator %d"
+            % (denominator, rate_denominator)
+        )
+        self.denominator = denominator
 
 
 class NonLinearExpArgumentError(ExprError):
@@ -152,12 +166,12 @@ _FIELD_MASK = (1 << _FIELD_BITS) - 1
 def _range_error() -> ExprError:
     return ExprError(
         "exponent or exp rate out of range: every exponent, and every rate times "
-        "the common rate denominator, must lie in [-2^30, 2^30)"
+        "the chart's rate denominator L, must lie in [-2^30, 2^30)"
     )
 
 
 class _Layout:
-    """Packed keys for one chart dimension n.
+    """Packed keys for one chart dimension n and rate denominator L.
 
     Field f (0 <= f < 2n, most significant first) holds mono[f] for f < n and
     atom[f - n] otherwise.  ``base`` is the key of the constant term,
@@ -168,6 +182,7 @@ class _Layout:
 
     __slots__ = (
         "n",
+        "rate_denominator",
         "base",
         "guard",
         "shifts",
@@ -180,8 +195,9 @@ class _Layout:
         "_bytes",
     )
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, rate_denominator: int):
         self.n = n
+        self.rate_denominator = rate_denominator
         self.shifts = tuple(_FIELD_BITS * (2 * n - 1 - f) for f in range(2 * n))
         self.units = tuple(1 << s for s in self.shifts)
         self.base = sum(_BIAS << s for s in self.shifts)
@@ -222,8 +238,8 @@ class _Layout:
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int) -> _Layout:
-    return _Layout(n)
+def _layout(n: int, rate_denominator: int) -> _Layout:
+    return _Layout(n, rate_denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +334,16 @@ def _spow(a: Sum, k: int, lay: _Layout) -> Sum:
     return result
 
 
-def _sdiff(a: Sum, i: int, rden: int, lay: _Layout) -> Sum:
-    """rden * d/dx_i of a sum whose rate fields count in units of 1/rden.
+def _sdiff(a: Sum, i: int, lay: _Layout) -> Sum:
+    """L * d/dx_i of a sum, for L the layout's rate denominator.
 
     The power rule lowers the monomial field by one; the atom contributes its
-    rate field, which is already an integer.
+    rate field, rate * L, which is already an integer.
     """
     out: Sum = {}
     get = out.get
     mono_shift, atom_shift = lay.shifts[i], lay.shifts[lay.n + i]
-    unit = lay.units[i]
+    unit, rden = lay.units[i], lay.rate_denominator
     for key, coeff in a.items():
         k = ((key >> mono_shift) & _FIELD_MASK) - _BIAS
         if k > 0:
@@ -344,15 +360,6 @@ def _sdiff(a: Sum, i: int, rden: int, lay: _Layout) -> Sum:
                 out[key] = new
             else:
                 del out[key]
-    return out
-
-
-def _rescale_rates(a: Sum, lay: _Layout, mul: int, div: int = 1) -> Sum:
-    """The sum with every rate field replaced by field * mul // div (exact)."""
-    out: Sum = {}
-    for key, coeff in a.items():
-        mono, atom = lay.unpack(key)
-        out[lay.pack(mono, [v * mul // div for v in atom])] = coeff
     return out
 
 
@@ -375,17 +382,18 @@ def _mono_pairs(lay: _Layout, bits: int) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _atom_pairs(lay: _Layout, bits: int, rden: int) -> tuple:
+def _atom_pairs(lay: _Layout, bits: int) -> tuple:
     """Nonzero (axis, float rate) pairs of the atom fields ``key & lay.atom_mask``."""
     _mono, atom = lay.unpack(bits | (lay.base & lay.mono_mask))
+    rden = lay.rate_denominator
     return tuple((i, lam / rden) for i, lam in enumerate(atom) if lam)
 
 
-def _float_table(coeffs, a: Sum, lay: _Layout, rden: int) -> list:
+def _float_table(coeffs, a: Sum, lay: _Layout) -> list:
     """(float coefficient, _mono_pairs, _atom_pairs) per term of a sum, in key order."""
     split, atom_mask = lay.split, lay.atom_mask
     return [
-        (value, _mono_pairs(lay, key >> split), _atom_pairs(lay, key & atom_mask, rden))
+        (value, _mono_pairs(lay, key >> split), _atom_pairs(lay, key & atom_mask))
         for value, key in zip(coeffs, a)
     ]
 
@@ -405,7 +413,7 @@ def _seval(table: list, xs: Sequence[float]) -> float:
     return total
 
 
-def _seval_exact(a: Sum, xs: Sequence[Fraction], lay: _Layout, rden: int) -> Fraction:
+def _seval_exact(a: Sum, xs: Sequence[Fraction], lay: _Layout) -> Fraction:
     total = _F0
     for key, coeff in a.items():
         mono, atom = lay.unpack(key)
@@ -414,7 +422,8 @@ def _seval_exact(a: Sum, xs: Sequence[Fraction], lay: _Layout, rden: int) -> Fra
             arg += lam * x
         if arg != 0:
             raise ExactEvaluationError(
-                "exponential atom does not vanish at the point (value %s)" % (arg / rden)
+                "exponential atom does not vanish at the point (value %s)"
+                % (arg / lay.rate_denominator)
             )
         value = coeff
         for x, k in zip(xs, mono):
@@ -437,7 +446,7 @@ class Expr:
     multiplies and tests whether the canonical difference is the empty sum.
     """
 
-    __slots__ = ("chart", "_lay", "_sn", "_sd", "_num", "_dmono", "_dbase", "_dexp", "_rden")
+    __slots__ = ("chart", "_lay", "_sn", "_sd", "_num", "_dmono", "_dbase", "_dexp")
 
     def __init__(
         self,
@@ -449,7 +458,6 @@ class Expr:
         dmono: Key,
         dbase: Sum | None,
         dexp: int,
-        rden: int,
     ):
         # Internal constructor: callers go through _make/_from_num_den.
         self.chart = chart
@@ -460,7 +468,6 @@ class Expr:
         self._dmono = dmono
         self._dbase = dbase
         self._dexp = dexp
-        self._rden = rden
 
     # -- constructors -------------------------------------------------------
 
@@ -475,7 +482,6 @@ class Expr:
         dmono: Key,
         dbase: Sum | None,
         dexp: int,
-        rden: int,
     ) -> "Expr":
         if not num:
             return cls.zero(chart)
@@ -499,21 +505,11 @@ class Expr:
             num = {key: coeff // content for key, coeff in num.items()}
             g = math.gcd(content, sd)
             sn, sd = sn * (content // g), sd // g
-        if rden != 1:
-            g = rden
-            for terms in (num, dbase or ()):
-                for key in terms:
-                    g = math.gcd(g, *lay.unpack(key)[1])
-            if g != 1:
-                num = _rescale_rates(num, lay, 1, g)
-                if dbase is not None:
-                    dbase = _rescale_rates(dbase, lay, 1, g)
-                rden //= g
-        return cls(chart, lay, sn, sd, num, dmono, dbase, dexp, rden)
+        return cls(chart, lay, sn, sd, num, dmono, dbase, dexp)
 
     @classmethod
     def _from_num_den(
-        cls, chart: Chart, lay: _Layout, sn: int, sd: int, num: Sum, den: Sum, rden: int
+        cls, chart: Chart, lay: _Layout, sn: int, sd: int, num: Sum, den: Sum
     ) -> "Expr":
         """The quotient (sn/sd) * num / den, normalizing the denominator."""
         if not den:
@@ -533,23 +529,21 @@ class Expr:
         sn, sd = _qdiv(sn, sd, factor)
         if len(stripped) == 1:
             # after content stripping a single-term denominator is exactly 1
-            return cls._make(chart, lay, sn, sd, num, mono_c, None, 0, rden)
-        return cls._make(chart, lay, sn, sd, num, mono_c, stripped, 1, rden)
+            return cls._make(chart, lay, sn, sd, num, mono_c, None, 0)
+        return cls._make(chart, lay, sn, sd, num, mono_c, stripped, 1)
 
     @classmethod
     def zero(cls, chart: Chart) -> "Expr":
-        lay = _layout(chart.dimension)
-        return cls(chart, lay, 1, 1, {}, lay.base, None, 0, 1)
+        lay = _layout(chart.dimension, chart.rate_denominator)
+        return cls(chart, lay, 1, 1, {}, lay.base, None, 0)
 
     @classmethod
     def constant(cls, chart: Chart, value) -> "Expr":
         value = Fraction(value)
         if value == 0:
             return cls.zero(chart)
-        lay = _layout(chart.dimension)
-        return cls(
-            chart, lay, value.numerator, value.denominator, {lay.base: 1}, lay.base, None, 0, 1
-        )
+        lay = _layout(chart.dimension, chart.rate_denominator)
+        return cls(chart, lay, value.numerator, value.denominator, {lay.base: 1}, lay.base, None, 0)
 
     @classmethod
     def one(cls, chart: Chart) -> "Expr":
@@ -561,20 +555,22 @@ class Expr:
             i = chart.axis(name)
         except KeyError:
             raise UnknownCoordinateError("unknown coordinate %r" % name) from None
-        lay = _layout(chart.dimension)
-        return cls(chart, lay, 1, 1, {lay.base + lay.units[i]: 1}, lay.base, None, 0, 1)
+        lay = _layout(chart.dimension, chart.rate_denominator)
+        return cls(chart, lay, 1, 1, {lay.base + lay.units[i]: 1}, lay.base, None, 0)
 
     @classmethod
     def exponential(cls, chart: Chart, coefficients: Sequence) -> "Expr":
-        """exp of the linear form sum(coefficients[i] * x_i)."""
+        """exp of sum(coefficients[i] * x_i); each coefficient must be a multiple of 1/L."""
         n = chart.dimension
         rates = [Fraction(c) for c in coefficients]
         if len(rates) != n:
             raise ExprError("exponential atom needs %d coefficients" % n)
-        rden = math.lcm(*(r.denominator for r in rates))
-        lay = _layout(n)
-        key = lay.pack((0,) * n, [int(r * rden) for r in rates])
-        return cls(chart, lay, 1, 1, {key: 1}, lay.base, None, 0, rden)
+        rden = chart.rate_denominator
+        if any(rden % r.denominator for r in rates):
+            raise RateDenominatorError(math.lcm(*(r.denominator for r in rates)), rden)
+        lay = _layout(n, rden)
+        key = lay.pack((0,) * n, [r.numerator * (rden // r.denominator) for r in rates])
+        return cls(chart, lay, 1, 1, {key: 1}, lay.base, None, 0)
 
     # -- structure ----------------------------------------------------------
 
@@ -600,19 +596,6 @@ class Expr:
             return 1
         return self._dbase[max(self._dbase)] ** self._dexp
 
-    def _with_rden(self, rden: int) -> "Expr":
-        """The same expression with its rate fields counted in units of 1/rden.
-
-        ``rden`` must be a multiple of the current rate denominator; the
-        result is an operand only, since it is not reduced.
-        """
-        mul, lay = rden // self._rden, self._lay
-        dbase = None if self._dbase is None else _rescale_rates(self._dbase, lay, mul)
-        num = _rescale_rates(self._num, lay, mul)
-        return Expr(
-            self.chart, lay, self._sn, self._sd, num, self._dmono, dbase, self._dexp, rden
-        )
-
     def is_zero(self) -> bool:
         """True iff the canonical numerator is the empty sum."""
         return not self._num
@@ -628,12 +611,6 @@ class Expr:
             return Expr.constant(self.chart, other)
         return None
 
-    def _aligned(self, other: "Expr") -> tuple["Expr", "Expr"]:
-        if self._rden == other._rden:
-            return self, other
-        rden = math.lcm(self._rden, other._rden)
-        return self._with_rden(rden), other._with_rden(rden)
-
     def __add__(self, other) -> "Expr":
         other = self._coerce(other)
         if other is None:
@@ -646,12 +623,11 @@ class Expr:
             # x + (-x) where -x shares x's terms: the zero the sum below would reach
             if other._dexp == self._dexp and other._sn == -self._sn and other._sd == self._sd:
                 return Expr.zero(self.chart)
-        a, b = self._aligned(other)
-        lay, rden = a._lay, a._rden
+        a, b, lay = self, other, self._lay
         sn, sd, ka, kb = _common_content(a._sn, a._sd, b._sn, b._sd)
         if a._dmono == b._dmono and a._dbase == b._dbase and a._dexp == b._dexp:
             num = _sadd(a._num, b._num, ka, kb)
-            return Expr._make(a.chart, lay, sn, sd, num, a._dmono, a._dbase, a._dexp, rden)
+            return Expr._make(a.chart, lay, sn, sd, num, a._dmono, a._dbase, a._dexp)
         if a._dbase is None or b._dbase is None or a._dbase == b._dbase:
             base = a._dbase if a._dbase is not None else b._dbase
             ea = a._dexp if a._dbase is not None else 0
@@ -670,13 +646,13 @@ class Expr:
                     term = _sshift(term, dmono - part._dmono, lay)
                 terms.append(term)
             num = _sadd(terms[0], terms[1], ka, kb)
-            return Expr._make(a.chart, lay, sn, sd, num, dmono, base, e, rden)
+            return Expr._make(a.chart, lay, sn, sd, num, dmono, base, e)
         da, db = a._den_sum(), b._den_sum()
         if da == db:
             num = _sadd(a._num, b._num, ka, kb)
-            return Expr._from_num_den(a.chart, lay, sn, sd, num, da, rden)
+            return Expr._from_num_den(a.chart, lay, sn, sd, num, da)
         num = _sadd(_smul(a._num, db, lay), _smul(b._num, da, lay), ka, kb)
-        return Expr._from_num_den(a.chart, lay, sn, sd, num, _smul(da, db, lay), rden)
+        return Expr._from_num_den(a.chart, lay, sn, sd, num, _smul(da, db, lay))
 
     __radd__ = __add__
 
@@ -690,7 +666,6 @@ class Expr:
             self._dmono,
             self._dbase,
             self._dexp,
-            self._rden,
         )
 
     def __sub__(self, other) -> "Expr":
@@ -713,17 +688,16 @@ class Expr:
             return self
         if not other._num:
             return other
-        a, b = self._aligned(other)
-        lay = a._lay
+        a, b, lay = self, other, self._lay
         sn, sd = _qmul(a._sn, a._sd, b._sn, b._sd)
         num = _smul(a._num, b._num, lay)
         dmono = a._dmono + b._dmono - lay.base
         if a._dbase is None or b._dbase is None or a._dbase == b._dbase:
             base = a._dbase if a._dbase is not None else b._dbase
             e = (a._dexp if a._dbase is not None else 0) + (b._dexp if b._dbase is not None else 0)
-            return Expr._make(a.chart, lay, sn, sd, num, dmono, base, e, a._rden)
+            return Expr._make(a.chart, lay, sn, sd, num, dmono, base, e)
         den = _smul(_spow(a._dbase, a._dexp, lay), _spow(b._dbase, b._dexp, lay), lay)
-        return Expr._make(a.chart, lay, sn, sd, num, dmono, den, 1, a._rden)
+        return Expr._make(a.chart, lay, sn, sd, num, dmono, den, 1)
 
     __rmul__ = __mul__
 
@@ -731,9 +705,7 @@ class Expr:
         if not self._num:
             raise DivisionByZeroExprError("division by canonical zero")
         sn, sd = (-self._sd, -self._sn) if self._sn < 0 else (self._sd, self._sn)
-        return Expr._from_num_den(
-            self.chart, self._lay, sn, sd, self._den_sum(), self._num, self._rden
-        )
+        return Expr._from_num_den(self.chart, self._lay, sn, sd, self._den_sum(), self._num)
 
     def __truediv__(self, other) -> "Expr":
         other = self._coerce(other)
@@ -767,7 +739,6 @@ class Expr:
             dmono,
             self._dbase,
             self._dexp * k,
-            self._rden,
         )
 
     def __eq__(self, other) -> bool:
@@ -788,37 +759,38 @@ class Expr:
             raise UnknownCoordinateError("unknown coordinate %r" % name) from None
         if not self._num:
             return self
-        lay, rden = self._lay, self._rden
+        lay = self._lay
+        rden = lay.rate_denominator
         num, base = self._num, self._dbase
         sn, sd = _qdiv(self._sn, self._sd, rden)
         if base is None and self._dmono == lay.base:
-            out = _sdiff(num, i, rden, lay)
-            return Expr._make(self.chart, lay, sn, sd, out, self._dmono, None, 0, rden)
+            out = _sdiff(num, i, lay)
+            return Expr._make(self.chart, lay, sn, sd, out, self._dmono, None, 0)
         unit = lay.units[i]
-        out = _sshift(_sdiff(num, i, rden, lay), unit, lay)
+        out = _sshift(_sdiff(num, i, lay), unit, lay)
         d = lay.field(self._dmono, i)
         if d:
             out = _sadd(out, _sscale(num, -d * rden))
         if base is not None:
-            correction = _smul(_sshift(num, unit, lay), _sdiff(base, i, rden, lay), lay)
+            correction = _smul(_sshift(num, unit, lay), _sdiff(base, i, lay), lay)
             correction = _sscale(correction, -self._dexp)
             out = _sadd(_smul(out, base, lay), correction)
             dexp = self._dexp + 1
         else:
             dexp = 0
-        return Expr._make(self.chart, lay, sn, sd, out, self._dmono + unit, base, dexp, rden)
+        return Expr._make(self.chart, lay, sn, sd, out, self._dmono + unit, base, dexp)
 
     # -- evaluation ----------------------------------------------------------
 
     def _float_tables(self) -> tuple:
-        lay, rden = self._lay, self._rden
+        lay = self._lay
         lead, den_terms = 1, None
         if self._dbase is not None:
             lead = self._dbase[max(self._dbase)]
             monic = (coeff / lead for coeff in self._dbase.values())
-            den_terms = _float_table(monic, self._dbase, lay, rden)
+            den_terms = _float_table(monic, self._dbase, lay)
         p, q = self._sn, self._sd * lead**self._dexp
-        terms = _float_table((p * coeff / q for coeff in self._num.values()), self._num, lay, rden)
+        terms = _float_table((p * coeff / q for coeff in self._num.values()), self._num, lay)
         dmono = tuple((i, k) for i, k in enumerate(lay.unpack(self._dmono)[0]) if k)
         return terms, dmono, den_terms
 
@@ -849,16 +821,16 @@ class Expr:
             raise ExprError("point has wrong dimension")
         if not self._num:
             return _F0
-        lay, rden = self._lay, self._rden
+        lay = self._lay
         den = _F1
         for x, k in zip(xs, lay.unpack(self._dmono)[0]):
             if k:
                 den *= x**k
         if self._dbase is not None:
-            den *= _seval_exact(self._dbase, xs, lay, rden) ** self._dexp
+            den *= _seval_exact(self._dbase, xs, lay) ** self._dexp
         if den == 0:
             raise ExactEvaluationError("denominator vanishes at the point")
-        return Fraction(self._sn, self._sd) * _seval_exact(self._num, xs, lay, rden) / den
+        return Fraction(self._sn, self._sd) * _seval_exact(self._num, xs, lay) / den
 
     def provably_nonvanishing(self) -> bool:
         """True when the expression provably has no real zeros.
@@ -906,7 +878,8 @@ class Expr:
     def _format_sum(self, terms: dict) -> str:
         if not terms:
             return "0"
-        lay, rden, chart = self._lay, self._rden, self.chart
+        lay, chart = self._lay, self.chart
+        rden = lay.rate_denominator
         parts: list[str] = []
         for key in sorted(terms, reverse=True):
             mono, atom = lay.unpack(key)
@@ -953,34 +926,27 @@ def formal_values(n: int) -> tuple[list[int], list[int]]:
 class FormalPoint:
     """A ring map from expressions to the integers modulo ``RESIDUE_PRIME``.
 
-    Every expression is a polynomial in the x_i and the E_i = e^{x_i/L} and
-    their inverses over a denominator of the same kind, where L is a common
-    multiple of the rate denominators it will meet.  Sending x_i and E_i to
-    the seeded residues of :func:`formal_values` is a ring homomorphism
-    wherever the denominators stay units, so a sum of products of residues
-    is the residue of the exact sum of products, and an exactly zero
-    expression has residue 0.  Term values are cached per packed key and
-    rate denominator.
+    Every expression on the chart is a polynomial in the x_i and the
+    E_i = e^{x_i/L} and their inverses over a denominator of the same kind,
+    where L is the chart's rate denominator: a key's rate field is the power
+    of E_i.  Sending x_i and E_i to the seeded residues of
+    :func:`formal_values` is a ring homomorphism wherever the denominators
+    stay units, so a sum of products of residues is the residue of the exact
+    sum of products, and an exactly zero expression has residue 0.  Term
+    values are cached per packed key.
     """
 
-    __slots__ = ("xs", "es", "inverses", "rden", "_terms")
+    __slots__ = ("xs", "es", "inverses", "_terms")
 
-    def __init__(self, chart: Chart, exprs: Sequence[Expr]):
-        """The point for ``exprs`` on ``chart``: L is the lcm of their rate denominators."""
+    def __init__(self, chart: Chart):
         self.xs, self.es = formal_values(chart.dimension)
         if not all(e % RESIDUE_PRIME for e in self.es):
             raise NonUnitResidueError("an exponential vanishes at the formal point")
         self.inverses = [pow(e, -1, RESIDUE_PRIME) for e in self.es]
-        self.rden = math.lcm(1, *{expr._rden for expr in exprs})
-        self._terms: dict[int, dict[Key, int]] = {}
+        self._terms: dict[Key, int] = {}
 
-    def _sum(self, a: Sum, lay: _Layout, rden: int) -> int:
-        terms = self._terms.get(rden)
-        if terms is None:
-            if self.rden % rden:
-                raise ExprError("rate denominator %d does not divide %d" % (rden, self.rden))
-            terms = self._terms[rden] = {}
-        p, step = RESIDUE_PRIME, self.rden // rden
+    def _sum(self, a: Sum, lay: _Layout) -> int:
+        terms, p = self._terms, RESIDUE_PRIME
         total = 0
         for key, coeff in a.items():
             value = terms.get(key)
@@ -992,7 +958,7 @@ class FormalPoint:
                         value = value * pow(x, k, p) % p
                 for e, inverse, lam in zip(self.es, self.inverses, atom):
                     if lam:
-                        value = value * pow(e if lam > 0 else inverse, abs(lam) * step, p) % p
+                        value = value * pow(e if lam > 0 else inverse, abs(lam), p) % p
                 terms[key] = value
             total += coeff * value
         return total % p
@@ -1001,13 +967,13 @@ class FormalPoint:
         """``expr`` modulo the prime at this point; raises ``NonUnitResidueError``."""
         if not expr._num:
             return 0
-        lay, rden, p = expr._lay, expr._rden, RESIDUE_PRIME
-        den = self._sum({expr._dmono: 1}, lay, rden) * expr._sd
+        lay, p = expr._lay, RESIDUE_PRIME
+        den = self._sum({expr._dmono: 1}, lay) * expr._sd
         if expr._dbase is not None:
-            den *= pow(self._sum(expr._dbase, lay, rden), expr._dexp, p)
+            den *= pow(self._sum(expr._dbase, lay), expr._dexp, p)
         if den % p == 0:
             raise NonUnitResidueError("a denominator vanishes at the formal point")
-        return expr._sn * self._sum(expr._num, lay, rden) * pow(den, -1, p) % p
+        return expr._sn * self._sum(expr._num, lay) * pow(den, -1, p) % p
 
 
 # ---------------------------------------------------------------------------

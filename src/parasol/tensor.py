@@ -565,7 +565,7 @@ class Contraction:
 
         Raises ``NonUnitResidueError`` when an operand has no residue there.
         """
-        point = FormalPoint(self.chart, [c for op in self._fields.values() for c in op._comps])
+        point = FormalPoint(self.chart)
         n = self.chart.dimension
         arrays = {
             key: np.array([point.residue(c) for c in op._comps], dtype=object).reshape((n,) * op.rank)

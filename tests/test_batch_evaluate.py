@@ -179,8 +179,9 @@ def test_powers_and_exponentials_round_like_the_one_point_path():
     # few percent of such inputs; 400 points meet many of them
     rng = random.Random(7)
     points = [[rng.uniform(-2.0, 2.0) for _ in range(3)] for _ in range(400)]
-    expr = parse("(x - y)/(3 + x*y^2)", CHART) ** 5 + parse("exp(x/3 - y)*x^7*z^3", CHART)
-    (values,), (flags,) = PointBatch(CHART, points).evaluate([expr])
+    chart = Chart.make(["x", "y", "z"], rate_denominator=3)
+    expr = parse("(x - y)/(3 + x*y^2)", chart) ** 5 + parse("exp(x/3 - y)*x^7*z^3", chart)
+    (values,), (flags,) = PointBatch(chart, points).evaluate([expr])
     assert not flags.any()
     assert values.tolist() == [expr.evaluate(xs) for xs in points]
 

@@ -12,7 +12,8 @@ float tables kept on an expression, the converted-point passthrough) are gone.
 
 The exact ring's arithmetic keeps an expression's rational content as two
 ints; ``Fraction`` is built only where a value is parsed, printed or
-evaluated exactly.
+evaluated exactly.  Its rates count in units of the chart's one rate
+denominator, so no expression carries its own or rescales an operand's.
 """
 
 import ast
@@ -28,7 +29,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "parasol"
 MANIFESTS = Path(__file__).resolve().parent / "golden" / "manifests"
 
 # the fd_* wrappers built a new StencilSampler per call; a sampler is the one way in
-DELETED_FUNCTIONS = {"max_abs", "evaluate_many", "fd_christoffel", "fd_riemann", "fd_ricci"}
+# the chart fixes one rate denominator: no expression's rates are rescaled
+DELETED_FUNCTIONS = {
+    "max_abs", "evaluate_many", "fd_christoffel", "fd_riemann", "fd_ricci", "_rescale_rates",
+}
 # compare takes a reference's (value, error) pairs, not a per-point lookup
 DELETED_PARAMETERS = {"guard_seed", "sample_seed", "oracle_fn"}
 # Metric.numeric_at only delegated to its field; the fields were written and never read;
@@ -40,11 +44,11 @@ DELETED_METHODS = {
     "Expr.keep_float_tables",
     "StencilSampler.expect", "StencilSampler._lookup", "StencilSampler.christoffel",
     "StencilSampler.christoffel_half_step", "StencilSampler.riemann", "StencilSampler.ricci",
-    "StencilSampler.probe_fails",
+    "StencilSampler.probe_fails", "Expr._with_rden", "Expr._aligned",
 }
 DELETED_FIELDS = {
     "CheckOutcome.data", "SolitonSolveResult.norm_squared", "TorseFormingData.w", "Expr._float",
-    "Expr._scale",
+    "Expr._scale", "Expr._rden",
 }
 # a sample point's references are numbers, with no error for a failed stencil
 DELETED_CLASSES = {"_Coordinates", "StencilDegeneracyError"}
@@ -55,8 +59,7 @@ CHART_SAMPLERS = {"Analysis.sample_points", "oracle_sample_points"}
 # the ring's arithmetic: the content is an int pair, with no Fraction in between
 INT_CONTENT_FUNCTIONS = {
     "Expr.__add__", "Expr.__neg__", "Expr.__sub__", "Expr.__mul__", "Expr._reciprocal",
-    "Expr.__pow__", "Expr.differentiate", "Expr._make", "Expr._from_num_den",
-    "Expr._with_rden", "_common_content",
+    "Expr.__pow__", "Expr.differentiate", "Expr._make", "Expr._from_num_den", "_common_content",
 }
 FRACTION_NAMES = {"Fraction", "_F0", "_F1"}
 
@@ -184,8 +187,9 @@ def test_detectors_find_the_deleted_paths():
         "class _Coordinates(list):\n"
         "    __slots__ = ()\n"
         "class Expr:\n"
-        "    __slots__ = (\"chart\", \"_float\", \"_scale\")\n"
+        "    __slots__ = (\"chart\", \"_float\", \"_scale\", \"_rden\")\n"
         "    def keep_float_tables(self):\n        pass\n"
+        "    def _aligned(self, other):\n        pass\n"
         "class TensorField:\n"
         "    def max_abs(self, points):\n        pass\n"
         "    def numeric_at(self, point):\n        pass\n"
@@ -212,16 +216,18 @@ def test_detectors_find_the_deleted_paths():
         "    def references(self, points):\n        pass\n"
         "def compare(symbolic, oracle_fn, points):\n"
         "    pass\n"
+        "def _rescale_rates(a, lay, mul):\n"
+        "    pass\n"
     )
     assert deleted_names(source) == [
-        "_Coordinates", "Expr._float", "Expr._scale", "TorseFormingData.w",
+        "_Coordinates", "Expr._float", "Expr._scale", "Expr._rden", "TorseFormingData.w",
         "StencilDegeneracyError",
-        "Expr.keep_float_tables",
+        "Expr.keep_float_tables", "Expr._aligned",
         "TensorField.max_abs", "TensorField.numeric_at", "Contraction.numeric_at",
         "Metric.numeric_at",
         "solve(guard_seed)", "torse(sample_seed)", "fd_ricci",
         "StencilSampler.expect", "StencilSampler.probe_fails", "StencilSampler._lookup",
-        "StencilSampler.riemann", "compare(oracle_fn)",
+        "StencilSampler.riemann", "compare(oracle_fn)", "_rescale_rates",
     ]
     assert chart_sample_callers(source) == ["solve"]
     assert one_point_calls(

@@ -27,6 +27,8 @@ from parasol.symexpr import (
 
 CHART = Chart.make(["x", "y", "z"])
 CHART5 = Chart.make(["x", "y", "z", "t", "s"])
+# exp rates in halves
+HALVES = Chart.make(["x", "y", "z"], rate_denominator=2)
 
 
 def P(source, chart=CHART):
@@ -69,8 +71,8 @@ def test_parse_unary_minus():
 
 
 def test_parse_exp_with_rational_coefficients():
-    e = P("exp(1/2*x - 3*z)")
-    assert e == Expr.exponential(CHART, [Fraction(1, 2), 0, Fraction(-3)])
+    e = P("exp(1/2*x - 3*z)", HALVES)
+    assert e == Expr.exponential(HALVES, [Fraction(1, 2), 0, Fraction(-3)])
 
 
 def test_parse_syntax_error_carries_position():
@@ -343,9 +345,9 @@ def test_roundtrip_on_fixture_style_expressions():
         "3/2*x^2*exp(-2*z) - 1/2",
         "exp(1/2*x - 3*z) + x*y*z",
     ):
-        e = P(source)
+        e = P(source, HALVES)
         printed = str(e)
-        reparsed = parse(printed, CHART)
+        reparsed = parse(printed, HALVES)
         assert str(reparsed) == printed
         assert reparsed == e
 
@@ -368,12 +370,13 @@ def test_roundtrip_on_random_expressions():
     exponents=st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=3),
 )
 def test_roundtrip_single_term_property(coeffs, exponents):
-    term = Expr.constant(CHART, Fraction(7, 3))
-    for name, k, lam in zip(CHART.coordinates, exponents, coeffs):
-        term = term * Expr.coordinate(CHART, name) ** k
-    term = term * Expr.exponential(CHART, coeffs)
+    chart = Chart.make(CHART.coordinates, rate_denominator=60)  # lcm(1, ..., 6)
+    term = Expr.constant(chart, Fraction(7, 3))
+    for name, k, lam in zip(chart.coordinates, exponents, coeffs):
+        term = term * Expr.coordinate(chart, name) ** k
+    term = term * Expr.exponential(chart, coeffs)
     printed = str(term)
-    assert parse(printed, CHART) == term
+    assert parse(printed, chart) == term
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -524,7 +527,7 @@ def test_every_result_keeps_a_reduced_content_seeded():
 # the integer-keyed ring against a Fraction-only reference
 # ---------------------------------------------------------------------------
 
-CHART2 = Chart.make(["x", "y"])
+CHART2 = Chart.make(["x", "y"], rate_denominator=6)
 NAMES = CHART2.coordinates
 RATES = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3)]
 COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
@@ -645,18 +648,16 @@ def _build(terms):
 
 
 def _assert_integer_keys(expr):
-    """Packed keys decode to integral exponents and rates; the rate denominator is reduced."""
-    lay, rden = expr._lay, expr._rden
-    assert type(rden) is int and rden >= 1
-    rates = []
+    """Packed keys decode to integral exponents and rates (each rate times the chart's L)."""
+    lay = expr._lay
+    assert lay.rate_denominator == expr.chart.rate_denominator
     for terms in (expr._num, expr._dbase or {}):
         for key, coeff in terms.items():
             assert type(key) is int and type(coeff) is int
             mono, atom = lay.unpack(key)
             assert all(type(k) is int and k >= 0 for k in mono), mono
+            assert all(type(v) is int for v in atom), atom
             assert lay.pack(mono, atom) == key
-            rates.extend(atom)
-    assert math.gcd(rden, *rates) == 1, (rden, rates)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -683,13 +684,13 @@ def test_ring_matches_fraction_reference(a, b, k, axis):
 
 def test_non_integral_rates_that_sum_to_an_integer_are_stored_as_int():
     half = Expr.exponential(CHART2, [Fraction(1, 2), Fraction(-3, 2)])
-    assert half._rden == 2
+    (key,) = half._num
+    assert half._lay.unpack(key) == ((0, 0), (3, -9))  # rate * L for L = 6
     square = half * half
     assert str(square) == "exp(x - 3*y)"
     _assert_integer_keys(square)
     (key,) = square._num
-    assert square._rden == 1
-    assert square._lay.unpack(key) == ((0, 0), (1, -3))
+    assert square._lay.unpack(key) == ((0, 0), (6, -18))
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +703,7 @@ FIELD = st.integers(-(2**30), 2**30 - 1)
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(2, 5))
 def test_packed_key_order_matches_decoded_tuple_order(data, n):
-    lay = _layout(n)
+    lay = _layout(n, 1)
     monos = st.tuples(*[st.integers(0, 2**30 - 1) | st.integers(0, 3)] * n)
     atoms = st.tuples(*[FIELD | st.integers(-3, 3)] * n)
     a = (data.draw(monos), data.draw(atoms))
@@ -721,9 +722,13 @@ def test_exponent_overflow_raises_instead_of_wrapping():
         (1 / x) ** (2**31)
     with pytest.raises(ExprError, match="out of range"):
         Expr.exponential(CHART, [2**30, 0, 0])
+    fine = Chart.make(CHART.coordinates, rate_denominator=2**29)
     rate = Fraction(1, 2**29)
     with pytest.raises(ExprError, match="out of range"):
-        Expr.exponential(CHART, [rate, 0, 0]) * Expr.exponential(CHART, [4, 0, 0])
+        Expr.exponential(fine, [rate, 0, 0]) * Expr.exponential(fine, [4, 0, 0])
+    # exp(x) is stored as 2^29, in range; its square is not
+    with pytest.raises(ExprError, match="out of range"):
+        Expr.exponential(fine, [1, 0, 0]) ** 2
     assert str(x ** (2**29)) == "x^%d" % 2**29
 
 
@@ -743,7 +748,7 @@ def _tuple_smul(a, b):
 
 def test_packed_product_matches_tuple_keyed_reference():
     rng = random.Random(5)
-    lay = _layout(5)
+    lay = _layout(5, 1)
 
     def random_sum():
         terms = {}

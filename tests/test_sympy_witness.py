@@ -3,8 +3,9 @@
 The metric is rebuilt from the manifest strings, and every component of
 ours (printed by ``Expr.__str__`` and parsed back by sympy) must equal
 sympy's to ``simplify``.  Nothing here goes through ``symexpr``'s ring, so
-a fault in its packed keys, rates or contents shows up as a mismatch.
-Skipped when sympy is not installed; it is a test dependency only.
+a fault in its packed keys, rates or contents shows up as a mismatch.  The
+fixtures' rates are all integers, so one inline metric has rates in halves
+and thirds.  Skipped when sympy is not installed; it is a test dependency only.
 """
 
 import json
@@ -20,7 +21,10 @@ from sympy.parsing.sympy_parser import (  # noqa: E402
     standard_transformations,
 )
 
-from parasol.connection import WEIGHTED_TRACE  # noqa: E402
+from parasol.chart import Chart  # noqa: E402
+from parasol.connection import WEIGHTED_TRACE, christoffel, ricci, riemann  # noqa: E402
+from parasol.symexpr import parse  # noqa: E402
+from parasol.tensor import Metric, TensorField  # noqa: E402
 
 from conftest import FIXTURE_NAMES, fixture_path  # noqa: E402
 
@@ -31,13 +35,12 @@ def _parse(source, symbols):
     return parse_expr(source, local_dict=dict(symbols), transformations=TRANSFORMATIONS)
 
 
-def _sympy_geometry(data):
+def _sympy_geometry(names, metric):
     """(symbols by name, Gamma[k][i][j], Ricci S[j][k]) in the package's conventions."""
-    names = data["coordinates"]
     symbols = {name: sympy.Symbol(name) for name in names}
     xs = [symbols[name] for name in names]
     axes = range(len(xs))
-    g = sympy.Matrix([[_parse(entry, symbols) for entry in row] for row in data["metric"]])
+    g = sympy.Matrix([[_parse(entry, symbols) for entry in row] for row in metric])
     ginv = sympy.simplify(g.inv())
 
     def christoffel(k, i, j):
@@ -67,16 +70,29 @@ def _assert_same(ours, theirs, symbols, label):
     assert difference == 0, "%s: ours %s, sympy %s" % (label, ours, theirs)
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_christoffel_and_ricci_match_sympy(name, structures):
-    data = json.loads(fixture_path(name).read_text())
-    symbols, gamma, ricci = _sympy_geometry(data)
-    structure = structures[name]
-    n = structure.chart.dimension
-    ours_gamma = structure.connection()
-    ours_ricci = structure.ricci(WEIGHTED_TRACE)
+def _assert_geometry_matches(names, metric, ours_gamma, ours_ricci):
+    symbols, gamma, ricci = _sympy_geometry(names, metric)
+    n = len(names)
     for k, i, j in product(range(n), repeat=3):
         label = "Gamma[%d, %d, %d]" % (k, i, j)
         _assert_same(ours_gamma[k, i, j], gamma[k][i][j], symbols, label)
     for j, k in product(range(n), repeat=2):
         _assert_same(ours_ricci[j, k], ricci[j][k], symbols, "S[%d, %d]" % (j, k))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_christoffel_and_ricci_match_sympy(name, structures):
+    data = json.loads(fixture_path(name).read_text())
+    structure = structures[name]
+    _assert_geometry_matches(
+        data["coordinates"], data["metric"], structure.connection(), structure.ricci(WEIGHTED_TRACE)
+    )
+
+
+def test_non_integral_rates_match_sympy():
+    names = ["x", "y", "z"]
+    metric = [["exp(z/2)", "0", "0"], ["0", "exp(-2*y/3 + z)", "0"], ["0", "0", "1"]]
+    chart = Chart.make(names, rate_denominator=6)
+    field = TensorField(chart, 0, 2, [parse(entry, chart) for row in metric for entry in row])
+    gamma = christoffel(Metric(field))
+    _assert_geometry_matches(names, metric, gamma, ricci(riemann(gamma), WEIGHTED_TRACE))
