@@ -4,7 +4,8 @@ Symbolic tensor calculus over a single coordinate chart with exact
 rational-exponential scalars, validation of (epsilon)-almost paracontact
 metric axioms and para-Sasakian identities, eta-Ricci soliton residuals and
 constant solving, Einstein-like fitting, torse-forming and parallel-tensor
-analysis, and an independent finite-difference oracle.
+analysis, and an independent oracle that recomputes the curvature from
+second-order jets of the metric.
 """
 
 from .chart import Chart, ChartError, ChartMismatchError
@@ -18,7 +19,7 @@ from .connection import (
     scalar_curvature,
 )
 from .manifest import Manifest, ManifestError, load_manifest
-from .oracle import OracleConfig, StencilSampler, compare
+from .oracle import OracleConfig, compare, oracle_sample_points
 from .paracontact import (
     ParacontactStructure,
     StructureError,

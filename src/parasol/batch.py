@@ -1,14 +1,15 @@
 """Batched float evaluation of expressions, with the bits of ``Expr.evaluate``.
 
-This is the program's one float evaluator, at sample points, oracle stencils
-and the base point alike; ``Expr.evaluate`` is its reference and the source
-of its error texts.  Evaluation comes in two parts.  A :class:`Plan` is the
-part that does not depend on the points: which expressions are one another
-up to sign, the columns their terms multiply (one per ``x_i ** k`` and per
-exponential atom), and each term's coefficient, factor columns and place in
-the summing order.  :meth:`Plan.run` evaluates the expressions at the points
-of one :class:`PointBatch`.  A caller that evaluates the same expressions on
-many batches (the oracle's metric, the report's det g) keeps its plan;
+This is the program's one float evaluator, at sample points and the base
+point alike (the oracle's jets read its columns); ``Expr.evaluate`` is its
+reference and the source of its error texts.  Evaluation comes in two
+parts.  A :class:`Plan` is the part that does not depend on the points:
+which expressions are one another up to sign, the columns their terms
+multiply (one per ``x_i ** k`` and per exponential atom), and each term's
+coefficient, factor columns and place in the summing order.
+:meth:`Plan.run` evaluates the expressions at the points of one
+:class:`PointBatch`.  A caller that evaluates the same expressions on many
+batches (the report's metric entries) keeps its plan;
 :meth:`PointBatch.evaluate` builds one for a single batch, and
 :meth:`PointBatch.evaluate_or_raise` also raises the error of the first
 value it flags, from ``Expr.evaluate`` of that expression at that point.
@@ -312,14 +313,6 @@ class PointBatch:
         self.points = [coordinate_values(chart, point) for point in points]
         self.size = len(self.points)
         self._columns: dict[tuple, tuple[list[float], list[bool] | None]] = {}
-
-    @classmethod
-    def of_coordinates(cls, chart: Chart, points: list[list[float]]) -> PointBatch:
-        """A batch of points already given as lists of float coordinates in chart order."""
-        batch = cls(chart, ())
-        batch.points = points
-        batch.size = len(points)
-        return batch
 
     def column(self, key: tuple) -> tuple[list[float], list[bool] | None]:
         """A column at every point, and where it overflowed (None: nowhere).

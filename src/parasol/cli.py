@@ -10,11 +10,11 @@ Usage::
     parasol torse MANIFEST
     parasol collinear MANIFEST
     parasol parallel MANIFEST
-    parasol oracle MANIFEST [--h H] [--tolerance TOL]
+    parasol oracle MANIFEST [--tolerance TOL]
     parasol report --all MANIFEST
 
 Common flags: ``--ricci-mode {weighted_trace,paper_frame_sum}``, ``--json``,
-``--seed N``, ``--h H``, ``--tolerance TOL``, ``--base-point "r,r,..."``,
+``--seed N``, ``--tolerance TOL``, ``--base-point "r,r,..."``,
 ``--potential SPEC`` where SPEC is ``xi``, ``<expr>*xi`` or a comma-separated
 component list.  MANIFEST is a path; bare names resolve against the bundled
 fixtures (e.g. ``fixtures/ex1_r3_spacelike``).
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -72,9 +72,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=defaults.seed, help="sampling seed (default %(default)s)"
     )
     parser.add_argument(
-        "--h", type=float, default=defaults.h, help="finite-difference step (default %(default)s)"
-    )
-    parser.add_argument(
         "--tolerance",
         type=float,
         default=defaults.tolerance,
@@ -100,7 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Symbolic verifier for almost paracontact metric structures "
         "and eta-Ricci solitons on a coordinate chart.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # flags are taken by their full names only, so that no prefix (--h) reaches --help
+    abbreviations_off = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=abbreviations_off)
 
     for name, help_text in (
         ("validate", "structure axioms, epsilon detection, metric compatibility, signature"),
@@ -110,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("torse", "torse-forming classification of xi and induced curvature forms"),
         ("collinear", "pointwise-collinear potential analysis (V = k xi)"),
         ("parallel", "parallel symmetric (0,2) tensor analysis"),
-        ("oracle", "finite-difference cross-validation of Gamma, R, S"),
+        ("oracle", "cross-validation of Gamma, R, S from second-order jets of the metric"),
     ):
         command = sub.add_parser(name, help=help_text)
         _add_common_flags(command)
@@ -164,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         path = resolve_manifest_path(args.manifest)
         manifest = load_manifest(path, overrides=_overrides_from_args(args))
-        cfg = OracleConfig(h=args.h, seed=args.seed, tolerance=args.tolerance)
+        cfg = OracleConfig(seed=args.seed, tolerance=args.tolerance)
         report = run_command(command, manifest, cfg)
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,290 +1,238 @@
-"""Finite-difference cross-validation of the symbolic geometry.
+"""Cross-validation of the symbolic geometry by second-order jets of the metric.
 
-The oracle recomputes Christoffel symbols, Riemann and Ricci tensors from
-central differences of numerically evaluated metric components.  It shares
-nothing with the symbolic derivative code paths except float evaluation
-(:mod:`parasol.batch`), which keeps it an independent witness.  Central
-differences are O(h^2): halving the step should shrink the deviation by
-roughly 4x, and that scaling is itself a checkable property.
+The oracle recomputes Christoffel symbols, Riemann and Ricci tensors at each
+sample point from the metric's value, gradient and Hessian there (its
+second-order jet), by forward-mode Taylor arithmetic (Griewank & Walther,
+*Evaluating Derivatives*, SIAM, 2nd ed. 2008).  It shares two things with the
+symbolic path: the metric entries' float tables (``Expr._float_tables``) and
+the columns of :meth:`~parasol.batch.PointBatch.column`, so each ``x ** k``
+and ``exp`` has the libm bits of ``Expr.evaluate``.  It reads none of the
+symbolic derivative code (``differentiate``, ``partials``, ``contract``, the
+connection builders), which keeps it an independent witness.  The jets are
+exact up to roundoff: there is no step, and no truncation error to tell from
+a wrong symbolic result.
 
-A sample point is a candidate whose every stencil visit is sound
-(:meth:`StencilSampler.judge`), so each of its references is a number, and
-the references of the accepted candidates are kept with the points
-(:func:`oracle_sample_points`).  Float evaluation is planned once per run
-and batched: the sampler runs the metric's :class:`~parasol.batch.Plan` on
-one batch per group of candidates, of at most ``GROUP_VISITS`` = 240 visits
-(six candidates at n = 3, two at n = 5), and computes the group's
-references in one stacked numpy pass.  The cap is there because the size of
-the stacks sets the run's peak RSS: all ten points in one group (810 visits
-at n = 5) raised the ``fixtures`` benchmark's ``peak_rss_mb`` by 0.47 MB
-over one point per group, and three points at n = 5 (243 visits) raised the
-traced peak of ``report --all`` on ``ex5d_r5_g1`` by 100 KB, two points by
-37 KB.  The symbolic tensors that the ``oracle`` command compares, and its
-Lie-dual pair, are evaluated on one batch of the sample points, so each
-``x ** k`` and ``exp`` column is computed once per run.  A batch does ``+``, ``*`` and
-``/`` in numpy, in the order of ``Expr.evaluate``, and leaves ``x ** k``
-and ``exp`` to Python's libm calls: numpy's vectorised ``power`` and
-``exp`` round differently on some inputs, which would move the
-roundoff-level deviations the reports print.  Every value therefore has the
-bits that ``Expr.evaluate`` gives.  A flagged symbolic component (where
-``Expr.evaluate`` would raise) is run again as a one-point batch, where
-:meth:`~parasol.batch.PointBatch.evaluate_or_raise` raises the first
-flagged entry's own error, in the same order as evaluating the entries one
-by one.  On badly scaled metrics the float work may overflow; numpy's
-warnings are silenced, because the resulting inf and NaN values already
-fail the checks (see :func:`max_deviation`).
+An entry is N / (x^d * B^e), where N and B are sums of terms
+c * x^a * exp(lambda . x).  A term's jet is closed form (:func:`_sum_jets`);
+x^d * B^e and the quotient follow by the product and quotient rules.  The
+references come from the jets in one stacked ``np.linalg.inv`` and a few
+einsums per group of at most ``GROUP_POINTS`` points, since the stacks set
+the run's peak RSS: at n = 5 (``ex5d_r5_g1``), all ten points in one group
+had a traced peak of 334 KB, groups of five 203 KB.  The points are the
+report's (:meth:`~parasol.analysis.Analysis.sample_points`), less those where
+a jet or a reference is not a finite float.  numpy's warnings are silenced:
+the inf and NaN values of badly scaled metrics drop the point or fail the
+checks (see :func:`max_deviation`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .chart import SAMPLE_COUNT, Chart
-from .batch import Plan, PointBatch
-from .symexpr import coordinate_values
+from .batch import PointBatch
 from .tensor import Metric, TensorField
 
-__all__ = [
-    "OracleConfig",
-    "OracleConfigError",
-    "StencilSampler",
-    "oracle_sample_points",
-    "require_step_fits",
-    "compare",
-    "max_deviation",
-]
+__all__ = ["OracleConfig", "OracleConfigError", "oracle_sample_points", "compare", "max_deviation"]
 
-DEGENERACY_CUTOFF = 1e-6
-
-# stencil visits that one group of candidates may evaluate in one batch; the
-# size of its stacks drives the run's peak RSS
-GROUP_VISITS = 240
+# points whose references one stacked pass computes; the size of its stacks sets the run's peak RSS
+GROUP_POINTS = 5
 
 # the references of a sample point, by name
-REFERENCES = ("christoffel", "christoffel_half_step", "riemann", "ricci")
+REFERENCES = ("christoffel", "riemann", "ricci")
 
-Point = Mapping[str, float] | Sequence[float]
+Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class OracleConfigError(ValueError):
-    """A step or tolerance that is not a positive finite number."""
+    """A tolerance that is not a positive finite number."""
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Sampling seed, finite-difference step and relative tolerance of one run."""
+    """Sampling seed and relative tolerance of one run."""
 
-    h: float = 1e-4
     seed: int = 42
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name, value in (("step h", self.h), ("tolerance", self.tolerance)):
-            if not (math.isfinite(value) and value > 0):
-                raise OracleConfigError("%s must be a positive finite number, got %r" % (name, value))
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise OracleConfigError(
+                "tolerance must be a positive finite number, got %r" % (self.tolerance,)
+            )
 
 
-# the steps, as multiples of h and in order, that a coordinate of a stencil visit
-# takes from the sample point: none, one, two (the Riemann stencil of stencils),
-# or one of h/2
-_CHAINS = ((), (1.0,), (-1.0,), (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0), (0.5,), (-0.5,))
+def _layout(metric: Metric) -> tuple:
+    """The upper-triangle entries (i, j, numerator, x^d, base, e), and their sums' terms.
 
-
-def _chain_values(centres: np.ndarray, h: float) -> np.ndarray:
-    """Each coordinate of each centre after each chain of ``_CHAINS``, on a new last axis.
-
-    A step is ``+ s * h`` on one coordinate, in float arithmetic: s * h is
-    exact, and x + (-h) is x - h.  A coordinate that takes no step keeps
-    its float as it is.
+    A part is the index of a sum of float-table terms, None where the entry has
+    none.  A term's factor along axis i reads the rows of x_i^k, x_i^(k-1) and
+    x_i^(k-2) in the column stack; row 0 is ones, as for a power 0 or no factor.
     """
-    chains = []
-    for chain in _CHAINS:
-        values = centres
-        for s in chain:
-            values = values + s * h
-        chains.append(values)
-    return np.stack(chains, axis=-1)
+    n = metric.chart.dimension
+    sums: list[list] = []
+    entries = []
+
+    def add(table: list) -> int:
+        sums.append(table)
+        return len(sums) - 1
+
+    for i in range(n):
+        for j in range(i, n):
+            expr = metric[i, j]
+            if not expr._num:
+                continue
+            try:
+                num, dmono, base = expr._float_tables()
+            except OverflowError:  # a coefficient too large for a float: no jet is finite
+                num, dmono, base = [(math.nan, (), ())], (), None
+            entries.append((
+                i, j, add(num), add([(1.0, dmono, ())]) if dmono else None,
+                None if base is None else add(base), expr._dexp,
+            ))
+    columns: dict[tuple, int] = {}
+
+    def row(key: tuple, used: bool = True) -> int:
+        return columns.setdefault(key, len(columns) + 1) if used else 0
+
+    terms = [term for table in sums for term in table]
+    rows = np.zeros((3, len(terms), n), dtype=int)
+    powers, rates = np.zeros((2, len(terms), n)), np.zeros((len(terms), n))
+    for t, (_, mono, atom) in enumerate(terms):
+        for i, k in mono:
+            rows[:, t, i] = row((i, k)), row((i, k - 1), k != 1), row((i, k - 2), k not in (1, 2))
+            powers[:, t, i] = k, k * (k - 1)
+        for i, lam in atom:
+            rates[t, i] = lam
+    atoms = [row(atom, bool(atom)) for _, _, atom in terms]
+    ends = list(accumulate(len(table) for table in sums))
+    spans = list(zip([0] + ends, ends))
+    coeffs = np.array([c for c, _, _ in terms])
+    return entries, list(columns), (coeffs, atoms, rows, powers, rates, spans)
 
 
-@lru_cache(maxsize=None)
-def _distinct_visits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row of each visit of a point's references among its distinct visits, and their chains.
+def _sum_jets(terms: tuple, stack: np.ndarray) -> list[Jet]:
+    """Value, gradient and Hessian of each sum at every point, shapes (P,), (P, n), (P, n, n).
 
-    The visits, shape (2n + 2, 2n + 1), are the Christoffel stencils at h
-    of the point and of its 2n neighbours, then its stencil at h/2; a
-    stencil visits its centre, then its neighbours, plus before minus, axis
-    by axis.  Each visit's coordinates are told by their chains of steps
-    (the indices into ``_CHAINS`` of the last axis of :func:`_chain_values`,
-    one per coordinate), and visits told alike have the same floats:
-    (x + h e_i) + h e_j is (x + h e_j) + h e_i.  There are 2n^2 + 6n + 1
-    distinct visits; the first 2n + 1 are the point's stencil at h.
+    A term's factor along axis i is x^k e^(lambda_i x), whose derivatives are
+    e^(lambda_i x) times ``b`` and ``d``; the sweep multiplies the factors in by
+    the product rule, and before axis i no derivative along it is nonzero.
     """
-    steps = [()] + [((i, sign),) for i in range(n) for sign in (1.0, -1.0)]
-    halves = [tuple((i, s / 2) for i, s in b) for b in steps]
-    visits = [a + b for a in steps for b in steps] + halves
-    rows: dict[tuple[int, ...], int] = {}
-    pattern = []
-    for visit in visits:
-        chains = tuple(_CHAINS.index(tuple(s for j, s in visit if j == i)) for i in range(n))
-        pattern.append(rows.setdefault(chains, len(rows)))
-    return np.array(pattern).reshape(2 * n + 2, 2 * n + 1), np.array(list(rows))
+    coeffs, atoms, rows, (k1, k2), rates, spans = terms
+    a, a1, a2 = stack[rows]  # (terms, n, points)
+    b = k1[..., None] * a1 + rates[..., None] * a
+    d = k2[..., None] * a2 + (2.0 * k1 * rates)[..., None] * a1 + (rates * rates)[..., None] * a
+    v = coeffs[:, None] * stack[atoms]
+    n = rows.shape[2]
+    g, h = np.zeros(v.shape + (n,)), np.zeros(v.shape + (n, n))
+    for i in range(n):
+        cross = g * b[:, i, :, None]
+        h *= a[:, i, :, None, None]
+        h[..., i, :] = cross
+        h[..., :, i] = cross
+        h[..., i, i] = v * d[:, i]
+        g *= a[:, i, :, None]
+        g[..., i] = v * b[:, i]
+        v = v * a[:, i]
+    return [(v[s:e].sum(axis=0), g[s:e].sum(axis=0), h[s:e].sum(axis=0)) for s, e in spans]
 
 
-def _failures(dets: np.ndarray, degenerate: np.ndarray, stencils: np.ndarray) -> np.ndarray:
-    """Where the visits of each stencil fail; a stencil is a row of point indices, centre first.
-
-    A visit fails where a metric entry is degenerate, where |det g| <
-    ``DEGENERACY_CUTOFF``, and, past the centre, where det g has the other
-    sign than at the stencil's own centre.
-    """
-    det = dets[stencils]
-    fails = degenerate[stencils] | (np.abs(det) < DEGENERACY_CUTOFF)
-    fails[:, 1:] |= det[:, 1:] * np.sign(det[:, :1]) < 0
-    return fails
+def _product(x: Jet, y: Jet) -> Jet:
+    (u, gu, hu), (w, gw, hw) = x, y
+    outer = gu[..., :, None] * gw[..., None, :]
+    hessian = u[:, None, None] * hw + w[:, None, None] * hu + outer + outer.swapaxes(-1, -2)
+    return u * w, u[:, None] * gw + w[:, None] * gu, hessian
 
 
-class StencilSampler:
-    """Central-difference references of one metric at one step h, for the length of one run.
-
-    The sampler keeps the metric's :class:`~parasol.batch.Plan`, built once,
-    and runs it on one :class:`~parasol.batch.PointBatch` per group of
-    candidates (:meth:`judge`).  A point's references are the Christoffel
-    symbols at h and at h/2 and the Riemann and Ricci tensors at h; they
-    visit the Riemann stencil of stencils at h and the Christoffel stencil at
-    h/2, 2n + 2 stencils in all.  The visits are float arrays made by
-    :func:`_chain_values`, and a visit that several stencils make by the
-    same steps (:func:`_distinct_visits`) is evaluated once: 2n^2 + 6n + 1
-    visits per candidate, and a group holds as many consecutive candidates
-    as keep it within ``GROUP_VISITS`` visits (at least one).  The
-    degeneracy checks run on the stacked determinants, and a candidate with
-    a failing visit is not sound.  The values are one stacked (visits, n, n)
-    array, indexed by stencil.  The Christoffel symbols of every stencil of
-    the group's sound candidates come from one stacked ``np.linalg.inv`` and
-    three stacked einsums, the Riemann tensors from those of each point and
-    its 2n neighbours at h, the Ricci tensors from the Riemann tensors; each
-    stacked value has the bits of the same arithmetic on one stencil.  The
-    cap bounds the stacks, whose size sets the run's peak RSS (see the
-    module docstring).
-    """
-
-    def __init__(self, metric: Metric, h: float):
-        self.chart = metric.chart
-        self.h = h
-        self._plan = Plan(metric.field._comps)
-        self._pattern, self._chains = _distinct_visits(self.chart.dimension)
-
-    def judge(self, candidates: Iterable[Point]) -> tuple[list[bool], dict[str, list[np.ndarray]]]:
-        """Whether each candidate is sound, and each reference at the sound ones, in order.
-
-        A candidate is sound where no visit of its stencils fails
-        (:func:`_failures`).  The references are those of ``REFERENCES``.
-        """
-        n = self.chart.dimension
-        size = max(1, GROUP_VISITS // (2 * n * n + 6 * n + 1))
-        pending = [coordinate_values(self.chart, point) for point in candidates]
-        sound: list[bool] = []
-        references: dict[str, list[np.ndarray]] = {name: [] for name in REFERENCES}
-        for start in range(0, len(pending), size):
-            group_sound, computed = self._compute(pending[start : start + size])
-            sound += group_sound
-            for name, values in computed.items():
-                references[name] += values
-        return sound, references
-
-    def _metric_at(self, group: list[list[float]]) -> tuple[np.ndarray, ...]:
-        """The metric at the group's distinct visits: matrices, determinants, degenerate entries.
-
-        The batch and the plan's output are freed on return: alive during the
-        stacked pass, they raised the traced peak of ``report --all`` on
-        ``ex5d_r5_g2`` by 52 KB.
-        """
-        n = self.chart.dimension
-        # the distinct visits of every point, shape (points, 2n^2 + 6n + 1, n)
-        visits = _chain_values(np.array(group), self.h)[:, np.arange(n), self._chains]
-        batch = PointBatch.of_coordinates(self.chart, visits.reshape(-1, n).tolist())
-        values, flags = self._plan.run(batch)
-        matrices = values.T.reshape(-1, n, n)
-        return matrices, np.linalg.det(matrices), flags.any(axis=0)
-
-    @np.errstate(all="ignore")
-    def _compute(self, group: list[list[float]]) -> tuple[list[bool], dict[str, list[np.ndarray]]]:
-        """Whether each point of the group is sound, and the sound ones' references, in one pass."""
-        h, n = self.h, self.chart.dimension
-        matrices, dets, degenerate = self._metric_at(group)
-        # the row of each visit of every point's stencils among the distinct visits
-        index = self._pattern + len(self._chains) * np.arange(len(group))[:, None, None]
-        fails = _failures(dets, degenerate, index.reshape(-1, 2 * n + 1))
-        sound = ~fails.reshape(len(group), -1).any(axis=1)
-        index = index[sound]
-        # a sound centre has |det g| >= the cutoff, so inv raises nowhere (det and inv
-        # factor alike: a centre inv would call singular has det 0)
-        ginv = np.linalg.inv(matrices[index[..., 0]])
-        steps = np.array([2.0 * h] * (2 * n + 1) + [2.0 * (h / 2.0)])
-        # in place where the arithmetic allows, since the stacks set the run's peak RSS
-        dg = matrices[index[..., 1::2]]
-        dg -= matrices[index[..., 2::2]]
-        dg /= steps[:, None, None, None]
-        del matrices
-        # gamma[p, s, k, i, j] = 1/2 g^{kl} (dg_i[j, l] + dg_j[i, l] - dg_l[i, j]) on stencil s of p
-        gamma = np.einsum("...kl,...ijl->...kij", ginv, dg)
-        gamma += np.einsum("...kl,...jil->...kij", ginv, dg)
-        gamma -= np.einsum("...kl,...lij->...kij", ginv, dg)
-        gamma *= 0.5
-        # riem[l, i, j, k] = d_i gamma[l, j, k] - d_j gamma[l, i, k]
-        #                    + gamma[l, i, m] gamma[m, j, k] - gamma[l, j, m] gamma[m, i, k]
-        dgamma = gamma[:, 1:-1:2] - gamma[:, 2:-1:2]
-        dgamma /= 2.0 * h
-        riem = np.einsum("...iljk->...lijk", dgamma) - np.einsum("...jlik->...lijk", dgamma)
-        centre = gamma[:, 0]
-        riem += np.einsum("...lim,...mjk->...lijk", centre, centre)
-        riem -= np.einsum("...ljm,...mik->...lijk", centre, centre)
-        return sound.tolist(), {
-            "christoffel": [g.copy() for g in centre],
-            "christoffel_half_step": [g.copy() for g in gamma[:, -1]],
-            "riemann": list(riem),
-            "ricci": list(np.einsum("...iijk->...jk", riem)),
-        }
+def _quotient(x: Jet, y: Jet) -> Jet:
+    """x / y, from x = f y differentiated twice."""
+    (u, gu, hu), (w, gw, hw) = x, y
+    f = u / w
+    gf = (gu - f[:, None] * gw) / w[:, None]
+    outer = gf[..., :, None] * gw[..., None, :]
+    hf = (hu - f[:, None, None] * hw - outer - outer.swapaxes(-1, -2)) / w[:, None, None]
+    return f, gf, hf
 
 
-def require_step_fits(chart: Chart, h: float) -> None:
-    """Raise ``OracleConfigError`` unless the +-2h stencil fits the narrowest box interval."""
-    width = min(hi - lo for lo, hi in chart.domain_box)
-    if 4.0 * h >= width:
-        raise OracleConfigError(
-            "step h = %g does not fit the domain box: the +-2h stencil needs 4h below "
-            "its narrowest interval width %s" % (h, width)
-        )
+def _metric_jets(layout: tuple, batch: PointBatch) -> Jet:
+    """g, dg and ddg at every point, dg[p, a, b, c] = d_c g_ab and ddg[p, a, b, c, e] = d_c d_e g_ab."""
+    entries, keys, terms = layout
+    n = batch.chart.dimension
+    stack = np.array([[1.0] * batch.size] + [batch.column(key)[0] for key in keys])
+    sums = _sum_jets(terms, stack)
+    value = np.zeros((batch.size, n, n))
+    grad, hess = np.zeros(value.shape + (n,)), np.zeros(value.shape + (n, n))
+    for i, j, num, mono, base, power in entries:
+        den = None if mono is None else sums[mono]
+        for _ in range(power if base is not None else 0):
+            den = sums[base] if den is None else _product(den, sums[base])
+        jet = sums[num] if den is None else _quotient(sums[num], den)
+        for a, b in {(i, j), (j, i)}:
+            value[:, a, b], grad[:, a, b], hess[:, a, b] = jet
+    return value, grad, hess
+
+
+def _finite(*stacks: np.ndarray) -> np.ndarray:
+    """Where every stack, indexed by point on its first axis, holds finite floats only."""
+    finite = np.ones(len(stacks[0]), dtype=bool)
+    for stack in stacks:
+        finite &= np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
+    return finite
+
+
+@np.errstate(all="ignore")
+def _references(layout: tuple, batch: PointBatch) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Where every jet and reference is finite, and the references there, stacked."""
+    g, dg, ddg = _metric_jets(layout, batch)
+    finite = _finite(g, dg, ddg)
+    finite[finite] = np.linalg.det(g[finite]) != 0.0  # inv raises where det is 0
+    g, dg, ddg = g[finite], dg[finite], ddg[finite]
+    ginv = np.linalg.inv(g)
+    # first[p, l, i, j] = 1/2 (d_i g_jl + d_j g_il - d_l g_ij), gamma[p, k, i, j] = Gamma^k_ij
+    first = np.einsum("...lji->...lij", dg) + np.einsum("...ilj->...lij", dg)
+    first -= np.einsum("...ijl->...lij", dg)
+    first *= 0.5
+    gamma = np.einsum("...kl,...lij->...kij", ginv, first)
+    # d_m Gamma^k_ij = g^kl (d_m first[l, i, j] - d_m g_lb Gamma^b_ij), as dgamma[p, m, k, i, j]
+    dfirst = np.einsum("...jlmi->...mlij", ddg) + np.einsum("...ilmj->...mlij", ddg)
+    dfirst -= np.einsum("...ijml->...mlij", ddg)
+    dfirst *= 0.5
+    dfirst -= np.einsum("...lbm,...bij->...mlij", dg, gamma)
+    dgamma = np.einsum("...kl,...mlij->...mkij", ginv, dfirst)
+    # riem[l, i, j, k] = d_i gamma[l, j, k] - d_j gamma[l, i, k]
+    #                    + gamma[l, i, m] gamma[m, j, k] - gamma[l, j, m] gamma[m, i, k]
+    riem = np.einsum("...iljk->...lijk", dgamma) - np.einsum("...jlik->...lijk", dgamma)
+    riem += np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+    riem -= np.einsum("...ljm,...mik->...lijk", gamma, gamma)
+    references = {"christoffel": gamma, "riemann": riem, "ricci": np.einsum("...iijk->...jk", riem)}
+    # g^-1 may overflow where g does not, as where an entry is subnormal
+    sound = _finite(*references.values())
+    finite[finite] = sound
+    return finite, {name: values[sound] for name, values in references.items()}
 
 
 def oracle_sample_points(
-    sampler: StencilSampler, seed: int
-) -> tuple[list[dict[str, float]], dict[str, list[np.ndarray]]]:
-    """Seeded sample points whose every stencil visit is sound, and their references.
+    metric: Metric, points: Sequence[Mapping[str, float]]
+) -> tuple[list[Mapping[str, float]], dict[str, list[np.ndarray]]]:
+    """The given points at which every metric jet and reference is finite, and their references.
 
-    Each round of candidates of :meth:`~parasol.chart.Chart.sample_points`
-    is judged by :meth:`StencilSampler.judge`: a candidate is rejected where
-    a visit of its stencils fails, and the references of an accepted one are
-    kept, so each reference's list is aligned with the points.  A step whose
-    +-2h stencil spans the narrowest box interval is an input error
-    (:func:`require_step_fits`), so the box is not blamed for what the step
-    causes.
+    Each reference's list is aligned with the points kept.  The float tables are
+    read once, and ``GROUP_POINTS`` points at a time make one batch.
     """
-    require_step_fits(sampler.chart, sampler.h)
+    layout = _layout(metric)
+    kept: list[Mapping[str, float]] = []
     references: dict[str, list[np.ndarray]] = {name: [] for name in REFERENCES}
-
-    def reject(candidates: list[dict[str, float]]) -> list[bool]:
-        sound, found = sampler.judge(candidates)
-        for name, values in found.items():
-            references[name] += values
-        return [not ok for ok in sound]
-
-    points = sampler.chart.sample_points(SAMPLE_COUNT, seed, reject=reject)
-    return points, references
+    for start in range(0, len(points), GROUP_POINTS):
+        group = points[start : start + GROUP_POINTS]
+        finite, computed = _references(layout, PointBatch(metric.chart, group))
+        kept += [point for point, ok in zip(group, finite.tolist()) if ok]
+        for name, values in computed.items():
+            references[name] += list(values)
+    return kept, references
 
 
 @np.errstate(all="ignore")

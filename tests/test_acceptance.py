@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 
+from parasol.analysis import Analysis
 from parasol.checks import PASS
 from parasol.connection import (
     PAPER_FRAME_SUM,
@@ -20,7 +21,7 @@ from parasol.connection import (
     lie_derivative_two_ways,
     scalar_curvature,
 )
-from parasol.oracle import OracleConfig, StencilSampler, compare, oracle_sample_points
+from parasol.oracle import OracleConfig, compare, oracle_sample_points
 from parasol.paracontact import (
     is_para_sasakian,
     sasakian_identity_suite,
@@ -269,30 +270,25 @@ def test_criterion_09_property_suites_every_fixture(structures):
     announce(9, "symbolic property suites hold on every fixture")
 
 
-def test_criterion_10_oracle_agreement(structures):
-    cfg = OracleConfig(h=1e-4, seed=42, tolerance=1e-6)
+def test_criterion_10_oracle_agreement(manifests, structures):
+    cfg = OracleConfig(seed=42, tolerance=1e-6)
+    worst = 0.0
     for name, structure in structures.items():
-        # one sampler fills each sample point's stencils once for all three references
-        points, references = oracle_sample_points(StencilSampler(structure.metric, cfg.h), cfg.seed)
-        assert len(points) == 10, name
+        # the oracle takes the report's points, and its jets give all three references
+        points = Analysis(manifests[name], cfg).sample_points()
+        kept, references = oracle_sample_points(structure.metric, points)
+        assert len(kept) == 10 and kept == points, name
         for reference, symbolic in (
             ("christoffel", structure.connection()),
             ("riemann", structure.riemann()),
             ("ricci", structure.ricci(WEIGHTED_TRACE)),
         ):
-            deviation = compare(symbolic, references[reference], points)
+            deviation = compare(symbolic, references[reference], kept)
             assert deviation <= cfg.tolerance, (name, reference, deviation)
-    # O(h^2): halving h improves the example-1 Christoffel agreement by [3, 5]
-    ex1 = structures["ex1_r3_spacelike"]
-    points, references = oracle_sample_points(StencilSampler(ex1.metric, cfg.h), cfg.seed)
-    gamma = ex1.connection()
-    coarse = compare(gamma, references["christoffel"], points)
-    sound, half_step = StencilSampler(ex1.metric, cfg.h / 2.0).judge(points)
-    assert all(sound)
-    fine = compare(gamma, half_step["christoffel"], points)
-    ratio = coarse / fine
-    assert 3.0 <= ratio <= 5.0, ratio
-    announce(10, "oracle agreement within 1e-6 on all fixtures; h-scaling ratio %.3f" % ratio)
+            worst = max(worst, deviation)
+    # the jets are exact up to roundoff: no truncation error to allow for
+    assert worst <= 1e-14, worst
+    announce(10, "oracle agreement within 1e-6 on all fixtures; worst deviation %.1e" % worst)
 
 
 def test_criterion_11_parallel_tensor_theorems(ex1, ex2, warped):

@@ -1,7 +1,7 @@
 """Batched float evaluation: each value has the bits of ``Expr.evaluate`` at its point.
 
 ``Plan.run`` and everything built on it (``PointBatch.evaluate`` and
-``evaluate_or_raise``, the oracle's stencil sampler,
+``evaluate_or_raise``, the oracle's columns,
 ``compare``, ``numeric_max``, the report's candidate points, the soliton
 guard, the torse note and the oracle's Lie-dual row) must report what the
 scalar path reports, down to the last bit, the sign of zero and the points
@@ -18,12 +18,12 @@ from pathlib import Path
 import pytest
 
 from conftest import ALL_MANIFESTS, fixture_path, numeric_at
-from parasol.analysis import Analysis, cmd_oracle
+from parasol.analysis import DEGENERACY_CUTOFF, Analysis, cmd_oracle
 from parasol.chart import Chart
 from parasol.cli import main
 from parasol.connection import WEIGHTED_TRACE
 from parasol.manifest import load_manifest
-from parasol.oracle import OracleConfig, StencilSampler, oracle_sample_points
+from parasol.oracle import OracleConfig, oracle_sample_points
 from parasol.paracontact import ParacontactStructure, StructureError
 from parasol.batch import _STEP_ELEMENTS, Plan, PointBatch
 from parasol.symexpr import DegenerateEvaluationError, Expr, parse
@@ -58,7 +58,7 @@ def mismatches(field: TensorField, batch: PointBatch) -> list[str]:
 def oracle_run(path: Path, monkeypatch) -> tuple[ParacontactStructure, list[PointBatch]]:
     """The structure of one oracle run, and every batch the run evaluates at.
 
-    Those are the batches of the candidates' stencils and of the sample points.
+    Those are the batches of the report's candidates and of the sample points.
     """
     analysis = Analysis(load_manifest(path), OracleConfig())
     batches: dict[int, PointBatch] = {}
@@ -103,10 +103,10 @@ PLAN_EDGE_VALUES = [0.0, 1e-12, -1e-12, 1.0000000000000002e-12, 0.95, 40.0, -40.
 def test_batch_values_are_the_scalar_values_bit_for_bit(path, monkeypatch):
     structure, batches = oracle_run(path, monkeypatch)
     # the metric at every point the run evaluates it at; the curvature, which
-    # is dearer to evaluate one point at a time, at the largest stencil
-    stencil = max(batches, key=lambda batch: batch.size)
+    # is dearer to evaluate one point at a time, at the largest batch
+    largest = max(batches, key=lambda batch: batch.size)
     cases = [(structure.metric.field, batches)] + [
-        (field, [stencil])
+        (field, [largest])
         for field in (structure.connection(), structure.riemann(), structure.ricci(WEIGHTED_TRACE))
     ]
     found = [
@@ -122,10 +122,10 @@ def test_batch_values_are_the_scalar_values_bit_for_bit(path, monkeypatch):
     scaled = [e * k for k in range(-30, 31) for e in edge]
     exprs = structure.metric.field._comps + scaled + [-e for e in scaled]
     plan = Plan(exprs)
-    centre = stencil.points[0]
+    centre = largest.points[0]
     points = [[x] + centre[1:] for x in PLAN_EDGE_VALUES]
     assert sum(len(e._num) for e in plan.kept) * len(points) > _STEP_ELEMENTS
-    for batch in (PointBatch(chart, []), PointBatch(chart, points), stencil, PointBatch(chart, points[:1])):
+    for batch in (PointBatch(chart, []), PointBatch(chart, points), largest, PointBatch(chart, points[:1])):
         found += plan_mismatches(plan, exprs, batch)
     assert found == []
 
@@ -195,34 +195,39 @@ def test_expressions_batched_together_keep_their_own_bits():
 
 
 # ---------------------------------------------------------------------------
-# a degenerate stencil rejects its point, and the sound points keep their bits
+# a degenerate point is dropped, and the sound points keep their bits
 # ---------------------------------------------------------------------------
 
 
-def _rejected_beside_a_sound_point(metric, h, rejected, sound):
-    """Judge the points, rejected first, and check the sound one against a judge of it alone."""
-    sampler = StencilSampler(metric, h)
-    flags, references = sampler.judge(rejected + [sound])
-    assert flags == [False] * len(rejected) + [True]
-    alone = sampler.judge([sound])[1]
+def _rejected_beside_a_sound_point(metric, rejected, sound):
+    """Run the oracle on the points, rejected first, and check the sound one against it alone."""
+    points, references = oracle_sample_points(metric, rejected + [sound])
+    assert points == [sound]
+    alone = oracle_sample_points(metric, [sound])[1]
     for name, (value,) in references.items():
         assert value.tobytes() == alone[name][0].tobytes(), name
 
 
-def test_stencil_crossing_t_1_rejects_its_point(structures):
-    g2 = structures["ex5d_r5_g2"].metric  # det = 1 + y^2 - t^2
-    # at t = 0.9999 and 1.0001 the Christoffel stencil at h = 1e-3 crosses t = 1,
-    # at t = 1 the centre has det 0; at t = 0.99 every visit stays below
+def test_stencil_crossing_t_1_rejects_its_point(manifests, monkeypatch):
+    # det g = 1 + y^2 - t^2 vanishes at t = 1: the report's sampler rejects that point
+    # alone; beside it, with no stencil to cross t = 1, t = 0.9999 and 1.0001 are sound
+    analysis = Analysis(manifests["ex5d_r5_g2"], OracleConfig())
+    rules = []
+    monkeypatch.setattr(
+        Chart, "sample_points", lambda self, count, seed, reject: rules.append(reject) or []
+    )
+    analysis.sample_points()
     at = [{"x": 0.0, "y": 0.0, "z": 0.0, "t": t, "s": 0.0} for t in (0.9999, 1.0001, 1.0, 0.99)]
-    _rejected_beside_a_sound_point(g2, 1e-3, at[:3], at[3])
+    assert rules[0](at) == [False, False, True, False]
 
 
 def test_degenerate_metric_entries_reject_their_point():
     entries = ["1 + 1/x", "0", "0", "0", "1", "0", "0", "0", "exp(800*z)"]
     metric = Metric(TensorField(CHART, 0, 2, [parse(e, CHART) for e in entries]))
-    # x - h is 0.0 on the first two; exp(800*z) overflows at z = 0.9 and 0.95
-    rejected = [[1e-4, 0.1, 0.0], [1e-4, 0.1, 0.8], [1e-4, 0.1, 0.9], [0.3, 0.1, 0.95]]
-    _rejected_beside_a_sound_point(metric, 1e-4, rejected, [0.3, 0.1, 0.5])
+    # 1/x is infinite at x = 0; exp(800*z) overflows at z = 0.9 and 0.95, and its
+    # first derivative 800 exp(800 z) at z = 0.885
+    rejected = [[0.0, 0.1, 0.0], [0.3, 0.1, 0.885], [1e-4, 0.1, 0.9], [0.3, 0.1, 0.95]]
+    _rejected_beside_a_sound_point(metric, rejected, [1e-4, 0.1, 0.5])
 
 
 def test_an_overflowing_coefficient_raises_its_one_point_error(tmp_path):
@@ -250,10 +255,13 @@ def test_candidates_whose_probes_overflow_are_rejected():
     chart = Chart.make(["x", "y", "z"], base_point=[0, 0, "9/10"], domain_box=box)
     entries = ["1 + 1/x", "0", "0", "0", "1", "0", "0", "0", "exp(800*z)"]
     metric = Metric(TensorField(chart, 0, 2, [parse(e, chart) for e in entries]))
-    # exp(800*z) overflows above z = 0.887: 20 of the first 30 candidates visit it
-    points, _ = oracle_sample_points(StencilSampler(metric, 1e-3), 3)
-    assert [round(point["z"], 4) for point in points] == [
-        0.874, 0.8131, 0.8519, 0.879, 0.8272, 0.8127, 0.8177, 0.8302, 0.809, 0.8816
+    # exp(800*z) overflows above z = 0.887, and its second derivative above z = 0.871:
+    # the oracle keeps the report's points below
+    candidates = chart.sample_points(10, 3, reject=lambda ps: [p["z"] > 0.887 for p in ps])
+    points, _ = oracle_sample_points(metric, candidates)
+    assert points == [p for p in candidates if p["z"] < 0.871]
+    assert [round(point["z"], 4) for point in candidates if point not in points] == [
+        0.874, 0.879, 0.8816
     ]
 
 
@@ -270,29 +278,28 @@ def test_oracle_verdicts_on_an_overflowing_and_a_crossing_manifest(tmp_path):
     data["frame"][0][0], data["frame"][1][1] = "exp(-400*z)", "exp(400*z)"
     steep = tmp_path / "ex1_exp800.json"
     steep.write_text(json.dumps(data), encoding="utf-8")
-    over = "over 10 points (tolerance 1.0e-06, h = 1.0e-04)"
+    over = "over 10 points (tolerance 1.0e-06)"
+    lie_dual = ("oracle_lie_dual", "pass", "coordinate vs connection Lie derivative deviate by "
+                "0.000e+00 numerically")
+    # S_xx and S_yy are exactly 0, and their references are the roundoff of Riemann
+    # components up to 1e288 that cancel: relative to max(1, |reference|) that reads 1
     assert _oracle_rows(steep) == (1, [
-        ("oracle_christoffel", "fail", "max relative deviation 1.066e-03 " + over),
-        ("oracle_riemann", "fail", "max relative deviation 2.131e-03 " + over),
+        ("oracle_christoffel", "pass", "max relative deviation 1.421e-16 " + over),
+        ("oracle_riemann", "pass", "max relative deviation 3.638e-16 " + over),
         ("oracle_ricci", "fail", "max relative deviation 1.000e+00 " + over),
-        ("oracle_h_scaling", "pass", "halving h changed the Christoffel deviation by a factor "
-         "3.998 (expected in [3, 5] for a central O(h^2) scheme)"),
-        ("oracle_lie_dual", "pass", "coordinate vs connection Lie derivative deviate by "
-         "0.000e+00 numerically"),
+        lie_dual,
     ])
-    # ex5d_r5_g2 with t in [-1/2, 3/2]: candidates whose stencil crosses t = 1 are rejected
+    # ex5d_r5_g2 with t in [-1/2, 3/2]: the points where det g = 1 + y^2 - t^2 is
+    # degenerate are rejected, and the rest pass
     data = json.loads(fixture_path("ex5d_r5_g2").read_text(encoding="utf-8"))
     data["domain_box"][3] = ["-1/2", "3/2"]
     wide = tmp_path / "ex5d_g2_wide.json"
     wide.write_text(json.dumps(data), encoding="utf-8")
-    assert _oracle_rows(wide) == (1, [
-        ("oracle_christoffel", "pass", "max relative deviation 1.106e-13 " + over),
-        ("oracle_riemann", "fail", "max relative deviation 1.409e-05 " + over),
-        ("oracle_ricci", "fail", "max relative deviation 3.089e-06 " + over),
-        ("oracle_h_scaling", "inapplicable", "deviation 1.106e-13 is already at the roundoff "
-         "floor; O(h^2) ratio is not informative"),
-        ("oracle_lie_dual", "pass", "coordinate vs connection Lie derivative deviate by "
-         "0.000e+00 numerically"),
+    assert _oracle_rows(wide) == (0, [
+        ("oracle_christoffel", "pass", "max relative deviation 4.666e-16 " + over),
+        ("oracle_riemann", "pass", "max relative deviation 1.943e-15 " + over),
+        ("oracle_ricci", "pass", "max relative deviation 3.174e-15 " + over),
+        lie_dual,
     ])
 
 
@@ -309,7 +316,7 @@ def test_oracle_evaluates_no_metric_entry_one_point_at_a_time(manifests, monkeyp
         return evaluate(self, point)
 
     monkeypatch.setattr(Expr, "evaluate", counting_evaluate)
-    assert len(cmd_oracle(analysis).checks) == 5
+    assert len(cmd_oracle(analysis).checks) == 4
     # nor any other expression: the report's points come from a plan as well
     assert calls == []
     metric[0, 0].evaluate([0.0] * n)
@@ -329,27 +336,31 @@ def test_an_unknown_ricci_mode_is_a_structure_error(flat):
 
 
 def test_report_points_are_judged_as_one_det_evaluate_at_a_time_would(tmp_path):
-    # x^2 exp(1600 z): |det g| is below the cutoff for most z < 0, and
-    # overflows a float above z = 0.444
+    # x^2 exp(1600 z): g_xx is 0 (a zero row) at x = 0 and where exp(1600 z)
+    # underflows, below z = -0.466, and overflows a float above z = 0.444
     data = json.loads(fixture_path("flat_r3").read_text(encoding="utf-8"))
     data["metric"][0][0] = "x^2*exp(1600*z)"
     del data["frame"], data["alpha"]
     path = tmp_path / "overflowing_det.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     manifest = load_manifest(path)
-    det = manifest.structure().metric.determinant
+    metric = manifest.structure().metric
     reasons = []
 
     def one_at_a_time(candidates):
+        # the rule of Analysis.sample_points, on one evaluate per expression and point
         drops = []
         for point in candidates:
             try:
-                small = abs(det.evaluate(point)) < 1e-6
-                reasons.append("cutoff" if small else "kept")
+                det, rows = metric.determinant.evaluate(point), numeric_at(metric.field, point)
             except DegenerateEvaluationError:
-                small = True
                 reasons.append("overflow")
-            drops.append(small)
+                drops.append(True)
+                continue
+            bound = math.prod(math.hypot(*row) for row in rows.tolist())
+            sound = abs(det) > DEGENERACY_CUTOFF * bound
+            reasons.append("kept" if sound else "cutoff")
+            drops.append(not sound)
         return drops
 
     for seed in (1, 42):
@@ -369,7 +380,8 @@ def test_an_overflowing_lie_dual_value_raises_the_one_point_error():
     structure = manifest.structure()
     fields = structure.lie_derivative_two_ways(manifest.potential.vector(structure))
     expected = None
-    for point in oracle_sample_points(StencilSampler(structure.metric, 1e-4), 1)[0]:
+    candidates = Analysis(manifest, OracleConfig(seed=1)).sample_points()
+    for point in oracle_sample_points(structure.metric, candidates)[0]:
         try:
             for field in fields:
                 numeric_at(field, point)

@@ -255,13 +255,16 @@ def test_a_nan_or_infinite_component_value(ex1):
 
 def test_an_overflowing_manifest_takes_numeric_max_from_the_build(tmp_path):
     # ex1 with every exp rate scaled by 600: S and R(xi, .) overflow a float at
-    # the sample points with z > 0.59, while det g = 1 keeps those points
+    # the box's draws with |z| > 0.59.  The report's sampler rejects those points,
+    # where g overflows too, so the draws are taken from the chart itself
     data = json.loads(fixture_path("ex1_r3_spacelike").read_text(encoding="utf-8"))
     data["metric"][0][0], data["metric"][1][1] = "exp(1200*z)", "exp(-1200*z)"
     data["frame"][0][0], data["frame"][1][1] = "exp(-600*z)", "exp(600*z)"
     path = tmp_path / "ex1_steep.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    lazy, points = _semi_symmetry(path)
+    lazy, sampled = _semi_symmetry(path)
+    points = lazy.chart.sample_points(len(sampled), OracleConfig().seed)
+    assert max(abs(point["z"]) for point in points) > 0.59 > max(abs(p["z"]) for p in sampled)
     assert lazy.residues().any()
     assert _factored_max(lazy, points) is None
     numeric_max = residual_numeric_max(lazy, points)

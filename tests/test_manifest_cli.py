@@ -261,7 +261,8 @@ def test_optimized_interpreter_reproduces_golden_report(name):
 
 def test_a_bare_parse_gives_the_default_oracle_config():
     args = build_parser().parse_args(["oracle", "fixtures/flat_r3"])
-    assert OracleConfig(h=args.h, seed=args.seed, tolerance=args.tolerance) == OracleConfig()
+    assert OracleConfig(seed=args.seed, tolerance=args.tolerance) == OracleConfig()
+    assert not hasattr(args, "h")  # the oracle has no finite-difference step
     for mode in RICCI_MODES:
         args = build_parser().parse_args(["oracle", "fixtures/flat_r3", "--ricci-mode", mode])
         assert args.ricci_mode == mode
@@ -308,10 +309,10 @@ def test_badly_scaled_manifest_reports_strict_json_without_traceback(tmp_path, s
         if "non-finite" in check["details"]:
             assert check["status"] == "fail", check
     if seed == 5:
-        # the Lie-derivative deviation is inf - inf = NaN at one sample point
-        lie_dual = next(c for c in report["checks"] if c["id"] == "oracle_lie_dual")
-        assert lie_dual["status"] == "fail"
-        assert "non-finite" in lie_dual["details"]
+        # the finite-difference oracle's own points met inf - inf = NaN in the Lie-dual
+        # pair at this seed; at the report's points every row of the jet oracle passes
+        rows = [c for c in report["checks"] if c["id"].startswith("oracle_")]
+        assert [row["status"] for row in rows] == ["pass"] * 4, rows
 
 
 def test_orthonormal_frame_of_a_large_scale_metric_is_accepted(tmp_path):
@@ -335,13 +336,16 @@ def test_orthonormal_frame_of_a_large_scale_metric_is_accepted(tmp_path):
 
 
 def test_a_manifest_with_no_sample_point_reports_without_traceback(tmp_path):
-    # |det g| = (1 + e^z)^4 / 10^12 stays under the degeneracy cutoff in the
-    # whole box, so every candidate sample point is rejected
+    # the x-y block (1 + e^z)^2 [[1, c], [c, 1]] with c = 1 - 10^-8 has nearly parallel
+    # rows: |det g| is 2e-8 of its Hadamard bound in the whole box, below the
+    # degeneracy cutoff, so every candidate sample point is rejected.  phi swaps x
+    # and y, which keeps the structure; the frame is dropped, as no rational one is
+    # orthonormal
     data = json.loads((Path(__file__).resolve().parent / "golden" / "manifests"
                        / "torse_sigmoid_r3.json").read_text())
-    for i in (0, 1):
-        data["metric"][i][i] = "(1+exp(z))^2/1000000"
-        data["frame"][i][i] = "1000/(1+exp(z))"
+    data["metric"][0][1] = data["metric"][1][0] = "99999999/100000000*(1+exp(z))^2"
+    data["phi"][0][:2], data["phi"][1][:2] = ["0", "1"], ["1", "0"]
+    del data["frame"]
     path = tmp_path / "torse_tiny.json"
     path.write_text(json.dumps(data))
     code, out, _ = run_cli(["torse", str(path), "--json"])

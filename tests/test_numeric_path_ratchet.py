@@ -2,7 +2,8 @@
 
 A ``batch.Plan`` (run through ``PointBatch``) evaluates every float the
 program reads: ``numeric_max``, the soliton base-point guard, the torse note,
-the oracle rows and references, the report's candidate points, and the
+the oracle rows (whose references read the batch's columns), the report's
+candidate points (the oracle's too), and the
 base-point reads (the signature, the frame check, the soliton residual norm).
 ``Expr.evaluate`` is kept as the reference of the batch and the source of its
 error texts; the one call of it in the program is ``PointBatch.evaluate_or_raise``,
@@ -20,6 +21,7 @@ import ast
 import io
 import json
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 from parasol.chart import Chart
@@ -30,8 +32,10 @@ MANIFESTS = Path(__file__).resolve().parent / "golden" / "manifests"
 
 # the fd_* wrappers built a new StencilSampler per call; a sampler is the one way in
 # the chart fixes one rate denominator: no expression's rates are rescaled
+# the oracle's references are jets at the report's points: no stencil, no step
 DELETED_FUNCTIONS = {
     "max_abs", "evaluate_many", "fd_christoffel", "fd_riemann", "fd_ricci", "_rescale_rates",
+    "_chain_values", "_distinct_visits", "_failures", "require_step_fits",
 }
 # compare takes a reference's (value, error) pairs, not a per-point lookup
 DELETED_PARAMETERS = {"guard_seed", "sample_seed", "oracle_fn"}
@@ -48,14 +52,20 @@ DELETED_METHODS = {
 }
 DELETED_FIELDS = {
     "CheckOutcome.data", "SolitonSolveResult.norm_squared", "TorseFormingData.w", "Expr._float",
-    "Expr._scale", "Expr._rden",
+    "Expr._scale", "Expr._rden", "OracleConfig.h",
 }
 # a sample point's references are numbers, with no error for a failed stencil
-DELETED_CLASSES = {"_Coordinates", "StencilDegeneracyError"}
+DELETED_CLASSES = {"_Coordinates", "StencilDegeneracyError", "StencilSampler"}
+DELETED_CONSTANTS = {"GROUP_VISITS", "_CHAINS"}
+# the half-step reference, the row that checked the O(h^2) scaling, and the step's flag
+DELETED_STRINGS = {"christoffel_half_step", "oracle_h_scaling", "--h"}
 ONE_POINT_CALLS = {"evaluate", "numeric_at"}
 # the one one-point call of the program: the raise rule of the batch
 RAISE_PATH = {"batch.py": ["PointBatch.evaluate_or_raise: .evaluate"]}
-CHART_SAMPLERS = {"Analysis.sample_points", "oracle_sample_points"}
+# the report and the oracle share one point set
+CHART_SAMPLERS = {"Analysis.sample_points"}
+# the oracle's witness shares no symbolic derivative code
+SYMBOLIC_DERIVATIVES = {"connection", "differentiate", "partials", "contract"}
 # the ring's arithmetic: the content is an int pair, with no Fraction in between
 INT_CONTENT_FUNCTIONS = {
     "Expr.__add__", "Expr.__neg__", "Expr.__sub__", "Expr.__mul__", "Expr._reciprocal",
@@ -86,9 +96,20 @@ def _fields(node: ast.ClassDef):
 
 
 def deleted_names(source: str) -> list[str]:
-    """Classes, functions, parameters and class fields that must stay deleted, found in a module."""
+    """Classes, functions, parameters, fields, constants and strings that must stay deleted."""
     tree = ast.parse(source)
-    found = []
+    found = [
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in DELETED_CONSTANTS
+    ]
+    found += [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in DELETED_STRINGS
+    ]
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             if node.name in DELETED_CLASSES:
@@ -180,9 +201,29 @@ def imported_names(source: str) -> set[str]:
     return names
 
 
+def named(source: str) -> set[str]:
+    """Every name a module reads, every attribute it takes, and every module and name it imports."""
+    names = imported_names(source)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return {part for name in names for part in name.split(".")}
+
+
 def test_detectors_find_the_deleted_paths():
     source = (
         "import numpy as np\n"
+        "GROUP_VISITS = 240\n"
+        "_CHAINS = ((), (1.0,))\n"
+        "REFERENCES = (\"christoffel\", \"christoffel_half_step\")\n"
+        "def _chain_values(centres, h):\n    pass\n"
+        "def require_step_fits(chart, h):\n    return CheckOutcome(\"oracle_h_scaling\")\n"
+        "class OracleConfig:\n"
+        "    h: float = 1e-4\n"
+        "    seed: int = 42\n"
+        "def flags(parser):\n    parser.add_argument(\"--h\", type=float)\n"
         "from .chart import SAMPLE_COUNT\n"
         "class _Coordinates(list):\n"
         "    __slots__ = ()\n"
@@ -220,8 +261,11 @@ def test_detectors_find_the_deleted_paths():
         "    pass\n"
     )
     assert deleted_names(source) == [
+        "GROUP_VISITS", "_CHAINS", "christoffel_half_step", "oracle_h_scaling", "--h",
+        "OracleConfig.h",
         "_Coordinates", "Expr._float", "Expr._scale", "Expr._rden", "TorseFormingData.w",
-        "StencilDegeneracyError",
+        "StencilDegeneracyError", "StencilSampler",
+        "_chain_values", "require_step_fits",
         "Expr.keep_float_tables", "Expr._aligned",
         "TensorField.max_abs", "TensorField.numeric_at", "Contraction.numeric_at",
         "Metric.numeric_at",
@@ -281,6 +325,14 @@ def test_the_ring_arithmetic_names_no_fraction():
     assert fraction_uses(source) == []
 
 
+def test_the_oracle_shares_no_symbolic_derivative_code():
+    assert named("from .connection import christoffel\nx = f.partials(g)\n") >= {
+        "connection", "christoffel", "partials"
+    }
+    source = (SRC / "oracle.py").read_text(encoding="utf-8")
+    assert named(source) & SYMBOLIC_DERIVATIVES == set()
+
+
 def test_solitons_do_no_float_sampling():
     imported = imported_names((SRC / "solitons.py").read_text(encoding="utf-8"))
     assert not {"numpy", "SAMPLE_COUNT"} & imported
@@ -308,9 +360,9 @@ def _report(argv: list[str]) -> dict:
     return json.loads(out.getvalue())
 
 
-def test_a_report_draws_one_point_set_and_the_oracle_another(monkeypatch):
-    # ex1 runs the soliton guard, torse_sigmoid_r3 the torse note; both read
-    # the report's point set
+def test_a_report_draws_one_point_set(monkeypatch):
+    # ex1 runs the soliton guard and the oracle, torse_sigmoid_r3 the torse note;
+    # all read the report's point set
     draws = []
     sample_points = Chart.sample_points
 
@@ -322,20 +374,26 @@ def test_a_report_draws_one_point_set_and_the_oracle_another(monkeypatch):
     for manifest in ("fixtures/ex1_r3_spacelike", str(MANIFESTS / "torse_sigmoid_r3.json")):
         draws.clear()
         _report(["report", "--all", manifest, "--seed", "7"])
-        assert draws == [(10, 7), (10, 7)], manifest
+        assert draws == [(10, 7)], manifest
 
 
 def test_the_guard_without_sample_points_is_inapplicable(tmp_path):
-    # a flat metric scaled so that |det g| = 1e-8 is below the sampling cutoff everywhere
+    # a flat metric whose x-y block [[1, c], [c, 1]] has nearly parallel rows:
+    # c = a^2 - b^2 with a^2 + b^2 = 1 and b = 2e-4, so |det g| = 4 a^2 b^2 is 8e-8
+    # of its Hadamard bound everywhere, below the sampling cutoff.  The frame
+    # (1, 1, 0)/2a, (1, -1, 0)/2b, (0, 0, 1) is orthonormal, and phi swaps x and y
+    m = 10**4
+    a, b = Fraction(m * m - 1, m * m + 1), Fraction(2 * m, m * m + 1)
+    c, ea, eb = str(a * a - b * b), str(1 / (2 * a)), str(1 / (2 * b))
     manifest = {
-        "name": "flat_small", "coordinates": ["x", "y", "z"], "base_point": ["0", "0", "0"],
+        "name": "flat_pinched", "coordinates": ["x", "y", "z"], "base_point": ["0", "0", "0"],
         "domain_box": [["-1", "1"]] * 3, "epsilon": 1,
-        "metric": [["1/10000", "0", "0"], ["0", "1/10000", "0"], ["0", "0", "1"]],
-        "phi": [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"]],
+        "metric": [["1", c, "0"], [c, "1", "0"], ["0", "0", "1"]],
+        "phi": [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
         "xi": ["0", "0", "1"], "eta": ["0", "0", "1"],
-        "frame": [["100", "0", "0"], ["0", "100", "0"], ["0", "0", "1"]], "potential": "xi",
+        "frame": [[ea, ea, "0"], [eb, "-" + eb, "0"], ["0", "0", "1"]], "potential": "xi",
     }
-    path = tmp_path / "flat_small.json"
+    path = tmp_path / "flat_pinched.json"
     path.write_text(json.dumps(manifest), encoding="utf-8")
     guard = _report(["soliton", "solve", str(path)])["checks"][-1]
     assert (guard["id"], guard["status"], guard["details"]) == (
@@ -343,3 +401,11 @@ def test_the_guard_without_sample_points_is_inapplicable(tmp_path):
         "inapplicable",
         "no nondegenerate sample points found in the domain box",
     )
+    # diag(1/10000, 1/10000, 1), degenerate only in absolute terms, has its points
+    manifest["metric"] = [["1/10000", "0", "0"], ["0", "1/10000", "0"], ["0", "0", "1"]]
+    manifest["phi"] = [["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"]]
+    manifest["frame"] = [["100", "0", "0"], ["0", "100", "0"], ["0", "0", "1"]]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    guard = _report(["soliton", "solve", str(path)])["checks"][-1]
+    assert (guard["id"], guard["status"]) == ("soliton_base_point_guard", "pass")
+    assert guard["details"].startswith("stacked least squares over 10 extra seeded points")
